@@ -6,8 +6,8 @@
 //! [`IndexScheme`]s and worker counts {1, 4}. The three answers must agree
 //! as multisets. On top of the differential sweep, golden `explain()`
 //! snapshots pin down that each rewrite family actually fires: EXISTS
-//! lifting + decorrelation on Q2, predicate pushdown on Q6, and
-//! package-level common-subplan sharing on Q1.
+//! lifting + decorrelation on Q2, predicate pushdown on Q6, column pruning
+//! on QF2 and Q5, and package-level common-subplan sharing on Q1.
 
 use datagen::{generate, OrgConfig};
 use nrc::builder::*;
@@ -189,6 +189,61 @@ fn q1_explain_shows_cross_stage_subplan_sharing() {
         "a shared subplan needs at least two consuming stages:\n{}",
         rendered
     );
+}
+
+/// Column pruning narrows both inputs of QF2's one join (it reads 3 of the
+/// 7 joined columns) and all four inputs of Q5's two.
+#[test]
+fn qf2_and_q5_explain_show_narrowed_join_inputs() {
+    for (q, inputs) in [(datagen::queries::qf2(), 2), (datagen::queries::q5(), 4)] {
+        let rendered = explain_for(&q, true);
+        let rewrite = format!(
+            "narrowed {} join input(s) to the columns read above them",
+            inputs
+        );
+        assert!(
+            rendered.contains(&rewrite),
+            "missing `{}` in:\n{}",
+            rewrite,
+            rendered
+        );
+    }
+}
+
+/// Pruned plans are re-validated like every other rewrite, and pruning never
+/// narrows a `WITH` definition, so cross-stage sharing — which compares
+/// definitions — finds what it found before the pass existed: Q1's outer
+/// query, bound by two stages, and nothing else.
+#[test]
+fn pruned_plans_verify_clean_and_keep_their_shared_slots() {
+    let db = org_db();
+    for scheme in IndexScheme::ALL {
+        for (name, q) in all_queries() {
+            let shredder = Shredder::builder()
+                .database(db.clone())
+                .index_scheme(scheme)
+                .verify(true)
+                .build()
+                .unwrap();
+            let prepared = shredder.prepare(&q).unwrap();
+            assert!(
+                !prepared.check().has_errors(),
+                "{} under {}: {}",
+                name,
+                scheme,
+                prepared.check()
+            );
+            let rendered = prepared.explain().to_string();
+            assert_eq!(
+                rendered.matches("to package-shared subplan #").count(),
+                if name == "Q1" { 2 } else { 0 },
+                "{} under {} binds other shared slots:\n{}",
+                name,
+                scheme,
+                rendered
+            );
+        }
+    }
 }
 
 /// With the optimizer off, no rewrite annotations appear anywhere.

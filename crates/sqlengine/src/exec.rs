@@ -763,7 +763,7 @@ fn eval_expr(
         Expr::BinOp { op, left, right } => {
             let l = eval_expr(left, scope, ctx, ctes, row_numbers)?;
             let r = eval_expr(right, scope, ctx, ctes, row_numbers)?;
-            eval_binop(*op, l, r)
+            eval_binop(*op, &l, &r)
         }
         Expr::Not(inner) => {
             let v = eval_expr(inner, scope, ctx, ctes, row_numbers)?;
@@ -797,7 +797,7 @@ fn eval_expr(
 
 /// Scalar binary-operator semantics, shared between the interpreter and the
 /// vectorized executor so the two paths cannot diverge.
-pub(crate) fn eval_binop(op: BinOp, l: SqlValue, r: SqlValue) -> Result<SqlValue, EngineError> {
+pub(crate) fn eval_binop(op: BinOp, l: &SqlValue, r: &SqlValue) -> Result<SqlValue, EngineError> {
     use BinOp::*;
     // SQL three-valued logic, simplified: any NULL operand yields NULL except
     // for AND/OR short-circuit cases that are determined by the other operand.
@@ -823,13 +823,13 @@ pub(crate) fn eval_binop(op: BinOp, l: SqlValue, r: SqlValue) -> Result<SqlValue
     let type_err =
         |msg: &str| EngineError::TypeError(format!("{}: {} {} {}", msg, l, op.symbol(), r));
     match op {
-        Eq => Ok(SqlValue::Bool(l.sql_eq(&r))),
-        Neq => Ok(SqlValue::Bool(!l.sql_eq(&r))),
+        Eq => Ok(SqlValue::Bool(l.sql_eq(r))),
+        Neq => Ok(SqlValue::Bool(!l.sql_eq(r))),
         Lt | Le | Gt | Ge => {
-            if std::mem::discriminant(&l) != std::mem::discriminant(&r) {
+            if std::mem::discriminant(l) != std::mem::discriminant(r) {
                 return Err(type_err("cannot compare"));
             }
-            let c = l.sql_cmp(&r);
+            let c = l.sql_cmp(r);
             let b = match op {
                 Lt => c == std::cmp::Ordering::Less,
                 Le => c != std::cmp::Ordering::Greater,

@@ -1,0 +1,858 @@
+//! Key kernels: hashing, equality, join tables and ordering over **borrowed
+//! key columns**.
+//!
+//! Every keyed operator of the two executors — hash join, hash semi-join,
+//! `DISTINCT`, `EXCEPT ALL`, `ROW_NUMBER` and `ORDER BY` — runs on this one
+//! layer. [`crate::vexec`] calls the kernels over whole batches;
+//! [`crate::par`] calls the same kernels per morsel and per partition and
+//! keeps only the scheduling around them. Nothing here transposes key columns
+//! into one `Vec<SqlValue>` per row: a key is a list of [`Vector`]s borrowed
+//! from the batch, a per-row `u64` hash computed column-at-a-time, and
+//! equality checked in place on the columns.
+//!
+//! **Pair order.** [`KeyIndex::join_pairs`] emits matches in probe order,
+//! and for one probe row in ascending build-row order — the order the
+//! executors produced when a key's matches were a `Vec<usize>` filled in build
+//! order. Chains are threaded through `next` from the last build row to the
+//! first, so walking a chain from its head visits build rows ascending.
+//!
+//! **NULL modes.** [`NullMode::NeverMatches`] is SQL equality (joins and
+//! semi-joins): a row with a `NULL` in any key column is left out of the
+//! table and matches nothing when probing. [`NullMode::GroupsWithNull`] is
+//! grouping (`DISTINCT`, `EXCEPT ALL`): `NULL` equals `NULL`.
+//!
+//! **The hasher** is a hand-written multiply–rotate mixer, not SipHash. It is
+//! not resistant to keys crafted to collide; that is acceptable here because
+//! the tables live for one operator execution inside the process, their
+//! hashes are never exposed or persisted, and a degenerate table (every key
+//! in one bucket) is merely slow — equality is always re-checked on the
+//! columns, as the all-collisions test below pins down.
+
+use crate::error::EngineError;
+use crate::value::SqlValue;
+use std::cmp::Ordering;
+use std::ops::Range;
+
+/// The physical rows a batch view ranges over: all of a dense batch, a
+/// morsel of one, a selection vector or a slice of one. `Copy`, so a morsel
+/// costs no allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Physical rows `start..end`.
+    Range { start: usize, end: usize },
+    /// Explicit physical row ids, in logical order.
+    Sel(&'a [usize]),
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Rows::Range { start, end } => end - start,
+            Rows::Sel(sel) => sel.len(),
+        }
+    }
+
+    /// Physical row of logical row `i`.
+    pub(crate) fn phys(&self, i: usize) -> usize {
+        match self {
+            Rows::Range { start, .. } => start + i,
+            Rows::Sel(sel) => sel[i],
+        }
+    }
+
+    /// The logical sub-range `range` of these rows (a morsel).
+    pub(crate) fn slice(&self, range: Range<usize>) -> Rows<'a> {
+        match self {
+            Rows::Range { start, .. } => Rows::Range {
+                start: start + range.start,
+                end: start + range.end,
+            },
+            Rows::Sel(sel) => Rows::Sel(&sel[range]),
+        }
+    }
+}
+
+/// One expression evaluated over a run of rows, without copying what can be
+/// borrowed: a column read through the batch's rows, a computed dense
+/// vector, or one value standing for every row.
+#[derive(Debug)]
+pub(crate) enum Vector<'a> {
+    /// `data[rows.phys(i)]`: a bare column reference.
+    Col {
+        data: &'a [SqlValue],
+        rows: Rows<'a>,
+    },
+    /// Computed values, one per row.
+    Owned(Vec<SqlValue>),
+    /// A literal, parameter or outer reference: constant within the batch.
+    Const { value: SqlValue, len: usize },
+}
+
+impl Vector<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Vector::Col { rows, .. } => rows.len(),
+            Vector::Owned(values) => values.len(),
+            Vector::Const { len, .. } => *len,
+        }
+    }
+
+    /// The value of logical row `i`.
+    pub(crate) fn get(&self, i: usize) -> &SqlValue {
+        match self {
+            Vector::Col { data, rows } => &data[rows.phys(i)],
+            Vector::Owned(values) => &values[i],
+            Vector::Const { value, .. } => value,
+        }
+    }
+
+    /// Call `f(i, value)` for every logical row of `range`, with the
+    /// representation matched once outside the loop.
+    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(usize, &SqlValue)) {
+        match self {
+            Vector::Col {
+                data,
+                rows: Rows::Range { start, .. },
+            } => {
+                let slice = &data[start + range.start..start + range.end];
+                for (k, v) in slice.iter().enumerate() {
+                    f(range.start + k, v);
+                }
+            }
+            Vector::Col {
+                data,
+                rows: Rows::Sel(sel),
+            } => {
+                for (k, &p) in sel[range.clone()].iter().enumerate() {
+                    f(range.start + k, &data[p]);
+                }
+            }
+            Vector::Owned(values) => {
+                for (k, v) in values[range.clone()].iter().enumerate() {
+                    f(range.start + k, v);
+                }
+            }
+            Vector::Const { value, .. } => {
+                for i in range {
+                    f(i, value);
+                }
+            }
+        }
+    }
+
+    /// A dense owned copy (what a materialising operator stores).
+    pub(crate) fn into_vec(self) -> Vec<SqlValue> {
+        match self {
+            Vector::Owned(values) => values,
+            Vector::Const { value, len } => vec![value; len],
+            col => {
+                let mut out = Vec::with_capacity(col.len());
+                col.for_each(0..col.len(), |_, v| out.push(v.clone()));
+                out
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hashing
+// ---------------------------------------------------------------------------
+
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+const SEED: u64 = 0x243F_6A88_85A3_08D3;
+const TAG_NULL: u64 = 0x6A09_E667_F3BC_C908;
+const TAG_BOOL: u64 = 0xBB67_AE85_84CA_A73B;
+const TAG_INT: u64 = 0x3C6E_F372_FE94_F82B;
+const TAG_STR: u64 = 0xA54F_F53A_5F1D_36F1;
+
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(23) ^ x).wrapping_mul(K)
+}
+
+/// Spread the entropy of the multiply chain over all 64 bits: bucket
+/// indices take the low bits, partitions the high ones.
+fn finish(h: u64) -> u64 {
+    let h = (h ^ (h >> 32)).wrapping_mul(K);
+    h ^ (h >> 29)
+}
+
+fn hash_value(v: &SqlValue) -> u64 {
+    match v {
+        SqlValue::Null => TAG_NULL,
+        SqlValue::Bool(b) => mix(TAG_BOOL, u64::from(*b)),
+        SqlValue::Int(i) => mix(TAG_INT, *i as u64),
+        SqlValue::Str(s) => {
+            let bytes = s.as_bytes();
+            let mut h = mix(TAG_STR, bytes.len() as u64);
+            let mut words = bytes.chunks_exact(8);
+            for word in &mut words {
+                let word: [u8; 8] = word.try_into().expect("chunks_exact(8) yields 8 bytes");
+                h = mix(h, u64::from_le_bytes(word));
+            }
+            let tail = words.remainder();
+            if !tail.is_empty() {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                h = mix(h, u64::from_le_bytes(word));
+            }
+            h
+        }
+    }
+}
+
+/// Per-row key hashes and which rows hold a `NULL` in some key column.
+#[derive(Debug, Default)]
+pub(crate) struct KeyHashes {
+    pub(crate) hashes: Vec<u64>,
+    pub(crate) has_null: Vec<bool>,
+}
+
+impl KeyHashes {
+    /// Morsel-wise hashes, concatenated in morsel order.
+    pub(crate) fn concat(chunks: Vec<KeyHashes>) -> KeyHashes {
+        let mut out = KeyHashes::default();
+        for chunk in chunks {
+            out.hashes.extend(chunk.hashes);
+            out.has_null.extend(chunk.has_null);
+        }
+        out
+    }
+}
+
+/// Hash the key of every logical row in `range`, one key column at a time.
+/// Entry `k` of the result belongs to row `range.start + k`.
+pub(crate) fn hash_keys(cols: &[Vector<'_>], range: Range<usize>) -> KeyHashes {
+    let base = range.start;
+    let mut hashes = vec![SEED; range.len()];
+    let mut has_null = vec![false; range.len()];
+    for col in cols {
+        col.for_each(range.clone(), |i, v| {
+            hashes[i - base] = mix(hashes[i - base], hash_value(v));
+            has_null[i - base] |= v.is_null();
+        });
+    }
+    for h in &mut hashes {
+        *h = finish(*h);
+    }
+    KeyHashes { hashes, has_null }
+}
+
+/// Evaluated key columns of one relation together with their row hashes.
+#[derive(Debug)]
+pub(crate) struct Keys<'a> {
+    pub(crate) cols: Vec<Vector<'a>>,
+    pub(crate) hashed: KeyHashes,
+}
+
+impl<'a> Keys<'a> {
+    /// Hash `len` rows of `cols` on the calling thread (`len` is explicit:
+    /// an empty key list still has one key per row).
+    pub(crate) fn new(cols: Vec<Vector<'a>>, len: usize) -> Keys<'a> {
+        let hashed = hash_keys(&cols, 0..len);
+        Keys { cols, hashed }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.hashed.hashes.len()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The join table
+// ---------------------------------------------------------------------------
+
+/// How `NULL` key values compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NullMode {
+    /// SQL equality: a key holding a `NULL` equals nothing, itself included.
+    NeverMatches,
+    /// Grouping: `NULL` is a value like any other.
+    GroupsWithNull,
+}
+
+/// Which partition a hash belongs to, of `count`.
+fn partition_of(hash: u64, count: usize) -> usize {
+    ((hash >> 32) as usize) % count
+}
+
+/// Refuse a build side whose row ids do not fit the table's `u32` links.
+fn check_indexable(rows: usize) -> Result<(), EngineError> {
+    if rows >= u32::MAX as usize {
+        return Err(EngineError::TypeError(format!(
+            "hash table build side has {rows} rows; row links hold at most {}",
+            u32::MAX - 1
+        )));
+    }
+    Ok(())
+}
+
+/// A chained hash table over (one partition of) a build side: `heads[b]` is
+/// the first build row of bucket `b`, `next[row]` the following one, both
+/// stored `+ 1` with `0` for "none". It holds row ids only — hashes and key
+/// values stay in the [`Keys`] it was built from.
+#[derive(Debug)]
+pub(crate) struct JoinTable {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl JoinTable {
+    /// The table of partition `part` of `parts` over `build`'s rows, with
+    /// about one bucket per row. `next` spans every build row whatever the
+    /// partition count (4 bytes per row and partition — a sixth of one key
+    /// column), which keeps row ids global and the probe free of
+    /// indirection.
+    pub(crate) fn build(
+        build: &KeyHashes,
+        nulls: NullMode,
+        part: usize,
+        parts: usize,
+    ) -> Result<JoinTable, EngineError> {
+        let buckets = (build.hashes.len() / parts).max(1).next_power_of_two();
+        JoinTable::with_buckets(build, nulls, part, parts, buckets)
+    }
+
+    fn with_buckets(
+        build: &KeyHashes,
+        nulls: NullMode,
+        part: usize,
+        parts: usize,
+        buckets: usize,
+    ) -> Result<JoinTable, EngineError> {
+        debug_assert!(buckets.is_power_of_two());
+        let rows = build.hashes.len();
+        check_indexable(rows)?;
+        let mut heads = vec![0u32; buckets];
+        let mut next = vec![0u32; rows];
+        // Last row first: each bucket's chain then reads in ascending row
+        // order from its head.
+        for row in (0..rows).rev() {
+            let hash = build.hashes[row];
+            if (nulls == NullMode::NeverMatches && build.has_null[row])
+                || (parts > 1 && partition_of(hash, parts) != part)
+            {
+                continue;
+            }
+            let bucket = hash as usize & (buckets - 1);
+            next[row] = heads[bucket];
+            heads[bucket] = row as u32 + 1;
+        }
+        Ok(JoinTable { heads, next })
+    }
+}
+
+/// A build side ready to be probed: its keys, the NULL mode and one
+/// [`JoinTable`] per hash partition.
+#[derive(Debug)]
+pub(crate) struct KeyIndex<'k> {
+    build: &'k Keys<'k>,
+    nulls: NullMode,
+    tables: Vec<JoinTable>,
+}
+
+impl<'k> KeyIndex<'k> {
+    /// Index `build` with a single table, on the calling thread.
+    pub(crate) fn new(build: &'k Keys<'k>, nulls: NullMode) -> Result<KeyIndex<'k>, EngineError> {
+        let table = JoinTable::build(&build.hashed, nulls, 0, 1)?;
+        Ok(KeyIndex::from_partitions(build, nulls, vec![table]))
+    }
+
+    /// Assemble an index from partition tables built elsewhere (one per
+    /// worker): `tables[p]` must be `JoinTable::build(.., p, tables.len())`
+    /// over the same `build` and `nulls`.
+    pub(crate) fn from_partitions(
+        build: &'k Keys<'k>,
+        nulls: NullMode,
+        tables: Vec<JoinTable>,
+    ) -> KeyIndex<'k> {
+        KeyIndex {
+            build,
+            nulls,
+            tables,
+        }
+    }
+
+    /// Call `f` with each build row whose key equals probe row `i`'s, in
+    /// ascending order, until it returns `false`.
+    fn for_each_match(&self, probe: &Keys<'_>, i: usize, mut f: impl FnMut(usize) -> bool) {
+        if self.nulls == NullMode::NeverMatches && probe.hashed.has_null[i] {
+            return;
+        }
+        let hash = probe.hashed.hashes[i];
+        let table = match self.tables.as_slice() {
+            [only] => only,
+            tables => &tables[partition_of(hash, tables.len())],
+        };
+        let mut at = table.heads[hash as usize & (table.heads.len() - 1)];
+        while at != 0 {
+            let row = at as usize - 1;
+            at = table.next[row];
+            if self.build.hashed.hashes[row] == hash
+                && self
+                    .build
+                    .cols
+                    .iter()
+                    .zip(&probe.cols)
+                    .all(|(b, p)| b.get(row) == p.get(i))
+                && !f(row)
+            {
+                return;
+            }
+        }
+    }
+
+    /// The smallest build row matching probe row `i`.
+    pub(crate) fn first_match(&self, probe: &Keys<'_>, i: usize) -> Option<usize> {
+        let mut first = None;
+        self.for_each_match(probe, i, |row| {
+            first = Some(row);
+            false
+        });
+        first
+    }
+
+    /// The join's match list for the probe rows of `range`: probe order,
+    /// then ascending build order. Pairs are `(left row, right row)`.
+    pub(crate) fn join_pairs(
+        &self,
+        probe: &Keys<'_>,
+        range: Range<usize>,
+        probe_is_left: bool,
+    ) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::with_capacity(range.len());
+        for i in range {
+            self.for_each_match(probe, i, |j| {
+                pairs.push(if probe_is_left { (i, j) } else { (j, i) });
+                true
+            });
+        }
+        pairs
+    }
+
+    /// The semi (`anti`: anti) join's selection for the probe rows of
+    /// `range`: the physical row, through `rows`, of every probe row that
+    /// has a match (`anti`: has none).
+    pub(crate) fn semi_select(
+        &self,
+        probe: &Keys<'_>,
+        range: Range<usize>,
+        anti: bool,
+        rows: Rows<'_>,
+    ) -> Vec<usize> {
+        range
+            .filter(|&i| self.first_match(probe, i).is_some() != anti)
+            .map(|i| rows.phys(i))
+            .collect()
+    }
+}
+
+/// `DISTINCT`: the logical rows that are the first occurrence of their key.
+pub(crate) fn distinct_rows(keys: &Keys<'_>) -> Result<Vec<usize>, EngineError> {
+    let index = KeyIndex::new(keys, NullMode::GroupsWithNull)?;
+    Ok((0..keys.len())
+        .filter(|&i| index.first_match(keys, i) == Some(i))
+        .collect())
+}
+
+/// `EXCEPT ALL`: the logical left rows that survive subtracting the right
+/// bag — each right row cancels the earliest left row still standing with
+/// the same key.
+pub(crate) fn except_all_rows(
+    left: &Keys<'_>,
+    right: &Keys<'_>,
+) -> Result<Vec<usize>, EngineError> {
+    let index = KeyIndex::new(right, NullMode::GroupsWithNull)?;
+    // Multiplicity of each right key, filed under its first occurrence.
+    let mut remaining = vec![0usize; right.len()];
+    for j in 0..right.len() {
+        let first = index.first_match(right, j).expect("a row matches itself");
+        remaining[first] += 1;
+    }
+    Ok((0..left.len())
+        .filter(|&i| match index.first_match(left, i) {
+            Some(first) if remaining[first] > 0 => {
+                remaining[first] -= 1;
+                false
+            }
+            _ => true,
+        })
+        .collect())
+}
+
+// ---------------------------------------------------------------------------
+// Ordering
+// ---------------------------------------------------------------------------
+
+/// Lexicographic comparison of logical rows `a` and `b` under
+/// [`SqlValue::sql_cmp`], read in place from the key columns.
+pub(crate) fn compare_at(cols: &[Vector<'_>], a: usize, b: usize) -> Ordering {
+    for col in cols {
+        let ord = col.get(a).sql_cmp(col.get(b));
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// The logical rows of `range` in stable key order (ties keep row order).
+pub(crate) fn sort_rows(cols: &[Vector<'_>], range: Range<usize>) -> Vec<usize> {
+    let mut order: Vec<usize> = range.collect();
+    order.sort_by(|&a, &b| compare_at(cols, a, b));
+    order
+}
+
+/// Merge runs that [`sort_rows`] produced over consecutive ranges into the
+/// order one stable sort of the whole would give: smallest key first, ties
+/// to the smaller row — which within a run is already the case, and across
+/// runs picks the earlier run.
+pub(crate) fn merge_sorted_runs(cols: &[Vector<'_>], runs: &[Vec<usize>]) -> Vec<usize> {
+    let mut heads = vec![0usize; runs.len()];
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    loop {
+        let mut best: Option<(usize, usize)> = None;
+        for (r, run) in runs.iter().enumerate() {
+            let Some(&cand) = run.get(heads[r]) else {
+                continue;
+            };
+            let better = best.is_none_or(|(_, row)| {
+                compare_at(cols, cand, row).then(cand.cmp(&row)) == Ordering::Less
+            });
+            if better {
+                best = Some((r, cand));
+            }
+        }
+        let Some((r, row)) = best else {
+            return out;
+        };
+        heads[r] += 1;
+        out.push(row);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::{compare_rows, Row};
+    use std::collections::HashMap;
+
+    /// splitmix64, so every case replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A value from a small domain in which `Int(1)`, `Bool(true)` and
+    /// `Str("1")` all occur, beside NULLs and duplicates.
+    fn small_value(rng: &mut Rng) -> SqlValue {
+        match rng.below(8) {
+            0 => SqlValue::Null,
+            1 => SqlValue::Bool(true),
+            2 => SqlValue::Bool(false),
+            3 => SqlValue::str("1"),
+            4 => SqlValue::str("a longer string, past one word"),
+            n => SqlValue::Int(n as i64 - 4),
+        }
+    }
+
+    fn random_columns(rng: &mut Rng, width: usize, rows: usize) -> Vec<Vec<SqlValue>> {
+        (0..width)
+            .map(|_| (0..rows).map(|_| small_value(rng)).collect())
+            .collect()
+    }
+
+    /// Skew in the style of the SIGMOD 2014 contest analysis (Elekes et
+    /// al.): one key on half the rows, a Zipf-like tail on the rest.
+    fn skewed_column(rng: &mut Rng, rows: usize) -> Vec<SqlValue> {
+        (0..rows)
+            .map(|_| {
+                if rng.below(2) == 0 {
+                    SqlValue::Int(0)
+                } else {
+                    let u = rng.below(1 << 16) as f64 / f64::from(1u32 << 16);
+                    SqlValue::Int((1.0 / (1.0 - u * 0.999)) as i64)
+                }
+            })
+            .collect()
+    }
+
+    fn dense(columns: &[Vec<SqlValue>]) -> Vec<Vector<'_>> {
+        let rows = columns.first().map_or(0, Vec::len);
+        columns
+            .iter()
+            .map(|data| Vector::Col {
+                data,
+                rows: Rows::Range {
+                    start: 0,
+                    end: rows,
+                },
+            })
+            .collect()
+    }
+
+    fn key_rows(columns: &[Vec<SqlValue>], rows: usize) -> Vec<Row> {
+        (0..rows)
+            .map(|i| columns.iter().map(|c| c[i].clone()).collect())
+            .collect()
+    }
+
+    /// The executors' former match loop: one `Vec<SqlValue>` per row,
+    /// `HashMap<Row, Vec<usize>>`, NULL keys skipped on both sides.
+    fn reference_join(build: &[Row], probe: &[Row], probe_is_left: bool) -> Vec<(usize, usize)> {
+        let mut table: HashMap<&Row, Vec<usize>> = HashMap::new();
+        for (i, key) in build.iter().enumerate() {
+            if !key.iter().any(SqlValue::is_null) {
+                table.entry(key).or_default().push(i);
+            }
+        }
+        let mut pairs = Vec::new();
+        for (i, key) in probe.iter().enumerate() {
+            if key.iter().any(SqlValue::is_null) {
+                continue;
+            }
+            for &j in table.get(key).map_or(&[][..], Vec::as_slice) {
+                pairs.push(if probe_is_left { (i, j) } else { (j, i) });
+            }
+        }
+        pairs
+    }
+
+    fn kernel_join(
+        build: &[Vec<SqlValue>],
+        build_rows: usize,
+        probe: &[Vec<SqlValue>],
+        probe_rows: usize,
+        parts: usize,
+        buckets: Option<usize>,
+    ) -> Vec<(usize, usize)> {
+        let build = Keys::new(dense(build), build_rows);
+        let probe = Keys::new(dense(probe), probe_rows);
+        let nulls = NullMode::NeverMatches;
+        let tables = (0..parts)
+            .map(|p| match buckets {
+                Some(b) => JoinTable::with_buckets(&build.hashed, nulls, p, parts, b),
+                None => JoinTable::build(&build.hashed, nulls, p, parts),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let index = KeyIndex::from_partitions(&build, nulls, tables);
+        // Two probe morsels, concatenated, as the parallel executor does.
+        let mid = probe_rows / 2;
+        let mut pairs = index.join_pairs(&probe, 0..mid, true);
+        pairs.extend(index.join_pairs(&probe, mid..probe_rows, true));
+        pairs
+    }
+
+    #[test]
+    fn join_pairs_equal_the_hashmap_reference_on_random_keys() {
+        let mut rng = Rng(12);
+        for case in 0..60 {
+            let width = 1 + case % 3;
+            let (b, p) = match case % 5 {
+                0 => (0, 17),
+                1 => (23, 0),
+                _ => (rng.below(90) as usize, rng.below(90) as usize),
+            };
+            let build = random_columns(&mut rng, width, b);
+            let probe = random_columns(&mut rng, width, p);
+            let expect = reference_join(&key_rows(&build, b), &key_rows(&probe, p), true);
+            for (parts, buckets) in [(1, None), (3, None), (1, Some(1)), (2, Some(1))] {
+                assert_eq!(
+                    kernel_join(&build, b, &probe, p, parts, buckets),
+                    expect,
+                    "case {case}, {parts} partition(s), buckets {buckets:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn join_pairs_equal_the_reference_on_skewed_keys() {
+        let mut rng = Rng(2014);
+        let build = vec![skewed_column(&mut rng, 400)];
+        let probe = vec![skewed_column(&mut rng, 300)];
+        let expect = reference_join(&key_rows(&build, 400), &key_rows(&probe, 300), true);
+        assert!(
+            expect.len() > 400 * 300 / 5,
+            "the hot key dominates the output"
+        );
+        assert_eq!(kernel_join(&build, 400, &probe, 300, 1, None), expect);
+        assert_eq!(kernel_join(&build, 400, &probe, 300, 4, None), expect);
+    }
+
+    #[test]
+    fn values_of_different_type_never_join() {
+        let build = vec![vec![
+            SqlValue::Int(1),
+            SqlValue::Bool(true),
+            SqlValue::str("1"),
+            SqlValue::Null,
+        ]];
+        let probe = build.clone();
+        // One bucket and — through equal hashes or not — only the diagonal
+        // matches; NULL matches nothing, itself included.
+        assert_eq!(
+            kernel_join(&build, 4, &probe, 4, 1, Some(1)),
+            vec![(0, 0), (1, 1), (2, 2)]
+        );
+    }
+
+    #[test]
+    fn keys_read_through_a_selection_and_constants_match_dense_ones() {
+        let data: Vec<SqlValue> = (0..10).map(|i| SqlValue::Int(i % 3)).collect();
+        let sel = [9usize, 0, 4, 4, 7];
+        let through_sel = Keys::new(
+            vec![
+                Vector::Col {
+                    data: &data,
+                    rows: Rows::Sel(&sel),
+                },
+                Vector::Const {
+                    value: SqlValue::Int(7),
+                    len: sel.len(),
+                },
+            ],
+            sel.len(),
+        );
+        let gathered: Vec<SqlValue> = sel.iter().map(|&p| data[p].clone()).collect();
+        let sevens = vec![SqlValue::Int(7); sel.len()];
+        let dense_keys = Keys::new(
+            vec![Vector::Owned(gathered), Vector::Owned(sevens)],
+            sel.len(),
+        );
+        assert_eq!(through_sel.hashed.hashes, dense_keys.hashed.hashes);
+        let index = KeyIndex::new(&dense_keys, NullMode::NeverMatches).unwrap();
+        // data[9] = 0 and data[0] = 0 share a key; the two data[4] rows and
+        // data[7] share another.
+        assert_eq!(
+            index.join_pairs(&through_sel, 0..sel.len(), true),
+            vec![
+                (0, 0),
+                (0, 1),
+                (1, 0),
+                (1, 1),
+                (2, 2),
+                (2, 3),
+                (2, 4),
+                (3, 2),
+                (3, 3),
+                (3, 4),
+                (4, 2),
+                (4, 3),
+                (4, 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn both_null_modes() {
+        let col = vec![vec![
+            SqlValue::Null,
+            SqlValue::Int(1),
+            SqlValue::Null,
+            SqlValue::Int(1),
+        ]];
+        let keys = Keys::new(dense(&col), 4);
+        let joining = KeyIndex::new(&keys, NullMode::NeverMatches).unwrap();
+        assert_eq!(joining.first_match(&keys, 0), None);
+        assert_eq!(joining.first_match(&keys, 3), Some(1));
+        let rows = Rows::Range { start: 0, end: 4 };
+        assert_eq!(joining.semi_select(&keys, 0..4, false, rows), vec![1, 3]);
+        assert_eq!(joining.semi_select(&keys, 0..4, true, rows), vec![0, 2]);
+        let grouping = KeyIndex::new(&keys, NullMode::GroupsWithNull).unwrap();
+        assert_eq!(grouping.first_match(&keys, 2), Some(0));
+        assert_eq!(distinct_rows(&keys).unwrap(), vec![0, 1]);
+    }
+
+    #[test]
+    fn an_empty_key_list_matches_every_build_row() {
+        let build = Keys::new(Vec::new(), 3);
+        let probe = Keys::new(Vec::new(), 2);
+        let index = KeyIndex::new(&build, NullMode::NeverMatches).unwrap();
+        assert_eq!(index.first_match(&probe, 1), Some(0));
+        assert_eq!(index.join_pairs(&probe, 0..2, true).len(), 6);
+        let empty = Keys::new(Vec::new(), 0);
+        let index = KeyIndex::new(&empty, NullMode::NeverMatches).unwrap();
+        assert_eq!(index.first_match(&probe, 0), None);
+    }
+
+    #[test]
+    fn distinct_and_except_all_equal_their_hashmap_references() {
+        let mut rng = Rng(7);
+        for case in 0..40 {
+            let width = 1 + case % 3;
+            let (l, r) = (rng.below(70) as usize, rng.below(70) as usize);
+            let left = random_columns(&mut rng, width, l);
+            let right = random_columns(&mut rng, width, r);
+            let (left_rows, right_rows) = (key_rows(&left, l), key_rows(&right, r));
+
+            let mut seen = std::collections::HashSet::new();
+            let expect: Vec<usize> = (0..l).filter(|&i| seen.insert(&left_rows[i])).collect();
+            let left_keys = Keys::new(dense(&left), l);
+            assert_eq!(distinct_rows(&left_keys).unwrap(), expect, "case {case}");
+
+            let mut counts: HashMap<&Row, usize> = HashMap::new();
+            for row in &right_rows {
+                *counts.entry(row).or_insert(0) += 1;
+            }
+            let expect: Vec<usize> = (0..l)
+                .filter(|&i| match counts.get_mut(&left_rows[i]) {
+                    Some(n) if *n > 0 => {
+                        *n -= 1;
+                        false
+                    }
+                    _ => true,
+                })
+                .collect();
+            let right_keys = Keys::new(dense(&right), r);
+            assert_eq!(
+                except_all_rows(&left_keys, &right_keys).unwrap(),
+                expect,
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn sorting_equals_a_stable_sort_of_transposed_rows() {
+        let mut rng = Rng(99);
+        for case in 0..40 {
+            let width = 1 + case % 3;
+            let rows = rng.below(120) as usize;
+            let columns = random_columns(&mut rng, width, rows);
+            let transposed = key_rows(&columns, rows);
+            let mut expect: Vec<usize> = (0..rows).collect();
+            expect.sort_by(|&a, &b| compare_rows(&transposed[a], &transposed[b]));
+            let cols = dense(&columns);
+            assert_eq!(sort_rows(&cols, 0..rows), expect, "case {case}");
+            // Any split into consecutive runs merges back to the same order.
+            for runs in [2, 3, 7] {
+                let chunk = rows.div_ceil(runs).max(1);
+                let sorted: Vec<Vec<usize>> = (0..rows)
+                    .step_by(chunk)
+                    .map(|s| sort_rows(&cols, s..(s + chunk).min(rows)))
+                    .collect();
+                assert_eq!(merge_sorted_runs(&cols, &sorted), expect, "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_build_side_beyond_the_link_width_is_an_error_not_a_panic() {
+        assert!(check_indexable(u32::MAX as usize - 1).is_ok());
+        let err = check_indexable(u32::MAX as usize).unwrap_err();
+        assert!(matches!(err, EngineError::TypeError(_)), "{err}");
+        assert!(err.to_string().contains("rows"), "{err}");
+    }
+}

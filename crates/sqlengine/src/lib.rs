@@ -58,6 +58,7 @@ pub mod ast;
 pub mod delta;
 pub mod error;
 pub mod exec;
+mod kernels;
 pub mod opt;
 pub mod par;
 pub mod parser;

@@ -1,7 +1,7 @@
 //! The logical optimizer: plan-to-plan rewrites between [`crate::plan`] and
 //! execution.
 //!
-//! [`optimize`] applies five passes, in order:
+//! [`optimize`] applies six passes, in order:
 //!
 //! 1. **Constant folding** — evaluates [`VExpr`] subtrees whose operands are
 //!    literals, simplifies boolean identities (`TRUE AND p` → `p`,
@@ -37,6 +37,17 @@
 //!    catalog row counts, with `WITH`-definition estimates propagated to the
 //!    `CteScan`s that read them (the planner chose sides from shape-only
 //!    defaults; see [`estimate`](PhysicalPlan::estimate)).
+//! 6. **Column pruning** — inserts narrowing `Project`s of bare columns on
+//!    the inputs of hash and nested-loop joins, so a join materialises only
+//!    the columns its keys or some ancestor reads, and moves the positional
+//!    [`VExpr::Col`] indexes above to where the columns end up. A narrowing
+//!    `Project` shares its input's columns at run time, so it costs nothing
+//!    itself. The pass never narrows the output of a `WITH` definition (the
+//!    `CteScan`s were planned against it, and cross-stage sharing compares
+//!    definitions), the inputs of `DISTINCT` and the set operations (their
+//!    rows are compared whole), or the input of a correlated subplan (its
+//!    rows become scope frames resolved by alias, which a `Project` erases).
+//!    It runs last so that it prunes the joins the other passes leave.
 //!
 //! Every pass is a pure function from plan to plan: rewritten plans flow
 //! through the interpreter oracle, the vectorized executor, `DeltaExec` and
@@ -119,6 +130,15 @@ pub fn optimize(plan: PhysicalPlan, catalog: &dyn Catalog) -> (PhysicalPlan, Opt
         report.rewrites.push(format!(
             "re-chose {} hash-join build side(s) from catalog estimates",
             flips
+        ));
+    }
+
+    let mut narrowed = 0usize;
+    let plan = prune_plan(plan, &mut narrowed);
+    if narrowed > 0 {
+        report.rewrites.push(format!(
+            "narrowed {} join input(s) to the columns read above them",
+            narrowed
         ));
     }
 
@@ -344,7 +364,7 @@ fn fold_expr(expr: VExpr, count: &mut usize) -> VExpr {
                 // Only fold evaluations that succeed: a subtree that would
                 // error at runtime (division by zero, type mismatch) is
                 // kept so the executor still reports it.
-                if let Ok(v) = eval_binop(op, l.clone(), r.clone()) {
+                if let Ok(v) = eval_binop(op, l, r) {
                     *count += 1;
                     return VExpr::Lit(v);
                 }
@@ -1421,6 +1441,366 @@ fn estimate_env(plan: &PhysicalPlan, catalog: &dyn Catalog, env: &mut Vec<(Strin
 }
 
 // ---------------------------------------------------------------------------
+// Pass 6: column pruning
+// ---------------------------------------------------------------------------
+
+/// A pruned subtree: it outputs a subset of the columns it used to, in their
+/// original order, and `remap[old]` is the new position of each survivor.
+struct Pruned {
+    plan: PhysicalPlan,
+    remap: Vec<Option<usize>>,
+}
+
+impl Pruned {
+    fn unchanged(plan: PhysicalPlan, width: usize) -> Pruned {
+        Pruned {
+            plan,
+            remap: (0..width).map(Some).collect(),
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.remap.iter().flatten().count()
+    }
+}
+
+/// Narrow the inputs of joins to the columns something above them reads, so
+/// a join materialises no column that is dropped before the result. A
+/// narrowing `Project` of bare columns shares its input's columns at run
+/// time, so it costs nothing where it sits.
+fn prune_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
+    prune_whole(plan, false, count)
+}
+
+/// Prune inside a subtree all of whose output columns are read.
+fn prune_whole(plan: PhysicalPlan, frozen: bool, count: &mut usize) -> PhysicalPlan {
+    let need = vec![true; plan.output_width()];
+    prune_node(plan, &need, frozen, count).plan
+}
+
+/// Prune below `plan`, whose consumers read the output columns flagged in
+/// `need`. Only joins drop columns, by projecting their inputs; every
+/// other operator passes its input's narrowing through (remapping its own
+/// column references) or, where its output is a fixed list — `Project`,
+/// scans, a `WITH` definition, the sides of `DISTINCT` and the set
+/// operations, whose rows are compared whole — asks for everything.
+///
+/// `frozen` keeps the node's output schema exactly as it is, aliases
+/// included: the rows of a batch that correlated subplans run against are
+/// pushed as scope frames and resolved by alias, and a narrowing `Project`
+/// erases aliases.
+fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize) -> Pruned {
+    let all = vec![true; need.len()];
+    let need = if frozen { &all[..] } else { need };
+    // `EXISTS` inside this node's expressions runs against its input rows.
+    let has_subplans = !plan.expr_subplans().is_empty();
+    let frozen_below = frozen || has_subplans;
+    match plan {
+        PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } | PhysicalPlan::CteScan { .. } => {
+            Pruned::unchanged(plan, need.len())
+        }
+        PhysicalPlan::SubqueryScan { input, alias } => {
+            // Re-aliases every column, so nothing below it is frozen.
+            let input = prune_node(*input, need, false, count);
+            Pruned {
+                plan: PhysicalPlan::SubqueryScan {
+                    input: Box::new(input.plan),
+                    alias,
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::NestedLoopJoin { left, right } => {
+            let (left, right, remap) =
+                prune_join(*left, *right, &[], &[], need, frozen_below, count);
+            Pruned {
+                plan: PhysicalPlan::NestedLoopJoin {
+                    left: Box::new(left.plan),
+                    right: Box::new(right.plan),
+                },
+                remap,
+            }
+        }
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            build,
+        } => {
+            let (left, right, remap) = prune_join(
+                *left,
+                *right,
+                &left_keys,
+                &right_keys,
+                need,
+                frozen_below,
+                count,
+            );
+            Pruned {
+                plan: PhysicalPlan::HashJoin {
+                    left_keys: remap_exprs(left_keys, &left.remap, count),
+                    right_keys: remap_exprs(right_keys, &right.remap, count),
+                    left: Box::new(left.plan),
+                    right: Box::new(right.plan),
+                    build,
+                },
+                remap,
+            }
+        }
+        PhysicalPlan::Filter { input, predicate } => {
+            let need = with_cols(need, std::slice::from_ref(&predicate));
+            let input = prune_node(*input, &need, frozen_below, count);
+            Pruned {
+                plan: PhysicalPlan::Filter {
+                    predicate: remap_expr(predicate, &input.remap, count),
+                    input: Box::new(input.plan),
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::ExistsSemiJoin {
+            input,
+            subplan,
+            anti,
+        } => {
+            let input = prune_node(*input, need, true, count);
+            Pruned {
+                plan: PhysicalPlan::ExistsSemiJoin {
+                    input: Box::new(input.plan),
+                    subplan: Box::new(prune_plan(*subplan, count)),
+                    anti,
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::HashSemiJoin {
+            input,
+            build,
+            probe_keys,
+            build_keys,
+            anti,
+        } => {
+            let need = with_cols(need, &probe_keys);
+            let input = prune_node(*input, &need, frozen_below, count);
+            // Only the keys of the build side are ever read.
+            let build_need = with_cols(&vec![false; build.output_width()], &build_keys);
+            let build = prune_node(*build, &build_need, has_subplans, count);
+            Pruned {
+                plan: PhysicalPlan::HashSemiJoin {
+                    probe_keys: remap_exprs(probe_keys, &input.remap, count),
+                    build_keys: remap_exprs(build_keys, &build.remap, count),
+                    input: Box::new(input.plan),
+                    build: Box::new(build.plan),
+                    anti,
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::RowNumber { input, specs } => {
+            let input_width = need.len() - specs.len();
+            let keys: Vec<VExpr> = specs.iter().flatten().cloned().collect();
+            let input_need = with_cols(&need[..input_width], &keys);
+            let input = prune_node(*input, &input_need, frozen_below, count);
+            // The `#rn` columns follow the input's, wherever those end now.
+            let mut remap = input.remap.clone();
+            remap.extend((0..specs.len()).map(|i| Some(input.width() + i)));
+            Pruned {
+                plan: PhysicalPlan::RowNumber {
+                    specs: specs
+                        .into_iter()
+                        .map(|spec| remap_exprs(spec, &input.remap, count))
+                        .collect(),
+                    input: Box::new(input.plan),
+                },
+                remap,
+            }
+        }
+        PhysicalPlan::Sort { input, keys } => {
+            let need = with_cols(need, &keys);
+            let input = prune_node(*input, &need, frozen_below, count);
+            Pruned {
+                plan: PhysicalPlan::Sort {
+                    keys: remap_exprs(keys, &input.remap, count),
+                    input: Box::new(input.plan),
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::Project {
+            input,
+            exprs,
+            columns,
+        } => {
+            let input_need = with_cols(&vec![false; input.output_width()], &exprs);
+            let input = prune_node(*input, &input_need, has_subplans, count);
+            Pruned::unchanged(
+                PhysicalPlan::Project {
+                    exprs: remap_exprs(exprs, &input.remap, count),
+                    input: Box::new(input.plan),
+                    columns,
+                },
+                need.len(),
+            )
+        }
+        PhysicalPlan::Distinct { input } => {
+            let input = prune_node(*input, &all, frozen, count);
+            Pruned {
+                plan: PhysicalPlan::Distinct {
+                    input: Box::new(input.plan),
+                },
+                remap: input.remap,
+            }
+        }
+        PhysicalPlan::UnionAll(branches) => Pruned::unchanged(
+            PhysicalPlan::UnionAll(
+                branches
+                    .into_iter()
+                    .map(|b| prune_whole(b, frozen, count))
+                    .collect(),
+            ),
+            need.len(),
+        ),
+        PhysicalPlan::ExceptAll { left, right } => Pruned::unchanged(
+            PhysicalPlan::ExceptAll {
+                left: Box::new(prune_whole(*left, frozen, count)),
+                right: Box::new(prune_whole(*right, frozen, count)),
+            },
+            need.len(),
+        ),
+        PhysicalPlan::With {
+            name,
+            definition,
+            body,
+        } => {
+            // The definition's output is what every `CteScan` of it was
+            // planned against: prune inside it, never its columns.
+            let definition = prune_plan(*definition, count);
+            let body = prune_node(*body, need, frozen, count);
+            Pruned {
+                plan: PhysicalPlan::With {
+                    name,
+                    definition: Box::new(definition),
+                    body: Box::new(body.plan),
+                },
+                remap: body.remap,
+            }
+        }
+    }
+}
+
+/// Prune both inputs of a join whose consumers read `need` of its output
+/// and whose keys read their own columns, and compose the output remap.
+fn prune_join(
+    left: PhysicalPlan,
+    right: PhysicalPlan,
+    left_keys: &[VExpr],
+    right_keys: &[VExpr],
+    need: &[bool],
+    frozen: bool,
+    count: &mut usize,
+) -> (Pruned, Pruned, Vec<Option<usize>>) {
+    let left_width = left.output_width();
+    let left_need = with_cols(&need[..left_width], left_keys);
+    let right_need = with_cols(&need[left_width..], right_keys);
+    let left = narrow(
+        prune_node(left, &left_need, frozen, count),
+        &left_need,
+        frozen,
+        count,
+    );
+    let right = narrow(
+        prune_node(right, &right_need, frozen, count),
+        &right_need,
+        frozen,
+        count,
+    );
+    let mut remap = left.remap.clone();
+    remap.extend(right.remap.iter().map(|r| r.map(|i| i + left.width())));
+    (left, right, remap)
+}
+
+/// Project a join input down to the columns flagged in `need`, unless it
+/// outputs nothing else already (or must keep its schema).
+fn narrow(input: Pruned, need: &[bool], frozen: bool, count: &mut usize) -> Pruned {
+    let kept = need.iter().filter(|n| **n).count();
+    if frozen || kept == input.width() {
+        return input;
+    }
+    let schema = plan_schema(&input.plan);
+    let mut exprs = Vec::with_capacity(kept);
+    let mut columns = Vec::with_capacity(kept);
+    let mut remap = vec![None; need.len()];
+    for (old, _) in need.iter().enumerate().filter(|(_, n)| **n) {
+        let index = input.remap[old].expect("a needed column survives pruning");
+        let (alias, column) = schema[index].clone();
+        remap[old] = Some(exprs.len());
+        columns.push(column.clone());
+        exprs.push(VExpr::Col {
+            index,
+            alias,
+            column,
+        });
+    }
+    *count += 1;
+    Pruned {
+        plan: PhysicalPlan::Project {
+            input: Box::new(input.plan),
+            exprs,
+            columns,
+        },
+        remap,
+    }
+}
+
+/// `need`, plus every column the expressions reference (a reference out of
+/// range is the plan validator's to report, not ours).
+fn with_cols(need: &[bool], exprs: &[VExpr]) -> Vec<bool> {
+    let mut need = need.to_vec();
+    for index in exprs.iter().flat_map(col_indexes) {
+        if let Some(flag) = need.get_mut(index) {
+            *flag = true;
+        }
+    }
+    need
+}
+
+fn remap_exprs(exprs: Vec<VExpr>, remap: &[Option<usize>], count: &mut usize) -> Vec<VExpr> {
+    exprs
+        .into_iter()
+        .map(|e| remap_expr(e, remap, count))
+        .collect()
+}
+
+/// Move an expression's column references to their new positions, and prune
+/// inside the `EXISTS` subplans it embeds (their own columns index other
+/// batches).
+fn remap_expr(expr: VExpr, remap: &[Option<usize>], count: &mut usize) -> VExpr {
+    match expr {
+        VExpr::Col {
+            index,
+            alias,
+            column,
+        } => VExpr::Col {
+            index: match remap.get(index) {
+                Some(new) => new.expect("a referenced column survives pruning"),
+                None => index,
+            },
+            alias,
+            column,
+        },
+        VExpr::BinOp { op, left, right } => VExpr::BinOp {
+            op,
+            left: Box::new(remap_expr(*left, remap, count)),
+            right: Box::new(remap_expr(*right, remap, count)),
+        },
+        VExpr::Not(inner) => VExpr::Not(Box::new(remap_expr(*inner, remap, count))),
+        VExpr::Exists(subplan) => VExpr::Exists(Box::new(prune_plan(*subplan, count))),
+        other => other,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Expression utilities
 // ---------------------------------------------------------------------------
 
@@ -1859,6 +2239,178 @@ mod tests {
         assert_eq!(build, BuildSide::Left);
         assert!(
             report.rewrites.iter().any(|r| r.contains("build side")),
+            "rewrites: {:?}",
+            report.rewrites
+        );
+    }
+
+    fn t_join_u() -> PhysicalPlan {
+        PhysicalPlan::HashJoin {
+            left: Box::new(scan("t", "t", &["a", "b", "c"])),
+            right: Box::new(scan("u", "u", &["x", "y", "z"])),
+            left_keys: vec![acol(1, "t", "b")],
+            right_keys: vec![acol(0, "u", "x")],
+            build: BuildSide::Right,
+        }
+    }
+
+    #[test]
+    fn narrows_join_inputs_to_the_columns_read_above() {
+        // Project[t.c, u.z] over t ⋈ u on t.b = u.x reads 4 of 6 columns.
+        let plan = PhysicalPlan::Project {
+            input: Box::new(t_join_u()),
+            exprs: vec![acol(2, "t", "c"), acol(5, "u", "z")],
+            columns: vec!["c".to_string(), "z".to_string()],
+        };
+        let (opt, report) = optimize(plan, &empty_catalog());
+        assert!(
+            report
+                .rewrites
+                .iter()
+                .any(|r| r.contains("narrowed 2 join input(s)")),
+            "rewrites: {:?}",
+            report.rewrites
+        );
+        let narrow = |input: PhysicalPlan, picks: &[(usize, &str, &str)]| PhysicalPlan::Project {
+            input: Box::new(input),
+            exprs: picks.iter().map(|(i, a, c)| acol(*i, a, c)).collect(),
+            columns: picks.iter().map(|(_, _, c)| c.to_string()).collect(),
+        };
+        let expected = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: Box::new(narrow(
+                    scan("t", "t", &["a", "b", "c"]),
+                    &[(1, "t", "b"), (2, "t", "c")],
+                )),
+                right: Box::new(narrow(
+                    scan("u", "u", &["x", "y", "z"]),
+                    &[(0, "u", "x"), (2, "u", "z")],
+                )),
+                left_keys: vec![acol(0, "t", "b")],
+                right_keys: vec![acol(0, "u", "x")],
+                build: BuildSide::Right,
+            }),
+            exprs: vec![acol(1, "t", "c"), acol(3, "u", "z")],
+            columns: vec!["c".to_string(), "z".to_string()],
+        };
+        assert_eq!(opt, expected, "got:\n{}", opt);
+    }
+
+    #[test]
+    fn pruning_passes_through_filters_and_row_numbers_and_remaps_them() {
+        // Project[#rn0] over RowNumber[t.c] over Filter(u.y = 1) over t ⋈ u.
+        let plan = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::RowNumber {
+                input: Box::new(PhysicalPlan::Filter {
+                    input: Box::new(PhysicalPlan::NestedLoopJoin {
+                        left: Box::new(scan("t", "t", &["a", "b", "c"])),
+                        right: Box::new(scan("u", "u", &["x", "y", "z"])),
+                    }),
+                    // Spans both sides, so pushdown leaves it above the join.
+                    predicate: eq(acol(4, "u", "y"), acol(0, "t", "a")),
+                }),
+                specs: vec![vec![acol(2, "t", "c")]],
+            }),
+            exprs: vec![col(6, "#rn0")],
+            columns: vec!["rank".to_string()],
+        };
+        let (opt, _) = optimize(plan, &empty_catalog());
+        let rendered = opt.to_string();
+        // t narrows to (a, c), u to (y): the filter, the window and the
+        // projection follow the columns to positions 2/0, 1 and 3.
+        assert!(
+            rendered.contains("Project [t.a AS a, t.c AS c]"),
+            "{}",
+            rendered
+        );
+        assert!(rendered.contains("Project [u.y AS y]"), "{}", rendered);
+        let PhysicalPlan::Project { input, exprs, .. } = &opt else {
+            panic!("expected Project, got {}", opt);
+        };
+        assert_eq!(exprs, &vec![col(3, "#rn0")]);
+        let PhysicalPlan::RowNumber { input, specs } = input.as_ref() else {
+            panic!("expected RowNumber, got {}", input);
+        };
+        assert_eq!(specs, &vec![vec![acol(1, "t", "c")]]);
+        let PhysicalPlan::Filter { predicate, .. } = input.as_ref() else {
+            panic!("expected Filter, got {}", input);
+        };
+        assert_eq!(predicate, &eq(acol(2, "u", "y"), acol(0, "t", "a")));
+        assert_eq!(opt.output_columns(), vec!["rank".to_string()]);
+    }
+
+    #[test]
+    fn pruning_keeps_whole_rows_for_with_definitions_distinct_and_set_operations() {
+        let cte_scan = PhysicalPlan::CteScan {
+            name: "q".to_string(),
+            alias: "z".to_string(),
+            columns: vec!["a".to_string(), "b".to_string(), "c".to_string()],
+        };
+        for plan in [
+            // The definition is a join: its six columns are the CTE's layout.
+            PhysicalPlan::With {
+                name: "q".to_string(),
+                definition: Box::new(t_join_u()),
+                body: Box::new(PhysicalPlan::Project {
+                    input: Box::new(cte_scan),
+                    exprs: vec![acol(0, "z", "a")],
+                    columns: vec!["a".to_string()],
+                }),
+            },
+            PhysicalPlan::Distinct {
+                input: Box::new(t_join_u()),
+            },
+            PhysicalPlan::UnionAll(vec![t_join_u(), t_join_u()]),
+            PhysicalPlan::ExceptAll {
+                left: Box::new(t_join_u()),
+                right: Box::new(t_join_u()),
+            },
+        ] {
+            let (opt, report) = optimize(plan.clone(), &empty_catalog());
+            assert_eq!(opt, plan);
+            assert!(
+                report.rewrites.is_empty(),
+                "rewrites: {:?}",
+                report.rewrites
+            );
+        }
+    }
+
+    #[test]
+    fn pruning_keeps_the_schema_correlated_subplans_resolve_against() {
+        // `outer(t.a) < c.x` cannot decorrelate, so the subplan keeps running
+        // once per row of t ⋈ u with that row pushed as a frame, resolved by
+        // alias: the join's inputs must keep their aliases, i.e. stay as
+        // they are, although the projection reads one column.
+        let subplan = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(scan("c", "c", &["x"])),
+                predicate: VExpr::BinOp {
+                    op: BinOp::Lt,
+                    left: Box::new(VExpr::Outer {
+                        table: Some("t".to_string()),
+                        column: "a".to_string(),
+                    }),
+                    right: Box::new(col(0, "x")),
+                },
+            }),
+            exprs: vec![lit_int(1)],
+            columns: vec!["one".to_string()],
+        };
+        let plan = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::ExistsSemiJoin {
+                input: Box::new(t_join_u()),
+                subplan: Box::new(subplan),
+                anti: false,
+            }),
+            exprs: vec![acol(2, "t", "c")],
+            columns: vec!["c".to_string()],
+        };
+        let (opt, report) = optimize(plan.clone(), &empty_catalog());
+        assert_eq!(opt, plan);
+        assert_eq!(report.skipped.len(), 1);
+        assert!(
+            report.rewrites.is_empty(),
             "rewrites: {:?}",
             report.rewrites
         );

@@ -4,39 +4,42 @@
 //! its input batch whole, on one thread. This module re-runs the same
 //! operator algebra as a pull-based pipeline of bounded **morsels**: an
 //! operator's input is split into contiguous logical row ranges of at most
-//! [`ExecOptions::morsel_rows`] rows (represented as selection-vector
-//! sub-batches — columns stay `Arc`-shared, nothing is copied), and the
-//! ranges are handed out to a pool of scoped worker threads from an atomic
-//! cursor ([`par_map`]). Each worker owns the morsels it claims; per-morsel
-//! results are reassembled **in morsel index order**, which is what makes
-//! the executor deterministic:
+//! [`ExecOptions::morsel_rows`] rows (a [`crate::kernels::Rows`] view of the
+//! batch — a row range of a dense batch, a slice of a selection vector;
+//! nothing is copied or allocated), and the ranges are handed out to a pool
+//! of scoped worker threads from an atomic cursor ([`par_map`]). Each worker
+//! owns the morsels it claims; per-morsel results are reassembled **in
+//! morsel index order**, which is what makes the executor deterministic:
 //!
 //! > for every plan, every parameter binding and every storage state, the
 //! > parallel executor produces byte-identical results to the sequential
 //! > [`vexec::exec`] path at *any* worker count and *any* morsel size.
 //!
-//! Per-operator strategy (see `DESIGN.md` § Morsel-driven parallel
-//! execution for the full argument):
+//! The operator bodies themselves are not here. Expression evaluation,
+//! filtering, gathering and projection are [`vexec`]'s, called per morsel;
+//! hashing, join tables and key ordering are [`crate::kernels`]', called per
+//! morsel, per partition or per run. What this module adds is the
+//! scheduling (see `DESIGN.md` § Morsel-driven parallel execution):
 //!
 //! * **Streaming operators** (filter, project, exists-semijoin, expression
 //!   evaluation, join gather) are embarrassingly parallel per morsel: each
 //!   morsel's output depends only on that morsel's rows, and concatenating
 //!   outputs in morsel order reproduces the sequential order. Their
 //!   intermediate buffers are bounded by the morsel size.
-//! * **Hash join** evaluates key columns per-morsel, then builds a
-//!   *partitioned* hash table: build rows are split by key hash into one
-//!   partition per worker, each partition built in global build-row order,
-//!   so every key's match list is identical to the single sequential
+//! * **Hash join** hashes key columns per morsel, then builds a
+//!   *partitioned* index: build rows are split by key hash into one
+//!   partition per worker, each partition's chains in global build-row
+//!   order, so every key's match list is identical to the single sequential
 //!   table's. Probing scans probe morsels in parallel; each morsel emits
 //!   pairs in probe order and the chunks concatenate to the sequential
 //!   pair list.
 //! * **Pipeline breakers** ([`PhysicalPlan::is_pipeline_breaker`]: sort,
 //!   row-number, distinct, set operations) cannot stream — they accumulate
 //!   per-worker partial state and merge. Sorting sorts per-worker
-//!   contiguous runs and k-way-merges them with an index tie-break, which
-//!   is provably equal to one global stable sort; distinct/except
-//!   materialise rows in parallel but keep the order-dependent
-//!   deduplication/decrement pass sequential.
+//!   contiguous runs and merges them with a row tie-break, which is
+//!   provably equal to one global stable sort; distinct/except hash their
+//!   rows in parallel but keep the order-dependent first-occurrence /
+//!   cancellation pass sequential.
 //! * **Scans** stay zero-copy (a table scan is an `Arc` clone of the
 //!   storage columns); the atomic cursor hands out morsel *ranges over the
 //!   scanned batch* to the consuming operator rather than copying the scan
@@ -47,17 +50,12 @@
 //! ([`crate::vexec::DeltaExec`]) valid differential baselines.
 
 use crate::error::EngineError;
+use crate::kernels::{self, JoinTable, KeyHashes, KeyIndex, Keys, NullMode, Vector};
 use crate::opt::live_estimate;
 use crate::plan::{BuildSide, PhysicalPlan, VExpr};
 use crate::storage::{ColumnarResult, Storage};
-use crate::value::{compare_rows, ParamValues, Row, SqlValue};
-use crate::vexec::{
-    self, Batch, CteEnv, PlanProfile, Profiler, SchemaCol, ScopeFrame, ScopeStack, VecCtx,
-};
-use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use crate::value::ParamValues;
+use crate::vexec::{self, Batch, CteEnv, PlanProfile, Profiler, ScopeStack, VecCtx};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -404,18 +402,6 @@ fn worker_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// A morsel: the sub-batch of `batch` at logical rows `range`, expressed as
-/// a selection vector over the same `Arc`-shared columns (no copying).
-fn sub_batch(batch: &Batch, range: Range<usize>) -> Batch {
-    let sel: Vec<usize> = range.map(|i| batch.phys(i)).collect();
-    Batch {
-        schema: batch.schema.clone(),
-        columns: batch.columns.clone(),
-        sel: Some(Arc::new(sel)),
-        base_rows: batch.base_rows,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Parallel plan execution
 // ---------------------------------------------------------------------------
@@ -457,25 +443,21 @@ fn pexec_node(
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Batch, EngineError> {
+    let vctx = ctx.vec_ctx();
     match plan {
         // Leaves and structural nodes run exactly as in the sequential
         // executor: scans are zero-copy Arc clones, so the parallelism
         // lives in the operators that consume them.
         PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } | PhysicalPlan::CteScan { .. } => {
-            let vctx = ctx.vec_ctx();
             vexec::exec(plan, &vctx, ctes, scope)
         }
         PhysicalPlan::SubqueryScan { input, alias } => {
-            let inner = par_materialise(ctx, pexec(input, ctx, ctes, scope)?)?;
-            Ok(vexec::realias(&inner, alias))
+            Ok(vexec::realias(&pexec(input, ctx, ctes, scope)?, alias))
         }
         PhysicalPlan::NestedLoopJoin { left, right } => {
             let l = pexec(left, ctx, ctes, scope)?;
             let r = pexec(right, ctx, ctes, scope)?;
-            let pairs: Vec<(usize, usize)> = (0..l.len())
-                .flat_map(|i| (0..r.len()).map(move |j| (i, j)))
-                .collect();
-            par_join_gather(ctx, &l, &r, &pairs)
+            par_join_gather(ctx, &l, &r, &vexec::cross_pairs(l.len(), r.len()))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -486,46 +468,36 @@ fn pexec_node(
         } => {
             let l = pexec(left, ctx, ctes, scope)?;
             let r = pexec(right, ctx, ctes, scope)?;
-            let lk = par_eval_keys(ctx, left_keys, &l, ctes, scope)?;
-            let rk = par_eval_keys(ctx, right_keys, &r, ctes, scope)?;
+            let engaged = ctx.engage(l.len()) || ctx.engage(r.len());
+            let lk = par_keys(
+                ctx,
+                engaged,
+                par_eval_all(ctx, left_keys, &l, ctes, scope)?,
+                &l,
+            )?;
+            let rk = par_keys(
+                ctx,
+                engaged,
+                par_eval_all(ctx, right_keys, &r, ctes, scope)?,
+                &r,
+            )?;
             let (build_keys, probe_keys, probe_is_left) = match build {
-                BuildSide::Right => (rk, lk, true),
-                BuildSide::Left => (lk, rk, false),
+                BuildSide::Right => (&rk, &lk, true),
+                BuildSide::Left => (&lk, &rk, false),
             };
-            let pairs = par_hash_join_pairs(ctx, &build_keys, &probe_keys, probe_is_left)?;
+            let index = par_index(ctx, engaged, build_keys)?;
+            let pairs = par_ranges(ctx, engaged, probe_keys.len(), |range| {
+                Ok(index.join_pairs(probe_keys, range, probe_is_left))
+            })?;
             par_join_gather(ctx, &l, &r, &pairs)
         }
         PhysicalPlan::Filter { input, predicate } => {
             let batch = pexec(input, ctx, ctes, scope)?;
-            let len = batch.len();
-            let sel: Vec<usize> = if !ctx.engage(len) {
-                let vctx = ctx.vec_ctx();
-                let values = vexec::eval(predicate, &batch, &vctx, ctes, scope)?;
-                values
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| v.as_bool() == Some(true))
-                    .map(|(i, _)| batch.phys(i))
-                    .collect()
-            } else {
-                let ranges = morsel_ranges(ctx, len);
-                let chunks = par_map(ctx, &ranges, |_, range| {
-                    let sub = sub_batch(&batch, range.clone());
-                    let vctx = ctx.vec_ctx();
-                    let values = vexec::eval(predicate, &sub, &vctx, ctes, scope)?;
-                    Ok(values
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| v.as_bool() == Some(true))
-                        .map(|(k, _)| sub.phys(k))
-                        .collect::<Vec<usize>>())
-                })?;
-                chunks.concat()
-            };
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let sel = par_ranges(ctx, ctx.engage(batch.len()), batch.len(), |range| {
+                let rows = batch.rows().slice(range);
+                vexec::select_true(predicate, &batch, rows, &vctx, ctes, scope)
+            })?;
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::ExistsSemiJoin {
             input,
@@ -533,33 +505,14 @@ fn pexec_node(
             anti,
         } => {
             let batch = pexec(input, ctx, ctes, scope)?;
-            let len = batch.len();
             // Per-row subplan execution dominates, so fan out well below
             // one morsel's worth of rows.
-            let ranges = if ctx.workers > 1 && len >= PAR_SUBPLAN_ROWS {
-                morsel_ranges(ctx, len)
-            } else {
-                std::iter::once(0..len).collect()
-            };
-            let chunks = par_map(ctx, &ranges, |_, range| {
-                let vctx = ctx.vec_ctx();
-                let mut sel = Vec::new();
-                for i in range.clone() {
-                    let frame = ScopeFrame {
-                        schema: batch.schema.clone(),
-                        values: batch.row(i),
-                    };
-                    let inner = vexec::exec(subplan, &vctx, ctes, &scope.pushed(frame))?;
-                    if inner.is_empty() == *anti {
-                        sel.push(batch.phys(i));
-                    }
-                }
-                Ok(sel)
+            let engaged = ctx.workers > 1 && batch.len() >= PAR_SUBPLAN_ROWS;
+            let sel = par_ranges(ctx, engaged, batch.len(), |range| {
+                let rows = batch.rows().slice(range);
+                vexec::exists_select(subplan, *anti, &batch, rows, &vctx, ctes, scope)
             })?;
-            Ok(Batch {
-                sel: Some(Arc::new(chunks.concat())),
-                ..batch
-            })
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::HashSemiJoin {
             input,
@@ -571,76 +524,42 @@ fn pexec_node(
             let batch = pexec(input, ctx, ctes, scope)?;
             // The build side runs exactly once, under the same scope as this
             // node (decorrelation guarantees it holds no references to the
-            // input's rows), and its key set is shared read-only by every
+            // input's rows), and its index is shared read-only by every
             // probe morsel.
             let built = pexec(build, ctx, ctes, scope)?;
-            let mut table: HashSet<Row> = HashSet::new();
-            'build: for key in par_eval_keys(ctx, build_keys, &built, ctes, scope)? {
-                for v in &key {
-                    if v.is_null() {
-                        continue 'build;
-                    }
-                }
-                table.insert(key);
-            }
-            let probe = par_eval_keys(ctx, probe_keys, &batch, ctes, scope)?;
-            let len = batch.len();
-            let keep = |i: usize| {
-                let key = &probe[i];
-                (!key.iter().any(|v| v.is_null()) && table.contains(key)) != *anti
+            let engaged = ctx.engage(batch.len()) || ctx.engage(built.len());
+            let sel = {
+                let bk = par_eval_all(ctx, build_keys, &built, ctes, scope)?;
+                let bk = par_keys(ctx, engaged, bk, &built)?;
+                let pk = par_eval_all(ctx, probe_keys, &batch, ctes, scope)?;
+                let pk = par_keys(ctx, engaged, pk, &batch)?;
+                let index = par_index(ctx, engaged, &bk)?;
+                par_ranges(ctx, engaged, pk.len(), |range| {
+                    Ok(index.semi_select(&pk, range, *anti, batch.rows()))
+                })?
             };
-            let sel: Vec<usize> = if !ctx.engage(len) {
-                (0..len)
-                    .filter(|&i| keep(i))
-                    .map(|i| batch.phys(i))
-                    .collect()
-            } else {
-                let ranges = morsel_ranges(ctx, len);
-                let chunks = par_map(ctx, &ranges, |_, range| {
-                    Ok(range
-                        .clone()
-                        .filter(|&i| keep(i))
-                        .map(|i| batch.phys(i))
-                        .collect::<Vec<usize>>())
-                })?;
-                chunks.concat()
-            };
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::RowNumber { input, specs } => {
             let batch = par_materialise(ctx, pexec(input, ctx, ctes, scope)?)?;
-            let len = batch.len();
-            let mut schema = batch.schema.as_ref().clone();
-            let mut columns = batch.columns.clone();
-            for (spec_idx, keys) in specs.iter().enumerate() {
-                let key_values = par_eval_keys(ctx, keys, &batch, ctes, scope)?;
-                let order = par_sort_indices(ctx, &key_values)?;
-                let mut rn = vec![SqlValue::Null; len];
-                for (number, row_idx) in order.into_iter().enumerate() {
-                    rn[row_idx] = SqlValue::Int((number + 1) as i64);
-                }
-                schema.push((None, format!("#rn{}", spec_idx)));
-                columns.push(Arc::new(rn));
-            }
-            Ok(Batch {
-                schema: Arc::new(schema),
-                columns,
-                sel: None,
-                base_rows: len,
-            })
+            let ranks = specs
+                .iter()
+                .map(|keys| {
+                    let keys = par_eval_all(ctx, keys, &batch, ctes, scope)?;
+                    Ok(vexec::rank_column(&par_sort(ctx, &keys, batch.len())?))
+                })
+                .collect::<Result<Vec<_>, EngineError>>()?;
+            Ok(vexec::with_rank_columns(batch, ranks))
         }
         PhysicalPlan::Sort { input, keys } => {
             let batch = pexec(input, ctx, ctes, scope)?;
-            let key_values = par_eval_keys(ctx, keys, &batch, ctes, scope)?;
-            let order = par_sort_indices(ctx, &key_values)?;
-            let sel: Vec<usize> = order.into_iter().map(|i| batch.phys(i)).collect();
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let order = par_sort(
+                ctx,
+                &par_eval_all(ctx, keys, &batch, ctes, scope)?,
+                batch.len(),
+            )?;
+            let sel = vexec::phys_rows(&batch, order);
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::Project {
             input,
@@ -648,121 +567,48 @@ fn pexec_node(
             columns,
         } => {
             let batch = pexec(input, ctx, ctes, scope)?;
-            let len = batch.len();
-            let schema: Vec<SchemaCol> = columns.iter().map(|c| (None, c.clone())).collect();
-            let out: Vec<Arc<Vec<SqlValue>>> = if !ctx.engage(len) || exprs.is_empty() {
-                let vctx = ctx.vec_ctx();
-                exprs
-                    .iter()
-                    .map(|e| vexec::eval(e, &batch, &vctx, ctes, scope).map(Arc::new))
-                    .collect::<Result<Vec<_>, _>>()?
-            } else {
-                // One task per (expression × morsel); per-expression chunks
-                // concatenate in morsel order.
-                let ranges = morsel_ranges(ctx, len);
-                let tasks: Vec<(usize, Range<usize>)> = exprs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(e, _)| ranges.iter().map(move |r| (e, r.clone())))
-                    .collect();
-                let parts = par_map(ctx, &tasks, |_, (e, range)| {
-                    let sub = sub_batch(&batch, range.clone());
-                    let vctx = ctx.vec_ctx();
-                    vexec::eval(&exprs[*e], &sub, &vctx, ctes, scope)
-                })?;
-                let mut parts = parts.into_iter();
-                (0..exprs.len())
-                    .map(|_| {
-                        let mut col: Vec<SqlValue> = Vec::with_capacity(len);
-                        for _ in 0..ranges.len() {
-                            let mut part = parts.next().expect("task count mismatch");
-                            col.append(&mut part);
-                        }
-                        Arc::new(col)
-                    })
-                    .collect()
-            };
-            Ok(Batch {
-                schema: Arc::new(schema),
-                columns: out,
-                sel: None,
-                base_rows: len,
-            })
+            if let Some(renamed) = vexec::project_columns(&batch, exprs, columns) {
+                return Ok(renamed);
+            }
+            let out = par_eval_all(ctx, exprs, &batch, ctes, scope)?
+                .into_iter()
+                .zip(exprs)
+                .map(|(v, e)| {
+                    vexec::shared_column(&batch, e).unwrap_or_else(|| Arc::new(v.into_vec()))
+                })
+                .collect();
+            Ok(vexec::projected(columns, out, batch.len()))
         }
         PhysicalPlan::Distinct { input } => {
-            // Pipeline breaker: rows materialise in parallel, but the
+            // Pipeline breaker: rows hash in parallel, but the
             // first-occurrence scan is inherently ordered and stays
             // sequential.
             let batch = pexec(input, ctx, ctes, scope)?;
-            let rows = par_rows(ctx, &batch)?;
-            let mut seen: HashSet<Row> = HashSet::new();
-            let sel: Vec<usize> = rows
-                .into_iter()
-                .enumerate()
-                .filter(|(_, row)| seen.insert(row.clone()))
-                .map(|(i, _)| batch.phys(i))
-                .collect();
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let engaged = ctx.engage(batch.len());
+            let firsts =
+                kernels::distinct_rows(&par_keys(ctx, engaged, batch.column_vectors(), &batch)?)?;
+            let sel = vexec::phys_rows(&batch, firsts);
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::UnionAll(branches) => {
-            let mut iter = branches.iter();
-            let first = iter
-                .next()
-                .ok_or_else(|| EngineError::TypeError("empty UNION ALL".to_string()))?;
-            let acc = pexec(first, ctx, ctes, scope)?.materialised();
-            let width = acc.columns.len();
-            let mut columns: Vec<Vec<SqlValue>> = (0..width)
-                .map(|c| acc.columns[c].as_ref().clone())
-                .collect();
-            let mut total = acc.base_rows;
-            for branch in iter {
-                let next = pexec(branch, ctx, ctes, scope)?;
-                if next.columns.len() != width {
-                    return Err(EngineError::TypeError(format!(
-                        "UNION ALL branches have {} and {} columns",
-                        width,
-                        next.columns.len()
-                    )));
-                }
-                total += next.len();
-                for (c, column) in columns.iter_mut().enumerate() {
-                    column.extend(next.gather(c));
-                }
-            }
-            Ok(Batch {
-                schema: acc.schema,
-                columns: columns.into_iter().map(Arc::new).collect(),
-                sel: None,
-                base_rows: total,
-            })
+            vexec::union_all(branches, &mut |branch| pexec(branch, ctx, ctes, scope))
         }
         PhysicalPlan::ExceptAll { left, right } => {
             let l = pexec(left, ctx, ctes, scope)?;
             let r = pexec(right, ctx, ctes, scope)?;
-            let r_rows = par_rows(ctx, &r)?;
-            let l_rows = par_rows(ctx, &l)?;
-            let mut counts: HashMap<Row, usize> = HashMap::new();
-            for row in r_rows {
-                *counts.entry(row).or_insert(0) += 1;
-            }
-            let mut rows = Vec::new();
-            for row in l_rows {
-                match counts.get_mut(&row) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => rows.push(row),
-                }
-            }
-            Ok(Batch::from_rows(l.schema.clone(), rows))
+            let kept = kernels::except_all_rows(
+                &par_keys(ctx, ctx.engage(l.len()), l.column_vectors(), &l)?,
+                &par_keys(ctx, ctx.engage(r.len()), r.column_vectors(), &r)?,
+            )?;
+            let sel = vexec::phys_rows(&l, kept);
+            Ok(l.with_sel(sel))
         }
         PhysicalPlan::With {
             name,
             definition,
             body,
         } => {
-            let bound = pexec(definition, ctx, ctes, scope)?;
+            let bound = par_materialise(ctx, pexec(definition, ctx, ctes, scope)?)?;
             let extended = ctes.extended(name, bound);
             pexec(body, ctx, &extended, scope)
         }
@@ -770,8 +616,28 @@ fn pexec_node(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel operator kernels
+// Morsel scheduling around the shared kernels
 // ---------------------------------------------------------------------------
+
+/// Run `f` over `0..len` — as one range when not `engaged`, else morsel by
+/// morsel on the pool — and concatenate the outputs in range order.
+fn par_ranges<T, F>(
+    ctx: &ParCtx<'_>,
+    engaged: bool,
+    len: usize,
+    f: F,
+) -> Result<Vec<T>, EngineError>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> Result<Vec<T>, EngineError> + Sync,
+{
+    if !engaged {
+        return f(0..len);
+    }
+    let ranges = morsel_ranges(ctx, len);
+    let chunks = par_map(ctx, &ranges, |_, range| f(range.clone()))?;
+    Ok(chunks.into_iter().flatten().collect())
+}
 
 /// Parallel [`Batch::materialised`]: gather each column on its own worker.
 fn par_materialise(ctx: &ParCtx<'_>, batch: Batch) -> Result<Batch, EngineError> {
@@ -788,142 +654,68 @@ fn par_materialise(ctx: &ParCtx<'_>, batch: Batch) -> Result<Batch, EngineError>
     })
 }
 
-/// Parallel [`vexec::eval_keys`]: key rows per morsel, concatenated in
-/// morsel order.
-fn par_eval_keys(
+/// Parallel [`vexec::eval_all`]: expressions that only borrow (columns,
+/// constants) cost nothing either way; the ones that compute are evaluated
+/// morsel by morsel and concatenated in morsel order.
+fn par_eval_all<'a>(
     ctx: &ParCtx<'_>,
-    keys: &[VExpr],
-    batch: &Batch,
+    exprs: &[VExpr],
+    batch: &'a Batch,
     ctes: &CteEnv,
     scope: &ScopeStack,
-) -> Result<Vec<Row>, EngineError> {
-    let len = batch.len();
-    if !ctx.engage(len) {
-        let vctx = ctx.vec_ctx();
-        return vexec::eval_keys(keys, batch, &vctx, ctes, scope);
-    }
-    let ranges = morsel_ranges(ctx, len);
-    let chunks = par_map(ctx, &ranges, |_, range| {
-        let sub = sub_batch(batch, range.clone());
-        let vctx = ctx.vec_ctx();
-        vexec::eval_keys(keys, &sub, &vctx, ctes, scope)
-    })?;
-    Ok(chunks.concat())
+) -> Result<Vec<Vector<'a>>, EngineError> {
+    let vctx = ctx.vec_ctx();
+    let computes = |e: &VExpr| matches!(e, VExpr::BinOp { .. } | VExpr::Not(_) | VExpr::Exists(_));
+    exprs
+        .iter()
+        .map(|e| {
+            if !(ctx.engage(batch.len()) && computes(e)) {
+                return vexec::eval(e, batch, batch.rows(), &vctx, ctes, scope);
+            }
+            par_ranges(ctx, true, batch.len(), |range| {
+                let rows = batch.rows().slice(range);
+                Ok(vexec::eval(e, batch, rows, &vctx, ctes, scope)?.into_vec())
+            })
+            .map(Vector::Owned)
+        })
+        .collect()
 }
 
-/// Materialise every logical row of a batch, morsel-parallel.
-fn par_rows(ctx: &ParCtx<'_>, batch: &Batch) -> Result<Vec<Row>, EngineError> {
-    let len = batch.len();
-    if !ctx.engage(len) {
-        return Ok((0..len).map(|i| batch.row(i)).collect());
-    }
-    let ranges = morsel_ranges(ctx, len);
-    let chunks = par_map(ctx, &ranges, |_, range| {
-        Ok(range.clone().map(|i| batch.row(i)).collect::<Vec<Row>>())
-    })?;
-    Ok(chunks.concat())
-}
-
-fn hash_row(row: &Row) -> u64 {
-    let mut h = DefaultHasher::new();
-    row.hash(&mut h);
-    h.finish()
-}
-
-/// The hash-join match phase, partitioned: build rows are split by key hash
-/// into one partition per worker (each partition's match lists are in global
-/// build-row order, so the union of partitions is exactly the sequential
-/// hash table), then probe morsels scan in parallel and emit pairs in probe
-/// order.
-fn par_hash_join_pairs(
+/// Hash evaluated key columns of `batch`, morsel-parallel when `engaged`.
+fn par_keys<'a>(
     ctx: &ParCtx<'_>,
-    build_keys: &[Row],
-    probe_keys: &[Row],
-    probe_is_left: bool,
-) -> Result<Vec<(usize, usize)>, EngineError> {
-    let engaged = ctx.engage(build_keys.len()) || ctx.engage(probe_keys.len());
+    engaged: bool,
+    cols: Vec<Vector<'a>>,
+    batch: &Batch,
+) -> Result<Keys<'a>, EngineError> {
     if !engaged {
-        // Sequential single-table path, identical to the vexec operator.
-        let mut table: HashMap<&Row, Vec<usize>> = HashMap::new();
-        'build: for (i, key) in build_keys.iter().enumerate() {
-            for v in key {
-                if v.is_null() {
-                    continue 'build;
-                }
-            }
-            table.entry(key).or_default().push(i);
-        }
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        'probe: for (i, key) in probe_keys.iter().enumerate() {
-            for v in key {
-                if v.is_null() {
-                    continue 'probe;
-                }
-            }
-            if let Some(matches) = table.get(key) {
-                for &j in matches {
-                    pairs.push(if probe_is_left { (i, j) } else { (j, i) });
-                }
-            }
-        }
-        return Ok(pairs);
+        return Ok(Keys::new(cols, batch.len()));
     }
-
-    // Hash every non-NULL key once, morsel-parallel.
-    let hash_side = |keys: &[Row]| -> Result<Vec<Option<u64>>, EngineError> {
-        let ranges = morsel_ranges(ctx, keys.len());
-        let chunks = par_map(ctx, &ranges, |_, range| {
-            Ok(range
-                .clone()
-                .map(|i| {
-                    let key = &keys[i];
-                    if key.iter().any(|v| v.is_null()) {
-                        None
-                    } else {
-                        Some(hash_row(key))
-                    }
-                })
-                .collect::<Vec<_>>())
-        })?;
-        Ok(chunks.concat())
-    };
-    let build_hashes = hash_side(build_keys)?;
-    let probe_hashes = hash_side(probe_keys)?;
-
-    // Partitioned build: worker `p` owns the keys whose hash lands in
-    // partition `p` and inserts them in global build-row order, so each
-    // key's match list equals the sequential table's.
-    let nparts = ctx.workers as u64;
-    let parts: Vec<u64> = (0..nparts).collect();
-    let tables: Vec<HashMap<&Row, Vec<usize>>> = par_map(ctx, &parts, |_, &p| {
-        let mut table: HashMap<&Row, Vec<usize>> = HashMap::new();
-        for (i, h) in build_hashes.iter().enumerate() {
-            if let Some(h) = h {
-                if h % nparts == p {
-                    table.entry(&build_keys[i]).or_default().push(i);
-                }
-            }
-        }
-        Ok(table)
-    })?;
-
-    // Parallel probe: each morsel emits its pairs in probe order; chunks
-    // concatenate to the sequential pair list.
-    let ranges = morsel_ranges(ctx, probe_keys.len());
+    let ranges = morsel_ranges(ctx, batch.len());
     let chunks = par_map(ctx, &ranges, |_, range| {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in range.clone() {
-            if let Some(h) = probe_hashes[i] {
-                if let Some(matches) = tables[(h % nparts) as usize].get(&probe_keys[i]) {
-                    for &j in matches {
-                        pairs.push(if probe_is_left { (i, j) } else { (j, i) });
-                    }
-                }
-            }
-        }
-        Ok(pairs)
+        Ok(kernels::hash_keys(&cols, range.clone()))
     })?;
-    Ok(chunks.concat())
+    let hashed = KeyHashes::concat(chunks);
+    Ok(Keys { cols, hashed })
+}
+
+/// Index a join's build side: when `engaged`, one hash partition per
+/// worker, each built in global build-row order, so every key's match list
+/// is the one a single table would hold.
+fn par_index<'k>(
+    ctx: &ParCtx<'_>,
+    engaged: bool,
+    build: &'k Keys<'k>,
+) -> Result<KeyIndex<'k>, EngineError> {
+    let nulls = NullMode::NeverMatches;
+    if !engaged {
+        return KeyIndex::new(build, nulls);
+    }
+    let parts: Vec<usize> = (0..ctx.workers).collect();
+    let tables = par_map(ctx, &parts, |_, &p| {
+        JoinTable::build(&build.hashed, nulls, p, parts.len())
+    })?;
+    Ok(KeyIndex::from_partitions(build, nulls, tables))
 }
 
 /// Parallel [`vexec::join_gather`]: one worker per output column (the unit
@@ -934,93 +726,40 @@ fn par_join_gather(
     right: &Batch,
     pairs: &[(usize, usize)],
 ) -> Result<Batch, EngineError> {
-    let width = left.columns.len() + right.columns.len();
+    let lw = left.columns.len();
+    let width = lw + right.columns.len();
     if !ctx.engage(pairs.len()) || width <= 1 {
         return Ok(vexec::join_gather(left, right, pairs));
     }
-    let mut schema = left.schema.as_ref().clone();
-    schema.extend(right.schema.iter().cloned());
-    let lw = left.columns.len();
     let cols: Vec<usize> = (0..width).collect();
     let columns = par_map(ctx, &cols, |_, &c| {
-        Ok(Arc::new(if c < lw {
-            let data = &left.columns[c];
-            pairs
-                .iter()
-                .map(|&(i, _)| data[left.phys(i)].clone())
-                .collect::<Vec<SqlValue>>()
+        Ok(if c < lw {
+            vexec::gather_pairs(left, c, pairs, |p| p.0)
         } else {
-            let data = &right.columns[c - lw];
-            pairs
-                .iter()
-                .map(|&(_, j)| data[right.phys(j)].clone())
-                .collect::<Vec<SqlValue>>()
-        }))
+            vexec::gather_pairs(right, c - lw, pairs, |p| p.1)
+        })
     })?;
     Ok(Batch {
-        schema: Arc::new(schema),
+        schema: vexec::joined_schema(left, right),
         columns,
         sel: None,
         base_rows: pairs.len(),
     })
 }
 
-/// Stable sort of `0..keys.len()` by key, parallel: per-worker contiguous
-/// runs are stably sorted, then k-way merged with an index tie-break.
-/// Within a run, equal keys keep ascending index order (stable sort over a
-/// contiguous ascending range); across runs, ties pick the smaller index —
-/// so the merged order is exactly "sorted by (key, index)", which is what a
-/// single global stable sort produces. The result is therefore independent
-/// of worker count and run boundaries.
-fn par_sort_indices(ctx: &ParCtx<'_>, keys: &[Row]) -> Result<Vec<usize>, EngineError> {
-    let len = keys.len();
-    let mut order: Vec<usize> = (0..len).collect();
+/// Stable sort of `0..len` by key, parallel: per-worker contiguous runs are
+/// stably sorted, then merged with a row tie-break — exactly "sorted by
+/// (key, row)", which is what one global stable sort produces, so the result
+/// is independent of worker count and run boundaries.
+fn par_sort(ctx: &ParCtx<'_>, keys: &[Vector<'_>], len: usize) -> Result<Vec<usize>, EngineError> {
     if !ctx.engage(len) {
-        order.sort_by(|&a, &b| compare_rows(&keys[a], &keys[b]));
-        return Ok(order);
+        return Ok(kernels::sort_rows(keys, 0..len));
     }
     let ranges = worker_ranges(len, ctx.workers);
-    let mut runs = par_map(ctx, &ranges, |_, range| {
-        let mut run: Vec<usize> = range.clone().collect();
-        run.sort_by(|&a, &b| compare_rows(&keys[a], &keys[b]));
-        Ok(run)
+    let runs = par_map(ctx, &ranges, |_, range| {
+        Ok(kernels::sort_rows(keys, range.clone()))
     })?;
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(len);
-    loop {
-        let mut best: Option<(usize, usize)> = None;
-        for (rix, run) in runs.iter().enumerate() {
-            if heads[rix] >= run.len() {
-                continue;
-            }
-            let cand = run[heads[rix]];
-            best = Some(match best {
-                None => (rix, cand),
-                Some((brix, bidx)) => match compare_rows(&keys[cand], &keys[bidx]) {
-                    Ordering::Less => (rix, cand),
-                    Ordering::Greater => (brix, bidx),
-                    Ordering::Equal => {
-                        if cand < bidx {
-                            (rix, cand)
-                        } else {
-                            (brix, bidx)
-                        }
-                    }
-                },
-            });
-        }
-        match best {
-            Some((rix, idx)) => {
-                heads[rix] += 1;
-                out.push(idx);
-            }
-            None => break,
-        }
-    }
-    for run in runs.drain(..) {
-        drop(run);
-    }
-    Ok(out)
+    Ok(kernels::merge_sorted_runs(keys, &runs))
 }
 
 #[cfg(test)]
@@ -1116,14 +855,15 @@ mod tests {
         let params = ParamValues::new();
         let stats = ParStats::default();
         // Lots of duplicate keys to exercise the stability tie-break.
-        let keys: Vec<Row> = (0..1000)
-            .map(|i| vec![SqlValue::Int((i * 37 % 11) as i64)])
-            .collect();
-        let mut expected: Vec<usize> = (0..keys.len()).collect();
-        expected.sort_by(|&a, &b| compare_rows(&keys[a], &keys[b]));
+        let keys = [Vector::Owned(
+            (0..1000)
+                .map(|i| crate::value::SqlValue::Int((i * 37 % 11) as i64))
+                .collect(),
+        )];
+        let expected = kernels::sort_rows(&keys, 0..1000);
         for workers in [2, 3, 8] {
             let ctx = test_ctx(&storage, &params, &stats, workers, 16);
-            assert_eq!(par_sort_indices(&ctx, &keys).unwrap(), expected);
+            assert_eq!(par_sort(&ctx, &keys, 1000).unwrap(), expected);
         }
     }
 }

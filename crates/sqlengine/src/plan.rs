@@ -322,6 +322,32 @@ impl PhysicalPlan {
         }
     }
 
+    /// `output_columns().len()`, without building the names.
+    pub(crate) fn output_width(&self) -> usize {
+        match self {
+            PhysicalPlan::UnitRow => 0,
+            PhysicalPlan::TableScan { columns, .. }
+            | PhysicalPlan::CteScan { columns, .. }
+            | PhysicalPlan::Project { columns, .. } => columns.len(),
+            PhysicalPlan::NestedLoopJoin { left, right }
+            | PhysicalPlan::HashJoin { left, right, .. } => {
+                left.output_width() + right.output_width()
+            }
+            PhysicalPlan::SubqueryScan { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::ExistsSemiJoin { input, .. }
+            | PhysicalPlan::HashSemiJoin { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Distinct { input } => input.output_width(),
+            PhysicalPlan::RowNumber { input, specs } => input.output_width() + specs.len(),
+            PhysicalPlan::UnionAll(branches) => {
+                branches.first().map_or(0, PhysicalPlan::output_width)
+            }
+            PhysicalPlan::ExceptAll { left, .. } => left.output_width(),
+            PhysicalPlan::With { body, .. } => body.output_width(),
+        }
+    }
+
     /// Number of operator nodes in the plan (used by tests and explain).
     pub fn node_count(&self) -> usize {
         1 + match self {

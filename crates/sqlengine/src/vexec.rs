@@ -10,9 +10,14 @@
 //!   interior state is each table's version-stamped columnar cell — so any
 //!   number of threads can run plans over one engine),
 //! * filters and sorts produce **selection vectors** instead of moving data,
-//! * expressions are evaluated column-at-a-time ([`VExpr::Col`] is a resolved
-//!   position, so there is no name lookup per row),
-//! * only joins, projections and row-numbering materialise new columns.
+//! * expressions are evaluated column-at-a-time into borrowed [`Vector`]s
+//!   ([`VExpr::Col`] is a resolved position read in place, a literal stays
+//!   one value — no name lookup and no copy per row),
+//! * keyed operators (joins, semi-joins, `DISTINCT`, `EXCEPT ALL`, sorting)
+//!   run on the key kernels of [`crate::kernels`], which this executor and
+//!   [`crate::par`] share,
+//! * only joins, computed projections and row-numbering materialise new
+//!   columns.
 //!
 //! Correlated subqueries (`EXISTS`, semi/anti joins) necessarily fall back to
 //! one subplan execution per outer row; the row's values are pushed as a
@@ -23,6 +28,7 @@
 
 use crate::error::EngineError;
 use crate::exec::eval_binop;
+use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Vector};
 use crate::plan::{BuildSide, OpActuals, PhysicalPlan, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{compare_rows, ParamValues, Row, SqlValue};
@@ -227,18 +233,30 @@ impl Batch {
         self.len() == 0
     }
 
-    /// Physical row index of logical row `i`.
-    pub(crate) fn phys(&self, i: usize) -> usize {
+    /// The physical rows the batch's logical rows map to.
+    pub(crate) fn rows(&self) -> Rows<'_> {
         match &self.sel {
-            Some(sel) => sel[i],
-            None => i,
+            Some(sel) => Rows::Sel(sel),
+            None => Rows::Range {
+                start: 0,
+                end: self.base_rows,
+            },
         }
     }
 
-    /// The values of logical row `i`, gathered across columns.
-    pub(crate) fn row(&self, i: usize) -> Row {
-        let p = self.phys(i);
+    /// The values of physical row `p`, gathered across columns.
+    pub(crate) fn row_at(&self, p: usize) -> Row {
         self.columns.iter().map(|c| c[p].clone()).collect()
+    }
+
+    /// Every column as a key vector over the live rows (the key of
+    /// `DISTINCT` and `EXCEPT ALL` is the whole row).
+    pub(crate) fn column_vectors(&self) -> Vec<Vector<'_>> {
+        let rows = self.rows();
+        self.columns
+            .iter()
+            .map(|data| Vector::Col { data, rows })
+            .collect()
     }
 
     /// Gather one column into a dense vector (respecting the selection).
@@ -247,6 +265,14 @@ impl Batch {
         match &self.sel {
             None => data.as_ref().clone(),
             Some(sel) => sel.iter().map(|&p| data[p].clone()).collect(),
+        }
+    }
+
+    /// The same columns under a selection of physical rows.
+    pub(crate) fn with_sel(self, sel: Vec<usize>) -> Batch {
+        Batch {
+            sel: Some(Arc::new(sel)),
+            ..self
         }
     }
 
@@ -498,10 +524,7 @@ fn exec_node(
         PhysicalPlan::NestedLoopJoin { left, right } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let pairs: Vec<(usize, usize)> = (0..l.len())
-                .flat_map(|i| (0..r.len()).map(move |j| (i, j)))
-                .collect();
-            Ok(join_gather(&l, &r, &pairs))
+            Ok(join_gather(&l, &r, &cross_pairs(l.len(), r.len())))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -512,53 +535,20 @@ fn exec_node(
         } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let lk = eval_keys(left_keys, &l, ctx, ctes, scope)?;
-            let rk = eval_keys(right_keys, &r, ctx, ctes, scope)?;
+            let lk = Keys::new(eval_all(left_keys, &l, ctx, ctes, scope)?, l.len());
+            let rk = Keys::new(eval_all(right_keys, &r, ctx, ctes, scope)?, r.len());
             let (build_keys, probe_keys, probe_is_left) = match build {
-                BuildSide::Right => (rk, lk, true),
-                BuildSide::Left => (lk, rk, false),
+                BuildSide::Right => (&rk, &lk, true),
+                BuildSide::Left => (&lk, &rk, false),
             };
-            let mut table: HashMap<Row, Vec<usize>> = HashMap::new();
-            'build: for (i, key) in build_keys.into_iter().enumerate() {
-                for v in &key {
-                    if v.is_null() {
-                        continue 'build;
-                    }
-                }
-                table.entry(key).or_default().push(i);
-            }
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            'probe: for (i, key) in probe_keys.into_iter().enumerate() {
-                for v in &key {
-                    if v.is_null() {
-                        continue 'probe;
-                    }
-                }
-                if let Some(matches) = table.get(&key) {
-                    for &j in matches {
-                        if probe_is_left {
-                            pairs.push((i, j));
-                        } else {
-                            pairs.push((j, i));
-                        }
-                    }
-                }
-            }
+            let index = KeyIndex::new(build_keys, NullMode::NeverMatches)?;
+            let pairs = index.join_pairs(probe_keys, 0..probe_keys.len(), probe_is_left);
             Ok(join_gather(&l, &r, &pairs))
         }
         PhysicalPlan::Filter { input, predicate } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let values = eval(predicate, &batch, ctx, ctes, scope)?;
-            let sel: Vec<usize> = values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.as_bool() == Some(true))
-                .map(|(i, _)| batch.phys(i))
-                .collect();
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let sel = select_true(predicate, &batch, batch.rows(), ctx, ctes, scope)?;
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::ExistsSemiJoin {
             input,
@@ -566,21 +556,8 @@ fn exec_node(
             anti,
         } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let mut sel = Vec::new();
-            for i in 0..batch.len() {
-                let frame = ScopeFrame {
-                    schema: batch.schema.clone(),
-                    values: batch.row(i),
-                };
-                let inner = exec(subplan, ctx, ctes, &scope.pushed(frame))?;
-                if inner.is_empty() == *anti {
-                    sel.push(batch.phys(i));
-                }
-            }
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let sel = exists_select(subplan, *anti, &batch, batch.rows(), ctx, ctes, scope)?;
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::HashSemiJoin {
             input,
@@ -594,27 +571,17 @@ fn exec_node(
             // this node (no frame is pushed: after decorrelation the build
             // holds no references to the input's rows).
             let built = exec(build, ctx, ctes, scope)?;
-            let mut table: HashSet<Row> = HashSet::new();
-            'build: for key in eval_keys(build_keys, &built, ctx, ctes, scope)? {
-                for v in &key {
-                    if v.is_null() {
-                        continue 'build;
-                    }
-                }
-                table.insert(key);
-            }
-            let probe = eval_keys(probe_keys, &batch, ctx, ctes, scope)?;
-            let mut sel = Vec::new();
-            for (i, key) in probe.into_iter().enumerate() {
-                let matched = !key.iter().any(|v| v.is_null()) && table.contains(&key);
-                if matched != *anti {
-                    sel.push(batch.phys(i));
-                }
-            }
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let sel = {
+                let bk = Keys::new(eval_all(build_keys, &built, ctx, ctes, scope)?, built.len());
+                let pk = Keys::new(eval_all(probe_keys, &batch, ctx, ctes, scope)?, batch.len());
+                KeyIndex::new(&bk, NullMode::NeverMatches)?.semi_select(
+                    &pk,
+                    0..pk.len(),
+                    *anti,
+                    batch.rows(),
+                )
+            };
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::RowNumber { input, specs } => {
             // Ties in a window's keys are broken by the batch's row order
@@ -624,37 +591,21 @@ fn exec_node(
             // translation only numbers over key columns that uniquely
             // identify rows, so its stages are never affected.
             let batch = exec(input, ctx, ctes, scope)?.materialised();
-            let len = batch.len();
-            let mut schema = batch.schema.as_ref().clone();
-            let mut columns = batch.columns.clone();
-            for (spec_idx, keys) in specs.iter().enumerate() {
-                let key_values = eval_keys(keys, &batch, ctx, ctes, scope)?;
-                let mut order: Vec<usize> = (0..len).collect();
-                order.sort_by(|&a, &b| compare_rows(&key_values[a], &key_values[b]));
-                let mut rn = vec![SqlValue::Null; len];
-                for (number, row_idx) in order.into_iter().enumerate() {
-                    rn[row_idx] = SqlValue::Int((number + 1) as i64);
-                }
-                schema.push((None, format!("#rn{}", spec_idx)));
-                columns.push(Arc::new(rn));
-            }
-            Ok(Batch {
-                schema: Arc::new(schema),
-                columns,
-                sel: None,
-                base_rows: len,
-            })
+            let ranks = specs
+                .iter()
+                .map(|keys| {
+                    let keys = eval_all(keys, &batch, ctx, ctes, scope)?;
+                    Ok(rank_column(&kernels::sort_rows(&keys, 0..batch.len())))
+                })
+                .collect::<Result<Vec<_>, EngineError>>()?;
+            Ok(with_rank_columns(batch, ranks))
         }
         PhysicalPlan::Sort { input, keys } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let key_values = eval_keys(keys, &batch, ctx, ctes, scope)?;
-            let mut order: Vec<usize> = (0..batch.len()).collect();
-            order.sort_by(|&a, &b| compare_rows(&key_values[a], &key_values[b]));
-            let sel: Vec<usize> = order.into_iter().map(|i| batch.phys(i)).collect();
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let order =
+                kernels::sort_rows(&eval_all(keys, &batch, ctx, ctes, scope)?, 0..batch.len());
+            let sel = phys_rows(&batch, order);
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::Project {
             input,
@@ -662,195 +613,334 @@ fn exec_node(
             columns,
         } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let len = batch.len();
-            let schema: Vec<SchemaCol> = columns.iter().map(|c| (None, c.clone())).collect();
+            if let Some(renamed) = project_columns(&batch, exprs, columns) {
+                return Ok(renamed);
+            }
             let out = exprs
                 .iter()
-                .map(|e| eval(e, &batch, ctx, ctes, scope).map(Arc::new))
+                .map(|e| match shared_column(&batch, e) {
+                    Some(column) => Ok(column),
+                    None => eval(e, &batch, batch.rows(), ctx, ctes, scope)
+                        .map(|v| Arc::new(v.into_vec())),
+                })
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(Batch {
-                schema: Arc::new(schema),
-                columns: out,
-                sel: None,
-                base_rows: len,
-            })
+            Ok(projected(columns, out, batch.len()))
         }
         PhysicalPlan::Distinct { input } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let mut seen: HashSet<Row> = HashSet::new();
-            let sel: Vec<usize> = (0..batch.len())
-                .filter(|&i| seen.insert(batch.row(i)))
-                .map(|i| batch.phys(i))
-                .collect();
-            Ok(Batch {
-                sel: Some(Arc::new(sel)),
-                ..batch
-            })
+            let firsts = kernels::distinct_rows(&Keys::new(batch.column_vectors(), batch.len()))?;
+            let sel = phys_rows(&batch, firsts);
+            Ok(batch.with_sel(sel))
         }
         PhysicalPlan::UnionAll(branches) => {
-            let mut iter = branches.iter();
-            let first = iter
-                .next()
-                .ok_or_else(|| EngineError::TypeError("empty UNION ALL".to_string()))?;
-            let acc = exec(first, ctx, ctes, scope)?.materialised();
-            let width = acc.columns.len();
-            let mut columns: Vec<Vec<SqlValue>> = (0..width)
-                .map(|c| acc.columns[c].as_ref().clone())
-                .collect();
-            let mut total = acc.base_rows;
-            for branch in iter {
-                let next = exec(branch, ctx, ctes, scope)?;
-                if next.columns.len() != width {
-                    return Err(EngineError::TypeError(format!(
-                        "UNION ALL branches have {} and {} columns",
-                        width,
-                        next.columns.len()
-                    )));
-                }
-                total += next.len();
-                for (c, column) in columns.iter_mut().enumerate() {
-                    column.extend(next.gather(c));
-                }
-            }
-            Ok(Batch {
-                schema: acc.schema,
-                columns: columns.into_iter().map(Arc::new).collect(),
-                sel: None,
-                base_rows: total,
-            })
+            union_all(branches, &mut |branch| exec(branch, ctx, ctes, scope))
         }
         PhysicalPlan::ExceptAll { left, right } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let mut counts: HashMap<Row, usize> = HashMap::new();
-            for i in 0..r.len() {
-                *counts.entry(r.row(i)).or_insert(0) += 1;
-            }
-            let mut rows = Vec::new();
-            for i in 0..l.len() {
-                let row = l.row(i);
-                match counts.get_mut(&row) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => rows.push(row),
-                }
-            }
-            Ok(Batch::from_rows(l.schema.clone(), rows))
+            let kept = kernels::except_all_rows(
+                &Keys::new(l.column_vectors(), l.len()),
+                &Keys::new(r.column_vectors(), r.len()),
+            )?;
+            let sel = phys_rows(&l, kept);
+            Ok(l.with_sel(sel))
         }
         PhysicalPlan::With {
             name,
             definition,
             body,
         } => {
-            let bound = exec(definition, ctx, ctes, scope)?;
+            // Compact once here, so no `CteScan` of the binding gathers or
+            // reads through a selection.
+            let bound = exec(definition, ctx, ctes, scope)?.materialised();
             let extended = ctes.extended(name, bound);
             exec(body, ctx, &extended, scope)
         }
     }
 }
 
-/// Rebind a batch's columns under a new `FROM` alias (zero-copy).
+/// Rebind a batch's columns under a new `FROM` alias: a schema rename, the
+/// columns and the selection are shared as they are.
 pub(crate) fn realias(batch: &Batch, alias: &str) -> Batch {
     let schema: Vec<SchemaCol> = batch
         .schema
         .iter()
         .map(|(_, c)| (Some(alias.to_string()), c.clone()))
         .collect();
-    let compact = batch.materialised();
     Batch {
         schema: Arc::new(schema),
-        ..compact
+        ..batch.clone()
     }
+}
+
+/// Every pair of a cross product, left-major.
+pub(crate) fn cross_pairs(left: usize, right: usize) -> Vec<(usize, usize)> {
+    (0..left)
+        .flat_map(|i| (0..right).map(move |j| (i, j)))
+        .collect()
+}
+
+/// The physical rows of the given logical rows of `batch`.
+pub(crate) fn phys_rows(batch: &Batch, logical: Vec<usize>) -> Vec<usize> {
+    match &batch.sel {
+        None => logical,
+        Some(sel) => logical.into_iter().map(|i| sel[i]).collect(),
+    }
+}
+
+/// One output column of a join: `column` of `side` at the side's rows of
+/// `pairs` (`pick` chooses the pair component).
+pub(crate) fn gather_pairs(
+    side: &Batch,
+    column: usize,
+    pairs: &[(usize, usize)],
+    pick: impl Fn(&(usize, usize)) -> usize,
+) -> Arc<Vec<SqlValue>> {
+    let data = &side.columns[column];
+    Arc::new(match &side.sel {
+        None => pairs.iter().map(|p| data[pick(p)].clone()).collect(),
+        Some(sel) => pairs.iter().map(|p| data[sel[pick(p)]].clone()).collect(),
+    })
+}
+
+/// The schema of a join's output: the left columns, then the right ones.
+pub(crate) fn joined_schema(left: &Batch, right: &Batch) -> Arc<Vec<SchemaCol>> {
+    let mut schema = left.schema.as_ref().clone();
+    schema.extend(right.schema.iter().cloned());
+    Arc::new(schema)
 }
 
 /// Materialise the concatenation of two batches at the given row pairs.
 pub(crate) fn join_gather(left: &Batch, right: &Batch, pairs: &[(usize, usize)]) -> Batch {
-    let mut schema = left.schema.as_ref().clone();
-    schema.extend(right.schema.iter().cloned());
-    let mut columns: Vec<Arc<Vec<SqlValue>>> =
-        Vec::with_capacity(left.columns.len() + right.columns.len());
-    for c in 0..left.columns.len() {
-        let data = &left.columns[c];
-        columns.push(Arc::new(
-            pairs
-                .iter()
-                .map(|&(i, _)| data[left.phys(i)].clone())
-                .collect(),
-        ));
-    }
-    for c in 0..right.columns.len() {
-        let data = &right.columns[c];
-        columns.push(Arc::new(
-            pairs
-                .iter()
-                .map(|&(_, j)| data[right.phys(j)].clone())
-                .collect(),
-        ));
-    }
+    let columns = (0..left.columns.len())
+        .map(|c| gather_pairs(left, c, pairs, |p| p.0))
+        .chain((0..right.columns.len()).map(|c| gather_pairs(right, c, pairs, |p| p.1)))
+        .collect();
     Batch {
-        schema: Arc::new(schema),
+        schema: joined_schema(left, right),
         columns,
         sel: None,
         base_rows: pairs.len(),
     }
 }
 
-/// Evaluate a list of key expressions, transposed to one key row per batch
-/// row.
-pub(crate) fn eval_keys(
-    keys: &[VExpr],
-    batch: &Batch,
-    ctx: &VecCtx<'_>,
-    ctes: &CteEnv,
-    scope: &ScopeStack,
-) -> Result<Vec<Row>, EngineError> {
-    let len = batch.len();
-    let columns = keys
-        .iter()
-        .map(|k| eval(k, batch, ctx, ctes, scope))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((0..len)
-        .map(|i| columns.iter().map(|c| c[i].clone()).collect())
-        .collect())
+/// The `#rn` column of a window: row `order[k]` gets number `k + 1`.
+pub(crate) fn rank_column(order: &[usize]) -> Arc<Vec<SqlValue>> {
+    let mut rn = vec![SqlValue::Null; order.len()];
+    for (number, &row) in order.iter().enumerate() {
+        rn[row] = SqlValue::Int((number + 1) as i64);
+    }
+    Arc::new(rn)
 }
 
-/// Column-at-a-time expression evaluation: one output value per live row.
-pub(crate) fn eval(
-    expr: &VExpr,
+/// A dense batch extended by one `#rn<i>` column per window.
+pub(crate) fn with_rank_columns(batch: Batch, ranks: Vec<Arc<Vec<SqlValue>>>) -> Batch {
+    let mut schema = batch.schema.as_ref().clone();
+    schema.extend((0..ranks.len()).map(|i| (None, format!("#rn{}", i))));
+    let mut columns = batch.columns;
+    columns.extend(ranks);
+    Batch {
+        schema: Arc::new(schema),
+        columns,
+        sel: None,
+        base_rows: batch.base_rows,
+    }
+}
+
+/// A projection that only picks and renames columns shares them — and the
+/// input's selection — instead of gathering. `None` when some expression
+/// computes.
+pub(crate) fn project_columns(batch: &Batch, exprs: &[VExpr], names: &[String]) -> Option<Batch> {
+    let columns = exprs
+        .iter()
+        .map(|e| match e {
+            VExpr::Col { index, .. } => Some(batch.columns[*index].clone()),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(Batch {
+        sel: batch.sel.clone(),
+        ..projected(names, columns, batch.base_rows)
+    })
+}
+
+/// A bare column reference over a dense batch is the column itself.
+pub(crate) fn shared_column(batch: &Batch, expr: &VExpr) -> Option<Arc<Vec<SqlValue>>> {
+    match expr {
+        VExpr::Col { index, .. } if batch.sel.is_none() => Some(batch.columns[*index].clone()),
+        _ => None,
+    }
+}
+
+/// The dense output batch of a projection.
+pub(crate) fn projected(names: &[String], columns: Vec<Arc<Vec<SqlValue>>>, rows: usize) -> Batch {
+    Batch {
+        schema: Arc::new(names.iter().map(|c| (None, c.clone())).collect()),
+        columns,
+        sel: None,
+        base_rows: rows,
+    }
+}
+
+/// `UNION ALL`: the branches' rows appended column by column, under the
+/// first branch's schema. `run` executes one branch.
+pub(crate) fn union_all(
+    branches: &[PhysicalPlan],
+    run: &mut dyn FnMut(&PhysicalPlan) -> Result<Batch, EngineError>,
+) -> Result<Batch, EngineError> {
+    let (first, rest) = branches
+        .split_first()
+        .ok_or_else(|| EngineError::TypeError("empty UNION ALL".to_string()))?;
+    let first = run(first)?;
+    let width = first.columns.len();
+    let mut columns: Vec<Vec<SqlValue>> = (0..width).map(|c| first.gather(c)).collect();
+    let mut total = first.len();
+    for branch in rest {
+        let next = run(branch)?;
+        if next.columns.len() != width {
+            return Err(EngineError::TypeError(format!(
+                "UNION ALL branches have {} and {} columns",
+                width,
+                next.columns.len()
+            )));
+        }
+        total += next.len();
+        for (c, column) in columns.iter_mut().enumerate() {
+            column.extend(next.gather(c));
+        }
+    }
+    Ok(Batch {
+        schema: first.schema,
+        columns: columns.into_iter().map(Arc::new).collect(),
+        sel: None,
+        base_rows: total,
+    })
+}
+
+/// The selection of a correlated semi (`anti`: anti) join over `rows` of
+/// `batch`: the subplan runs once per row, the row pushed as a scope frame.
+pub(crate) fn exists_select(
+    subplan: &PhysicalPlan,
+    anti: bool,
     batch: &Batch,
+    rows: Rows<'_>,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
-) -> Result<Vec<SqlValue>, EngineError> {
-    let len = batch.len();
-    match expr {
-        VExpr::Col { index, .. } => Ok(batch.gather(*index)),
-        VExpr::Outer { table, column } => {
-            // Constant within one batch: the enclosing row is fixed for the
-            // whole subplan execution.
-            let v = scope.lookup(table, column)?;
-            Ok(vec![v; len])
+) -> Result<Vec<usize>, EngineError> {
+    let mut sel = Vec::new();
+    for i in 0..rows.len() {
+        let p = rows.phys(i);
+        if exists_at(subplan, batch, p, ctx, ctes, scope)? != anti {
+            sel.push(p);
         }
-        VExpr::Lit(v) => Ok(vec![v.clone(); len]),
-        VExpr::Param(name) => {
-            let v = ctx
-                .params
-                .get(name)
-                .ok_or_else(|| EngineError::UnboundParameter(name.clone()))?;
-            Ok(vec![v.clone(); len])
-        }
+    }
+    Ok(sel)
+}
+
+/// Is the correlated `subplan` non-empty for physical row `p` of `batch`?
+fn exists_at(
+    subplan: &PhysicalPlan,
+    batch: &Batch,
+    p: usize,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<bool, EngineError> {
+    let frame = ScopeFrame {
+        schema: batch.schema.clone(),
+        values: batch.row_at(p),
+    };
+    Ok(!exec(subplan, ctx, ctes, &scope.pushed(frame))?.is_empty())
+}
+
+/// The physical rows of `rows` on which `predicate` is `TRUE` — a filter's
+/// selection vector, without a boolean column in between.
+pub(crate) fn select_true(
+    predicate: &VExpr,
+    batch: &Batch,
+    rows: Rows<'_>,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<Vec<usize>, EngineError> {
+    let mut sel = Vec::new();
+    match predicate {
         VExpr::BinOp { op, left, right } => {
-            let l = eval(left, batch, ctx, ctes, scope)?;
-            let r = eval(right, batch, ctx, ctes, scope)?;
-            l.into_iter()
-                .zip(r)
-                .map(|(a, b)| eval_binop(*op, a, b))
-                .collect()
+            let l = eval(left, batch, rows, ctx, ctes, scope)?;
+            let r = eval(right, batch, rows, ctx, ctes, scope)?;
+            for i in 0..rows.len() {
+                if eval_binop(*op, l.get(i), r.get(i))?.as_bool() == Some(true) {
+                    sel.push(rows.phys(i));
+                }
+            }
+        }
+        other => {
+            let values = eval(other, batch, rows, ctx, ctes, scope)?;
+            for i in 0..rows.len() {
+                if values.get(i).as_bool() == Some(true) {
+                    sel.push(rows.phys(i));
+                }
+            }
+        }
+    }
+    Ok(sel)
+}
+
+/// Evaluate a list of key expressions over every live row of `batch`.
+pub(crate) fn eval_all<'a>(
+    exprs: &[VExpr],
+    batch: &'a Batch,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<Vec<Vector<'a>>, EngineError> {
+    exprs
+        .iter()
+        .map(|e| eval(e, batch, batch.rows(), ctx, ctes, scope))
+        .collect()
+}
+
+/// Column-at-a-time expression evaluation over `rows` of `batch`: a column
+/// reference borrows the column, a literal, parameter or outer reference
+/// stays one value, and only an operator computes a new vector.
+pub(crate) fn eval<'a>(
+    expr: &VExpr,
+    batch: &'a Batch,
+    rows: Rows<'a>,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<Vector<'a>, EngineError> {
+    let len = rows.len();
+    let constant = |value: SqlValue| Vector::Const { value, len };
+    match expr {
+        VExpr::Col { index, .. } => Ok(Vector::Col {
+            data: &batch.columns[*index],
+            rows,
+        }),
+        // Constant within one batch: the enclosing row is fixed for the
+        // whole subplan execution.
+        VExpr::Outer { table, column } => scope.lookup(table, column).map(constant),
+        VExpr::Lit(v) => Ok(constant(v.clone())),
+        VExpr::Param(name) => ctx
+            .params
+            .get(name)
+            .cloned()
+            .map(constant)
+            .ok_or_else(|| EngineError::UnboundParameter(name.clone())),
+        VExpr::BinOp { op, left, right } => {
+            let l = eval(left, batch, rows, ctx, ctes, scope)?;
+            let r = eval(right, batch, rows, ctx, ctes, scope)?;
+            (0..len)
+                .map(|i| eval_binop(*op, l.get(i), r.get(i)))
+                .collect::<Result<Vec<_>, _>>()
+                .map(Vector::Owned)
         }
         VExpr::Not(inner) => {
-            let values = eval(inner, batch, ctx, ctes, scope)?;
-            values
-                .into_iter()
-                .map(|v| match v {
+            let values = eval(inner, batch, rows, ctx, ctes, scope)?;
+            (0..len)
+                .map(|i| match values.get(i) {
                     SqlValue::Bool(b) => Ok(SqlValue::Bool(!b)),
                     SqlValue::Null => Ok(SqlValue::Null),
                     other => Err(EngineError::TypeError(format!(
@@ -858,20 +948,13 @@ pub(crate) fn eval(
                         other.type_name()
                     ))),
                 })
-                .collect()
+                .collect::<Result<Vec<_>, _>>()
+                .map(Vector::Owned)
         }
-        VExpr::Exists(subplan) => {
-            let mut out = Vec::with_capacity(len);
-            for i in 0..len {
-                let frame = ScopeFrame {
-                    schema: batch.schema.clone(),
-                    values: batch.row(i),
-                };
-                let inner = exec(subplan, ctx, ctes, &scope.pushed(frame))?;
-                out.push(SqlValue::Bool(!inner.is_empty()));
-            }
-            Ok(out)
-        }
+        VExpr::Exists(subplan) => (0..len)
+            .map(|i| exists_at(subplan, batch, rows.phys(i), ctx, ctes, scope).map(SqlValue::Bool))
+            .collect::<Result<Vec<_>, _>>()
+            .map(Vector::Owned),
     }
 }
 
@@ -2000,7 +2083,7 @@ fn eval_row(
         VExpr::BinOp { op, left, right } => {
             let l = eval_row(left, row, schema, ctx, env)?;
             let r = eval_row(right, row, schema, ctx, env)?;
-            Ok(eval_binop(*op, l, r)?)
+            Ok(eval_binop(*op, &l, &r)?)
         }
         VExpr::Not(inner) => match eval_row(inner, row, schema, ctx, env)? {
             SqlValue::Bool(b) => Ok(SqlValue::Bool(!b)),
