@@ -223,793 +223,7 @@ pub fn check_against_reference(
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter vs. vectorized executor (the PR 2 engine-level comparison)
-// ---------------------------------------------------------------------------
-
-/// One engine-level comparison: the same compiled SQL stages executed by the
-/// row-at-a-time interpreter and by the vectorized executor (pre-compiled
-/// physical plans), median total time over the stages.
-#[derive(Debug, Clone)]
-pub struct VexecComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Number of flat SQL stages the query shreds into.
-    pub stages: usize,
-    /// Median time to plan every stage against live storage.
-    pub plan_ms: f64,
-    /// Median time to run every stage on the interpreter.
-    pub interpreter_ms: f64,
-    /// Median time to run every stage's pre-compiled plan vectorized.
-    pub vectorized_ms: f64,
-}
-
-impl VexecComparison {
-    /// Interpreter time over vectorized time (>1 means vectorized wins).
-    pub fn speedup(&self) -> f64 {
-        if self.vectorized_ms > 0.0 {
-            self.interpreter_ms / self.vectorized_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-fn median_ms<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
-    // Warm up once (as micro::run does) so one-time lazy costs — e.g. the
-    // first columnar transposition of a table — don't land in the median.
-    std::hint::black_box(f());
-    let hist = obs::Histogram::new();
-    for _ in 0..runs.max(1) {
-        hist.time(|| std::hint::black_box(f()));
-    }
-    hist.quantile(0.5) as f64 / 1e6
-}
-
-/// Compare the interpreter and the vectorized executor on every benchmark
-/// query's compiled SQL stages, over the instance's loaded engine.
-pub fn compare_vectorized(instance: &Instance, runs: usize) -> Vec<VexecComparison> {
-    let engine = instance.engine();
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut out = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in queries {
-            let compiled = shredding::pipeline::compile(&q, &instance.schema)
-                .expect("benchmark queries always compile");
-            let stages: Vec<_> = compiled.stages.annotations().into_iter().collect();
-            let plan_ms = median_ms(runs, || {
-                stages
-                    .iter()
-                    .map(|s| engine.prepare(&s.sql).expect("stage SQL always plans"))
-                    .collect::<Vec<_>>()
-            });
-            let interpreter_ms = median_ms(runs, || {
-                stages
-                    .iter()
-                    .map(|s| {
-                        engine
-                            .execute_interpreted(&s.sql)
-                            .expect("stage SQL always executes")
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let vectorized_ms = median_ms(runs, || {
-                stages
-                    .iter()
-                    .map(|s| {
-                        engine
-                            .execute_plan(&s.plan)
-                            .expect("stage plans always execute")
-                    })
-                    .collect::<Vec<_>>()
-            });
-            out.push(VexecComparison {
-                query: name.to_string(),
-                kind,
-                stages: stages.len(),
-                plan_ms,
-                interpreter_ms,
-                vectorized_ms,
-            });
-        }
-    }
-    out
-}
-
-/// Render the comparison as the machine-readable `BENCH_pr2.json` document
-/// (hand-rolled: the workspace has no serde).
-pub fn vexec_report_json(instance: &Instance, runs: usize, rows: &[VexecComparison]) -> String {
-    // `speedup()` is infinite when the vectorized time rounds to zero;
-    // JSON has no `inf` token, so emit `null` for non-finite values.
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"interpreter-vs-vectorized\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"total_rows\": {},\n  \"runs\": {},\n",
-        instance.departments,
-        instance.engine().storage().total_rows(),
-        runs
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"stages\": {}, \
-             \"plan_ms\": {}, \"interpreter_ms\": {}, \"vectorized_ms\": {}, \
-             \"speedup\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.stages,
-            f(row.plan_ms),
-            f(row.interpreter_ms),
-            f(row.vectorized_ms),
-            f(row.speedup()),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Row-path vs. columnar result assembly (the PR 5 decode + stitch comparison)
-// ---------------------------------------------------------------------------
-
-/// One result-assembly comparison: the same per-stage engine output decoded
-/// and stitched back into a nested value over the two result paths —
-///
-/// * **row path** — transpose each stage's columnar engine result into rows
-///   (the column→row converter), decode one `FlatValue` tree per row, group
-///   by cloning-free moves, stitch with the row-at-a-time oracle;
-/// * **columnar path** — group each stage by its `(oidx_tag, oidx_ord)`
-///   columns over a sorted row permutation and materialise the nested value
-///   straight out of the `Arc`-shared columns.
-///
-/// Engine execution is excluded: each stage's plan runs once up front and
-/// both paths decode clones of the same `Arc`-shared [`sqlengine::ColumnarResult`]s
-/// (cloning is a refcount bump, identical on both sides).
-#[derive(Debug, Clone)]
-pub struct StitchComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Number of flat SQL stages the query shreds into.
-    pub stages: usize,
-    /// Total rows decoded across all stages.
-    pub rows: usize,
-    /// Median time for transpose + row decode + row-at-a-time stitch.
-    pub row_path_ms: f64,
-    /// Median time for columnar decode (index grouping) + columnar stitch.
-    pub columnar_ms: f64,
-}
-
-impl StitchComparison {
-    /// Row-path time over columnar time (>1 means the columnar path wins).
-    pub fn speedup(&self) -> f64 {
-        if self.columnar_ms > 0.0 {
-            self.row_path_ms / self.columnar_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Compare the row and columnar result-assembly paths on every benchmark
-/// query, over the instance's loaded engine. Both paths are verified against
-/// the nested reference semantics before being timed.
-pub fn compare_stitch(instance: &Instance, runs: usize) -> Vec<StitchComparison> {
-    use shredding::flatten::ColumnarStage;
-    use shredding::semantics::IndexScheme;
-    use shredding::shred::Package;
-    use shredding::stitch::{stitch, stitch_rows};
-
-    let engine = instance.engine();
-    let reference_session = instance.session(System::Shredding);
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut out = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in queries {
-            let compiled = shredding::pipeline::compile(&q, &instance.schema)
-                .expect("benchmark queries always compile");
-            // Run every stage once; both paths decode the same shared
-            // columnar results.
-            let results = compiled
-                .stages
-                .try_map(&mut |stage: &shredding::pipeline::QueryStage| {
-                    engine
-                        .execute_plan(&stage.plan)
-                        .map(|r| (stage.layout.clone(), r))
-                })
-                .expect("benchmark stages always execute");
-            let rows = results.annotations().iter().map(|(_, r)| r.len()).sum();
-
-            let row_path = || {
-                let decoded = results
-                    .try_map(&mut |(layout, result)| {
-                        let rs = result.clone().into_result_set();
-                        layout.decode(&rs)
-                    })
-                    .expect("row decode succeeds");
-                stitch_rows(decoded, IndexScheme::Flat).expect("row stitch succeeds")
-            };
-            let columnar = || {
-                let decoded: Package<ColumnarStage> = results
-                    .try_map(&mut |(layout, result)| {
-                        ColumnarStage::decode(layout.clone(), result.clone())
-                    })
-                    .expect("columnar decode succeeds");
-                stitch(decoded).expect("columnar stitch succeeds")
-            };
-
-            // Correctness before speed: both paths must agree with N⟦−⟧.
-            let oracle = reference_session
-                .oracle(&q)
-                .expect("benchmark queries evaluate");
-            assert!(
-                row_path().multiset_eq(&oracle),
-                "{}: row-path result assembly disagrees with the oracle",
-                name
-            );
-            assert!(
-                columnar().multiset_eq(&oracle),
-                "{}: columnar result assembly disagrees with the oracle",
-                name
-            );
-
-            let row_path_ms = median_ms(runs, row_path);
-            let columnar_ms = median_ms(runs, columnar);
-            out.push(StitchComparison {
-                query: name.to_string(),
-                kind,
-                stages: compiled.query_count(),
-                rows,
-                row_path_ms,
-                columnar_ms,
-            });
-        }
-    }
-    out
-}
-
-/// Render the result-assembly comparison as the machine-readable
-/// `BENCH_pr5.json` document (hand-rolled: the workspace has no serde).
-pub fn stitch_report_json(instance: &Instance, runs: usize, rows: &[StitchComparison]) -> String {
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"columnar-result-assembly\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"total_rows\": {},\n  \"runs\": {},\n",
-        instance.departments,
-        instance.engine().storage().total_rows(),
-        runs
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"stages\": {}, \"rows\": {}, \
-             \"row_path_ms\": {}, \"columnar_ms\": {}, \"speedup\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.stages,
-            row.rows,
-            f(row.row_path_ms),
-            f(row.columnar_ms),
-            f(row.speedup()),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Parameterized prepared queries (the PR 3 bind-variable comparison)
-// ---------------------------------------------------------------------------
-
-/// One parametric-workload comparison: a single prepared shape re-executed
-/// with `bindings` distinct parameter bindings versus replanning the query
-/// once per constant, plus the plan-cache hit rate of the equivalent ad-hoc
-/// (auto-parameterized) workload.
-#[derive(Debug, Clone)]
-pub struct ParamsComparison {
-    pub workload: String,
-    /// Number of distinct bindings executed.
-    pub bindings: usize,
-    /// Median time of one full compile (normalise → shred → SQL → plan).
-    pub prepare_ms: f64,
-    /// Median per-execution time of `execute_bound` on the single prepared
-    /// shape.
-    pub bound_per_exec_ms: f64,
-    /// Median per-execution time of the replan path (compile + execute per
-    /// constant).
-    pub replan_per_exec_ms: f64,
-    /// Plan-cache hit rate of the ad-hoc workload (N `run` calls whose
-    /// constants differ), under auto-parameterization.
-    pub cache_hit_rate: f64,
-    /// Engine-side plans built while re-executing the prepared shape
-    /// (must be zero: binding never reaches the planner).
-    pub engine_plans_built_during_bound: u64,
-}
-
-impl ParamsComparison {
-    /// Replan time over bound-execution time (>1 means binding wins).
-    pub fn speedup(&self) -> f64 {
-        if self.bound_per_exec_ms > 0.0 {
-            self.replan_per_exec_ms / self.bound_per_exec_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// One parametric workload: a parameterized term plus a generator producing
-/// the i-th binding set and the equivalent constant-inlined term. The
-/// generators are `Send + Sync` so worker threads can draw bindings from a
-/// shared workload table.
-struct ParamWorkload {
-    name: &'static str,
-    term: Term,
-    bind: Box<dyn Fn(usize) -> shredding::session::Params + Send + Sync>,
-    inline: Box<dyn Fn(usize) -> Term + Send + Sync>,
-}
-
-fn param_workloads(departments: usize) -> Vec<ParamWorkload> {
-    use nrc::builder::*;
-    let dept_name = move |i: usize| format!("dept_{:05}", i % departments.max(1));
-    let cutoff = |i: usize| (i as i64 % 7) * 10_000;
-
-    let flat = |dpt: Term, cut: Term| {
-        for_where(
-            "e",
-            table("employees"),
-            and(
-                eq(project(var("e"), "dept"), dpt),
-                gt(project(var("e"), "salary"), cut),
-            ),
-            singleton(record(vec![("name", project(var("e"), "name"))])),
-        )
-    };
-    let nested = |dpt: Term| {
-        for_where(
-            "e",
-            table("employees"),
-            eq(project(var("e"), "dept"), dpt),
-            singleton(record(vec![
-                ("name", project(var("e"), "name")),
-                (
-                    "tasks",
-                    for_where(
-                        "t",
-                        table("tasks"),
-                        eq(project(var("t"), "employee"), project(var("e"), "name")),
-                        singleton(project(var("t"), "task")),
-                    ),
-                ),
-            ])),
-        )
-    };
-    let anti = |cut: Term| {
-        for_where(
-            "d",
-            table("departments"),
-            is_empty(for_where(
-                "e",
-                table("employees"),
-                and(
-                    eq(project(var("e"), "dept"), project(var("d"), "name")),
-                    gt(project(var("e"), "salary"), cut),
-                ),
-                singleton(var("e")),
-            )),
-            singleton(project(var("d"), "name")),
-        )
-    };
-
-    vec![
-        ParamWorkload {
-            name: "flat-filter",
-            term: flat(string_param("dpt"), int_param("cutoff")),
-            bind: Box::new(move |i| {
-                shredding::session::Params::new()
-                    .bind("dpt", dept_name(i).as_str())
-                    .bind("cutoff", cutoff(i))
-            }),
-            inline: Box::new(move |i| flat(string(&dept_name(i)), int(cutoff(i)))),
-        },
-        ParamWorkload {
-            name: "nested-tasks",
-            term: nested(string_param("dpt")),
-            bind: Box::new(move |i| {
-                shredding::session::Params::new().bind("dpt", dept_name(i).as_str())
-            }),
-            inline: Box::new(move |i| nested(string(&dept_name(i)))),
-        },
-        ParamWorkload {
-            name: "anti-join",
-            term: anti(int_param("cutoff")),
-            bind: Box::new(move |i| shredding::session::Params::new().bind("cutoff", cutoff(i))),
-            inline: Box::new(move |i| anti(int(cutoff(i)))),
-        },
-    ]
-}
-
-/// Compare bound re-execution of one prepared shape against replanning per
-/// constant, over `bindings` distinct binding sets, for each parametric
-/// workload. Also reports the plan-cache hit rate of the equivalent ad-hoc
-/// workload (the auto-parameterization path) and verifies that bound
-/// execution agrees with the reference semantics on every binding.
-pub fn compare_params(instance: &Instance, bindings: usize, runs: usize) -> Vec<ParamsComparison> {
-    let db = instance.db().clone();
-    let engine = instance
-        .session(System::Shredding)
-        .shared_engine()
-        .expect("the instance's engine is loaded");
-    let bindings = bindings.max(1);
-    let mut out = Vec::new();
-    for workload in param_workloads(instance.departments) {
-        // The bound path: one prepared shape, N bindings.
-        let session = Shredder::builder()
-            .database(db.clone())
-            .engine(engine.clone())
-            .build()
-            .expect("generated data always configures a session");
-        let prepare_ms = median_ms(runs, || session.prepare_uncached(&workload.term).unwrap());
-        let prepared = session.prepare(&workload.term).expect("workload prepares");
-        // Correctness: every binding must agree with the reference semantics.
-        for i in 0..bindings {
-            let params = (workload.bind)(i);
-            let bound = session.execute_bound(&prepared, &params).unwrap();
-            let reference = session.oracle_bound(&workload.term, &params).unwrap();
-            assert!(
-                bound.multiset_eq(&reference),
-                "{}: bound execution disagrees with the oracle on binding {}",
-                workload.name,
-                i
-            );
-        }
-        let plans_before = engine.plans_built();
-        let bound_total_ms = median_ms(runs, || {
-            for i in 0..bindings {
-                std::hint::black_box(
-                    session
-                        .execute_bound(&prepared, &(workload.bind)(i))
-                        .unwrap(),
-                );
-            }
-        });
-        let engine_plans_built_during_bound = engine.plans_built() - plans_before;
-
-        // The replan path: compile + execute once per constant.
-        let replan = Shredder::builder()
-            .database(db.clone())
-            .engine(engine.clone())
-            .without_plan_cache()
-            .build()
-            .expect("generated data always configures a session");
-        let replan_total_ms = median_ms(runs, || {
-            for i in 0..bindings {
-                let term = (workload.inline)(i);
-                let prepared = replan.prepare_uncached(&term).unwrap();
-                std::hint::black_box(replan.execute(&prepared).unwrap());
-            }
-        });
-
-        // The ad-hoc path: N `run` calls whose constants differ share one
-        // plan thanks to auto-parameterization; report the hit rate.
-        let adhoc = Shredder::builder()
-            .database(db.clone())
-            .engine(engine.clone())
-            .build()
-            .expect("generated data always configures a session");
-        for i in 0..bindings {
-            adhoc.run(&(workload.inline)(i)).unwrap();
-        }
-        let stats = adhoc.cache_stats();
-        let cache_hit_rate = if stats.hits + stats.misses == 0 {
-            0.0
-        } else {
-            stats.hits as f64 / (stats.hits + stats.misses) as f64
-        };
-
-        out.push(ParamsComparison {
-            workload: workload.name.to_string(),
-            bindings,
-            prepare_ms,
-            bound_per_exec_ms: bound_total_ms / bindings as f64,
-            replan_per_exec_ms: replan_total_ms / bindings as f64,
-            cache_hit_rate,
-            engine_plans_built_during_bound,
-        });
-    }
-    out
-}
-
-/// Render the parametric comparison as the machine-readable `BENCH_pr3.json`
-/// document (hand-rolled: the workspace has no serde).
-pub fn params_report_json(instance: &Instance, runs: usize, rows: &[ParamsComparison]) -> String {
-    fn f(x: f64) -> String {
-        if x.is_finite() {
-            format!("{:.4}", x)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"parameterized-prepared-queries\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"runs\": {},\n",
-        instance.departments, runs
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"bindings\": {}, \"prepare_ms\": {}, \
-             \"bound_per_exec_ms\": {}, \"replan_per_exec_ms\": {}, \"speedup\": {}, \
-             \"cache_hit_rate\": {}, \"engine_plans_built_during_bound\": {}}}{}\n",
-            row.workload,
-            row.bindings,
-            f(row.prepare_ms),
-            f(row.bound_per_exec_ms),
-            f(row.replan_per_exec_ms),
-            f(row.speedup()),
-            f(row.cache_hit_rate),
-            row.engine_plans_built_during_bound,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent throughput (the PR 4 multi-threaded scaling workload)
-// ---------------------------------------------------------------------------
-
-/// Throughput measured at one thread count: `threads` worker threads share
-/// one cloned [`Shredder`] (same plan cache, same loaded engine) and each
-/// performs `execs_per_thread` bound executions of the prepared parametric
-/// workloads via `run_bound` — prepare-from-cache plus bound execution, the
-/// hot path of a parametric server workload.
-#[derive(Debug, Clone)]
-pub struct ThroughputPoint {
-    /// Number of worker threads sharing the session.
-    pub threads: usize,
-    /// Total bound executions across all threads.
-    pub total_execs: usize,
-    /// Wall-clock time for the whole fan-out.
-    pub elapsed_ms: f64,
-    /// Total executions divided by wall-clock seconds.
-    pub execs_per_sec: f64,
-}
-
-/// The full concurrency report: one [`ThroughputPoint`] per requested thread
-/// count plus the shared-state invariants the run must uphold (no engine-side
-/// re-planning, near-perfect plan-cache hit rate).
-#[derive(Debug, Clone)]
-pub struct ConcurrencyReport {
-    /// Names of the parametric workloads driven.
-    pub workloads: Vec<String>,
-    /// Bound executions per thread at every thread count.
-    pub execs_per_thread: usize,
-    /// `std::thread::available_parallelism()` of the measuring host — thread
-    /// scaling can only be expected up to this many threads.
-    pub available_parallelism: usize,
-    /// One measurement per requested thread count.
-    pub points: Vec<ThroughputPoint>,
-    /// Plan-cache hit rate across every `run_bound` of the whole sweep
-    /// (the first prepare of each workload is the only legitimate miss).
-    pub cache_hit_rate: f64,
-    /// Engine-side plans built while the sweep ran (must be zero: prepared
-    /// shapes are planned once, before the measured phase).
-    pub engine_plans_built_during_run: u64,
-}
-
-impl ConcurrencyReport {
-    /// Throughput at `threads` threads over throughput at one thread.
-    pub fn speedup_at(&self, threads: usize) -> Option<f64> {
-        let base = self.points.iter().find(|p| p.threads == 1)?;
-        let at = self.points.iter().find(|p| p.threads == threads)?;
-        if base.execs_per_sec > 0.0 {
-            Some(at.execs_per_sec / base.execs_per_sec)
-        } else {
-            None
-        }
-    }
-}
-
-/// Drive one shared `Shredder` from 1..=N worker threads and measure bound
-/// execution throughput at each thread count.
-///
-/// All threads share a *single* session (cloning a `Shredder` is an `Arc`
-/// bump — every clone sees the same plan cache and engine). Each iteration
-/// performs `run_bound`: an auto-parameterized prepare answered by the
-/// shared plan cache, then a bound execution of the cached immutable plan
-/// against shared storage. Results are verified against the reference
-/// semantics once per workload before the timed sweep.
-///
-/// Each thread count is measured `runs` times and the best
-/// (highest-throughput) repeat is kept, which makes the CI scaling gate
-/// robust against scheduler hiccups in any single timing window.
-pub fn measure_concurrency_best_of(
-    instance: &Instance,
-    thread_counts: &[usize],
-    execs_per_thread: usize,
-    runs: usize,
-) -> ConcurrencyReport {
-    let engine = instance
-        .session(System::Shredding)
-        .shared_engine()
-        .expect("the instance's engine is loaded");
-    let session = Shredder::builder()
-        .database(instance.db().clone())
-        .engine(engine.clone())
-        .build()
-        .expect("generated data always configures a session");
-    let workloads = param_workloads(instance.departments);
-    let execs_per_thread = execs_per_thread.max(1);
-
-    // Warm-up and correctness: prepare every workload once (the only cache
-    // misses of the run) and check a binding against the oracle.
-    for workload in &workloads {
-        let prepared = session.prepare(&workload.term).expect("workload prepares");
-        let params = (workload.bind)(0);
-        let bound = session.execute_bound(&prepared, &params).unwrap();
-        let reference = session.oracle_bound(&workload.term, &params).unwrap();
-        assert!(
-            bound.multiset_eq(&reference),
-            "{}: bound execution disagrees with the oracle",
-            workload.name
-        );
-    }
-
-    let stats_before = session.cache_stats();
-    let plans_before = engine.plans_built();
-    let runs = runs.max(1);
-    let mut points = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        let threads = threads.max(1);
-        let mut best: Option<ThroughputPoint> = None;
-        for _ in 0..runs {
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let session = session.clone();
-                    let workloads = &workloads;
-                    scope.spawn(move || {
-                        for i in 0..execs_per_thread {
-                            let workload = &workloads[i % workloads.len()];
-                            let params = (workload.bind)(t * execs_per_thread + i);
-                            std::hint::black_box(
-                                session
-                                    .run_bound(&workload.term, &params)
-                                    .expect("bound execution succeeds under concurrency"),
-                            );
-                        }
-                    });
-                }
-            });
-            let elapsed = start.elapsed();
-            let total_execs = threads * execs_per_thread;
-            let secs = elapsed.as_secs_f64();
-            let point = ThroughputPoint {
-                threads,
-                total_execs,
-                elapsed_ms: secs * 1000.0,
-                execs_per_sec: if secs > 0.0 {
-                    total_execs as f64 / secs
-                } else {
-                    f64::INFINITY
-                },
-            };
-            if best
-                .as_ref()
-                .map(|b| point.execs_per_sec > b.execs_per_sec)
-                .unwrap_or(true)
-            {
-                best = Some(point);
-            }
-        }
-        points.push(best.expect("at least one run per thread count"));
-    }
-    let stats_after = session.cache_stats();
-    let hits = stats_after.hits - stats_before.hits;
-    let misses = stats_after.misses - stats_before.misses;
-    let cache_hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    ConcurrencyReport {
-        workloads: workloads.iter().map(|w| w.name.to_string()).collect(),
-        execs_per_thread,
-        available_parallelism: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        points,
-        cache_hit_rate,
-        engine_plans_built_during_run: engine.plans_built() - plans_before,
-    }
-}
-
-/// Drive the shared session once per thread count (single timing window
-/// each). Prefer [`measure_concurrency_best_of`] when the result gates CI.
-pub fn measure_concurrency(
-    instance: &Instance,
-    thread_counts: &[usize],
-    execs_per_thread: usize,
-) -> ConcurrencyReport {
-    measure_concurrency_best_of(instance, thread_counts, execs_per_thread, 1)
-}
-
-/// Render the concurrency sweep as the machine-readable `BENCH_pr4.json`
-/// document (hand-rolled: the workspace has no serde).
-pub fn concurrency_report_json(instance: &Instance, report: &ConcurrencyReport) -> String {
-    fn f(x: f64) -> String {
-        if x.is_finite() {
-            format!("{:.4}", x)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"concurrent-throughput\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"execs_per_thread\": {},\n  \"available_parallelism\": {},\n",
-        instance.departments, report.execs_per_thread, report.available_parallelism
-    ));
-    let names: Vec<String> = report
-        .workloads
-        .iter()
-        .map(|w| format!("\"{}\"", w))
-        .collect();
-    out.push_str(&format!("  \"workloads\": [{}],\n", names.join(", ")));
-    out.push_str("  \"threads\": [\n");
-    for (i, p) in report.points.iter().enumerate() {
-        let speedup = report.speedup_at(p.threads);
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"total_execs\": {}, \"elapsed_ms\": {}, \
-             \"execs_per_sec\": {}, \"speedup_vs_1_thread\": {}}}{}\n",
-            p.threads,
-            p.total_execs,
-            f(p.elapsed_ms),
-            f(p.execs_per_sec),
-            speedup.map(f).unwrap_or_else(|| "null".to_string()),
-            if i + 1 == report.points.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"cache_hit_rate\": {},\n  \"engine_plans_built_during_run\": {}\n",
-        f(report.cache_hit_rate),
-        report.engine_plans_built_during_run
-    ));
-    out.push_str("}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The static-analysis sweep (PR 6)
+// The static-analysis sweep
 // ---------------------------------------------------------------------------
 
 /// One cell of the static-analysis sweep: a benchmark query prepared on one
@@ -1152,829 +366,6 @@ pub fn analyze_report_json(entries: &[AnalyzeEntry]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline observability (the PR 7 profiling-overhead comparison)
-// ---------------------------------------------------------------------------
-
-/// One profiled-vs-unprofiled comparison of a benchmark query on the
-/// shredding session: the same prepared plan executed with per-operator
-/// profiling off and on (stage tracing runs in both modes).
-#[derive(Debug, Clone)]
-pub struct ProfileComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Number of flat SQL stages the query shreds into.
-    pub stages: usize,
-    /// Median execute time with per-operator profiling off.
-    pub unprofiled_ms: f64,
-    /// Median execute time with per-operator profiling on.
-    pub profiled_ms: f64,
-    /// Physical-plan nodes that reported actuals across all stages.
-    pub operators: usize,
-    /// Whether the profiled result diverged from the unprofiled result or
-    /// from the nested reference semantics.
-    pub diverged: bool,
-}
-
-impl ProfileComparison {
-    /// Per-query profiling overhead in percent. Noisy at small scales — the
-    /// harness gates on the suite-level aggregate, not on this.
-    pub fn overhead_pct(&self) -> f64 {
-        if self.unprofiled_ms > 0.0 {
-            (self.profiled_ms - self.unprofiled_ms) / self.unprofiled_ms * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The full profiling sweep: per-query comparisons plus the per-stage and
-/// per-operator aggregates read back from the session's metrics registry.
-#[derive(Debug, Clone)]
-pub struct ProfileReport {
-    pub rows: Vec<ProfileComparison>,
-    /// `(stage histogram name, span count, mean ms, p95 ms)` per pipeline
-    /// stage, from the session registry.
-    pub stages: Vec<(String, u64, f64, f64)>,
-    /// `(operator kind, execution count, total ms)` from profiled runs.
-    pub operators: Vec<(String, u64, f64)>,
-    /// Sum of the per-query unprofiled medians.
-    pub unprofiled_total_ms: f64,
-    /// Sum of the per-query profiled medians.
-    pub profiled_total_ms: f64,
-}
-
-impl ProfileReport {
-    /// Suite-level profiling overhead in percent (the <10% gate input).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.unprofiled_total_ms > 0.0 {
-            (self.profiled_total_ms - self.unprofiled_total_ms) / self.unprofiled_total_ms * 100.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Whether any query's profiled result diverged.
-    pub fn any_divergence(&self) -> bool {
-        self.rows.iter().any(|r| r.diverged)
-    }
-}
-
-/// Run every benchmark query on the shredding session with per-operator
-/// profiling off and on, checking both answers against the nested reference
-/// semantics, and read the per-stage / per-operator aggregates back from the
-/// session's metrics registry.
-pub fn measure_profiling(instance: &Instance, runs: usize) -> ProfileReport {
-    use shredding::session::Params;
-    let session = instance.session(System::Shredding);
-    let no_params = Params::new();
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut rows = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in queries {
-            let prepared = session.prepare(&q).expect("benchmark queries prepare");
-            let oracle = session.oracle(&q).expect("benchmark queries evaluate");
-            let unprofiled = session
-                .execute_profiled(&prepared, &no_params, false)
-                .expect("unprofiled execution succeeds");
-            let profiled = session
-                .execute_profiled(&prepared, &no_params, true)
-                .expect("profiled execution succeeds");
-            let diverged = !profiled.multiset_eq(&unprofiled) || !profiled.multiset_eq(&oracle);
-            let unprofiled_ms = median_ms(runs, || {
-                session
-                    .execute_profiled(&prepared, &no_params, false)
-                    .expect("unprofiled execution succeeds")
-            });
-            let profiled_ms = median_ms(runs, || {
-                session
-                    .execute_profiled(&prepared, &no_params, true)
-                    .expect("profiled execution succeeds")
-            });
-            let operators = session
-                .recent_profiles()
-                .last()
-                .map(|p| p.operators.len())
-                .unwrap_or(0);
-            rows.push(ProfileComparison {
-                query: name.to_string(),
-                kind,
-                stages: prepared.query_count(),
-                unprofiled_ms,
-                profiled_ms,
-                operators,
-                diverged,
-            });
-        }
-    }
-    let snapshot = session.metrics_snapshot();
-    let mut stages = Vec::new();
-    let mut operators = Vec::new();
-    for (hist_name, h) in &snapshot.histograms {
-        if let Some(stage) = hist_name.strip_prefix("stage.") {
-            stages.push((stage.to_string(), h.count, h.mean_ms(), h.p95 as f64 / 1e6));
-        } else if let Some(op) = hist_name.strip_prefix("operator.") {
-            operators.push((op.to_string(), h.count, h.sum as f64 / 1e6));
-        }
-    }
-    let unprofiled_total_ms = rows.iter().map(|r| r.unprofiled_ms).sum();
-    let profiled_total_ms = rows.iter().map(|r| r.profiled_ms).sum();
-    ProfileReport {
-        rows,
-        stages,
-        operators,
-        unprofiled_total_ms,
-        profiled_total_ms,
-    }
-}
-
-/// Render the profiling sweep as the machine-readable `BENCH_pr7.json`
-/// document (hand-rolled: the workspace has no serde).
-pub fn profile_report_json(instance: &Instance, runs: usize, report: &ProfileReport) -> String {
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"pipeline-observability\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"runs\": {},\n",
-        instance.departments, runs
-    ));
-    out.push_str(&format!(
-        "  \"unprofiled_total_ms\": {},\n  \"profiled_total_ms\": {},\n  \
-         \"overhead_pct\": {},\n  \"divergence\": {},\n",
-        f(report.unprofiled_total_ms),
-        f(report.profiled_total_ms),
-        f(report.overhead_pct()),
-        report.any_divergence()
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"stages\": {}, \"operators\": {}, \
-             \"unprofiled_ms\": {}, \"profiled_ms\": {}, \"overhead_pct\": {}, \
-             \"diverged\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.stages,
-            row.operators,
-            f(row.unprofiled_ms),
-            f(row.profiled_ms),
-            f(row.overhead_pct()),
-            row.diverged,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stage_breakdown\": [\n");
-    for (i, (stage, count, mean_ms, p95_ms)) in report.stages.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"count\": {}, \"mean_ms\": {}, \"p95_ms\": {}}}{}\n",
-            stage,
-            count,
-            f(*mean_ms),
-            f(*p95_ms),
-            if i + 1 == report.stages.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"operator_breakdown\": [\n");
-    for (i, (op, count, total_ms)) in report.operators.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"operator\": \"{}\", \"count\": {}, \"total_ms\": {}}}{}\n",
-            op,
-            count,
-            f(*total_ms),
-            if i + 1 == report.operators.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance of live nested views (the PR 8 delta comparison)
-// ---------------------------------------------------------------------------
-
-/// One live-view maintenance comparison: a benchmark query kept live by a
-/// [`shredding::Subscription`] while a seeded [`datagen::MutationStream`]
-/// commits write batches of a fixed size. Each committed batch is timed two
-/// ways —
-///
-/// * **incremental** — the maintenance work `Shredder::apply_batch` does for
-///   the subscription (per-stage delta propagation through the cached
-///   executors plus group-level invalidation of the stitcher's memo), read
-///   off [`Subscription::maintain_nanos`];
-/// * **recompute** — a full `execute` of the same prepared query against the
-///   post-write storage, the from-scratch baseline.
-///
-/// Both sides exclude the storage write itself: the write is committed
-/// either way, so the comparison is between the two ways of *knowing the
-/// new answer* — folding the delta into the live view versus re-running the
-/// query from scratch (the standard IVM framing). After every batch the
-/// subscription's materialised value is compared with the recompute result
-/// (the differential oracle); the comparison itself is untimed.
-#[derive(Debug, Clone)]
-pub struct DeltaComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Operations per committed write batch.
-    pub batch_size: usize,
-    /// Number of write batches committed (and timed) for this cell.
-    pub batches: usize,
-    /// Total signed delta rows emitted across all committed batches.
-    pub delta_rows: usize,
-    /// Median per-batch incremental maintenance time (delta propagation +
-    /// group invalidation; the storage write, common to both sides, is
-    /// excluded).
-    pub incremental_ms: f64,
-    /// Median per-batch time of a full recompute on the post-write state.
-    pub recompute_ms: f64,
-    /// Times the live view fell back to reseeding a stage from scratch.
-    pub reseeds: u64,
-    /// Whether any batch left the live view differing from the recompute.
-    pub diverged: bool,
-}
-
-impl DeltaComparison {
-    /// Recompute time over incremental time (>1 means maintenance wins).
-    pub fn speedup(&self) -> f64 {
-        if self.incremental_ms > 0.0 {
-            self.recompute_ms / self.incremental_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-fn median_of(mut samples: Vec<Duration>) -> f64 {
-    samples.sort();
-    samples
-        .get(samples.len() / 2)
-        .map(|d| d.as_secs_f64() * 1000.0)
-        .unwrap_or(0.0)
-}
-
-/// Drive every benchmark query as a live view under a seeded mutation
-/// stream, once per requested write-batch size, and compare per-batch
-/// incremental maintenance against full recompute. Each cell runs on its own
-/// freshly generated database and session so writes never leak between
-/// cells, and every batch's live value is differentially checked against the
-/// recompute oracle.
-pub fn compare_delta(
-    departments: usize,
-    batch_sizes: &[usize],
-    batches: usize,
-) -> Vec<DeltaComparison> {
-    use datagen::{MutationConfig, MutationStream};
-
-    let config = OrgConfig {
-        departments,
-        employees_per_department: 20,
-        contacts_per_department: 5,
-        ..OrgConfig::default()
-    };
-    let batches = batches.max(1);
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut out = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in &queries {
-            for (si, &batch_size) in batch_sizes.iter().enumerate() {
-                let db = generate(&config);
-                let session = Shredder::builder()
-                    .database(db.clone())
-                    .build()
-                    .expect("generated data always configures a session");
-                let prepared = session.prepare(q).expect("benchmark queries prepare");
-                let sub = session
-                    .subscribe(&prepared)
-                    .expect("benchmark queries subscribe");
-                let mut stream = MutationStream::over(
-                    &db,
-                    MutationConfig {
-                        ops_per_batch: batch_size,
-                        seed: 42 + si as u64,
-                        ..MutationConfig::default()
-                    },
-                );
-                // Warm up both sides: the first materialisation builds the
-                // stitch memo, the first recompute pays any lazy columnar
-                // transposition, so neither lands in a median.
-                sub.value().expect("live views materialise");
-                session
-                    .execute(&prepared)
-                    .expect("benchmark queries execute");
-
-                let mut incremental = Vec::with_capacity(batches);
-                let mut recompute = Vec::with_capacity(batches);
-                let mut delta_rows = 0usize;
-                let mut diverged = false;
-                for _ in 0..batches {
-                    let batch = stream.next_batch();
-                    let before = sub.maintain_nanos();
-                    let delta = session
-                        .apply_batch(&batch)
-                        .expect("stream batches stay valid");
-                    incremental.push(Duration::from_nanos(sub.maintain_nanos() - before));
-                    delta_rows += delta.row_count();
-
-                    let start = Instant::now();
-                    let recomputed = session
-                        .execute(&prepared)
-                        .expect("benchmark queries execute");
-                    recompute.push(start.elapsed());
-
-                    let live = sub.value().expect("live views materialise");
-                    if !live.multiset_eq(&recomputed) {
-                        diverged = true;
-                    }
-                }
-                out.push(DeltaComparison {
-                    query: name.to_string(),
-                    kind,
-                    batch_size,
-                    batches,
-                    delta_rows,
-                    incremental_ms: median_of(incremental),
-                    recompute_ms: median_of(recompute),
-                    reseeds: sub.reseeds(),
-                    diverged,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Render the delta comparison as the machine-readable `BENCH_pr8.json`
-/// document (hand-rolled: the workspace has no serde).
-pub fn delta_report_json(departments: usize, batches: usize, rows: &[DeltaComparison]) -> String {
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"incremental-view-maintenance\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"batches_per_cell\": {},\n",
-        departments, batches
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"batch_size\": {}, \
-             \"delta_rows\": {}, \"incremental_ms\": {}, \"recompute_ms\": {}, \
-             \"speedup\": {}, \"reseeds\": {}, \"diverged\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.batch_size,
-            row.delta_rows,
-            f(row.incremental_ms),
-            f(row.recompute_ms),
-            f(row.speedup()),
-            row.reseeds,
-            row.diverged,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Morsel-parallel single-query execution (the PR 9 comparison)
-// ---------------------------------------------------------------------------
-
-/// The morsel sizes the differential arm of the morsel gate sweeps: 1 and 7
-/// force every operator down its parallel code path even on small inputs,
-/// 4096 is [`sqlengine::DEFAULT_MORSEL_ROWS`].
-pub const MORSEL_SIZES: [usize; 3] = [1, 7, 4096];
-
-/// One morsel-parallelism comparison: a benchmark query's compiled SQL
-/// stages executed sequentially (`workers = 1`) and morsel-parallel
-/// (`workers = N`), with the parallel results differentially checked —
-/// strict equality against the sequential baseline at every morsel size
-/// (order included: the executor must be deterministic), bag equality
-/// against the row-at-a-time interpreter (the engine-level oracle).
-#[derive(Debug, Clone)]
-pub struct MorselComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Number of flat SQL stages the query shreds into.
-    pub stages: usize,
-    /// Median time to run every stage with `workers = 1`.
-    pub single_ms: f64,
-    /// Median time to run every stage with `workers = N` at the default
-    /// morsel size.
-    pub parallel_ms: f64,
-    /// Whether every morsel size produced a result byte-identical to the
-    /// sequential baseline (rows *and* row order).
-    pub consistent: bool,
-    /// Whether the parallel result agrees with the interpreter oracle as a
-    /// bag.
-    pub matches_oracle: bool,
-}
-
-impl MorselComparison {
-    /// Sequential time over parallel time (>1 means parallelism wins).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.single_ms / self.parallel_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The full morsel-parallelism sweep plus the host facts the CI gate needs
-/// to decide between the scaling assertion and the 1-core relaxation.
-#[derive(Debug, Clone)]
-pub struct MorselReport {
-    pub departments: usize,
-    /// Worker count the timed parallel arm ran with (the session default:
-    /// the host's available parallelism).
-    pub workers: usize,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub available_parallelism: usize,
-    /// Morsel sizes the differential arm swept.
-    pub morsel_sizes: Vec<usize>,
-    pub rows: Vec<MorselComparison>,
-}
-
-/// Compare sequential and morsel-parallel execution of every benchmark
-/// query's compiled SQL stages over the instance's loaded engine.
-///
-/// Correctness always runs at `workers = 4` (determinism does not depend on
-/// the host actually having four cores — forcing multiple workers exercises
-/// the parallel arms everywhere, morsel sizes 1 and 7 included). Timing runs
-/// at the host's available parallelism, which is what a default-built
-/// session would use.
-pub fn compare_morsel(instance: &Instance, runs: usize) -> MorselReport {
-    use sqlengine::value::compare_rows;
-    use sqlengine::{ExecOptions, ParamValues, ResultSet, Row};
-
-    let engine = instance.engine();
-    let no_params = ParamValues::new();
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let timed_workers = available.max(2);
-    // `min_parallel_rows: 0` disables the adaptive-parallelism gate: this
-    // sweep exists to prove fan-out determinism, so it must actually fan
-    // out even at smoke-test scales where the gate would stay sequential.
-    let check_opts = |morsel_rows: usize| ExecOptions {
-        workers: 4,
-        morsel_rows,
-        min_parallel_rows: 0,
-    };
-    let sorted = |rs: &ResultSet| -> Vec<Row> {
-        let mut rows = rs.rows.clone();
-        rows.sort_by(|a, b| compare_rows(a, b));
-        rows
-    };
-
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut rows = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in queries {
-            let compiled = shredding::pipeline::compile(&q, &instance.schema)
-                .expect("benchmark queries always compile");
-            let stages: Vec<_> = compiled.stages.annotations().into_iter().collect();
-            let run_all = |opts: ExecOptions| -> Vec<ResultSet> {
-                stages
-                    .iter()
-                    .map(|s| {
-                        engine
-                            .execute_plan_bound_opts(&s.plan, &no_params, opts)
-                            .expect("stage plans always execute")
-                            .0
-                            .into_result_set()
-                    })
-                    .collect()
-            };
-
-            // Differential arm: workers(1) is the baseline; every morsel
-            // size must reproduce it exactly, and the parallel answer must
-            // match the interpreter as a bag.
-            let baseline = run_all(ExecOptions::default());
-            let consistent = MORSEL_SIZES
-                .iter()
-                .all(|&m| run_all(check_opts(m)) == baseline);
-            let matches_oracle = stages.iter().zip(&baseline).all(|(s, b)| {
-                let interpreted = engine
-                    .execute_interpreted(&s.sql)
-                    .expect("stage SQL always executes");
-                sorted(&interpreted) == sorted(b)
-            });
-
-            // Timing arm: sequential vs. the host's default worker count at
-            // the default morsel size.
-            let single_ms = median_ms(runs, || run_all(ExecOptions::default()));
-            let parallel_ms = median_ms(runs, || {
-                run_all(ExecOptions {
-                    min_parallel_rows: 0,
-                    ..ExecOptions::with_workers(timed_workers)
-                })
-            });
-            rows.push(MorselComparison {
-                query: name.to_string(),
-                kind,
-                stages: stages.len(),
-                single_ms,
-                parallel_ms,
-                consistent,
-                matches_oracle,
-            });
-        }
-    }
-    MorselReport {
-        departments: instance.departments,
-        workers: timed_workers,
-        available_parallelism: available,
-        morsel_sizes: MORSEL_SIZES.to_vec(),
-        rows,
-    }
-}
-
-/// Render the morsel-parallelism sweep as the machine-readable
-/// `BENCH_pr9.json` document (hand-rolled: the workspace has no serde).
-pub fn morsel_report_json(report: &MorselReport, runs: usize) -> String {
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"morsel-parallel-execution\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"workers\": {},\n  \"available_parallelism\": {},\n  \
-         \"runs\": {},\n",
-        report.departments, report.workers, report.available_parallelism, runs
-    ));
-    let sizes: Vec<String> = report.morsel_sizes.iter().map(usize::to_string).collect();
-    out.push_str(&format!("  \"morsel_sizes\": [{}],\n", sizes.join(", ")));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"stages\": {}, \
-             \"single_ms\": {}, \"parallel_ms\": {}, \"speedup\": {}, \
-             \"consistent\": {}, \"matches_oracle\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.stages,
-            f(row.single_ms),
-            f(row.parallel_ms),
-            f(row.speedup()),
-            row.consistent,
-            row.matches_oracle,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Logical optimizer: optimized vs. unoptimized plans (the PR 10 comparison)
-// ---------------------------------------------------------------------------
-
-/// One optimizer comparison: a benchmark query executed through two sessions
-/// over the same loaded engine — one with the logical rewrite phase
-/// (decorrelation, predicate pushdown, constant folding, build-side
-/// re-choice, cross-stage subplan sharing) and one compiling the planner's
-/// raw output. Both answers are differentially checked against each other,
-/// and every optimized stage plan is checked per stage against the engine's
-/// row-at-a-time SQL interpreter — an oracle that never sees the rewrites
-/// (the λNRC oracle would be the natural alternative, but its strict `AND`
-/// makes Q2 at committed scale take hours; the SQL interpreter is the same
-/// engine-level oracle the morsel gate uses at 256 departments). Timing
-/// covers `execute` of the prepared handles (the rewrite itself is a
-/// prepare-time cost the plan cache amortises away).
-#[derive(Debug, Clone)]
-pub struct OptComparison {
-    pub query: String,
-    /// `"flat"` (QF1–QF6) or `"nested"` (Q1–Q6).
-    pub kind: &'static str,
-    /// Number of flat SQL stages the query shreds into.
-    pub stages: usize,
-    /// Total rewrite annotations across all stages (0 means the optimizer
-    /// left the plans untouched, so both arms time the same plan).
-    pub rewrites: usize,
-    /// Median execution time of the unoptimized plans.
-    pub unoptimized_ms: f64,
-    /// Median execution time of the rewritten plans.
-    pub optimized_ms: f64,
-    /// Whether both arms return the same bag.
-    pub agree: bool,
-    /// Whether every optimized stage plan matches the row-at-a-time SQL
-    /// interpreter on the stage's original (pre-rewrite) SQL.
-    pub matches_oracle: bool,
-}
-
-impl OptComparison {
-    /// Unoptimized time over optimized time (>1 means the rewrites win).
-    pub fn speedup(&self) -> f64 {
-        if self.optimized_ms > 0.0 {
-            self.unoptimized_ms / self.optimized_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Run every benchmark query through an optimizing and a non-optimizing
-/// session over the same generated database and loaded engine, check the
-/// answers differentially and against the engine-level interpreter oracle,
-/// and report median execution times for both arms.
-pub fn compare_opt(departments: usize, runs: usize) -> Vec<OptComparison> {
-    use sqlengine::value::compare_rows;
-    use sqlengine::{ExecOptions, ParamValues, ResultSet, Row};
-
-    let config = OrgConfig {
-        departments,
-        employees_per_department: 20,
-        contacts_per_department: 5,
-        ..OrgConfig::default()
-    };
-    let db = generate(&config);
-    let optimized = Shredder::builder()
-        .database(db)
-        .optimize(true)
-        .build()
-        .expect("generated data always configures a session");
-    // The unoptimized session shares the loaded engine (not a copy) so both
-    // arms scan identical storage; only the plans differ.
-    let engine = optimized
-        .shared_engine()
-        .expect("generated data always loads into the engine");
-    let unoptimized = Shredder::builder()
-        .schema(organisation_schema())
-        .engine(engine)
-        .optimize(false)
-        .build()
-        .expect("a schema-plus-engine session is valid");
-
-    let schema = organisation_schema();
-    let no_params = ParamValues::new();
-    let sorted = |rs: &ResultSet| -> Vec<Row> {
-        let mut rows = rs.rows.clone();
-        rows.sort_by(|a, b| compare_rows(a, b));
-        rows
-    };
-
-    let suites: [(&'static str, Vec<(&'static str, Term)>); 2] = [
-        ("flat", datagen::queries::flat_queries()),
-        ("nested", datagen::queries::nested_queries()),
-    ];
-    let mut out = Vec::new();
-    for (kind, queries) in suites {
-        for (name, q) in queries {
-            let p_opt = optimized.prepare(&q).expect("benchmark queries prepare");
-            let p_un = unoptimized.prepare(&q).expect("benchmark queries prepare");
-            // Warm-up doubles as the differential check (untimed).
-            let v_opt = optimized.execute(&p_opt).expect("optimized plans execute");
-            let v_un = unoptimized
-                .execute(&p_un)
-                .expect("unoptimized plans execute");
-            let agree = v_opt.multiset_eq(&v_un);
-            // Engine-level oracle: every optimized stage plan, executed as
-            // compiled (rewrites included), must agree as a bag with the
-            // row-at-a-time interpretation of the stage's original SQL.
-            let compiled = shredding::pipeline::compile(&q, &schema)
-                .expect("benchmark queries always compile");
-            let matches_oracle = compiled.stages.annotations().into_iter().all(|s| {
-                let planned = optimized
-                    .engine()
-                    .expect("the engine was built eagerly")
-                    .execute_plan_bound_opts(&s.plan, &no_params, ExecOptions::default())
-                    .expect("stage plans always execute")
-                    .0
-                    .into_result_set();
-                let interpreted = optimized
-                    .engine()
-                    .expect("the engine was built eagerly")
-                    .execute_interpreted(&s.sql)
-                    .expect("stage SQL always executes");
-                sorted(&interpreted) == sorted(&planned)
-            });
-            let explain = p_opt.explain();
-            let rewrites = explain.stages.iter().map(|s| s.rewrites.len()).sum();
-
-            // Interleave the timed runs with alternating order: timing one
-            // arm to completion before the other hands the second arm warmer
-            // caches, which reads as a phantom regression on queries whose
-            // plans are identical in both arms.
-            let mut opt_samples = Vec::with_capacity(runs.max(1));
-            let mut un_samples = Vec::with_capacity(runs.max(1));
-            for i in 0..runs.max(1) {
-                let mut time_opt = || {
-                    let start = Instant::now();
-                    std::hint::black_box(
-                        optimized.execute(&p_opt).expect("optimized plans execute"),
-                    );
-                    opt_samples.push(start.elapsed());
-                };
-                let mut time_un = || {
-                    let start = Instant::now();
-                    std::hint::black_box(
-                        unoptimized
-                            .execute(&p_un)
-                            .expect("unoptimized plans execute"),
-                    );
-                    un_samples.push(start.elapsed());
-                };
-                if i % 2 == 0 {
-                    time_un();
-                    time_opt();
-                } else {
-                    time_opt();
-                    time_un();
-                }
-            }
-            let optimized_ms = median_of(opt_samples);
-            let unoptimized_ms = median_of(un_samples);
-            out.push(OptComparison {
-                query: name.to_string(),
-                kind,
-                stages: explain.stages.len(),
-                rewrites,
-                unoptimized_ms,
-                optimized_ms,
-                agree,
-                matches_oracle,
-            });
-        }
-    }
-    out
-}
-
-/// Render the optimizer comparison as the machine-readable `BENCH_pr10.json`
-/// document (hand-rolled: the workspace has no serde).
-pub fn opt_report_json(departments: usize, runs: usize, rows: &[OptComparison]) -> String {
-    fn f(ms: f64) -> String {
-        if ms.is_finite() {
-            format!("{:.4}", ms)
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"logical-optimizer\",\n");
-    out.push_str(&format!(
-        "  \"departments\": {},\n  \"runs\": {},\n",
-        departments, runs
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"kind\": \"{}\", \"stages\": {}, \
-             \"rewrites\": {}, \"unoptimized_ms\": {}, \"optimized_ms\": {}, \
-             \"speedup\": {}, \"agree\": {}, \"matches_oracle\": {}}}{}\n",
-            row.query,
-            row.kind,
-            row.stages,
-            row.rewrites,
-            f(row.unoptimized_ms),
-            f(row.optimized_ms),
-            f(row.speedup()),
-            row.agree,
-            row.matches_oracle,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// A minimal timing harness for the `benches/` targets (the workspace builds
 /// without external crates, so Criterion is not available): warm up once,
 /// time `iters` runs, report the median.
@@ -2020,123 +411,6 @@ mod tests {
         let json = analyze_report_json(&entries);
         assert!(json.contains("\"static-analysis\""));
         assert_eq!(json.matches("\"query\"").count(), entries.len());
-    }
-
-    #[test]
-    fn the_vectorized_comparison_covers_the_full_suite() {
-        let instance = Instance::with_config(OrgConfig::small());
-        let rows = compare_vectorized(&instance, 1);
-        assert_eq!(rows.len(), 12, "QF1–QF6 and Q1–Q6");
-        assert!(rows.iter().any(|r| r.kind == "flat"));
-        assert!(rows.iter().any(|r| r.kind == "nested" && r.stages > 1));
-        let json = vexec_report_json(&instance, 1, &rows);
-        assert!(json.contains("\"interpreter-vs-vectorized\""));
-        assert!(json.contains("\"speedup\""));
-        assert_eq!(json.matches("\"query\"").count(), 12);
-    }
-
-    #[test]
-    fn the_concurrency_sweep_reports_scaling_points_and_stable_planning() {
-        let instance = Instance::with_config(OrgConfig::small());
-        let report = measure_concurrency(&instance, &[1, 2], 4);
-        assert_eq!(report.points.len(), 2);
-        assert_eq!(report.points[0].total_execs, 4);
-        assert_eq!(report.points[1].total_execs, 8);
-        assert_eq!(
-            report.engine_plans_built_during_run, 0,
-            "bound re-execution must never reach the engine's planner"
-        );
-        assert!(
-            report.cache_hit_rate > 0.9,
-            "every run_bound after the warm-up prepares from the cache \
-             (hit rate {})",
-            report.cache_hit_rate
-        );
-        let json = concurrency_report_json(&instance, &report);
-        assert!(json.contains("\"concurrent-throughput\""));
-        assert_eq!(json.matches("\"speedup_vs_1_thread\"").count(), 2);
-    }
-
-    #[test]
-    fn the_stitch_comparison_covers_the_full_suite() {
-        let instance = Instance::with_config(OrgConfig::small());
-        let rows = compare_stitch(&instance, 1);
-        assert_eq!(rows.len(), 12, "QF1–QF6 and Q1–Q6");
-        assert!(rows.iter().any(|r| r.kind == "nested" && r.stages > 1));
-        let json = stitch_report_json(&instance, 1, &rows);
-        assert!(json.contains("\"columnar-result-assembly\""));
-        assert!(json.contains("\"row_path_ms\""));
-        assert_eq!(json.matches("\"query\"").count(), 12);
-    }
-
-    #[test]
-    fn the_delta_comparison_keeps_live_views_on_the_oracle() {
-        let rows = compare_delta(2, &[1, 4], 2);
-        // 12 queries × 2 batch sizes.
-        assert_eq!(rows.len(), 12 * 2);
-        assert!(
-            rows.iter().all(|r| !r.diverged),
-            "live views must match the recompute oracle on every batch"
-        );
-        assert!(
-            rows.iter().any(|r| r.delta_rows > 0),
-            "the mutation stream must commit real work"
-        );
-        let json = delta_report_json(2, 2, &rows);
-        assert!(json.contains("\"incremental-view-maintenance\""));
-        assert!(json.contains("\"speedup\""));
-        assert_eq!(json.matches("\"query\"").count(), rows.len());
-    }
-
-    #[test]
-    fn the_morsel_comparison_is_consistent_and_on_the_oracle() {
-        let instance = Instance::with_config(OrgConfig::small());
-        let report = compare_morsel(&instance, 1);
-        assert_eq!(report.rows.len(), 12, "QF1–QF6 and Q1–Q6");
-        assert_eq!(report.morsel_sizes, vec![1, 7, 4096]);
-        for row in &report.rows {
-            assert!(
-                row.consistent,
-                "{}: some morsel size changed the answer",
-                row.query
-            );
-            assert!(
-                row.matches_oracle,
-                "{}: parallel execution diverged from the interpreter",
-                row.query
-            );
-        }
-        let json = morsel_report_json(&report, 1);
-        assert!(json.contains("\"morsel-parallel-execution\""));
-        assert!(json.contains("\"available_parallelism\""));
-        assert_eq!(json.matches("\"query\"").count(), 12);
-    }
-
-    #[test]
-    fn the_opt_comparison_agrees_everywhere_and_rewrites_the_heavy_queries() {
-        let rows = compare_opt(2, 1);
-        assert_eq!(rows.len(), 12, "QF1–QF6 and Q1–Q6");
-        for row in &rows {
-            assert!(
-                row.agree,
-                "{}: optimized and unoptimized answers differ",
-                row.query
-            );
-            assert!(
-                row.matches_oracle,
-                "{}: optimized answer off the oracle",
-                row.query
-            );
-        }
-        // The doubly-correlated queries must actually get rewritten.
-        for name in ["Q2", "QF6"] {
-            let row = rows.iter().find(|r| r.query == name).unwrap();
-            assert!(row.rewrites > 0, "{} saw no rewrites", name);
-        }
-        let json = opt_report_json(2, 1, &rows);
-        assert!(json.contains("\"logical-optimizer\""));
-        assert!(json.contains("\"speedup\""));
-        assert_eq!(json.matches("\"query\"").count(), 12);
     }
 
     #[test]

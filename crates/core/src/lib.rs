@@ -108,7 +108,7 @@ pub use normalise::{normalise, normalise_with_type};
 pub use obs::{
     MetricsRegistry, MetricsSnapshot, ObsSink, OperatorProfile, QueryProfile, RingSink, Span, Stage,
 };
-pub use pipeline::{compile, engine_from_database, execute, execute_bound, CompiledQuery};
+pub use pipeline::{compile, engine_from_database, execute_bound, CompiledQuery};
 pub use semantics::{IndexScheme, IndexTables, IndexValue};
 pub use session::{
     auto_parameterize, BackendPlan, Bindings, CacheStats, ExecContext, Explain,

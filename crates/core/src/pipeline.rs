@@ -30,7 +30,7 @@ use nrc::types::{Path, Type};
 use nrc::value::Value;
 use sqlengine::plan::{plan_query, PhysicalPlan, SchemaCatalog};
 use sqlengine::storage::{ColumnType, Storage, TableDef};
-use sqlengine::{Engine, Query};
+use sqlengine::{ColumnarResult, Engine, ExecOptions, ParamValues, Query};
 use std::sync::Arc;
 
 /// Everything produced for one bag constructor of the result type: the
@@ -112,47 +112,22 @@ impl CompiledQuery {
 /// over every stage plan.
 pub fn compile(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError> {
     let (normalised, result_type) = normalise_with_type(term, schema)?;
-    compile_normalised(normalised, result_type, schema)
+    compile_normalised_opts(normalised, result_type, schema, None, true)
 }
 
-/// [`compile`] with the logical optimizer switched off: stage plans come out
-/// of the planner exactly as `sqlgen` shaped them (correlated `EXISTS`
-/// subqueries, no pushdown, no cross-stage sharing). This is the
-/// differential baseline the optimizer is tested and benchmarked against.
-pub fn compile_unoptimized(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError> {
-    let (normalised, result_type) = normalise_with_type(term, schema)?;
-    compile_normalised_opts(normalised, result_type, schema, None, false)
-}
-
-/// Compile an already-normalised query (optimized).
-pub fn compile_normalised(
-    normalised: NormQuery,
-    result_type: Type,
-    schema: &Schema,
-) -> Result<CompiledQuery, ShredError> {
-    compile_normalised_obs(normalised, result_type, schema, None)
-}
-
-/// [`compile_normalised`] with stage tracing: each shredded stage records
-/// `Stage::Shred` (shredding, layout construction and let-insertion),
-/// `Stage::Sqlgen` and `Stage::Plan` spans into the per-call collector when
-/// one is present.
-pub fn compile_normalised_obs(
-    normalised: NormQuery,
-    result_type: Type,
-    schema: &Schema,
-    obs: Option<&obs::QueryObs>,
-) -> Result<CompiledQuery, ShredError> {
-    compile_normalised_opts(normalised, result_type, schema, obs, true)
-}
-
-/// [`compile_normalised_obs`] with an explicit optimizer switch. With
-/// `optimize` set, every stage plan runs through [`sqlengine::optimize`]
-/// (constant folding, `EXISTS` decorrelation, predicate pushdown,
-/// estimate-driven build-side choice) inside its `Stage::Plan` span, and the
-/// package is scanned for stages whose top-level `WITH` definitions are
-/// structurally equal — those are hoisted into [`CompiledQuery::shared`] so
-/// executors run each once per package (cross-stage CSE).
+/// Compile an already-normalised query. With a per-call collector present,
+/// each shredded stage records `Stage::Shred` (shredding, layout
+/// construction and let-insertion), `Stage::Sqlgen` and `Stage::Plan` spans
+/// into it. With `optimize` set, every stage plan runs through
+/// [`sqlengine::optimize`] (constant folding, `EXISTS` decorrelation,
+/// predicate pushdown, estimate-driven build-side choice) inside its
+/// `Stage::Plan` span, and the package is scanned for stages whose top-level
+/// `WITH` definitions are structurally equal — those are hoisted into
+/// [`CompiledQuery::shared`] so executors run each once per package
+/// (cross-stage CSE). Without it, stage plans come out of the planner exactly
+/// as `sqlgen` shaped them (correlated `EXISTS` subqueries, no pushdown, no
+/// cross-stage sharing): the differential baseline the optimizer is tested
+/// against.
 pub fn compile_normalised_opts(
     normalised: NormQuery,
     result_type: Type,
@@ -264,74 +239,64 @@ fn share_subplans(
     Ok((stages, shared))
 }
 
-/// Execute a compiled query on a SQL engine and stitch the shredded results
-/// back into a nested value. Each stage runs its pre-compiled physical plan
-/// on the vectorized executor — repeat executions perform no parsing or
-/// planning work.
-pub fn execute(compiled: &CompiledQuery, engine: &Engine) -> Result<Value, ShredError> {
-    execute_bound(compiled, engine, &sqlengine::ParamValues::new())
-}
-
-/// Execute a compiled query with bound values for its `:name` param slots.
-/// The stages' physical plans are immutable — binding happens inside the
-/// vectorized executor, so re-executing the same compiled query with
-/// different bindings does zero parsing, shredding, SQL generation or
-/// physical planning.
-///
-/// The result path is **columnar end to end**: each stage's vectorized
-/// batch is handed over as `Arc`-shared columns, grouped by its outer index
-/// columns ([`ColumnarStage::decode`]) and stitched straight into the
-/// nested value ([`stitch`]) — no row-major transpose, no per-row
-/// `FlatValue` tree, no per-cell string copies.
+/// Execute a compiled query on a SQL engine with bound values for its
+/// `:name` param slots, and stitch the shredded results back into a nested
+/// value: [`execute_bound_obs_opts`] without tracing, under the default
+/// execution options.
 pub fn execute_bound(
     compiled: &CompiledQuery,
     engine: &Engine,
-    params: &sqlengine::ParamValues,
+    params: &ParamValues,
 ) -> Result<Value, ShredError> {
-    execute_bound_obs(compiled, engine, params, None)
+    execute_bound_obs_opts(compiled, engine, params, None, ExecOptions::default())
 }
 
-/// [`execute_bound`] with stage tracing and optional per-operator profiling.
-/// Each stage records an `Stage::Execute` and a `Stage::Decode` span, the
-/// final stitch a `Stage::Stitch` span. When the collector additionally
-/// requests operator profiling ([`obs::QueryObs::profile_operators`]), each
-/// stage runs through the instrumented executor and pushes one
-/// [`obs::OperatorProfile`] per physical-plan node (pre-order indexed); the
-/// unprofiled path is byte-identical to [`execute_bound`] apart from one
-/// `Option` check per stage.
-pub fn execute_bound_obs(
-    compiled: &CompiledQuery,
-    engine: &Engine,
-    params: &sqlengine::ParamValues,
-    obs: Option<&obs::QueryObs>,
-) -> Result<Value, ShredError> {
-    execute_bound_obs_opts(
-        compiled,
-        engine,
-        params,
-        obs,
-        sqlengine::ExecOptions::default(),
-    )
-}
-
-/// [`execute_bound_obs`] with explicit execution options. With
-/// `opts.workers > 1` the package's stages — independent by construction
-/// (each is one self-contained flat query; only the final stitch joins
-/// them) — are executed **and decoded** concurrently on scoped threads
-/// handed out from an atomic cursor, and each stage's own plan execution
-/// fans morsels across its share of the same worker budget
+/// Execute a compiled query: run every stage's pre-compiled physical plan,
+/// decode and stitch. The stages' plans are immutable — binding happens
+/// inside the executor, so re-executing the same compiled query with
+/// different bindings does zero parsing, shredding, SQL generation or
+/// physical planning.
+///
+/// The result path is **columnar end to end**: each stage's batch is handed
+/// over as `Arc`-shared columns, grouped by its outer index columns
+/// ([`ColumnarStage::decode`]) and stitched straight into the nested value
+/// ([`crate::stitch::stitch`]) — no row-major transpose, no per-row
+/// `FlatValue` tree, no per-cell string copies.
+///
+/// The whole package reads **one storage state**: a single read guard is
+/// taken here and every plan — shared subplans and stages, on whichever
+/// thread — runs against it, so a concurrent write batch lands before or
+/// after the execution, never between two of its stages.
+///
+/// With a collector, each stage records a `Stage::Execute` and a
+/// `Stage::Decode` span and the final stitch a `Stage::Stitch` span; when it
+/// additionally requests operator profiling
+/// ([`obs::QueryObs::profile_operators`]), each stage pushes one
+/// [`obs::OperatorProfile`] per physical-plan node (pre-order indexed).
+///
+/// With `opts.workers > 1` the package's stages — independent by
+/// construction (each is one self-contained flat query; only the final
+/// stitch joins them) — are executed **and decoded** concurrently
+/// ([`sqlengine::scoped_map`]), and each stage's own plan execution fans
+/// morsels across its share of the same worker budget
 /// (`workers / stage_count`, so a single-stage package gets the full pool
 /// at operator level while a 4-stage package overlaps whole stages).
 /// Results are reassembled in the package's canonical depth-first stage
-/// order, so the stitched value is identical to the sequential path's.
+/// order, so the stitched value does not depend on the worker count.
 pub fn execute_bound_obs_opts(
     compiled: &CompiledQuery,
     engine: &Engine,
-    params: &sqlengine::ParamValues,
+    params: &ParamValues,
     obs: Option<&obs::QueryObs>,
-    opts: sqlengine::ExecOptions,
+    opts: ExecOptions,
 ) -> Result<Value, ShredError> {
-    let profile_ops = obs.is_some_and(|o| o.profile_operators());
+    let storage = engine.storage();
+    let run = StageRun {
+        storage: &storage,
+        params,
+        obs,
+        profile: obs.is_some_and(|o| o.profile_operators()),
+    };
     let stage_refs: Vec<&QueryStage> = compiled.stages.annotations();
     let n = stage_refs.len();
 
@@ -339,94 +304,25 @@ pub fn execute_bound_obs_opts(
     // bind the columnar result under their CTE name instead of recomputing
     // the definition. The profiled path skips sharing — its per-operator
     // actuals are defined over the stage's self-contained plan.
-    let shared: Vec<sqlengine::ColumnarResult> = if profile_ops {
+    let shared: Vec<ColumnarResult> = if run.profile {
         Vec::new()
     } else {
         compiled
             .shared
             .iter()
-            .map(|plan| {
-                let (result, stats) = obs::time_maybe(obs, obs::Stage::Execute, || {
-                    engine.execute_plan_bound_opts(plan, params, opts)
-                })?;
-                if let Some(o) = obs {
-                    o.record_morsels(&obs::MorselStats {
-                        dispatched: stats.morsels_dispatched,
-                        peak_workers: stats.peak_workers,
-                        morsel_nanos: stats.morsel_nanos,
-                    });
-                }
-                Ok(result)
-            })
+            .map(|plan| Ok(run.plan(plan, &[], opts)?.0))
             .collect::<Result<_, ShredError>>()?
     };
-    let shared = &shared[..];
 
-    let decoded: Vec<ColumnarStage> = if opts.workers > 1 && n > 1 {
-        let stage_opts = sqlengine::ExecOptions {
-            workers: (opts.workers / n.min(opts.workers)).max(1),
-            ..opts
-        };
-        let threads = opts.workers.min(n);
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let run = || {
-            let mut local: Vec<(usize, Result<ColumnarStage, ShredError>)> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                local.push((
-                    i,
-                    run_stage(
-                        stage_refs[i],
-                        i,
-                        engine,
-                        params,
-                        obs,
-                        profile_ops,
-                        stage_opts,
-                        shared,
-                    ),
-                ));
-            }
-            local
-        };
-        let collected: Vec<Vec<(usize, Result<ColumnarStage, ShredError>)>> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (1..threads).map(|_| s.spawn(run)).collect();
-                let mine = run();
-                let mut all = vec![mine];
-                for h in handles {
-                    match h.join() {
-                        Ok(v) => all.push(v),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                all
-            });
-        let mut slots: Vec<Option<Result<ColumnarStage, ShredError>>> =
-            (0..n).map(|_| None).collect();
-        for (i, r) in collected.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(ShredError::Internal(
-                        "stage result missing after join".to_string(),
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        stage_refs
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| run_stage(stage, i, engine, params, obs, profile_ops, opts, shared))
-            .collect::<Result<Vec<_>, _>>()?
+    let stage_opts = ExecOptions {
+        workers: (opts.workers / opts.workers.min(n).max(1)).max(1),
+        ..opts
     };
+    let decoded = sqlengine::scoped_map(opts.workers, &stage_refs, |i, stage| {
+        run.stage(stage, i, &shared, stage_opts)
+    })?;
+    // Every plan has run: writers need not wait for the stitch.
+    drop(storage);
 
     // Reassemble in the package's canonical depth-first order — the same
     // order `annotations()` listed the stages in, so stage `i` lands back
@@ -440,25 +336,66 @@ pub fn execute_bound_obs_opts(
     crate::stitch::stitch_obs(stages, obs)
 }
 
-/// Execute and decode one shredded stage: the per-stage body of
-/// [`execute_bound_obs_opts`], shared by its sequential and stage-parallel
-/// paths.
-#[allow(clippy::too_many_arguments)]
-fn run_stage(
-    stage: &QueryStage,
-    i: usize,
-    engine: &Engine,
-    params: &sqlengine::ParamValues,
-    obs: Option<&obs::QueryObs>,
-    profile_ops: bool,
-    opts: sqlengine::ExecOptions,
-    shared: &[sqlengine::ColumnarResult],
-) -> Result<ColumnarStage, ShredError> {
-    let result = if profile_ops {
-        let (result, prof, stats) = obs::time_maybe(obs, obs::Stage::Execute, || {
-            engine.execute_plan_profiled_opts(&stage.plan, params, opts)
+/// What every plan execution of one package execution shares: the storage
+/// snapshot, the bindings and the collector.
+struct StageRun<'a> {
+    storage: &'a Storage,
+    params: &'a ParamValues,
+    obs: Option<&'a obs::QueryObs>,
+    profile: bool,
+}
+
+impl StageRun<'_> {
+    /// Execute one plan under a `Stage::Execute` span, recording what the
+    /// worker pool did.
+    fn plan(
+        &self,
+        plan: &PhysicalPlan,
+        ctes: &[(String, ColumnarResult)],
+        opts: ExecOptions,
+    ) -> Result<(ColumnarResult, Option<sqlengine::PlanProfile>), ShredError> {
+        let req = sqlengine::ExecRequest {
+            params: self.params,
+            ctes,
+            profile: self.profile,
+            opts,
+        };
+        let sqlengine::Execution {
+            result,
+            profile,
+            stats,
+        } = obs::time_maybe(self.obs, obs::Stage::Execute, || {
+            sqlengine::execute_plan(plan, self.storage, &req)
         })?;
-        if let Some(o) = obs {
+        if let Some(o) = self.obs {
+            o.record_morsels(&obs::MorselStats {
+                dispatched: stats.morsels_dispatched,
+                peak_workers: stats.peak_workers,
+                morsel_nanos: stats.morsel_nanos,
+            });
+        }
+        Ok((result, profile))
+    }
+
+    /// Execute and decode stage `i` of the package.
+    fn stage(
+        &self,
+        stage: &QueryStage,
+        i: usize,
+        shared: &[ColumnarResult],
+        opts: ExecOptions,
+    ) -> Result<ColumnarStage, ShredError> {
+        let (result, profile) = match &stage.shared {
+            // CSE path: execute the With-stripped body against the
+            // pre-computed shared definition (column `Arc`s shared).
+            Some(slot) if slot.index < shared.len() => self.plan(
+                &slot.body,
+                &[(slot.name.clone(), shared[slot.index].clone())],
+                opts,
+            )?,
+            _ => self.plan(&stage.plan, &[], opts)?,
+        };
+        if let (Some(o), Some(prof)) = (self.obs, profile) {
             let nodes = stage.plan.nodes();
             o.push_operators(
                 prof.ops
@@ -474,47 +411,22 @@ fn run_stage(
                         nanos: a.nanos,
                     }),
             );
-            o.record_morsels(&obs::MorselStats {
-                dispatched: stats.morsels_dispatched,
-                peak_workers: stats.peak_workers,
-                morsel_nanos: stats.morsel_nanos,
-            });
         }
-        result
-    } else {
-        let (result, stats) = obs::time_maybe(obs, obs::Stage::Execute, || {
-            match &stage.shared {
-                // CSE path: execute the With-stripped body against the
-                // pre-computed shared definition (column `Arc`s shared).
-                Some(slot) if slot.index < shared.len() => engine.execute_plan_bound_ctes_opts(
-                    &slot.body,
-                    params,
-                    &[(slot.name.clone(), shared[slot.index].clone())],
-                    opts,
-                ),
-                _ => engine.execute_plan_bound_opts(&stage.plan, params, opts),
-            }
-        })?;
-        if let Some(o) = obs {
-            o.record_morsels(&obs::MorselStats {
-                dispatched: stats.morsels_dispatched,
-                peak_workers: stats.peak_workers,
-                morsel_nanos: stats.morsel_nanos,
-            });
-        }
-        result
-    };
-    ColumnarStage::decode_obs(stage.layout.clone(), result, obs)
+        ColumnarStage::decode_obs(stage.layout.clone(), result, self.obs)
+    }
 }
 
 /// Execute a compiled query over the row-major result path: transpose each
 /// stage's columnar result into rows, decode per-row [`FlatValue`] trees
 /// and stitch with [`stitch_rows`]. This is the differential oracle for
-/// [`execute`]'s columnar path (the benchmark harness times the two against
-/// each other).
+/// [`execute_bound`]'s columnar path.
 pub fn execute_rows(compiled: &CompiledQuery, engine: &Engine) -> Result<Value, ShredError> {
+    let params = ParamValues::new();
     let results: Package<ShredResult> = compiled.stages.try_map(&mut |stage: &QueryStage| {
-        let rs = engine.execute_plan(&stage.plan)?.into_result_set();
+        let req = sqlengine::ExecRequest::new(&params);
+        let rs = sqlengine::execute_plan(&stage.plan, &engine.storage(), &req)?
+            .result
+            .into_result_set();
         stage.layout.decode(&rs)
     })?;
     stitch_rows(results, IndexScheme::Flat)
@@ -522,7 +434,7 @@ pub fn execute_rows(compiled: &CompiledQuery, engine: &Engine) -> Result<Value, 
 
 /// Execute a compiled query by shipping SQL *text* to the engine (parsing it
 /// back), exactly as Links ships SQL strings to PostgreSQL. Slower than
-/// [`execute`], but exercises the printer/parser round trip — and, since
+/// [`execute_bound`], but exercises the printer/parser round trip — and, since
 /// text consumers receive row-major results, the row-path decode + stitch.
 pub fn execute_via_sql_text(
     compiled: &CompiledQuery,
@@ -764,7 +676,7 @@ mod tests {
             compiled.query_count(),
             compiled.result_type.nesting_degree()
         );
-        let via_sql = execute(&compiled, &engine).unwrap();
+        let via_sql = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
         assert!(
             via_sql.multiset_eq(&reference),
             "SQL path disagrees:\n  expected {}\n  got {}",
@@ -919,7 +831,7 @@ mod tests {
         let db = db();
         let engine = engine_from_database(&db).unwrap();
         let compiled = compile(&q, &schema()).unwrap();
-        let v = execute(&compiled, &engine).unwrap();
+        let v = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
         let quality = v
             .as_bag()
             .unwrap()

@@ -230,7 +230,7 @@ pub struct PlanRequest<'a> {
     pub defaults: &'a Params,
     /// The session's per-call span collector, when stage tracing is active.
     /// SQL-compiling backends record `Shred`/`Sqlgen`/`Plan` spans into it
-    /// (e.g. via [`pipeline::compile_normalised_obs`]); backends that ignore
+    /// (e.g. via [`pipeline::compile_normalised_opts`]); backends that ignore
     /// it simply produce plans without compile-phase spans.
     pub obs: Option<&'a QueryObs>,
     /// Whether plan-producing backends should run the logical optimizer
@@ -252,10 +252,10 @@ pub struct ExecContext<'a> {
 
 impl<'a> ExecContext<'a> {
     /// The session's execution options: worker count and morsel size for
-    /// the morsel-parallel executor ([`ShredderBuilder::workers`],
+    /// the executor's worker pool ([`ShredderBuilder::workers`],
     /// [`ShredderBuilder::morsel_rows`]). Backends that execute physical
-    /// plans pass these through to the engine's `_opts` entry points;
-    /// `workers == 1` is the sequential executor.
+    /// plans pass these through to [`sqlengine::execute_plan`];
+    /// `workers == 1` runs without a pool.
     pub fn exec_opts(&self) -> sqlengine::ExecOptions {
         self.exec_opts
     }
@@ -996,16 +996,17 @@ impl ShredderBuilder {
     /// row ranges) of each operator's input fan out across this many
     /// threads, and a multi-stage shredded package additionally runs its
     /// independent stages concurrently on the same budget. Defaults to
-    /// [`std::thread::available_parallelism`]. `workers(1)` is the
-    /// sequential executor — the degenerate case the interpreter oracle
-    /// and the live-view delta path are differentially tested against.
+    /// [`std::thread::available_parallelism`]. `workers(1)` is the same
+    /// executor without a pool — every operator takes its whole input on
+    /// the calling thread — and the case the interpreter oracle and the
+    /// live-view delta path are differentially tested against.
     /// Values are clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
     }
 
-    /// Upper bound on rows per morsel for the parallel executor (default
+    /// Upper bound on rows per morsel for the worker pool (default
     /// [`sqlengine::DEFAULT_MORSEL_ROWS`]). Answers are identical at every
     /// morsel size; this only trades scheduling overhead against load
     /// balance and per-operator working-set size. Clamped to at least 1.
@@ -1014,11 +1015,11 @@ impl ShredderBuilder {
         self
     }
 
-    /// Estimated-row threshold below which a stage's plan runs on the
-    /// sequential executor even when `workers > 1` (default
+    /// Estimated-row threshold below which a stage's plan runs without a
+    /// pool even when `workers > 1` (default
     /// [`sqlengine::DEFAULT_MIN_PARALLEL_ROWS`]): small pipelines lose more
     /// to thread hand-off than they gain from fan-out. `0` disables the
-    /// gate. Answers are identical either way by the parallel executor's
+    /// gate. Answers are identical either way by the executor's
     /// determinism guarantee.
     pub fn min_parallel_rows(mut self, rows: usize) -> Self {
         self.min_parallel_rows = Some(rows);
@@ -1241,7 +1242,7 @@ struct ShredderCore {
     /// [`Subscription`] unsubscribes it; dead entries are pruned on the next
     /// committed batch.
     subs: Mutex<Vec<Weak<LiveView>>>,
-    /// Worker count and morsel size for the morsel-parallel executor (see
+    /// Worker count and morsel size for the executor's worker pool (see
     /// [`ShredderBuilder::workers`]). Live-view maintenance ignores these:
     /// the delta path is row-at-a-time by design.
     exec_opts: sqlengine::ExecOptions,

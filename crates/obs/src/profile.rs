@@ -133,11 +133,10 @@ impl QueryProfile {
     }
 }
 
-/// What the morsel-parallel executor did during one query: how many morsels
-/// were dispatched to the worker pool, the peak number of simultaneously
-/// busy workers, and each morsel's wall time (feeds the `morsel` latency
-/// histogram). All zeros / empty for a `workers(1)` execution, which never
-/// enters the parallel executor.
+/// What the executor's worker pool did during one query: how many morsels
+/// were dispatched to it, the peak number of simultaneously busy workers,
+/// and each morsel's wall time (feeds the `morsel` latency histogram). All
+/// zeros / empty for a `workers(1)` execution, which has no pool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MorselStats {
     pub dispatched: u64,

@@ -1,15 +1,15 @@
 //! Query execution.
 //!
-//! [`Engine`] offers two execution paths:
+//! [`Engine`] runs queries on the vectorized executor — [`Engine::prepare`]
+//! compiles the AST into a [`PhysicalPlan`] once and the `execute_plan_*`
+//! methods run it column-wise through [`crate::vexec::execute_plan`], the
+//! engine's one plan-execution function; [`Engine::execute`] chains the two
+//! for ad-hoc queries.
 //!
-//! * the **vectorized default** — [`Engine::prepare`] compiles the AST into a
-//!   [`PhysicalPlan`] once and [`Engine::execute_plan`] runs it column-wise
-//!   (see [`crate::plan`] and [`crate::vexec`]); [`Engine::execute`] chains
-//!   the two for ad-hoc queries;
-//! * the **interpreter** — [`Engine::execute_interpreted`] evaluates the AST
-//!   directly, re-deriving its join strategy on every call. It is kept as
-//!   the executable oracle the vectorized path is differentially tested
-//!   against.
+//! This module also keeps the **interpreter** —
+//! [`Engine::execute_interpreted`] evaluates the AST directly, re-deriving
+//! its join strategy on every call — as the reference implementation the
+//! executor is differentially tested against; no product path runs it.
 //!
 //! The interpreter performs the planning PostgreSQL would do for the query
 //! shapes the translation emits:
@@ -29,9 +29,11 @@
 use crate::ast::{BinOp, Expr, FromItem, Query, Select, TableSource};
 use crate::delta::{StorageDelta, WriteBatch};
 use crate::error::EngineError;
+use crate::par::{ExecOptions, ExecStats};
 use crate::plan::PhysicalPlan;
 use crate::storage::{ColumnarResult, ResultSet, Storage};
 use crate::value::{compare_rows, ParamValues, Row, SqlValue};
+use crate::vexec::{execute_plan, ExecRequest, PlanProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -96,98 +98,76 @@ impl Engine {
     /// Compile a query AST into a physical plan, consulting storage for
     /// table layouts and cardinalities (the hash-join build-side choice).
     /// The returned plan can be executed any number of times with
-    /// [`execute_plan`](Engine::execute_plan) without re-planning.
+    /// [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts) without
+    /// re-planning.
     pub fn prepare(&self, query: &Query) -> Result<PhysicalPlan, EngineError> {
         self.plans_built.fetch_add(1, Ordering::Relaxed);
         crate::plan::plan_query(query, &*self.storage())
     }
 
-    /// Run a pre-compiled, parameter-free physical plan on the vectorized
-    /// executor, producing a columnar result.
-    pub fn execute_plan(&self, plan: &PhysicalPlan) -> Result<ColumnarResult, EngineError> {
-        crate::vexec::execute_plan(plan, &self.storage())
-    }
-
     /// Run a pre-compiled physical plan with bound values for its param
-    /// slots (`:name` placeholders). Binding happens at evaluation time —
+    /// slots (`:name` placeholders) under explicit [`ExecOptions`]: with
+    /// `workers > 1` the operators fan bounded morsels across a scoped
+    /// worker pool (see [`crate::par`]); `workers == 1` is the same walk on
+    /// the calling thread. Binding happens at evaluation time —
     /// re-executing the same plan with different bindings does zero parsing
-    /// or planning work.
-    pub fn execute_plan_bound(
-        &self,
-        plan: &PhysicalPlan,
-        params: &ParamValues,
-    ) -> Result<ColumnarResult, EngineError> {
-        crate::vexec::execute_plan_bound(plan, &self.storage(), params)
-    }
-
-    /// Like [`execute_plan_bound`](Engine::execute_plan_bound), but also
-    /// collect per-operator actuals (batches, rows, inclusive elapsed time)
-    /// for every plan node. Pair the returned profile with
-    /// [`PhysicalPlan::render_analyzed`] for an `EXPLAIN ANALYZE` tree.
-    pub fn execute_plan_profiled(
-        &self,
-        plan: &PhysicalPlan,
-        params: &ParamValues,
-    ) -> Result<(ColumnarResult, crate::vexec::PlanProfile), EngineError> {
-        crate::vexec::execute_plan_profiled(plan, &self.storage(), params)
-    }
-
-    /// Like [`execute_plan_bound`](Engine::execute_plan_bound), but with
-    /// explicit [`ExecOptions`]: `workers > 1` fans bounded morsels across
-    /// a scoped worker pool (see [`crate::par`]), returning the same result
-    /// the sequential path produces plus per-morsel [`ExecStats`].
-    /// `workers == 1` is exactly the sequential executor.
+    /// or planning work. Like its two siblings, this is [`execute_plan`]
+    /// under a read guard of the engine's storage.
     pub fn execute_plan_bound_opts(
         &self,
         plan: &PhysicalPlan,
         params: &ParamValues,
-        opts: crate::par::ExecOptions,
-    ) -> Result<(ColumnarResult, crate::par::ExecStats), EngineError> {
-        crate::par::execute_plan_bound_opts(plan, &self.storage(), params, opts)
+        opts: ExecOptions,
+    ) -> Result<(ColumnarResult, ExecStats), EngineError> {
+        let req = ExecRequest {
+            opts,
+            ..ExecRequest::new(params)
+        };
+        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, e.stats))
     }
 
     /// Like [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts),
-    /// but with pre-bound `WITH` results: each `(name, result)` pair is
-    /// visible to free `CteScan`s of that name inside the plan. This is the
-    /// execution path for package-level shared subplans (cross-stage CSE) —
-    /// the shared definition runs once and its columnar result is re-bound,
-    /// zero-copy, under each consuming stage's CTE name.
+    /// but with pre-bound `WITH` results (see [`ExecRequest::ctes`]).
     pub fn execute_plan_bound_ctes_opts(
         &self,
         plan: &PhysicalPlan,
         params: &ParamValues,
         ctes: &[(String, ColumnarResult)],
-        opts: crate::par::ExecOptions,
-    ) -> Result<(ColumnarResult, crate::par::ExecStats), EngineError> {
-        crate::par::execute_plan_bound_ctes_opts(plan, &self.storage(), params, ctes, opts)
+        opts: ExecOptions,
+    ) -> Result<(ColumnarResult, ExecStats), EngineError> {
+        let req = ExecRequest {
+            ctes,
+            opts,
+            ..ExecRequest::new(params)
+        };
+        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, e.stats))
     }
 
-    /// Like [`execute_plan_profiled`](Engine::execute_plan_profiled), but
-    /// with explicit [`ExecOptions`]. Under parallelism the per-operator
-    /// actuals are aggregated atomically across workers, so `rows_out` and
-    /// batch counts stay exact.
+    /// Like [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts),
+    /// but also collect per-operator actuals (batches, rows, inclusive
+    /// elapsed time) for every plan node, aggregated atomically across
+    /// workers. Pair the returned profile with
+    /// [`PhysicalPlan::render_analyzed`] for an `EXPLAIN ANALYZE` tree.
     pub fn execute_plan_profiled_opts(
         &self,
         plan: &PhysicalPlan,
         params: &ParamValues,
-        opts: crate::par::ExecOptions,
-    ) -> Result<
-        (
-            ColumnarResult,
-            crate::vexec::PlanProfile,
-            crate::par::ExecStats,
-        ),
-        EngineError,
-    > {
-        crate::par::execute_plan_profiled_opts(plan, &self.storage(), params, opts)
+        opts: ExecOptions,
+    ) -> Result<(ColumnarResult, PlanProfile, ExecStats), EngineError> {
+        let req = ExecRequest {
+            profile: true,
+            opts,
+            ..ExecRequest::new(params)
+        };
+        execute_plan(plan, &self.storage(), &req)
+            .map(|e| (e.result, e.profile.unwrap_or_default(), e.stats))
     }
 
     /// Execute a query AST: plan it and run the plan on the vectorized
     /// executor (the default path). Callers that execute the same query
     /// repeatedly should [`prepare`](Engine::prepare) once instead.
     pub fn execute(&self, query: &Query) -> Result<ColumnarResult, EngineError> {
-        let plan = self.prepare(query)?;
-        self.execute_plan(&plan)
+        self.execute_bound(query, &ParamValues::new())
     }
 
     /// Plan and execute a query AST with bound values for its `:name`
@@ -198,7 +178,7 @@ impl Engine {
         params: &ParamValues,
     ) -> Result<ColumnarResult, EngineError> {
         let plan = self.prepare(query)?;
-        self.execute_plan_bound(&plan, params)
+        Ok(execute_plan(&plan, &self.storage(), &ExecRequest::new(params))?.result)
     }
 
     /// Execute a query AST on the row-at-a-time interpreter. This is the
@@ -210,7 +190,7 @@ impl Engine {
 
     /// Execute a query AST on the interpreter with bound values for its
     /// `:name` placeholders (the interpreter-side counterpart of
-    /// [`execute_plan_bound`](Engine::execute_plan_bound)).
+    /// [`execute_bound`](Engine::execute_bound)).
     pub fn execute_interpreted_bound(
         &self,
         query: &Query,

@@ -1,11 +1,12 @@
 //! Key kernels: hashing, equality, join tables and ordering over **borrowed
 //! key columns**.
 //!
-//! Every keyed operator of the two executors — hash join, hash semi-join,
+//! Every keyed operator of the executor — hash join, hash semi-join,
 //! `DISTINCT`, `EXCEPT ALL`, `ROW_NUMBER` and `ORDER BY` — runs on this one
-//! layer. [`crate::vexec`] calls the kernels over whole batches;
-//! [`crate::par`] calls the same kernels per morsel and per partition and
-//! keeps only the scheduling around them. Nothing here transposes key columns
+//! layer. The walk in [`crate::vexec`] reaches the kernels through the
+//! helpers of [`crate::par`], which call them over a whole batch or per
+//! morsel and per partition and keep only the scheduling around them.
+//! Nothing here transposes key columns
 //! into one `Vec<SqlValue>` per row: a key is a list of [`Vector`]s borrowed
 //! from the batch, a per-row `u64` hash computed column-at-a-time, and
 //! equality checked in place on the columns.
@@ -647,7 +648,7 @@ mod tests {
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
         let index = KeyIndex::from_partitions(&build, nulls, tables);
-        // Two probe morsels, concatenated, as the parallel executor does.
+        // Two probe morsels, concatenated, as a pooled execution does.
         let mid = probe_rows / 2;
         let mut pairs = index.join_pairs(&probe, 0..mid, true);
         pairs.extend(index.join_pairs(&probe, mid..probe_rows, true));

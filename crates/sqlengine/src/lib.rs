@@ -19,15 +19,17 @@
 //!
 //! Execution is split planner/executor: [`plan`] compiles a query into an
 //! explicit [`PhysicalPlan`] (scans, hash joins with a chosen build side,
-//! filters, exists-semijoins, row-numbering, sort, projection) and [`vexec`]
-//! runs the plan over a columnar representation with selection vectors.
-//! [`Engine::execute`] uses this vectorized path by default and returns a
-//! [`ColumnarResult`] — the batch's `Arc`-shared columns handed over without
-//! a row-major transpose, so columnar consumers (the shredding stitcher)
-//! never see rows at all. The row-major [`ResultSet`] remains for the
-//! interpreter and the text-SQL path; the original row-at-a-time interpreter
-//! survives as [`Engine::execute_interpreted`], the oracle the vectorized
-//! executor is differentially tested against.
+//! filters, exists-semijoins, row-numbering, sort, projection) and
+//! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
+//! columnar representation with selection vectors, each operator taking its
+//! batch whole or morsel by morsel on the worker pool of [`par`].
+//! [`Engine::execute`] returns a [`ColumnarResult`] — the batch's
+//! `Arc`-shared columns handed over without a row-major transpose, so
+//! columnar consumers (the shredding stitcher) never see rows at all. The
+//! row-major [`ResultSet`] remains for the interpreter and the text-SQL
+//! path; the original row-at-a-time interpreter survives as
+//! [`Engine::execute_interpreted`], the oracle the vectorized executor is
+//! differentially tested against.
 //!
 //! The whole engine is `Send + Sync`: values share string storage by
 //! `Arc<str>`, batches share columns by `Arc`, the lazily transposed
@@ -73,10 +75,10 @@ pub use delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
 pub use error::EngineError;
 pub use exec::Engine;
 pub use opt::{live_estimate, optimize, OptReport, OptSkip};
-pub use par::{ExecOptions, ExecStats, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_MORSEL_ROWS};
+pub use par::{scoped_map, ExecOptions, ExecStats, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_MORSEL_ROWS};
 pub use parser::{parse_expr, parse_query};
 pub use plan::{Catalog, OpActuals, PhysicalPlan, SchemaCatalog};
 pub use printer::{print_expr, print_query};
 pub use storage::{ColumnType, ColumnarResult, ResultSet, Storage, Table, TableDef};
 pub use value::{ParamValues, Row, SqlValue};
-pub use vexec::{DeltaExec, DeltaRows, PlanProfile};
+pub use vexec::{execute_plan, DeltaExec, DeltaRows, ExecRequest, Execution, PlanProfile};

@@ -50,8 +50,8 @@
 //!    It runs last so that it prunes the joins the other passes leave.
 //!
 //! Every pass is a pure function from plan to plan: rewritten plans flow
-//! through the interpreter oracle, the vectorized executor, `DeltaExec` and
-//! the morsel-parallel executor unchanged.
+//! through the interpreter oracle, the vectorized executor (with or without
+//! a worker pool) and `DeltaExec` unchanged.
 
 use crate::ast::BinOp;
 use crate::exec::eval_binop;

@@ -401,8 +401,7 @@ impl PhysicalPlan {
 
     /// Is this operator a **pipeline breaker** — one that must observe its
     /// whole input before emitting its first output row? Breakers are the
-    /// operators the morsel-parallel executor ([`crate::par`]) cannot
-    /// stream: they accumulate per-worker partial state (sorted runs, row
+    /// operators a pooled execution ([`crate::par`]) cannot stream: they accumulate per-worker partial state (sorted runs, row
     /// materialisations) and merge it, instead of emitting per-morsel
     /// results in morsel order. Everything else (scans, filters, joins,
     /// projections, exists-semijoins) is streaming: its output for a morsel
@@ -832,7 +831,7 @@ impl PhysicalPlan {
 }
 
 /// Runtime actuals accumulated for one plan node by the profiled executor
-/// (see `vexec::execute_plan_profiled`). `nanos` is wall time inclusive of
+/// (see `vexec::ExecRequest::profile`). `nanos` is wall time inclusive of
 /// the node's children, Postgres-`EXPLAIN ANALYZE` style; `batches` counts
 /// executions of the node (correlated subplans run once per outer row).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

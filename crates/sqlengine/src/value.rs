@@ -145,7 +145,7 @@ impl From<Arc<str>> for SqlValue {
 pub type Row = Vec<SqlValue>;
 
 /// Values for a query's named placeholders (`:name`), keyed by name. Passed
-/// to `Engine::execute_plan_bound` when executing a parameterized plan.
+/// to `execute_plan` when executing a parameterized plan.
 pub type ParamValues = std::collections::BTreeMap<String, SqlValue>;
 
 /// Lexicographic row comparison under [`SqlValue::sql_cmp`], used by

@@ -1,4 +1,5 @@
-//! Vectorized execution of [`PhysicalPlan`] trees over columnar batches.
+//! Vectorized execution of [`PhysicalPlan`] trees over columnar batches:
+//! the one operator walk of the engine.
 //!
 //! Where the interpreter in [`crate::exec`] walks the AST row by row —
 //! cloning a scope frame per joined row combination — this executor runs a
@@ -14,10 +15,16 @@
 //!   ([`VExpr::Col`] is a resolved position read in place, a literal stays
 //!   one value — no name lookup and no copy per row),
 //! * keyed operators (joins, semi-joins, `DISTINCT`, `EXCEPT ALL`, sorting)
-//!   run on the key kernels of [`crate::kernels`], which this executor and
-//!   [`crate::par`] share,
+//!   run on the key kernels of [`crate::kernels`],
 //! * only joins, computed projections and row-numbering materialise new
 //!   columns.
+//!
+//! There is one walk ([`exec`]) and one entry point ([`execute_plan`]). Each
+//! operator runs its kernel either once over the whole batch or morsel by
+//! morsel on the execution's worker pool ([`crate::par`]), choosing from the
+//! row count it actually sees ([`VecCtx::engage`]); an execution with
+//! `workers(1)`, or of a plan too small to fan out, has no pool and is the
+//! same walk on the calling thread.
 //!
 //! Correlated subqueries (`EXISTS`, semi/anti joins) necessarily fall back to
 //! one subplan execution per outer row; the row's values are pushed as a
@@ -28,7 +35,11 @@
 
 use crate::error::EngineError;
 use crate::exec::eval_binop;
-use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Vector};
+use crate::kernels::{self, Rows, Vector};
+use crate::par::{
+    par_eval_all, par_index, par_join_gather, par_keys, par_materialise, par_ranges, par_sort,
+    ExecOptions, ExecStats, Pool, PAR_SUBPLAN_ROWS,
+};
 use crate::plan::{BuildSide, OpActuals, PhysicalPlan, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{compare_rows, ParamValues, Row, SqlValue};
@@ -38,29 +49,83 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execute a parameter-free physical plan against storage, producing a
-/// columnar result.
-pub fn execute_plan(plan: &PhysicalPlan, storage: &Storage) -> Result<ColumnarResult, EngineError> {
-    execute_plan_bound(plan, storage, &ParamValues::new())
+/// Everything one plan execution takes besides the plan and the storage it
+/// reads.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecRequest<'a> {
+    /// Bound values for the plan's param slots (`:name` placeholders). The
+    /// plan itself is immutable — the same compiled plan can be run any
+    /// number of times with different bindings and no re-planning.
+    pub params: &'a ParamValues,
+    /// Pre-bound `WITH` results: each `(name, result)` pair is visible to
+    /// `CteScan`s of that free name inside the plan. This is how
+    /// package-level shared subplans (`shredding`'s cross-stage CSE) run: a
+    /// shared definition is executed once per package and its columnar
+    /// result re-bound — zero-copy, the column `Arc`s are shared — under
+    /// each consuming stage's CTE name.
+    pub ctes: &'a [(String, ColumnarResult)],
+    /// Collect per-operator actuals: every `exec` of a plan node
+    /// additionally accumulates its batch count, output rows and inclusive
+    /// wall time. The result path is unchanged; the per-node overhead is two
+    /// `Instant` reads and a pointer-keyed map lookup.
+    pub profile: bool,
+    /// Worker count, morsel size and the small-plan gate.
+    pub opts: ExecOptions,
 }
 
-/// Execute a physical plan against storage with bound values for its param
-/// slots. The plan itself is immutable — the same compiled plan can be run
-/// any number of times with different bindings and no re-planning. The
-/// result stays columnar: the batch's `Arc`-shared columns are handed over
-/// without a row-major transpose (see [`ColumnarResult`]).
-pub fn execute_plan_bound(
+impl<'a> ExecRequest<'a> {
+    /// A request with `params` bound and the defaults for everything else:
+    /// no pre-bound CTEs, no profiling, one worker.
+    pub fn new(params: &'a ParamValues) -> ExecRequest<'a> {
+        ExecRequest {
+            params,
+            ctes: &[],
+            profile: false,
+            opts: ExecOptions::default(),
+        }
+    }
+}
+
+/// What one plan execution produced.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// The batch's `Arc`-shared columns, handed over without a row-major
+    /// transpose (see [`ColumnarResult`]).
+    pub result: ColumnarResult,
+    /// Per-operator actuals, when the request asked for them.
+    pub profile: Option<PlanProfile>,
+    /// What the worker pool dispatched; all zero when the execution ran
+    /// without one.
+    pub stats: ExecStats,
+}
+
+/// Execute a physical plan against storage: the engine's one plan-execution
+/// function.
+pub fn execute_plan(
     plan: &PhysicalPlan,
     storage: &Storage,
-    params: &ParamValues,
-) -> Result<ColumnarResult, EngineError> {
+    req: &ExecRequest<'_>,
+) -> Result<Execution, EngineError> {
+    let pool = Pool::for_plan(plan, storage, req.opts);
+    let prof = req.profile.then(|| Profiler::new(plan));
     let ctx = VecCtx {
         storage,
-        params,
-        prof: None,
+        params: req.params,
+        prof: prof.as_ref(),
+        pool: pool.as_ref(),
     };
-    let batch = exec(plan, &ctx, &CteEnv::default(), &ScopeStack::default())?;
-    Ok(batch.into_columnar())
+    let mut env = CteEnv::default();
+    for (name, result) in req.ctes {
+        env = env.extended(name, batch_from_columnar(result));
+    }
+    let batch = exec(plan, &ctx, &env, &ScopeStack::default())?;
+    Ok(Execution {
+        result: batch.into_columnar(),
+        profile: prof.map(|p| PlanProfile {
+            ops: p.actuals(plan),
+        }),
+        stats: pool.map(Pool::into_stats).unwrap_or_default(),
+    })
 }
 
 /// Per-operator actuals for one profiled plan execution, indexed by the
@@ -71,57 +136,10 @@ pub struct PlanProfile {
     pub ops: Vec<OpActuals>,
 }
 
-/// Like [`execute_plan_bound`], but with per-operator profiling: every
-/// `exec` of a plan node additionally accumulates its batch count, output
-/// rows and inclusive wall time into a [`PlanProfile`]. The result path is
-/// unchanged (same zero-copy columnar hand-over); the only per-node overhead
-/// is two `Instant` reads and a pointer-keyed map lookup.
-pub fn execute_plan_profiled(
-    plan: &PhysicalPlan,
-    storage: &Storage,
-    params: &ParamValues,
-) -> Result<(ColumnarResult, PlanProfile), EngineError> {
-    let prof = Profiler::new(plan);
-    let ctx = VecCtx {
-        storage,
-        params,
-        prof: Some(&prof),
-    };
-    let batch = exec(plan, &ctx, &CteEnv::default(), &ScopeStack::default())?;
-    let result = batch.into_columnar();
-    let ops = prof.actuals(plan);
-    Ok((result, PlanProfile { ops }))
-}
-
-/// Like [`execute_plan_bound`], but with pre-bound `WITH` results: each
-/// `(name, result)` pair is visible to `CteScan`s of that free name inside
-/// the plan. This is the execution path for package-level shared subplans
-/// (`shredding`'s cross-stage CSE): a shared definition is executed once
-/// per package and its columnar result re-bound — zero-copy, the column
-/// `Arc`s are shared — under each consuming stage's CTE name.
-pub fn execute_plan_bound_ctes(
-    plan: &PhysicalPlan,
-    storage: &Storage,
-    params: &ParamValues,
-    ctes: &[(String, ColumnarResult)],
-) -> Result<ColumnarResult, EngineError> {
-    let ctx = VecCtx {
-        storage,
-        params,
-        prof: None,
-    };
-    let mut env = CteEnv::default();
-    for (name, result) in ctes {
-        env = env.extended(name, batch_from_columnar(result));
-    }
-    let batch = exec(plan, &ctx, &env, &ScopeStack::default())?;
-    Ok(batch.into_columnar())
-}
-
 /// Rewrap a columnar result as an executable batch (shared columns, no
 /// aliases — a `CteScan` re-aliases on use, exactly as for a `With`-bound
 /// batch).
-pub(crate) fn batch_from_columnar(result: &ColumnarResult) -> Batch {
+fn batch_from_columnar(result: &ColumnarResult) -> Batch {
     let schema: Vec<SchemaCol> = result.columns.iter().map(|c| (None, c.clone())).collect();
     Batch {
         schema: Arc::new(schema),
@@ -136,9 +154,9 @@ pub(crate) fn batch_from_columnar(result: &ColumnarResult) -> Batch {
 /// Accumulator for per-node actuals, keyed by node address (unique within
 /// one plan tree). The cells are atomics (relaxed ordering — the counters
 /// are independent tallies, reconciled after all workers join) so one
-/// profiler can be shared by every worker of a morsel-parallel execution
-/// (`crate::par`): concurrent batches aggregate their counts instead of
-/// racing on a per-node accumulator.
+/// profiler is shared by every worker of an execution's pool: concurrent
+/// batches aggregate their counts instead of racing on a per-node
+/// accumulator.
 pub(crate) struct Profiler {
     ids: HashMap<usize, usize>,
     cells: Vec<ProfCell>,
@@ -324,12 +342,45 @@ impl Batch {
 }
 
 /// Execution context shared by every node.
+#[derive(Clone, Copy)]
 pub(crate) struct VecCtx<'a> {
     pub(crate) storage: &'a Storage,
     pub(crate) params: &'a ParamValues,
     /// Per-operator profiler; `None` keeps execution on the unprofiled path
     /// (the only cost is this `Option` check per node execution).
     pub(crate) prof: Option<&'a Profiler>,
+    /// The execution's worker pool; `None` is the pool of one — every
+    /// operator takes its whole batch on the calling thread.
+    pub(crate) pool: Option<&'a Pool>,
+}
+
+impl<'a> VecCtx<'a> {
+    /// An unprofiled context without a pool, for callers outside the walk
+    /// that run correlated subplans through it (the delta executor).
+    fn unpooled(storage: &'a Storage, params: &'a ParamValues) -> VecCtx<'a> {
+        VecCtx {
+            storage,
+            params,
+            prof: None,
+            pool: None,
+        }
+    }
+
+    /// This context with the pool taken away: what morsel bodies and
+    /// correlated subplans re-enter the walk with, since they already run
+    /// on a worker (or once per outer row) and must not fan out again.
+    pub(crate) fn sequential(&self) -> VecCtx<'a> {
+        VecCtx {
+            pool: None,
+            ..*self
+        }
+    }
+
+    /// The pool, if an operator over `len` rows should fan out on it: only
+    /// when there is one and the input does not fit in a single morsel.
+    pub(crate) fn engage(&self, len: usize) -> Option<&'a Pool> {
+        self.pool.filter(|p| len > p.morsel_rows)
+    }
 }
 
 /// Runtime environment of `WITH`-bound batches, innermost last. Cloning is
@@ -466,12 +517,17 @@ pub(crate) fn exec(
     Ok(batch)
 }
 
+/// The operator walk. Every operator body is a kernel (of this module or of
+/// [`crate::kernels`]) run through a `par_*` helper, which takes the pool
+/// when the operator's input engages it and runs the kernel once over the
+/// whole batch otherwise; morsel bodies evaluate under `seq`.
 fn exec_node(
     plan: &PhysicalPlan,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Batch, EngineError> {
+    let seq = ctx.sequential();
     match plan {
         PhysicalPlan::UnitRow => Ok(Batch {
             schema: Arc::new(Vec::new()),
@@ -479,6 +535,8 @@ fn exec_node(
             sel: None,
             base_rows: 1,
         }),
+        // Scans are zero-copy `Arc` clones, so the parallelism lives in the
+        // operators that consume them.
         PhysicalPlan::TableScan {
             table,
             alias,
@@ -524,7 +582,8 @@ fn exec_node(
         PhysicalPlan::NestedLoopJoin { left, right } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            Ok(join_gather(&l, &r, &cross_pairs(l.len(), r.len())))
+            let pairs = cross_pairs(l.len(), r.len());
+            par_join_gather(ctx.engage(pairs.len()), &l, &r, &pairs)
         }
         PhysicalPlan::HashJoin {
             left,
@@ -535,19 +594,25 @@ fn exec_node(
         } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let lk = Keys::new(eval_all(left_keys, &l, ctx, ctes, scope)?, l.len());
-            let rk = Keys::new(eval_all(right_keys, &r, ctx, ctes, scope)?, r.len());
+            let pool = ctx.engage(l.len()).or(ctx.engage(r.len()));
+            let lk = par_keys(pool, par_eval_all(ctx, left_keys, &l, ctes, scope)?, &l)?;
+            let rk = par_keys(pool, par_eval_all(ctx, right_keys, &r, ctes, scope)?, &r)?;
             let (build_keys, probe_keys, probe_is_left) = match build {
                 BuildSide::Right => (&rk, &lk, true),
                 BuildSide::Left => (&lk, &rk, false),
             };
-            let index = KeyIndex::new(build_keys, NullMode::NeverMatches)?;
-            let pairs = index.join_pairs(probe_keys, 0..probe_keys.len(), probe_is_left);
-            Ok(join_gather(&l, &r, &pairs))
+            let index = par_index(pool, build_keys)?;
+            let pairs = par_ranges(pool, probe_keys.len(), |range| {
+                Ok(index.join_pairs(probe_keys, range, probe_is_left))
+            })?;
+            par_join_gather(ctx.engage(pairs.len()), &l, &r, &pairs)
         }
         PhysicalPlan::Filter { input, predicate } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let sel = select_true(predicate, &batch, batch.rows(), ctx, ctes, scope)?;
+            let sel = par_ranges(ctx.engage(batch.len()), batch.len(), |range| {
+                let rows = batch.rows().slice(range);
+                select_true(predicate, &batch, rows, &seq, ctes, scope)
+            })?;
             Ok(batch.with_sel(sel))
         }
         PhysicalPlan::ExistsSemiJoin {
@@ -556,7 +621,13 @@ fn exec_node(
             anti,
         } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let sel = exists_select(subplan, *anti, &batch, batch.rows(), ctx, ctes, scope)?;
+            // Per-row subplan execution dominates, so fan out well below
+            // one morsel's worth of rows.
+            let pool = ctx.pool.filter(|_| batch.len() >= PAR_SUBPLAN_ROWS);
+            let sel = par_ranges(pool, batch.len(), |range| {
+                let rows = batch.rows().slice(range);
+                exists_select(subplan, *anti, &batch, rows, &seq, ctes, scope)
+            })?;
             Ok(batch.with_sel(sel))
         }
         PhysicalPlan::HashSemiJoin {
@@ -569,17 +640,19 @@ fn exec_node(
             let batch = exec(input, ctx, ctes, scope)?;
             // The build side runs exactly once, under the *same* scope as
             // this node (no frame is pushed: after decorrelation the build
-            // holds no references to the input's rows).
+            // holds no references to the input's rows), and its index is
+            // shared read-only by every probe morsel.
             let built = exec(build, ctx, ctes, scope)?;
+            let pool = ctx.engage(batch.len()).or(ctx.engage(built.len()));
             let sel = {
-                let bk = Keys::new(eval_all(build_keys, &built, ctx, ctes, scope)?, built.len());
-                let pk = Keys::new(eval_all(probe_keys, &batch, ctx, ctes, scope)?, batch.len());
-                KeyIndex::new(&bk, NullMode::NeverMatches)?.semi_select(
-                    &pk,
-                    0..pk.len(),
-                    *anti,
-                    batch.rows(),
-                )
+                let bk = par_eval_all(ctx, build_keys, &built, ctes, scope)?;
+                let bk = par_keys(pool, bk, &built)?;
+                let pk = par_eval_all(ctx, probe_keys, &batch, ctes, scope)?;
+                let pk = par_keys(pool, pk, &batch)?;
+                let index = par_index(pool, &bk)?;
+                par_ranges(pool, pk.len(), |range| {
+                    Ok(index.semi_select(&pk, range, *anti, batch.rows()))
+                })?
             };
             Ok(batch.with_sel(sel))
         }
@@ -590,20 +663,22 @@ fn exec_node(
             // latitude PostgreSQL has for tied ROW_NUMBER keys. The shredding
             // translation only numbers over key columns that uniquely
             // identify rows, so its stages are never affected.
-            let batch = exec(input, ctx, ctes, scope)?.materialised();
+            let batch = exec(input, ctx, ctes, scope)?;
+            let pool = ctx.engage(batch.len());
+            let batch = par_materialise(pool, batch)?;
             let ranks = specs
                 .iter()
                 .map(|keys| {
-                    let keys = eval_all(keys, &batch, ctx, ctes, scope)?;
-                    Ok(rank_column(&kernels::sort_rows(&keys, 0..batch.len())))
+                    let keys = par_eval_all(ctx, keys, &batch, ctes, scope)?;
+                    Ok(rank_column(&par_sort(pool, &keys, batch.len())?))
                 })
                 .collect::<Result<Vec<_>, EngineError>>()?;
             Ok(with_rank_columns(batch, ranks))
         }
         PhysicalPlan::Sort { input, keys } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let order =
-                kernels::sort_rows(&eval_all(keys, &batch, ctx, ctes, scope)?, 0..batch.len());
+            let keys = par_eval_all(ctx, keys, &batch, ctes, scope)?;
+            let order = par_sort(ctx.engage(batch.len()), &keys, batch.len())?;
             let sel = phys_rows(&batch, order);
             Ok(batch.with_sel(sel))
         }
@@ -616,31 +691,29 @@ fn exec_node(
             if let Some(renamed) = project_columns(&batch, exprs, columns) {
                 return Ok(renamed);
             }
-            let out = exprs
-                .iter()
-                .map(|e| match shared_column(&batch, e) {
-                    Some(column) => Ok(column),
-                    None => eval(e, &batch, batch.rows(), ctx, ctes, scope)
-                        .map(|v| Arc::new(v.into_vec())),
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let out = par_eval_all(ctx, exprs, &batch, ctes, scope)?
+                .into_iter()
+                .zip(exprs)
+                .map(|(v, e)| shared_column(&batch, e).unwrap_or_else(|| Arc::new(v.into_vec())))
+                .collect();
             Ok(projected(columns, out, batch.len()))
         }
         PhysicalPlan::Distinct { input } => {
+            // Pipeline breaker: rows hash morsel by morsel, but the
+            // first-occurrence scan is inherently ordered and stays on one
+            // thread.
             let batch = exec(input, ctx, ctes, scope)?;
-            let firsts = kernels::distinct_rows(&Keys::new(batch.column_vectors(), batch.len()))?;
-            let sel = phys_rows(&batch, firsts);
+            let keys = par_keys(ctx.engage(batch.len()), batch.column_vectors(), &batch)?;
+            let sel = phys_rows(&batch, kernels::distinct_rows(&keys)?);
             Ok(batch.with_sel(sel))
         }
-        PhysicalPlan::UnionAll(branches) => {
-            union_all(branches, &mut |branch| exec(branch, ctx, ctes, scope))
-        }
+        PhysicalPlan::UnionAll(branches) => union_all(branches, ctx, ctes, scope),
         PhysicalPlan::ExceptAll { left, right } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
             let kept = kernels::except_all_rows(
-                &Keys::new(l.column_vectors(), l.len()),
-                &Keys::new(r.column_vectors(), r.len()),
+                &par_keys(ctx.engage(l.len()), l.column_vectors(), &l)?,
+                &par_keys(ctx.engage(r.len()), r.column_vectors(), &r)?,
             )?;
             let sel = phys_rows(&l, kept);
             Ok(l.with_sel(sel))
@@ -652,7 +725,8 @@ fn exec_node(
         } => {
             // Compact once here, so no `CteScan` of the binding gathers or
             // reads through a selection.
-            let bound = exec(definition, ctx, ctes, scope)?.materialised();
+            let bound = exec(definition, ctx, ctes, scope)?;
+            let bound = par_materialise(ctx.engage(bound.len()), bound)?;
             let extended = ctes.extended(name, bound);
             exec(body, ctx, &extended, scope)
         }
@@ -661,7 +735,7 @@ fn exec_node(
 
 /// Rebind a batch's columns under a new `FROM` alias: a schema rename, the
 /// columns and the selection are shared as they are.
-pub(crate) fn realias(batch: &Batch, alias: &str) -> Batch {
+fn realias(batch: &Batch, alias: &str) -> Batch {
     let schema: Vec<SchemaCol> = batch
         .schema
         .iter()
@@ -674,14 +748,14 @@ pub(crate) fn realias(batch: &Batch, alias: &str) -> Batch {
 }
 
 /// Every pair of a cross product, left-major.
-pub(crate) fn cross_pairs(left: usize, right: usize) -> Vec<(usize, usize)> {
+fn cross_pairs(left: usize, right: usize) -> Vec<(usize, usize)> {
     (0..left)
         .flat_map(|i| (0..right).map(move |j| (i, j)))
         .collect()
 }
 
 /// The physical rows of the given logical rows of `batch`.
-pub(crate) fn phys_rows(batch: &Batch, logical: Vec<usize>) -> Vec<usize> {
+fn phys_rows(batch: &Batch, logical: Vec<usize>) -> Vec<usize> {
     match &batch.sel {
         None => logical,
         Some(sel) => logical.into_iter().map(|i| sel[i]).collect(),
@@ -725,7 +799,7 @@ pub(crate) fn join_gather(left: &Batch, right: &Batch, pairs: &[(usize, usize)])
 }
 
 /// The `#rn` column of a window: row `order[k]` gets number `k + 1`.
-pub(crate) fn rank_column(order: &[usize]) -> Arc<Vec<SqlValue>> {
+fn rank_column(order: &[usize]) -> Arc<Vec<SqlValue>> {
     let mut rn = vec![SqlValue::Null; order.len()];
     for (number, &row) in order.iter().enumerate() {
         rn[row] = SqlValue::Int((number + 1) as i64);
@@ -734,7 +808,7 @@ pub(crate) fn rank_column(order: &[usize]) -> Arc<Vec<SqlValue>> {
 }
 
 /// A dense batch extended by one `#rn<i>` column per window.
-pub(crate) fn with_rank_columns(batch: Batch, ranks: Vec<Arc<Vec<SqlValue>>>) -> Batch {
+fn with_rank_columns(batch: Batch, ranks: Vec<Arc<Vec<SqlValue>>>) -> Batch {
     let mut schema = batch.schema.as_ref().clone();
     schema.extend((0..ranks.len()).map(|i| (None, format!("#rn{}", i))));
     let mut columns = batch.columns;
@@ -750,7 +824,7 @@ pub(crate) fn with_rank_columns(batch: Batch, ranks: Vec<Arc<Vec<SqlValue>>>) ->
 /// A projection that only picks and renames columns shares them — and the
 /// input's selection — instead of gathering. `None` when some expression
 /// computes.
-pub(crate) fn project_columns(batch: &Batch, exprs: &[VExpr], names: &[String]) -> Option<Batch> {
+fn project_columns(batch: &Batch, exprs: &[VExpr], names: &[String]) -> Option<Batch> {
     let columns = exprs
         .iter()
         .map(|e| match e {
@@ -765,7 +839,7 @@ pub(crate) fn project_columns(batch: &Batch, exprs: &[VExpr], names: &[String]) 
 }
 
 /// A bare column reference over a dense batch is the column itself.
-pub(crate) fn shared_column(batch: &Batch, expr: &VExpr) -> Option<Arc<Vec<SqlValue>>> {
+fn shared_column(batch: &Batch, expr: &VExpr) -> Option<Arc<Vec<SqlValue>>> {
     match expr {
         VExpr::Col { index, .. } if batch.sel.is_none() => Some(batch.columns[*index].clone()),
         _ => None,
@@ -773,7 +847,7 @@ pub(crate) fn shared_column(batch: &Batch, expr: &VExpr) -> Option<Arc<Vec<SqlVa
 }
 
 /// The dense output batch of a projection.
-pub(crate) fn projected(names: &[String], columns: Vec<Arc<Vec<SqlValue>>>, rows: usize) -> Batch {
+fn projected(names: &[String], columns: Vec<Arc<Vec<SqlValue>>>, rows: usize) -> Batch {
     Batch {
         schema: Arc::new(names.iter().map(|c| (None, c.clone())).collect()),
         columns,
@@ -783,20 +857,22 @@ pub(crate) fn projected(names: &[String], columns: Vec<Arc<Vec<SqlValue>>>, rows
 }
 
 /// `UNION ALL`: the branches' rows appended column by column, under the
-/// first branch's schema. `run` executes one branch.
-pub(crate) fn union_all(
+/// first branch's schema.
+fn union_all(
     branches: &[PhysicalPlan],
-    run: &mut dyn FnMut(&PhysicalPlan) -> Result<Batch, EngineError>,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
 ) -> Result<Batch, EngineError> {
     let (first, rest) = branches
         .split_first()
         .ok_or_else(|| EngineError::TypeError("empty UNION ALL".to_string()))?;
-    let first = run(first)?;
+    let first = exec(first, ctx, ctes, scope)?;
     let width = first.columns.len();
     let mut columns: Vec<Vec<SqlValue>> = (0..width).map(|c| first.gather(c)).collect();
     let mut total = first.len();
     for branch in rest {
-        let next = run(branch)?;
+        let next = exec(branch, ctx, ctes, scope)?;
         if next.columns.len() != width {
             return Err(EngineError::TypeError(format!(
                 "UNION ALL branches have {} and {} columns",
@@ -819,7 +895,7 @@ pub(crate) fn union_all(
 
 /// The selection of a correlated semi (`anti`: anti) join over `rows` of
 /// `batch`: the subplan runs once per row, the row pushed as a scope frame.
-pub(crate) fn exists_select(
+fn exists_select(
     subplan: &PhysicalPlan,
     anti: bool,
     batch: &Batch,
@@ -856,7 +932,7 @@ fn exists_at(
 
 /// The physical rows of `rows` on which `predicate` is `TRUE` — a filter's
 /// selection vector, without a boolean column in between.
-pub(crate) fn select_true(
+fn select_true(
     predicate: &VExpr,
     batch: &Batch,
     rows: Rows<'_>,
@@ -885,20 +961,6 @@ pub(crate) fn select_true(
         }
     }
     Ok(sel)
-}
-
-/// Evaluate a list of key expressions over every live row of `batch`.
-pub(crate) fn eval_all<'a>(
-    exprs: &[VExpr],
-    batch: &'a Batch,
-    ctx: &VecCtx<'_>,
-    ctes: &CteEnv,
-    scope: &ScopeStack,
-) -> Result<Vec<Vector<'a>>, EngineError> {
-    exprs
-        .iter()
-        .map(|e| eval(e, batch, batch.rows(), ctx, ctes, scope))
-        .collect()
 }
 
 /// Column-at-a-time expression evaluation over `rows` of `batch`: a column
@@ -1021,7 +1083,7 @@ impl DeltaEnv {
     }
 }
 
-/// The incremental twin of [`execute_plan_bound`]: a `DeltaExec` keeps one
+/// The incremental twin of [`execute_plan`]: a `DeltaExec` keeps one
 /// cached output row multiset per plan node (indexed by the node's pre-order
 /// position in [`PhysicalPlan::nodes`]) and propagates signed row deltas
 /// through the operators instead of recomputing them.
@@ -1464,11 +1526,7 @@ impl DeltaExec {
                 }
                 let schema = self.node_schema(input, child_idx, env)?;
                 let din = self.delta_node(input, child_idx, ctx, env)?;
-                let vctx = VecCtx {
-                    storage: ctx.storage,
-                    params: ctx.params,
-                    prof: None,
-                };
+                let vctx = VecCtx::unpooled(ctx.storage, ctx.params);
                 let mut out = Vec::new();
                 for (row, sign) in din {
                     let frame = ScopeFrame {
@@ -2093,11 +2151,7 @@ fn eval_row(
             }
         },
         VExpr::Exists(subplan) => {
-            let vctx = VecCtx {
-                storage: ctx.storage,
-                params: ctx.params,
-                prof: None,
-            };
+            let vctx = VecCtx::unpooled(ctx.storage, ctx.params);
             let frame = ScopeFrame {
                 schema: schema.clone(),
                 values: row.clone(),
@@ -2219,10 +2273,16 @@ mod tests {
         Engine::with_storage(storage)
     }
 
+    /// Run a parameter-free plan with the default options.
+    fn run(engine: &Engine, plan: &PhysicalPlan) -> Result<ColumnarResult, EngineError> {
+        let params = ParamValues::new();
+        execute_plan(plan, &engine.storage(), &ExecRequest::new(&params)).map(|e| e.result)
+    }
+
     fn run_both(engine: &Engine, q: &Query) -> (ResultSet, ResultSet) {
         let interpreted = engine.execute_interpreted(q).unwrap();
         let plan = engine.prepare(q).unwrap();
-        let vectorized = engine.execute_plan(&plan).unwrap().into_result_set();
+        let vectorized = run(engine, &plan).unwrap().into_result_set();
         (interpreted, vectorized)
     }
 
@@ -2332,7 +2392,7 @@ mod tests {
         );
         let plan = plan_query(&q, &stale).unwrap();
         // …but the engine's table stores (n, tag): refuse, don't transpose.
-        let err = engine().execute_plan(&plan).unwrap_err();
+        let err = run(&engine(), &plan).unwrap_err();
         assert!(
             err.to_string().contains("different") || err.to_string().contains("columns"),
             "got: {}",
@@ -2366,7 +2426,7 @@ mod tests {
         dx.seed(&plan, &engine.storage(), &params).unwrap();
         assert_eq!(
             sorted(dx.rows().to_vec()),
-            sorted(engine.execute_plan(&plan).unwrap().into_result_set().rows),
+            sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "seed disagrees with the batch executor"
         );
         let delta = engine.apply_batch(&batch).unwrap();
@@ -2378,7 +2438,7 @@ mod tests {
         drop(storage);
         assert_eq!(
             sorted(dx.rows().to_vec()),
-            sorted(engine.execute_plan(&plan).unwrap().into_result_set().rows),
+            sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "maintained rows disagree with recompute on post-state"
         );
     }
@@ -2447,7 +2507,7 @@ mod tests {
         drop(storage);
         assert_eq!(
             sorted(dx.rows().to_vec()),
-            sorted(engine.execute_plan(&plan).unwrap().into_result_set().rows)
+            sorted(run(&engine, &plan).unwrap().into_result_set().rows)
         );
     }
 

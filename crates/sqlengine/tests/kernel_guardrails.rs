@@ -1,10 +1,41 @@
-//! Guardrails for the key-kernel layer: `kernels.rs` holds the one copy of
-//! key hashing, the join table and key ordering, and neither executor may
-//! grow a private one again. The checks read the sources as text, so a
-//! reintroduced per-row path fails here before any benchmark notices.
+//! Guardrails for the executor: `kernels.rs` holds the one copy of key
+//! hashing, the join table and key ordering, `vexec.rs` the one walk over
+//! the physical operators, and each layer one way in. The checks read the
+//! sources as text, so a reintroduced per-row path, a second walk or a
+//! forwarding entry point fails here before any benchmark notices.
+
+use std::path::{Path, PathBuf};
 
 const VEXEC: &str = include_str!("../src/vexec.rs");
 const PAR: &str = include_str!("../src/par.rs");
+const ENGINE: &str = include_str!("../src/exec.rs");
+const PIPELINE: &str = include_str!("../../core/src/pipeline.rs");
+
+/// Every `.rs` file under `dir`, with its text.
+fn sources(dir: &Path) -> Vec<(PathBuf, String)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("a source directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            out.extend(sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("a readable source file");
+            out.push((path, text));
+        }
+    }
+    out
+}
+
+/// Every source file of every crate's `src/`.
+fn all_crate_sources() -> Vec<(PathBuf, String)> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    std::fs::read_dir(crates)
+        .expect("the crates directory")
+        .map(|entry| entry.expect("a directory entry").path().join("src"))
+        .filter(|src| src.is_dir())
+        .flat_map(|src| sources(&src))
+        .collect()
+}
 
 /// The product code of a source file: everything before its test module.
 fn product(source: &str) -> &str {
@@ -46,5 +77,81 @@ fn the_executors_keep_no_private_key_kernels() {
                 "{file} contains `{needle}`: keyed operators go through crate::kernels"
             );
         }
+    }
+}
+
+/// One operator walk: outside the incremental executor, the optimizer and
+/// the planner, exactly one function of the engine matches on the physical
+/// operators (`HashSemiJoin` stands for all of them — a walk cannot skip it).
+#[test]
+fn one_function_walks_the_physical_operators() {
+    let probe = "PhysicalPlan::HashSemiJoin {";
+    assert_eq!(
+        batch_executor(VEXEC).matches(probe).count() + product(PAR).matches(probe).count(),
+        1,
+        "vexec::exec_node is the only batch-executor walk"
+    );
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    for (path, text) in sources(&src) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !["vexec.rs", "par.rs", "opt.rs", "plan.rs"].contains(&name.as_str()) {
+            assert!(!text.contains(probe), "{name} walks the physical operators");
+        }
+    }
+}
+
+/// One entry point per layer, and the removed ones stay removed.
+#[test]
+fn each_layer_keeps_one_way_in() {
+    let removed = [
+        "fn pexec_node",
+        "fn execute_plan_bound(",
+        "fn execute_plan_profiled(",
+        "fn execute_plan_bound_ctes(",
+        "fn compile_unoptimized",
+        "fn compile_normalised_obs",
+        "fn execute_bound_obs(",
+    ];
+    let mut plan_executors = 0;
+    for (path, text) in all_crate_sources() {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`, a removed entry point",
+                path.display()
+            );
+        }
+        if path.components().any(|c| c.as_os_str() == "sqlengine") && !path.ends_with("exec.rs") {
+            plan_executors += text.matches("pub fn execute_plan").count();
+        }
+    }
+    assert_eq!(plan_executors, 1, "sqlengine::execute_plan is the one");
+    assert_eq!(
+        ENGINE.matches("pub fn execute_plan").count(),
+        3,
+        "Engine keeps the three `execute_plan_*_opts` methods the benchmark calls"
+    );
+    assert_eq!(product(PIPELINE).matches("pub fn compile").count(), 2);
+    // Two of the `execute*` are the row-path reference implementations.
+    for reference in ["pub fn execute_rows(", "pub fn execute_via_sql_text("] {
+        assert_eq!(product(PIPELINE).matches(reference).count(), 1);
+    }
+    assert!(product(PIPELINE).matches("pub fn execute").count() <= 4);
+}
+
+/// The per-PR timing gates were replaced by `benchmark/`; only the
+/// static-analysis sweep, a correctness report, still renders JSON.
+#[test]
+fn the_bench_crate_keeps_no_timing_gate() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/src");
+    for (path, text) in sources(&src) {
+        let reports = text.matches("_report_json").count();
+        let analyze = text.matches("analyze_report_json").count();
+        assert_eq!(
+            reports,
+            analyze,
+            "{} renders a report other than the analysis sweep's",
+            path.display()
+        );
     }
 }

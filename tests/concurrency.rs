@@ -2,11 +2,13 @@
 //! session is shared across worker threads, and concurrent bound executions
 //! through the shared plan cache produce exactly the single-threaded oracle
 //! results — under every backend and all three indexing schemes — with zero
-//! engine-side re-planning.
+//! engine-side re-planning. And a multi-stage nested read beside a writer is
+//! consistent with one storage state.
 
 use query_shredding::prelude::*;
 use query_shredding::{shredding, sqlengine};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn small_db() -> Database {
     generate(&OrgConfig {
@@ -277,5 +279,101 @@ fn clones_share_one_plan_cache_and_one_engine() {
     assert!(
         Arc::ptr_eq(&a, &b),
         "clones share one loaded engine instance"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot-consistent nested reads
+// ---------------------------------------------------------------------------
+
+/// One package execution reads one storage state. A writer toggles the
+/// database between two states — A, and B = A plus a department with three
+/// employees, one `apply_batch` each way — for as long as readers run Q4
+/// (two stages: departments, and their employees), on a `workers(1)` session
+/// and on a `workers(4)` one that fans the stages out. Every value read must
+/// be the answer in A or the answer in B. A reader whose stages saw
+/// different states returns neither: the new department without its
+/// employees, or the employees without their department.
+#[test]
+fn a_nested_read_beside_a_writer_sees_one_storage_state() {
+    const READS_PER_THREAD: usize = 150;
+
+    let one = Shredder::builder()
+        .database(small_db())
+        .workers(1)
+        .build()
+        .unwrap();
+    let four = Shredder::builder()
+        .schema(organisation_schema())
+        .engine(one.shared_engine().unwrap())
+        .workers(4)
+        .build()
+        .unwrap();
+    let q4 = datagen::queries::q4();
+
+    let dept = vec![
+        sqlengine::SqlValue::Int(9_000),
+        sqlengine::SqlValue::str("Snapshot"),
+    ];
+    let employees: Vec<sqlengine::Row> = (0..3)
+        .map(|i| {
+            vec![
+                sqlengine::SqlValue::Int(9_000 + i),
+                sqlengine::SqlValue::str("Snapshot"),
+                sqlengine::SqlValue::str(format!("snap_{i}")),
+                sqlengine::SqlValue::Int(1_000),
+            ]
+        })
+        .collect();
+    let mut to_b = WriteBatch::new().insert("departments", dept.clone());
+    let mut to_a = WriteBatch::new().delete("departments", dept);
+    for row in employees {
+        to_b = to_b.insert("employees", row.clone());
+        to_a = to_a.delete("employees", row);
+    }
+
+    let value_a = one.run(&q4).unwrap();
+    one.apply_batch(&to_b).unwrap();
+    let value_b = one.run(&q4).unwrap();
+    one.apply_batch(&to_a).unwrap();
+    assert!(!value_a.multiset_eq(&value_b));
+    assert!(one.run(&q4).unwrap().multiset_eq(&value_a));
+
+    let readers = [&one, &four, &one, &four];
+    let start = Barrier::new(readers.len() + 1);
+    let reading = AtomicUsize::new(readers.len());
+    let torn: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = readers
+            .into_iter()
+            .enumerate()
+            .map(|(t, session)| {
+                let (q4, start, reading) = (&q4, &start, &reading);
+                let (value_a, value_b) = (&value_a, &value_b);
+                scope.spawn(move || {
+                    let prepared = session.prepare(q4).unwrap();
+                    start.wait();
+                    let torn = (0..READS_PER_THREAD).find_map(|i| {
+                        let value = session.execute(&prepared).unwrap();
+                        let whole = value.multiset_eq(value_a) || value.multiset_eq(value_b);
+                        (!whole).then(|| format!("reader {t}, read {i}: {value}"))
+                    });
+                    reading.fetch_sub(1, Ordering::SeqCst);
+                    torn
+                })
+            })
+            .collect();
+        start.wait();
+        while reading.load(Ordering::SeqCst) > 0 {
+            one.apply_batch(&to_b).unwrap();
+            one.apply_batch(&to_a).unwrap();
+        }
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("a reader thread panicked"))
+            .collect()
+    });
+    assert!(
+        torn.is_empty(),
+        "values of neither storage state: {torn:#?}"
     );
 }

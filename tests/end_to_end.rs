@@ -178,7 +178,10 @@ fn the_low_level_pipeline_building_blocks_remain_usable() {
     let reference = Shredder::over(db).unwrap().oracle(&q).unwrap();
     let compiled = shredding::pipeline::compile(&q, &schema).unwrap();
     assert_eq!(compiled.query_count(), 2);
-    assert!(shredding::pipeline::execute(&compiled, &engine)
-        .unwrap()
-        .multiset_eq(&reference));
+    let no_params = sqlengine::ParamValues::new();
+    assert!(
+        shredding::pipeline::execute_bound(&compiled, &engine, &no_params)
+            .unwrap()
+            .multiset_eq(&reference)
+    );
 }

@@ -8,9 +8,16 @@
 //! Also covers the two parallel-specific regressions: live views seeded by
 //! a parallel execution behave identically to sequentially-seeded ones, and
 //! `explain_analyze()` actuals stay exact when operators record from many
-//! workers at once.
+//! workers at once — and both sides of the executor's per-operator choice:
+//! an execution without a pool dispatches nothing, one with a pool and
+//! one-row morsels dispatches, and the two agree row for row and node for
+//! node.
 
 use query_shredding::prelude::*;
+use query_shredding::shredding::pipeline;
+use query_shredding::sqlengine::{
+    execute_plan, ExecOptions, ExecRequest, ExecStats, Execution, ParamValues,
+};
 
 fn small_db() -> Database {
     generate(&OrgConfig {
@@ -218,4 +225,69 @@ fn explain_analyze_root_rows_out_matches_oracle_cardinality_at_four_workers() {
         analyzed.contains(&format!("rows_out={}", inner_total)),
         "{analyzed}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// One walk, with and without a pool
+// ---------------------------------------------------------------------------
+
+/// Every stage plan of every benchmark query through the engine's one
+/// execution function: `workers(1)` never touches the pool (its stats are
+/// `ExecStats::default()`), `workers(4)` with one-row morsels and the
+/// small-plan gate off dispatches morsels, the two results are identical
+/// cell for cell and in row order, and profiled runs of both report the
+/// same `rows_out` (and execution count) for every plan node.
+#[test]
+fn the_walk_is_the_same_with_and_without_a_pool() {
+    let engine = pipeline::engine_from_database(&small_db()).unwrap();
+    let schema = organisation_schema();
+    let storage = engine.storage();
+    let params = ParamValues::new();
+    let pooled = ExecOptions {
+        workers: 4,
+        morsel_rows: 1,
+        min_parallel_rows: 0,
+    };
+    for (name, q) in all_benchmark_queries() {
+        let compiled = pipeline::compile(&q, &schema).unwrap();
+        let mut morsels = 0;
+        for (i, stage) in compiled.stages.annotations().into_iter().enumerate() {
+            let run = |opts: ExecOptions, profile: bool| -> Execution {
+                let req = ExecRequest {
+                    profile,
+                    opts,
+                    ..ExecRequest::new(&params)
+                };
+                execute_plan(&stage.plan, &storage, &req).unwrap()
+            };
+            let one = run(ExecOptions::with_workers(1), false);
+            assert_eq!(
+                one.stats,
+                ExecStats::default(),
+                "{name} stage {i}: workers(1) touched the pool"
+            );
+            let four = run(pooled, false);
+            morsels += four.stats.morsels_dispatched;
+            assert!(four.stats.peak_workers <= 4);
+            assert_eq!(
+                four.result.clone().into_result_set(),
+                one.result.into_result_set(),
+                "{name} stage {i}: the pooled result differs"
+            );
+
+            let one = run(ExecOptions::with_workers(1), true);
+            let four = run(pooled, true);
+            let per_node = |e: &Execution| -> Vec<(u64, u64)> {
+                let ops = &e.profile.as_ref().expect("a profiled run").ops;
+                ops.iter().map(|a| (a.batches, a.rows_out)).collect()
+            };
+            assert_eq!(
+                per_node(&four),
+                per_node(&one),
+                "{name} stage {i}: per-node actuals differ under a pool"
+            );
+            assert_eq!(four.result.len() as u64, per_node(&four)[0].1);
+        }
+        assert!(morsels > 0, "{name}: no morsel was dispatched");
+    }
 }

@@ -379,7 +379,10 @@ fn edge_value_bindings_round_trip_through_the_whole_pipeline() {
 
 #[test]
 fn null_bindings_at_the_engine_level_compare_as_unknown() {
-    use sqlengine::{ColumnType, Engine, Expr, ParamValues, Select, SqlValue, Storage, TableDef};
+    use sqlengine::{
+        execute_plan, ColumnType, Engine, ExecRequest, Expr, ParamValues, Select, SqlValue,
+        Storage, TableDef,
+    };
     let mut storage = Storage::new();
     storage
         .create_table(TableDef::new("t", vec![("a", ColumnType::Int)]))
@@ -395,26 +398,23 @@ fn null_bindings_at_the_engine_level_compare_as_unknown() {
     );
     let plan = engine.prepare(&q).unwrap();
     assert_eq!(plan.params(), vec!["p".to_string()]);
+    let run = |params: &ParamValues| {
+        execute_plan(&plan, &engine.storage(), &ExecRequest::new(params)).map(|e| e.result)
+    };
     // A NULL binding matches nothing (SQL three-valued comparison).
     let mut params = ParamValues::new();
     params.insert("p".to_string(), SqlValue::Null);
-    assert_eq!(engine.execute_plan_bound(&plan, &params).unwrap().len(), 0);
+    assert_eq!(run(&params).unwrap().len(), 0);
     // A concrete binding matches its row; the same plan is reused.
     params.insert("p".to_string(), SqlValue::Int(1));
-    assert_eq!(engine.execute_plan_bound(&plan, &params).unwrap().len(), 1);
+    assert_eq!(run(&params).unwrap().len(), 1);
     // Executing with no binding at all is a typed engine error.
-    let err = engine.execute_plan(&plan).unwrap_err();
+    let err = run(&ParamValues::new()).unwrap_err();
     assert!(matches!(err, sqlengine::EngineError::UnboundParameter(_)));
     // The interpreter agrees with the vectorized executor on bound params.
     params.insert("p".to_string(), SqlValue::Int(1));
     let interpreted = engine.execute_interpreted_bound(&q, &params).unwrap();
-    assert_eq!(
-        interpreted,
-        engine
-            .execute_plan_bound(&plan, &params)
-            .unwrap()
-            .into_result_set()
-    );
+    assert_eq!(interpreted, run(&params).unwrap().into_result_set());
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
 }
 
 /// The tentpole agreement: on every benchmark query, the columnar path
-/// (`pipeline::execute`), the row path (`pipeline::execute_rows`), and the
+/// (`pipeline::execute_bound`), the row path (`pipeline::execute_rows`), and the
 /// text round-trip (also row-decoded) produce *identical* nested values —
 /// not merely multiset-equal ones — and all agree with N⟦−⟧. Identical
 /// equality holds because the columnar grouping sorts stably, preserving
@@ -39,7 +39,8 @@ fn columnar_and_row_result_assembly_are_identical_on_every_benchmark_query() {
     let engine = pipeline::engine_from_database(&db).unwrap();
     for (name, q) in all_benchmark_queries() {
         let compiled = pipeline::compile(&q, &schema).unwrap();
-        let columnar = pipeline::execute(&compiled, &engine).unwrap();
+        let columnar =
+            pipeline::execute_bound(&compiled, &engine, &sqlengine::ParamValues::new()).unwrap();
         let rows = pipeline::execute_rows(&compiled, &engine).unwrap();
         assert_eq!(
             columnar, rows,
@@ -281,7 +282,8 @@ fn assert_edge_query_agrees(q: &nrc::Term) {
     let db = edge_db();
     let engine = pipeline::engine_from_database(&db).unwrap();
     let compiled = pipeline::compile(q, &edge_schema()).unwrap();
-    let columnar = pipeline::execute(&compiled, &engine).unwrap();
+    let columnar =
+        pipeline::execute_bound(&compiled, &engine, &sqlengine::ParamValues::new()).unwrap();
     let rows = pipeline::execute_rows(&compiled, &engine).unwrap();
     assert_eq!(
         columnar, rows,
@@ -334,7 +336,7 @@ fn empty_bags_survive_the_columnar_path() {
     let db = edge_db();
     let engine = pipeline::engine_from_database(&db).unwrap();
     let compiled = pipeline::compile(&q, &edge_schema()).unwrap();
-    let v = pipeline::execute(&compiled, &engine).unwrap();
+    let v = pipeline::execute_bound(&compiled, &engine, &sqlengine::ParamValues::new()).unwrap();
     let quality = v
         .as_bag()
         .unwrap()

@@ -62,7 +62,14 @@ fn vectorized_executor_matches_the_interpreter_on_every_benchmark_stage() {
         let compiled = pipeline::compile(&q, &schema).unwrap();
         for (i, stage) in compiled.stages.annotations().into_iter().enumerate() {
             let interpreted = engine.execute_interpreted(&stage.sql).unwrap();
-            let via_stage_plan = engine.execute_plan(&stage.plan).unwrap().into_result_set();
+            let via_stage_plan = sqlengine::execute_plan(
+                &stage.plan,
+                &engine.storage(),
+                &sqlengine::ExecRequest::new(&sqlengine::ParamValues::new()),
+            )
+            .unwrap()
+            .result
+            .into_result_set();
             assert_same_bag(name, i, &interpreted, &via_stage_plan);
             // Re-planning against live storage (known cardinalities) must
             // agree as well, even where the build-side choice differs.
