@@ -1118,7 +1118,7 @@ impl ShredderBuilder {
                 metrics: self.metrics.unwrap_or_default(),
                 ring,
                 sink,
-                write_lock: Mutex::new(()),
+                write_lock: Arc::new(Mutex::new(())),
                 subs: Mutex::new(Vec::new()),
                 exec_opts: sqlengine::ExecOptions {
                     workers: self.workers.unwrap_or_else(|| {
@@ -1237,14 +1237,16 @@ struct ShredderCore {
     sink: Arc<dyn ObsSink>,
     /// Serialises committed write batches (and live-view seeding) so every
     /// subscription observes the same totally ordered sequence of deltas.
-    write_lock: Mutex<()>,
+    /// Shared with each live view, which takes it to re-seed itself when it
+    /// is read stale.
+    write_lock: Arc<Mutex<()>>,
     /// The session's live subscriptions. Weak: dropping every clone of a
     /// [`Subscription`] unsubscribes it; dead entries are pruned on the next
     /// committed batch.
     subs: Mutex<Vec<Weak<LiveView>>>,
     /// Worker count and morsel size for the executor's worker pool (see
     /// [`ShredderBuilder::workers`]). Live-view maintenance ignores these:
-    /// the delta path is row-at-a-time by design.
+    /// a delta pass runs the batch kernels on the committing thread.
     exec_opts: sqlengine::ExecOptions,
     /// Run the logical optimizer over compiled stage plans (see
     /// [`ShredderBuilder::optimize`]).
@@ -1727,24 +1729,21 @@ impl Shredder {
             .clone();
         let bindings = resolve_bindings(&prepared.params, &prepared.defaults, params)?;
         let sql_params = bindings.to_sql_params()?;
-        let engine = self.engine()?;
+        let engine = self.shared_engine()?;
         // Hold the commit lock while seeding and registering, so no write
         // batch can slip between the snapshot the view is seeded from and
         // the first delta it observes.
-        let _commit = self
-            .core
-            .write_lock
+        let commit = Arc::clone(&self.core.write_lock);
+        let _commit = commit
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let view = {
-            let storage = engine.storage();
-            Arc::new(LiveView::new(Arc::new(compiled), sql_params, &storage)?)
-        };
-        self.core
-            .subs
-            .lock()
-            .expect("subscriptions lock")
-            .push(Arc::downgrade(&view));
+        let view = Arc::new(LiveView::new(
+            Arc::new(compiled),
+            sql_params,
+            engine,
+            Arc::clone(&commit),
+        )?);
+        self.live_views().push(Arc::downgrade(&view));
         Ok(Subscription { inner: view })
     }
 
@@ -1756,6 +1755,12 @@ impl Shredder {
     /// Observability: bumps the `writes.applied` counter, adds the delta's
     /// signed row count to `delta.rows`, and records one `stage.maintain`
     /// histogram sample per maintained subscription.
+    ///
+    /// Once storage is committed, *every* live subscription is maintained
+    /// before anything is reported: a view whose maintenance fails is left
+    /// flagged stale (it re-seeds from storage before it serves another
+    /// value) and the first such error is returned — the batch itself stays
+    /// committed.
     ///
     /// Note that writes go to the *engine storage*, which was loaded from
     /// the session's [`Database`] on first use: [`Shredder::database`] (and
@@ -1773,22 +1778,36 @@ impl Shredder {
         metrics.counter("writes.applied").inc();
         metrics.counter("delta.rows").add(delta.row_count() as u64);
         let live: Vec<Arc<LiveView>> = {
-            let mut subs = self.core.subs.lock().expect("subscriptions lock");
+            let mut subs = self.live_views();
             subs.retain(|w| w.strong_count() > 0);
             subs.iter().filter_map(Weak::upgrade).collect()
         };
+        let mut failed = None;
         if !live.is_empty() {
             let storage = engine.storage();
             for view in live {
                 let start = Instant::now();
-                view.maintain(&storage, &delta)?;
+                let maintained = view.maintain(&storage, &delta);
                 metrics.record(
                     Stage::Maintain.metric_name(),
                     start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 );
+                if let Err(e) = maintained {
+                    failed.get_or_insert(e);
+                }
             }
         }
-        Ok(delta)
+        failed.map_or(Ok(delta), Err)
+    }
+
+    /// The registry of live subscriptions. A panic while it was held cannot
+    /// have left the list half-written (it is only pushed to and pruned), so
+    /// a poisoned guard is recovered, as `write_lock`'s is.
+    fn live_views(&self) -> std::sync::MutexGuard<'_, Vec<Weak<LiveView>>> {
+        self.core
+            .subs
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Evaluate a query directly with the nested reference semantics N⟦−⟧

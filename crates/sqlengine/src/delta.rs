@@ -11,9 +11,9 @@
 //! fixed discipline — retracted rows are removed at their first occurrence,
 //! inserted rows are appended — so the post-state scan order of a table is a
 //! deterministic function of its pre-state order and the delta. The
-//! incremental maintenance layer relies on that: it keeps per-operator row
-//! caches under the same retract-then-append discipline, so a cache and a
-//! from-scratch scan of the same table always agree on row order.
+//! incremental maintenance layer relies on that: it keeps its operators'
+//! columnar stores under the same retract-then-append discipline, so a store
+//! and a from-scratch scan of the same table always agree on row order.
 
 use crate::error::EngineError;
 use crate::storage::Storage;

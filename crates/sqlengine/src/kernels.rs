@@ -24,10 +24,20 @@
 //!
 //! **The hasher** is a hand-written multiply–rotate mixer, not SipHash. It is
 //! not resistant to keys crafted to collide; that is acceptable here because
-//! the tables live for one operator execution inside the process, their
-//! hashes are never exposed or persisted, and a degenerate table (every key
-//! in one bucket) is merely slow — equality is always re-checked on the
-//! columns, as the all-collisions test below pins down.
+//! the tables live inside the process (for one operator execution, or as
+//! the state of a live view), their hashes are never exposed or written
+//! out, and a degenerate table (every key in one bucket) is merely slow —
+//! equality is always re-checked on the columns, as the all-collisions tests
+//! below pin down.
+//!
+//! **Across writes.** The incremental executor ([`crate::vexec::DeltaExec`])
+//! runs on the same hashes with two additions: [`PersistentIndex`], the
+//! join-table layout kept alive between writes (append at the chain's end,
+//! tombstone in place, grow by doubling, compact when mostly dead — chains
+//! stay in ascending row order, so pair order is the one above), and
+//! [`merge_into_order`], which merges a sorted delta into a cached key order
+//! for `ROW_NUMBER` maintenance. [`JoinTable`] and [`KeyIndex`] are
+//! untouched by them.
 
 use crate::error::EngineError;
 use crate::value::SqlValue;
@@ -481,6 +491,189 @@ pub(crate) fn except_all_rows(
 }
 
 // ---------------------------------------------------------------------------
+// The persistent index
+// ---------------------------------------------------------------------------
+
+/// A chained key index that outlives one operator execution: the
+/// [`JoinTable`] layout — `heads`/`next` row links stored `+ 1` — kept alive
+/// across writes by the incremental executor. Rows are **appended** at the
+/// end of their bucket's chain (a `tails` link per bucket), so a chain still
+/// reads in ascending row order; **tombstoned** in place (the link stays, a
+/// walk skips the dead row); and the bucket array **grows** by doubling when
+/// rows outnumber buckets, relinking the live rows. [`compact`] renumbers the
+/// live rows once the dead outnumber them.
+///
+/// Like [`JoinTable`] it holds hashes and links only: the key columns stay
+/// with the caller, who appends to them in step and hands them in to
+/// [`for_each_match`] for the equality check.
+///
+/// [`compact`]: PersistentIndex::compact
+/// [`for_each_match`]: PersistentIndex::for_each_match
+#[derive(Debug)]
+pub(crate) struct PersistentIndex {
+    nulls: NullMode,
+    hashes: Vec<u64>,
+    live: Vec<bool>,
+    dead: usize,
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    next: Vec<u32>,
+    /// Rows the `u32` links can address.
+    max_rows: usize,
+}
+
+impl PersistentIndex {
+    pub(crate) fn new(nulls: NullMode) -> PersistentIndex {
+        PersistentIndex {
+            nulls,
+            hashes: Vec::new(),
+            live: Vec::new(),
+            dead: 0,
+            heads: vec![0],
+            tails: vec![0],
+            next: Vec::new(),
+            max_rows: u32::MAX as usize - 1,
+        }
+    }
+
+    /// Rows ever appended since the last compaction, dead ones included: the
+    /// next appended row gets this id.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    pub(crate) fn live_len(&self) -> usize {
+        self.len() - self.dead
+    }
+
+    pub(crate) fn is_live(&self, row: usize) -> bool {
+        self.live[row]
+    }
+
+    /// Append one row per entry of `hashed`; they take the ids
+    /// `len()..len() + n`. Under [`NullMode::NeverMatches`] a row with a
+    /// `NULL` key takes its id but is dead from the start.
+    pub(crate) fn append(&mut self, hashed: &KeyHashes) -> Result<Range<usize>, EngineError> {
+        let start = self.len();
+        let end = start + hashed.hashes.len();
+        if end > self.max_rows {
+            return Err(EngineError::TypeError(format!(
+                "persistent index would hold {end} rows; row links hold at most {}",
+                self.max_rows
+            )));
+        }
+        for (&hash, &has_null) in hashed.hashes.iter().zip(&hashed.has_null) {
+            let unmatched = self.nulls == NullMode::NeverMatches && has_null;
+            self.hashes.push(hash);
+            self.live.push(!unmatched);
+            self.dead += usize::from(unmatched);
+            self.next.push(0);
+        }
+        if end > self.heads.len() {
+            self.relink(end.next_power_of_two());
+        } else {
+            for row in start..end {
+                self.link_last(row);
+            }
+        }
+        Ok(start..end)
+    }
+
+    /// Link live row `row`, larger than every linked row, at the end of its
+    /// bucket's chain.
+    fn link_last(&mut self, row: usize) {
+        if !self.live[row] {
+            return;
+        }
+        let bucket = self.hashes[row] as usize & (self.heads.len() - 1);
+        match self.tails[bucket] {
+            0 => self.heads[bucket] = row as u32 + 1,
+            tail => self.next[tail as usize - 1] = row as u32 + 1,
+        }
+        self.tails[bucket] = row as u32 + 1;
+    }
+
+    /// Rebuild the chains of the live rows over `buckets` buckets, last row
+    /// first, as [`JoinTable::with_buckets`] does.
+    fn relink(&mut self, buckets: usize) {
+        debug_assert!(buckets.is_power_of_two());
+        self.heads = vec![0; buckets];
+        self.tails = vec![0; buckets];
+        for row in (0..self.len()).rev() {
+            if !self.live[row] {
+                continue;
+            }
+            let bucket = self.hashes[row] as usize & (buckets - 1);
+            if self.tails[bucket] == 0 {
+                self.tails[bucket] = row as u32 + 1;
+            }
+            self.next[row] = self.heads[bucket];
+            self.heads[bucket] = row as u32 + 1;
+        }
+    }
+
+    /// Mark `row` dead: it keeps its id and its place in the chain, and no
+    /// walk reports it again.
+    pub(crate) fn tombstone(&mut self, row: usize) {
+        if std::mem::replace(&mut self.live[row], false) {
+            self.dead += 1;
+        }
+    }
+
+    /// Call `f` with each live row whose key hash is `hash`, in ascending
+    /// order, until it returns `false`.
+    pub(crate) fn for_each_candidate(&self, hash: u64, mut f: impl FnMut(usize) -> bool) {
+        let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
+        while at != 0 {
+            let row = at as usize - 1;
+            at = self.next[row];
+            if self.live[row] && self.hashes[row] == hash && !f(row) {
+                return;
+            }
+        }
+    }
+
+    /// Call `f` with each live row whose key — read from `build`, the key
+    /// columns the caller keeps in step with the index — equals probe row
+    /// `i`'s, in ascending order, until it returns `false`.
+    pub(crate) fn for_each_match(
+        &self,
+        build: &[Vector<'_>],
+        probe: &Keys<'_>,
+        i: usize,
+        mut f: impl FnMut(usize) -> bool,
+    ) {
+        if self.nulls == NullMode::NeverMatches && probe.hashed.has_null[i] {
+            return;
+        }
+        self.for_each_candidate(probe.hashed.hashes[i], |row| {
+            let equal = build
+                .iter()
+                .zip(&probe.cols)
+                .all(|(b, p)| b.get(row) == p.get(i));
+            !equal || f(row)
+        });
+    }
+
+    /// Once the dead rows outnumber the live ones (and a chain walk spends
+    /// most of its steps skipping), drop them: the surviving rows are
+    /// renumbered `0..live_len()` in their old order, and the old ids are
+    /// returned, ascending, so the caller can gather its columns to match.
+    pub(crate) fn compact(&mut self) -> Option<Vec<usize>> {
+        if self.dead <= self.live_len().max(32) {
+            return None;
+        }
+        let kept: Vec<usize> = (0..self.len()).filter(|&row| self.live[row]).collect();
+        self.hashes = kept.iter().map(|&row| self.hashes[row]).collect();
+        self.live = vec![true; kept.len()];
+        self.dead = 0;
+        self.next = vec![0; kept.len()];
+        self.relink(kept.len().max(1).next_power_of_two());
+        Some(kept)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Ordering
 // ---------------------------------------------------------------------------
 
@@ -529,6 +722,40 @@ pub(crate) fn merge_sorted_runs(cols: &[Vector<'_>], runs: &[Vec<usize>]) -> Vec
         heads[r] += 1;
         out.push(row);
     }
+}
+
+/// Merge a sorted delta into a cached order: `old` is in key order with ties
+/// to the smaller row, `new` is what [`sort_rows`] gave for rows that are all
+/// larger than every row of `old` — so on a tie the old row goes first, and
+/// the result is the order one stable sort of both would give. Old rows that
+/// `keep` rejects are dropped on the way. Each insertion point is found by
+/// galloping from the previous one: `O(new · log(old / new))` comparisons,
+/// never more than a linear merge and far fewer for a small delta.
+pub(crate) fn merge_into_order(
+    cols: &[Vector<'_>],
+    old: &[usize],
+    new: &[usize],
+    keep: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let mut out = Vec::with_capacity(old.len() + new.len());
+    let mut at = 0;
+    for &row in new {
+        let sorts_after = |k: usize| compare_at(cols, old[k], row) == Ordering::Greater;
+        let (mut lo, mut hi, mut step) = (at, at, 1);
+        while hi < old.len() && !sorts_after(hi) {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        let hi = hi.min(old.len());
+        let end =
+            lo + old[lo..hi].partition_point(|&o| compare_at(cols, o, row) != Ordering::Greater);
+        out.extend(old[at..end].iter().copied().filter(|&o| keep(o)));
+        out.push(row);
+        at = end;
+    }
+    out.extend(old[at..].iter().copied().filter(|&o| keep(o)));
+    out
 }
 
 #[cfg(test)]
@@ -846,6 +1073,256 @@ mod tests {
                     .collect();
                 assert_eq!(merge_sorted_runs(&cols, &sorted), expect, "case {case}");
             }
+        }
+    }
+
+    /// A persistent index beside the key columns a caller would keep for it,
+    /// and the `HashMap` it must agree with: live rows per key, ascending.
+    struct Persisted {
+        index: PersistentIndex,
+        columns: Vec<Vec<SqlValue>>,
+        reference: HashMap<Row, Vec<usize>>,
+    }
+
+    impl Persisted {
+        fn new(width: usize, nulls: NullMode) -> Persisted {
+            Persisted {
+                index: PersistentIndex::new(nulls),
+                columns: vec![Vec::new(); width],
+                reference: HashMap::new(),
+            }
+        }
+
+        fn matchable(&self, key: &Row) -> bool {
+            self.index.nulls == NullMode::GroupsWithNull || !key.iter().any(SqlValue::is_null)
+        }
+
+        /// Append `rows` under the given hashes (`None`: their real ones).
+        fn append(&mut self, rows: &[Row], hashes: Option<u64>) {
+            let columns: Vec<Vec<SqlValue>> = (0..self.columns.len())
+                .map(|c| rows.iter().map(|r| r[c].clone()).collect())
+                .collect();
+            let mut hashed = hash_keys(&dense(&columns), 0..rows.len());
+            if let Some(forced) = hashes {
+                hashed.hashes = vec![forced; rows.len()];
+            }
+            let ids = self.index.append(&hashed).unwrap();
+            assert_eq!(ids.len(), rows.len());
+            for (id, row) in ids.zip(rows) {
+                assert_eq!(
+                    id,
+                    self.columns[0].len(),
+                    "ids are the caller's row numbers"
+                );
+                for (column, v) in self.columns.iter_mut().zip(row) {
+                    column.push(v.clone());
+                }
+                if self.matchable(row) {
+                    self.reference.entry(row.clone()).or_default().push(id);
+                }
+            }
+        }
+
+        fn tombstone(&mut self, id: usize) {
+            self.index.tombstone(id);
+            for ids in self.reference.values_mut() {
+                ids.retain(|&live| live != id);
+            }
+        }
+
+        /// Compact if the index wants to, renumbering columns and reference.
+        fn compact(&mut self) -> bool {
+            let Some(kept) = self.index.compact() else {
+                return false;
+            };
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "old ids, ascending");
+            for column in &mut self.columns {
+                *column = kept.iter().map(|&id| column[id].clone()).collect();
+            }
+            for ids in self.reference.values_mut() {
+                for id in ids.iter_mut() {
+                    *id = kept.binary_search(id).expect("a live row survives");
+                }
+            }
+            true
+        }
+
+        /// Every key of `probes` finds exactly the reference's live rows.
+        fn check(&self, probes: &[Row], hashes: Option<u64>, context: &str) {
+            let columns: Vec<Vec<SqlValue>> = (0..self.columns.len())
+                .map(|c| probes.iter().map(|r| r[c].clone()).collect())
+                .collect();
+            let mut probe = Keys::new(dense(&columns), probes.len());
+            if let Some(forced) = hashes {
+                probe.hashed.hashes = vec![forced; probes.len()];
+            }
+            let build = dense(&self.columns);
+            for (i, key) in probes.iter().enumerate() {
+                let mut found = Vec::new();
+                self.index.for_each_match(&build, &probe, i, |row| {
+                    found.push(row);
+                    true
+                });
+                let expect = match self.matchable(key) {
+                    true => self.reference.get(key).cloned().unwrap_or_default(),
+                    false => Vec::new(),
+                };
+                assert_eq!(found, expect, "{context}: key {key:?}");
+                let mut first = None;
+                self.index.for_each_match(&build, &probe, i, |row| {
+                    first = Some(row);
+                    false
+                });
+                assert_eq!(
+                    first,
+                    expect.first().copied(),
+                    "{context}: first of {key:?}"
+                );
+            }
+            let live: usize = self.reference.values().map(Vec::len).sum();
+            let live_ids = (0..self.index.len())
+                .filter(|&id| self.index.is_live(id))
+                .count();
+            assert_eq!(live_ids, live, "{context}: live rows");
+            assert_eq!(self.index.live_len(), live, "{context}: live_len");
+        }
+    }
+
+    /// Every key of the small domain at `width`, NULLs included.
+    fn key_domain(rng: &mut Rng, width: usize) -> Vec<Row> {
+        (0..40)
+            .map(|_| (0..width).map(|_| small_value(rng)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn the_persistent_index_equals_a_hashmap_under_append_tombstone_and_reappend() {
+        for (case, nulls) in [NullMode::NeverMatches, NullMode::GroupsWithNull]
+            .into_iter()
+            .cycle()
+            .take(12)
+            .enumerate()
+        {
+            let mut rng = Rng(1000 + case as u64);
+            let width = 1 + case % 3;
+            // Every other case forces all rows into one bucket *and* one
+            // hash, so only the column comparison tells keys apart.
+            let forced = (case % 4 >= 2).then_some(0xDEAD_BEEF);
+            let domain = key_domain(&mut rng, width);
+            let mut p = Persisted::new(width, nulls);
+            let (mut compactions, mut buckets) = (0, p.index.heads.len());
+            let mut growths = 0;
+            for round in 0..120 {
+                match rng.below(3) {
+                    // Append a few rows at once — re-appending keys that were
+                    // tombstoned earlier as often as new ones.
+                    0 | 1 => {
+                        let rows: Vec<Row> = (0..rng.below(6))
+                            .map(|_| domain[rng.below(domain.len() as u64) as usize].clone())
+                            .collect();
+                        p.append(&rows, forced);
+                    }
+                    _ => {
+                        for _ in 0..rng.below(8) {
+                            let live: Vec<usize> =
+                                p.reference.values().flatten().copied().collect();
+                            if let Some(&id) =
+                                live.get(rng.below(live.len().max(1) as u64) as usize)
+                            {
+                                p.tombstone(id);
+                            }
+                        }
+                    }
+                }
+                compactions += usize::from(p.compact());
+                growths += usize::from(p.index.heads.len() > buckets);
+                buckets = p.index.heads.len();
+                p.check(&domain, forced, &format!("case {case}, round {round}"));
+            }
+            assert!(
+                growths >= 2,
+                "case {case}: the bucket array grew across resizes"
+            );
+            assert!(
+                compactions >= 1,
+                "case {case}: dead rows were compacted away"
+            );
+        }
+    }
+
+    #[test]
+    fn the_persistent_index_treats_null_keys_by_mode() {
+        let rows: Vec<Row> = vec![
+            vec![SqlValue::Null],
+            vec![SqlValue::Int(1)],
+            vec![SqlValue::Null],
+            vec![SqlValue::Int(1)],
+        ];
+        let mut joining = Persisted::new(1, NullMode::NeverMatches);
+        joining.append(&rows, None);
+        // A NULL key takes an id but is dead from the start: it matches
+        // nothing, itself included, and probing with one finds nothing.
+        assert!(!joining.index.is_live(0) && !joining.index.is_live(2));
+        assert_eq!(joining.index.live_len(), 2);
+        joining.check(&rows, None, "never matches");
+        let mut grouping = Persisted::new(1, NullMode::GroupsWithNull);
+        grouping.append(&rows, None);
+        assert_eq!(grouping.reference[&rows[0]], vec![0, 2]);
+        grouping.check(&rows, None, "groups with null");
+        grouping.tombstone(0);
+        grouping.check(&rows, None, "groups with null, first NULL gone");
+    }
+
+    #[test]
+    fn a_persistent_index_beyond_the_link_width_is_an_error_not_a_panic() {
+        let mut p = Persisted::new(1, NullMode::NeverMatches);
+        p.index.max_rows = 5;
+        let rows: Vec<Row> = (0..4).map(|i| vec![SqlValue::Int(i)]).collect();
+        p.append(&rows, None);
+        let columns = vec![vec![SqlValue::Int(7), SqlValue::Int(8)]];
+        let err = p
+            .index
+            .append(&hash_keys(&dense(&columns), 0..2))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::TypeError(_)), "{err}");
+        assert!(err.to_string().contains("rows"), "{err}");
+        // The refused append left the index as it was.
+        assert_eq!(p.index.len(), 4);
+        p.check(&rows, None, "after the refused append");
+        assert_eq!(
+            PersistentIndex::new(NullMode::NeverMatches).max_rows,
+            u32::MAX as usize - 1
+        );
+    }
+
+    #[test]
+    fn merging_a_sorted_delta_equals_one_stable_sort() {
+        let mut rng = Rng(314);
+        for case in 0..60 {
+            let width = 1 + case % 3;
+            let old_rows = rng.below(80) as usize;
+            // Deltas from nothing to three times the cache.
+            let new_rows = match case % 4 {
+                0 => 0,
+                1 => 1 + rng.below(3) as usize,
+                2 => 3 * old_rows + 1,
+                _ => rng.below(80) as usize,
+            };
+            let rows = old_rows + new_rows;
+            let columns = random_columns(&mut rng, width, rows);
+            let cols = dense(&columns);
+            // Some old rows are dead: still readable, not to be kept.
+            let dead: Vec<bool> = (0..rows)
+                .map(|r| r < old_rows && rng.below(4) == 0)
+                .collect();
+            let old: Vec<usize> = sort_rows(&cols, 0..old_rows);
+            let new = sort_rows(&cols, old_rows..rows);
+            let merged = merge_into_order(&cols, &old, &new, |r| !dead[r]);
+            let expect: Vec<usize> = sort_rows(&cols, 0..rows)
+                .into_iter()
+                .filter(|&r| !dead[r])
+                .collect();
+            assert_eq!(merged, expect, "case {case}");
         }
     }
 

@@ -81,4 +81,4 @@ pub use plan::{Catalog, OpActuals, PhysicalPlan, SchemaCatalog};
 pub use printer::{print_expr, print_query};
 pub use storage::{ColumnType, ColumnarResult, ResultSet, Storage, Table, TableDef};
 pub use value::{ParamValues, Row, SqlValue};
-pub use vexec::{execute_plan, DeltaExec, DeltaRows, ExecRequest, Execution, PlanProfile};
+pub use vexec::{execute_plan, DeltaExec, ExecRequest, Execution, PlanProfile, RootDelta};

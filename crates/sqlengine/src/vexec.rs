@@ -32,6 +32,18 @@
 //! against, mirroring the interpreter's correlation semantics exactly. The
 //! interpreter remains the executable oracle this module is differentially
 //! tested against (see `tests/vexec_differential.rs`).
+//!
+//! The second half of the module is the **incremental executor**
+//! ([`DeltaExec`]), which keeps a plan's result maintained across committed
+//! writes. What flows between its plan nodes is a *signed* batch — a
+//! [`Batch`] plus one `i64` weight per row, negative for a retraction — and
+//! its operator bodies are calls into this module's own kernels ([`eval`],
+//! `select_true`, `project_columns`, `join_gather`) and those of
+//! [`crate::kernels`]: the column hashes, a persistent chained index for the
+//! operators that must remember their input (joins, semi-joins, `DISTINCT`,
+//! `EXCEPT ALL`), and a sort-and-merge rank shift for `ROW_NUMBER`. Seeding
+//! is the same pass over whole tables. No operator hashes or compares a
+//! materialised row.
 
 use crate::error::EngineError;
 use crate::exec::eval_binop;
@@ -42,9 +54,8 @@ use crate::par::{
 };
 use crate::plan::{BuildSide, OpActuals, PhysicalPlan, VExpr};
 use crate::storage::{ColumnarResult, Storage};
-use crate::value::{compare_rows, ParamValues, Row, SqlValue};
-use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use crate::value::{ParamValues, Row, SqlValue};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -1025,15 +1036,127 @@ pub(crate) fn eval<'a>(
 // ---------------------------------------------------------------------------
 
 use crate::delta::StorageDelta;
+use crate::kernels::{KeyHashes, KeyIndex, Keys, NullMode, PersistentIndex};
 
-/// A signed row multiset: the delta flowing between plan operators.
-/// Multiplicity is by repetition; signs are ±1 after normalisation
-/// (retractions first, then insertions, in first-mention order).
-pub type DeltaRows = Vec<(Row, i64)>;
+/// A signed columnar batch: the delta flowing between plan nodes. A row's
+/// weight is its multiplicity in the change — positive for insertions,
+/// negative for retractions — and is indexed by *physical* row, so a filter's
+/// selection vector and a renaming projection share the weights as they
+/// share the columns. Nothing consolidates a signed batch on the way: equal
+/// rows of opposite sign travel side by side until a consumer that keeps
+/// state nets them out ([`net_weights`]).
+#[derive(Clone)]
+struct Signed {
+    batch: Batch,
+    weights: Arc<Vec<i64>>,
+}
+
+impl Signed {
+    fn empty() -> Signed {
+        Signed {
+            batch: Batch {
+                schema: Arc::new(Vec::new()),
+                columns: Vec::new(),
+                sel: None,
+                base_rows: 0,
+            },
+            weights: Arc::new(Vec::new()),
+        }
+    }
+
+    /// Every row of `batch`, inserted once.
+    fn inserted(batch: Batch) -> Signed {
+        let weights = Arc::new(vec![1; batch.base_rows]);
+        Signed { batch, weights }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.batch.is_empty()
+    }
+
+    /// The weight of logical row `i`.
+    fn weight(&self, i: usize) -> i64 {
+        self.weights[self.batch.rows().phys(i)]
+    }
+
+    /// The logical rows that change anything.
+    fn changed(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.batch.len()).filter(|&i| self.weight(i) != 0)
+    }
+
+    /// The weights by logical row: what a dense batch of the same rows
+    /// carries.
+    fn logical_weights(&self) -> Arc<Vec<i64>> {
+        match &self.batch.sel {
+            None => self.weights.clone(),
+            Some(sel) => Arc::new(sel.iter().map(|&p| self.weights[p]).collect()),
+        }
+    }
+
+    /// The non-empty `parts`, appended column by column.
+    fn concat(mut parts: Vec<Signed>) -> Signed {
+        parts.retain(|p| !p.is_empty());
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_else(Signed::empty);
+        }
+        let first = &parts[0].batch;
+        let columns = (0..first.columns.len())
+            .map(|c| Arc::new(parts.iter().flat_map(|p| p.batch.gather(c)).collect()))
+            .collect();
+        let weights: Vec<i64> = parts
+            .iter()
+            .flat_map(|p| p.logical_weights().to_vec())
+            .collect();
+        Signed {
+            batch: Batch {
+                schema: first.schema.clone(),
+                columns,
+                sel: None,
+                base_rows: weights.len(),
+            },
+            weights: Arc::new(weights),
+        }
+    }
+}
+
+/// The weights of `d` net of cancelling rows — `keys` are the columns that
+/// tell rows apart. A row retracted more often than inserted keeps its
+/// deficit at its first occurrence; a surplus of insertions stays where the
+/// batch has them, earliest first, so what is appended is appended in batch
+/// order. This is the one place weights are consolidated, on the key hashes
+/// the consumer needs anyway, and a batch of one sign — every seed, most
+/// writes — has nothing to cancel and skips it.
+fn net_weights(keys: &Keys<'_>, d: &Signed) -> Result<Vec<i64>, EngineError> {
+    let weights: Vec<i64> = (0..keys.len()).map(|i| d.weight(i)).collect();
+    if weights.iter().all(|&w| w >= 0) || weights.iter().all(|&w| w <= 0) {
+        return Ok(weights);
+    }
+    let index = KeyIndex::new(keys, NullMode::GroupsWithNull)?;
+    let first: Vec<usize> = (0..weights.len())
+        .map(|i| index.first_match(keys, i).expect("a row matches itself"))
+        .collect();
+    let mut sum = vec![0; weights.len()];
+    for (&first, w) in first.iter().zip(&weights) {
+        sum[first] += w;
+    }
+    let mut net = vec![0; weights.len()];
+    for (i, (&first, &w)) in first.iter().zip(&weights).enumerate() {
+        if sum[first] < 0 {
+            if i == first {
+                net[i] = sum[first];
+            }
+        } else if w > 0 {
+            net[i] = w.min(sum[first]);
+            sum[first] -= net[i];
+        }
+    }
+    Ok(net)
+}
 
 /// Why a delta pass could not produce an answer: either the plan shape is
 /// outside the incremental fragment for this particular write (correlated
-/// `EXISTS` over a mutated table), or a hard execution error.
+/// `EXISTS` over a mutated table, a retraction that finds no row), or a hard
+/// execution error.
 enum DeltaFail {
     /// Fall back to a full re-seed of this plan; not an error.
     Bail,
@@ -1046,35 +1169,36 @@ impl From<EngineError> for DeltaFail {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum DeltaMode {
-    /// Build every operator cache from scratch: table scans emit the full
-    /// stored content as insertions against empty caches, so one code path
-    /// serves both initial materialisation and maintenance.
-    Seed,
-    /// Propagate a committed [`StorageDelta`] through the cached operators.
-    Incremental,
-}
-
 struct DeltaCtx<'a> {
-    storage: &'a Storage,
-    params: &'a ParamValues,
-    mode: DeltaMode,
-    delta: &'a StorageDelta,
+    vctx: VecCtx<'a>,
+    /// The committed write to fold in; `None` while seeding, when every scan
+    /// emits its whole table instead.
+    delta: Option<&'a StorageDelta>,
 }
 
-/// Per-`With` environment threaded through a delta pass: the definition's
-/// delta, its batch schema, and a materialised post-state batch for
-/// correlated subplans executed via the ordinary executor.
+impl DeltaCtx<'_> {
+    /// `exprs` over every row of `d` (stage-level expressions have no
+    /// enclosing row: the scope is empty).
+    fn eval_all<'b>(
+        &self,
+        exprs: &[VExpr],
+        d: &'b Signed,
+        ctes: &CteEnv,
+    ) -> Result<Vec<Vector<'b>>, EngineError> {
+        par_eval_all(&self.vctx, exprs, &d.batch, ctes, &ScopeStack::default())
+    }
+}
+
+/// Per-`With` environment threaded through a delta pass: each definition's
+/// delta and, where the body runs correlated subplans, its post-state batch.
 #[derive(Default, Clone)]
 struct DeltaEnv {
-    deltas: Vec<(String, DeltaRows)>,
-    schemas: Vec<(String, Arc<Vec<SchemaCol>>)>,
+    deltas: Vec<(String, Signed)>,
     materialised: CteEnv,
 }
 
 impl DeltaEnv {
-    fn delta_of(&self, name: &str) -> Option<&DeltaRows> {
+    fn delta_of(&self, name: &str) -> Option<&Signed> {
         self.deltas
             .iter()
             .rev()
@@ -1083,90 +1207,457 @@ impl DeltaEnv {
     }
 }
 
-/// The incremental twin of [`execute_plan`]: a `DeltaExec` keeps one
-/// cached output row multiset per plan node (indexed by the node's pre-order
-/// position in [`PhysicalPlan::nodes`]) and propagates signed row deltas
-/// through the operators instead of recomputing them.
-///
-/// [`DeltaExec::seed`] populates the caches from scratch — it is the same
-/// delta pass run in a mode where table scans emit their full stored content
-/// as insertions, so seeding, maintenance and fallback share one operator
-/// algebra. [`DeltaExec::apply`] then folds a committed [`StorageDelta`] in:
-/// subtrees whose referenced tables (and `WITH`-bound inputs) are untouched
-/// are skipped without recursion, and the root's emitted delta tells the
-/// caller exactly which output rows changed. `apply` returns `Ok(None)` when
-/// the write falls outside the incremental fragment (a correlated `EXISTS`
-/// over a mutated table); the caller re-seeds against post-state storage —
-/// correct by construction, since seeding is the same algebra.
-///
-/// Determinism: caches are maintained retract-first-occurrence /
-/// append-at-end — the same discipline [`Storage::apply_delta`]
-/// (`crate::delta`) uses for tables — and no operator lets hash-map
-/// iteration order reach its output, so two structurally identical subplans
-/// (e.g. the shared outer-query CTE of two shredded stages) maintained from
-/// identical seeds stay row-for-row identical. Window numbering
-/// (`RowNumber`) therefore assigns the same ranks in every stage, which is
-/// what keeps cross-stage index joins consistent under maintenance.
-pub struct DeltaExec {
-    caches: Vec<Vec<Row>>,
-    /// Static per-node facts (subtree extent, referenced tables, free CTEs),
-    /// computed once at construction so the per-write pass never re-walks
-    /// the plan structure.
-    info: Vec<NodeInfo>,
-    /// Lazily memoised output schema per node (schemas are static for a
-    /// fixed plan — the `WITH` bindings visible at a node never change).
-    schemas: Vec<Option<Arc<Vec<SchemaCol>>>>,
-    /// Set by an operator arm that installed its own cache contents (e.g.
-    /// `RowNumber` keeping its cache in rank order); tells [`delta_node`] to
-    /// skip the generic retract/append cache fold for that node.
-    cache_replaced: bool,
-    /// Per-`HashJoin`-node persistent hash indexes (one per side, keyed by
-    /// the join key values), maintained incrementally from the same deltas
-    /// as the row caches. A delta probes the *other* side's index instead of
-    /// scanning its full cached rows, so a small write costs O(delta ×
-    /// matches) rather than O(cache).
-    join_index: Vec<Option<JoinIndex>>,
+/// The rows a stateful operator keeps across writes: shared columns, one
+/// slot per stored copy of a row, under a [`PersistentIndex`] over the
+/// operator's key. Insertions append, a retraction tombstones the first live
+/// copy of its row — the discipline [`Storage::apply_delta`] commits tables
+/// with — and a slot stays readable until [`RowStore::compact`] renumbers.
+struct RowStore {
+    schema: Arc<Vec<SchemaCol>>,
+    /// `width` row columns, then one per computed key expression.
+    cols: Vec<Arc<Vec<SqlValue>>>,
+    width: usize,
+    /// The stored columns the index is keyed on.
+    key: Vec<usize>,
+    /// The key expressions that are not bare column references.
+    computed: Vec<VExpr>,
+    /// Whole-row hashes, so a retraction walking a long chain of one hot
+    /// key compares a word per candidate, not a row.
+    row_hash: Vec<u64>,
+    nulls: NullMode,
+    index: PersistentIndex,
 }
 
-/// The two sides' hash indexes of one `HashJoin` node. Bucket order is
-/// insertion order with first-occurrence removal — the same discipline as
-/// the row caches — so probe output stays deterministic.
-#[derive(Default)]
-struct JoinIndex {
-    left: HashMap<Row, Vec<Row>>,
-    right: HashMap<Row, Vec<Row>>,
+/// What [`RowStore::apply`] did: the slots it tombstoned and the slots it
+/// appended.
+struct Applied {
+    retracted: Vec<usize>,
+    inserted: std::ops::Range<usize>,
 }
 
-impl JoinIndex {
-    /// Fold one signed row into a side's index; `Err` when a retraction
-    /// misses (the write is outside the incremental fragment).
-    fn fold(
-        side: &mut HashMap<Row, Vec<Row>>,
-        key: Row,
-        row: &Row,
-        sign: i64,
-    ) -> Result<(), DeltaFail> {
-        if sign > 0 {
-            side.entry(key).or_default().push(row.clone());
-            return Ok(());
+/// The stored column each key expression reads: a bare column reference is
+/// the row's own column, anything else gets a column past `width` and is
+/// added to `computed`.
+fn key_columns(keys: &[VExpr], width: usize, computed: &mut Vec<VExpr>) -> Vec<usize> {
+    keys.iter()
+        .map(|k| match k {
+            VExpr::Col { index, .. } => *index,
+            other => {
+                computed.push(other.clone());
+                width + computed.len() - 1
+            }
+        })
+        .collect()
+}
+
+impl RowStore {
+    fn new(width: usize, key: Vec<usize>, computed: Vec<VExpr>, nulls: NullMode) -> RowStore {
+        RowStore {
+            schema: Arc::new(Vec::new()),
+            cols: (0..width + computed.len())
+                .map(|_| Arc::new(Vec::new()))
+                .collect(),
+            width,
+            key,
+            computed,
+            row_hash: Vec::new(),
+            nulls,
+            index: PersistentIndex::new(nulls),
         }
-        let missed = match side.get_mut(&key) {
-            Some(bucket) => match bucket.iter().position(|r| r == row) {
-                Some(at) => {
-                    bucket.remove(at);
-                    if bucket.is_empty() {
-                        side.remove(&key);
-                    }
-                    false
-                }
-                None => true,
-            },
-            None => true,
+    }
+
+    /// A store of `width`-column rows keyed on `keys` under SQL equality.
+    fn keyed(width: usize, keys: &[VExpr]) -> RowStore {
+        let mut computed = Vec::new();
+        let key = key_columns(keys, width, &mut computed);
+        RowStore::new(width, key, computed, NullMode::NeverMatches)
+    }
+
+    /// A store keyed on the whole row, `NULL`s grouping.
+    fn whole(width: usize) -> RowStore {
+        let key = (0..width).collect();
+        RowStore::new(width, key, Vec::new(), NullMode::GroupsWithNull)
+    }
+
+    /// Slots, dead ones included.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn column(&self, c: usize) -> Vector<'_> {
+        let rows = Rows::Range {
+            start: 0,
+            end: self.len(),
         };
-        if missed {
-            return Err(DeltaFail::Bail);
+        Vector::Col {
+            data: &self.cols[c],
+            rows,
         }
-        Ok(())
+    }
+
+    fn key_vectors(&self) -> Vec<Vector<'_>> {
+        self.key.iter().map(|&c| self.column(c)).collect()
+    }
+
+    /// The stored rows as a batch whose physical row is the slot. Shares the
+    /// columns: drop it before the next [`RowStore::apply`], or that copies.
+    fn view(&self) -> Batch {
+        Batch {
+            schema: self.schema.clone(),
+            columns: self.cols[..self.width].to_vec(),
+            sel: None,
+            base_rows: self.len(),
+        }
+    }
+
+    /// `(i, slot)` for every probe row `i` of `rows` and every live stored
+    /// row whose key equals its: probe order, then ascending slot — the pair
+    /// order of [`KeyIndex::join_pairs`].
+    fn probe(&self, keys: &Keys<'_>, rows: impl Iterator<Item = usize>) -> Vec<(usize, usize)> {
+        let stored = self.key_vectors();
+        let mut pairs = Vec::new();
+        for i in rows {
+            self.index.for_each_match(&stored, keys, i, |slot| {
+                pairs.push((i, slot));
+                true
+            });
+        }
+        pairs
+    }
+
+    /// The first live slot whose key equals that of probe row `i`.
+    fn find(&self, keys: &Keys<'_>, i: usize) -> Option<usize> {
+        let mut found = None;
+        self.index
+            .for_each_match(&self.key_vectors(), keys, i, |slot| {
+                found = Some(slot);
+                false
+            });
+        found
+    }
+
+    /// Append one copy of logical row `i` of `rows` (the store must be keyed
+    /// on the whole row and compute no key).
+    fn push(&mut self, rows: &Keys<'_>, i: usize) -> Result<usize, EngineError> {
+        for (col, v) in self.cols.iter_mut().zip(&rows.cols) {
+            Arc::make_mut(col).push(v.get(i).clone());
+        }
+        self.row_hash.push(rows.hashed.hashes[i]);
+        let appended = self.index.append(&KeyHashes {
+            hashes: vec![rows.hashed.hashes[i]],
+            has_null: vec![rows.hashed.has_null[i]],
+        })?;
+        Ok(appended.start)
+    }
+
+    /// Fold a signed batch in, net of cancelling rows: retractions first,
+    /// each tombstoning the first live copy of its row (none → bail), then
+    /// insertions appended in batch order. `keys` are `d`'s key columns
+    /// (`None`: the store is keyed on the whole row) and `computed` the
+    /// values of [`RowStore::computed`] over `d`. Rows whose key holds a
+    /// `NULL` under SQL equality are not stored: nothing can match them.
+    fn apply(
+        &mut self,
+        d: &Signed,
+        keys: Option<&Keys<'_>>,
+        computed: &[Vector<'_>],
+    ) -> Result<Applied, DeltaFail> {
+        let n = d.batch.len();
+        let rows = Keys::new(d.batch.column_vectors(), n);
+        let keys = keys.unwrap_or(&rows);
+        let net = net_weights(&rows, d)?;
+        let skip_nulls = self.nulls == NullMode::NeverMatches;
+        let stored = |i: usize| !(skip_nulls && keys.hashed.has_null[i]);
+        self.schema = d.batch.schema.clone();
+
+        let mut retracted = Vec::new();
+        for i in (0..n).filter(|&i| net[i] < 0 && stored(i)) {
+            for _ in 0..-net[i] {
+                let mut found = None;
+                self.index
+                    .for_each_candidate(keys.hashed.hashes[i], |slot| {
+                        let equal = self.row_hash[slot] == rows.hashed.hashes[i]
+                            && (0..self.width).all(|c| self.cols[c][slot] == *rows.cols[c].get(i));
+                        if equal {
+                            found = Some(slot);
+                        }
+                        !equal
+                    });
+                let slot = found.ok_or(DeltaFail::Bail)?;
+                self.index.tombstone(slot);
+                retracted.push(slot);
+            }
+        }
+
+        let ins: Vec<usize> = (0..n)
+            .filter(|&i| net[i] > 0 && stored(i))
+            .flat_map(|i| std::iter::repeat_n(i, net[i] as usize))
+            .collect();
+        let values = rows.cols.iter().chain(computed);
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            Arc::make_mut(col).extend(ins.iter().map(|&i| v.get(i).clone()));
+        }
+        self.row_hash
+            .extend(ins.iter().map(|&i| rows.hashed.hashes[i]));
+        let inserted = self.index.append(&KeyHashes {
+            hashes: ins.iter().map(|&i| keys.hashed.hashes[i]).collect(),
+            has_null: vec![false; ins.len()],
+        })?;
+        Ok(Applied {
+            retracted,
+            inserted,
+        })
+    }
+
+    /// Drop the dead slots once they outnumber the live ones; the surviving
+    /// old slots, ascending, are the new slots `0..`.
+    fn compact(&mut self) -> Option<Vec<usize>> {
+        let kept = self.index.compact()?;
+        for col in &mut self.cols {
+            *col = Arc::new(kept.iter().map(|&slot| col[slot].clone()).collect());
+        }
+        self.row_hash = kept.iter().map(|&slot| self.row_hash[slot]).collect();
+        Some(kept)
+    }
+}
+
+/// Weight sums per distinct key: what `DISTINCT`, `EXCEPT ALL` and a hash
+/// semi-join's build side keep instead of rows. An entry lives while either
+/// of its two sums is non-zero.
+struct Counts {
+    rows: RowStore,
+    sums: [Vec<i64>; 2],
+}
+
+impl Counts {
+    fn new(width: usize, nulls: NullMode) -> Counts {
+        Counts {
+            rows: RowStore::new(width, (0..width).collect(), Vec::new(), nulls),
+            sums: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// The sums of probe row `i`'s key.
+    fn get(&self, keys: &Keys<'_>, i: usize) -> [i64; 2] {
+        match self.rows.find(keys, i) {
+            Some(entry) => [self.sums[0][entry], self.sums[1][entry]],
+            None => [0, 0],
+        }
+    }
+
+    /// Add `w` to sum `side` of probe row `i`'s key; returns the sums before.
+    fn bump(
+        &mut self,
+        keys: &Keys<'_>,
+        i: usize,
+        side: usize,
+        w: i64,
+    ) -> Result<[i64; 2], EngineError> {
+        let entry = match self.rows.find(keys, i) {
+            Some(entry) => entry,
+            None => {
+                self.sums.iter_mut().for_each(|s| s.push(0));
+                self.rows.push(keys, i)?
+            }
+        };
+        let before = [self.sums[0][entry], self.sums[1][entry]];
+        self.sums[side][entry] += w;
+        if self.sums.iter().all(|s| s[entry] == 0) {
+            self.rows.index.tombstone(entry);
+            if let Some(kept) = self.rows.compact() {
+                for s in &mut self.sums {
+                    *s = kept.iter().map(|&entry| s[entry]).collect();
+                }
+            }
+        }
+        Ok(before)
+    }
+
+    /// Run the net rows of `d` through sum `side` and emit, for each key, by
+    /// how much `out` of its sums moved (`DISTINCT`: whether the key is
+    /// present; `EXCEPT ALL`: the surplus of the left sum). A sum driven
+    /// below zero retracts what was never there: bail.
+    fn fold(
+        &mut self,
+        side: usize,
+        d: &Signed,
+        out: fn([i64; 2]) -> i64,
+    ) -> Result<Signed, DeltaFail> {
+        let rows = Keys::new(d.batch.column_vectors(), d.batch.len());
+        let net = net_weights(&rows, d)?;
+        let mut sel = Vec::new();
+        let mut weights = vec![0; d.batch.base_rows];
+        for i in (0..rows.len()).filter(|&i| net[i] != 0) {
+            let before = self.bump(&rows, i, side, net[i])?;
+            let mut after = before;
+            after[side] += net[i];
+            if after[side] < 0 {
+                return Err(DeltaFail::Bail);
+            }
+            if out(after) != out(before) {
+                let p = d.batch.rows().phys(i);
+                sel.push(p);
+                weights[p] = out(after) - out(before);
+            }
+        }
+        Ok(Signed {
+            batch: d.batch.clone().with_sel(sel),
+            weights: Arc::new(weights),
+        })
+    }
+}
+
+/// `ROW_NUMBER` state: the input rows, and per window their rank order and
+/// each row's current rank.
+struct RankState {
+    rows: RowStore,
+    /// Per window, the stored columns it orders by.
+    specs: Vec<Vec<usize>>,
+    /// Per window, the live slots in rank order: key order, ties to the
+    /// smaller slot — the input order, since rows are appended.
+    order: Vec<Vec<usize>>,
+    /// Per window, the rank last emitted for each slot.
+    rank: Vec<Vec<i64>>,
+}
+
+impl RankState {
+    fn new(width: usize, specs: &[Vec<VExpr>]) -> RankState {
+        let mut computed = Vec::new();
+        let specs: Vec<Vec<usize>> = specs
+            .iter()
+            .map(|keys| key_columns(keys, width, &mut computed))
+            .collect();
+        let key = (0..width).collect();
+        RankState {
+            rows: RowStore::new(width, key, computed, NullMode::GroupsWithNull),
+            order: vec![Vec::new(); specs.len()],
+            rank: vec![Vec::new(); specs.len()],
+            specs,
+        }
+    }
+
+    /// Fold the input delta in and emit the exact output delta. The inserted
+    /// rows are sorted once per window and merged into the cached order
+    /// ([`kernels::merge_into_order`]); a surviving row is re-emitted only
+    /// if its position in some window moved. Linear in cache + delta, up to
+    /// the sort of the delta.
+    fn apply(&mut self, din: &Signed, computed: &[Vector<'_>]) -> Result<Signed, DeltaFail> {
+        let applied = self.rows.apply(din, None, computed)?;
+        let first_new = applied.inserted.start;
+        let mut moved: Vec<usize> = Vec::new();
+        let mut merged = Vec::with_capacity(self.specs.len());
+        for (s, spec) in self.specs.iter().enumerate() {
+            let keys: Vec<Vector<'_>> = spec.iter().map(|&c| self.rows.column(c)).collect();
+            let new = kernels::sort_rows(&keys, applied.inserted.clone());
+            let order = kernels::merge_into_order(&keys, &self.order[s], &new, |slot| {
+                self.rows.index.is_live(slot)
+            });
+            moved.extend(order.iter().enumerate().filter_map(|(at, &slot)| {
+                (slot < first_new && self.rank[s][slot] != at as i64 + 1).then_some(slot)
+            }));
+            merged.push(order);
+        }
+        moved.sort_unstable();
+        moved.dedup();
+
+        // Out with the old ranks, then in with the new ones.
+        let mut slots = applied.retracted;
+        slots.extend(&moved);
+        let retractions = slots.len();
+        let ranks_of = |rank: &[i64], slots: &[usize]| -> Vec<SqlValue> {
+            slots
+                .iter()
+                .map(|&slot| SqlValue::Int(rank[slot]))
+                .collect()
+        };
+        let mut ranks: Vec<Vec<SqlValue>> = self.rank.iter().map(|r| ranks_of(r, &slots)).collect();
+        for (s, order) in merged.into_iter().enumerate() {
+            self.rank[s].resize(self.rows.len(), 0);
+            for (at, &slot) in order.iter().enumerate() {
+                self.rank[s][slot] = at as i64 + 1;
+            }
+            self.order[s] = order;
+        }
+        slots.extend(&moved);
+        slots.extend(applied.inserted);
+        for (s, column) in ranks.iter_mut().enumerate() {
+            column.extend(ranks_of(&self.rank[s], &slots[retractions..]));
+        }
+
+        let mut weights = vec![-1; retractions];
+        weights.resize(slots.len(), 1);
+        let rows = self.rows.view().with_sel(slots).materialised();
+        let out = with_rank_columns(rows, ranks.into_iter().map(Arc::new).collect());
+        if let Some(kept) = self.rows.compact() {
+            let mut renumbered = vec![0; kept.last().map_or(0, |&slot| slot + 1)];
+            for (new, &old) in kept.iter().enumerate() {
+                renumbered[old] = new;
+            }
+            for (order, rank) in self.order.iter_mut().zip(&mut self.rank) {
+                order.iter_mut().for_each(|slot| *slot = renumbered[*slot]);
+                *rank = kept.iter().map(|&slot| rank[slot]).collect();
+            }
+        }
+        Ok(Signed {
+            batch: out,
+            weights: Arc::new(weights),
+        })
+    }
+}
+
+/// What a plan node keeps between writes.
+enum NodeState {
+    /// A pure delta transformer: scans, filters, projections, unions, `WITH`.
+    None,
+    /// Both sides of a hash join — or, keyed on nothing, of a cross product.
+    Join {
+        left: RowStore,
+        right: RowStore,
+    },
+    /// A hash semi-join's input rows by probe key and build keys by count.
+    Semi {
+        input: RowStore,
+        build: Counts,
+    },
+    Rank(RankState),
+    /// `DISTINCT` (one sum per row) and `EXCEPT ALL` (one per side).
+    Counts(Counts),
+}
+
+impl NodeState {
+    fn of(plan: &PhysicalPlan) -> NodeState {
+        match plan {
+            PhysicalPlan::NestedLoopJoin { left, right } => NodeState::Join {
+                left: RowStore::keyed(left.output_width(), &[]),
+                right: RowStore::keyed(right.output_width(), &[]),
+            },
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                ..
+            } => NodeState::Join {
+                left: RowStore::keyed(left.output_width(), left_keys),
+                right: RowStore::keyed(right.output_width(), right_keys),
+            },
+            PhysicalPlan::HashSemiJoin {
+                input,
+                probe_keys,
+                build_keys,
+                ..
+            } => NodeState::Semi {
+                input: RowStore::keyed(input.output_width(), probe_keys),
+                build: Counts::new(build_keys.len(), NullMode::NeverMatches),
+            },
+            PhysicalPlan::RowNumber { input, specs } => {
+                NodeState::Rank(RankState::new(input.output_width(), specs))
+            }
+            PhysicalPlan::Distinct { input: rows } | PhysicalPlan::ExceptAll { left: rows, .. } => {
+                NodeState::Counts(Counts::new(rows.output_width(), NullMode::GroupsWithNull))
+            }
+            _ => NodeState::None,
+        }
     }
 }
 
@@ -1183,17 +1674,9 @@ struct NodeInfo {
     /// Every free `WITH`-bound name the subtree reads.
     free_ctes: Vec<String>,
     /// Does the subtree execute a correlated subplan (exists-semijoin or an
-    /// `EXISTS` inside an expression)? Only those consult a `WITH` binding's
-    /// *materialised* batch, so `With` maintenance skips materialisation
-    /// when this is false.
+    /// `EXISTS` inside an expression)? Only those read a `WITH` binding's
+    /// *materialised* batch, so `With` maintenance binds one only then.
     execs_subplans: bool,
-    /// Is this node's cache read during *incremental* maintenance? Most
-    /// operators are pure delta transformers — only caches somebody actually
-    /// consults (the root's output, rank and bag-difference state, the sides
-    /// of non-indexed joins, materialised `WITH` definitions) are worth the
-    /// per-write retraction sweep; the rest go stale until the next seed,
-    /// which rebuilds every cache anyway.
-    live_cache: bool,
 }
 
 fn build_node_info(plan: &PhysicalPlan, acc: &mut Vec<NodeInfo>) {
@@ -1211,98 +1694,81 @@ fn build_node_info(plan: &PhysicalPlan, acc: &mut Vec<NodeInfo>) {
         first_child,
         tables: plan.referenced_tables().into_iter().collect(),
         free_ctes: plan.free_ctes().into_iter().collect(),
-        execs_subplans: plan_execs_subplans(plan),
-        live_cache: false,
+        execs_subplans: plan.nodes().iter().any(|n| {
+            matches!(n, PhysicalPlan::ExistsSemiJoin { .. }) || !n.expr_subplans().is_empty()
+        }),
     };
 }
 
-/// Mark the node caches that incremental maintenance actually reads (see
-/// [`NodeInfo::live_cache`]). Mirrors `delta_op`'s consumers exactly:
-/// anything unmarked is never consulted between seeds.
-fn mark_live_caches(plan: &PhysicalPlan, idx: usize, info: &mut [NodeInfo]) {
-    let child_idx = info[idx].first_child;
-    match plan {
-        PhysicalPlan::NestedLoopJoin { .. } => {
-            // Δ(L × R) joins each side's delta against the other's cache.
-            info[child_idx].live_cache = true;
-            let right_idx = child_idx + info[child_idx].len;
-            info[right_idx].live_cache = true;
-        }
-        PhysicalPlan::RowNumber { specs, .. } => {
-            info[idx].live_cache = true;
-            if all_col_specs(specs).is_none() {
-                // The interpreter fallback re-ranks the full input.
-                info[child_idx].live_cache = true;
-            }
-        }
-        PhysicalPlan::Distinct { .. } => {
-            // Multiplicity recovery reads the child's post-delta rows.
-            info[child_idx].live_cache = true;
-        }
-        PhysicalPlan::ExceptAll { .. } => {
-            // The bag difference is replayed from both children in full.
-            info[idx].live_cache = true;
-            info[child_idx].live_cache = true;
-            let right_idx = child_idx + info[child_idx].len;
-            info[right_idx].live_cache = true;
-        }
-        PhysicalPlan::With { .. } => {
-            let body_idx = child_idx + info[child_idx].len;
-            if info[body_idx].execs_subplans {
-                // Correlated subplans in the body read the materialised
-                // definition.
-                info[child_idx].live_cache = true;
-            }
-        }
-        _ => {}
-    }
-    let mut at = child_idx;
-    for child in plan.children() {
-        mark_live_caches(child, at, info);
-        at += info[at].len;
-    }
+/// The change one [`DeltaExec::apply`] made to the plan's output, as slots
+/// of the executor's columnar output cache ([`DeltaExec::column`]). A
+/// retracted slot stays readable until [`DeltaExec::compact`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RootDelta {
+    pub retracted: Vec<usize>,
+    pub inserted: Vec<usize>,
+}
+
+/// The incremental twin of [`execute_plan`]: a `DeltaExec` propagates signed
+/// columnar batches ([`Signed`]) through the plan's operators instead of
+/// recomputing them, on the kernels the batch executor runs — [`eval`],
+/// [`select_true`], [`project_columns`] and [`join_gather`] for the
+/// stateless operators, [`kernels::hash_keys`] and a [`PersistentIndex`] for
+/// the keyed ones. State lives only where an operator needs its past input
+/// ([`NodeState`]) and at the root, whose columnar cache is the plan's
+/// current output.
+///
+/// [`DeltaExec::seed`] is the same pass with every scan emitting its whole
+/// table at weight +1 into empty state — an operator's output delta from
+/// nothing is its output — so seeding, maintenance and fallback share one
+/// operator algebra. [`DeltaExec::apply`] folds a committed
+/// [`StorageDelta`] in: subtrees whose referenced tables (and `WITH`-bound
+/// inputs) are untouched are skipped without recursion, and the returned
+/// [`RootDelta`] tells the caller exactly which output rows changed. `apply`
+/// returns `Ok(None)` when the write falls outside the incremental fragment
+/// (a correlated `EXISTS` over a mutated table); the caller re-seeds against
+/// post-state storage.
+///
+/// Determinism: every store is maintained retract-first-occurrence /
+/// append-at-end — the discipline [`Storage::apply_delta`] (`crate::delta`)
+/// uses for tables — and chains, pair lists and rank orders are all
+/// ascending in slot, so no hash order reaches an output. Two structurally
+/// identical subplans (e.g. the shared outer-query CTE of two shredded
+/// stages) maintained from identical seeds stay row-for-row identical, so
+/// `RowNumber` breaks ties the same way in every stage, which is what keeps
+/// cross-stage index joins consistent under maintenance.
+pub struct DeltaExec {
+    /// Static per-node facts (subtree extent, referenced tables, free CTEs),
+    /// computed once at construction so the per-write pass never re-walks
+    /// the plan structure.
+    info: Vec<NodeInfo>,
+    states: Vec<NodeState>,
+    /// The plan's current output.
+    root: RowStore,
 }
 
 impl DeltaExec {
-    /// Empty caches for a plan; call [`DeltaExec::seed`] before `apply`.
+    /// Empty state for a plan; call [`DeltaExec::seed`] before `apply`.
     pub fn new(plan: &PhysicalPlan) -> DeltaExec {
         let mut info = Vec::new();
         build_node_info(plan, &mut info);
-        mark_live_caches(plan, 0, &mut info);
-        // The root's cache is the public output ([`DeltaExec::rows`]).
-        info[0].live_cache = true;
-        let n = info.len();
         DeltaExec {
-            caches: vec![Vec::new(); n],
             info,
-            schemas: vec![None; n],
-            cache_replaced: false,
-            join_index: (0..n).map(|_| None).collect(),
+            states: plan.nodes().into_iter().map(NodeState::of).collect(),
+            root: RowStore::whole(plan.output_width()),
         }
     }
 
-    /// (Re)build every operator cache from scratch against `storage`. The
-    /// root cache afterwards holds the plan's full output (row-major).
+    /// (Re)build all state from scratch against `storage`.
     pub fn seed(
         &mut self,
         plan: &PhysicalPlan,
         storage: &Storage,
         params: &ParamValues,
     ) -> Result<(), EngineError> {
-        for cache in &mut self.caches {
-            cache.clear();
-        }
-        for index in &mut self.join_index {
-            *index = None;
-        }
-        let empty = StorageDelta::default();
-        let ctx = DeltaCtx {
-            storage,
-            params,
-            mode: DeltaMode::Seed,
-            delta: &empty,
-        };
-        match self.delta_node(plan, 0, &ctx, &DeltaEnv::default()) {
+        self.states = plan.nodes().into_iter().map(NodeState::of).collect();
+        self.root = RowStore::whole(plan.output_width());
+        match self.pass(plan, storage, params, None) {
             Ok(_) => Ok(()),
             Err(DeltaFail::Err(e)) => Err(e),
             Err(DeltaFail::Bail) => Err(EngineError::TypeError(
@@ -1311,38 +1777,82 @@ impl DeltaExec {
         }
     }
 
-    /// Fold a committed write delta into the caches. `storage` must be the
-    /// **post-state** (the delta already applied): incremental operators
-    /// work off their caches and the delta alone, and the only storage reads
-    /// are correlated `EXISTS` subplans over tables the delta provably did
-    /// not touch (where pre- and post-state agree).
+    /// Fold a committed write delta in. `storage` must be the **post-state**
+    /// (the delta already applied): incremental operators work off their
+    /// state and the delta alone, and the only storage reads are correlated
+    /// `EXISTS` subplans over tables the delta provably did not touch (where
+    /// pre- and post-state agree).
     ///
-    /// Returns the root's normalised output delta, or `None` when the write
-    /// falls outside the incremental fragment — the caches are then stale
-    /// and the caller must [`DeltaExec::seed`] again.
+    /// Returns the net change of the output, or `None` when the write falls
+    /// outside the incremental fragment — the state is then stale, as it is
+    /// after an `Err`, and the caller must [`DeltaExec::seed`] again.
     pub fn apply(
         &mut self,
         plan: &PhysicalPlan,
         storage: &Storage,
         params: &ParamValues,
         delta: &StorageDelta,
-    ) -> Result<Option<DeltaRows>, EngineError> {
-        let ctx = DeltaCtx {
-            storage,
-            params,
-            mode: DeltaMode::Incremental,
-            delta,
-        };
-        match self.delta_node(plan, 0, &ctx, &DeltaEnv::default()) {
+    ) -> Result<Option<RootDelta>, EngineError> {
+        match self.pass(plan, storage, params, Some(delta)) {
             Ok(delta) => Ok(Some(delta)),
             Err(DeltaFail::Bail) => Ok(None),
             Err(DeltaFail::Err(e)) => Err(e),
         }
     }
 
-    /// The plan's full current output: the root node's cache.
-    pub fn rows(&self) -> &[Row] {
-        &self.caches[0]
+    fn pass(
+        &mut self,
+        plan: &PhysicalPlan,
+        storage: &Storage,
+        params: &ParamValues,
+        delta: Option<&StorageDelta>,
+    ) -> Result<RootDelta, DeltaFail> {
+        let ctx = DeltaCtx {
+            vctx: VecCtx::unpooled(storage, params),
+            delta,
+        };
+        let out = self.delta_node(plan, 0, &ctx, &DeltaEnv::default())?;
+        if out.is_empty() {
+            return Ok(RootDelta::default());
+        }
+        let applied = self.root.apply(&out, None, &[])?;
+        Ok(RootDelta {
+            retracted: applied.retracted,
+            inserted: applied.inserted.collect(),
+        })
+    }
+
+    /// Columns of the output cache.
+    pub fn width(&self) -> usize {
+        self.root.width
+    }
+
+    /// Column `c` of the output cache, by slot (dead slots included).
+    pub fn column(&self, c: usize) -> &[SqlValue] {
+        &self.root.cols[c]
+    }
+
+    /// Does `slot` hold a current output row?
+    pub fn is_live(&self, slot: usize) -> bool {
+        self.root.index.is_live(slot)
+    }
+
+    /// The slots of the plan's current output, ascending.
+    pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.root.len()).filter(|&slot| self.is_live(slot))
+    }
+
+    /// The plan's full current output, row-major.
+    pub fn rows(&self) -> Vec<Row> {
+        let view = self.root.view();
+        self.live_slots().map(|slot| view.row_at(slot)).collect()
+    }
+
+    /// Drop the output cache's dead slots once they outnumber the live ones.
+    /// `true` if slots were renumbered: every slot handed out before is then
+    /// void, and [`DeltaExec::live_slots`] lists the new ones.
+    pub fn compact(&mut self) -> bool {
+        self.root.compact().is_some()
     }
 
     /// Can the subtree at `idx` be skipped outright for this write? Yes when
@@ -1350,13 +1860,13 @@ impl DeltaExec {
     /// input it reads has an empty delta. Also doubles as the "is a
     /// correlated subplan safe to evaluate against post-state storage?"
     /// check — the write then provably did not change anything it reads.
-    fn can_skip(&self, idx: usize, ctx: &DeltaCtx<'_>, env: &DeltaEnv) -> bool {
+    fn can_skip(&self, idx: usize, delta: &StorageDelta, env: &DeltaEnv) -> bool {
         let info = &self.info[idx];
-        info.tables.iter().all(|t| !ctx.delta.touches(t))
+        info.tables.iter().all(|t| !delta.touches(t))
             && info
                 .free_ctes
                 .iter()
-                .all(|n| env.delta_of(n).is_some_and(Vec::is_empty))
+                .all(|n| env.delta_of(n).is_some_and(Signed::is_empty))
     }
 
     fn delta_node(
@@ -1365,97 +1875,71 @@ impl DeltaExec {
         idx: usize,
         ctx: &DeltaCtx<'_>,
         env: &DeltaEnv,
-    ) -> Result<DeltaRows, DeltaFail> {
-        if ctx.mode == DeltaMode::Incremental {
-            if self.can_skip(idx, ctx, env) {
-                return Ok(Vec::new());
+    ) -> Result<Signed, DeltaFail> {
+        if let Some(delta) = ctx.delta {
+            if self.can_skip(idx, delta, env) {
+                return Ok(Signed::empty());
             }
             // Expression subplans occupy the pre-order slots between this
             // node and its first structural child.
             let mut sub = idx + 1;
             while sub < self.info[idx].first_child {
-                if !self.can_skip(sub, ctx, env) {
+                if !self.can_skip(sub, delta, env) {
                     return Err(DeltaFail::Bail);
                 }
                 sub += self.info[sub].len;
             }
         }
-        // Operators that install their cache contents themselves (rank and
-        // bag-difference nodes, whose caches are kept in *output* order) set
-        // `cache_replaced`; everyone else gets the generic signed-delta
-        // cache update.
-        self.cache_replaced = false;
-        let raw = self.delta_op(plan, idx, ctx, env)?;
-        let replaced = std::mem::take(&mut self.cache_replaced);
-        let delta = normalise_delta(raw);
-        // Seeding fills every cache (the seed pass reads them as it goes);
-        // afterwards only the caches some operator actually consults are
-        // kept current.
-        if !replaced && (ctx.mode == DeltaMode::Seed || self.info[idx].live_cache) {
-            self.update_cache(idx, &delta)?;
-        }
-        Ok(delta)
-    }
-
-    fn delta_op(
-        &mut self,
-        plan: &PhysicalPlan,
-        idx: usize,
-        ctx: &DeltaCtx<'_>,
-        env: &DeltaEnv,
-    ) -> Result<DeltaRows, DeltaFail> {
-        let child_idx = self.info[idx].first_child;
+        let first = self.info[idx].first_child;
+        let second = first + self.info.get(first).map_or(0, |child| child.len);
+        let ctes = &env.materialised;
+        let scope = ScopeStack::default();
         match plan {
-            PhysicalPlan::UnitRow => Ok(match ctx.mode {
-                DeltaMode::Seed => vec![(Vec::new(), 1)],
-                DeltaMode::Incremental => Vec::new(),
-            }),
-            PhysicalPlan::TableScan { table, columns, .. } => match ctx.mode {
-                DeltaMode::Seed => {
-                    let table = ctx.storage.table(table)?;
-                    let names = table.def.column_names();
-                    if names != *columns {
-                        return Err(EngineError::TypeError(format!(
-                            "physical plan for table {} was compiled against columns ({}) \
-                             but storage has ({})",
-                            table.def.name,
-                            columns.join(", "),
-                            names.join(", ")
-                        ))
-                        .into());
-                    }
-                    Ok(table.rows.iter().map(|r| (r.clone(), 1)).collect())
-                }
-                DeltaMode::Incremental => Ok(ctx
-                    .delta
-                    .get(table)
-                    .map(|d| d.signed_rows().map(|(r, s)| (r.clone(), s)).collect())
-                    .unwrap_or_default()),
-            },
-            PhysicalPlan::CteScan { name, .. } => Ok(env
-                .delta_of(name)
-                .ok_or_else(|| EngineError::UnknownCte(name.clone()))?
-                .clone()),
-            PhysicalPlan::SubqueryScan { input, .. } => self.delta_node(input, child_idx, ctx, env),
+            // Seeding: a leaf is its ordinary execution, every row inserted.
+            PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } if ctx.delta.is_none() => {
+                Ok(Signed::inserted(exec(plan, &ctx.vctx, ctes, &scope)?))
+            }
+            PhysicalPlan::UnitRow => Ok(Signed::empty()),
+            PhysicalPlan::TableScan {
+                table,
+                alias,
+                columns,
+                ..
+            } => {
+                let Some(written) = ctx.delta.and_then(|delta| delta.get(table)) else {
+                    return Ok(Signed::empty());
+                };
+                let schema = columns
+                    .iter()
+                    .map(|c| (Some(alias.clone()), c.clone()))
+                    .collect();
+                let rows = written.signed_rows().map(|(row, _)| row.clone()).collect();
+                Ok(Signed {
+                    batch: Batch::from_rows(Arc::new(schema), rows),
+                    weights: Arc::new(written.signed_rows().map(|(_, sign)| sign).collect()),
+                })
+            }
+            PhysicalPlan::CteScan { name, alias, .. } => {
+                let bound = env
+                    .delta_of(name)
+                    .ok_or_else(|| EngineError::UnknownCte(name.clone()))?;
+                Ok(Signed {
+                    batch: realias(&bound.batch, alias),
+                    weights: bound.weights.clone(),
+                })
+            }
+            PhysicalPlan::SubqueryScan { input, alias } => {
+                let d = self.delta_node(input, first, ctx, env)?;
+                Ok(Signed {
+                    batch: realias(&d.batch, alias),
+                    weights: d.weights,
+                })
+            }
+            // A cross product is the join on no key.
             PhysicalPlan::NestedLoopJoin { left, right } => {
-                let right_idx = child_idx + self.info[child_idx].len;
-                let mut out = Vec::new();
-                // Δ(L × R) = ΔL × R_old ⊎ L_new × ΔR: joining each delta
-                // against the *other* side's cache as it stands at that
-                // point in the pass needs no pre-recursion snapshot clones.
-                let dl = self.delta_node(left, child_idx, ctx, env)?;
-                for (l, sl) in &dl {
-                    for r in &self.caches[right_idx] {
-                        out.push((concat_rows(l, r), *sl));
-                    }
-                }
-                let dr = self.delta_node(right, right_idx, ctx, env)?;
-                for l in &self.caches[child_idx] {
-                    for (r, sr) in &dr {
-                        out.push((concat_rows(l, r), *sr));
-                    }
-                }
-                Ok(out)
+                let dl = self.delta_node(left, first, ctx, env)?;
+                let dr = self.delta_node(right, second, ctx, env)?;
+                self.join(idx, &dl, &dr, [&[], &[]], ctx, ctes)
             }
             PhysicalPlan::HashJoin {
                 left,
@@ -1464,86 +1948,43 @@ impl DeltaExec {
                 right_keys,
                 ..
             } => {
-                let right_idx = child_idx + self.info[child_idx].len;
-                let left_schema = self.node_schema(left, child_idx, env)?;
-                let right_schema = self.node_schema(right, right_idx, env)?;
-                let mut out = Vec::new();
-                // Δ(L ⋈ R) = ΔL ⋈ R_old ⊎ L_new ⋈ ΔR, off the node's two
-                // persistent hash indexes: ΔL probes the right index before
-                // ΔR is folded in (so it sees R_old), ΔR probes the left
-                // index after ΔL was folded (so it sees L_new). A small
-                // write therefore costs O(delta × matches), never a scan of
-                // the cached side.
-                let dl = self.delta_node(left, child_idx, ctx, env)?;
-                let index = self.join_index[idx].get_or_insert_with(JoinIndex::default);
-                for (l, sl) in &dl {
-                    let Some(key) = row_key(left_keys, l, &left_schema, ctx, env)? else {
-                        continue;
-                    };
-                    if let Some(bucket) = index.right.get(&key) {
-                        for r in bucket {
-                            out.push((concat_rows(l, r), *sl));
-                        }
-                    }
-                    JoinIndex::fold(&mut index.left, key, l, *sl)?;
-                }
-                let dr = self.delta_node(right, right_idx, ctx, env)?;
-                let index = self.join_index[idx]
-                    .as_mut()
-                    .expect("join index initialised above");
-                for (r, sr) in &dr {
-                    let Some(key) = row_key(right_keys, r, &right_schema, ctx, env)? else {
-                        continue;
-                    };
-                    if let Some(bucket) = index.left.get(&key) {
-                        for l in bucket {
-                            out.push((concat_rows(l, r), *sr));
-                        }
-                    }
-                    JoinIndex::fold(&mut index.right, key, r, *sr)?;
-                }
-                Ok(out)
+                let dl = self.delta_node(left, first, ctx, env)?;
+                let dr = self.delta_node(right, second, ctx, env)?;
+                self.join(idx, &dl, &dr, [left_keys, right_keys], ctx, ctes)
             }
             PhysicalPlan::Filter { input, predicate } => {
-                let schema = self.node_schema(input, child_idx, env)?;
-                let din = self.delta_node(input, child_idx, ctx, env)?;
-                let mut out = Vec::new();
-                for (row, sign) in din {
-                    if eval_row(predicate, &row, &schema, ctx, env)?.as_bool() == Some(true) {
-                        out.push((row, sign));
-                    }
+                let d = self.delta_node(input, first, ctx, env)?;
+                if d.is_empty() {
+                    return Ok(d);
                 }
-                Ok(out)
+                let sel =
+                    select_true(predicate, &d.batch, d.batch.rows(), &ctx.vctx, ctes, &scope)?;
+                Ok(Signed {
+                    batch: d.batch.with_sel(sel),
+                    weights: d.weights,
+                })
             }
             PhysicalPlan::ExistsSemiJoin {
                 input,
                 subplan,
                 anti,
             } => {
-                let subplan_idx = child_idx + self.info[child_idx].len;
-                if ctx.mode == DeltaMode::Incremental && !self.can_skip(subplan_idx, ctx, env) {
+                if ctx
+                    .delta
+                    .is_some_and(|delta| !self.can_skip(second, delta, env))
+                {
                     return Err(DeltaFail::Bail);
                 }
-                let schema = self.node_schema(input, child_idx, env)?;
-                let din = self.delta_node(input, child_idx, ctx, env)?;
-                let vctx = VecCtx::unpooled(ctx.storage, ctx.params);
-                let mut out = Vec::new();
-                for (row, sign) in din {
-                    let frame = ScopeFrame {
-                        schema: schema.clone(),
-                        values: row.clone(),
-                    };
-                    let inner = exec(
-                        subplan,
-                        &vctx,
-                        &env.materialised,
-                        &ScopeStack::default().pushed(frame),
-                    )?;
-                    if inner.is_empty() == *anti {
-                        out.push((row, sign));
-                    }
+                let d = self.delta_node(input, first, ctx, env)?;
+                if d.is_empty() {
+                    return Ok(d);
                 }
-                Ok(out)
+                let rows = d.batch.rows();
+                let sel = exists_select(subplan, *anti, &d.batch, rows, &ctx.vctx, ctes, &scope)?;
+                Ok(Signed {
+                    batch: d.batch.with_sel(sel),
+                    weights: d.weights,
+                })
             }
             PhysicalPlan::HashSemiJoin {
                 input,
@@ -1552,701 +1993,210 @@ impl DeltaExec {
                 build_keys,
                 anti,
             } => {
-                // Fully incremental — this is what moves decorrelated
-                // Q2-shaped stages out of the reseed-on-every-write path.
-                // The node keeps a `JoinIndex`: `left` holds the input rows
-                // by probe key (NULL-keyed rows excluded — their membership
-                // never depends on the build side), `right` the build rows
-                // by build key. Δout decomposes as
-                //   Δout = Σ_{keys whose build membership toggled} ±I_old(k)
-                //        ⊎ ΔI probed against K_new,
-                // processing build toggles against the *pre-ΔI* input index
-                // and the input delta against the *post-ΔB* key set.
-                let build_idx = child_idx + self.info[child_idx].len;
-                let din = self.delta_node(input, child_idx, ctx, env)?;
-                let db = self.delta_node(build, build_idx, ctx, env)?;
-                let input_schema = self.node_schema(input, child_idx, env)?;
-                let build_schema = self.node_schema(build, build_idx, env)?;
-                let mut out = Vec::new();
-                let semi_sign = if *anti { -1 } else { 1 };
-                let index = self.join_index[idx].get_or_insert_with(JoinIndex::default);
-                for (brow, sign) in &db {
-                    let Some(key) = row_key(build_keys, brow, &build_schema, ctx, env)? else {
-                        continue;
-                    };
-                    let present_before = index.right.contains_key(&key);
-                    JoinIndex::fold(&mut index.right, key.clone(), brow, *sign)?;
-                    let present_after = index.right.contains_key(&key);
-                    if present_before != present_after {
-                        if let Some(bucket) = index.left.get(&key) {
-                            let toggle = if present_after { 1 } else { -1 } * semi_sign;
-                            for irow in bucket {
-                                out.push((irow.clone(), toggle));
-                            }
-                        }
-                    }
-                }
-                for (irow, sign) in &din {
-                    let key = row_key(probe_keys, irow, &input_schema, ctx, env)?;
-                    let matched = key.as_ref().is_some_and(|k| index.right.contains_key(k));
-                    if matched != *anti {
-                        out.push((irow.clone(), *sign));
-                    }
-                    if let Some(key) = key {
-                        JoinIndex::fold(&mut index.left, key, irow, *sign)?;
-                    }
-                }
-                Ok(out)
+                let din = self.delta_node(input, first, ctx, env)?;
+                let db = self.delta_node(build, second, ctx, env)?;
+                self.semi_join(idx, &din, &db, [probe_keys, build_keys], *anti, ctx, ctes)
             }
-            PhysicalPlan::RowNumber { input, specs } => {
-                let schema = self.node_schema(input, child_idx, env)?;
-                let din = self.delta_node(input, child_idx, ctx, env)?;
+            PhysicalPlan::RowNumber { input, .. } => {
+                let din = self.delta_node(input, first, ctx, env)?;
                 if din.is_empty() {
-                    return Ok(Vec::new());
+                    return Ok(din);
                 }
-                // The common shredded shape orders each window by plain
-                // columns; ranks then shift only where sorted positions
-                // move, so the cached output can be patched in place from
-                // the input delta alone — no re-sort, no full-output clone.
-                if ctx.mode == DeltaMode::Incremental {
-                    if let Some(col_specs) = all_col_specs(specs) {
-                        let delta = incremental_rank(&mut self.caches[idx], &col_specs, &din)?;
-                        self.cache_replaced = true;
-                        return Ok(delta);
-                    }
-                }
-                let new_out = rank_rows(&self.caches[child_idx], specs, &schema, ctx, env)?;
-                let delta = positional_diff(&new_out, &self.caches[idx]);
-                // Replace the cache with the freshly ranked output instead
-                // of letting the generic retract/append pass disorder it:
-                // `positional_diff` only stays O(change) while the cache
-                // mirrors the input order it is diffed against.
-                self.caches[idx] = new_out;
-                self.cache_replaced = true;
-                Ok(delta)
+                let NodeState::Rank(state) = &mut self.states[idx] else {
+                    unreachable!("a row-number node keeps rank state");
+                };
+                let computed = ctx.eval_all(&state.rows.computed, &din, ctes)?;
+                state.apply(&din, &computed)
             }
-            PhysicalPlan::Sort { input, .. } => {
-                // Bag semantics downstream: a sort re-orders, never changes
-                // membership, so its delta is its input's.
-                self.delta_node(input, child_idx, ctx, env)
-            }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                let schema = self.node_schema(input, child_idx, env)?;
-                let din = self.delta_node(input, child_idx, ctx, env)?;
-                let mut out = Vec::with_capacity(din.len());
-                for (row, sign) in din {
-                    let projected = exprs
-                        .iter()
-                        .map(|e| eval_row(e, &row, &schema, ctx, env))
-                        .collect::<Result<Row, _>>()?;
-                    out.push((projected, sign));
+            // Bag semantics downstream: a sort re-orders, never changes
+            // membership, so its delta is its input's.
+            PhysicalPlan::Sort { input, .. } => self.delta_node(input, first, ctx, env),
+            PhysicalPlan::Project {
+                input,
+                exprs,
+                columns,
+            } => {
+                let d = self.delta_node(input, first, ctx, env)?;
+                if d.is_empty() {
+                    return Ok(d);
                 }
-                Ok(out)
+                if let Some(batch) = project_columns(&d.batch, exprs, columns) {
+                    let weights = d.weights;
+                    return Ok(Signed { batch, weights });
+                }
+                let out = ctx
+                    .eval_all(exprs, &d, ctes)?
+                    .into_iter()
+                    .zip(exprs)
+                    .map(|(v, e)| {
+                        shared_column(&d.batch, e).unwrap_or_else(|| Arc::new(v.into_vec()))
+                    })
+                    .collect();
+                Ok(Signed {
+                    batch: projected(columns, out, d.batch.len()),
+                    weights: d.logical_weights(),
+                })
             }
             PhysicalPlan::Distinct { input } => {
-                let din = self.delta_node(input, child_idx, ctx, env)?;
-                // Pre-delta multiplicities of just the rows the delta
-                // mentions, recovered from the already-updated child cache
-                // (old = new − net delta) — no full-input clone or hash.
-                let mut counts: HashMap<Row, i64> = HashMap::new();
-                for (row, _) in &din {
-                    if !counts.contains_key(row) {
-                        let new_count =
-                            self.caches[child_idx].iter().filter(|r| *r == row).count() as i64;
-                        let net: i64 = din
-                            .iter()
-                            .filter(|(r, _)| r == row)
-                            .map(|(_, sign)| *sign)
-                            .sum();
-                        counts.insert(row.clone(), new_count - net);
-                    }
-                }
-                let mut out = Vec::new();
-                for (row, sign) in din {
-                    let count = counts.entry(row.clone()).or_insert(0);
-                    let before = *count;
-                    *count += sign;
-                    if before == 0 && *count > 0 {
-                        out.push((row, 1));
-                    } else if before > 0 && *count == 0 {
-                        out.push((row, -1));
-                    }
-                }
-                Ok(out)
+                let d = self.delta_node(input, first, ctx, env)?;
+                self.counts(idx).fold(0, &d, |sums| i64::from(sums[0] > 0))
             }
             PhysicalPlan::UnionAll(branches) => {
-                let mut out = Vec::new();
-                let mut at = child_idx;
+                let mut parts = Vec::with_capacity(branches.len());
+                let mut at = first;
                 for branch in branches {
-                    out.extend(self.delta_node(branch, at, ctx, env)?);
+                    parts.push(self.delta_node(branch, at, ctx, env)?);
                     at += self.info[at].len;
                 }
-                Ok(out)
+                Ok(Signed::concat(parts))
             }
             PhysicalPlan::ExceptAll { left, right } => {
-                let right_idx = child_idx + self.info[child_idx].len;
-                let dl = self.delta_node(left, child_idx, ctx, env)?;
-                let dr = self.delta_node(right, right_idx, ctx, env)?;
-                if dl.is_empty() && dr.is_empty() {
-                    return Ok(Vec::new());
-                }
-                let new_out = bag_difference(&self.caches[child_idx], &self.caches[right_idx]);
-                let delta = positional_diff(&new_out, &self.caches[idx]);
-                self.caches[idx] = new_out;
-                self.cache_replaced = true;
-                Ok(delta)
+                let dl = self.delta_node(left, first, ctx, env)?;
+                let dr = self.delta_node(right, second, ctx, env)?;
+                let surplus = |sums: [i64; 2]| (sums[0] - sums[1]).max(0);
+                let counts = self.counts(idx);
+                let parts = vec![counts.fold(0, &dl, surplus)?, counts.fold(1, &dr, surplus)?];
+                Ok(Signed::concat(parts))
             }
             PhysicalPlan::With {
                 name,
                 definition,
                 body,
             } => {
-                let body_idx = child_idx + self.info[child_idx].len;
-                let ddef = self.delta_node(definition, child_idx, ctx, env)?;
-                let def_schema = self.node_schema(definition, child_idx, env)?;
+                let ddef = self.delta_node(definition, first, ctx, env)?;
                 let mut extended = env.clone();
                 extended.deltas.push((name.clone(), ddef));
-                extended.schemas.push((name.clone(), def_schema.clone()));
                 // Only correlated subplans read a *materialised* binding
-                // (delta consumers go through `deltas`); skip the full
-                // clone-and-transpose of the definition cache unless the
-                // body actually executes one.
-                if self.info[body_idx].execs_subplans {
-                    let bound = Batch::from_rows(def_schema, self.caches[child_idx].clone());
-                    extended.materialised = env.materialised.extended(name, bound);
+                // (delta consumers go through `deltas`): for them, and only
+                // for them, the definition is executed on the post-state.
+                if self.info[second].execs_subplans {
+                    let bound = exec(definition, &ctx.vctx, ctes, &scope)?.materialised();
+                    extended.materialised = ctes.extended(name, bound);
                 }
-                self.delta_node(body, body_idx, ctx, &extended)
+                self.delta_node(body, second, ctx, &extended)
             }
         }
     }
 
-    /// The batch schema a node's output rows carry (the static twin of the
-    /// schemas [`exec_node`] constructs), used to build correlation frames
-    /// for `EXISTS` subplans. Memoised per node: for a fixed plan, the
-    /// `WITH` bindings visible at a node — and hence its schema — never
-    /// change across passes.
-    fn node_schema(
-        &mut self,
-        plan: &PhysicalPlan,
-        idx: usize,
-        env: &DeltaEnv,
-    ) -> Result<Arc<Vec<SchemaCol>>, DeltaFail> {
-        if let Some(schema) = &self.schemas[idx] {
-            return Ok(Arc::clone(schema));
+    fn counts(&mut self, idx: usize) -> &mut Counts {
+        match &mut self.states[idx] {
+            NodeState::Counts(counts) => counts,
+            _ => unreachable!("a distinct or except node keeps counts"),
         }
-        let schema = batch_schema(plan, &env.schemas)?;
-        self.schemas[idx] = Some(Arc::clone(&schema));
-        Ok(schema)
     }
 
-    /// Fold a normalised delta into a node cache: retractions remove the
-    /// first matching row, insertions append. A retraction that misses the
-    /// cache signals a write outside the incremental fragment → bail.
-    ///
-    /// Retractions are applied in one mark-and-sweep pass (first occurrences
-    /// win, matching `Storage::apply_delta`), so a delta with many
-    /// retractions costs O(cache + delta) instead of one linear scan per
-    /// retracted row.
-    fn update_cache(&mut self, idx: usize, delta: &DeltaRows) -> Result<(), DeltaFail> {
-        let mut pending: Vec<&Row> = delta
-            .iter()
-            .filter(|(_, sign)| *sign < 0)
-            .map(|(row, _)| row)
-            .collect();
-        if pending.len() <= 8 {
-            // The common small write: match retractions by fast-fail row
-            // equality instead of hashing every cached row.
-            if !pending.is_empty() {
-                self.caches[idx].retain(|r| match pending.iter().position(|p| *p == r) {
-                    Some(i) => {
-                        pending.swap_remove(i);
-                        false
-                    }
-                    None => true,
+    /// Δ(L ⋈ R) = ΔL ⋈ R_old ⊎ L_new ⋈ ΔR, off the node's two stores: ΔL
+    /// probes the right one before ΔR is folded in, ΔR the left one after ΔL
+    /// was. Each side costs its delta plus its matches, never a scan of the
+    /// other side.
+    fn join(
+        &mut self,
+        idx: usize,
+        dl: &Signed,
+        dr: &Signed,
+        [left_keys, right_keys]: [&[VExpr]; 2],
+        ctx: &DeltaCtx<'_>,
+        ctes: &CteEnv,
+    ) -> Result<Signed, DeltaFail> {
+        let NodeState::Join { left, right } = &mut self.states[idx] else {
+            unreachable!("a join node keeps join state");
+        };
+        let mut parts = Vec::new();
+        if !dl.is_empty() {
+            let keys = Keys::new(ctx.eval_all(left_keys, dl, ctes)?, dl.batch.len());
+            let pairs = right.probe(&keys, dl.changed());
+            if !pairs.is_empty() {
+                parts.push(Signed {
+                    batch: join_gather(&dl.batch, &right.view(), &pairs),
+                    weights: Arc::new(pairs.iter().map(|p| dl.weight(p.0)).collect()),
                 });
-                if !pending.is_empty() {
+            }
+            let computed = ctx.eval_all(&left.computed, dl, ctes)?;
+            left.apply(dl, Some(&keys), &computed)?;
+            left.compact();
+        }
+        if !dr.is_empty() {
+            let keys = Keys::new(ctx.eval_all(right_keys, dr, ctes)?, dr.batch.len());
+            let pairs: Vec<(usize, usize)> = left
+                .probe(&keys, dr.changed())
+                .into_iter()
+                .map(|(i, slot)| (slot, i))
+                .collect();
+            if !pairs.is_empty() {
+                parts.push(Signed {
+                    batch: join_gather(&left.view(), &dr.batch, &pairs),
+                    weights: Arc::new(pairs.iter().map(|p| dr.weight(p.1)).collect()),
+                });
+            }
+            let computed = ctx.eval_all(&right.computed, dr, ctes)?;
+            right.apply(dr, Some(&keys), &computed)?;
+            right.compact();
+        }
+        Ok(Signed::concat(parts))
+    }
+
+    /// Δout = Σ_{keys whose build membership toggled} ±I_old(k)
+    ///      ⊎ ΔI probed against K_new:
+    /// build toggles meet the input store before ΔI is folded in, ΔI meets
+    /// the key counts after ΔB was. Input rows with a `NULL` key are not
+    /// stored — their membership never depends on the build side.
+    #[allow(clippy::too_many_arguments)]
+    fn semi_join(
+        &mut self,
+        idx: usize,
+        din: &Signed,
+        db: &Signed,
+        [probe_keys, build_keys]: [&[VExpr]; 2],
+        anti: bool,
+        ctx: &DeltaCtx<'_>,
+        ctes: &CteEnv,
+    ) -> Result<Signed, DeltaFail> {
+        let NodeState::Semi { input, build } = &mut self.states[idx] else {
+            unreachable!("a semi-join node keeps semi-join state");
+        };
+        let mut parts = Vec::new();
+        if !db.is_empty() {
+            let keys = Keys::new(ctx.eval_all(build_keys, db, ctes)?, db.batch.len());
+            let net = net_weights(&keys, db)?;
+            let (mut slots, mut weights) = (Vec::new(), Vec::new());
+            for i in (0..keys.len()).filter(|&i| net[i] != 0 && !keys.hashed.has_null[i]) {
+                let before = build.bump(&keys, i, 0, net[i])?[0];
+                let after = before + net[i];
+                if after < 0 {
                     return Err(DeltaFail::Bail);
                 }
-            }
-        } else {
-            let mut counts: HashMap<&Row, i64> = HashMap::new();
-            for row in &pending {
-                *counts.entry(row).or_insert(0) += 1;
-            }
-            let mut outstanding = pending.len() as i64;
-            self.caches[idx].retain(|r| match counts.get_mut(r) {
-                Some(c) if *c > 0 => {
-                    *c -= 1;
-                    outstanding -= 1;
-                    false
+                if (before > 0) != (after > 0) {
+                    let toggled = input.probe(&keys, std::iter::once(i));
+                    weights.resize(
+                        weights.len() + toggled.len(),
+                        if (after > 0) != anti { 1 } else { -1 },
+                    );
+                    slots.extend(toggled.into_iter().map(|(_, slot)| slot));
                 }
-                _ => true,
+            }
+            parts.push(Signed {
+                batch: input.view().with_sel(slots).materialised(),
+                weights: Arc::new(weights),
             });
-            if outstanding > 0 {
-                return Err(DeltaFail::Bail);
-            }
         }
-        for (row, sign) in delta {
-            if *sign > 0 {
-                self.caches[idx].push(row.clone());
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Does any node of this subtree execute a correlated subplan (an
-/// exists-semijoin or an `EXISTS` inside an expression)? Only those consult
-/// a `WITH` binding's *materialised* batch — every other consumer works off
-/// the binding's delta — so `With` maintenance can skip materialisation
-/// when this is false.
-fn plan_execs_subplans(plan: &PhysicalPlan) -> bool {
-    plan.nodes()
-        .iter()
-        .any(|n| matches!(n, PhysicalPlan::ExistsSemiJoin { .. }) || !n.expr_subplans().is_empty())
-}
-
-/// Positional diff of a recomputed output against the cached one: skip the
-/// longest common prefix and suffix, retract the remaining old rows, insert
-/// the remaining new rows. Multiset-equivalent to a full two-sided diff, but
-/// the localised edits rank recomputation produces (one row changed, a
-/// shifted tail) cost O(change) instead of O(output) rows — and only the
-/// changed middle is ever cloned.
-fn positional_diff(new: &[Row], old: &[Row]) -> DeltaRows {
-    let mut start = 0;
-    while start < new.len() && start < old.len() && new[start] == old[start] {
-        start += 1;
-    }
-    let mut old_end = old.len();
-    let mut new_end = new.len();
-    while old_end > start && new_end > start && old[old_end - 1] == new[new_end - 1] {
-        old_end -= 1;
-        new_end -= 1;
-    }
-    let mut out: DeltaRows = old[start..old_end]
-        .iter()
-        .map(|r| (r.clone(), -1))
-        .collect();
-    out.extend(new[start..new_end].iter().map(|r| (r.clone(), 1)));
-    out
-}
-
-/// Cancel opposite-signed mentions of the same row and order the result
-/// retractions-first (each with unit sign), in first-mention order — the
-/// shape [`DeltaExec::update_cache`] consumes.
-fn normalise_delta(rows: DeltaRows) -> DeltaRows {
-    let mut order: Vec<(Row, i64)> = Vec::new();
-    let mut index: HashMap<Row, usize> = HashMap::new();
-    for (row, sign) in rows {
-        match index.get(&row) {
-            Some(&i) => order[i].1 += sign,
-            None => {
-                index.insert(row.clone(), order.len());
-                order.push((row, sign));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (row, net) in &order {
-        for _ in 0..(-net).max(0) {
-            out.push((row.clone(), -1));
-        }
-    }
-    for (row, net) in order {
-        for _ in 0..net.max(0) {
-            out.push((row.clone(), 1));
-        }
-    }
-    out
-}
-
-/// Concatenate two rows (the join output shape).
-fn concat_rows(l: &Row, r: &Row) -> Row {
-    let mut out = Vec::with_capacity(l.len() + r.len());
-    out.extend_from_slice(l);
-    out.extend_from_slice(r);
-    out
-}
-
-/// Evaluate join keys over one row; `None` when any key value is `NULL`
-/// (`NULL` never joins, matching the batch executor).
-fn row_key(
-    keys: &[VExpr],
-    row: &Row,
-    schema: &Arc<Vec<SchemaCol>>,
-    ctx: &DeltaCtx<'_>,
-    env: &DeltaEnv,
-) -> Result<Option<Row>, DeltaFail> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = eval_row(k, row, schema, ctx, env)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
-}
-
-/// When every window spec orders by plain columns, the per-spec key column
-/// indices; `None` as soon as any key needs the expression interpreter.
-fn all_col_specs(specs: &[Vec<VExpr>]) -> Option<Vec<Vec<usize>>> {
-    specs
-        .iter()
-        .map(|keys| {
-            keys.iter()
-                .map(|k| match k {
-                    VExpr::Col { index, .. } => Some(*index),
-                    _ => None,
+        if !din.is_empty() {
+            let keys = Keys::new(ctx.eval_all(probe_keys, din, ctes)?, din.batch.len());
+            let sel = (0..keys.len())
+                .filter(|&i| {
+                    let matched = !keys.hashed.has_null[i] && build.get(&keys, i)[0] > 0;
+                    matched != anti
                 })
-                .collect()
-        })
-        .collect()
-}
-
-/// Compare two rows on a window's key columns (both rows carry the input
-/// columns in their prefix).
-fn cmp_keys(a: &[SqlValue], b: &[SqlValue], cols: &[usize]) -> Ordering {
-    for &c in cols {
-        let ord = a[c].sql_cmp(&b[c]);
-        if ord != Ordering::Equal {
-            return ord;
+                .map(|i| din.batch.rows().phys(i))
+                .collect();
+            parts.push(Signed {
+                batch: din.batch.clone().with_sel(sel),
+                weights: din.weights.clone(),
+            });
+            let computed = ctx.eval_all(&input.computed, din, ctes)?;
+            input.apply(din, Some(&keys), &computed)?;
+            input.compact();
         }
-    }
-    Ordering::Equal
-}
-
-/// Patch a `RowNumber` node's cached output in place from its input delta,
-/// returning the exact signed output delta.
-///
-/// The cache holds `input row ++ one rank column per spec`, aligned with the
-/// child cache's row order (both are maintained retract-first-occurrence /
-/// append-at-end from the same seeds). A rank only changes when a retraction
-/// or insertion lands strictly before the row in a window's sort order —
-/// with ties broken by input order, exactly the comparator `rank_rows`
-/// numbers by — so one pass over the cache computes every shifted rank:
-/// O(cache × delta) cheap key comparisons, cloning only the rows that
-/// actually change.
-fn incremental_rank(
-    cache: &mut Vec<Row>,
-    specs: &[Vec<usize>],
-    din: &DeltaRows,
-) -> Result<DeltaRows, DeltaFail> {
-    let nspecs = specs.len();
-    let mut retr: Vec<&Row> = Vec::new();
-    let mut ins: Vec<&Row> = Vec::new();
-    for (row, sign) in din {
-        if *sign < 0 {
-            retr.push(row);
-        } else {
-            ins.push(row);
-        }
-    }
-    let arity = cache
-        .first()
-        .map(|r| r.len() - nspecs)
-        .unwrap_or_else(|| ins.first().map(|r| r.len()).unwrap_or(0));
-    // First-occurrence positions of the retracted input rows (matching the
-    // discipline the child cache was updated with).
-    let mut retr_pos: Vec<Option<usize>> = vec![None; retr.len()];
-    let mut consumed = vec![false; retr.len()];
-    for (pos, row) in cache.iter().enumerate() {
-        for (ri, r) in retr.iter().enumerate() {
-            if !consumed[ri] && row[..arity] == r[..] {
-                consumed[ri] = true;
-                retr_pos[ri] = Some(pos);
-                break;
-            }
-        }
-    }
-    if consumed.iter().any(|c| !c) {
-        return Err(DeltaFail::Bail);
-    }
-    let retracted: HashSet<usize> = retr_pos.iter().map(|p| p.expect("consumed")).collect();
-    let mut retractions: DeltaRows = Vec::new();
-    let mut insertions: DeltaRows = Vec::new();
-    // For each insertion and spec, how many surviving rows sort before it
-    // (ties go to the survivor: appended rows are last in input order).
-    let mut ins_before: Vec<Vec<i64>> = vec![vec![0; nspecs]; ins.len()];
-    for (pos, row) in cache.iter_mut().enumerate() {
-        if retracted.contains(&pos) {
-            retractions.push((row.clone(), -1));
-            continue;
-        }
-        let mut adj = vec![0i64; nspecs];
-        let mut changed = false;
-        for (s, cols) in specs.iter().enumerate() {
-            for r in &ins {
-                if cmp_keys(r, row, cols) == Ordering::Less {
-                    adj[s] += 1;
-                }
-            }
-            for (ri, r) in retr.iter().enumerate() {
-                match cmp_keys(r, row, cols) {
-                    Ordering::Less => adj[s] -= 1,
-                    // An equal-keyed retraction shifts this row only if it
-                    // preceded it in input order.
-                    Ordering::Equal if retr_pos[ri].expect("consumed") < pos => adj[s] -= 1,
-                    _ => {}
-                }
-            }
-            for (i, r) in ins.iter().enumerate() {
-                if cmp_keys(row, r, cols) != Ordering::Greater {
-                    ins_before[i][s] += 1;
-                }
-            }
-            changed |= adj[s] != 0;
-        }
-        if changed {
-            retractions.push((row.clone(), -1));
-            for (s, a) in adj.iter().enumerate() {
-                if let SqlValue::Int(n) = &mut row[arity + s] {
-                    *n += a;
-                }
-            }
-            insertions.push((row.clone(), 1));
-        }
-    }
-    // Drop the retracted rows, then append the inserted ones with their
-    // ranks: survivors before them, plus earlier-appended peers.
-    let mut pos = 0;
-    cache.retain(|_| {
-        let keep = !retracted.contains(&pos);
-        pos += 1;
-        keep
-    });
-    for (i, r) in ins.iter().enumerate() {
-        let mut row: Row = (*r).clone();
-        for (s, cols) in specs.iter().enumerate() {
-            // Peer insertions sort before this one when strictly smaller,
-            // or equal-keyed but appended earlier.
-            let peers: i64 = ins
-                .iter()
-                .enumerate()
-                .filter(|(j, jr)| match cmp_keys(jr, r, cols) {
-                    Ordering::Less => true,
-                    Ordering::Equal => *j < i,
-                    Ordering::Greater => false,
-                })
-                .count() as i64;
-            row.push(SqlValue::Int(1 + ins_before[i][s] + peers));
-        }
-        insertions.push((row.clone(), 1));
-        cache.push(row);
-    }
-    retractions.extend(insertions);
-    Ok(retractions)
-}
-
-/// Scalar re-ranking: the row-at-a-time twin of the batch `RowNumber`
-/// operator. Appends one 1-based `#rn<i>` column per window spec, numbering
-/// by a stable sort over the spec's keys — identical comparator, identical
-/// tie-breaking by input order, so a maintained cache and a fresh batch
-/// execution over the same input order produce identical ranks.
-fn rank_rows(
-    input: &[Row],
-    specs: &[Vec<VExpr>],
-    input_schema: &Arc<Vec<SchemaCol>>,
-    ctx: &DeltaCtx<'_>,
-    env: &DeltaEnv,
-) -> Result<Vec<Row>, DeltaFail> {
-    let mut rows: Vec<Row> = input.to_vec();
-    let mut schema = input_schema.as_ref().clone();
-    for (spec_idx, keys) in specs.iter().enumerate() {
-        // The common shredded shape orders by plain columns; indexing
-        // directly keeps this maintenance hot path free of the expression
-        // interpreter.
-        let col_keys: Option<Vec<usize>> = keys
-            .iter()
-            .map(|k| match k {
-                VExpr::Col { index, .. } => Some(*index),
-                _ => None,
-            })
-            .collect();
-        let key_values: Vec<Row> = match &col_keys {
-            Some(cols) => rows
-                .iter()
-                .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                .collect(),
-            None => {
-                let schema_arc = Arc::new(schema.clone());
-                rows.iter()
-                    .map(|r| {
-                        keys.iter()
-                            .map(|k| eval_row(k, r, &schema_arc, ctx, env))
-                            .collect::<Result<Row, _>>()
-                    })
-                    .collect::<Result<Vec<Row>, _>>()?
-            }
-        };
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| compare_rows(&key_values[a], &key_values[b]));
-        let mut rn = vec![0i64; rows.len()];
-        for (number, row_idx) in order.into_iter().enumerate() {
-            rn[row_idx] = (number + 1) as i64;
-        }
-        for (row, n) in rows.iter_mut().zip(rn) {
-            row.push(SqlValue::Int(n));
-        }
-        schema.push((None, format!("#rn{}", spec_idx)));
-    }
-    Ok(rows)
-}
-
-/// Bag difference preserving left order (the `EXCEPT ALL` replay used to
-/// diff an except node's output).
-fn bag_difference(left: &[Row], right: &[Row]) -> Vec<Row> {
-    let mut counts: HashMap<Row, usize> = HashMap::new();
-    for row in right {
-        *counts.entry(row.clone()).or_insert(0) += 1;
-    }
-    let mut out = Vec::new();
-    for row in left {
-        match counts.get_mut(row) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => out.push(row.clone()),
-        }
-    }
-    out
-}
-
-/// Scalar expression evaluation over one cached row (the row-at-a-time twin
-/// of [`eval`]). Correlated `EXISTS` subplans run on the ordinary batch
-/// executor with the row pushed as a scope frame.
-fn eval_row(
-    expr: &VExpr,
-    row: &Row,
-    schema: &Arc<Vec<SchemaCol>>,
-    ctx: &DeltaCtx<'_>,
-    env: &DeltaEnv,
-) -> Result<SqlValue, DeltaFail> {
-    match expr {
-        VExpr::Col { index, .. } => Ok(row[*index].clone()),
-        VExpr::Outer { table, column } => {
-            // Stage-level expressions never reference an enclosing query —
-            // outer references only occur inside EXISTS subplans, which
-            // execute via `exec` with a pushed frame.
-            Err(EngineError::UnknownColumn {
-                qualifier: table.clone(),
-                name: column.clone(),
-            }
-            .into())
-        }
-        VExpr::Lit(v) => Ok(v.clone()),
-        VExpr::Param(name) => ctx
-            .params
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnboundParameter(name.clone()).into()),
-        VExpr::BinOp { op, left, right } => {
-            let l = eval_row(left, row, schema, ctx, env)?;
-            let r = eval_row(right, row, schema, ctx, env)?;
-            Ok(eval_binop(*op, &l, &r)?)
-        }
-        VExpr::Not(inner) => match eval_row(inner, row, schema, ctx, env)? {
-            SqlValue::Bool(b) => Ok(SqlValue::Bool(!b)),
-            SqlValue::Null => Ok(SqlValue::Null),
-            other => {
-                Err(EngineError::TypeError(format!("NOT applied to {}", other.type_name())).into())
-            }
-        },
-        VExpr::Exists(subplan) => {
-            let vctx = VecCtx::unpooled(ctx.storage, ctx.params);
-            let frame = ScopeFrame {
-                schema: schema.clone(),
-                values: row.clone(),
-            };
-            let inner = exec(
-                subplan,
-                &vctx,
-                &env.materialised,
-                &ScopeStack::default().pushed(frame),
-            )?;
-            Ok(SqlValue::Bool(!inner.is_empty()))
-        }
-    }
-}
-
-/// The schema of the batch a plan node produces — a static reconstruction
-/// of the decisions [`exec_node`] makes, so the delta executor can build
-/// correlation frames without executing anything.
-fn batch_schema(
-    plan: &PhysicalPlan,
-    cte_schemas: &[(String, Arc<Vec<SchemaCol>>)],
-) -> Result<Arc<Vec<SchemaCol>>, DeltaFail> {
-    fn lookup<'a>(
-        cte_schemas: &'a [(String, Arc<Vec<SchemaCol>>)],
-        name: &str,
-    ) -> Option<&'a Arc<Vec<SchemaCol>>> {
-        cte_schemas
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-    }
-    match plan {
-        PhysicalPlan::UnitRow => Ok(Arc::new(Vec::new())),
-        PhysicalPlan::TableScan { alias, columns, .. } => Ok(Arc::new(
-            columns
-                .iter()
-                .map(|c| (Some(alias.clone()), c.clone()))
-                .collect(),
-        )),
-        PhysicalPlan::CteScan { name, alias, .. } => {
-            let bound =
-                lookup(cte_schemas, name).ok_or_else(|| EngineError::UnknownCte(name.clone()))?;
-            Ok(Arc::new(
-                bound
-                    .iter()
-                    .map(|(_, c)| (Some(alias.clone()), c.clone()))
-                    .collect(),
-            ))
-        }
-        PhysicalPlan::SubqueryScan { input, alias } => {
-            let inner = batch_schema(input, cte_schemas)?;
-            Ok(Arc::new(
-                inner
-                    .iter()
-                    .map(|(_, c)| (Some(alias.clone()), c.clone()))
-                    .collect(),
-            ))
-        }
-        PhysicalPlan::NestedLoopJoin { left, right }
-        | PhysicalPlan::HashJoin { left, right, .. } => {
-            let mut schema = batch_schema(left, cte_schemas)?.as_ref().clone();
-            schema.extend(batch_schema(right, cte_schemas)?.iter().cloned());
-            Ok(Arc::new(schema))
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::ExistsSemiJoin { input, .. }
-        | PhysicalPlan::HashSemiJoin { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Distinct { input } => batch_schema(input, cte_schemas),
-        PhysicalPlan::RowNumber { input, specs } => {
-            let mut schema = batch_schema(input, cte_schemas)?.as_ref().clone();
-            schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
-            Ok(Arc::new(schema))
-        }
-        PhysicalPlan::Project { columns, .. } => Ok(Arc::new(
-            columns.iter().map(|c| (None, c.clone())).collect(),
-        )),
-        PhysicalPlan::UnionAll(branches) => {
-            let first = branches
-                .first()
-                .ok_or_else(|| EngineError::TypeError("empty UNION ALL".to_string()))?;
-            batch_schema(first, cte_schemas)
-        }
-        PhysicalPlan::ExceptAll { left, .. } => batch_schema(left, cte_schemas),
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => {
-            let def = batch_schema(definition, cte_schemas)?;
-            let mut extended = cte_schemas.to_vec();
-            extended.push((name.clone(), def));
-            batch_schema(body, &extended)
-        }
+        Ok(Signed::concat(parts))
     }
 }
 
@@ -2256,6 +2206,7 @@ mod tests {
     use crate::ast::{BinOp, Expr, Query, Select};
     use crate::exec::Engine;
     use crate::storage::{ColumnType, ResultSet, TableDef};
+    use crate::value::compare_rows;
 
     fn engine() -> Engine {
         let mut storage = Storage::new();
@@ -2425,7 +2376,7 @@ mod tests {
         let mut dx = DeltaExec::new(&plan);
         dx.seed(&plan, &engine.storage(), &params).unwrap();
         assert_eq!(
-            sorted(dx.rows().to_vec()),
+            sorted(dx.rows()),
             sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "seed disagrees with the batch executor"
         );
@@ -2437,7 +2388,7 @@ mod tests {
         }
         drop(storage);
         assert_eq!(
-            sorted(dx.rows().to_vec()),
+            sorted(dx.rows()),
             sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "maintained rows disagree with recompute on post-state"
         );
@@ -2506,7 +2457,7 @@ mod tests {
         dx.seed(&plan, &storage, &params).unwrap();
         drop(storage);
         assert_eq!(
-            sorted(dx.rows().to_vec()),
+            sorted(dx.rows()),
             sorted(run(&engine, &plan).unwrap().into_result_set().rows)
         );
     }
@@ -2569,17 +2520,18 @@ mod tests {
         let delta = engine.apply_batch(&batch).unwrap();
         assert!(delta.is_empty());
         let storage = engine.storage();
-        let emitted = dx.apply(&plan, &storage, &params, &delta).unwrap().unwrap();
-        assert!(emitted.is_empty());
+        let emitted = dx.apply(&plan, &storage, &params, &delta).unwrap();
+        assert_eq!(emitted, Some(RootDelta::default()));
     }
 
-    /// Reference ranker: stable sort per spec over plain key columns, ranks
-    /// appended in input order — the col-spec fragment of `rank_rows`.
+    /// Reference ranker: stable sort per window over plain key columns,
+    /// ranks appended in input order.
     fn reference_rank(input: &[Row], specs: &[Vec<usize>]) -> Vec<Row> {
         let mut rows = input.to_vec();
         for cols in specs {
+            let key = |r: &Row| -> Row { cols.iter().map(|&c| r[c].clone()).collect() };
             let mut order: Vec<usize> = (0..rows.len()).collect();
-            order.sort_by(|&a, &b| cmp_keys(&input[a], &input[b], cols));
+            order.sort_by(|&a, &b| compare_rows(&key(&input[a]), &key(&input[b])));
             let mut rn = vec![0i64; rows.len()];
             for (number, row_idx) in order.into_iter().enumerate() {
                 rn[row_idx] = (number + 1) as i64;
@@ -2591,16 +2543,60 @@ mod tests {
         rows
     }
 
-    fn bag(rows: &[Row]) -> std::collections::HashMap<Row, i64> {
-        let mut m = std::collections::HashMap::new();
+    fn bag(rows: &[Row]) -> HashMap<Row, i64> {
+        let mut m = HashMap::new();
         for r in rows {
             *m.entry(r.clone()).or_insert(0) += 1;
         }
         m
     }
 
+    fn signed(rows: Vec<(Row, i64)>) -> Signed {
+        let schema = Arc::new(vec![(None, "a".to_string()), (None, "b".to_string())]);
+        let weights = rows.iter().map(|(_, w)| *w).collect();
+        Signed {
+            batch: Batch::from_rows(schema, rows.into_iter().map(|(r, _)| r).collect()),
+            weights: Arc::new(weights),
+        }
+    }
+
+    /// The maintained output: every live slot's row and current ranks.
+    fn ranked(state: &RankState) -> Vec<Row> {
+        let view = state.rows.view();
+        (0..state.rows.len())
+            .filter(|&slot| state.rows.index.is_live(slot))
+            .map(|slot| {
+                let mut row = view.row_at(slot);
+                row.extend(state.rank.iter().map(|r| SqlValue::Int(r[slot])));
+                row
+            })
+            .collect()
+    }
+
+    fn rows_of(d: &Signed) -> Vec<(Row, i64)> {
+        (0..d.batch.len())
+            .map(|i| (d.batch.row_at(d.batch.rows().phys(i)), d.weight(i)))
+            .collect()
+    }
+
+    /// Apply `din`, then require the state to equal a fresh re-rank of
+    /// `input` and the emitted delta to carry the old output to the new.
+    fn rank_round(state: &mut RankState, specs: &[Vec<usize>], input: &[Row], din: Signed) {
+        let mut before = bag(&ranked(state));
+        let Ok(delta) = state.apply(&din, &[]) else {
+            panic!("the edit is inside the incremental fragment");
+        };
+        let expect = reference_rank(input, specs);
+        assert_eq!(ranked(state), expect, "state must equal a fresh re-rank");
+        for (row, weight) in rows_of(&delta) {
+            *before.entry(row).or_insert(0) += weight;
+        }
+        before.retain(|_, n| *n != 0);
+        assert_eq!(before, bag(&expect), "the emitted delta must be exact");
+    }
+
     #[test]
-    fn incremental_rank_matches_reference_under_random_edits() {
+    fn rank_maintenance_matches_reference_under_random_edits() {
         // Deterministic LCG so the mixed retract/insert batches replay.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
@@ -2609,22 +2605,37 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as i64
         };
+        let col = |index: usize| VExpr::Col {
+            index,
+            alias: None,
+            column: String::new(),
+        };
         let specs: Vec<Vec<usize>> = vec![vec![0], vec![1, 0]];
+        let mut rank = RankState::new(2, &[vec![col(0)], vec![col(1), col(0)]]);
         // Small key domains force ties, the hard case for rank maintenance.
-        let mut input: Vec<Row> = (0..40)
-            .map(|_| {
-                vec![
-                    SqlValue::Int(next().rem_euclid(5)),
-                    SqlValue::Int(next().rem_euclid(3)),
-                ]
-            })
-            .collect();
-        let mut cache = reference_rank(&input, &specs);
-        for round in 0..60 {
-            let mut din: DeltaRows = Vec::new();
-            // Retract up to 3 existing rows (first occurrence, like
-            // update_cache) and insert up to 3 new ones at the end.
-            for _ in 0..next().rem_euclid(4) {
+        let fresh = |next: &mut dyn FnMut() -> i64| -> Row {
+            vec![
+                SqlValue::Int(next().rem_euclid(5)),
+                SqlValue::Int(next().rem_euclid(3)),
+            ]
+        };
+        // The first delta lands on an empty cache: larger than it by any
+        // measure.
+        let mut input: Vec<Row> = (0..40).map(|_| fresh(&mut next)).collect();
+        let seed = input.iter().map(|r| (r.clone(), 1)).collect();
+        rank_round(&mut rank, &specs, &input, signed(seed));
+        for round in 0..80 {
+            let mut din = Vec::new();
+            // Retract up to 3 existing rows (first occurrence, as the stores
+            // do) and insert up to 3 new ones at the end. Every twentieth
+            // round inserts three times what is cached, and the round after
+            // retracts half of it — enough dead slots to compact the store.
+            let (retracts, inserts) = match round % 20 {
+                19 => (0, 3 * input.len() as i64),
+                0 if round > 0 => (input.len() as i64 / 2, 0),
+                _ => (next().rem_euclid(4), next().rem_euclid(4)),
+            };
+            for _ in 0..retracts {
                 if input.is_empty() {
                     break;
                 }
@@ -2633,31 +2644,21 @@ mod tests {
                 input.remove(pos);
                 din.push((victim, -1));
             }
-            for _ in 0..next().rem_euclid(4) {
-                let row = vec![
-                    SqlValue::Int(next().rem_euclid(5)),
-                    SqlValue::Int(next().rem_euclid(3)),
-                ];
+            for _ in 0..inserts {
+                // An insert that cancels a retraction of the same batch
+                // changes nothing (the storage layer cancels them too).
+                let mut row = fresh(&mut next);
+                while din.contains(&(row.clone(), -1)) {
+                    row = fresh(&mut next);
+                }
                 input.push(row.clone());
                 din.push((row, 1));
             }
-            let before = cache.clone();
-            let delta = match incremental_rank(&mut cache, &specs, &din) {
-                Ok(d) => d,
-                Err(_) => panic!("in fragment (round {round})"),
-            };
-            let expect = reference_rank(&input, &specs);
-            assert_eq!(
-                cache, expect,
-                "cache must equal a fresh re-rank (round {round})"
-            );
-            // The emitted delta must carry the old output to the new one.
-            let mut b = bag(&before);
-            for (row, sign) in &delta {
-                *b.entry(row.clone()).or_insert(0) += sign;
-            }
-            b.retain(|_, n| *n != 0);
-            assert_eq!(b, bag(&expect), "delta must be exact (round {round})");
+            rank_round(&mut rank, &specs, &input, signed(din));
         }
+        assert!(
+            rank.rows.len() < 3 * input.len(),
+            "the store compacts its dead slots away"
+        );
     }
 }

@@ -46,8 +46,8 @@ fn product(source: &str) -> &str {
 }
 
 /// The batch executor of `vexec.rs`: the product code before the section
-/// of the incremental executor, which keeps its row-keyed indexes — it
-/// maintains row multisets, not batches.
+/// of the incremental executor, which walks the operators a second time —
+/// over signed batches, on the same kernels.
 fn batch_executor(vexec: &str) -> &str {
     let (batch, _delta) = product(vexec)
         .split_once("// Incremental (delta) execution")
@@ -67,16 +67,29 @@ fn the_executors_keep_no_private_key_kernels() {
         "HashSet<&Row",
         "DefaultHasher",
     ];
-    for (file, code) in [
-        ("vexec.rs", batch_executor(VEXEC)),
-        ("par.rs", product(PAR)),
-    ] {
+    // The whole of `vexec.rs`, the incremental executor included: it keeps
+    // its state in columnar stores under `kernels::PersistentIndex`.
+    for (file, code) in [("vexec.rs", product(VEXEC)), ("par.rs", product(PAR))] {
         for needle in banned {
             assert!(
                 !code.contains(needle),
                 "{file} contains `{needle}`: keyed operators go through crate::kernels"
             );
         }
+    }
+    // The row-at-a-time delta algebra stays removed.
+    for needle in [
+        "fn normalise_delta",
+        "fn eval_row",
+        "fn incremental_rank",
+        "fn positional_diff",
+        "struct JoinIndex",
+        "type DeltaRows",
+    ] {
+        assert!(
+            !VEXEC.contains(needle),
+            "vexec.rs contains `{needle}`: deltas are signed columnar batches"
+        );
     }
 }
 

@@ -67,6 +67,113 @@ fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
     }
 }
 
+/// The organisation at `OrgConfig::paper(4)` with the skew of real
+/// workloads (Elekes et al.'s analysis of the SIGMOD 2014 contest data: a
+/// few keys carry most of the rows): three of every four employees of the
+/// other departments are moved into the first one.
+fn skewed_db() -> Database {
+    let db = generate(&OrgConfig::paper(4));
+    let mut skewed = Database::new(organisation_schema());
+    for table in ["departments", "tasks", "contacts"] {
+        let rows = db.table_rows_unordered(table).unwrap().to_vec();
+        skewed.insert_bulk(table, rows).unwrap();
+    }
+    let employees: Vec<Value> = db
+        .table_rows_unordered("employees")
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let dept = match i % 4 {
+                0 => e.field("dept").unwrap().clone(),
+                _ => Value::string("dept_00000"),
+            };
+            Value::record(vec![
+                ("id", e.field("id").unwrap().clone()),
+                ("dept", dept),
+                ("name", e.field("name").unwrap().clone()),
+                ("salary", e.field("salary").unwrap().clone()),
+            ])
+        })
+        .collect();
+    skewed.insert_bulk("employees", employees).unwrap();
+    skewed
+}
+
+/// The same differential under the writes that are expensive to maintain: a
+/// stream biased toward `employees` and `departments` with deletes as likely
+/// as inserts — every delete of a ranked row shifts the `ROW_NUMBER` of all
+/// rows after it, so stage deltas are O(n) — committed as 1-, 8- and 64-op
+/// batches over the skewed organisation, where most of those rows share one
+/// join key.
+#[test]
+fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
+    let db = skewed_db();
+    let hot = db
+        .table_rows_unordered("employees")
+        .unwrap()
+        .iter()
+        .filter(|e| e.field("dept").unwrap().as_str() == Some("dept_00000"))
+        .count();
+    assert!(hot * 4 > db.row_count("employees") * 3, "the skew is there");
+    for scheme in IndexScheme::ALL {
+        for (name, q) in all_benchmark_queries() {
+            let session = Shredder::builder()
+                .database(db.clone())
+                .index_scheme(scheme)
+                .build()
+                .unwrap();
+            let prepared = session.prepare(&q).unwrap();
+            let sub = session.subscribe(&prepared).unwrap();
+            let mut stream = MutationStream::over(
+                &db,
+                MutationConfig {
+                    ops_per_batch: 1,
+                    update_weight: 2,
+                    insert_weight: 3,
+                    delete_weight: 3,
+                    leaf_bias: 0.3,
+                    seed: 23,
+                },
+            );
+            let mut seen = [0usize; 3];
+            for (round, ops) in [1, 8, 64, 1, 8, 64].into_iter().enumerate() {
+                let batch = WriteBatch {
+                    ops: stream
+                        .batches(ops)
+                        .into_iter()
+                        .flat_map(|b| b.ops)
+                        .collect(),
+                };
+                for op in &batch.ops {
+                    match op {
+                        WriteOp::Insert { table, .. } if table == "departments" => seen[0] += 1,
+                        WriteOp::DeleteByKey { table, .. } if table == "departments" => {
+                            seen[1] += 1
+                        }
+                        WriteOp::DeleteByKey { table, .. } if table == "employees" => seen[2] += 1,
+                        _ => {}
+                    }
+                }
+                session.apply_batch(&batch).unwrap();
+                let live = sub.value().unwrap();
+                let recomputed = session.execute(&prepared).unwrap();
+                assert!(
+                    live.multiset_eq(&recomputed),
+                    "{name} under {scheme} indexes diverged from recompute \
+                     after the {ops}-op batch of round {round}"
+                );
+            }
+            assert!(
+                seen.iter().all(|&n| n > 0),
+                "the stream inserts and deletes departments and deletes employees: {seen:?}"
+            );
+            assert_eq!(sub.generation(), 6, "every batch maintains the view");
+            assert_eq!(sub.reseeds(), 0, "{name} under {scheme} indexes reseeded");
+        }
+    }
+}
+
 /// A subscription taken *after* some writes starts from the current
 /// storage, not the session's load-time database.
 #[test]
