@@ -2,14 +2,15 @@
 //!
 //! A [`Shredder`] is a configured query session. It owns the schema, the
 //! (optional) database, a lazily built SQL engine, a pluggable execution
-//! backend ([`SqlBackend`]) and an LRU plan cache keyed on normalised terms.
+//! backend ([`SqlBackend`]) and a two-level LRU plan cache: source terms in
+//! front of normal forms.
 //! The session lifecycle mirrors the staged planner lifecycles of production
 //! query engines:
 //!
 //! ```text
 //! Shredder::builder() … .build()      configure: schema, data, backend, indexes
 //!   │
-//!   ├─ prepare(term)  ──▶ PreparedQuery   auto-param → normalise → (cache?) → plan
+//!   ├─ prepare(term)  ──▶ PreparedQuery   auto-param → (term known?) → normalise → (plan known?) → plan
 //!   │       │                              │
 //!   │       ├─ explain()                   per-stage SQL, layouts, indexes
 //!   │       └─ params()                    declared bind variables (name : type)
@@ -25,8 +26,10 @@
 //! with [`nrc::builder::param`], or implicitly via the session's
 //! auto-parameterization, which lifts integer and string literals out of
 //! ad-hoc terms so queries differing only in such constants share one
-//! cached plan. The plan cache is keyed on the *param-shape* normal form;
-//! re-executing a prepared shape with fresh bindings performs zero parsing,
+//! cached plan. The plan cache is keyed on the *param-shape* normal form,
+//! with the param-shape source terms that led there in front of it, so
+//! re-issuing a query shape with other constants costs a hash of the term:
+//! no normalisation, typechecking or verification, and zero parsing,
 //! shredding, SQL generation or physical planning.
 //!
 //! Two backends ship with this crate: [`SqlEngineBackend`] (shred to SQL,
@@ -55,7 +58,7 @@ use crate::semantics::{eval_shredded_package, IndexScheme, IndexTables};
 use crate::shred::{package_by, shred_query, shred_type, Package, ShreddedQuery};
 use crate::stitch::stitch_rows;
 use crate::verify;
-use analysis::{lint, Diagnostics};
+use analysis::{lint, Diagnostic, Diagnostics};
 use nrc::schema::{Database, Schema};
 use nrc::term::{Constant, Term};
 use nrc::types::{BaseType, Type};
@@ -371,18 +374,57 @@ pub struct StageExplain {
 /// plan cache, every [`PreparedQuery`] handle and every thread executing
 /// one — so the payload must be `Send + Sync`.
 pub struct BackendPlan {
-    /// Per-stage explain entries, outermost bag constructor first.
-    pub stages: Vec<StageExplain>,
+    stage_count: usize,
+    /// The explain entries: given up front ([`new`](Self::new)), or
+    /// rendered from the payload the first time someone reads them
+    /// ([`lazy`](Self::lazy)).
+    stages: OnceLock<Vec<StageExplain>>,
+    render: Option<RenderStages>,
     payload: Arc<dyn Any + Send + Sync>,
 }
+
+type RenderStages = Box<dyn Fn(&(dyn Any + Send + Sync)) -> Vec<StageExplain> + Send + Sync>;
 
 impl BackendPlan {
     /// Wrap a backend-specific payload together with its explain stages.
     pub fn new<T: Any + Send + Sync>(stages: Vec<StageExplain>, payload: T) -> BackendPlan {
         BackendPlan {
-            stages,
+            stage_count: stages.len(),
+            stages: OnceLock::from(stages),
+            render: None,
             payload: Arc::new(payload),
         }
+    }
+
+    /// Wrap a payload of `stage_count` stages whose explain entries `render`
+    /// derives from it on first use: compiling a query should not pay for
+    /// pretty-printing SQL and plan trees that only `explain()` reads.
+    pub fn lazy<T: Any + Send + Sync>(
+        stage_count: usize,
+        payload: T,
+        render: fn(&T) -> Vec<StageExplain>,
+    ) -> BackendPlan {
+        BackendPlan {
+            stage_count,
+            stages: OnceLock::new(),
+            render: Some(Box::new(move |payload| {
+                payload.downcast_ref::<T>().map(render).unwrap_or_default()
+            })),
+            payload: Arc::new(payload),
+        }
+    }
+
+    /// Per-stage explain entries, outermost bag constructor first.
+    pub fn stages(&self) -> &[StageExplain] {
+        self.stages.get_or_init(|| match &self.render {
+            Some(render) => render(self.payload.as_ref()),
+            None => Vec::new(),
+        })
+    }
+
+    /// Number of flat stages the plan evaluates; renders nothing.
+    pub fn stage_count(&self) -> usize {
+        self.stage_count
     }
 
     /// Recover the typed payload stored by `prepare`.
@@ -396,7 +438,7 @@ impl BackendPlan {
 impl fmt::Debug for BackendPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BackendPlan")
-            .field("stages", &self.stages)
+            .field("stages", &self.stages())
             .finish_non_exhaustive()
     }
 }
@@ -404,6 +446,24 @@ impl fmt::Debug for BackendPlan {
 // ---------------------------------------------------------------------------
 // Prepared queries and explain output
 // ---------------------------------------------------------------------------
+
+/// What planning a normal form produces, shared by every handle prepared from
+/// it and by the plan cache: nothing here depends on which source term (or
+/// which constants) asked.
+#[derive(Debug)]
+struct PlannedQuery {
+    normalised: NormQuery,
+    result_type: Type,
+    plan: BackendPlan,
+    /// What the structural checks found in the plan: the cross-stage
+    /// [`verify::check_compiled`] pass for SQL-pipeline plans, the index
+    /// tree check for shredded-memory plans, nothing for opaque payloads
+    /// (oracle, baselines).
+    diagnostics: Vec<Diagnostic>,
+    /// The name of this query's executions in profiles: its result type,
+    /// cut to 120 bytes.
+    label: String,
+}
 
 /// A query prepared by a [`Shredder`] session: the backend plan plus enough
 /// metadata to explain and to re-execute it without recompiling.
@@ -448,11 +508,10 @@ pub struct PreparedQuery {
     backend: &'static str,
     scheme: IndexScheme,
     schema: Arc<Schema>,
-    normalised: Arc<NormQuery>,
-    result_type: Arc<Type>,
-    plan: Arc<BackendPlan>,
+    planned: Arc<PlannedQuery>,
     params: Arc<Vec<ParamSpec>>,
     defaults: Arc<Params>,
+    /// The lint findings for the source term, then the plan's.
     diagnostics: Arc<Diagnostics>,
     from_cache: bool,
     /// Spans recorded while preparing this handle (typecheck/normalise and,
@@ -490,9 +549,15 @@ impl PreparedQuery {
             backend: self.backend,
             scheme: self.scheme,
             cached: self.from_cache,
-            result_type: self.result_type.to_string(),
-            static_indexes: self.normalised.tags().iter().map(|t| t.as_int()).collect(),
-            stages: self.plan.stages.clone(),
+            result_type: self.planned.result_type.to_string(),
+            static_indexes: self
+                .planned
+                .normalised
+                .tags()
+                .iter()
+                .map(|t| t.as_int())
+                .collect(),
+            stages: self.planned.plan.stages().to_vec(),
             diagnostics: self.diagnostics.iter().map(|d| d.to_string()).collect(),
             cache: self.cache_stats,
             plans_built: self.plans_built,
@@ -529,7 +594,7 @@ impl PreparedQuery {
     /// ```
     pub fn explain_analyze(&self) -> Result<String, ShredError> {
         use fmt::Write as _;
-        let compiled: &CompiledQuery = self.plan.downcast().map_err(|_| {
+        let compiled: &CompiledQuery = self.planned.plan.downcast().map_err(|_| {
             ShredError::Config(
                 "explain_analyze() requires a plan prepared by the sqlengine backend".into(),
             )
@@ -602,8 +667,9 @@ impl PreparedQuery {
     /// The SQL text of every stage, outermost first (empty for backends that
     /// do not compile to SQL).
     pub fn sql_texts(&self) -> Vec<String> {
-        self.plan
-            .stages
+        self.planned
+            .plan
+            .stages()
             .iter()
             .filter_map(|s| s.sql.clone())
             .collect()
@@ -612,17 +678,17 @@ impl PreparedQuery {
     /// Number of flat stages the plan evaluates (the nesting degree, for
     /// shredding backends).
     pub fn query_count(&self) -> usize {
-        self.plan.stages.len()
+        self.planned.plan.stage_count()
     }
 
     /// The query's result type.
     pub fn result_type(&self) -> &Type {
-        self.result_type.as_ref()
+        &self.planned.result_type
     }
 
     /// The normal form the plan was derived from.
     pub fn normalised(&self) -> &NormQuery {
-        &self.normalised
+        &self.planned.normalised
     }
 
     /// Whether this handle was served from the session's plan cache (the
@@ -721,25 +787,71 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// What a prepare works out, from the cache or the long way round, before it
+/// is made into a handle.
 #[derive(Debug)]
-struct CacheEntry {
-    normalised: Arc<NormQuery>,
-    result_type: Arc<Type>,
-    plan: Arc<BackendPlan>,
+struct Prepared {
+    planned: Arc<PlannedQuery>,
+    params: Arc<Vec<ParamSpec>>,
+    /// The lint findings for the source term, then the plan's.
+    diagnostics: Arc<Diagnostics>,
+}
+
+/// Level 2 of the cache: a plan, under the key of its normal form.
+#[derive(Debug)]
+struct CachedPlan {
+    planned: Arc<PlannedQuery>,
+    /// Atomic because a hit on any term that points here refreshes it.
+    last_used: AtomicU64,
+}
+
+/// Level 1 of the cache: what preparing one source term came to — which
+/// plan, and what else today's `prepare` would otherwise recompute from the
+/// term alone.
+#[derive(Debug)]
+struct CachedTerm {
+    plan: Arc<CachedPlan>,
+    params: Arc<Vec<ParamSpec>>,
+    /// The diagnostics the first prepare of this term returned.
+    diagnostics: Arc<Diagnostics>,
     last_used: u64,
 }
 
-/// The LRU map itself: the only part of the cache that needs a lock.
+/// The LRU maps themselves: the only part of the cache that needs a lock.
 #[derive(Debug, Default)]
 struct CacheMap {
     tick: u64,
-    entries: HashMap<String, CacheEntry>,
+    plans: HashMap<String, Arc<CachedPlan>>,
+    terms: HashMap<Term, CachedTerm>,
 }
 
-/// A least-recently-used plan cache keyed on the query's normal form,
-/// shared by every clone of a session.
+/// A least-recently-used plan cache in two levels, shared by every clone of
+/// a session.
 ///
-/// Locking strategy: the entry map (and its LRU ticks) sits behind one
+/// **Level 1** is keyed on the source term as `prepare` sees it after
+/// auto-parameterization — integer and string literals already lifted into
+/// parameters, so the key is the query's *shape*; booleans stay inline. It
+/// is consulted before any other work: a hit is a hash of the term, and
+/// returns the plan, the declared parameters and the diagnostics of the
+/// first prepare without normalising, typechecking, rendering a key or
+/// verifying again. The term alone is a safe key because everything else a
+/// prepare depends on — schema, backend, index scheme, `optimize` — is
+/// fixed for the session that owns the cache.
+///
+/// **Level 2** is keyed on the normal form (its canonical rendering, see
+/// [`plan_key`]) and holds the plan with what was derived from it. A term
+/// that misses level 1 is normalised and looked up here, so two different
+/// source terms with one normal form share one plan; each is then linted
+/// once and remembered at level 1.
+///
+/// An entry enters either level only after the prepare that produced it
+/// passed verification, so a hit cannot return what `verify(true)` would
+/// have refused. Both levels hold at most `capacity` entries, on one LRU
+/// clock; a plan that is evicted or cleared takes the terms that point at
+/// it along. The counters count prepares, and `entries` counts plans: a
+/// level-1 hit is a hit, a level-1 miss counts as whatever level 2 answers.
+///
+/// Locking strategy: the maps (and their LRU ticks) sit behind one
 /// [`Mutex`]; the hit/miss/eviction counters are atomics updated outside any
 /// contention-sensitive path. The critical section is a hash lookup plus
 /// three `Arc` clones — the cached plans themselves are immutable and shared,
@@ -767,66 +879,100 @@ impl PlanCache {
 
     fn lock_map(&self) -> std::sync::MutexGuard<'_, CacheMap> {
         // A panic while holding the lock can only happen on allocation
-        // failure; the map is structurally intact either way, so poisoning
+        // failure; the maps are structurally intact either way, so poisoning
         // is safe to shrug off rather than propagate to every caller.
         self.map
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn lookup(&self, key: &str) -> Option<(Arc<NormQuery>, Arc<Type>, Arc<BackendPlan>)> {
+    /// Level 1. Counts a hit when the term is known and nothing when it is
+    /// not: the prepare goes on to level 2, which counts it.
+    fn lookup_term(&self, term: &Term) -> Option<Prepared> {
         let mut map = self.lock_map();
         map.tick += 1;
         let tick = map.tick;
-        match map.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let found = (
-                    entry.normalised.clone(),
-                    entry.result_type.clone(),
-                    entry.plan.clone(),
-                );
-                drop(map);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(found)
-            }
-            None => {
-                drop(map);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = map.terms.get_mut(term)?;
+        entry.last_used = tick;
+        entry.plan.last_used.store(tick, Ordering::Relaxed);
+        let found = Prepared {
+            planned: entry.plan.planned.clone(),
+            params: entry.params.clone(),
+            diagnostics: entry.diagnostics.clone(),
+        };
+        drop(map);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(found)
     }
 
-    fn insert(
-        &self,
-        key: String,
-        normalised: Arc<NormQuery>,
-        result_type: Arc<Type>,
-        plan: Arc<BackendPlan>,
-    ) {
+    /// Level 2. Counts a hit or a miss.
+    fn lookup_plan(&self, key: &str) -> Option<Arc<PlannedQuery>> {
+        let mut map = self.lock_map();
+        map.tick += 1;
+        let tick = map.tick;
+        let found = map.plans.get(key).map(|entry| {
+            entry.last_used.store(tick, Ordering::Relaxed);
+            entry.planned.clone()
+        });
+        drop(map);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Remember a verified prepare of `term`: its plan under `key` at level
+    /// 2 (unless a plan is there already) and the term at level 1, each
+    /// displacing the least recently used entry of a full level.
+    fn insert(&self, key: String, term: &Term, prepared: &Prepared) {
         let mut evicted = 0u64;
         {
             let mut map = self.lock_map();
             map.tick += 1;
             let tick = map.tick;
-            if map.entries.len() >= self.capacity && !map.entries.contains_key(&key) {
-                if let Some(oldest) = map
-                    .entries
+            let CacheMap { plans, terms, .. } = &mut *map;
+            let plan = match plans.get(&key) {
+                Some(plan) => {
+                    plan.last_used.store(tick, Ordering::Relaxed);
+                    plan.clone()
+                }
+                None => {
+                    if plans.len() >= self.capacity {
+                        let oldest = plans
+                            .iter()
+                            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                            .map(|(k, _)| k.clone());
+                        if let Some(gone) = oldest.and_then(|k| plans.remove(&k)) {
+                            terms.retain(|_, t| !Arc::ptr_eq(&t.plan, &gone));
+                            evicted = 1;
+                        }
+                    }
+                    let plan = Arc::new(CachedPlan {
+                        planned: prepared.planned.clone(),
+                        last_used: AtomicU64::new(tick),
+                    });
+                    plans.insert(key, plan.clone());
+                    plan
+                }
+            };
+            if terms.len() >= self.capacity && !terms.contains_key(term) {
+                let oldest = terms
                     .iter()
                     .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    map.entries.remove(&oldest);
-                    evicted = 1;
+                    .map(|(k, _)| k.clone());
+                if let Some(oldest) = oldest {
+                    terms.remove(&oldest);
                 }
             }
-            map.entries.insert(
-                key,
-                CacheEntry {
-                    normalised,
-                    result_type,
+            terms.insert(
+                term.clone(),
+                CachedTerm {
                     plan,
+                    params: prepared.params.clone(),
+                    diagnostics: prepared.diagnostics.clone(),
                     last_used: tick,
                 },
             );
@@ -837,7 +983,9 @@ impl PlanCache {
     }
 
     fn clear(&self) {
-        self.lock_map().entries.clear();
+        let mut map = self.lock_map();
+        map.plans.clear();
+        map.terms.clear();
     }
 
     fn stats(&self) -> CacheStats {
@@ -845,7 +993,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.lock_map().entries.len(),
+            entries: self.lock_map().plans.len(),
         }
     }
 }
@@ -1307,10 +1455,11 @@ impl Shredder {
     /// Normalise and plan a query, consulting the plan cache. A second
     /// `prepare` of a query with the same *param-shape* normal form returns
     /// the cached plan without invoking the backend
-    /// (`PreparedQuery::from_cache` reports which). With
-    /// auto-parameterization on (the default), integer and string literals
-    /// are lifted into parameters first, so two ad-hoc queries differing
-    /// only in such constants share one plan.
+    /// (`PreparedQuery::from_cache` reports which), and a second `prepare`
+    /// of the same param-shape *term* returns it without normalising
+    /// either. With auto-parameterization on (the default), integer and
+    /// string literals are lifted into parameters first, so two ad-hoc
+    /// queries differing only in such constants share one plan.
     pub fn prepare(&self, term: &Term) -> Result<PreparedQuery, ShredError> {
         let (term, defaults) = self.parameterize(term);
         self.prepare_inner(&term, defaults, true)
@@ -1338,7 +1487,7 @@ impl Shredder {
         use_cache: bool,
     ) -> Result<PreparedQuery, ShredError> {
         let obs = QueryObs::new(false);
-        let mut prepared = self.prepare_stages(term, defaults, use_cache, &obs)?;
+        let (prepared, from_cache) = self.prepare_stages(term, &defaults, use_cache, &obs)?;
         let (spans, _) = obs.take();
         for span in &spans {
             self.core
@@ -1346,127 +1495,132 @@ impl Shredder {
                 .record(span.stage.metric_name(), span.nanos);
         }
         self.core.metrics.counter("queries.prepared").inc();
-        prepared.prepare_spans = Arc::new(spans);
-        prepared.cache_stats = self.cache_stats();
-        prepared.plans_built = self.core.engine.get().map(|e| e.plans_built()).unwrap_or(0);
-        Ok(prepared)
+        Ok(PreparedQuery {
+            backend: self.core.backend.name(),
+            scheme: self.core.scheme,
+            schema: self.core.schema.clone(),
+            planned: prepared.planned,
+            params: prepared.params,
+            defaults: Arc::new(defaults),
+            diagnostics: prepared.diagnostics,
+            from_cache,
+            prepare_spans: Arc::new(spans),
+            last_exec: Arc::new(Mutex::new(None)),
+            cache_stats: self.cache_stats(),
+            plans_built: self.core.engine.get().map(|e| e.plans_built()).unwrap_or(0),
+        })
     }
 
+    /// The stages of a prepare, and whether its plan came from the cache.
     fn prepare_stages(
         &self,
         term: &Term,
-        defaults: Params,
+        defaults: &Params,
         use_cache: bool,
         obs: &QueryObs,
-    ) -> Result<PreparedQuery, ShredError> {
-        let (normalised, result_type) =
-            normalise_with_type_obs(term, &self.core.schema, Some(obs))?;
-        let params = param_specs(term)?;
+    ) -> Result<(Prepared, bool), ShredError> {
         let cache = if use_cache {
             self.core.cache.as_ref()
         } else {
             None
         };
-        let Some(cache) = cache else {
-            return self.plan(term, normalised, result_type, params, defaults, obs);
-        };
-        let key = plan_key(&normalised);
-        if let Some((normalised, result_type, plan)) = cache.lookup(&key) {
-            let prepared = PreparedQuery {
-                backend: self.core.backend.name(),
-                scheme: self.core.scheme,
-                schema: self.core.schema.clone(),
-                normalised,
-                result_type,
-                plan,
-                params: Arc::new(params),
-                defaults: Arc::new(defaults),
-                diagnostics: Arc::new(Diagnostics::new()),
-                from_cache: true,
-                prepare_spans: Arc::new(Vec::new()),
-                last_exec: Arc::new(Mutex::new(None)),
-                cache_stats: CacheStats::default(),
-                plans_built: 0,
-            };
-            return self.verified(term, prepared, obs);
+        // Level 1: this term, constants lifted, has been prepared before.
+        if let Some(prepared) = cache.and_then(|c| c.lookup_term(term)) {
+            return Ok((prepared, true));
         }
-        let prepared = self.plan(term, normalised, result_type, params, defaults, obs)?;
-        cache.insert(
-            key,
-            prepared.normalised.clone(),
-            prepared.result_type.clone(),
-            prepared.plan.clone(),
-        );
-        Ok(prepared)
+        let (normalised, result_type) =
+            normalise_with_type_obs(term, &self.core.schema, Some(obs))?;
+        let params = Arc::new(param_specs(term)?);
+        // Level 2: some term with this normal form has been planned before.
+        let key = cache.map(|_| plan_key(&normalised));
+        let cached = cache
+            .zip(key.as_deref())
+            .and_then(|(cache, key)| cache.lookup_plan(key));
+        let from_cache = cached.is_some();
+        let planned = match cached {
+            Some(planned) => planned,
+            None => Arc::new(self.plan(term, normalised, result_type, &params, defaults, obs)?),
+        };
+        let diagnostics = Arc::new(self.verified(term, &params, &planned, obs)?);
+        let prepared = Prepared {
+            planned,
+            params,
+            diagnostics,
+        };
+        if let Some((cache, key)) = cache.zip(key) {
+            cache.insert(key, term, &prepared);
+        }
+        Ok((prepared, from_cache))
     }
 
+    /// Hand a normal form to the backend and run the structural checks that
+    /// fit the payload over the plan it returns (a `Stage::Verify` span;
+    /// [`verified`](Self::verified) records the other).
     fn plan(
         &self,
         term: &Term,
         normalised: NormQuery,
         result_type: Type,
-        params: Vec<ParamSpec>,
-        defaults: Params,
+        params: &[ParamSpec],
+        defaults: &Params,
         obs: &QueryObs,
-    ) -> Result<PreparedQuery, ShredError> {
+    ) -> Result<PlannedQuery, ShredError> {
         let req = PlanRequest {
             term,
             normalised: &normalised,
             result_type: &result_type,
             schema: &self.core.schema,
-            params: &params,
-            defaults: &defaults,
+            params,
+            defaults,
             obs: Some(obs),
             optimize: self.core.optimize,
         };
         let plan = self.core.backend.prepare(&req)?;
-        let prepared = PreparedQuery {
-            backend: self.core.backend.name(),
-            scheme: self.core.scheme,
-            schema: self.core.schema.clone(),
-            normalised: Arc::new(normalised),
-            result_type: Arc::new(result_type),
-            plan: Arc::new(plan),
-            params: Arc::new(params),
-            defaults: Arc::new(defaults),
-            diagnostics: Arc::new(Diagnostics::new()),
-            from_cache: false,
-            prepare_spans: Arc::new(Vec::new()),
-            last_exec: Arc::new(Mutex::new(None)),
-            cache_stats: CacheStats::default(),
-            plans_built: 0,
-        };
-        self.verified(term, prepared, obs)
+        let diagnostics = obs.time(Stage::Verify, || {
+            if let Ok(compiled) = plan.downcast::<CompiledQuery>() {
+                let catalog = pipeline::table_defs_of_schema(&self.core.schema);
+                verify::check_compiled(compiled, &catalog, &param_names(params))
+            } else if let Ok(shredded) = plan.downcast::<ShreddedMemoryPlan>() {
+                verify::check_package(&shredded.package)
+            } else {
+                Vec::new()
+            }
+        });
+        let mut label = result_type.to_string();
+        if label.len() > 120 {
+            let mut end = 117;
+            while !label.is_char_boundary(end) {
+                end -= 1;
+            }
+            label.truncate(end);
+            label.push_str("...");
+        }
+        Ok(PlannedQuery {
+            normalised,
+            result_type,
+            plan,
+            diagnostics,
+            label,
+        })
     }
 
-    /// Run the static verifier over a freshly built (or cache-served)
-    /// prepared query: the λNRC lint pass on the source term, then the
-    /// payload-specific structural checks — the full cross-stage
-    /// [`verify::check_compiled`] pass for SQL-pipeline plans, the index
-    /// tree check for shredded-memory plans, term lint only for opaque
-    /// payloads (oracle, baselines). With verification enabled
-    /// (see [`ShredderBuilder::verify`]) an error-severity finding fails
-    /// the prepare; diagnostics are attached to the handle either way.
+    /// The static verdict on preparing `term` to `planned`: the λNRC lint
+    /// pass on the source term, then what the structural checks found in
+    /// the plan when it was built. With verification enabled (see
+    /// [`ShredderBuilder::verify`]) an error-severity finding fails the
+    /// prepare — before anything is cached; otherwise the diagnostics are
+    /// attached to the handle.
     fn verified(
         &self,
         term: &Term,
-        mut prepared: PreparedQuery,
+        params: &[ParamSpec],
+        planned: &PlannedQuery,
         obs: &QueryObs,
-    ) -> Result<PreparedQuery, ShredError> {
-        let names: Vec<String> = prepared.params.iter().map(|p| p.name.clone()).collect();
-        let mut diagnostics = Diagnostics::new();
-        let verify_timer = Instant::now();
-        diagnostics.extend(lint::lint_term(term, &names));
-        if let Ok(compiled) = prepared.plan.downcast::<CompiledQuery>() {
-            let catalog = pipeline::table_defs_of_schema(&self.core.schema);
-            diagnostics.extend(verify::check_compiled(compiled, &catalog, &names));
-        } else if let Ok(shredded) = prepared.plan.downcast::<ShreddedMemoryPlan>() {
-            diagnostics.extend(verify::check_package(&shredded.package));
-        }
-        obs.record(
-            Stage::Verify,
-            verify_timer.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
+    ) -> Result<Diagnostics, ShredError> {
+        let mut diagnostics = Diagnostics::from_vec(obs.time(Stage::Verify, || {
+            lint::lint_term(term, &param_names(params))
+        }));
+        diagnostics.extend(planned.diagnostics.iter().cloned());
         if self.core.verify {
             if let Some(first) = diagnostics.first_error() {
                 return Err(ShredError::Verification {
@@ -1475,8 +1629,7 @@ impl Shredder {
                 });
             }
         }
-        prepared.diagnostics = Arc::new(diagnostics);
-        Ok(prepared)
+        Ok(diagnostics)
     }
 
     /// Execute a prepared query on this session's data, using the prepared
@@ -1552,7 +1705,7 @@ impl Shredder {
         let obs = QueryObs::new(profile);
         let start = Instant::now();
         let result = self.core.backend.execute(
-            &prepared.plan,
+            &prepared.planned.plan,
             &self.exec_context_obs(Some(&obs)),
             &bindings,
         );
@@ -1599,7 +1752,7 @@ impl Shredder {
         }
         if profile {
             let mut per_stage: Vec<Vec<sqlengine::OpActuals>> =
-                vec![Vec::new(); prepared.plan.stages.len().max(1)];
+                vec![Vec::new(); prepared.planned.plan.stage_count().max(1)];
             for op in &operators {
                 metrics.record(&format!("operator.{}", op.op), op.nanos);
                 if op.stage >= per_stage.len() {
@@ -1626,18 +1779,7 @@ impl Shredder {
         let mut all_spans = prepared.prepare_spans.as_ref().clone();
         all_spans.extend(spans);
         self.core.sink.record(QueryProfile {
-            query: {
-                let mut label = prepared.result_type.to_string();
-                if label.len() > 120 {
-                    let mut end = 117;
-                    while !label.is_char_boundary(end) {
-                        end -= 1;
-                    }
-                    label.truncate(end);
-                    label.push_str("...");
-                }
-                label
-            },
+            query: prepared.planned.label.clone(),
             backend: prepared.backend.to_string(),
             cached: prepared.from_cache,
             profiled: profile,
@@ -1717,6 +1859,7 @@ impl Shredder {
     ) -> Result<Subscription, ShredError> {
         self.guard_prepared(prepared)?;
         let compiled = prepared
+            .planned
             .plan
             .downcast::<CompiledQuery>()
             .map_err(|_| {
@@ -1907,6 +2050,10 @@ fn plan_key(normalised: &NormQuery) -> String {
     format!("{:?}", normalised)
 }
 
+fn param_names(params: &[ParamSpec]) -> Vec<String> {
+    params.iter().map(|p| p.name.clone()).collect()
+}
+
 /// Collect and validate the declared parameters of a term: a name declared
 /// at two different base types is a conflict. Collection happens on the
 /// source term (not the normal form) so that a parameter normalisation
@@ -2084,19 +2231,11 @@ impl SqlBackend for SqlEngineBackend {
             req.obs,
             req.optimize,
         )?;
-        let stages = compiled
-            .stages
-            .annotations()
-            .into_iter()
-            .map(|s| StageExplain {
-                path: s.path.to_string(),
-                sql: Some(sqlengine::print_query(&s.sql)),
-                physical: Some(s.plan.to_string()),
-                columns: s.layout.columns().to_vec(),
-                rewrites: s.opt.rewrites.clone(),
-            })
-            .collect();
-        Ok(BackendPlan::new(stages, compiled))
+        Ok(BackendPlan::lazy(
+            compiled.query_count(),
+            compiled,
+            explain_compiled,
+        ))
     }
 
     fn execute(
@@ -2109,6 +2248,23 @@ impl SqlBackend for SqlEngineBackend {
         let params = bindings.to_sql_params()?;
         pipeline::execute_bound_obs_opts(compiled, cx.engine()?, &params, cx.obs(), cx.exec_opts())
     }
+}
+
+/// The explain entries of a compiled SQL pipeline: each stage's SQL text and
+/// physical plan, pretty-printed.
+fn explain_compiled(compiled: &CompiledQuery) -> Vec<StageExplain> {
+    compiled
+        .stages
+        .annotations()
+        .into_iter()
+        .map(|s| StageExplain {
+            path: s.path.to_string(),
+            sql: Some(sqlengine::print_query(&s.sql)),
+            physical: Some(s.plan.to_string()),
+            columns: s.layout.columns().to_vec(),
+            rewrites: s.opt.rewrites.clone(),
+        })
+        .collect()
 }
 
 /// Payload of [`ShreddedMemoryBackend`] plans.

@@ -289,7 +289,7 @@ impl Term {
                 if y == x {
                     self.clone()
                 } else if value_free.contains(y) {
-                    let y2 = freshen(y, fresh);
+                    let y2 = freshen(y, body, value_free, fresh);
                     let body2 = body.subst(y, &Term::Var(y2.clone()));
                     Term::Lam(y2, Box::new(body2.subst_inner(x, value, value_free, fresh)))
                 } else {
@@ -326,7 +326,7 @@ impl Term {
                 if y == x {
                     Term::For(y.clone(), Box::new(src2), body.clone())
                 } else if value_free.contains(y) {
-                    let y2 = freshen(y, fresh);
+                    let y2 = freshen(y, body, value_free, fresh);
                     let body2 = body.subst(y, &Term::Var(y2.clone()));
                     Term::For(
                         y2,
@@ -406,9 +406,19 @@ impl Term {
     }
 }
 
-fn freshen(base: &str, fresh: &mut usize) -> String {
-    *fresh += 1;
-    format!("{}%{}", base, fresh)
+/// A new name for the binder `base` of `body`, which would capture a free
+/// variable of the value being substituted: `base%n` for the next `n` that
+/// is free in neither the value nor the body (an earlier substitution may
+/// have left its own `base%n` there).
+fn freshen(base: &str, body: &Term, value_free: &[String], fresh: &mut usize) -> String {
+    let body_free = body.free_vars();
+    loop {
+        *fresh += 1;
+        let candidate = format!("{}%{}", base, fresh);
+        if !value_free.contains(&candidate) && !body_free.contains(&candidate) {
+            return candidate;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +477,26 @@ mod tests {
         } else {
             panic!("expected a for, got {:?}", r);
         }
+    }
+
+    #[test]
+    fn renamed_binders_avoid_names_left_by_earlier_substitutions() {
+        // (λy. ⟨x, y, y%1⟩) [x := y]: y%1 is taken, in the body…
+        let body = record(vec![("a", var("x")), ("b", var("y")), ("c", var("y%1"))]);
+        let r = lam("y", body).subst("x", &var("y"));
+        assert_eq!(
+            r,
+            lam(
+                "y%2",
+                record(vec![("a", var("y")), ("b", var("y%2")), ("c", var("y%1"))])
+            )
+        );
+        // … or in the value.
+        let r = lam("y", union(var("x"), var("y"))).subst("x", &union(var("y"), var("y%1")));
+        assert_eq!(
+            r,
+            lam("y%2", union(union(var("y"), var("y%1")), var("y%2")))
+        );
     }
 
     #[test]

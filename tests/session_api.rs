@@ -4,6 +4,8 @@
 //! (QF1–QF6 and Q1–Q6).
 
 use query_shredding::prelude::*;
+use shredding::analysis::codes;
+use shredding::ShredError;
 
 fn small_db() -> Database {
     generate(&OrgConfig {
@@ -140,6 +142,223 @@ fn clearing_the_cache_forces_recompilation() {
     session.prepare(&q).unwrap();
     session.clear_plan_cache();
     assert!(!session.prepare(&q).unwrap().from_cache());
+}
+
+// ---------------------------------------------------------------------------
+// The two cache levels: source terms in front of normal forms
+// ---------------------------------------------------------------------------
+
+/// Samples the session's registry holds for each front-end stage, and the
+/// engine's plan counter: what a prepare that did any work would move.
+fn front_end_samples(session: &Shredder) -> Vec<u64> {
+    let mut samples: Vec<u64> = [
+        "stage.normalise",
+        "stage.typecheck",
+        "stage.shred",
+        "stage.sqlgen",
+        "stage.plan",
+        "stage.verify",
+    ]
+    .iter()
+    .map(|stage| session.metrics().histogram(stage).count())
+    .collect();
+    samples.push(session.engine().unwrap().plans_built());
+    samples
+}
+
+#[test]
+fn a_repeat_run_of_a_known_term_does_no_front_end_work() {
+    let session = Shredder::over(small_db()).unwrap();
+    let q = datagen::queries::q6();
+    let first = session.run(&q).unwrap();
+    let after_first = front_end_samples(&session);
+    assert!(after_first[..6].iter().all(|&n| n > 0), "{after_first:?}");
+
+    for _ in 0..100 {
+        assert_eq!(session.run(&q).unwrap(), first);
+    }
+    assert_eq!(
+        front_end_samples(&session),
+        after_first,
+        "a hit on the source term normalises, typechecks, plans and verifies nothing"
+    );
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (100, 1, 1));
+    assert_eq!(session.metrics().counter("queries.executed").get(), 101);
+}
+
+#[test]
+fn one_shape_with_two_constants_hits_and_still_answers_each() {
+    let session = Shredder::over(small_db()).unwrap();
+    let earning_over = |threshold: i64| {
+        for_where(
+            "e",
+            table("employees"),
+            gt(project(var("e"), "salary"), int(threshold)),
+            singleton(project(var("e"), "name")),
+        )
+    };
+    let (low, high) = (earning_over(0), earning_over(50_000));
+    let everyone = session.run(&low).unwrap();
+    let samples = front_end_samples(&session);
+    let some = session.run(&high).unwrap();
+    assert_eq!(front_end_samples(&session), samples);
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+
+    assert!(everyone.multiset_eq(&session.oracle(&low).unwrap()));
+    assert!(some.multiset_eq(&session.oracle(&high).unwrap()));
+    assert!(!everyone.multiset_eq(&some), "the constants must matter");
+}
+
+#[test]
+fn two_terms_with_one_normal_form_share_a_plan_and_keep_their_own_diagnostics() {
+    let session = Shredder::over(small_db()).unwrap();
+    let plain = for_in(
+        "d",
+        table("departments"),
+        singleton(project(var("d"), "name")),
+    );
+    // A `where true` that normalisation erases: the same normal form (bound
+    // names are part of it, so those stay), and a constant-conditional lint
+    // of its own.
+    let wordy = for_where(
+        "d",
+        table("departments"),
+        boolean(true),
+        singleton(project(var("d"), "name")),
+    );
+    assert!(session.prepare(&plain).unwrap().check().is_empty());
+    for round in 0..2 {
+        let prepared = session.prepare(&wordy).unwrap();
+        assert!(prepared.from_cache(), "round {round}");
+        assert!(
+            prepared.check().has_code(codes::CONSTANT_CONDITIONAL),
+            "round {round}: {}",
+            prepared.check()
+        );
+        assert!(session.prepare(&plain).unwrap().check().is_empty());
+    }
+    let stats = session.cache_stats();
+    assert_eq!((stats.misses, stats.entries), (1, 1));
+    assert_eq!(stats.hits, 4);
+    // Normalised twice in all: once per source term.
+    assert_eq!(session.metrics().histogram("stage.typecheck").count(), 2);
+}
+
+#[test]
+fn evicting_a_plan_forgets_the_terms_that_led_to_it() {
+    let session = Shredder::builder()
+        .database(small_db())
+        .plan_cache_capacity(1)
+        .build()
+        .unwrap();
+    let queries = datagen::queries::nested_queries();
+    let (first, second, third) = (&queries[0].1, &queries[1].1, &queries[2].1);
+    for q in [first, second, third] {
+        assert!(!session.prepare(q).unwrap().from_cache());
+    }
+    assert!(session.prepare(third).unwrap().from_cache());
+    let typechecked = session.metrics().histogram("stage.typecheck").count();
+    // The first query's plan is gone, and so is the shortcut to it: it is
+    // normalised and planned again.
+    assert!(!session.prepare(first).unwrap().from_cache());
+    assert_eq!(
+        session.metrics().histogram("stage.typecheck").count(),
+        typechecked + 1
+    );
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 4));
+    assert_eq!((stats.entries, stats.evictions), (1, 3));
+}
+
+#[test]
+fn clearing_the_cache_empties_both_levels() {
+    let session = Shredder::over(small_db()).unwrap();
+    let q = datagen::queries::q2();
+    session.prepare(&q).unwrap();
+    assert!(session.prepare(&q).unwrap().from_cache());
+    let samples = front_end_samples(&session);
+    session.clear_plan_cache();
+    assert_eq!(session.cache_stats().entries, 0);
+    assert!(!session.prepare(&q).unwrap().from_cache());
+    assert_ne!(front_end_samples(&session), samples);
+    assert_eq!(session.cache_stats().misses, 2);
+}
+
+#[test]
+fn uncached_prepares_leave_no_trace_in_either_level() {
+    let session = Shredder::over(small_db()).unwrap();
+    let q = datagen::queries::q2();
+    for _ in 0..2 {
+        assert!(!session.prepare_uncached(&q).unwrap().from_cache());
+    }
+    assert_eq!(session.cache_stats(), Default::default());
+    assert!(!session.prepare(&q).unwrap().from_cache());
+    // Three prepares, three type inferences.
+    assert_eq!(session.metrics().histogram("stage.typecheck").count(), 3);
+
+    let cacheless = Shredder::builder()
+        .database(small_db())
+        .without_plan_cache()
+        .build()
+        .unwrap();
+    for n in 1..=3 {
+        cacheless.run(&q).unwrap();
+        assert_eq!(cacheless.metrics().histogram("stage.typecheck").count(), n);
+    }
+    assert_eq!(cacheless.cache_stats(), Default::default());
+}
+
+// ---------------------------------------------------------------------------
+// Terms the rewriter used to get wrong
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_binder_renamed_past_its_own_primed_name_is_not_captured() {
+    // Hoisting `for (y ← employees)` out of the source of `x` has to rename
+    // y, and the body already uses both y and y~.
+    let session = Shredder::over(generate(&OrgConfig::small())).unwrap();
+    let q = for_in(
+        "y~",
+        table("departments"),
+        for_in(
+            "y",
+            table("departments"),
+            for_in(
+                "x",
+                for_in(
+                    "y",
+                    table("employees"),
+                    singleton(project(var("y"), "name")),
+                ),
+                singleton(record(vec![
+                    ("e", var("x")),
+                    ("d1", project(var("y"), "name")),
+                    ("d2", project(var("y~"), "name")),
+                ])),
+            ),
+        ),
+    );
+    let expected = session.oracle(&q).unwrap();
+    assert!(session.run(&q).unwrap().multiset_eq(&expected));
+}
+
+#[test]
+fn terms_without_a_normal_form_are_an_error_not_a_hang_or_an_abort() {
+    let session = Shredder::over(small_db()).unwrap();
+    let twice = lam("x", app(var("x"), var("x")));
+    let thrice = lam("x", app(app(var("x"), var("x")), var("x")));
+    for w in [twice, thrice] {
+        let start = std::time::Instant::now();
+        let result = session.run(&app(w.clone(), w));
+        assert!(
+            matches!(result, Err(ShredError::RewriteDiverged)),
+            "{result:?}"
+        );
+        assert!(start.elapsed().as_secs() < 1);
+    }
+    assert_eq!(session.cache_stats(), Default::default());
 }
 
 // ---------------------------------------------------------------------------

@@ -364,13 +364,22 @@ fn corrupted_plans_are_rejected_at_prepare_time() {
         .build()
         .unwrap();
     let (_, q) = &datagen::queries::nested_queries()[0];
-    match gated.prepare(q) {
-        Err(ShredError::Verification { code, message }) => {
-            assert_eq!(code, codes::UNKNOWN_TABLE);
-            assert!(message.contains("no_such_table"), "message: {}", message);
+    // Twice: a plan that failed verification enters neither cache level, so
+    // the second prepare plans, checks and fails exactly as the first did.
+    let mut messages = Vec::new();
+    for _ in 0..2 {
+        match gated.prepare(q) {
+            Err(ShredError::Verification { code, message }) => {
+                assert_eq!(code, codes::UNKNOWN_TABLE);
+                assert!(message.contains("no_such_table"), "message: {}", message);
+                messages.push(message);
+            }
+            other => panic!("expected a Verification error, got {:?}", other.map(|_| ())),
         }
-        other => panic!("expected a Verification error, got {:?}", other.map(|_| ())),
     }
+    assert_eq!(messages[0], messages[1]);
+    let stats = gated.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
 
     let collecting = Shredder::builder()
         .schema(datagen::organisation_schema())
@@ -386,4 +395,8 @@ fn corrupted_plans_are_rejected_at_prepare_time() {
         .explain()
         .to_string()
         .contains(codes::UNKNOWN_TABLE));
+    // A cache hit hands back the findings of the first prepare.
+    let again = collecting.prepare(q).unwrap();
+    assert!(again.from_cache());
+    assert_eq!(again.check().to_string(), prepared.check().to_string());
 }
