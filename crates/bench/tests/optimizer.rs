@@ -9,11 +9,15 @@
 //! lifting + decorrelation on Q2, predicate pushdown on Q6, column pruning
 //! on QF2 and Q5, and package-level common-subplan sharing on Q1.
 
-use datagen::{generate, OrgConfig};
+use datagen::{generate, organisation_schema, OrgConfig};
 use nrc::builder::*;
 use nrc::Term;
+use shredding::normalise_with_type;
+use shredding::pipeline::{compile_normalised_opts, storage_from_database};
 use shredding::semantics::IndexScheme;
-use shredding::session::Shredder;
+use shredding::session::{auto_parameterize, Shredder};
+use sqlengine::{OptReport, PhysicalPlan};
+use std::fmt::Write;
 
 /// A small but non-degenerate organisation: every table non-empty, tasks
 /// sparse enough that EXISTS/NOT-EXISTS queries have both matching and
@@ -281,6 +285,87 @@ fn q2_explain_matches_the_golden_snapshot() {
     assert_eq!(
         rendered, golden,
         "Q2 explain drifted from the golden snapshot; \
+         rerun with UPDATE_GOLDEN=1 if the change is intentional"
+    );
+}
+
+/// Append one plan's optimizer-visible facts to a golden transcript.
+fn describe(out: &mut String, heading: &str, plan: &PhysicalPlan, report: &OptReport) {
+    writeln!(out, "--- {heading}").unwrap();
+    writeln!(out, "{plan}").unwrap();
+    for rewrite in &report.rewrites {
+        writeln!(out, "rewrite: {rewrite}").unwrap();
+    }
+    for skip in &report.skipped {
+        writeln!(out, "skipped: {} ({})", skip.node, skip.reason).unwrap();
+    }
+    writeln!(out, "params: {:?}", plan.params()).unwrap();
+    writeln!(
+        out,
+        "node_count: {}, nodes: {}",
+        plan.node_count(),
+        plan.nodes().len()
+    )
+    .unwrap();
+}
+
+/// The optimizer pinned whole: for every stage of QF1–QF6 and Q1–Q6, raw and
+/// auto-parameterized, the plan compiled with the optimizer on (its
+/// rendering, rewrite log in order, skips, param slots and node counts),
+/// and what `optimize` makes of the unoptimized stage plan against a loaded
+/// 8-department storage, whose row counts drive the build-side pass. Refresh
+/// with `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
+#[test]
+fn optimizer_output_matches_the_golden_file() {
+    let schema = organisation_schema();
+    let storage = storage_from_database(&generate(&OrgConfig {
+        departments: 8,
+        ..OrgConfig::default()
+    }))
+    .unwrap();
+    let mut out = String::new();
+    let queries = datagen::queries::flat_queries()
+        .into_iter()
+        .chain(datagen::queries::nested_queries());
+    for (name, q) in queries {
+        let (parameterized, _) = auto_parameterize(&q);
+        for (form, term) in [("raw", &q), ("auto-parameterized", &parameterized)] {
+            let (normalised, ty) = normalise_with_type(term, &schema).unwrap();
+            let optimized =
+                compile_normalised_opts(normalised.clone(), ty.clone(), &schema, None, true)
+                    .unwrap();
+            let unoptimized =
+                compile_normalised_opts(normalised, ty, &schema, None, false).unwrap();
+            let stages = optimized
+                .stages
+                .annotations()
+                .into_iter()
+                .zip(unoptimized.stages.annotations());
+            for (i, (compiled, raw)) in stages.enumerate() {
+                writeln!(out, "=== {name} {form} stage {i} ({})", compiled.path).unwrap();
+                describe(&mut out, "compiled", &compiled.plan, &compiled.opt);
+                let (plan, report) = sqlengine::optimize(raw.plan.clone(), &storage);
+                describe(
+                    &mut out,
+                    "unoptimized, then optimized on storage",
+                    &plan,
+                    &report,
+                );
+            }
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/optimizer_plans.golden"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &out).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file exists");
+    assert!(
+        out == golden,
+        "the optimizer's output drifted from tests/golden/optimizer_plans.golden; \
          rerun with UPDATE_GOLDEN=1 if the change is intentional"
     );
 }
