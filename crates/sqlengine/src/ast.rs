@@ -319,77 +319,63 @@ impl Expr {
         Expr::RowNumber { order_by }
     }
 
+    /// Does `f` hold for this expression or any of its subexpressions,
+    /// visited in pre-order (`ROW_NUMBER` keys included)? An `EXISTS` is
+    /// visited as a leaf: its subquery resolves its own scopes.
+    pub fn any(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
+        fn go(e: &Expr, f: &mut impl FnMut(&Expr) -> bool) -> bool {
+            f(e) || match e {
+                Expr::BinOp { left, right, .. } => go(left, f) || go(right, f),
+                Expr::Not(inner) => go(inner, f),
+                Expr::RowNumber { order_by } => order_by.iter().any(|k| go(k, f)),
+                Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Exists(_) => false,
+            }
+        }
+        go(self, &mut f)
+    }
+
     /// All aliases of columns mentioned in this expression (not descending
     /// into subqueries, which resolve their own scopes).
     pub fn referenced_aliases(&self) -> Vec<String> {
-        fn go(e: &Expr, acc: &mut Vec<String>) {
-            match e {
-                Expr::Column { table: Some(t), .. } => {
-                    if !acc.contains(t) {
-                        acc.push(t.clone());
-                    }
+        let mut acc: Vec<String> = Vec::new();
+        self.any(|e| {
+            if let Expr::Column { table: Some(t), .. } = e {
+                if !acc.contains(t) {
+                    acc.push(t.clone());
                 }
-                Expr::Column { table: None, .. } | Expr::Literal(_) | Expr::Param(_) => {}
-                Expr::BinOp { left, right, .. } => {
-                    go(left, acc);
-                    go(right, acc);
-                }
-                Expr::Not(inner) => go(inner, acc),
-                Expr::Exists(_) => {}
-                Expr::RowNumber { order_by } => order_by.iter().for_each(|k| go(k, acc)),
             }
-        }
-        let mut acc = Vec::new();
-        go(self, &mut acc);
+            false
+        });
         acc
     }
 
     /// Does the expression contain a `ROW_NUMBER` call?
     pub fn contains_row_number(&self) -> bool {
-        match self {
-            Expr::RowNumber { .. } => true,
-            Expr::BinOp { left, right, .. } => {
-                left.contains_row_number() || right.contains_row_number()
-            }
-            Expr::Not(inner) => inner.contains_row_number(),
-            _ => false,
-        }
+        self.any(|e| matches!(e, Expr::RowNumber { .. }))
     }
 
     /// Number of nested subqueries (EXISTS bodies).
     pub fn subquery_count(&self) -> usize {
-        match self {
-            Expr::Exists(q) => q.select_count(),
-            Expr::BinOp { left, right, .. } => left.subquery_count() + right.subquery_count(),
-            Expr::Not(inner) => inner.subquery_count(),
-            _ => 0,
-        }
+        let mut count = 0;
+        self.any(|e| {
+            if let Expr::Exists(q) = e {
+                count += q.select_count();
+            }
+            false
+        });
+        count
     }
 
     /// Does the expression reference a column without a table qualifier?
     /// (The executor and planner defer such predicates until every relation
     /// is bound, since the reference may resolve into any of them.)
     pub fn contains_unqualified_column(&self) -> bool {
-        match self {
-            Expr::Column { table: None, .. } => true,
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => false,
-            Expr::BinOp { left, right, .. } => {
-                left.contains_unqualified_column() || right.contains_unqualified_column()
-            }
-            Expr::Not(inner) => inner.contains_unqualified_column(),
-            Expr::Exists(_) => false,
-            Expr::RowNumber { order_by } => order_by.iter().any(Expr::contains_unqualified_column),
-        }
+        self.any(|e| matches!(e, Expr::Column { table: None, .. }))
     }
 
     /// Does the expression contain an `EXISTS` subquery (at any depth)?
     pub fn contains_exists(&self) -> bool {
-        match self {
-            Expr::Exists(_) => true,
-            Expr::BinOp { left, right, .. } => left.contains_exists() || right.contains_exists(),
-            Expr::Not(inner) => inner.contains_exists(),
-            _ => false,
-        }
+        self.any(|e| matches!(e, Expr::Exists(_)))
     }
 
     /// Split a conjunction into its conjuncts.

@@ -55,14 +55,10 @@
 
 use crate::ast::BinOp;
 use crate::exec::eval_binop;
-use crate::plan::{BuildSide, Catalog, PhysicalPlan, VExpr, DEFAULT_ROWS, FILTER_SELECTIVITY};
+use crate::plan::{
+    BuildSide, Catalog, PhysicalPlan, SchemaCol, VExpr, DEFAULT_ROWS, FILTER_SELECTIVITY,
+};
 use crate::value::SqlValue;
-
-/// One column of a node's output as the runtime scope sees it: the defining
-/// alias (if any) and the column name. Mirrors the vectorized executor's
-/// batch schema so decorrelation resolves outer references exactly as the
-/// scope stack would.
-type SchemaCol = (Option<String>, String);
 
 /// A correlated subquery the decorrelator had to leave in place, and why.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,128 +152,17 @@ pub fn live_estimate(plan: &PhysicalPlan, catalog: &dyn Catalog) -> f64 {
 // Generic traversal
 // ---------------------------------------------------------------------------
 
-/// Rebuild `plan` bottom-up, applying `f` to every node (children first,
-/// then the rebuilt node itself). Descends into `EXISTS` subplans embedded
-/// in expressions as well as structural children.
+/// Rebuild `plan` bottom-up, applying `f` to every node: its inputs first,
+/// then the `EXISTS` subplans inside its expressions, then the rebuilt node
+/// itself.
 fn map_plan(plan: PhysicalPlan, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalPlan {
-    let mapped = match plan {
-        PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } | PhysicalPlan::CteScan { .. } => {
-            plan
-        }
-        PhysicalPlan::SubqueryScan { input, alias } => PhysicalPlan::SubqueryScan {
-            input: Box::new(map_plan(*input, f)),
-            alias,
-        },
-        PhysicalPlan::NestedLoopJoin { left, right } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-        },
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            build,
-        } => PhysicalPlan::HashJoin {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-            left_keys: left_keys
-                .into_iter()
-                .map(|e| map_expr_plans(e, f))
-                .collect(),
-            right_keys: right_keys
-                .into_iter()
-                .map(|e| map_expr_plans(e, f))
-                .collect(),
-            build,
-        },
-        PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(map_plan(*input, f)),
-            predicate: map_expr_plans(predicate, f),
-        },
-        PhysicalPlan::ExistsSemiJoin {
-            input,
-            subplan,
-            anti,
-        } => PhysicalPlan::ExistsSemiJoin {
-            input: Box::new(map_plan(*input, f)),
-            subplan: Box::new(map_plan(*subplan, f)),
-            anti,
-        },
-        PhysicalPlan::HashSemiJoin {
-            input,
-            build,
-            probe_keys,
-            build_keys,
-            anti,
-        } => PhysicalPlan::HashSemiJoin {
-            input: Box::new(map_plan(*input, f)),
-            build: Box::new(map_plan(*build, f)),
-            probe_keys: probe_keys
-                .into_iter()
-                .map(|e| map_expr_plans(e, f))
-                .collect(),
-            build_keys: build_keys
-                .into_iter()
-                .map(|e| map_expr_plans(e, f))
-                .collect(),
-            anti,
-        },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
-            input: Box::new(map_plan(*input, f)),
-            specs: specs
-                .into_iter()
-                .map(|spec| spec.into_iter().map(|e| map_expr_plans(e, f)).collect())
-                .collect(),
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(map_plan(*input, f)),
-            keys: keys.into_iter().map(|e| map_expr_plans(e, f)).collect(),
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            columns,
-        } => PhysicalPlan::Project {
-            input: Box::new(map_plan(*input, f)),
-            exprs: exprs.into_iter().map(|e| map_expr_plans(e, f)).collect(),
-            columns,
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(map_plan(*input, f)),
-        },
-        PhysicalPlan::UnionAll(branches) => {
-            PhysicalPlan::UnionAll(branches.into_iter().map(|b| map_plan(b, f)).collect())
-        }
-        PhysicalPlan::ExceptAll { left, right } => PhysicalPlan::ExceptAll {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-        },
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => PhysicalPlan::With {
-            name,
-            definition: Box::new(map_plan(*definition, f)),
-            body: Box::new(map_plan(*body, f)),
-        },
-    };
+    let mapped = plan.map_children(|child| map_plan(child, f));
     f(mapped)
 }
 
-/// Apply a plan mapper to every `EXISTS` subplan inside an expression.
-fn map_expr_plans(expr: VExpr, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan) -> VExpr {
-    match expr {
-        VExpr::BinOp { op, left, right } => VExpr::BinOp {
-            op,
-            left: Box::new(map_expr_plans(*left, f)),
-            right: Box::new(map_expr_plans(*right, f)),
-        },
-        VExpr::Not(inner) => VExpr::Not(Box::new(map_expr_plans(*inner, f))),
-        VExpr::Exists(subplan) => VExpr::Exists(Box::new(map_plan(*subplan, f))),
-        other => other,
-    }
+/// Move an expression out of its slot, leaving a placeholder behind.
+fn take_expr(slot: &mut VExpr) -> VExpr {
+    std::mem::replace(slot, VExpr::Lit(SqlValue::Null))
 }
 
 // ---------------------------------------------------------------------------
@@ -285,82 +170,28 @@ fn map_expr_plans(expr: VExpr, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan) 
 // ---------------------------------------------------------------------------
 
 fn fold_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
-    map_plan(plan, &mut |node| match node {
-        PhysicalPlan::Filter { input, predicate } => {
-            match fold_expr(predicate, count) {
-                // `WHERE TRUE` keeps every row: drop the node.
-                VExpr::Lit(SqlValue::Bool(true)) => {
-                    *count += 1;
-                    *input
-                }
-                predicate => PhysicalPlan::Filter { input, predicate },
+    map_plan(plan, &mut |mut node| {
+        node.for_each_expr_mut(|e| *e = fold_expr(take_expr(e), count));
+        match node {
+            // `WHERE TRUE` keeps every row: drop the node.
+            PhysicalPlan::Filter {
+                input,
+                predicate: VExpr::Lit(SqlValue::Bool(true)),
+            } => {
+                *count += 1;
+                *input
             }
+            other => other,
         }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            build,
-        } => PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys: left_keys.into_iter().map(|e| fold_expr(e, count)).collect(),
-            right_keys: right_keys
-                .into_iter()
-                .map(|e| fold_expr(e, count))
-                .collect(),
-            build,
-        },
-        PhysicalPlan::HashSemiJoin {
-            input,
-            build,
-            probe_keys,
-            build_keys,
-            anti,
-        } => PhysicalPlan::HashSemiJoin {
-            input,
-            build,
-            probe_keys: probe_keys
-                .into_iter()
-                .map(|e| fold_expr(e, count))
-                .collect(),
-            build_keys: build_keys
-                .into_iter()
-                .map(|e| fold_expr(e, count))
-                .collect(),
-            anti,
-        },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
-            input,
-            specs: specs
-                .into_iter()
-                .map(|spec| spec.into_iter().map(|e| fold_expr(e, count)).collect())
-                .collect(),
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input,
-            keys: keys.into_iter().map(|e| fold_expr(e, count)).collect(),
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            columns,
-        } => PhysicalPlan::Project {
-            input,
-            exprs: exprs.into_iter().map(|e| fold_expr(e, count)).collect(),
-            columns,
-        },
-        other => other,
     })
 }
 
+/// Fold bottom-up. Subplans inside expressions are folded by the
+/// surrounding `map_plan` traversal.
 fn fold_expr(expr: VExpr, count: &mut usize) -> VExpr {
-    match expr {
+    expr.map(&mut |e| match e {
         VExpr::BinOp { op, left, right } => {
-            let left = fold_expr(*left, count);
-            let right = fold_expr(*right, count);
-            if let (VExpr::Lit(l), VExpr::Lit(r)) = (&left, &right) {
+            if let (VExpr::Lit(l), VExpr::Lit(r)) = (&*left, &*right) {
                 // Only fold evaluations that succeed: a subtree that would
                 // error at runtime (division by zero, type mismatch) is
                 // kept so the executor still reports it.
@@ -374,29 +205,24 @@ fn fold_expr(expr: VExpr, count: &mut usize) -> VExpr {
             match op {
                 BinOp::And if lit_true(&left) => {
                     *count += 1;
-                    return right;
+                    *right
                 }
                 BinOp::And if lit_true(&right) => {
                     *count += 1;
-                    return left;
+                    *left
                 }
                 BinOp::Or if lit_false(&left) => {
                     *count += 1;
-                    return right;
+                    *right
                 }
                 BinOp::Or if lit_false(&right) => {
                     *count += 1;
-                    return left;
+                    *left
                 }
-                _ => {}
-            }
-            VExpr::BinOp {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
+                _ => VExpr::BinOp { op, left, right },
             }
         }
-        VExpr::Not(inner) => match fold_expr(*inner, count) {
+        VExpr::Not(inner) => match *inner {
             VExpr::Lit(SqlValue::Bool(b)) => {
                 *count += 1;
                 VExpr::Lit(SqlValue::Bool(!b))
@@ -415,10 +241,8 @@ fn fold_expr(expr: VExpr, count: &mut usize) -> VExpr {
             }
             inner => VExpr::Not(Box::new(inner)),
         },
-        // Subplans inside expressions are folded by the surrounding
-        // `map_plan` traversal.
         other => other,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -523,7 +347,7 @@ fn try_decorrelate(
     subplan: PhysicalPlan,
     anti: bool,
 ) -> Result<(PhysicalPlan, String), String> {
-    let frame = plan_schema(input);
+    let frame = input.schema();
 
     // EXISTS only observes emptiness, so order- and multiplicity-only root
     // operators can be stripped before analysing the shape.
@@ -703,7 +527,7 @@ fn extract(plan: PhysicalPlan, frame: &[SchemaCol]) -> Result<Ext, String> {
             right_keys,
             build,
         } => {
-            let left_width = left.output_columns().len();
+            let left_width = left.output_width();
             let le = extract(*left, frame)?;
             let re = extract(*right, frame)?;
             let mut keys = le.keys;
@@ -724,7 +548,7 @@ fn extract(plan: PhysicalPlan, frame: &[SchemaCol]) -> Result<Ext, String> {
             })
         }
         PhysicalPlan::NestedLoopJoin { left, right } => {
-            let left_width = left.output_columns().len();
+            let left_width = left.output_width();
             let le = extract(*left, frame)?;
             let re = extract(*right, frame)?;
             let mut keys = le.keys;
@@ -815,46 +639,6 @@ fn as_correlation_eq(conj: VExpr, frame: &[SchemaCol]) -> Result<(VExpr, VExpr),
 // Scope/schema reasoning shared by the decorrelator
 // ---------------------------------------------------------------------------
 
-/// The `(alias, column)` schema a node presents to enclosing scopes —
-/// exactly what the vectorized executor pushes as the scope frame for a
-/// correlated subquery over this node's rows.
-fn plan_schema(plan: &PhysicalPlan) -> Vec<SchemaCol> {
-    match plan {
-        PhysicalPlan::UnitRow => Vec::new(),
-        PhysicalPlan::TableScan { alias, columns, .. }
-        | PhysicalPlan::CteScan { alias, columns, .. } => columns
-            .iter()
-            .map(|c| (Some(alias.clone()), c.clone()))
-            .collect(),
-        PhysicalPlan::SubqueryScan { input, alias } => plan_schema(input)
-            .into_iter()
-            .map(|(_, c)| (Some(alias.clone()), c))
-            .collect(),
-        PhysicalPlan::NestedLoopJoin { left, right }
-        | PhysicalPlan::HashJoin { left, right, .. } => {
-            let mut schema = plan_schema(left);
-            schema.extend(plan_schema(right));
-            schema
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::ExistsSemiJoin { input, .. }
-        | PhysicalPlan::HashSemiJoin { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Distinct { input } => plan_schema(input),
-        PhysicalPlan::RowNumber { input, specs } => {
-            let mut schema = plan_schema(input);
-            schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
-            schema
-        }
-        PhysicalPlan::Project { columns, .. } => {
-            columns.iter().map(|c| (None, c.clone())).collect()
-        }
-        PhysicalPlan::UnionAll(branches) => branches.first().map(plan_schema).unwrap_or_default(),
-        PhysicalPlan::ExceptAll { left, .. } => plan_schema(left),
-        PhysicalPlan::With { body, .. } => plan_schema(body),
-    }
-}
-
 /// Would this outer reference resolve against `frame` at runtime? The scope
 /// stack matches qualified references by alias and unqualified references by
 /// column name, innermost frame first — `frame` here is the innermost frame
@@ -871,56 +655,22 @@ fn resolves_to_frame(table: &Option<String>, column: &str, frame: &[SchemaCol]) 
 /// Does the expression (deeply, including nested `EXISTS` subplans) contain
 /// an outer reference that resolves to `frame`?
 fn expr_refs_frame(expr: &VExpr, frame: &[SchemaCol]) -> bool {
-    match expr {
+    expr.any(|e| match e {
         VExpr::Outer { table, column } => resolves_to_frame(table, column, frame),
-        VExpr::BinOp { left, right, .. } => {
-            expr_refs_frame(left, frame) || expr_refs_frame(right, frame)
-        }
-        VExpr::Not(inner) => expr_refs_frame(inner, frame),
         VExpr::Exists(subplan) => plan_refs_frame(subplan, frame),
-        VExpr::Col { .. } | VExpr::Lit(_) | VExpr::Param(_) => false,
-    }
+        _ => false,
+    })
 }
 
 /// Does any expression anywhere in the plan reference `frame`? Conservative:
 /// a nested subquery whose own frame shadows an alias still counts as a
 /// reference, so shadowed-but-sound plans are skipped rather than miscompiled.
 fn plan_refs_frame(plan: &PhysicalPlan, frame: &[SchemaCol]) -> bool {
-    let exprs_ref = match plan {
-        PhysicalPlan::UnitRow
-        | PhysicalPlan::TableScan { .. }
-        | PhysicalPlan::CteScan { .. }
-        | PhysicalPlan::SubqueryScan { .. }
-        | PhysicalPlan::NestedLoopJoin { .. }
-        | PhysicalPlan::Distinct { .. }
-        | PhysicalPlan::UnionAll(_)
-        | PhysicalPlan::ExceptAll { .. }
-        | PhysicalPlan::With { .. } => false,
-        PhysicalPlan::HashJoin {
-            left_keys,
-            right_keys,
-            ..
-        } => left_keys
-            .iter()
-            .chain(right_keys)
-            .any(|e| expr_refs_frame(e, frame)),
-        PhysicalPlan::Filter { predicate, .. } => expr_refs_frame(predicate, frame),
-        PhysicalPlan::ExistsSemiJoin { subplan, .. } => plan_refs_frame(subplan, frame),
-        PhysicalPlan::HashSemiJoin {
-            probe_keys,
-            build_keys,
-            ..
-        } => probe_keys
-            .iter()
-            .chain(build_keys)
-            .any(|e| expr_refs_frame(e, frame)),
-        PhysicalPlan::RowNumber { specs, .. } => {
-            specs.iter().flatten().any(|e| expr_refs_frame(e, frame))
-        }
-        PhysicalPlan::Sort { keys, .. } => keys.iter().any(|e| expr_refs_frame(e, frame)),
-        PhysicalPlan::Project { exprs, .. } => exprs.iter().any(|e| expr_refs_frame(e, frame)),
-    };
-    exprs_ref || plan.children().iter().any(|c| plan_refs_frame(c, frame))
+    plan.exprs().any(|e| expr_refs_frame(e, frame))
+        || plan
+            .children()
+            .into_iter()
+            .any(|c| plan_refs_frame(c, frame))
 }
 
 /// Rewrite frame-resolving outer references into positional columns over the
@@ -1109,7 +859,7 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
             body: Box::new(push_into(*body, pred)),
         }),
         PhysicalPlan::NestedLoopJoin { left, right } => {
-            let left_width = left.output_columns().len();
+            let left_width = left.output_width();
             match route_join_pred(&pred, left_width) {
                 Some(JoinSide::Left) => Ok(PhysicalPlan::NestedLoopJoin {
                     left: Box::new(push_into(*left, pred)),
@@ -1132,7 +882,7 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
             right_keys,
             build,
         } => {
-            let left_width = left.output_columns().len();
+            let left_width = left.output_width();
             match route_join_pred(&pred, left_width) {
                 Some(JoinSide::Left) => Ok(PhysicalPlan::HashJoin {
                     left: Box::new(push_into(*left, pred)),
@@ -1267,122 +1017,9 @@ fn rechoose_plan(
                 build: chosen,
             }
         }
-        other => {
-            // `map_plan` would re-enter `With` nodes without the env
-            // bookkeeping, so recurse manually one level at a time.
-            map_children(other, &mut |c| rechoose_plan(c, catalog, env, flips))
-        }
-    }
-}
-
-/// Rebuild a node with `f` applied to each direct structural child and each
-/// `EXISTS` subplan embedded in its expressions (one level, not recursive).
-fn map_children(
-    plan: PhysicalPlan,
-    f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan,
-) -> PhysicalPlan {
-    fn expr_f(e: VExpr, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan) -> VExpr {
-        match e {
-            VExpr::Exists(subplan) => VExpr::Exists(Box::new(f(*subplan))),
-            VExpr::BinOp { op, left, right } => VExpr::BinOp {
-                op,
-                left: Box::new(expr_f(*left, f)),
-                right: Box::new(expr_f(*right, f)),
-            },
-            VExpr::Not(inner) => VExpr::Not(Box::new(expr_f(*inner, f))),
-            other => other,
-        }
-    }
-    match plan {
-        PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } | PhysicalPlan::CteScan { .. } => {
-            plan
-        }
-        PhysicalPlan::SubqueryScan { input, alias } => PhysicalPlan::SubqueryScan {
-            input: Box::new(f(*input)),
-            alias,
-        },
-        PhysicalPlan::NestedLoopJoin { left, right } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-        },
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            build,
-        } => PhysicalPlan::HashJoin {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            build,
-        },
-        PhysicalPlan::Filter { input, predicate } => {
-            let predicate = expr_f(predicate, f);
-            PhysicalPlan::Filter {
-                input: Box::new(f(*input)),
-                predicate,
-            }
-        }
-        PhysicalPlan::ExistsSemiJoin {
-            input,
-            subplan,
-            anti,
-        } => PhysicalPlan::ExistsSemiJoin {
-            input: Box::new(f(*input)),
-            subplan: Box::new(f(*subplan)),
-            anti,
-        },
-        PhysicalPlan::HashSemiJoin {
-            input,
-            build,
-            probe_keys,
-            build_keys,
-            anti,
-        } => PhysicalPlan::HashSemiJoin {
-            input: Box::new(f(*input)),
-            build: Box::new(f(*build)),
-            probe_keys,
-            build_keys,
-            anti,
-        },
-        PhysicalPlan::RowNumber { input, specs } => PhysicalPlan::RowNumber {
-            input: Box::new(f(*input)),
-            specs,
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            columns,
-        } => PhysicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-            columns,
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        PhysicalPlan::UnionAll(branches) => {
-            PhysicalPlan::UnionAll(branches.into_iter().map(&mut *f).collect())
-        }
-        PhysicalPlan::ExceptAll { left, right } => PhysicalPlan::ExceptAll {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-        },
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => PhysicalPlan::With {
-            name,
-            definition: Box::new(f(*definition)),
-            body: Box::new(f(*body)),
-        },
+        // `map_plan` would re-enter `With` nodes without the env
+        // bookkeeping, so recurse one level at a time.
+        other => other.map_children(|c| rechoose_plan(c, catalog, env, flips)),
     }
 }
 
@@ -1493,7 +1130,7 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
     let all = vec![true; need.len()];
     let need = if frozen { &all[..] } else { need };
     // `EXISTS` inside this node's expressions runs against its input rows.
-    let has_subplans = !plan.expr_subplans().is_empty();
+    let has_subplans = plan.exprs().any(contains_exists);
     let frozen_below = frozen || has_subplans;
     match plan {
         PhysicalPlan::UnitRow | PhysicalPlan::TableScan { .. } | PhysicalPlan::CteScan { .. } => {
@@ -1727,7 +1364,7 @@ fn narrow(input: Pruned, need: &[bool], frozen: bool, count: &mut usize) -> Prun
     if frozen || kept == input.width() {
         return input;
     }
-    let schema = plan_schema(&input.plan);
+    let schema = input.plan.schema();
     let mut exprs = Vec::with_capacity(kept);
     let mut columns = Vec::with_capacity(kept);
     let mut remap = vec![None; need.len()];
@@ -1776,7 +1413,7 @@ fn remap_exprs(exprs: Vec<VExpr>, remap: &[Option<usize>], count: &mut usize) ->
 /// inside the `EXISTS` subplans it embeds (their own columns index other
 /// batches).
 fn remap_expr(expr: VExpr, remap: &[Option<usize>], count: &mut usize) -> VExpr {
-    match expr {
+    expr.map(&mut |e| match e {
         VExpr::Col {
             index,
             alias,
@@ -1789,15 +1426,9 @@ fn remap_expr(expr: VExpr, remap: &[Option<usize>], count: &mut usize) -> VExpr 
             alias,
             column,
         },
-        VExpr::BinOp { op, left, right } => VExpr::BinOp {
-            op,
-            left: Box::new(remap_expr(*left, remap, count)),
-            right: Box::new(remap_expr(*right, remap, count)),
-        },
-        VExpr::Not(inner) => VExpr::Not(Box::new(remap_expr(*inner, remap, count))),
         VExpr::Exists(subplan) => VExpr::Exists(Box::new(prune_plan(*subplan, count))),
         other => other,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1832,99 +1463,61 @@ fn join_conjuncts(conjuncts: Vec<VExpr>) -> Option<VExpr> {
 /// Every positional column index the expression references (not descending
 /// into `EXISTS` subplans — their columns index a different batch).
 fn col_indexes(expr: &VExpr) -> Vec<usize> {
-    fn go(expr: &VExpr, out: &mut Vec<usize>) {
-        match expr {
-            VExpr::Col { index, .. } => out.push(*index),
-            VExpr::BinOp { left, right, .. } => {
-                go(left, out);
-                go(right, out);
-            }
-            VExpr::Not(inner) => go(inner, out),
-            _ => {}
-        }
-    }
     let mut out = Vec::new();
-    go(expr, &mut out);
+    expr.any(|e| {
+        if let VExpr::Col { index, .. } = e {
+            out.push(*index);
+        }
+        false
+    });
     out
 }
 
 fn contains_col(expr: &VExpr) -> bool {
-    match expr {
-        VExpr::Col { .. } => true,
-        VExpr::BinOp { left, right, .. } => contains_col(left) || contains_col(right),
-        VExpr::Not(inner) => contains_col(inner),
-        _ => false,
-    }
+    expr.any(|e| matches!(e, VExpr::Col { .. }))
 }
 
 fn contains_exists(expr: &VExpr) -> bool {
-    match expr {
-        VExpr::Exists(_) => true,
-        VExpr::BinOp { left, right, .. } => contains_exists(left) || contains_exists(right),
-        VExpr::Not(inner) => contains_exists(inner),
-        _ => false,
-    }
+    expr.any(|e| matches!(e, VExpr::Exists(_)))
 }
 
-/// Shift every column index up by `by` (a relation moved right of a join).
-fn shift_cols(expr: VExpr, by: usize) -> VExpr {
-    match expr {
+/// Rebuild every positional column reference with `f(index, alias, column)`
+/// (not descending into `EXISTS` subplans).
+fn map_cols(expr: VExpr, mut f: impl FnMut(usize, Option<String>, String) -> VExpr) -> VExpr {
+    expr.map(&mut |e| match e {
         VExpr::Col {
             index,
             alias,
             column,
-        } => VExpr::Col {
-            index: index + by,
-            alias,
-            column,
-        },
-        VExpr::BinOp { op, left, right } => VExpr::BinOp {
-            op,
-            left: Box::new(shift_cols(*left, by)),
-            right: Box::new(shift_cols(*right, by)),
-        },
-        VExpr::Not(inner) => VExpr::Not(Box::new(shift_cols(*inner, by))),
+        } => f(index, alias, column),
         other => other,
-    }
+    })
+}
+
+/// Shift every column index up by `by` (a relation moved right of a join).
+fn shift_cols(expr: VExpr, by: usize) -> VExpr {
+    map_cols(expr, |index, alias, column| VExpr::Col {
+        index: index + by,
+        alias,
+        column,
+    })
 }
 
 /// Shift every column index down by `by` (a predicate routed to the right
 /// join input). Only called when every index is ≥ `by`.
 fn unshift_cols(expr: VExpr, by: usize) -> VExpr {
-    match expr {
-        VExpr::Col {
-            index,
-            alias,
-            column,
-        } => VExpr::Col {
-            index: index - by,
-            alias,
-            column,
-        },
-        VExpr::BinOp { op, left, right } => VExpr::BinOp {
-            op,
-            left: Box::new(unshift_cols(*left, by)),
-            right: Box::new(unshift_cols(*right, by)),
-        },
-        VExpr::Not(inner) => VExpr::Not(Box::new(unshift_cols(*inner, by))),
-        other => other,
-    }
+    map_cols(expr, |index, alias, column| VExpr::Col {
+        index: index - by,
+        alias,
+        column,
+    })
 }
 
 /// Replace every `Col { index: i }` with the projection expression `exprs[i]`.
 /// Only called after checking each referenced expression is a rename or
 /// constant.
 fn substitute_cols(expr: VExpr, exprs: &[VExpr]) -> VExpr {
-    match expr {
-        VExpr::Col { index, .. } => exprs[index].clone(),
-        VExpr::BinOp { op, left, right } => VExpr::BinOp {
-            op,
-            left: Box::new(substitute_cols(*left, exprs)),
-            right: Box::new(substitute_cols(*right, exprs)),
-        },
-        VExpr::Not(inner) => VExpr::Not(Box::new(substitute_cols(*inner, exprs))),
-        other => other,
-    }
+    map_cols(expr, |index, _, _| exprs[index].clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -2241,6 +1834,41 @@ mod tests {
             report.rewrites.iter().any(|r| r.contains("build side")),
             "rewrites: {:?}",
             report.rewrites
+        );
+    }
+
+    #[test]
+    fn rechooses_build_sides_inside_every_expression_subplan() {
+        let catalog = RowsCatalog(vec![("big", vec!["a"], 100_000), ("small", vec!["z"], 10)]);
+        let join = PhysicalPlan::HashJoin {
+            left: Box::new(scan("small", "s", &["z"])),
+            right: Box::new(scan("big", "b", &["a"])),
+            left_keys: vec![col(0, "z")],
+            right_keys: vec![col(0, "a")],
+            build: BuildSide::Right,
+        };
+        let plan = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::UnitRow),
+            exprs: vec![VExpr::Exists(Box::new(join))],
+            columns: vec!["any".to_string()],
+        };
+        let (opt, _) = optimize(plan, &catalog);
+        let PhysicalPlan::Project { exprs, .. } = &opt else {
+            panic!("expected Project, got {}", opt);
+        };
+        let [VExpr::Exists(sub)] = exprs.as_slice() else {
+            panic!("expected one EXISTS, got {}", opt);
+        };
+        assert!(
+            matches!(
+                sub.as_ref(),
+                PhysicalPlan::HashJoin {
+                    build: BuildSide::Left,
+                    ..
+                }
+            ),
+            "got:\n{}",
+            sub
         );
     }
 

@@ -161,6 +161,51 @@ impl fmt::Display for VExpr {
     }
 }
 
+impl VExpr {
+    /// Does `f` hold for this expression or any of its subexpressions,
+    /// visited in pre-order? An `EXISTS` is visited as a leaf: its subplan's
+    /// expressions index other batches, so a walk that wants them says so.
+    pub fn any<'a>(&'a self, mut f: impl FnMut(&'a VExpr) -> bool) -> bool {
+        fn go<'a>(e: &'a VExpr, f: &mut impl FnMut(&'a VExpr) -> bool) -> bool {
+            f(e) || match e {
+                VExpr::BinOp { left, right, .. } => go(left, f) || go(right, f),
+                VExpr::Not(inner) => go(inner, f),
+                _ => false,
+            }
+        }
+        go(self, &mut f)
+    }
+
+    /// Rebuild the expression bottom-up: subexpressions first, then `f` on
+    /// the rebuilt node. An `EXISTS` is a leaf, as in [`VExpr::any`].
+    pub fn map(self, f: &mut impl FnMut(VExpr) -> VExpr) -> VExpr {
+        let node = match self {
+            VExpr::BinOp { op, left, right } => VExpr::BinOp {
+                op,
+                left: Box::new((*left).map(f)),
+                right: Box::new((*right).map(f)),
+            },
+            VExpr::Not(inner) => VExpr::Not(Box::new((*inner).map(f))),
+            leaf => leaf,
+        };
+        f(node)
+    }
+
+    /// Apply `f`, in place and in pre-order, to each `EXISTS` subplan of
+    /// this expression (not to the subplans nested inside those).
+    fn for_each_subplan_mut(&mut self, f: &mut impl FnMut(&mut PhysicalPlan)) {
+        match self {
+            VExpr::Exists(sub) => f(sub),
+            VExpr::BinOp { left, right, .. } => {
+                left.for_each_subplan_mut(f);
+                right.for_each_subplan_mut(f);
+            }
+            VExpr::Not(inner) => inner.for_each_subplan_mut(f),
+            VExpr::Col { .. } | VExpr::Outer { .. } | VExpr::Lit(_) | VExpr::Param(_) => {}
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Physical plans
 // ---------------------------------------------------------------------------
@@ -287,39 +332,58 @@ pub enum PhysicalPlan {
     },
 }
 
+/// One column of a plan node's output as the runtime scope sees it: the
+/// binding alias (absent after projection) and the column name.
+pub type SchemaCol = (Option<String>, String);
+
 impl PhysicalPlan {
-    /// The output column names of the plan.
-    pub fn output_columns(&self) -> Vec<String> {
+    /// The `(alias, column)` schema of the plan's output: exactly what the
+    /// vectorized executor pushes as the scope frame for a correlated
+    /// subplan over this node's rows.
+    pub fn schema(&self) -> Vec<SchemaCol> {
         match self {
             PhysicalPlan::UnitRow => Vec::new(),
-            PhysicalPlan::TableScan { columns, .. } | PhysicalPlan::CteScan { columns, .. } => {
-                columns.clone()
-            }
-            PhysicalPlan::SubqueryScan { input, .. } => input.output_columns(),
+            PhysicalPlan::TableScan { alias, columns, .. }
+            | PhysicalPlan::CteScan { alias, columns, .. } => columns
+                .iter()
+                .map(|c| (Some(alias.clone()), c.clone()))
+                .collect(),
+            PhysicalPlan::SubqueryScan { input, alias } => input
+                .schema()
+                .into_iter()
+                .map(|(_, c)| (Some(alias.clone()), c))
+                .collect(),
             PhysicalPlan::NestedLoopJoin { left, right }
             | PhysicalPlan::HashJoin { left, right, .. } => {
-                let mut cols = left.output_columns();
-                cols.extend(right.output_columns());
-                cols
+                let mut schema = left.schema();
+                schema.extend(right.schema());
+                schema
             }
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::ExistsSemiJoin { input, .. }
             | PhysicalPlan::HashSemiJoin { input, .. }
             | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Distinct { input } => input.output_columns(),
+            | PhysicalPlan::Distinct { input } => input.schema(),
             PhysicalPlan::RowNumber { input, specs } => {
-                let mut cols = input.output_columns();
-                cols.extend((0..specs.len()).map(|i| format!("#rn{}", i)));
-                cols
+                let mut schema = input.schema();
+                schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
+                schema
             }
-            PhysicalPlan::Project { columns, .. } => columns.clone(),
-            PhysicalPlan::UnionAll(branches) => branches
-                .first()
-                .map(PhysicalPlan::output_columns)
-                .unwrap_or_default(),
-            PhysicalPlan::ExceptAll { left, .. } => left.output_columns(),
-            PhysicalPlan::With { body, .. } => body.output_columns(),
+            PhysicalPlan::Project { columns, .. } => {
+                columns.iter().map(|c| (None, c.clone())).collect()
+            }
+            PhysicalPlan::UnionAll(branches) => {
+                branches.first().map(Self::schema).unwrap_or_default()
+            }
+            PhysicalPlan::ExceptAll { left, .. } => left.schema(),
+            PhysicalPlan::With { body, .. } => body.schema(),
         }
+    }
+
+    /// The output column names of the plan: the names of its
+    /// [`schema`](Self::schema).
+    pub fn output_columns(&self) -> Vec<String> {
+        self.schema().into_iter().map(|(_, c)| c).collect()
     }
 
     /// `output_columns().len()`, without building the names.
@@ -348,32 +412,15 @@ impl PhysicalPlan {
         }
     }
 
-    /// Number of operator nodes in the plan (used by tests and explain).
+    /// Number of operator nodes reachable through inputs (used by tests and
+    /// explain). The `EXISTS` subplans of expressions are not counted;
+    /// [`nodes`](Self::nodes) lists them.
     pub fn node_count(&self) -> usize {
-        1 + match self {
-            PhysicalPlan::UnitRow
-            | PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::CteScan { .. } => 0,
-            PhysicalPlan::SubqueryScan { input, .. }
-            | PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::RowNumber { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Distinct { input } => input.node_count(),
-            PhysicalPlan::ExistsSemiJoin { input, subplan, .. } => {
-                input.node_count() + subplan.node_count()
-            }
-            PhysicalPlan::HashSemiJoin { input, build, .. } => {
-                input.node_count() + build.node_count()
-            }
-            PhysicalPlan::NestedLoopJoin { left, right }
-            | PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::ExceptAll { left, right } => left.node_count() + right.node_count(),
-            PhysicalPlan::UnionAll(branches) => branches.iter().map(PhysicalPlan::node_count).sum(),
-            PhysicalPlan::With {
-                definition, body, ..
-            } => definition.node_count() + body.node_count(),
-        }
+        1 + self
+            .children()
+            .into_iter()
+            .map(PhysicalPlan::node_count)
+            .sum::<usize>()
     }
 
     /// The operator kind name, as shown at the head of each rendered plan
@@ -422,7 +469,7 @@ impl PhysicalPlan {
         )
     }
 
-    /// The node's direct structural children (its inputs), in render order.
+    /// The node's direct structural children (its inputs), in field order.
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {
             PhysicalPlan::UnitRow
@@ -446,46 +493,133 @@ impl PhysicalPlan {
         }
     }
 
-    /// `EXISTS (…)` subplans referenced by this node's expressions (not by
-    /// its structural children). These execute once per input row via
-    /// [`VExpr::Exists`] and get profiled like any other node.
-    pub(crate) fn expr_subplans(&self) -> Vec<&PhysicalPlan> {
-        fn go<'p>(e: &'p VExpr, acc: &mut Vec<&'p PhysicalPlan>) {
-            match e {
-                VExpr::Exists(sub) => acc.push(sub),
-                VExpr::BinOp { left, right, .. } => {
-                    go(left, acc);
-                    go(right, acc);
-                }
-                VExpr::Not(inner) => go(inner, acc),
-                VExpr::Col { .. } | VExpr::Outer { .. } | VExpr::Lit(_) | VExpr::Param(_) => {}
-            }
-        }
-        let mut acc = Vec::new();
+    /// Apply `f` to each of the node's inputs, in place and in the order of
+    /// [`children`](Self::children).
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PhysicalPlan)) {
         match self {
-            PhysicalPlan::Filter { predicate, .. } => go(predicate, &mut acc),
+            PhysicalPlan::UnitRow
+            | PhysicalPlan::TableScan { .. }
+            | PhysicalPlan::CteScan { .. } => {}
+            PhysicalPlan::SubqueryScan { input, .. }
+            | PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::RowNumber { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Distinct { input } => f(input),
+            PhysicalPlan::ExistsSemiJoin {
+                input: first,
+                subplan: second,
+                ..
+            }
+            | PhysicalPlan::HashSemiJoin {
+                input: first,
+                build: second,
+                ..
+            }
+            | PhysicalPlan::NestedLoopJoin {
+                left: first,
+                right: second,
+            }
+            | PhysicalPlan::HashJoin {
+                left: first,
+                right: second,
+                ..
+            }
+            | PhysicalPlan::ExceptAll {
+                left: first,
+                right: second,
+            }
+            | PhysicalPlan::With {
+                definition: first,
+                body: second,
+                ..
+            } => {
+                f(first);
+                f(second);
+            }
+            PhysicalPlan::UnionAll(branches) => branches.iter_mut().for_each(f),
+        }
+    }
+
+    /// The node's expressions, in field order: a filter's predicate, a hash
+    /// join's left then right keys, a hash semi-join's probe then build
+    /// keys, a row numbering's specs, a sort's keys, a projection's list.
+    pub fn exprs(&self) -> impl Iterator<Item = &VExpr> {
+        let (first, second, specs): (&[VExpr], &[VExpr], &[Vec<VExpr>]) = match self {
+            PhysicalPlan::Filter { predicate, .. } => (std::slice::from_ref(predicate), &[], &[]),
             PhysicalPlan::HashJoin {
                 left_keys,
                 right_keys,
                 ..
-            } => {
-                left_keys.iter().for_each(|k| go(k, &mut acc));
-                right_keys.iter().for_each(|k| go(k, &mut acc));
-            }
+            } => (left_keys, right_keys, &[]),
             PhysicalPlan::HashSemiJoin {
                 probe_keys,
                 build_keys,
                 ..
-            } => {
-                probe_keys.iter().for_each(|k| go(k, &mut acc));
-                build_keys.iter().for_each(|k| go(k, &mut acc));
+            } => (probe_keys, build_keys, &[]),
+            PhysicalPlan::RowNumber { specs, .. } => (&[], &[], specs),
+            PhysicalPlan::Sort { keys: exprs, .. } | PhysicalPlan::Project { exprs, .. } => {
+                (exprs, &[], &[])
             }
-            PhysicalPlan::RowNumber { specs, .. } => specs
-                .iter()
-                .for_each(|keys| keys.iter().for_each(|k| go(k, &mut acc))),
-            PhysicalPlan::Sort { keys, .. } => keys.iter().for_each(|k| go(k, &mut acc)),
-            PhysicalPlan::Project { exprs, .. } => exprs.iter().for_each(|e| go(e, &mut acc)),
-            _ => {}
+            _ => (&[], &[], &[]),
+        };
+        first.iter().chain(second).chain(specs.iter().flatten())
+    }
+
+    /// Apply `f` to each of the node's expressions, in place and in the
+    /// order of [`exprs`](Self::exprs).
+    pub fn for_each_expr_mut(&mut self, f: impl FnMut(&mut VExpr)) {
+        let (first, second, specs): (&mut [VExpr], &mut [VExpr], &mut [Vec<VExpr>]) = match self {
+            PhysicalPlan::Filter { predicate, .. } => {
+                (std::slice::from_mut(predicate), &mut [], &mut [])
+            }
+            PhysicalPlan::HashJoin {
+                left_keys,
+                right_keys,
+                ..
+            } => (left_keys, right_keys, &mut []),
+            PhysicalPlan::HashSemiJoin {
+                probe_keys,
+                build_keys,
+                ..
+            } => (probe_keys, build_keys, &mut []),
+            PhysicalPlan::RowNumber { specs, .. } => (&mut [], &mut [], specs),
+            PhysicalPlan::Sort { keys: exprs, .. } | PhysicalPlan::Project { exprs, .. } => {
+                (exprs, &mut [], &mut [])
+            }
+            _ => (&mut [], &mut [], &mut []),
+        };
+        first
+            .iter_mut()
+            .chain(second)
+            .chain(specs.iter_mut().flatten())
+            .for_each(f)
+    }
+
+    /// Rebuild the node with `f` applied to each input, then to each
+    /// `EXISTS` subplan inside its expressions, in field order. One level:
+    /// `f` decides whether to recurse. Expressions are updated in place, so
+    /// one without an `EXISTS` is not rebuilt.
+    pub fn map_children(mut self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalPlan {
+        let mut apply =
+            |slot: &mut PhysicalPlan| *slot = f(std::mem::replace(slot, PhysicalPlan::UnitRow));
+        self.for_each_child_mut(&mut apply);
+        self.for_each_expr_mut(|e| e.for_each_subplan_mut(&mut apply));
+        self
+    }
+
+    /// `EXISTS (…)` subplans referenced by this node's expressions (not by
+    /// its structural children). These execute once per input row via
+    /// [`VExpr::Exists`] and get profiled like any other node.
+    pub(crate) fn expr_subplans(&self) -> Vec<&PhysicalPlan> {
+        let mut acc = Vec::new();
+        for e in self.exprs() {
+            e.any(|e| {
+                if let VExpr::Exists(sub) = e {
+                    acc.push(&**sub);
+                }
+                false
+            });
         }
         acc
     }
@@ -566,92 +700,25 @@ impl PhysicalPlan {
     /// the plan tree (including subplans), in first-occurrence order.
     /// Executing the plan requires a bound value for each.
     pub fn params(&self) -> Vec<String> {
-        fn go_expr(e: &VExpr, acc: &mut Vec<String>) {
-            match e {
-                VExpr::Param(name) => {
-                    if !acc.contains(name) {
-                        acc.push(name.clone());
-                    }
-                }
-                VExpr::Col { .. } | VExpr::Outer { .. } | VExpr::Lit(_) => {}
-                VExpr::BinOp { left, right, .. } => {
-                    go_expr(left, acc);
-                    go_expr(right, acc);
-                }
-                VExpr::Not(inner) => go_expr(inner, acc),
-                VExpr::Exists(sub) => go_plan(sub, acc),
+        // Bottom-up: inputs first, then the node's own expressions with the
+        // `EXISTS` subplans inside them.
+        fn go(p: &PhysicalPlan, acc: &mut Vec<String>) {
+            for child in p.children() {
+                go(child, acc);
             }
-        }
-        fn go_plan(p: &PhysicalPlan, acc: &mut Vec<String>) {
-            match p {
-                PhysicalPlan::UnitRow
-                | PhysicalPlan::TableScan { .. }
-                | PhysicalPlan::CteScan { .. } => {}
-                PhysicalPlan::SubqueryScan { input, .. } | PhysicalPlan::Distinct { input } => {
-                    go_plan(input, acc)
-                }
-                PhysicalPlan::NestedLoopJoin { left, right }
-                | PhysicalPlan::ExceptAll { left, right } => {
-                    go_plan(left, acc);
-                    go_plan(right, acc);
-                }
-                PhysicalPlan::HashJoin {
-                    left,
-                    right,
-                    left_keys,
-                    right_keys,
-                    ..
-                } => {
-                    go_plan(left, acc);
-                    go_plan(right, acc);
-                    left_keys.iter().for_each(|k| go_expr(k, acc));
-                    right_keys.iter().for_each(|k| go_expr(k, acc));
-                }
-                PhysicalPlan::Filter { input, predicate } => {
-                    go_plan(input, acc);
-                    go_expr(predicate, acc);
-                }
-                PhysicalPlan::ExistsSemiJoin { input, subplan, .. } => {
-                    go_plan(input, acc);
-                    go_plan(subplan, acc);
-                }
-                PhysicalPlan::HashSemiJoin {
-                    input,
-                    build,
-                    probe_keys,
-                    build_keys,
-                    ..
-                } => {
-                    go_plan(input, acc);
-                    go_plan(build, acc);
-                    probe_keys.iter().for_each(|k| go_expr(k, acc));
-                    build_keys.iter().for_each(|k| go_expr(k, acc));
-                }
-                PhysicalPlan::RowNumber { input, specs } => {
-                    go_plan(input, acc);
-                    specs
-                        .iter()
-                        .for_each(|keys| keys.iter().for_each(|k| go_expr(k, acc)));
-                }
-                PhysicalPlan::Sort { input, keys } => {
-                    go_plan(input, acc);
-                    keys.iter().for_each(|k| go_expr(k, acc));
-                }
-                PhysicalPlan::Project { input, exprs, .. } => {
-                    go_plan(input, acc);
-                    exprs.iter().for_each(|e| go_expr(e, acc));
-                }
-                PhysicalPlan::UnionAll(branches) => branches.iter().for_each(|b| go_plan(b, acc)),
-                PhysicalPlan::With {
-                    definition, body, ..
-                } => {
-                    go_plan(definition, acc);
-                    go_plan(body, acc);
-                }
+            for e in p.exprs() {
+                e.any(|e| {
+                    match e {
+                        VExpr::Param(name) if !acc.contains(name) => acc.push(name.clone()),
+                        VExpr::Exists(sub) => go(sub, acc),
+                        _ => {}
+                    }
+                    false
+                });
             }
         }
         let mut acc = Vec::new();
-        go_plan(self, &mut acc);
+        go(self, &mut acc);
         acc
     }
 
@@ -770,14 +837,29 @@ impl PhysicalPlan {
         }
     }
 
-    fn render(&self, out: &mut String, level: usize) {
+    /// Render the tree one node per line, indented by depth, in
+    /// [`nodes`](Self::nodes) order: a node, then the `EXISTS` subplans of
+    /// its expressions (marked `EXISTS:`, as they are not inputs), then its
+    /// inputs. `annotate` may append to each node's line.
+    fn render(
+        &self,
+        out: &mut String,
+        level: usize,
+        marker: &str,
+        annotate: &mut dyn FnMut(&PhysicalPlan, &mut String),
+    ) {
         for _ in 0..level {
             out.push_str("  ");
         }
+        out.push_str(marker);
         out.push_str(&self.node_line());
+        annotate(self, out);
         out.push('\n');
+        for sub in self.expr_subplans() {
+            sub.render(out, level + 1, "EXISTS: ", annotate);
+        }
         for child in self.children() {
-            child.render(out, level + 1);
+            child.render(out, level + 1, "", annotate);
         }
     }
 
@@ -793,17 +875,8 @@ impl PhysicalPlan {
             .enumerate()
             .map(|(i, n)| (*n as *const PhysicalPlan as usize, i))
             .collect();
-        fn go(
-            plan: &PhysicalPlan,
-            out: &mut String,
-            level: usize,
-            ids: &HashMap<usize, usize>,
-            actuals: &[OpActuals],
-        ) {
-            for _ in 0..level {
-                out.push_str("  ");
-            }
-            out.push_str(&plan.node_line());
+        let mut out = String::new();
+        self.render(&mut out, 0, "", &mut |plan, out| {
             let stats = ids
                 .get(&(plan as *const PhysicalPlan as usize))
                 .and_then(|&id| actuals.get(id));
@@ -819,13 +892,7 @@ impl PhysicalPlan {
                 }
                 _ => out.push_str("  (actual never executed)"),
             }
-            out.push('\n');
-            for child in plan.children() {
-                go(child, out, level + 1, ids, actuals);
-            }
-        }
-        let mut out = String::new();
-        go(self, &mut out, 0, &ids, actuals);
+        });
         out.trim_end().to_string()
     }
 }
@@ -845,7 +912,7 @@ pub struct OpActuals {
 impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.render(&mut out, 0);
+        self.render(&mut out, 0, "", &mut |_, _| {});
         write!(f, "{}", out.trim_end())
     }
 }
@@ -860,10 +927,6 @@ pub fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<PhysicalPlan, 
     let mut ctx = PlanCtx::default();
     planner.plan_query(query, &mut ctx)
 }
-
-/// One column of a plan node's output: the binding alias (absent after
-/// projection) and the column name.
-type SchemaCol = (Option<String>, String);
 
 /// Planning context: `WITH` bindings and the schemas of enclosing queries
 /// (outermost first), for correlated-reference resolution.

@@ -52,7 +52,7 @@ use crate::par::{
     par_eval_all, par_index, par_join_gather, par_keys, par_materialise, par_ranges, par_sort,
     ExecOptions, ExecStats, Pool, PAR_SUBPLAN_ROWS,
 };
-use crate::plan::{BuildSide, OpActuals, PhysicalPlan, VExpr};
+use crate::plan::{BuildSide, OpActuals, PhysicalPlan, SchemaCol, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{ParamValues, Row, SqlValue};
 use std::collections::HashMap;
@@ -231,10 +231,6 @@ impl Profiler {
             .collect()
     }
 }
-
-/// One column of a batch schema: binding alias (absent after projection) and
-/// column name.
-pub(crate) type SchemaCol = (Option<String>, String);
 
 /// A columnar batch: a schema, shared column vectors and an optional
 /// selection vector picking the live rows.

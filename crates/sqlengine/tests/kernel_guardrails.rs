@@ -1,12 +1,14 @@
 //! Guardrails for the executor: `kernels.rs` holds the one copy of key
 //! hashing, the join table and key ordering, `vexec.rs` the one walk over
-//! the physical operators, and each layer one way in. The checks read the
-//! sources as text, so a reintroduced per-row path, a second walk or a
-//! forwarding entry point fails here before any benchmark notices.
+//! the physical operators, `plan.rs` the one description of where a plan
+//! node keeps its inputs and expressions, and each layer one way in. The
+//! checks read the sources as text, so a reintroduced per-row path, a second
+//! walk or a forwarding entry point fails here before any benchmark notices.
 
 use std::path::{Path, PathBuf};
 
 const VEXEC: &str = include_str!("../src/vexec.rs");
+const OPT: &str = include_str!("../src/opt.rs");
 const PAR: &str = include_str!("../src/par.rs");
 const ENGINE: &str = include_str!("../src/exec.rs");
 const PIPELINE: &str = include_str!("../../core/src/pipeline.rs");
@@ -111,6 +113,31 @@ fn one_function_walks_the_physical_operators() {
             assert!(!text.contains(probe), "{name} walks the physical operators");
         }
     }
+}
+
+/// The optimizer walks plans through `PhysicalPlan`'s child and expression
+/// accessors: no private per-variant traversal, no second schema function,
+/// and only the passes that treat `EXCEPT ALL` specially name it.
+#[test]
+fn the_optimizer_walks_plans_through_the_accessors() {
+    for needle in ["fn map_expr_plans", "fn plan_schema", "fn map_children"] {
+        assert!(
+            !OPT.contains(needle),
+            "opt.rs contains `{needle}`: use PhysicalPlan's accessors"
+        );
+    }
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let aliases: usize = sources(&src)
+        .iter()
+        .map(|(_, text)| text.matches("type SchemaCol").count())
+        .sum();
+    assert_eq!(aliases, 1, "one `SchemaCol` alias, in plan.rs");
+    let except_all = product(OPT).matches("PhysicalPlan::ExceptAll").count();
+    assert!(
+        except_all <= 5,
+        "opt.rs names `PhysicalPlan::ExceptAll` {except_all} times: a pass that does not \
+         treat it specially goes through the accessors"
+    );
 }
 
 /// One entry point per layer, and the removed ones stay removed.

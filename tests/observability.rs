@@ -165,6 +165,48 @@ fn explain_analyze_requires_a_profiled_execution() {
     assert!(prepared.explain_analyze().unwrap().contains("rows_out="));
 }
 
+/// An emptiness test in a record field compiles to `NOT (EXISTS (…))` in the
+/// projection list, a subplan that runs once per outer row. The profiler
+/// times it like any node, so `explain_analyze()` must render it too: marked,
+/// under the node whose expression holds it, with its actuals.
+#[test]
+fn explain_analyze_shows_the_subplans_inside_expressions() {
+    let session = Shredder::builder()
+        .database(generate(&OrgConfig::small()))
+        .profile(true)
+        .build()
+        .unwrap();
+    let staff = for_where(
+        "e",
+        table("employees"),
+        eq(project(var("e"), "dept"), project(var("d"), "name")),
+        singleton(project(var("e"), "name")),
+    );
+    let q = for_in(
+        "d",
+        table("departments"),
+        singleton(record([
+            ("name", project(var("d"), "name")),
+            ("lonely", is_empty(staff)),
+        ])),
+    );
+    let prepared = session.prepare(&q).unwrap();
+    let value = session.execute(&prepared).unwrap();
+    assert!(value.multiset_eq(&session.oracle(&q).unwrap()));
+    let departments = value.as_bag().unwrap().len();
+
+    let analyzed = prepared.explain_analyze().unwrap();
+    assert!(analyzed.contains("EXISTS: "), "{analyzed}");
+    let scan = analyzed
+        .lines()
+        .find(|line| line.contains("TableScan employees"))
+        .unwrap_or_else(|| panic!("the EXISTS subplan is not rendered:\n{analyzed}"));
+    assert!(
+        scan.contains(&format!("batches={departments} ")),
+        "the subplan runs once per department:\n{analyzed}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Registry exactness under concurrency
 // ---------------------------------------------------------------------------
