@@ -40,8 +40,7 @@
 //! maintained results.
 
 use crate::error::ShredError;
-use crate::flatten::{sql_to_value, Leaf, LeafKind, ResultLayout};
-use crate::nf::StaticIndex;
+use crate::flatten::{flat_index, sql_to_value, ResultLayout};
 use crate::pipeline::CompiledQuery;
 use crate::semantics::{IndexScheme, IndexValue};
 use crate::shred::Package;
@@ -371,31 +370,6 @@ fn group_key(exec: &DeltaExec, slot: usize) -> Result<IndexValue, ShredError> {
     flat_index(cell(exec, slot, 0)?, cell(exec, slot, 1)?)
 }
 
-/// Interpret a `(tag, ord)` cell pair as a flat index value.
-fn flat_index(tag: &SqlValue, ord: &SqlValue) -> Result<IndexValue, ShredError> {
-    let tag = tag.as_int().ok_or_else(|| {
-        decode_err(
-            codes::DECODE_TYPE_MISMATCH,
-            "expected an integer index tag column".to_string(),
-        )
-    })?;
-    let ordinal = ord.as_int().ok_or_else(|| {
-        decode_err(
-            codes::DECODE_TYPE_MISMATCH,
-            "expected an integer index ordinal column".to_string(),
-        )
-    })?;
-    Ok(IndexValue::Flat {
-        tag: StaticIndex(u32::try_from(tag).map_err(|_| {
-            decode_err(
-                codes::DECODE_INDEX_RANGE,
-                format!("static index column out of range: {}", tag),
-            )
-        })?),
-        ordinal,
-    })
-}
-
 fn decode_err(code: &'static str, message: String) -> ShredError {
     ShredError::Decode { code, message }
 }
@@ -509,29 +483,11 @@ impl Stitcher<'_> {
                 Ok(Value::Record(out))
             }
             Package::Base(b) => {
-                let l = next_leaf(&stage.layout, leaf)?;
-                if !matches!(l.kind, LeafKind::Base(_)) {
-                    return Err(decode_err(
-                        codes::DECODE_SHAPE_MISMATCH,
-                        format!(
-                            "layout leaf {} is an index but the package expects a base value",
-                            l.name
-                        ),
-                    ));
-                }
+                let l = stage.layout.next_leaf(leaf, false)?;
                 sql_to_value(cell(&stage.exec, slot, l.col)?, *b)
             }
             Package::Bag(child_idx, _) => {
-                let l = next_leaf(&stage.layout, leaf)?;
-                if l.kind != LeafKind::Index {
-                    return Err(decode_err(
-                        codes::DECODE_SHAPE_MISMATCH,
-                        format!(
-                            "layout leaf {} is a base column but the package expects a nested bag",
-                            l.name
-                        ),
-                    ));
-                }
+                let l = stage.layout.next_leaf(leaf, true)?;
                 let child_index = flat_index(
                     cell(&stage.exec, slot, l.col)?,
                     cell(&stage.exec, slot, l.col + 1)?,
@@ -544,17 +500,6 @@ impl Stitcher<'_> {
             }
         }
     }
-}
-
-fn next_leaf<'a>(layout: &'a ResultLayout, leaf: &mut usize) -> Result<&'a Leaf, ShredError> {
-    let l = layout.leaves.get(*leaf).ok_or_else(|| {
-        decode_err(
-            codes::DECODE_SHAPE_MISMATCH,
-            "stage has fewer leaves than the package shape".to_string(),
-        )
-    })?;
-    *leaf += 1;
-    Ok(l)
 }
 
 fn cell(exec: &DeltaExec, slot: usize, col: usize) -> Result<&SqlValue, ShredError> {

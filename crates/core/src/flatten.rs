@@ -104,6 +104,37 @@ impl ResultLayout {
         &self.columns
     }
 
+    /// The leaf at `*cursor`, advancing the cursor: a stitcher walks a
+    /// stage's package shape in lockstep with the layout's leaves, and
+    /// `nested` says whether the shape expects a nested bag (an `Index`
+    /// leaf) or a base value there.
+    pub(crate) fn next_leaf(&self, cursor: &mut usize, nested: bool) -> Result<&Leaf, ShredError> {
+        let leaf = self.leaves.get(*cursor).ok_or_else(|| {
+            decode_err(
+                codes::DECODE_SHAPE_MISMATCH,
+                "stage has fewer leaves than the package shape".to_string(),
+            )
+        })?;
+        *cursor += 1;
+        match (&leaf.kind, nested) {
+            (LeafKind::Base(_), false) | (LeafKind::Index, true) => Ok(leaf),
+            (LeafKind::Index, false) => Err(decode_err(
+                codes::DECODE_SHAPE_MISMATCH,
+                format!(
+                    "layout leaf {} is an index but the package expects a base value",
+                    leaf.name
+                ),
+            )),
+            (LeafKind::Base(_), true) => Err(decode_err(
+                codes::DECODE_SHAPE_MISMATCH,
+                format!(
+                    "layout leaf {} is a base column but the package expects a nested bag",
+                    leaf.name
+                ),
+            )),
+        }
+    }
+
     /// Decode (unflatten) a row-major engine result set into an indexed
     /// shredded result, ready for [`crate::stitch::stitch_rows`]. This is
     /// the row path, kept as the differential oracle for the columnar
@@ -216,19 +247,9 @@ impl ColumnarStage {
             while end < rows && tags[perm[end] as usize] == tag && ords[perm[end] as usize] == ord {
                 end += 1;
             }
-            let tag = u32::try_from(tag).map_err(|_| {
-                decode_err(
-                    codes::DECODE_INDEX_RANGE,
-                    format!("static index column out of range: {}", tag),
-                )
-            })?;
-            groups.insert(
-                IndexValue::Flat {
-                    tag: StaticIndex(tag),
-                    ordinal: ord,
-                },
-                start as u32..end as u32,
-            );
+            let first = perm[start] as usize;
+            let key = flat_index(&columns[0][first], &columns[1][first])?;
+            groups.insert(key, start as u32..end as u32);
             start = end;
         }
         Ok(ColumnarStage {
@@ -267,6 +288,32 @@ impl ColumnarStage {
     pub fn cell(&self, col: usize, row: usize) -> &SqlValue {
         &self.columns[col][row]
     }
+}
+
+/// Interpret a `(tag, ord)` cell pair as a flat index value: the one decoder
+/// of the columnar paths (decode, stitch and live-view maintenance).
+pub(crate) fn flat_index(tag: &SqlValue, ord: &SqlValue) -> Result<IndexValue, ShredError> {
+    let tag = tag.as_int().ok_or_else(|| {
+        decode_err(
+            codes::DECODE_TYPE_MISMATCH,
+            "expected an integer index tag column".to_string(),
+        )
+    })?;
+    let ordinal = ord.as_int().ok_or_else(|| {
+        decode_err(
+            codes::DECODE_TYPE_MISMATCH,
+            "expected an integer index ordinal column".to_string(),
+        )
+    })?;
+    Ok(IndexValue::Flat {
+        tag: StaticIndex(u32::try_from(tag).map_err(|_| {
+            decode_err(
+                codes::DECODE_INDEX_RANGE,
+                format!("static index column out of range: {}", tag),
+            )
+        })?),
+        ordinal,
+    })
 }
 
 /// Read an integer index column up front (columnar counterpart of

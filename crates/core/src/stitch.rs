@@ -20,8 +20,7 @@
 //!   indexes, which have no columnar encoding).
 
 use crate::error::ShredError;
-use crate::flatten::{sql_to_value, ColumnarStage, LeafKind};
-use crate::nf::StaticIndex;
+use crate::flatten::{flat_index, sql_to_value, ColumnarStage};
 use crate::semantics::{FlatValue, IndexScheme, IndexValue, ShredResult};
 use crate::shred::Package;
 use analysis::codes;
@@ -98,74 +97,15 @@ fn stitch_value(
             Ok(Value::Record(out))
         }
         Package::Base(b) => {
-            let l = next_leaf(stage, leaf)?;
-            if !matches!(l.kind, LeafKind::Base(_)) {
-                return Err(ShredError::Decode {
-                    code: codes::DECODE_SHAPE_MISMATCH,
-                    message: format!(
-                        "layout leaf {} is an index but the package expects a base value",
-                        l.name
-                    ),
-                });
-            }
+            let l = stage.layout().next_leaf(leaf, false)?;
             sql_to_value(stage.cell(l.col, row), *b)
         }
         Package::Bag(_, _) => {
-            let l = next_leaf(stage, leaf)?;
-            if l.kind != LeafKind::Index {
-                return Err(ShredError::Decode {
-                    code: codes::DECODE_SHAPE_MISMATCH,
-                    message: format!(
-                        "layout leaf {} is a base column but the package expects a nested bag",
-                        l.name
-                    ),
-                });
-            }
-            let index = read_index(stage, l.col, row)?;
+            let l = stage.layout().next_leaf(leaf, true)?;
+            let index = flat_index(stage.cell(l.col, row), stage.cell(l.col + 1, row))?;
             stitch_bag(package, &index)
         }
     }
-}
-
-fn next_leaf<'a>(
-    stage: &'a ColumnarStage,
-    leaf: &mut usize,
-) -> Result<&'a crate::flatten::Leaf, ShredError> {
-    let l = stage
-        .layout()
-        .leaves
-        .get(*leaf)
-        .ok_or_else(|| ShredError::Decode {
-            code: codes::DECODE_SHAPE_MISMATCH,
-            message: "stage has fewer leaves than the package shape".to_string(),
-        })?;
-    *leaf += 1;
-    Ok(l)
-}
-
-/// Read the flat `(tag, ord)` index pair stored at columns `col`/`col + 1`.
-fn read_index(stage: &ColumnarStage, col: usize, row: usize) -> Result<IndexValue, ShredError> {
-    let tag = stage
-        .cell(col, row)
-        .as_int()
-        .ok_or_else(|| ShredError::Decode {
-            code: codes::DECODE_TYPE_MISMATCH,
-            message: "expected an integer inner index tag column".to_string(),
-        })?;
-    let ordinal = stage
-        .cell(col + 1, row)
-        .as_int()
-        .ok_or_else(|| ShredError::Decode {
-            code: codes::DECODE_TYPE_MISMATCH,
-            message: "expected an integer inner index ordinal column".to_string(),
-        })?;
-    Ok(IndexValue::Flat {
-        tag: StaticIndex(u32::try_from(tag).map_err(|_| ShredError::Decode {
-            code: codes::DECODE_INDEX_RANGE,
-            message: format!("static index column out of range: {}", tag),
-        })?),
-        ordinal,
-    })
 }
 
 // ---------------------------------------------------------------------------
