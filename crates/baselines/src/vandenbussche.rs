@@ -12,8 +12,7 @@
 //!
 //! This module reproduces that construction on the appendix's example and on
 //! scaled instances, so the blow-up can be measured and compared with the
-//! shredding representation (see the `shredding_stages` bench and the
-//! `experiments --appendix-a` harness).
+//! shredding representation (see the `experiments --appendix-a` harness).
 
 use nrc::value::Value;
 

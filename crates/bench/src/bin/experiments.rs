@@ -9,7 +9,6 @@
 //! experiments --departments 64          # extend the scaling sweep
 //! experiments --max-departments 64      # (alias of --departments)
 //! experiments --check                    # verify every result against N⟦−⟧
-//! experiments --analyze-json BENCH_pr6.json # static-verification sweep
 //! ```
 //!
 //! Output layout mirrors the paper: one row per query and system, one column
@@ -25,7 +24,6 @@ struct Options {
     max_departments: usize,
     runs: usize,
     check: bool,
-    analyze_json: Option<String>,
 }
 
 fn parse_args() -> Options {
@@ -37,7 +35,6 @@ fn parse_args() -> Options {
         max_departments: 32,
         runs: 3,
         check: false,
-        analyze_json: None,
     };
     let mut i = 0;
     let mut any = false;
@@ -79,19 +76,10 @@ fn parse_args() -> Options {
                 opts.runs = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(3);
             }
             "--check" => opts.check = true,
-            "--analyze-json" => {
-                i += 1;
-                let path = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--analyze-json expects a file path");
-                    std::process::exit(2);
-                });
-                opts.analyze_json = Some(path);
-                any = true;
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--figure 10|11] [--appendix-a] [--all] \
-                     [--departments N] [--runs N] [--check] [--analyze-json PATH]"
+                     [--departments N] [--runs N] [--check]"
                 );
                 std::process::exit(0);
             }
@@ -199,67 +187,6 @@ fn print_blowup(label: &str, report: &vdb::BlowupReport) {
     );
 }
 
-/// The static-verification sweep: run the whole analysis pass (λNRC
-/// lints, shredded-package checks, physical-plan validation) over every
-/// benchmark query × all six backends × all three indexing schemes, write
-/// the machine-readable report, and fail the process on any error-severity
-/// diagnostic.
-fn analyze_report(path: &str) {
-    println!("\n=== Static verification sweep (12 queries × 6 backends × 3 schemes) ===");
-    let entries = bench::analyze_all();
-    println!(
-        "{:<16} {:<10} {:>7} {:>8} {:>7} {:>9}",
-        "backend", "scheme", "cells", "skipped", "errors", "warnings"
-    );
-    let mut backends: Vec<&'static str> = entries.iter().map(|e| e.backend).collect();
-    backends.dedup();
-    for backend in backends {
-        for scheme in shredding::IndexScheme::ALL {
-            let cells: Vec<_> = entries
-                .iter()
-                .filter(|e| e.backend == backend && e.scheme == scheme)
-                .collect();
-            let skipped = cells.iter().filter(|e| e.skip_reason.is_some()).count();
-            let errors: usize = cells.iter().map(|e| e.error_count()).sum();
-            let warnings: usize = cells
-                .iter()
-                .map(|e| e.diagnostics.len() - e.error_count())
-                .sum();
-            println!(
-                "{:<16} {:<10} {:>7} {:>8} {:>7} {:>9}",
-                backend,
-                scheme.to_string(),
-                cells.len(),
-                skipped,
-                errors,
-                warnings
-            );
-        }
-    }
-    let total_errors: usize = entries.iter().map(|e| e.error_count()).sum();
-    for e in &entries {
-        for d in &e.diagnostics {
-            if d.severity == shredding::Severity::Error {
-                eprintln!("  {} on {} ({}): {}", d.code, e.query, e.backend, d);
-            }
-        }
-    }
-    let json = bench::analyze_report_json(&entries);
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("cannot write {}: {}", path, e);
-        std::process::exit(1);
-    }
-    println!("wrote {}", path);
-    if total_errors > 0 {
-        eprintln!(
-            "static verification FAILED: {} error-severity diagnostics",
-            total_errors
-        );
-        std::process::exit(1);
-    }
-    println!("static verification passed: 0 error-severity diagnostics");
-}
-
 fn main() {
     let opts = parse_args();
     let scales = department_scales(opts.max_departments);
@@ -307,8 +234,5 @@ fn main() {
     }
     if opts.appendix_a {
         appendix_a();
-    }
-    if let Some(path) = &opts.analyze_json {
-        analyze_report(path);
     }
 }

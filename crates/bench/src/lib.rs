@@ -13,9 +13,10 @@
 //! Each system is a [`Shredder`] session over the same generated database
 //! (sharing one loaded SQL engine), with the plan cache disabled so every
 //! measurement covers the full translate → execute → stitch path, exactly
-//! what the paper reports. The benches under `benches/` measure the same
-//! workloads at a fixed scale; the `experiments` binary prints the full
-//! scaling tables in the same layout as the paper's figures.
+//! what the paper reports. The `experiments` binary prints the scaling
+//! tables in the same layout as the paper's figures. The static-analysis
+//! sweep ([`analyze_all`]) runs as a test: the benchmark corpus must verify
+//! with no error-severity diagnostic.
 
 #![forbid(unsafe_code)]
 
@@ -312,84 +313,6 @@ pub fn analyze_all() -> Vec<AnalyzeEntry> {
     out
 }
 
-/// Render the analysis sweep as a machine-readable JSON report
-/// (`BENCH_pr6.json` in CI).
-pub fn analyze_report_json(entries: &[AnalyzeEntry]) -> String {
-    let errors: usize = entries.iter().map(AnalyzeEntry::error_count).sum();
-    let warnings: usize = entries
-        .iter()
-        .map(|e| e.diagnostics.len() - e.error_count())
-        .sum();
-    let skipped = entries.iter().filter(|e| e.skip_reason.is_some()).count();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"static-analysis\",\n");
-    out.push_str(&format!("  \"cells\": {},\n", entries.len()));
-    out.push_str(&format!("  \"errors\": {},\n", errors));
-    out.push_str(&format!("  \"warnings\": {},\n", warnings));
-    out.push_str(&format!("  \"skipped\": {},\n", skipped));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"query\": \"{}\", \"backend\": \"{}\", \"scheme\": \"{}\", ",
-            e.query, e.backend, e.scheme
-        ));
-        if let Some(reason) = &e.skip_reason {
-            out.push_str(&format!(
-                "\"skipped\": \"{}\", ",
-                reason.replace('\\', "\\\\").replace('"', "\\\"")
-            ));
-        }
-        out.push_str(&format!(
-            "\"errors\": {}, \"diagnostics\": [",
-            e.error_count()
-        ));
-        for (j, d) in e.diagnostics.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"severity\": \"{}\", \"code\": \"{}\", \"path\": \"{}\"}}",
-                d.severity, d.code, d.path
-            ));
-            if j + 1 < e.diagnostics.len() {
-                out.push_str(", ");
-            }
-        }
-        out.push(']');
-        out.push('}');
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// A minimal timing harness for the `benches/` targets (the workspace builds
-/// without external crates, so Criterion is not available): warm up once,
-/// time `iters` runs, report the median.
-pub mod micro {
-    /// Time `f` over `iters` runs after one warm-up, printing the median
-    /// (from an [`obs::Histogram`] — the same log-linear quantile readout the
-    /// session registry uses, so benches and metrics agree on the math).
-    /// The result of every run is passed through [`std::hint::black_box`] so
-    /// the optimiser cannot eliminate a side-effect-free benchmark body.
-    pub fn run<R>(label: &str, iters: usize, mut f: impl FnMut() -> R) {
-        std::hint::black_box(f()); // warm-up
-        let hist = obs::Histogram::new();
-        for _ in 0..iters.max(1) {
-            hist.time(|| std::hint::black_box(f()));
-        }
-        println!(
-            "{:<55} {:>10.3} ms (median of {})",
-            label,
-            hist.quantile(0.5) as f64 / 1e6,
-            iters.max(1)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,9 +331,6 @@ mod tests {
         assert!(entries
             .iter()
             .all(|e| e.backend != "sqlengine" || e.skip_reason.is_none()));
-        let json = analyze_report_json(&entries);
-        assert!(json.contains("\"static-analysis\""));
-        assert_eq!(json.matches("\"query\"").count(), entries.len());
     }
 
     #[test]
