@@ -322,7 +322,7 @@ impl Expr {
     /// Does `f` hold for this expression or any of its subexpressions,
     /// visited in pre-order (`ROW_NUMBER` keys included)? An `EXISTS` is
     /// visited as a leaf: its subquery resolves its own scopes.
-    pub fn any(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
+    pub(crate) fn any(&self, mut f: impl FnMut(&Expr) -> bool) -> bool {
         fn go(e: &Expr, f: &mut impl FnMut(&Expr) -> bool) -> bool {
             f(e) || match e {
                 Expr::BinOp { left, right, .. } => go(left, f) || go(right, f),

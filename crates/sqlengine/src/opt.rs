@@ -160,18 +160,15 @@ fn map_plan(plan: PhysicalPlan, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan)
     f(mapped)
 }
 
-/// Move an expression out of its slot, leaving a placeholder behind.
-fn take_expr(slot: &mut VExpr) -> VExpr {
-    std::mem::replace(slot, VExpr::Lit(SqlValue::Null))
-}
-
 // ---------------------------------------------------------------------------
 // Pass 1: constant folding
 // ---------------------------------------------------------------------------
 
 fn fold_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
     map_plan(plan, &mut |mut node| {
-        node.for_each_expr_mut(|e| *e = fold_expr(take_expr(e), count));
+        node.for_each_expr_mut(|e| {
+            *e = fold_expr(std::mem::replace(e, VExpr::Lit(SqlValue::Null)), count)
+        });
         match node {
             // `WHERE TRUE` keeps every row: drop the node.
             PhysicalPlan::Filter {

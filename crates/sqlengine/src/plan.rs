@@ -165,7 +165,7 @@ impl VExpr {
     /// Does `f` hold for this expression or any of its subexpressions,
     /// visited in pre-order? An `EXISTS` is visited as a leaf: its subplan's
     /// expressions index other batches, so a walk that wants them says so.
-    pub fn any<'a>(&'a self, mut f: impl FnMut(&'a VExpr) -> bool) -> bool {
+    pub(crate) fn any<'a>(&'a self, mut f: impl FnMut(&'a VExpr) -> bool) -> bool {
         fn go<'a>(e: &'a VExpr, f: &mut impl FnMut(&'a VExpr) -> bool) -> bool {
             f(e) || match e {
                 VExpr::BinOp { left, right, .. } => go(left, f) || go(right, f),
@@ -178,7 +178,7 @@ impl VExpr {
 
     /// Rebuild the expression bottom-up: subexpressions first, then `f` on
     /// the rebuilt node. An `EXISTS` is a leaf, as in [`VExpr::any`].
-    pub fn map(self, f: &mut impl FnMut(VExpr) -> VExpr) -> VExpr {
+    pub(crate) fn map(self, f: &mut impl FnMut(VExpr) -> VExpr) -> VExpr {
         let node = match self {
             VExpr::BinOp { op, left, right } => VExpr::BinOp {
                 op,
@@ -334,13 +334,13 @@ pub enum PhysicalPlan {
 
 /// One column of a plan node's output as the runtime scope sees it: the
 /// binding alias (absent after projection) and the column name.
-pub type SchemaCol = (Option<String>, String);
+pub(crate) type SchemaCol = (Option<String>, String);
 
 impl PhysicalPlan {
     /// The `(alias, column)` schema of the plan's output: exactly what the
     /// vectorized executor pushes as the scope frame for a correlated
     /// subplan over this node's rows.
-    pub fn schema(&self) -> Vec<SchemaCol> {
+    pub(crate) fn schema(&self) -> Vec<SchemaCol> {
         match self {
             PhysicalPlan::UnitRow => Vec::new(),
             PhysicalPlan::TableScan { alias, columns, .. }
@@ -495,7 +495,7 @@ impl PhysicalPlan {
 
     /// Apply `f` to each of the node's inputs, in place and in the order of
     /// [`children`](Self::children).
-    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PhysicalPlan)) {
+    pub(crate) fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PhysicalPlan)) {
         match self {
             PhysicalPlan::UnitRow
             | PhysicalPlan::TableScan { .. }
@@ -544,7 +544,7 @@ impl PhysicalPlan {
     /// The node's expressions, in field order: a filter's predicate, a hash
     /// join's left then right keys, a hash semi-join's probe then build
     /// keys, a row numbering's specs, a sort's keys, a projection's list.
-    pub fn exprs(&self) -> impl Iterator<Item = &VExpr> {
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &VExpr> {
         let (first, second, specs): (&[VExpr], &[VExpr], &[Vec<VExpr>]) = match self {
             PhysicalPlan::Filter { predicate, .. } => (std::slice::from_ref(predicate), &[], &[]),
             PhysicalPlan::HashJoin {
@@ -568,7 +568,7 @@ impl PhysicalPlan {
 
     /// Apply `f` to each of the node's expressions, in place and in the
     /// order of [`exprs`](Self::exprs).
-    pub fn for_each_expr_mut(&mut self, f: impl FnMut(&mut VExpr)) {
+    pub(crate) fn for_each_expr_mut(&mut self, f: impl FnMut(&mut VExpr)) {
         let (first, second, specs): (&mut [VExpr], &mut [VExpr], &mut [Vec<VExpr>]) = match self {
             PhysicalPlan::Filter { predicate, .. } => {
                 (std::slice::from_mut(predicate), &mut [], &mut [])
@@ -600,7 +600,10 @@ impl PhysicalPlan {
     /// `EXISTS` subplan inside its expressions, in field order. One level:
     /// `f` decides whether to recurse. Expressions are updated in place, so
     /// one without an `EXISTS` is not rebuilt.
-    pub fn map_children(mut self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalPlan {
+    pub(crate) fn map_children(
+        mut self,
+        mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan,
+    ) -> PhysicalPlan {
         let mut apply =
             |slot: &mut PhysicalPlan| *slot = f(std::mem::replace(slot, PhysicalPlan::UnitRow));
         self.for_each_child_mut(&mut apply);
