@@ -23,10 +23,7 @@
 //!
 //! All of these invariants are **cardinality-independent**: they constrain
 //! schemas, positions and types, never row counts. A plan the validator
-//! accepts is therefore equally sound when the executor feeds operators
-//! bounded morsels instead of whole batches — each morsel carries the same
-//! schema as the full input, so nothing here needs re-checking per morsel
-//! or per worker. Pipeline breakers (see
+//! accepts is therefore equally sound at any input size. Pipeline breakers (see
 //! [`PhysicalPlan::is_pipeline_breaker`]) differ from streaming operators
 //! only in *when* they may emit, which is likewise invisible to these
 //! checks.
@@ -641,13 +638,11 @@ mod tests {
         assert!(codes_of(&join_plan()).is_empty());
     }
 
-    /// The breaker classification the morsel-parallel executor relies on:
-    /// exactly the operators that must see their whole input before
-    /// emitting (sort, numbering, dedup, set ops) are pipeline breakers;
-    /// streaming operators — including hash join, whose build side is
-    /// partitioned rather than accumulated per worker — are not. The
-    /// validator's checks are cardinality-independent either way, so a
-    /// clean plan stays clean regardless of how it is morselised.
+    /// The breaker classification: exactly the operators that must see their
+    /// whole input before emitting (sort, numbering, dedup, set ops) are
+    /// pipeline breakers; streaming operators — including hash join, whose
+    /// probe side streams — are not. The validator's checks are
+    /// cardinality-independent either way.
     #[test]
     fn pipeline_breaker_classification_is_exactly_the_blocking_operators() {
         fn scan() -> Box<PhysicalPlan> {

@@ -50,9 +50,6 @@ fn session(
         .database(db.clone())
         .index_scheme(scheme)
         .workers(workers)
-        // Disable the adaptive sequential gate so workers=4 genuinely
-        // exercises the morsel path at test scale.
-        .min_parallel_rows(0)
         .optimize(optimize)
         .build()
         .unwrap()

@@ -276,13 +276,12 @@ pub fn execute_bound(
 ///
 /// With `opts.workers > 1` the package's stages — independent by
 /// construction (each is one self-contained flat query; only the final
-/// stitch joins them) — are executed **and decoded** concurrently
-/// ([`sqlengine::scoped_map`]), and each stage's own plan execution fans
-/// morsels across its share of the same worker budget
-/// (`workers / stage_count`, so a single-stage package gets the full pool
-/// at operator level while a 4-stage package overlaps whole stages).
-/// Results are reassembled in the package's canonical depth-first stage
-/// order, so the stitched value does not depend on the worker count.
+/// stitch joins them) — are executed **and decoded** concurrently on up to
+/// `workers` threads ([`sqlengine::scoped_map`]); each stage's plan runs on
+/// the one thread that picked it up. This stage fan-out is the only
+/// parallelism in execution. Results are reassembled in the package's
+/// canonical depth-first stage order, so the stitched value does not depend
+/// on the worker count.
 pub fn execute_bound_obs_opts(
     compiled: &CompiledQuery,
     engine: &Engine,
@@ -298,7 +297,6 @@ pub fn execute_bound_obs_opts(
         profile: obs.is_some_and(|o| o.profile_operators()),
     };
     let stage_refs: Vec<&QueryStage> = compiled.stages.annotations();
-    let n = stage_refs.len();
 
     // Run each package-shared subplan once; stages carrying a shared slot
     // bind the columnar result under their CTE name instead of recomputing
@@ -310,16 +308,12 @@ pub fn execute_bound_obs_opts(
         compiled
             .shared
             .iter()
-            .map(|plan| Ok(run.plan(plan, &[], opts)?.0))
+            .map(|plan| Ok(run.plan(plan, &[])?.0))
             .collect::<Result<_, ShredError>>()?
     };
 
-    let stage_opts = ExecOptions {
-        workers: (opts.workers / opts.workers.min(n).max(1)).max(1),
-        ..opts
-    };
     let decoded = sqlengine::scoped_map(opts.workers, &stage_refs, |i, stage| {
-        run.stage(stage, i, &shared, stage_opts)
+        run.stage(stage, i, &shared)
     })?;
     // Every plan has run: writers need not wait for the stitch.
     drop(storage);
@@ -346,34 +340,21 @@ struct StageRun<'a> {
 }
 
 impl StageRun<'_> {
-    /// Execute one plan under a `Stage::Execute` span, recording what the
-    /// worker pool did.
+    /// Execute one plan under a `Stage::Execute` span.
     fn plan(
         &self,
         plan: &PhysicalPlan,
         ctes: &[(String, ColumnarResult)],
-        opts: ExecOptions,
     ) -> Result<(ColumnarResult, Option<sqlengine::PlanProfile>), ShredError> {
         let req = sqlengine::ExecRequest {
             params: self.params,
             ctes,
             profile: self.profile,
-            opts,
         };
-        let sqlengine::Execution {
-            result,
-            profile,
-            stats,
-        } = obs::time_maybe(self.obs, obs::Stage::Execute, || {
-            sqlengine::execute_plan(plan, self.storage, &req)
-        })?;
-        if let Some(o) = self.obs {
-            o.record_morsels(&obs::MorselStats {
-                dispatched: stats.morsels_dispatched,
-                peak_workers: stats.peak_workers,
-                morsel_nanos: stats.morsel_nanos,
-            });
-        }
+        let sqlengine::Execution { result, profile } =
+            obs::time_maybe(self.obs, obs::Stage::Execute, || {
+                sqlengine::execute_plan(plan, self.storage, &req)
+            })?;
         Ok((result, profile))
     }
 
@@ -383,7 +364,6 @@ impl StageRun<'_> {
         stage: &QueryStage,
         i: usize,
         shared: &[ColumnarResult],
-        opts: ExecOptions,
     ) -> Result<ColumnarStage, ShredError> {
         let (result, profile) = match &stage.shared {
             // CSE path: execute the With-stripped body against the
@@ -391,9 +371,8 @@ impl StageRun<'_> {
             Some(slot) if slot.index < shared.len() => self.plan(
                 &slot.body,
                 &[(slot.name.clone(), shared[slot.index].clone())],
-                opts,
             )?,
-            _ => self.plan(&stage.plan, &[], opts)?,
+            _ => self.plan(&stage.plan, &[])?,
         };
         if let (Some(o), Some(prof)) = (self.obs, profile) {
             let nodes = stage.plan.nodes();

@@ -254,11 +254,11 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// The session's execution options: worker count and morsel size for
-    /// the executor's worker pool ([`ShredderBuilder::workers`],
-    /// [`ShredderBuilder::morsel_rows`]). Backends that execute physical
-    /// plans pass these through to [`sqlengine::execute_plan`];
-    /// `workers == 1` runs without a pool.
+    /// The session's execution options: the worker count a package's stages
+    /// fan out on ([`ShredderBuilder::workers`]). Backends that execute
+    /// shredded packages pass these through to
+    /// [`crate::pipeline::execute_bound_obs_opts`]; `workers == 1` runs the
+    /// stages one after another on the calling thread.
     pub fn exec_opts(&self) -> sqlengine::ExecOptions {
         self.exec_opts
     }
@@ -1017,8 +1017,6 @@ pub struct ShredderBuilder {
     metrics: Option<Arc<MetricsRegistry>>,
     obs_sink: Option<Arc<dyn ObsSink>>,
     workers: Option<usize>,
-    morsel_rows: Option<usize>,
-    min_parallel_rows: Option<usize>,
     optimize: Option<bool>,
 }
 
@@ -1050,8 +1048,6 @@ impl Default for ShredderBuilder {
             metrics: None,
             obs_sink: None,
             workers: None,
-            morsel_rows: None,
-            min_parallel_rows: None,
             optimize: None,
         }
     }
@@ -1140,37 +1136,15 @@ impl ShredderBuilder {
         self
     }
 
-    /// Worker threads for executing one query: morsels (bounded columnar
-    /// row ranges) of each operator's input fan out across this many
-    /// threads, and a multi-stage shredded package additionally runs its
-    /// independent stages concurrently on the same budget. Defaults to
-    /// [`std::thread::available_parallelism`]. `workers(1)` is the same
-    /// executor without a pool — every operator takes its whole input on
-    /// the calling thread — and the case the interpreter oracle and the
-    /// live-view delta path are differentially tested against.
-    /// Values are clamped to at least 1.
+    /// Worker threads for executing one query: a multi-stage shredded
+    /// package runs its independent stages concurrently on up to this many
+    /// threads, and each stage's plan runs whole on the thread that picked
+    /// it up. Defaults to [`std::thread::available_parallelism`].
+    /// `workers(1)` runs the stages one after another on the calling
+    /// thread. Answers are identical at every worker count. Values are
+    /// clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Upper bound on rows per morsel for the worker pool (default
-    /// [`sqlengine::DEFAULT_MORSEL_ROWS`]). Answers are identical at every
-    /// morsel size; this only trades scheduling overhead against load
-    /// balance and per-operator working-set size. Clamped to at least 1.
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = Some(rows.max(1));
-        self
-    }
-
-    /// Estimated-row threshold below which a stage's plan runs without a
-    /// pool even when `workers > 1` (default
-    /// [`sqlengine::DEFAULT_MIN_PARALLEL_ROWS`]): small pipelines lose more
-    /// to thread hand-off than they gain from fan-out. `0` disables the
-    /// gate. Answers are identical either way by the executor's
-    /// determinism guarantee.
-    pub fn min_parallel_rows(mut self, rows: usize) -> Self {
-        self.min_parallel_rows = Some(rows);
         self
     }
 
@@ -1274,10 +1248,6 @@ impl ShredderBuilder {
                             .map(|n| n.get())
                             .unwrap_or(1)
                     }),
-                    morsel_rows: self.morsel_rows.unwrap_or(sqlengine::DEFAULT_MORSEL_ROWS),
-                    min_parallel_rows: self
-                        .min_parallel_rows
-                        .unwrap_or(sqlengine::DEFAULT_MIN_PARALLEL_ROWS),
                 },
                 optimize: self.optimize.unwrap_or(true),
             }),
@@ -1392,9 +1362,9 @@ struct ShredderCore {
     /// [`Subscription`] unsubscribes it; dead entries are pruned on the next
     /// committed batch.
     subs: Mutex<Vec<Weak<LiveView>>>,
-    /// Worker count and morsel size for the executor's worker pool (see
-    /// [`ShredderBuilder::workers`]). Live-view maintenance ignores these:
-    /// a delta pass runs the batch kernels on the committing thread.
+    /// The worker count a package's stages fan out on (see
+    /// [`ShredderBuilder::workers`]). Live-view maintenance ignores it: a
+    /// delta pass runs the batch kernels on the committing thread.
     exec_opts: sqlengine::ExecOptions,
     /// Run the logical optimizer over compiled stage plans (see
     /// [`ShredderBuilder::optimize`]).
@@ -1733,22 +1703,6 @@ impl Shredder {
         metrics.record("query.total", total_nanos);
         for span in &spans {
             metrics.record(span.stage.metric_name(), span.nanos);
-        }
-        let morsels = obs.take_morsels();
-        if !morsels.is_empty() {
-            metrics
-                .counter("morsels.dispatched")
-                .add(morsels.dispatched);
-            // Peak simultaneously busy workers of the most parallel
-            // execution seen so far (gauges are monotonic-max here: a
-            // sequential query leaves the high-water mark alone).
-            let gauge = metrics.gauge("workers.active");
-            if (morsels.peak_workers as i64) > gauge.get() {
-                gauge.set(morsels.peak_workers as i64);
-            }
-            for nanos in &morsels.morsel_nanos {
-                metrics.record("morsel", *nanos);
-            }
         }
         if profile {
             let mut per_stage: Vec<Vec<sqlengine::OpActuals>> =

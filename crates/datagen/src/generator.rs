@@ -288,8 +288,7 @@ mod tests {
 
     #[test]
     fn scales_to_256_departments() {
-        // The morsel-parallel bench gate generates at 256+ departments; this
-        // pins the row-count shape at that scale (generation itself is
+        // Pins the row-count shape at 256 departments (generation itself is
         // linear — rows are bulk-loaded against one precomputed row type).
         let config = OrgConfig {
             departments: 256,

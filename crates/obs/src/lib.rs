@@ -29,5 +29,5 @@ pub mod sink;
 
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::{time_maybe, MorselStats, OperatorProfile, QueryObs, QueryProfile, Span, Stage};
+pub use profile::{time_maybe, OperatorProfile, QueryObs, QueryProfile, Span, Stage};
 pub use sink::{NullSink, ObsSink, RingSink};

@@ -133,31 +133,6 @@ impl QueryProfile {
     }
 }
 
-/// What the executor's worker pool did during one query: how many morsels
-/// were dispatched to it, the peak number of simultaneously busy workers,
-/// and each morsel's wall time (feeds the `morsel` latency histogram). All
-/// zeros / empty for a `workers(1)` execution, which has no pool.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MorselStats {
-    pub dispatched: u64,
-    pub peak_workers: u64,
-    pub morsel_nanos: Vec<u64>,
-}
-
-impl MorselStats {
-    pub fn is_empty(&self) -> bool {
-        self.dispatched == 0 && self.morsel_nanos.is_empty()
-    }
-
-    /// Fold another execution's stats in (stage-parallel packages record
-    /// one `MorselStats` per stage).
-    pub fn merge(&mut self, other: &MorselStats) {
-        self.dispatched += other.dispatched;
-        self.peak_workers = self.peak_workers.max(other.peak_workers);
-        self.morsel_nanos.extend_from_slice(&other.morsel_nanos);
-    }
-}
-
 /// Per-call span collector. One `QueryObs` lives for the duration of a single
 /// `prepare` or `execute` call and is threaded by shared reference through
 /// the pipeline; the mutexes are uncontended (single caller) and exist only
@@ -167,7 +142,6 @@ pub struct QueryObs {
     profile_ops: bool,
     spans: Mutex<Vec<Span>>,
     operators: Mutex<Vec<OperatorProfile>>,
-    morsels: Mutex<MorselStats>,
 }
 
 impl QueryObs {
@@ -205,24 +179,11 @@ impl QueryObs {
         self.operators.lock().expect("obs lock").extend(ops);
     }
 
-    /// Fold one parallel execution's morsel tally into this call's stats
-    /// (called once per executed stage; `workers(1)` stages record nothing).
-    pub fn record_morsels(&self, stats: &MorselStats) {
-        if !stats.is_empty() {
-            self.morsels.lock().expect("obs lock").merge(stats);
-        }
-    }
-
     /// Drain the collected spans and operator actuals.
     pub fn take(&self) -> (Vec<Span>, Vec<OperatorProfile>) {
         let spans = std::mem::take(&mut *self.spans.lock().expect("obs lock"));
         let ops = std::mem::take(&mut *self.operators.lock().expect("obs lock"));
         (spans, ops)
-    }
-
-    /// Drain the morsel stats collected by parallel executions.
-    pub fn take_morsels(&self) -> MorselStats {
-        std::mem::take(&mut *self.morsels.lock().expect("obs lock"))
     }
 }
 

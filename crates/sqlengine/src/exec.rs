@@ -106,24 +106,23 @@ impl Engine {
     }
 
     /// Run a pre-compiled physical plan with bound values for its param
-    /// slots (`:name` placeholders) under explicit [`ExecOptions`]: with
-    /// `workers > 1` the operators fan bounded morsels across a scoped
-    /// worker pool (see [`crate::par`]); `workers == 1` is the same walk on
-    /// the calling thread. Binding happens at evaluation time —
-    /// re-executing the same plan with different bindings does zero parsing
-    /// or planning work. Like its two siblings, this is [`execute_plan`]
-    /// under a read guard of the engine's storage.
+    /// slots (`:name` placeholders) on the calling thread. Binding happens at
+    /// evaluation time — re-executing the same plan with different bindings
+    /// does zero parsing or planning work. Like its two siblings, this is
+    /// [`execute_plan`] under a read guard of the engine's storage.
+    ///
+    /// A plan runs on one thread whatever the [`ExecOptions`] (only a
+    /// package's stage fan-out reads `workers`), and the [`ExecStats`] are
+    /// always `ExecStats::default()`; the three `*_opts` methods keep both
+    /// in their signatures for the benchmark adapter that calls them.
     pub fn execute_plan_bound_opts(
         &self,
         plan: &PhysicalPlan,
         params: &ParamValues,
-        opts: ExecOptions,
+        _opts: ExecOptions,
     ) -> Result<(ColumnarResult, ExecStats), EngineError> {
-        let req = ExecRequest {
-            opts,
-            ..ExecRequest::new(params)
-        };
-        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, e.stats))
+        let req = ExecRequest::new(params);
+        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, ExecStats::default()))
     }
 
     /// Like [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts),
@@ -133,34 +132,33 @@ impl Engine {
         plan: &PhysicalPlan,
         params: &ParamValues,
         ctes: &[(String, ColumnarResult)],
-        opts: ExecOptions,
+        _opts: ExecOptions,
     ) -> Result<(ColumnarResult, ExecStats), EngineError> {
         let req = ExecRequest {
             ctes,
-            opts,
             ..ExecRequest::new(params)
         };
-        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, e.stats))
+        execute_plan(plan, &self.storage(), &req).map(|e| (e.result, ExecStats::default()))
     }
 
     /// Like [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts),
     /// but also collect per-operator actuals (batches, rows, inclusive
-    /// elapsed time) for every plan node, aggregated atomically across
-    /// workers. Pair the returned profile with
+    /// elapsed time) for every plan node. Pair the returned profile with
     /// [`PhysicalPlan::render_analyzed`] for an `EXPLAIN ANALYZE` tree.
     pub fn execute_plan_profiled_opts(
         &self,
         plan: &PhysicalPlan,
         params: &ParamValues,
-        opts: ExecOptions,
+        _opts: ExecOptions,
     ) -> Result<(ColumnarResult, PlanProfile, ExecStats), EngineError> {
         let req = ExecRequest {
             profile: true,
-            opts,
             ..ExecRequest::new(params)
         };
-        execute_plan(plan, &self.storage(), &req)
-            .map(|e| (e.result, e.profile.unwrap_or_default(), e.stats))
+        execute_plan(plan, &self.storage(), &req).map(|e| {
+            let profile = e.profile.unwrap_or_default();
+            (e.result, profile, ExecStats::default())
+        })
     }
 
     /// Execute a query AST: plan it and run the plan on the vectorized

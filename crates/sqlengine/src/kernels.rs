@@ -3,10 +3,8 @@
 //!
 //! Every keyed operator of the executor — hash join, hash semi-join,
 //! `DISTINCT`, `EXCEPT ALL`, `ROW_NUMBER` and `ORDER BY` — runs on this one
-//! layer. The walk in [`crate::vexec`] reaches the kernels through the
-//! helpers of [`crate::par`], which call them over a whole batch or per
-//! morsel and per partition and keep only the scheduling around them.
-//! Nothing here transposes key columns
+//! layer, and the walk in [`crate::vexec`] calls each kernel once over an
+//! operator's whole batch. Nothing here transposes key columns
 //! into one `Vec<SqlValue>` per row: a key is a list of [`Vector`]s borrowed
 //! from the batch, a per-row `u64` hash computed column-at-a-time, and
 //! equality checked in place on the columns.
@@ -44,9 +42,8 @@ use crate::value::SqlValue;
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// The physical rows a batch view ranges over: all of a dense batch, a
-/// morsel of one, a selection vector or a slice of one. `Copy`, so a morsel
-/// costs no allocation.
+/// The physical rows a batch view ranges over: a run of a dense batch or a
+/// selection vector. `Copy`, so a view costs no allocation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rows<'a> {
     /// Physical rows `start..end`.
@@ -55,7 +52,7 @@ pub(crate) enum Rows<'a> {
     Sel(&'a [usize]),
 }
 
-impl<'a> Rows<'a> {
+impl Rows<'_> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Rows::Range { start, end } => end - start,
@@ -68,17 +65,6 @@ impl<'a> Rows<'a> {
         match self {
             Rows::Range { start, .. } => start + i,
             Rows::Sel(sel) => sel[i],
-        }
-    }
-
-    /// The logical sub-range `range` of these rows (a morsel).
-    pub(crate) fn slice(&self, range: Range<usize>) -> Rows<'a> {
-        match self {
-            Rows::Range { start, .. } => Rows::Range {
-                start: start + range.start,
-                end: start + range.end,
-            },
-            Rows::Sel(sel) => Rows::Sel(&sel[range]),
         }
     }
 }
@@ -181,7 +167,7 @@ fn mix(h: u64, x: u64) -> u64 {
 }
 
 /// Spread the entropy of the multiply chain over all 64 bits: bucket
-/// indices take the low bits, partitions the high ones.
+/// indices take the low bits.
 fn finish(h: u64) -> u64 {
     let h = (h ^ (h >> 32)).wrapping_mul(K);
     h ^ (h >> 29)
@@ -216,18 +202,6 @@ fn hash_value(v: &SqlValue) -> u64 {
 pub(crate) struct KeyHashes {
     pub(crate) hashes: Vec<u64>,
     pub(crate) has_null: Vec<bool>,
-}
-
-impl KeyHashes {
-    /// Morsel-wise hashes, concatenated in morsel order.
-    pub(crate) fn concat(chunks: Vec<KeyHashes>) -> KeyHashes {
-        let mut out = KeyHashes::default();
-        for chunk in chunks {
-            out.hashes.extend(chunk.hashes);
-            out.has_null.extend(chunk.has_null);
-        }
-        out
-    }
 }
 
 /// Hash the key of every logical row in `range`, one key column at a time.
@@ -281,11 +255,6 @@ pub(crate) enum NullMode {
     GroupsWithNull,
 }
 
-/// Which partition a hash belongs to, of `count`.
-fn partition_of(hash: u64, count: usize) -> usize {
-    ((hash >> 32) as usize) % count
-}
-
 /// Refuse a build side whose row ids do not fit the table's `u32` links.
 fn check_indexable(rows: usize) -> Result<(), EngineError> {
     if rows >= u32::MAX as usize {
@@ -297,37 +266,26 @@ fn check_indexable(rows: usize) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// A chained hash table over (one partition of) a build side: `heads[b]` is
-/// the first build row of bucket `b`, `next[row]` the following one, both
-/// stored `+ 1` with `0` for "none". It holds row ids only — hashes and key
+/// A chained hash table over a build side: `heads[b]` is the first build
+/// row of bucket `b`, `next[row]` the following one, both stored `+ 1` with
+/// `0` for "none". It holds row ids only — hashes and key
 /// values stay in the [`Keys`] it was built from.
 #[derive(Debug)]
-pub(crate) struct JoinTable {
+struct JoinTable {
     heads: Vec<u32>,
     next: Vec<u32>,
 }
 
 impl JoinTable {
-    /// The table of partition `part` of `parts` over `build`'s rows, with
-    /// about one bucket per row. `next` spans every build row whatever the
-    /// partition count (4 bytes per row and partition — a sixth of one key
-    /// column), which keeps row ids global and the probe free of
-    /// indirection.
-    pub(crate) fn build(
-        build: &KeyHashes,
-        nulls: NullMode,
-        part: usize,
-        parts: usize,
-    ) -> Result<JoinTable, EngineError> {
-        let buckets = (build.hashes.len() / parts).max(1).next_power_of_two();
-        JoinTable::with_buckets(build, nulls, part, parts, buckets)
+    /// The table over `build`'s rows, with about one bucket per row.
+    fn build(build: &KeyHashes, nulls: NullMode) -> Result<JoinTable, EngineError> {
+        let buckets = build.hashes.len().max(1).next_power_of_two();
+        JoinTable::with_buckets(build, nulls, buckets)
     }
 
     fn with_buckets(
         build: &KeyHashes,
         nulls: NullMode,
-        part: usize,
-        parts: usize,
         buckets: usize,
     ) -> Result<JoinTable, EngineError> {
         debug_assert!(buckets.is_power_of_two());
@@ -338,13 +296,10 @@ impl JoinTable {
         // Last row first: each bucket's chain then reads in ascending row
         // order from its head.
         for row in (0..rows).rev() {
-            let hash = build.hashes[row];
-            if (nulls == NullMode::NeverMatches && build.has_null[row])
-                || (parts > 1 && partition_of(hash, parts) != part)
-            {
+            if nulls == NullMode::NeverMatches && build.has_null[row] {
                 continue;
             }
-            let bucket = hash as usize & (buckets - 1);
+            let bucket = build.hashes[row] as usize & (buckets - 1);
             next[row] = heads[bucket];
             heads[bucket] = row as u32 + 1;
         }
@@ -352,35 +307,23 @@ impl JoinTable {
     }
 }
 
-/// A build side ready to be probed: its keys, the NULL mode and one
-/// [`JoinTable`] per hash partition.
+/// A build side ready to be probed: its keys, the NULL mode and its
+/// [`JoinTable`].
 #[derive(Debug)]
 pub(crate) struct KeyIndex<'k> {
     build: &'k Keys<'k>,
     nulls: NullMode,
-    tables: Vec<JoinTable>,
+    table: JoinTable,
 }
 
 impl<'k> KeyIndex<'k> {
-    /// Index `build` with a single table, on the calling thread.
+    /// Index `build`.
     pub(crate) fn new(build: &'k Keys<'k>, nulls: NullMode) -> Result<KeyIndex<'k>, EngineError> {
-        let table = JoinTable::build(&build.hashed, nulls, 0, 1)?;
-        Ok(KeyIndex::from_partitions(build, nulls, vec![table]))
-    }
-
-    /// Assemble an index from partition tables built elsewhere (one per
-    /// worker): `tables[p]` must be `JoinTable::build(.., p, tables.len())`
-    /// over the same `build` and `nulls`.
-    pub(crate) fn from_partitions(
-        build: &'k Keys<'k>,
-        nulls: NullMode,
-        tables: Vec<JoinTable>,
-    ) -> KeyIndex<'k> {
-        KeyIndex {
+        Ok(KeyIndex {
             build,
             nulls,
-            tables,
-        }
+            table: JoinTable::build(&build.hashed, nulls)?,
+        })
     }
 
     /// Call `f` with each build row whose key equals probe row `i`'s, in
@@ -390,10 +333,7 @@ impl<'k> KeyIndex<'k> {
             return;
         }
         let hash = probe.hashed.hashes[i];
-        let table = match self.tables.as_slice() {
-            [only] => only,
-            tables => &tables[partition_of(hash, tables.len())],
-        };
+        let table = &self.table;
         let mut at = table.heads[hash as usize & (table.heads.len() - 1)];
         while at != 0 {
             let row = at as usize - 1;
@@ -422,16 +362,11 @@ impl<'k> KeyIndex<'k> {
         first
     }
 
-    /// The join's match list for the probe rows of `range`: probe order,
-    /// then ascending build order. Pairs are `(left row, right row)`.
-    pub(crate) fn join_pairs(
-        &self,
-        probe: &Keys<'_>,
-        range: Range<usize>,
-        probe_is_left: bool,
-    ) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::with_capacity(range.len());
-        for i in range {
+    /// The join's match list: probe order, then ascending build order. Pairs
+    /// are `(left row, right row)`.
+    pub(crate) fn join_pairs(&self, probe: &Keys<'_>, probe_is_left: bool) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::with_capacity(probe.len());
+        for i in 0..probe.len() {
             self.for_each_match(probe, i, |j| {
                 pairs.push(if probe_is_left { (i, j) } else { (j, i) });
                 true
@@ -440,17 +375,10 @@ impl<'k> KeyIndex<'k> {
         pairs
     }
 
-    /// The semi (`anti`: anti) join's selection for the probe rows of
-    /// `range`: the physical row, through `rows`, of every probe row that
-    /// has a match (`anti`: has none).
-    pub(crate) fn semi_select(
-        &self,
-        probe: &Keys<'_>,
-        range: Range<usize>,
-        anti: bool,
-        rows: Rows<'_>,
-    ) -> Vec<usize> {
-        range
+    /// The semi (`anti`: anti) join's selection: the physical row, through
+    /// `rows`, of every probe row that has a match (`anti`: has none).
+    pub(crate) fn semi_select(&self, probe: &Keys<'_>, anti: bool, rows: Rows<'_>) -> Vec<usize> {
+        (0..probe.len())
             .filter(|&i| self.first_match(probe, i).is_some() != anti)
             .map(|i| rows.phys(i))
             .collect()
@@ -696,34 +624,6 @@ pub(crate) fn sort_rows(cols: &[Vector<'_>], range: Range<usize>) -> Vec<usize> 
     order
 }
 
-/// Merge runs that [`sort_rows`] produced over consecutive ranges into the
-/// order one stable sort of the whole would give: smallest key first, ties
-/// to the smaller row — which within a run is already the case, and across
-/// runs picks the earlier run.
-pub(crate) fn merge_sorted_runs(cols: &[Vector<'_>], runs: &[Vec<usize>]) -> Vec<usize> {
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    loop {
-        let mut best: Option<(usize, usize)> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(&cand) = run.get(heads[r]) else {
-                continue;
-            };
-            let better = best.is_none_or(|(_, row)| {
-                compare_at(cols, cand, row).then(cand.cmp(&row)) == Ordering::Less
-            });
-            if better {
-                best = Some((r, cand));
-            }
-        }
-        let Some((r, row)) = best else {
-            return out;
-        };
-        heads[r] += 1;
-        out.push(row);
-    }
-}
-
 /// Merge a sorted delta into a cached order: `old` is in key order with ties
 /// to the smaller row, `new` is what [`sort_rows`] gave for rows that are all
 /// larger than every row of `old` — so on a tie the old row goes first, and
@@ -861,25 +761,21 @@ mod tests {
         build_rows: usize,
         probe: &[Vec<SqlValue>],
         probe_rows: usize,
-        parts: usize,
         buckets: Option<usize>,
     ) -> Vec<(usize, usize)> {
         let build = Keys::new(dense(build), build_rows);
         let probe = Keys::new(dense(probe), probe_rows);
         let nulls = NullMode::NeverMatches;
-        let tables = (0..parts)
-            .map(|p| match buckets {
-                Some(b) => JoinTable::with_buckets(&build.hashed, nulls, p, parts, b),
-                None => JoinTable::build(&build.hashed, nulls, p, parts),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let index = KeyIndex::from_partitions(&build, nulls, tables);
-        // Two probe morsels, concatenated, as a pooled execution does.
-        let mid = probe_rows / 2;
-        let mut pairs = index.join_pairs(&probe, 0..mid, true);
-        pairs.extend(index.join_pairs(&probe, mid..probe_rows, true));
-        pairs
+        let index = KeyIndex {
+            build: &build,
+            nulls,
+            table: match buckets {
+                Some(b) => JoinTable::with_buckets(&build.hashed, nulls, b),
+                None => JoinTable::build(&build.hashed, nulls),
+            }
+            .unwrap(),
+        };
+        index.join_pairs(&probe, true)
     }
 
     #[test]
@@ -895,11 +791,11 @@ mod tests {
             let build = random_columns(&mut rng, width, b);
             let probe = random_columns(&mut rng, width, p);
             let expect = reference_join(&key_rows(&build, b), &key_rows(&probe, p), true);
-            for (parts, buckets) in [(1, None), (3, None), (1, Some(1)), (2, Some(1))] {
+            for buckets in [None, Some(1)] {
                 assert_eq!(
-                    kernel_join(&build, b, &probe, p, parts, buckets),
+                    kernel_join(&build, b, &probe, p, buckets),
                     expect,
-                    "case {case}, {parts} partition(s), buckets {buckets:?}"
+                    "case {case}, buckets {buckets:?}"
                 );
             }
         }
@@ -915,8 +811,7 @@ mod tests {
             expect.len() > 400 * 300 / 5,
             "the hot key dominates the output"
         );
-        assert_eq!(kernel_join(&build, 400, &probe, 300, 1, None), expect);
-        assert_eq!(kernel_join(&build, 400, &probe, 300, 4, None), expect);
+        assert_eq!(kernel_join(&build, 400, &probe, 300, None), expect);
     }
 
     #[test]
@@ -931,7 +826,7 @@ mod tests {
         // One bucket and — through equal hashes or not — only the diagonal
         // matches; NULL matches nothing, itself included.
         assert_eq!(
-            kernel_join(&build, 4, &probe, 4, 1, Some(1)),
+            kernel_join(&build, 4, &probe, 4, Some(1)),
             vec![(0, 0), (1, 1), (2, 2)]
         );
     }
@@ -964,7 +859,7 @@ mod tests {
         // data[9] = 0 and data[0] = 0 share a key; the two data[4] rows and
         // data[7] share another.
         assert_eq!(
-            index.join_pairs(&through_sel, 0..sel.len(), true),
+            index.join_pairs(&through_sel, true),
             vec![
                 (0, 0),
                 (0, 1),
@@ -996,8 +891,8 @@ mod tests {
         assert_eq!(joining.first_match(&keys, 0), None);
         assert_eq!(joining.first_match(&keys, 3), Some(1));
         let rows = Rows::Range { start: 0, end: 4 };
-        assert_eq!(joining.semi_select(&keys, 0..4, false, rows), vec![1, 3]);
-        assert_eq!(joining.semi_select(&keys, 0..4, true, rows), vec![0, 2]);
+        assert_eq!(joining.semi_select(&keys, false, rows), vec![1, 3]);
+        assert_eq!(joining.semi_select(&keys, true, rows), vec![0, 2]);
         let grouping = KeyIndex::new(&keys, NullMode::GroupsWithNull).unwrap();
         assert_eq!(grouping.first_match(&keys, 2), Some(0));
         assert_eq!(distinct_rows(&keys).unwrap(), vec![0, 1]);
@@ -1009,7 +904,7 @@ mod tests {
         let probe = Keys::new(Vec::new(), 2);
         let index = KeyIndex::new(&build, NullMode::NeverMatches).unwrap();
         assert_eq!(index.first_match(&probe, 1), Some(0));
-        assert_eq!(index.join_pairs(&probe, 0..2, true).len(), 6);
+        assert_eq!(index.join_pairs(&probe, true).len(), 6);
         let empty = Keys::new(Vec::new(), 0);
         let index = KeyIndex::new(&empty, NullMode::NeverMatches).unwrap();
         assert_eq!(index.first_match(&probe, 0), None);
@@ -1064,15 +959,6 @@ mod tests {
             expect.sort_by(|&a, &b| compare_rows(&transposed[a], &transposed[b]));
             let cols = dense(&columns);
             assert_eq!(sort_rows(&cols, 0..rows), expect, "case {case}");
-            // Any split into consecutive runs merges back to the same order.
-            for runs in [2, 3, 7] {
-                let chunk = rows.div_ceil(runs).max(1);
-                let sorted: Vec<Vec<usize>> = (0..rows)
-                    .step_by(chunk)
-                    .map(|s| sort_rows(&cols, s..(s + chunk).min(rows)))
-                    .collect();
-                assert_eq!(merge_sorted_runs(&cols, &sorted), expect, "case {case}");
-            }
         }
     }
 

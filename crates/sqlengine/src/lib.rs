@@ -22,7 +22,9 @@
 //! filters, exists-semijoins, row-numbering, sort, projection) and
 //! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
-//! batch whole or morsel by morsel on the worker pool of [`par`].
+//! whole batch on the calling thread. The one level of parallelism is above
+//! a plan: [`par::scoped_map`] runs a shredded package's independent stages
+//! concurrently.
 //! [`Engine::execute`] returns a [`ColumnarResult`] — the batch's
 //! `Arc`-shared columns handed over without a row-major transpose, so
 //! columnar consumers (the shredding stitcher) never see rows at all. The
@@ -74,8 +76,8 @@ pub use ast::{BinOp, Expr, FromItem, Query, Select, SelectItem, TableSource};
 pub use delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
 pub use error::EngineError;
 pub use exec::Engine;
-pub use opt::{live_estimate, optimize, OptReport, OptSkip};
-pub use par::{scoped_map, ExecOptions, ExecStats, DEFAULT_MIN_PARALLEL_ROWS, DEFAULT_MORSEL_ROWS};
+pub use opt::{optimize, OptReport, OptSkip};
+pub use par::{scoped_map, ExecOptions, ExecStats};
 pub use parser::{parse_expr, parse_query};
 pub use plan::{Catalog, OpActuals, PhysicalPlan, SchemaCatalog};
 pub use printer::{print_expr, print_query};

@@ -50,8 +50,8 @@
 //!    It runs last so that it prunes the joins the other passes leave.
 //!
 //! Every pass is a pure function from plan to plan: rewritten plans flow
-//! through the interpreter oracle, the vectorized executor (with or without
-//! a worker pool) and `DeltaExec` unchanged.
+//! through the interpreter oracle, the vectorized executor and `DeltaExec`
+//! unchanged.
 
 use crate::ast::BinOp;
 use crate::exec::eval_binop;
@@ -139,13 +139,6 @@ pub fn optimize(plan: PhysicalPlan, catalog: &dyn Catalog) -> (PhysicalPlan, Opt
     }
 
     (plan, report)
-}
-
-/// Catalog-aware cardinality estimate of a plan, with `WITH` definitions
-/// bound so `CteScan`s inherit their definition's estimate. This is what
-/// the morsel executor's `min_parallel_rows` gate consults.
-pub fn live_estimate(plan: &PhysicalPlan, catalog: &dyn Catalog) -> f64 {
-    estimate_env(plan, catalog, &mut Vec::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -2042,7 +2035,7 @@ mod tests {
     }
 
     #[test]
-    fn live_estimate_binds_with_definitions() {
+    fn estimates_bind_with_definitions() {
         let catalog = RowsCatalog(vec![("t", vec!["a"], 5000)]);
         let plan = PhysicalPlan::With {
             name: "q".to_string(),
@@ -2053,6 +2046,6 @@ mod tests {
                 columns: vec!["a".to_string()],
             }),
         };
-        assert_eq!(live_estimate(&plan, &catalog), 5000.0);
+        assert_eq!(estimate_env(&plan, &catalog, &mut Vec::new()), 5000.0);
     }
 }

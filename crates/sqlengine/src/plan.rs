@@ -447,17 +447,13 @@ impl PhysicalPlan {
     }
 
     /// Is this operator a **pipeline breaker** — one that must observe its
-    /// whole input before emitting its first output row? Breakers are the
-    /// operators a pooled execution ([`crate::par`]) cannot stream: they accumulate per-worker partial state (sorted runs, row
-    /// materialisations) and merge it, instead of emitting per-morsel
-    /// results in morsel order. Everything else (scans, filters, joins,
-    /// projections, exists-semijoins) is streaming: its output for a morsel
-    /// depends only on that morsel's rows, so per-morsel intermediate
-    /// memory is bounded by the morsel size.
+    /// whole input before emitting its first output row (sort, numbering,
+    /// dedup, set operations)? Everything else (scans, filters, joins,
+    /// projections, exists-semijoins) is streaming: its output for a run of
+    /// input rows depends only on those rows.
     ///
     /// `HashJoin` is deliberately *not* classified as a breaker: only its
-    /// build side is blocking, and the build table is partitioned across
-    /// workers rather than accumulated per-worker (see `crate::par`).
+    /// build side is blocking; the probe side streams.
     pub fn is_pipeline_breaker(&self) -> bool {
         matches!(
             self,

@@ -20,11 +20,8 @@
 //!   columns.
 //!
 //! There is one walk ([`exec`]) and one entry point ([`execute_plan`]). Each
-//! operator runs its kernel either once over the whole batch or morsel by
-//! morsel on the execution's worker pool ([`crate::par`]), choosing from the
-//! row count it actually sees ([`VecCtx::engage`]); an execution with
-//! `workers(1)`, or of a plan too small to fan out, has no pool and is the
-//! same walk on the calling thread.
+//! operator runs its kernel once over its whole batch on the calling thread;
+//! the only parallelism is the stage fan-out above a plan ([`crate::par`]).
 //!
 //! Correlated subqueries (`EXISTS`, semi/anti joins) necessarily fall back to
 //! one subplan execution per outer row; the row's values are pushed as a
@@ -47,16 +44,12 @@
 
 use crate::error::EngineError;
 use crate::exec::eval_binop;
-use crate::kernels::{self, Rows, Vector};
-use crate::par::{
-    par_eval_all, par_index, par_join_gather, par_keys, par_materialise, par_ranges, par_sort,
-    ExecOptions, ExecStats, Pool, PAR_SUBPLAN_ROWS,
-};
+use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Vector};
 use crate::plan::{BuildSide, OpActuals, PhysicalPlan, SchemaCol, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{ParamValues, Row, SqlValue};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,19 +73,16 @@ pub struct ExecRequest<'a> {
     /// wall time. The result path is unchanged; the per-node overhead is two
     /// `Instant` reads and a pointer-keyed map lookup.
     pub profile: bool,
-    /// Worker count, morsel size and the small-plan gate.
-    pub opts: ExecOptions,
 }
 
 impl<'a> ExecRequest<'a> {
     /// A request with `params` bound and the defaults for everything else:
-    /// no pre-bound CTEs, no profiling, one worker.
+    /// no pre-bound CTEs, no profiling.
     pub fn new(params: &'a ParamValues) -> ExecRequest<'a> {
         ExecRequest {
             params,
             ctes: &[],
             profile: false,
-            opts: ExecOptions::default(),
         }
     }
 }
@@ -105,9 +95,6 @@ pub struct Execution {
     pub result: ColumnarResult,
     /// Per-operator actuals, when the request asked for them.
     pub profile: Option<PlanProfile>,
-    /// What the worker pool dispatched; all zero when the execution ran
-    /// without one.
-    pub stats: ExecStats,
 }
 
 /// Execute a physical plan against storage: the engine's one plan-execution
@@ -117,13 +104,11 @@ pub fn execute_plan(
     storage: &Storage,
     req: &ExecRequest<'_>,
 ) -> Result<Execution, EngineError> {
-    let pool = Pool::for_plan(plan, storage, req.opts);
     let prof = req.profile.then(|| Profiler::new(plan));
     let ctx = VecCtx {
         storage,
         params: req.params,
         prof: prof.as_ref(),
-        pool: pool.as_ref(),
     };
     let mut env = CteEnv::default();
     for (name, result) in req.ctes {
@@ -135,7 +120,6 @@ pub fn execute_plan(
         profile: prof.map(|p| PlanProfile {
             ops: p.actuals(plan),
         }),
-        stats: pool.map(Pool::into_stats).unwrap_or_default(),
     })
 }
 
@@ -163,11 +147,8 @@ fn batch_from_columnar(result: &ColumnarResult) -> Batch {
 }
 
 /// Accumulator for per-node actuals, keyed by node address (unique within
-/// one plan tree). The cells are atomics (relaxed ordering — the counters
-/// are independent tallies, reconciled after all workers join) so one
-/// profiler is shared by every worker of an execution's pool: concurrent
-/// batches aggregate their counts instead of racing on a per-node
-/// accumulator.
+/// one plan tree). One execution runs on one thread, so the cells are plain
+/// `Cell`s and recording needs only `&self`.
 pub(crate) struct Profiler {
     ids: HashMap<usize, usize>,
     cells: Vec<ProfCell>,
@@ -175,9 +156,9 @@ pub(crate) struct Profiler {
 
 #[derive(Default)]
 struct ProfCell {
-    batches: AtomicU64,
-    rows_out: AtomicU64,
-    nanos: AtomicU64,
+    batches: Cell<u64>,
+    rows_out: Cell<u64>,
+    nanos: Cell<u64>,
 }
 
 impl Profiler {
@@ -194,13 +175,13 @@ impl Profiler {
     }
 
     /// Record one execution of `plan` producing `rows_out` rows in `nanos`
-    /// inclusive wall time. Safe to call from any worker thread.
+    /// inclusive wall time.
     pub(crate) fn record(&self, plan: &PhysicalPlan, rows_out: u64, nanos: u64) {
         if let Some(&id) = self.ids.get(&(plan as *const PhysicalPlan as usize)) {
             let cell = &self.cells[id];
-            cell.batches.fetch_add(1, AtomicOrdering::Relaxed);
-            cell.rows_out.fetch_add(rows_out, AtomicOrdering::Relaxed);
-            cell.nanos.fetch_add(nanos, AtomicOrdering::Relaxed);
+            cell.batches.set(cell.batches.get() + 1);
+            cell.rows_out.set(cell.rows_out.get() + rows_out);
+            cell.nanos.set(cell.nanos.get() + nanos);
         }
     }
 
@@ -208,16 +189,12 @@ impl Profiler {
     /// built from, in pre-order node index order.
     pub(crate) fn actuals(&self, plan: &PhysicalPlan) -> Vec<OpActuals> {
         let nodes = plan.nodes();
-        let rows_out: Vec<u64> = self
-            .cells
-            .iter()
-            .map(|c| c.rows_out.load(AtomicOrdering::Relaxed))
-            .collect();
+        let rows_out: Vec<u64> = self.cells.iter().map(|c| c.rows_out.get()).collect();
         nodes
             .iter()
             .enumerate()
             .map(|(i, node)| OpActuals {
-                batches: self.cells[i].batches.load(AtomicOrdering::Relaxed),
+                batches: self.cells[i].batches.get(),
                 // Actual input rows = what the direct children actually
                 // produced (every child execution is triggered by this node).
                 rows_in: node
@@ -226,7 +203,7 @@ impl Profiler {
                     .map(|ch| rows_out[self.ids[&(*ch as *const PhysicalPlan as usize)]])
                     .sum(),
                 rows_out: rows_out[i],
-                nanos: self.cells[i].nanos.load(AtomicOrdering::Relaxed),
+                nanos: self.cells[i].nanos.get(),
             })
             .collect()
     }
@@ -356,38 +333,6 @@ pub(crate) struct VecCtx<'a> {
     /// Per-operator profiler; `None` keeps execution on the unprofiled path
     /// (the only cost is this `Option` check per node execution).
     pub(crate) prof: Option<&'a Profiler>,
-    /// The execution's worker pool; `None` is the pool of one — every
-    /// operator takes its whole batch on the calling thread.
-    pub(crate) pool: Option<&'a Pool>,
-}
-
-impl<'a> VecCtx<'a> {
-    /// An unprofiled context without a pool, for callers outside the walk
-    /// that run correlated subplans through it (the delta executor).
-    fn unpooled(storage: &'a Storage, params: &'a ParamValues) -> VecCtx<'a> {
-        VecCtx {
-            storage,
-            params,
-            prof: None,
-            pool: None,
-        }
-    }
-
-    /// This context with the pool taken away: what morsel bodies and
-    /// correlated subplans re-enter the walk with, since they already run
-    /// on a worker (or once per outer row) and must not fan out again.
-    pub(crate) fn sequential(&self) -> VecCtx<'a> {
-        VecCtx {
-            pool: None,
-            ..*self
-        }
-    }
-
-    /// The pool, if an operator over `len` rows should fan out on it: only
-    /// when there is one and the input does not fit in a single morsel.
-    pub(crate) fn engage(&self, len: usize) -> Option<&'a Pool> {
-        self.pool.filter(|p| len > p.morsel_rows)
-    }
 }
 
 /// Runtime environment of `WITH`-bound batches, innermost last. Cloning is
@@ -524,17 +469,14 @@ pub(crate) fn exec(
     Ok(batch)
 }
 
-/// The operator walk. Every operator body is a kernel (of this module or of
-/// [`crate::kernels`]) run through a `par_*` helper, which takes the pool
-/// when the operator's input engages it and runs the kernel once over the
-/// whole batch otherwise; morsel bodies evaluate under `seq`.
+/// The operator walk. Every operator body is a kernel, of this module or of
+/// [`crate::kernels`], called once over the operator's whole batch.
 fn exec_node(
     plan: &PhysicalPlan,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Batch, EngineError> {
-    let seq = ctx.sequential();
     match plan {
         PhysicalPlan::UnitRow => Ok(Batch {
             schema: Arc::new(Vec::new()),
@@ -542,8 +484,7 @@ fn exec_node(
             sel: None,
             base_rows: 1,
         }),
-        // Scans are zero-copy `Arc` clones, so the parallelism lives in the
-        // operators that consume them.
+        // Scans are zero-copy `Arc` clones of the storage columns.
         PhysicalPlan::TableScan {
             table,
             alias,
@@ -589,8 +530,7 @@ fn exec_node(
         PhysicalPlan::NestedLoopJoin { left, right } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let pairs = cross_pairs(l.len(), r.len());
-            par_join_gather(ctx.engage(pairs.len()), &l, &r, &pairs)
+            Ok(join_gather(&l, &r, &cross_pairs(l.len(), r.len())))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -601,25 +541,19 @@ fn exec_node(
         } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
-            let pool = ctx.engage(l.len()).or(ctx.engage(r.len()));
-            let lk = par_keys(pool, par_eval_all(ctx, left_keys, &l, ctes, scope)?, &l)?;
-            let rk = par_keys(pool, par_eval_all(ctx, right_keys, &r, ctes, scope)?, &r)?;
+            let lk = Keys::new(eval_all(left_keys, &l, ctx, ctes, scope)?, l.len());
+            let rk = Keys::new(eval_all(right_keys, &r, ctx, ctes, scope)?, r.len());
             let (build_keys, probe_keys, probe_is_left) = match build {
                 BuildSide::Right => (&rk, &lk, true),
                 BuildSide::Left => (&lk, &rk, false),
             };
-            let index = par_index(pool, build_keys)?;
-            let pairs = par_ranges(pool, probe_keys.len(), |range| {
-                Ok(index.join_pairs(probe_keys, range, probe_is_left))
-            })?;
-            par_join_gather(ctx.engage(pairs.len()), &l, &r, &pairs)
+            let index = KeyIndex::new(build_keys, NullMode::NeverMatches)?;
+            let pairs = index.join_pairs(probe_keys, probe_is_left);
+            Ok(join_gather(&l, &r, &pairs))
         }
         PhysicalPlan::Filter { input, predicate } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let sel = par_ranges(ctx.engage(batch.len()), batch.len(), |range| {
-                let rows = batch.rows().slice(range);
-                select_true(predicate, &batch, rows, &seq, ctes, scope)
-            })?;
+            let sel = select_true(predicate, &batch, ctx, ctes, scope)?;
             Ok(batch.with_sel(sel))
         }
         PhysicalPlan::ExistsSemiJoin {
@@ -628,13 +562,7 @@ fn exec_node(
             anti,
         } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            // Per-row subplan execution dominates, so fan out well below
-            // one morsel's worth of rows.
-            let pool = ctx.pool.filter(|_| batch.len() >= PAR_SUBPLAN_ROWS);
-            let sel = par_ranges(pool, batch.len(), |range| {
-                let rows = batch.rows().slice(range);
-                exists_select(subplan, *anti, &batch, rows, &seq, ctes, scope)
-            })?;
+            let sel = exists_select(subplan, *anti, &batch, ctx, ctes, scope)?;
             Ok(batch.with_sel(sel))
         }
         PhysicalPlan::HashSemiJoin {
@@ -647,20 +575,12 @@ fn exec_node(
             let batch = exec(input, ctx, ctes, scope)?;
             // The build side runs exactly once, under the *same* scope as
             // this node (no frame is pushed: after decorrelation the build
-            // holds no references to the input's rows), and its index is
-            // shared read-only by every probe morsel.
+            // holds no references to the input's rows).
             let built = exec(build, ctx, ctes, scope)?;
-            let pool = ctx.engage(batch.len()).or(ctx.engage(built.len()));
-            let sel = {
-                let bk = par_eval_all(ctx, build_keys, &built, ctes, scope)?;
-                let bk = par_keys(pool, bk, &built)?;
-                let pk = par_eval_all(ctx, probe_keys, &batch, ctes, scope)?;
-                let pk = par_keys(pool, pk, &batch)?;
-                let index = par_index(pool, &bk)?;
-                par_ranges(pool, pk.len(), |range| {
-                    Ok(index.semi_select(&pk, range, *anti, batch.rows()))
-                })?
-            };
+            let bk = Keys::new(eval_all(build_keys, &built, ctx, ctes, scope)?, built.len());
+            let pk = Keys::new(eval_all(probe_keys, &batch, ctx, ctes, scope)?, batch.len());
+            let index = KeyIndex::new(&bk, NullMode::NeverMatches)?;
+            let sel = index.semi_select(&pk, *anti, batch.rows());
             Ok(batch.with_sel(sel))
         }
         PhysicalPlan::RowNumber { input, specs } => {
@@ -670,22 +590,20 @@ fn exec_node(
             // latitude PostgreSQL has for tied ROW_NUMBER keys. The shredding
             // translation only numbers over key columns that uniquely
             // identify rows, so its stages are never affected.
-            let batch = exec(input, ctx, ctes, scope)?;
-            let pool = ctx.engage(batch.len());
-            let batch = par_materialise(pool, batch)?;
+            let batch = exec(input, ctx, ctes, scope)?.materialised();
             let ranks = specs
                 .iter()
                 .map(|keys| {
-                    let keys = par_eval_all(ctx, keys, &batch, ctes, scope)?;
-                    Ok(rank_column(&par_sort(pool, &keys, batch.len())?))
+                    let keys = eval_all(keys, &batch, ctx, ctes, scope)?;
+                    Ok(rank_column(&kernels::sort_rows(&keys, 0..batch.len())))
                 })
                 .collect::<Result<Vec<_>, EngineError>>()?;
             Ok(with_rank_columns(batch, ranks))
         }
         PhysicalPlan::Sort { input, keys } => {
             let batch = exec(input, ctx, ctes, scope)?;
-            let keys = par_eval_all(ctx, keys, &batch, ctes, scope)?;
-            let order = par_sort(ctx.engage(batch.len()), &keys, batch.len())?;
+            let keys = eval_all(keys, &batch, ctx, ctes, scope)?;
+            let order = kernels::sort_rows(&keys, 0..batch.len());
             let sel = phys_rows(&batch, order);
             Ok(batch.with_sel(sel))
         }
@@ -698,7 +616,7 @@ fn exec_node(
             if let Some(renamed) = project_columns(&batch, exprs, columns) {
                 return Ok(renamed);
             }
-            let out = par_eval_all(ctx, exprs, &batch, ctes, scope)?
+            let out = eval_all(exprs, &batch, ctx, ctes, scope)?
                 .into_iter()
                 .zip(exprs)
                 .map(|(v, e)| shared_column(&batch, e).unwrap_or_else(|| Arc::new(v.into_vec())))
@@ -706,11 +624,8 @@ fn exec_node(
             Ok(projected(columns, out, batch.len()))
         }
         PhysicalPlan::Distinct { input } => {
-            // Pipeline breaker: rows hash morsel by morsel, but the
-            // first-occurrence scan is inherently ordered and stays on one
-            // thread.
             let batch = exec(input, ctx, ctes, scope)?;
-            let keys = par_keys(ctx.engage(batch.len()), batch.column_vectors(), &batch)?;
+            let keys = Keys::new(batch.column_vectors(), batch.len());
             let sel = phys_rows(&batch, kernels::distinct_rows(&keys)?);
             Ok(batch.with_sel(sel))
         }
@@ -719,8 +634,8 @@ fn exec_node(
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
             let kept = kernels::except_all_rows(
-                &par_keys(ctx.engage(l.len()), l.column_vectors(), &l)?,
-                &par_keys(ctx.engage(r.len()), r.column_vectors(), &r)?,
+                &Keys::new(l.column_vectors(), l.len()),
+                &Keys::new(r.column_vectors(), r.len()),
             )?;
             let sel = phys_rows(&l, kept);
             Ok(l.with_sel(sel))
@@ -732,8 +647,7 @@ fn exec_node(
         } => {
             // Compact once here, so no `CteScan` of the binding gathers or
             // reads through a selection.
-            let bound = exec(definition, ctx, ctes, scope)?;
-            let bound = par_materialise(ctx.engage(bound.len()), bound)?;
+            let bound = exec(definition, ctx, ctes, scope)?.materialised();
             let extended = ctes.extended(name, bound);
             exec(body, ctx, &extended, scope)
         }
@@ -771,7 +685,7 @@ fn phys_rows(batch: &Batch, logical: Vec<usize>) -> Vec<usize> {
 
 /// One output column of a join: `column` of `side` at the side's rows of
 /// `pairs` (`pick` chooses the pair component).
-pub(crate) fn gather_pairs(
+fn gather_pairs(
     side: &Batch,
     column: usize,
     pairs: &[(usize, usize)],
@@ -784,21 +698,17 @@ pub(crate) fn gather_pairs(
     })
 }
 
-/// The schema of a join's output: the left columns, then the right ones.
-pub(crate) fn joined_schema(left: &Batch, right: &Batch) -> Arc<Vec<SchemaCol>> {
+/// Materialise the concatenation of two batches at the given row pairs: the
+/// left columns, then the right ones.
+fn join_gather(left: &Batch, right: &Batch, pairs: &[(usize, usize)]) -> Batch {
     let mut schema = left.schema.as_ref().clone();
     schema.extend(right.schema.iter().cloned());
-    Arc::new(schema)
-}
-
-/// Materialise the concatenation of two batches at the given row pairs.
-pub(crate) fn join_gather(left: &Batch, right: &Batch, pairs: &[(usize, usize)]) -> Batch {
     let columns = (0..left.columns.len())
         .map(|c| gather_pairs(left, c, pairs, |p| p.0))
         .chain((0..right.columns.len()).map(|c| gather_pairs(right, c, pairs, |p| p.1)))
         .collect();
     Batch {
-        schema: joined_schema(left, right),
+        schema: Arc::new(schema),
         columns,
         sel: None,
         base_rows: pairs.len(),
@@ -900,17 +810,17 @@ fn union_all(
     })
 }
 
-/// The selection of a correlated semi (`anti`: anti) join over `rows` of
-/// `batch`: the subplan runs once per row, the row pushed as a scope frame.
+/// The selection of a correlated semi (`anti`: anti) join over `batch`: the
+/// subplan runs once per row, the row pushed as a scope frame.
 fn exists_select(
     subplan: &PhysicalPlan,
     anti: bool,
     batch: &Batch,
-    rows: Rows<'_>,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Vec<usize>, EngineError> {
+    let rows = batch.rows();
     let mut sel = Vec::new();
     for i in 0..rows.len() {
         let p = rows.phys(i);
@@ -937,21 +847,21 @@ fn exists_at(
     Ok(!exec(subplan, ctx, ctes, &scope.pushed(frame))?.is_empty())
 }
 
-/// The physical rows of `rows` on which `predicate` is `TRUE` — a filter's
+/// The physical rows of `batch` on which `predicate` is `TRUE` — a filter's
 /// selection vector, without a boolean column in between.
 fn select_true(
     predicate: &VExpr,
     batch: &Batch,
-    rows: Rows<'_>,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Vec<usize>, EngineError> {
+    let rows = batch.rows();
     let mut sel = Vec::new();
     match predicate {
         VExpr::BinOp { op, left, right } => {
-            let l = eval(left, batch, rows, ctx, ctes, scope)?;
-            let r = eval(right, batch, rows, ctx, ctes, scope)?;
+            let l = eval(left, batch, ctx, ctes, scope)?;
+            let r = eval(right, batch, ctx, ctes, scope)?;
             for i in 0..rows.len() {
                 if eval_binop(*op, l.get(i), r.get(i))?.as_bool() == Some(true) {
                     sel.push(rows.phys(i));
@@ -959,7 +869,7 @@ fn select_true(
             }
         }
         other => {
-            let values = eval(other, batch, rows, ctx, ctes, scope)?;
+            let values = eval(other, batch, ctx, ctes, scope)?;
             for i in 0..rows.len() {
                 if values.get(i).as_bool() == Some(true) {
                     sel.push(rows.phys(i));
@@ -970,17 +880,32 @@ fn select_true(
     Ok(sel)
 }
 
-/// Column-at-a-time expression evaluation over `rows` of `batch`: a column
-/// reference borrows the column, a literal, parameter or outer reference
-/// stays one value, and only an operator computes a new vector.
-pub(crate) fn eval<'a>(
+/// Column-at-a-time evaluation of each of `exprs` over every live row of
+/// `batch`.
+fn eval_all<'a>(
+    exprs: &[VExpr],
+    batch: &'a Batch,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<Vec<Vector<'a>>, EngineError> {
+    exprs
+        .iter()
+        .map(|e| eval(e, batch, ctx, ctes, scope))
+        .collect()
+}
+
+/// Column-at-a-time expression evaluation over every live row of `batch`: a
+/// column reference borrows the column, a literal, parameter or outer
+/// reference stays one value, and only an operator computes a new vector.
+fn eval<'a>(
     expr: &VExpr,
     batch: &'a Batch,
-    rows: Rows<'a>,
     ctx: &VecCtx<'_>,
     ctes: &CteEnv,
     scope: &ScopeStack,
 ) -> Result<Vector<'a>, EngineError> {
+    let rows = batch.rows();
     let len = rows.len();
     let constant = |value: SqlValue| Vector::Const { value, len };
     match expr {
@@ -999,15 +924,15 @@ pub(crate) fn eval<'a>(
             .map(constant)
             .ok_or_else(|| EngineError::UnboundParameter(name.clone())),
         VExpr::BinOp { op, left, right } => {
-            let l = eval(left, batch, rows, ctx, ctes, scope)?;
-            let r = eval(right, batch, rows, ctx, ctes, scope)?;
+            let l = eval(left, batch, ctx, ctes, scope)?;
+            let r = eval(right, batch, ctx, ctes, scope)?;
             (0..len)
                 .map(|i| eval_binop(*op, l.get(i), r.get(i)))
                 .collect::<Result<Vec<_>, _>>()
                 .map(Vector::Owned)
         }
         VExpr::Not(inner) => {
-            let values = eval(inner, batch, rows, ctx, ctes, scope)?;
+            let values = eval(inner, batch, ctx, ctes, scope)?;
             (0..len)
                 .map(|i| match values.get(i) {
                     SqlValue::Bool(b) => Ok(SqlValue::Bool(!b)),
@@ -1032,7 +957,7 @@ pub(crate) fn eval<'a>(
 // ---------------------------------------------------------------------------
 
 use crate::delta::StorageDelta;
-use crate::kernels::{KeyHashes, KeyIndex, Keys, NullMode, PersistentIndex};
+use crate::kernels::{KeyHashes, PersistentIndex};
 
 /// A signed columnar batch: the delta flowing between plan nodes. A row's
 /// weight is its multiplicity in the change — positive for insertions,
@@ -1181,7 +1106,7 @@ impl DeltaCtx<'_> {
         d: &'b Signed,
         ctes: &CteEnv,
     ) -> Result<Vec<Vector<'b>>, EngineError> {
-        par_eval_all(&self.vctx, exprs, &d.batch, ctes, &ScopeStack::default())
+        eval_all(exprs, &d.batch, &self.vctx, ctes, &ScopeStack::default())
     }
 }
 
@@ -1804,7 +1729,11 @@ impl DeltaExec {
         delta: Option<&StorageDelta>,
     ) -> Result<RootDelta, DeltaFail> {
         let ctx = DeltaCtx {
-            vctx: VecCtx::unpooled(storage, params),
+            vctx: VecCtx {
+                storage,
+                params,
+                prof: None,
+            },
             delta,
         };
         let out = self.delta_node(plan, 0, &ctx, &DeltaEnv::default())?;
@@ -1953,8 +1882,7 @@ impl DeltaExec {
                 if d.is_empty() {
                     return Ok(d);
                 }
-                let sel =
-                    select_true(predicate, &d.batch, d.batch.rows(), &ctx.vctx, ctes, &scope)?;
+                let sel = select_true(predicate, &d.batch, &ctx.vctx, ctes, &scope)?;
                 Ok(Signed {
                     batch: d.batch.with_sel(sel),
                     weights: d.weights,
@@ -1975,8 +1903,7 @@ impl DeltaExec {
                 if d.is_empty() {
                     return Ok(d);
                 }
-                let rows = d.batch.rows();
-                let sel = exists_select(subplan, *anti, &d.batch, rows, &ctx.vctx, ctes, &scope)?;
+                let sel = exists_select(subplan, *anti, &d.batch, &ctx.vctx, ctes, &scope)?;
                 Ok(Signed {
                     batch: d.batch.with_sel(sel),
                     weights: d.weights,

@@ -192,3 +192,29 @@ fn the_bench_crate_keeps_no_timing_gate() {
         );
     }
 }
+
+/// Stage fan-out is the one level of parallelism: the morsel pool, its two
+/// knobs and its metrics stay removed from every crate.
+#[test]
+fn no_crate_keeps_a_morsel_pool() {
+    let removed = [
+        "struct Pool",
+        "fn par_map",
+        "fn engage",
+        "morsel_rows",
+        "min_parallel_rows",
+        "DEFAULT_MORSEL_ROWS",
+        "DEFAULT_MIN_PARALLEL_ROWS",
+        "PAR_SUBPLAN_ROWS",
+        "MorselStats",
+    ];
+    for (path, text) in all_crate_sources() {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`: operators run whole batches and only stages fan out",
+                path.display()
+            );
+        }
+    }
+}

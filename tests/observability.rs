@@ -289,62 +289,11 @@ fn explain_renders_cache_stats_and_engine_plan_count() {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel execution metrics
+// Metrics of the removed morsel pool
 // ---------------------------------------------------------------------------
 
-#[test]
-fn parallel_execution_records_morsel_metrics_in_the_snapshot() {
-    // Morsel size 1 forces every operator down its parallel arm even on the
-    // tiny test database, so a single query dispatches many morsels.
-    // `min_parallel_rows(0)` disables the adaptive gate that would otherwise
-    // keep a database this small on the sequential path.
-    let session = Shredder::builder()
-        .database(small_db())
-        .workers(4)
-        .morsel_rows(1)
-        .min_parallel_rows(0)
-        .build()
-        .unwrap();
-    let q = datagen::queries::q4();
-    session.execute(&session.prepare(&q).unwrap()).unwrap();
-
-    let snapshot = session.metrics_snapshot();
-    let dispatched = snapshot
-        .counter("morsels.dispatched")
-        .expect("parallel execution registers the morsel counter");
-    assert!(dispatched > 0, "no morsels dispatched: {dispatched}");
-    let active = snapshot
-        .gauge("workers.active")
-        .expect("parallel execution registers the worker high-water mark");
-    assert!(
-        (1..=4).contains(&active),
-        "workers.active high-water mark out of range: {active}"
-    );
-    let morsel = snapshot
-        .histogram("morsel")
-        .expect("parallel execution records per-morsel latencies");
-    assert_eq!(morsel.count, dispatched, "one latency sample per morsel");
-    assert!(morsel.min <= morsel.p50 && morsel.p50 <= morsel.max);
-}
-
-#[test]
-fn the_adaptive_gate_keeps_small_inputs_sequential() {
-    // Same parallel session as above but with the default
-    // `min_parallel_rows` threshold: the tiny database's estimated row
-    // counts sit far below it, so every stage falls back to the sequential
-    // executor and no morsel metrics appear.
-    let session = Shredder::builder()
-        .database(small_db())
-        .workers(4)
-        .morsel_rows(1)
-        .build()
-        .unwrap();
-    let q = datagen::queries::q4();
-    session.execute(&session.prepare(&q).unwrap()).unwrap();
-    let snapshot = session.metrics_snapshot();
-    assert_eq!(snapshot.counter("morsels.dispatched"), None);
-    assert_eq!(snapshot.gauge("workers.active"), None);
-}
+// Operators run whole batches, so no session registers the pool's counter,
+// gauge or histogram.
 
 #[test]
 fn a_single_worker_session_records_no_morsel_metrics() {

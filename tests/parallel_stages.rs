@@ -1,23 +1,17 @@
-//! Differential tests of morsel-parallel execution: a session built with
-//! `workers(4)` must return results *identical* (not merely multiset-equal)
-//! to the `workers(1)` sequential baseline for every benchmark query, under
-//! every indexing scheme, at every morsel size — and both must agree with
-//! the interpreter oracle. Morsel sizes 1 and 7 force every operator down
-//! its parallel arm even on the small test database; 4096 is the default.
+//! Differential tests of stage-parallel execution: a session built with
+//! `workers(4)` runs a package's stages concurrently and must return results
+//! *identical* (not merely multiset-equal) to the `workers(1)` baseline for
+//! every benchmark query, under every indexing scheme — and both must agree
+//! with the interpreter oracle.
 //!
 //! Also covers the two parallel-specific regressions: live views seeded by
 //! a parallel execution behave identically to sequentially-seeded ones, and
-//! `explain_analyze()` actuals stay exact when operators record from many
-//! workers at once — and both sides of the executor's per-operator choice:
-//! an execution without a pool dispatches nothing, one with a pool and
-//! one-row morsels dispatches, and the two agree row for row and node for
-//! node.
+//! `explain_analyze()` actuals stay exact when stages record from several
+//! threads at once.
 
 use query_shredding::prelude::*;
 use query_shredding::shredding::pipeline;
-use query_shredding::sqlengine::{
-    execute_plan, ExecOptions, ExecRequest, ExecStats, Execution, ParamValues,
-};
+use query_shredding::sqlengine::{ExecOptions, ExecStats, ParamValues};
 
 fn small_db() -> Database {
     generate(&OrgConfig {
@@ -36,19 +30,15 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
     queries
 }
 
-const MORSEL_SIZES: [usize; 3] = [1, 7, 4096];
-
 // ---------------------------------------------------------------------------
-// The full differential matrix: 12 queries × 3 schemes × 3 morsel sizes
+// The full differential matrix: 12 queries × 3 schemes × workers {1, 4}
 // ---------------------------------------------------------------------------
 
-/// The acceptance bar of the morsel-parallel executor: for every benchmark
-/// query under every indexing scheme, a `workers(4)` session returns a value
-/// strictly equal to the `workers(1)` baseline at every morsel size (the
-/// executor is deterministic by construction — morsel results are reassembled
-/// in morsel order), and both agree with the nested interpreter oracle.
-/// Strict equality across morsel sizes also rules out any morsel-size
-/// -dependent answer.
+/// The acceptance bar of stage-parallel execution: for every benchmark query
+/// under every indexing scheme, a `workers(4)` session returns a value
+/// strictly equal to the `workers(1)` baseline (stage results are
+/// reassembled in the package's stage order, so scheduling cannot show), and
+/// both agree with the nested interpreter oracle.
 #[test]
 fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
     let db = small_db();
@@ -76,27 +66,22 @@ fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
             // Sanity: the sequential baseline itself matches the oracle.
             assert!(baseline.multiset_eq(reference));
         }
-        for morsel_rows in MORSEL_SIZES {
-            let parallel = Shredder::builder()
-                .database(db.clone())
-                .index_scheme(scheme)
-                .workers(4)
-                .morsel_rows(morsel_rows)
-                .build()
-                .unwrap();
-            for (i, (name, q)) in queries.iter().enumerate() {
-                let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
-                assert_eq!(
-                    value, baselines[i],
-                    "{name} under {scheme} indexes at morsel size {morsel_rows}: \
-                     workers(4) diverged from the workers(1) baseline"
-                );
-                assert!(
-                    value.multiset_eq(&oracles[i]),
-                    "{name} under {scheme} indexes at morsel size {morsel_rows}: \
-                     workers(4) diverged from the interpreter oracle"
-                );
-            }
+        let parallel = Shredder::builder()
+            .database(db.clone())
+            .index_scheme(scheme)
+            .workers(4)
+            .build()
+            .unwrap();
+        for (i, (name, q)) in queries.iter().enumerate() {
+            let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
+            assert_eq!(
+                value, baselines[i],
+                "{name} under {scheme} indexes: workers(4) diverged from the workers(1) baseline"
+            );
+            assert!(
+                value.multiset_eq(&oracles[i]),
+                "{name} under {scheme} indexes: workers(4) diverged from the interpreter oracle"
+            );
         }
     }
 }
@@ -106,18 +91,16 @@ fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
 // ---------------------------------------------------------------------------
 
 /// `subscribe()` output is unchanged when the seeding execution ran
-/// parallel: a `workers(4)` session with morsel size 1 (every operator on
-/// its parallel arm) and a `workers(1)` session hold identical live values
-/// initially and after every committed write batch. The delta path itself
-/// is always sequential — this proves the parallel seeding feeds it the
-/// exact same shredded state.
+/// parallel: a `workers(4)` session and a `workers(1)` session hold
+/// identical live values initially and after every committed write batch.
+/// The delta path itself is always sequential — this proves the parallel
+/// seeding feeds it the exact same shredded state.
 #[test]
 fn live_views_are_unchanged_when_the_seeding_execution_ran_parallel() {
     let db = small_db();
     let parallel = Shredder::builder()
         .database(db.clone())
         .workers(4)
-        .morsel_rows(1)
         .build()
         .unwrap();
     let single = Shredder::builder()
@@ -170,17 +153,16 @@ fn live_views_are_unchanged_when_the_seeding_execution_ran_parallel() {
 // explain_analyze() actuals stay exact under parallelism
 // ---------------------------------------------------------------------------
 
-/// Per-operator actuals are aggregated atomically across workers: at
-/// `workers(4)` with morsel size 1 the root operator of every stage still
-/// reports exactly the stage's result cardinality as rows_out, matching the
-/// oracle — no samples are lost or double-counted under concurrency.
+/// Per-operator actuals survive stage fan-out: at `workers(4)` the root
+/// operator of every stage still reports exactly the stage's result
+/// cardinality as rows_out, matching the oracle — no samples are lost or
+/// double-counted when stages record from several threads.
 #[test]
 fn explain_analyze_root_rows_out_matches_oracle_cardinality_at_four_workers() {
     let session = Shredder::builder()
         .database(small_db())
         .profile(true)
         .workers(4)
-        .morsel_rows(1)
         .build()
         .unwrap();
     let q = datagen::queries::q4();
@@ -228,66 +210,29 @@ fn explain_analyze_root_rows_out_matches_oracle_cardinality_at_four_workers() {
 }
 
 // ---------------------------------------------------------------------------
-// One walk, with and without a pool
+// No parallelism below a plan
 // ---------------------------------------------------------------------------
 
-/// Every stage plan of every benchmark query through the engine's one
-/// execution function: `workers(1)` never touches the pool (its stats are
-/// `ExecStats::default()`), `workers(4)` with one-row morsels and the
-/// small-plan gate off dispatches morsels, the two results are identical
-/// cell for cell and in row order, and profiled runs of both report the
-/// same `rows_out` (and execution count) for every plan node.
+/// A plan runs whole on one thread whatever the worker count: the three
+/// `Engine::*_opts` methods report `ExecStats::default()` at `workers(4)`.
 #[test]
-fn the_walk_is_the_same_with_and_without_a_pool() {
+fn the_engine_reports_no_intra_operator_parallelism_at_four_workers() {
     let engine = pipeline::engine_from_database(&small_db()).unwrap();
-    let schema = organisation_schema();
-    let storage = engine.storage();
+    let compiled = pipeline::compile(&datagen::queries::q4(), &organisation_schema()).unwrap();
     let params = ParamValues::new();
-    let pooled = ExecOptions {
-        workers: 4,
-        morsel_rows: 1,
-        min_parallel_rows: 0,
-    };
-    for (name, q) in all_benchmark_queries() {
-        let compiled = pipeline::compile(&q, &schema).unwrap();
-        let mut morsels = 0;
-        for (i, stage) in compiled.stages.annotations().into_iter().enumerate() {
-            let run = |opts: ExecOptions, profile: bool| -> Execution {
-                let req = ExecRequest {
-                    profile,
-                    opts,
-                    ..ExecRequest::new(&params)
-                };
-                execute_plan(&stage.plan, &storage, &req).unwrap()
-            };
-            let one = run(ExecOptions::with_workers(1), false);
-            assert_eq!(
-                one.stats,
-                ExecStats::default(),
-                "{name} stage {i}: workers(1) touched the pool"
-            );
-            let four = run(pooled, false);
-            morsels += four.stats.morsels_dispatched;
-            assert!(four.stats.peak_workers <= 4);
-            assert_eq!(
-                four.result.clone().into_result_set(),
-                one.result.into_result_set(),
-                "{name} stage {i}: the pooled result differs"
-            );
-
-            let one = run(ExecOptions::with_workers(1), true);
-            let four = run(pooled, true);
-            let per_node = |e: &Execution| -> Vec<(u64, u64)> {
-                let ops = &e.profile.as_ref().expect("a profiled run").ops;
-                ops.iter().map(|a| (a.batches, a.rows_out)).collect()
-            };
-            assert_eq!(
-                per_node(&four),
-                per_node(&one),
-                "{name} stage {i}: per-node actuals differ under a pool"
-            );
-            assert_eq!(four.result.len() as u64, per_node(&four)[0].1);
+    let opts = ExecOptions::with_workers(4);
+    for stage in compiled.stages.annotations() {
+        let (_, bound) = engine
+            .execute_plan_bound_opts(&stage.plan, &params, opts)
+            .unwrap();
+        let (_, ctes) = engine
+            .execute_plan_bound_ctes_opts(&stage.plan, &params, &[], opts)
+            .unwrap();
+        let (_, _, profiled) = engine
+            .execute_plan_profiled_opts(&stage.plan, &params, opts)
+            .unwrap();
+        for stats in [bound, ctes, profiled] {
+            assert_eq!(stats, ExecStats::default());
         }
-        assert!(morsels > 0, "{name}: no morsel was dispatched");
     }
 }
