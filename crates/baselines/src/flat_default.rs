@@ -150,7 +150,7 @@ fn decode_flat(compiled: &FlatCompiled, rs: &ResultSet) -> Result<Value, ShredEr
             out.push(Value::Record(fields));
         }
     }
-    Ok(Value::Bag(out))
+    Ok(Value::Bag(out.into()))
 }
 
 fn flat_columns(elem: &Type) -> Result<Vec<(String, nrc::BaseType)>, ShredError> {

@@ -14,15 +14,18 @@
 //!   cache (no row is copied out of it), and the executor's [`RootDelta`]
 //!   touches only the groups whose rows actually changed;
 //! * a caching stitcher materialises the nested value from those groups,
-//!   memoising one [`Value`] per nested `(stage, index)` group and recording
-//!   the reverse dependency edge child group → parent group whenever a
-//!   parent row reads a nested index. After a write, dirtiness starts at the
-//!   changed groups and flows *up* those edges, so the stitcher
-//!   re-materialises only the nested subtrees whose groups changed — every
-//!   clean subtree is a cache hit. The top-level bag is what a read returns
-//!   and is rebuilt from the memoised children each time: memoising it too
-//!   would cost a second copy of the whole value on every read after a
-//!   write.
+//!   memoising one [`Value`] per `(stage, index)` group — the top-level ⊤
+//!   group of stage 0 included — and recording the reverse dependency edge
+//!   child group → parent group whenever it rebuilds a parent row that reads
+//!   a nested index. Bags are `Arc`-shared, so a memoised group is handed to
+//!   its parent, and the top-level group to the reader, as a refcount bump.
+//!   After a write, dirtiness starts at the changed groups and flows *up*
+//!   those edges to the root, so the next read rebuilds exactly the dirty
+//!   groups and their ancestors — the dirty spine — and shares every clean
+//!   subtree with the previous read's value. Inside a rebuilt group, an
+//!   element whose row is still live and reads no dirty group is taken over
+//!   from the group's old bag rather than stitched again. A read with no
+//!   write since the last one rebuilds nothing.
 //!
 //! When a write falls outside the incremental fragment (the executor bails,
 //! e.g. a correlated `EXISTS` over a mutated table), the stage is re-seeded
@@ -68,13 +71,25 @@ struct LiveStage {
 /// A `(stage, outer index)` group.
 type GroupId = (usize, IndexValue);
 
+/// A stitched group: its bag, and the stage slot each element was read from.
+struct Memo {
+    bag: Arc<[Value]>,
+    slots: Vec<usize>,
+}
+
 /// The mutable half of a live view, behind the subscription's mutex.
 struct LiveState {
     /// Stages in package pre-order (the same order as
     /// [`Package::annotations`]).
     stages: Vec<LiveStage>,
-    /// Memoised stitched values per stage, one per nested outer-index group.
-    cache: Vec<HashMap<IndexValue, Value>>,
+    /// Memoised stitched bags per stage, one per outer-index group the last
+    /// read reached (stage 0 holds only the top-level ⊤ group).
+    cache: Vec<HashMap<IndexValue, Memo>>,
+    /// The memoised groups dirtied since the last read, each with its old
+    /// memo until a rebuild takes it (or a renumbering voids its slots). A
+    /// rebuild reuses every old element whose slot is still live and whose
+    /// nested groups are not in here; the read then forgets all of them.
+    retired: Vec<HashMap<IndexValue, Option<Memo>>>,
     /// Reverse dependency edges per stage: child group → the parent groups
     /// whose rows referenced it. Recorded while stitching, taken out when
     /// the child group is dirtied: a rank shift re-keys whole stages, and
@@ -146,7 +161,8 @@ impl LiveView {
             commit,
             state: Mutex::new(LiveState {
                 stages,
-                cache: vec![HashMap::new(); next],
+                cache: (0..next).map(|_| HashMap::new()).collect(),
+                retired: (0..next).map(|_| HashMap::new()).collect(),
                 parents: vec![HashMap::new(); next],
                 stale: true,
                 generation: 0,
@@ -182,6 +198,7 @@ impl LiveView {
             stage.groups = group_slots(&stage.exec)?;
         }
         st.cache.iter_mut().for_each(HashMap::clear);
+        st.retired.iter_mut().for_each(HashMap::clear);
         st.parents.iter_mut().for_each(HashMap::clear);
         st.stale = false;
         Ok(())
@@ -223,8 +240,17 @@ impl LiveView {
         let plans = self.compiled.stages.annotations();
         let n = st.stages.len();
         let mut dirty: Vec<HashSet<IndexValue>> = vec![HashSet::new(); n];
-        for ((stage, qs), dirty) in st.stages.iter_mut().zip(&plans).zip(&mut dirty) {
-            match stage.exec.apply(&qs.plan, storage, &self.params, delta)? {
+        // Stages whose slots were renumbered: no memo of theirs can say any
+        // more which slot an element came from.
+        let mut renumbered = vec![false; n];
+        for (((stage, qs), dirty), renumbered) in st
+            .stages
+            .iter_mut()
+            .zip(&plans)
+            .zip(&mut dirty)
+            .zip(&mut renumbered)
+        {
+            *renumbered = match stage.exec.apply(&qs.plan, storage, &self.params, delta)? {
                 Some(change) => apply_root_delta(stage, &change, dirty)?,
                 None => {
                     st.reseeds += 1;
@@ -232,8 +258,9 @@ impl LiveView {
                     dirty.extend(stage.groups.keys().cloned());
                     stage.groups = group_slots(&stage.exec)?;
                     dirty.extend(stage.groups.keys().cloned());
+                    true
                 }
-            }
+            };
         }
         // Dirtiness flows child → parent. Stages are numbered in pre-order,
         // so every parent has a smaller index than its descendants; walking
@@ -251,16 +278,23 @@ impl LiveView {
                 above[pi].insert(pg);
             }
         }
-        for (cache, dirty) in st.cache.iter_mut().zip(&dirty) {
+        for (i, dirty) in dirty.iter().enumerate() {
+            let (cache, retired) = (&mut st.cache[i], &mut st.retired[i]);
             for g in dirty {
-                cache.remove(g);
+                if let Some(memo) = cache.remove(g) {
+                    retired.entry(g.clone()).or_insert(Some(memo));
+                }
+            }
+            if renumbered[i] {
+                retired.values_mut().for_each(|memo| *memo = None);
+                cache.values_mut().for_each(|memo| memo.slots.clear());
             }
         }
         Ok(())
     }
 
-    /// Materialise the view's current nested value, reusing every cached
-    /// clean subtree and rebuilding (and re-memoising) only dirty groups.
+    /// Materialise the view's current nested value, sharing every cached
+    /// clean group and rebuilding (and re-memoising) only dirty ones.
     pub(crate) fn value(&self) -> Result<Value, ShredError> {
         let mut guard = self.lock();
         if guard.stale {
@@ -281,15 +315,19 @@ impl LiveView {
         let LiveState {
             stages,
             cache,
+            retired,
             parents,
             ..
         } = &mut *guard;
         let mut stitcher = Stitcher {
             stages,
             cache,
+            retired,
             parents,
         };
-        stitcher.bag(&self.shape, &IndexValue::top(IndexScheme::Flat), false)
+        let value = stitcher.bag(&self.shape, &IndexValue::top(IndexScheme::Flat));
+        retired.iter_mut().for_each(HashMap::clear);
+        value
     }
 
     pub(crate) fn generation(&self) -> u64 {
@@ -320,9 +358,12 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// The view's current nested value. Cheap after a small write: only the
-    /// nested subtrees whose `(oidx_tag, oidx_ord)` groups changed are
-    /// re-stitched; everything else is returned from the value cache.
+    /// The view's current nested value. Its cost is what changed since the
+    /// last read: with no write in between it is a lock, one cache lookup and
+    /// a refcount bump, and the same top-level bag is returned again. After a
+    /// write, only the `(oidx_tag, oidx_ord)` groups the write touched and
+    /// their ancestors are re-stitched; every other nested bag is shared with
+    /// the previous read's value, not copied.
     pub fn value(&self) -> Result<Value, ShredError> {
         self.inner.value()
     }
@@ -386,12 +427,14 @@ fn group_slots(exec: &DeltaExec) -> Result<HashMap<IndexValue, Vec<usize>>, Shre
 /// Fold a stage's output change into its group map, recording every touched
 /// group in `dirty`. A group that lost rows drops its dead slots in one
 /// sweep, however many it lost (a rank shift retracts and re-inserts a whole
-/// group); inserted slots are appended; a group left empty is dropped.
+/// group); inserted slots are appended, so every group's slots stay
+/// ascending; a group left empty is dropped. `true` if the executor
+/// compacted its output and so renumbered the stage's slots.
 fn apply_root_delta(
     stage: &mut LiveStage,
     change: &RootDelta,
     dirty: &mut HashSet<IndexValue>,
-) -> Result<(), ShredError> {
+) -> Result<bool, ShredError> {
     let LiveStage { exec, groups, .. } = stage;
     for &slot in &change.retracted {
         dirty.insert(group_key(exec, slot)?);
@@ -409,56 +452,126 @@ fn apply_root_delta(
         groups.entry(key.clone()).or_default().push(slot);
         dirty.insert(key);
     }
-    if exec.compact() {
+    let compacted = exec.compact();
+    if compacted {
         *groups = group_slots(exec)?;
     }
-    Ok(())
+    Ok(compacted)
 }
 
 // ---------------------------------------------------------------------------
 // The caching stitcher
 // ---------------------------------------------------------------------------
 
-/// One read's walk over the maintained groups.
+/// One read's walk over the maintained groups, from the top-level group down
+/// to the first memoised group on each path.
 struct Stitcher<'a> {
     stages: &'a [LiveStage],
-    cache: &'a mut [HashMap<IndexValue, Value>],
+    cache: &'a mut [HashMap<IndexValue, Memo>],
+    retired: &'a mut [HashMap<IndexValue, Option<Memo>>],
     parents: &'a mut [HashMap<IndexValue, HashSet<GroupId>>],
 }
 
 impl Stitcher<'_> {
-    /// Stitch one bag group. A `memoised` (nested) group consults the value
-    /// cache first and, on a rebuild, leaves the finished bag there; for
-    /// every nested index the group's rows read, a reverse edge child group
-    /// → this group is recorded so later writes deep in the tree know to
-    /// invalidate it.
-    fn bag(
-        &mut self,
-        shape: &Package<usize>,
-        index: &IndexValue,
-        memoised: bool,
-    ) -> Result<Value, ShredError> {
+    /// Stitch one bag group: a memoised group is shared as it is; any other
+    /// is rebuilt and left in the cache. A rebuild keeps each element of the
+    /// group's retired memo that is still current — moved out when the
+    /// retired bag is no longer shared, cloned when it is — and stitches the
+    /// rest from their rows. The group stays in `retired`, without its memo,
+    /// so that the elements of other groups that read it are not kept.
+    /// Stitching a row records a reverse edge child group → this group for
+    /// every nested index the row reads, so later writes deep in the tree
+    /// know to invalidate it.
+    fn bag(&mut self, shape: &Package<usize>, index: &IndexValue) -> Result<Value, ShredError> {
         let Package::Bag(stage_idx, inner) = shape else {
             return Err(ShredError::Internal(
                 "live stitching requires a bag-typed package node".to_string(),
             ));
         };
-        if let Some(v) = self.cache[*stage_idx].get(index).filter(|_| memoised) {
-            return Ok(v.clone());
+        let stage_idx = *stage_idx;
+        if let Some(memo) = self.cache[stage_idx].get(index) {
+            return Ok(Value::Bag(Arc::clone(&memo.bag)));
         }
         let stages = self.stages;
-        let slots = stages[*stage_idx].groups.get(index);
-        let slots = slots.map(Vec::as_slice).unwrap_or(&[]);
+        let stage = &stages[stage_idx];
+        let slots = stage.groups.get(index).map(Vec::as_slice).unwrap_or(&[]);
+        let mut old = self.retired[stage_idx]
+            .get_mut(index)
+            .and_then(Option::take);
+        let mut next_old = 0usize;
         let mut items = Vec::with_capacity(slots.len());
         for &slot in slots {
-            let mut leaf = 0usize;
-            items.push(self.row(inner, (*stage_idx, index), slot, &mut leaf)?);
+            // Old and new slots both ascend, so one forward scan pairs them.
+            let prev = old.as_mut().and_then(|memo| {
+                next_old += memo.slots[next_old..].partition_point(|&s| s < slot);
+                (memo.slots.get(next_old) == Some(&slot)).then_some((memo, next_old))
+            });
+            let item = match prev {
+                Some((memo, at)) if self.current(inner, stage, slot, &mut 0)? => {
+                    match Arc::get_mut(&mut memo.bag) {
+                        Some(items) => std::mem::replace(&mut items[at], Value::Unit),
+                        None => memo.bag[at].clone(),
+                    }
+                }
+                Some((memo, at)) => {
+                    // Drop the outdated element before rebuilding the row, so
+                    // the nested groups it held are no longer shared and
+                    // their own rebuilds can move elements instead of cloning.
+                    if let Some(items) = Arc::get_mut(&mut memo.bag) {
+                        items[at] = Value::Unit;
+                    }
+                    self.row(inner, (stage_idx, index), slot, &mut 0)?
+                }
+                None => self.row(inner, (stage_idx, index), slot, &mut 0)?,
+            };
+            items.push(item);
         }
-        let v = Value::Bag(items);
-        if memoised {
-            self.cache[*stage_idx].insert(index.clone(), v.clone());
+        let bag: Arc<[Value]> = items.into();
+        let memo = Memo {
+            bag: Arc::clone(&bag),
+            slots: slots.to_vec(),
+        };
+        self.cache[stage_idx].insert(index.clone(), memo);
+        Ok(Value::Bag(bag))
+    }
+
+    /// Is the element an earlier read stitched from `slot` still that row's
+    /// value? A live slot's cells never change, and every group dirtied
+    /// since that read is in `retired`, so it is unless the row reads a
+    /// nested group that is.
+    fn current(
+        &self,
+        shape: &Package<usize>,
+        stage: &LiveStage,
+        slot: usize,
+        leaf: &mut usize,
+    ) -> Result<bool, ShredError> {
+        match shape {
+            Package::Record(fields) => {
+                for (_, field_shape) in fields {
+                    if !self.current(field_shape, stage, slot, leaf)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Package::Base(_) => {
+                stage.layout.next_leaf(leaf, false)?;
+                Ok(true)
+            }
+            Package::Bag(child_idx, _) => {
+                let l = stage.layout.next_leaf(leaf, true)?;
+                let retired = &self.retired[*child_idx];
+                if retired.is_empty() {
+                    return Ok(true);
+                }
+                let child_index = flat_index(
+                    cell(&stage.exec, slot, l.col)?,
+                    cell(&stage.exec, slot, l.col + 1)?,
+                )?;
+                Ok(!retired.contains_key(&child_index))
+            }
         }
-        Ok(v)
     }
 
     /// Materialise the row in `slot` of a stage's `group`, walking the
@@ -496,7 +609,7 @@ impl Stitcher<'_> {
                     .entry(child_index.clone())
                     .or_default()
                     .insert((group.0, group.1.clone()));
-                self.bag(shape, &child_index, true)
+                self.bag(shape, &child_index)
             }
         }
     }
@@ -721,12 +834,48 @@ mod tests {
             let expected = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
             assert!(view.value().unwrap().multiset_eq(&expected));
 
+            // Stage 0 holds only the top-level group, which has no parent.
             let st = view.lock();
-            for (edges, cached) in st.parents.iter().zip(&st.cache) {
+            let top = IndexValue::top(IndexScheme::Flat);
+            assert_eq!(st.cache[0].keys().collect::<Vec<_>>(), vec![&top]);
+            assert!(st.parents[0].is_empty(), "round {round}");
+            for (edges, cached) in st.parents.iter().zip(&st.cache).skip(1) {
                 let guarded: HashSet<&IndexValue> = edges.keys().collect();
                 assert_eq!(guarded, cached.keys().collect(), "round {round}");
             }
         }
+        assert_eq!(view.reseeds(), 0);
+    }
+
+    /// Renaming employees leaves a dead slot per write, so enough renames
+    /// compact the stage's output and renumber its slots. A group
+    /// memoised before that (Research, untouched by the renames) must not
+    /// pair its old elements with the new slots when it is next rebuilt.
+    #[test]
+    fn a_compaction_voids_the_slots_of_memoised_groups() {
+        let database = db();
+        let compiled = Arc::new(compile(&nested_query(), &schema()).unwrap());
+        let engine = Arc::new(engine_from_database(&database).unwrap());
+        let view = live_view(&compiled, &engine);
+        let write = |batch: WriteBatch| {
+            let delta = engine.apply_batch(&batch).unwrap();
+            view.maintain(&engine.storage(), &delta).unwrap();
+            let expected = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
+            assert!(view.value().unwrap().multiset_eq(&expected));
+        };
+        write(
+            WriteBatch::new()
+                .insert("employees", employee(4, "Research", "Dana", 700))
+                .insert("employees", employee(5, "Research", "Eve", 800)),
+        );
+        // The output compacts once its dead slots outnumber both its live
+        // ones and 32.
+        for round in 0..40 {
+            let id = 1 + round % 2;
+            let renamed = employee(id, "Product", &format!("P{round}"), 1);
+            write(WriteBatch::new().update("employees", vec![SqlValue::Int(id)], renamed));
+        }
+        write(WriteBatch::new().delete("employees", employee(3, "Research", "Cora", 50000)));
         assert_eq!(view.reseeds(), 0);
     }
 

@@ -12,11 +12,11 @@
 //!
 //! | Stage | Paper | Module |
 //! |---|---|---|
-//! | Normalisation | §2.2, App. C | [`normalise`] |
+//! | Normalisation | §2.2, App. C | [`normalise`](mod@normalise) |
 //! | Normal forms + static indexes | §2.2, §4 | [`nf`] |
 //! | Shredding (types, terms, packages) | §4 | [`shred`] |
 //! | Shredded semantics + indexing schemes | §5–6, Fig. 5 | [`semantics`] |
-//! | Stitching | §5.2 | [`stitch`] |
+//! | Stitching | §5.2 | [`stitch`](mod@stitch) |
 //! | Let-insertion | §6.2, Fig. 6–7 | [`letins`] |
 //! | Record flattening | App. E | [`flatten`] |
 //! | SQL generation | §7 | [`sqlgen`] |

@@ -16,7 +16,7 @@
 //! The two rewrite relations are each strongly normalising (Theorem 15 and
 //! Proposition 17 in the paper) on well-typed terms; stages 1 and 2 run as
 //! their union, contracting the **leftmost-outermost** redex until none is
-//! left. [`Rewriter`] does that in one recursive pass over an owned term:
+//! left. `Rewriter` does that in one recursive pass over an owned term:
 //!
 //! ```text
 //! normalise(M, frame):                    frame = what M's parent fires on
@@ -30,7 +30,7 @@
 //! ```
 //!
 //! Whether a node is a redex depends only on the root constructors of its
-//! direct children ([`Frame::fires_on`]), and a subterm's root constructor
+//! direct children (`Frame::fires_on`), and a subterm's root constructor
 //! changes only when a redex at its own root is contracted. So the redex the
 //! pass contracts next is always the one a search from the top of the whole
 //! term (root first, then children left to right) would find — the order of
@@ -38,8 +38,8 @@
 //! reference — and the pass reaches *the same term*, bound names, conditional
 //! nesting and all, without rebuilding the spine or re-cloning the siblings
 //! of every redex. Rewriting precedes type inference, so it can be handed a
-//! term with no normal form; three budgets ([`MAX_REWRITE_STEPS`],
-//! [`MAX_REWRITE_NODES`], [`MAX_REWRITE_DEPTH`]) turn that into
+//! term with no normal form; three budgets (`MAX_REWRITE_STEPS`,
+//! `MAX_REWRITE_NODES`, `MAX_REWRITE_DEPTH`) turn that into
 //! [`ShredError::RewriteDiverged`].
 
 use crate::error::ShredError;

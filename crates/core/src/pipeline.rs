@@ -396,7 +396,7 @@ impl StageRun<'_> {
 }
 
 /// Execute a compiled query over the row-major result path: transpose each
-/// stage's columnar result into rows, decode per-row [`FlatValue`] trees
+/// stage's columnar result into rows, decode per-row [`FlatValue`](crate::semantics::FlatValue) trees
 /// and stitch with [`stitch_rows`]. This is the differential oracle for
 /// [`execute_bound`]'s columnar path.
 pub fn execute_rows(compiled: &CompiledQuery, engine: &Engine) -> Result<Value, ShredError> {
@@ -817,7 +817,7 @@ mod tests {
             .iter()
             .find(|r| r.field("dept") == Some(&Value::string("Quality")))
             .expect("Quality department present");
-        assert_eq!(quality.field("emps"), Some(&Value::Bag(vec![])));
+        assert_eq!(quality.field("emps"), Some(&Value::bag([])));
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn stitch_bag(package: &Package<ColumnarStage>, index: &IndexValue) -> Result<Va
                 let mut leaf = 0usize;
                 items.push(stitch_value(inner, stage, &mut leaf, row as usize)?);
             }
-            Ok(Value::Bag(items))
+            Ok(Value::Bag(items.into()))
         }
         _ => Err(ShredError::Internal(
             "stitch_bag called on a non-bag package".to_string(),
@@ -150,7 +150,7 @@ fn stitch_rows_bag(package: &Package<Grouped>, index: &IndexValue) -> Result<Val
             for row in rows {
                 items.push(stitch_rows_value(inner, row)?);
             }
-            Ok(Value::Bag(items))
+            Ok(Value::Bag(items.into()))
         }
         _ => Err(ShredError::Internal(
             "stitch_bag called on a non-bag package".to_string(),
@@ -350,7 +350,7 @@ mod tests {
         );
         let v = stitch(package).unwrap();
         let people = v.as_bag().unwrap()[0].field("people").unwrap();
-        assert_eq!(people, &Value::Bag(vec![]));
+        assert_eq!(people, &Value::bag([]));
     }
 
     /// A stage whose cells do not inhabit the declared base type is a decode
@@ -490,7 +490,7 @@ mod tests {
         );
         let v = stitch_rows(package, IndexScheme::Flat).unwrap();
         let people = v.as_bag().unwrap()[0].field("people").unwrap();
-        assert_eq!(people, &Value::Bag(vec![]));
+        assert_eq!(people, &Value::bag([]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * **[`codes::MISSING_INDEX_COLUMNS`]** — every stage's column list leads
 //!   with the `(oidx_tag, oidx_ord)` outer index pair;
 //! * **[`codes::STAGE_COLUMN_MISMATCH`]** — the stage's physical plan
-//!   produces exactly the columns its [`ResultLayout`] decodes;
+//!   produces exactly the columns its [`ResultLayout`](crate::ResultLayout) decodes;
 //! * **[`codes::PACKAGE_SHAPE_MISMATCH`]** — the layout's `Index` leaves
 //!   line up one-to-one (by record path) with the stage's immediate child
 //!   bags, so every inner index written by a parent is read by a child;

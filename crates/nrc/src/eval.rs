@@ -8,7 +8,7 @@
 use crate::env::Env;
 use crate::schema::Database;
 use crate::term::{PrimOp, Term};
-use crate::value::Value;
+use crate::value::{Closure, Value};
 use std::fmt;
 
 /// Errors raised by evaluation. A well-typed closed query never raises any of
@@ -123,7 +123,7 @@ fn eval_bound(
         }
         Term::Table(t) => db
             .table_rows(t)
-            .map(Value::Bag)
+            .map(Value::bag)
             .map_err(|_| EvalError::NoSuchTable(t.clone())),
         Term::If(c, t, e) => {
             let cond = eval_bound(c, env, db, params)?;
@@ -133,20 +133,16 @@ fn eval_bound(
                 None => Err(EvalError::NotABool(format!("{}", cond))),
             }
         }
-        Term::Lam(x, body) => Ok(Value::Closure {
+        Term::Lam(x, body) => Ok(Value::Closure(Box::new(Closure {
             param: x.clone(),
-            body: body.clone(),
+            body: (**body).clone(),
             env: env.clone(),
-        }),
+        }))),
         Term::App(f, a) => {
             let fun = eval_bound(f, env, db, params)?;
             let arg = eval_bound(a, env, db, params)?;
             match fun {
-                Value::Closure {
-                    param,
-                    body,
-                    env: closure_env,
-                } => eval_bound(&body, &closure_env.extend(&param, arg), db, params),
+                Value::Closure(c) => eval_bound(&c.body, &c.env.extend(&c.param, arg), db, params),
                 other => Err(EvalError::NotAFunction(format!("{}", other))),
             }
         }
@@ -177,15 +173,14 @@ fn eval_bound(
                 other => Err(EvalError::NotABag(format!("{}", other))),
             }
         }
-        Term::Singleton(t) => Ok(Value::Bag(vec![eval_bound(t, env, db, params)?])),
-        Term::EmptyBag(_) => Ok(Value::Bag(Vec::new())),
+        Term::Singleton(t) => Ok(Value::bag([eval_bound(t, env, db, params)?])),
+        Term::EmptyBag(_) => Ok(Value::bag([])),
         Term::Union(l, r) => {
             let lv = eval_bound(l, env, db, params)?;
             let rv = eval_bound(r, env, db, params)?;
             match (lv, rv) {
-                (Value::Bag(mut xs), Value::Bag(ys)) => {
-                    xs.extend(ys);
-                    Ok(Value::Bag(xs))
+                (Value::Bag(xs), Value::Bag(ys)) => {
+                    Ok(Value::bag(xs.iter().chain(ys.iter()).cloned()))
                 }
                 (l, r) => Err(EvalError::NotABag(format!("{} ⊎ {}", l, r))),
             }
@@ -197,14 +192,14 @@ fn eval_bound(
                 other => return Err(EvalError::NotABag(format!("{}", other))),
             };
             let mut out = Vec::new();
-            for item in items {
-                let inner = eval_bound(body, &env.extend(x, item), db, params)?;
+            for item in items.iter() {
+                let inner = eval_bound(body, &env.extend(x, item.clone()), db, params)?;
                 match inner {
-                    Value::Bag(mut ys) => out.append(&mut ys),
+                    Value::Bag(ys) => out.extend_from_slice(&ys),
                     other => return Err(EvalError::NotABag(format!("{}", other))),
                 }
             }
-            Ok(Value::Bag(out))
+            Ok(Value::Bag(out.into()))
         }
     }
 }

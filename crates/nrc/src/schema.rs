@@ -217,9 +217,9 @@ impl Database {
             .data
             .get(table)
             .ok_or_else(|| DatabaseError::NoSuchTable(table.to_string()))?;
-        let mut sorted: Vec<Value> = rows.clone();
-        sorted.sort_by(|a, b| compare_canonical(&a.canonical(), &b.canonical()));
-        Ok(sorted)
+        let mut keyed: Vec<(Value, &Value)> = rows.iter().map(|r| (r.canonical(), r)).collect();
+        keyed.sort_by(|a, b| compare_canonical(&a.0, &b.0));
+        Ok(keyed.into_iter().map(|(_, r)| r.clone()).collect())
     }
 
     /// The rows of a table in insertion order (used by data generators and

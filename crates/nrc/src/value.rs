@@ -25,14 +25,23 @@ pub enum Value {
     /// A record value. Field order is preserved from the constructing term.
     Record(Vec<(String, Value)>),
     /// A bag value, represented as a list (order carries no semantic weight).
-    Bag(Vec<Value>),
+    /// The elements are `Arc`-shared and never mutated in place: cloning a
+    /// bag is a refcount bump, so a nested value can hand the same inner bag
+    /// to several parents (the live-view stitcher returns memoised groups
+    /// this way) and a copy costs only the spine that is rebuilt.
+    Bag(Arc<[Value]>),
     /// A function closure. Only appears while evaluating higher-order terms;
-    /// never appears in a query result of nested type.
-    Closure {
-        param: String,
-        body: Box<Term>,
-        env: Env,
-    },
+    /// never appears in a query result of nested type. Boxed, so that the
+    /// rare closure does not widen every other value.
+    Closure(Box<Closure>),
+}
+
+/// The payload of [`Value::Closure`]: `λparam. body` closed over `env`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Closure {
+    pub param: String,
+    pub body: Term,
+    pub env: Env,
 }
 
 impl Value {
@@ -133,7 +142,7 @@ impl Value {
     /// Does this value contain a closure anywhere?
     pub fn contains_closure(&self) -> bool {
         match self {
-            Value::Closure { .. } => true,
+            Value::Closure(_) => true,
             Value::Record(fields) => fields.iter().any(|(_, v)| v.contains_closure()),
             Value::Bag(items) => items.iter().any(Value::contains_closure),
             _ => false,
@@ -160,9 +169,9 @@ impl Value {
             Value::Bag(items) => {
                 let mut items: Vec<Value> = items.iter().map(Value::canonical).collect();
                 items.sort_by(compare_canonical);
-                Value::Bag(items)
+                Value::Bag(items.into())
             }
-            Value::Closure { .. } => panic!("closures have no canonical form"),
+            Value::Closure(_) => panic!("closures have no canonical form"),
         }
     }
 
@@ -179,7 +188,7 @@ impl Value {
             Value::Int(_) | Value::Bool(_) | Value::String(_) | Value::Unit => 1,
             Value::Record(fields) => fields.iter().map(|(_, v)| v.scalar_count()).sum(),
             Value::Bag(items) => items.iter().map(Value::scalar_count).sum(),
-            Value::Closure { .. } => 0,
+            Value::Closure(_) => 0,
         }
     }
 
@@ -213,7 +222,7 @@ pub fn compare_canonical(a: &Value, b: &Value) -> Ordering {
             Value::String(_) => 3,
             Value::Record(_) => 4,
             Value::Bag(_) => 5,
-            Value::Closure { .. } => 6,
+            Value::Closure(_) => 6,
         }
     }
     match (a, b) {
@@ -300,7 +309,7 @@ impl fmt::Display for Value {
                 }
                 write!(f, "]")
             }
-            Value::Closure { param, .. } => write!(f, "<closure λ{}>", param),
+            Value::Closure(c) => write!(f, "<closure λ{}>", c.param),
         }
     }
 }
@@ -372,6 +381,18 @@ mod tests {
             Value::record(vec![("a", Value::Int(2)), ("b", Value::string("y"))]),
         ]);
         assert_eq!(v.scalar_count(), 4);
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert!(std::mem::size_of::<Value>() <= 24);
+    }
+
+    #[test]
+    fn cloning_a_bag_shares_its_elements() {
+        let a = Value::bag(vec![Value::bag(vec![Value::Int(1)])]);
+        let b = a.clone();
+        assert_eq!(a.as_bag().unwrap().as_ptr(), b.as_bag().unwrap().as_ptr());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! 5. **Build-side re-choice** — recomputes hash-join build sides from
 //!    catalog row counts, with `WITH`-definition estimates propagated to the
 //!    `CteScan`s that read them (the planner chose sides from shape-only
-//!    defaults; see [`estimate`](PhysicalPlan::estimate)).
+//!    defaults; see `PhysicalPlan::estimate`).
 //! 6. **Column pruning** — inserts narrowing `Project`s of bare columns on
 //!    the inputs of hash and nested-loop joins, so a join materialises only
 //!    the columns its keys or some ancestor reads, and moves the positional

@@ -381,7 +381,7 @@ impl PhysicalPlan {
     }
 
     /// The output column names of the plan: the names of its
-    /// [`schema`](Self::schema).
+    /// `schema`.
     pub fn output_columns(&self) -> Vec<String> {
         self.schema().into_iter().map(|(_, c)| c).collect()
     }

@@ -11,15 +11,15 @@
 //!   interior state is each table's version-stamped columnar cell — so any
 //!   number of threads can run plans over one engine),
 //! * filters and sorts produce **selection vectors** instead of moving data,
-//! * expressions are evaluated column-at-a-time into borrowed [`Vector`]s
+//! * expressions are evaluated column-at-a-time into borrowed `Vector`s
 //!   ([`VExpr::Col`] is a resolved position read in place, a literal stays
 //!   one value — no name lookup and no copy per row),
 //! * keyed operators (joins, semi-joins, `DISTINCT`, `EXCEPT ALL`, sorting)
-//!   run on the key kernels of [`crate::kernels`],
+//!   run on the key kernels of `crate::kernels`,
 //! * only joins, computed projections and row-numbering materialise new
 //!   columns.
 //!
-//! There is one walk ([`exec`]) and one entry point ([`execute_plan`]). Each
+//! There is one walk (`exec`) and one entry point ([`execute_plan`]). Each
 //! operator runs its kernel once over its whole batch on the calling thread;
 //! the only parallelism is the stage fan-out above a plan ([`crate::par`]).
 //!
@@ -34,9 +34,9 @@
 //! ([`DeltaExec`]), which keeps a plan's result maintained across committed
 //! writes. What flows between its plan nodes is a *signed* batch — a
 //! [`Batch`] plus one `i64` weight per row, negative for a retraction — and
-//! its operator bodies are calls into this module's own kernels ([`eval`],
+//! its operator bodies are calls into this module's own kernels (`eval`,
 //! `select_true`, `project_columns`, `join_gather`) and those of
-//! [`crate::kernels`]: the column hashes, a persistent chained index for the
+//! `crate::kernels`: the column hashes, a persistent chained index for the
 //! operators that must remember their input (joins, semi-joins, `DISTINCT`,
 //! `EXCEPT ALL`), and a sort-and-merge rank shift for `ROW_NUMBER`. Seeding
 //! is the same pass over whole tables. No operator hashes or compares a
@@ -1631,12 +1631,12 @@ pub struct RootDelta {
 }
 
 /// The incremental twin of [`execute_plan`]: a `DeltaExec` propagates signed
-/// columnar batches ([`Signed`]) through the plan's operators instead of
-/// recomputing them, on the kernels the batch executor runs — [`eval`],
-/// [`select_true`], [`project_columns`] and [`join_gather`] for the
-/// stateless operators, [`kernels::hash_keys`] and a [`PersistentIndex`] for
+/// columnar batches (`Signed`) through the plan's operators instead of
+/// recomputing them, on the kernels the batch executor runs — `eval`,
+/// `select_true`, `project_columns` and `join_gather` for the
+/// stateless operators, `kernels::hash_keys` and a `PersistentIndex` for
 /// the keyed ones. State lives only where an operator needs its past input
-/// ([`NodeState`]) and at the root, whose columnar cache is the plan's
+/// (`NodeState`) and at the root, whose columnar cache is the plan's
 /// current output.
 ///
 /// [`DeltaExec::seed`] is the same pass with every scan emitting its whole

@@ -270,3 +270,74 @@ fn maintain_nanos_accumulates_per_maintained_batch() {
     session.apply_batch(&stream.next_batch()).unwrap();
     assert!(sub.maintain_nanos() > after_one, "the counter accumulates");
 }
+
+/// The top-level bag of a view's value, by department name.
+fn departments_by_name(value: &Value) -> Vec<(String, &Value)> {
+    let mut rows: Vec<(String, &Value)> = value
+        .as_bag()
+        .unwrap()
+        .iter()
+        .map(|d| (d.field("name").unwrap().as_str().unwrap().to_string(), d))
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows
+}
+
+fn bag_ptr(record: &Value, field: &str) -> *const Value {
+    record.field(field).unwrap().as_bag().unwrap().as_ptr()
+}
+
+/// A read with no write since the last one rebuilds nothing: it hands out
+/// the memoised top-level bag again, not a copy of it.
+#[test]
+fn a_clean_read_shares_the_previous_reads_value() {
+    let session = Shredder::over(small_db()).unwrap();
+    for (name, q) in all_benchmark_queries() {
+        let prepared = session.prepare(&q).unwrap();
+        let sub = session.subscribe(&prepared).unwrap();
+        let first = sub.value().unwrap();
+        let second = sub.value().unwrap();
+        assert_eq!(
+            first.as_bag().unwrap().as_ptr(),
+            second.as_bag().unwrap().as_ptr(),
+            "{name}: a clean read copied the value"
+        );
+    }
+}
+
+/// A write to `contacts` alone dirties one department's `contacts` group
+/// and, above it, the top-level group. The next read of Q1 rebuilds those
+/// two and shares every other nested bag with the previous read's value.
+#[test]
+fn a_read_after_a_leaf_write_copies_only_the_dirty_spine() {
+    let session = Shredder::over(small_db()).unwrap();
+    let prepared = session.prepare(&datagen::queries::q1()).unwrap();
+    let sub = session.subscribe(&prepared).unwrap();
+    let before = sub.value().unwrap();
+
+    let written = "dept_00001";
+    let contact = vec![
+        sqlengine::SqlValue::Int(1_000),
+        sqlengine::SqlValue::str(written),
+        sqlengine::SqlValue::str("contact_new"),
+        sqlengine::SqlValue::Bool(true),
+    ];
+    session
+        .apply_batch(&WriteBatch::new().insert("contacts", contact))
+        .unwrap();
+    let after = sub.value().unwrap();
+
+    assert!(after.multiset_eq(&session.execute(&prepared).unwrap()));
+    assert_eq!(sub.reseeds(), 0);
+    let (old, new) = (departments_by_name(&before), departments_by_name(&after));
+    assert_eq!(old.len(), new.len());
+    for ((name, d0), (_, d1)) in old.iter().zip(&new) {
+        assert_eq!(
+            bag_ptr(d0, "employees"),
+            bag_ptr(d1, "employees"),
+            "{name}: a clean employees bag was copied"
+        );
+        let contacts_shared = bag_ptr(d0, "contacts") == bag_ptr(d1, "contacts");
+        assert_eq!(contacts_shared, name != written, "{name}: contacts");
+    }
+}

@@ -343,7 +343,7 @@ fn empty_bags_survive_the_columnar_path() {
         .iter()
         .find(|r| r.field("dept") == Some(&Value::string("Quality")))
         .expect("Quality present");
-    assert_eq!(quality.field("emps"), Some(&Value::Bag(vec![])));
+    assert_eq!(quality.field("emps"), Some(&Value::bag([])));
     let product = v
         .as_bag()
         .unwrap()
@@ -357,7 +357,7 @@ fn empty_bags_survive_the_columnar_path() {
         .iter()
         .find(|e| e.field("name") == Some(&Value::string("Bert")))
         .expect("Bert present");
-    assert_eq!(bert.field("tasks"), Some(&Value::Bag(vec![])));
+    assert_eq!(bert.field("tasks"), Some(&Value::bag([])));
 }
 
 /// A four-deep nesting (departments → employees → tasks → a per-task bag):
