@@ -326,7 +326,9 @@ impl LiveView {
             parents,
         };
         let value = stitcher.bag(&self.shape, &IndexValue::top(IndexScheme::Flat));
-        retired.iter_mut().for_each(HashMap::clear);
+        // Dropped rather than cleared: after a rank shift they held every
+        // group of a stage, and a cleared map would keep that capacity.
+        retired.iter_mut().for_each(|r| *r = HashMap::new());
         value
     }
 
