@@ -266,8 +266,8 @@ impl LiveView {
         // so every parent has a smaller index than its descendants; walking
         // indices downwards processes each stage after everything that can
         // dirty it. A dirty group's edges are used up: every parent they
-        // name loses its cached value below, and records the edge again when
-        // it is next stitched from a row that still reads the group.
+        // name has its memo retired below, and records the edge again when
+        // it next stitches a row that still reads the group.
         for i in (0..n).rev() {
             let (above, below) = dirty.split_at_mut(i);
             for (pi, pg) in below[0]

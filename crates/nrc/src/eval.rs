@@ -10,6 +10,7 @@ use crate::schema::Database;
 use crate::term::{PrimOp, Term};
 use crate::value::{Closure, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by evaluation. A well-typed closed query never raises any of
 /// these; they exist so that the evaluator is total on arbitrary terms.
@@ -180,7 +181,9 @@ fn eval_bound(
             let rv = eval_bound(r, env, db, params)?;
             match (lv, rv) {
                 (Value::Bag(xs), Value::Bag(ys)) => {
-                    Ok(Value::bag(xs.iter().chain(ys.iter()).cloned()))
+                    let mut out = take_items(xs);
+                    out.extend(take_items(ys));
+                    Ok(Value::Bag(out.into()))
                 }
                 (l, r) => Err(EvalError::NotABag(format!("{} ⊎ {}", l, r))),
             }
@@ -188,19 +191,31 @@ fn eval_bound(
         Term::For(x, src, body) => {
             let source = eval_bound(src, env, db, params)?;
             let items = match source {
-                Value::Bag(items) => items,
+                Value::Bag(items) => take_items(items),
                 other => return Err(EvalError::NotABag(format!("{}", other))),
             };
             let mut out = Vec::new();
-            for item in items.iter() {
-                let inner = eval_bound(body, &env.extend(x, item.clone()), db, params)?;
+            for item in items {
+                let inner = eval_bound(body, &env.extend(x, item), db, params)?;
                 match inner {
-                    Value::Bag(ys) => out.extend_from_slice(&ys),
+                    Value::Bag(ys) => out.extend(take_items(ys)),
                     other => return Err(EvalError::NotABag(format!("{}", other))),
                 }
             }
             Ok(Value::Bag(out.into()))
         }
+    }
+}
+
+/// The elements of a bag: moved out when no other value shares them (a bag
+/// the evaluator has just built), cloned otherwise.
+fn take_items(mut items: Arc<[Value]>) -> Vec<Value> {
+    match Arc::get_mut(&mut items) {
+        Some(owned) => owned
+            .iter_mut()
+            .map(|v| std::mem::replace(v, Value::Unit))
+            .collect(),
+        None => items.to_vec(),
     }
 }
 
