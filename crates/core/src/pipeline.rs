@@ -396,8 +396,9 @@ impl StageRun<'_> {
 }
 
 /// Execute a compiled query over the row-major result path: transpose each
-/// stage's columnar result into rows, decode per-row [`FlatValue`](crate::semantics::FlatValue) trees
-/// and stitch with [`stitch_rows`]. This is the differential oracle for
+/// stage's columnar result into rows, decode per-row
+/// [`FlatValue`](crate::semantics::FlatValue) trees and stitch with
+/// [`stitch_rows`]. This is the differential oracle for
 /// [`execute_bound`]'s columnar path.
 pub fn execute_rows(compiled: &CompiledQuery, engine: &Engine) -> Result<Value, ShredError> {
     let params = ParamValues::new();

@@ -13,9 +13,10 @@
 //! * the term language ([`term::Term`]) with capture-avoiding substitution,
 //! * ergonomic constructors ([`builder`]) mirroring the paper's
 //!   `for … where … return …` syntax,
-//! * a bidirectional type checker ([`typecheck`](mod@typecheck)) implementing Figure 12,
-//! * the reference denotational semantics N⟦−⟧ ([`eval`](mod@eval)) of Figure 2 over an
-//!   in-memory [`schema::Database`],
+//! * a bidirectional type checker ([`typecheck`](mod@typecheck))
+//!   implementing Figure 12,
+//! * the reference denotational semantics N⟦−⟧ ([`eval`](mod@eval)) of
+//!   Figure 2 over an in-memory [`schema::Database`],
 //! * the higher-order query combinators of Section 3 ([`stdlib`]).
 //!
 //! The shredding pipeline itself lives in the `shredding` crate; the SQL

@@ -25,10 +25,10 @@ pub enum Value {
     /// A record value. Field order is preserved from the constructing term.
     Record(Vec<(String, Value)>),
     /// A bag value, represented as a list (order carries no semantic weight).
-    /// The elements are `Arc`-shared and never mutated in place: cloning a
-    /// bag is a refcount bump, so a nested value can hand the same inner bag
-    /// to several parents (the live-view stitcher returns memoised groups
-    /// this way) and a copy costs only the spine that is rebuilt.
+    /// The elements are `Arc`-shared: cloning a bag is a refcount bump, so a
+    /// nested value can hand the same inner bag to several parents (the
+    /// live-view stitcher returns memoised groups this way) and a copy costs
+    /// only the spine that is rebuilt.
     Bag(Arc<[Value]>),
     /// A function closure. Only appears while evaluating higher-order terms;
     /// never appears in a query result of nested type. Boxed, so that the
