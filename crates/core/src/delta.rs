@@ -791,9 +791,10 @@ mod tests {
 
     #[test]
     fn an_outer_table_write_reorders_every_group_consistently() {
-        // Inserting a department shifts ROW_NUMBER ordinals in the shared
-        // outer CTE of both stages; the maintained view must keep the
-        // cross-stage index join consistent.
+        // Inserting a department changes the shared outer CTE of both
+        // stages; the maintained view must keep the cross-stage index join
+        // consistent. (Departments are keyed, so no ordinal moves: the
+        // unkeyed twin below shifts them.)
         let database = db();
         let compiled = Arc::new(compile(&nested_query(), &schema()).unwrap());
         let engine = Arc::new(engine_from_database(&database).unwrap());
@@ -813,9 +814,9 @@ mod tests {
         assert!(view.value().unwrap().multiset_eq(&expected));
     }
 
-    /// A department insert or delete shifts every later ordinal, so each
-    /// round re-keys the nested stage's groups. The reverse edges must follow
-    /// the cached values they guard, not pile up under keys long gone.
+    /// A department insert or delete adds or removes a group of the nested
+    /// stage each round. The reverse edges must follow the cached values
+    /// they guard, not pile up under keys long gone.
     #[test]
     fn reverse_edges_are_kept_for_cached_groups_only() {
         let database = db();
@@ -841,6 +842,51 @@ mod tests {
             let top = IndexValue::top(IndexScheme::Flat);
             assert_eq!(st.cache[0].keys().collect::<Vec<_>>(), vec![&top]);
             assert!(st.parents[0].is_empty(), "round {round}");
+            for (edges, cached) in st.parents.iter().zip(&st.cache).skip(1) {
+                let guarded: HashSet<&IndexValue> = edges.keys().collect();
+                assert_eq!(guarded, cached.keys().collect(), "round {round}");
+            }
+        }
+        assert_eq!(view.reseeds(), 0);
+    }
+
+    /// The same writes over the schema without keys: SQL generation numbers
+    /// departments with `ROW_NUMBER`, so inserting or deleting the earliest
+    /// department shifts every later ordinal and re-keys the nested stage's
+    /// groups. The view must follow, and keep reverse edges for cached
+    /// groups only.
+    #[test]
+    fn rank_shifts_of_an_unkeyed_outer_table_re_key_groups_consistently() {
+        let mut unkeyed = Schema::new();
+        for table in schema().tables() {
+            let mut table = table.clone();
+            table.key.clear();
+            unkeyed.add_table(table);
+        }
+        let keyed = db();
+        let mut database = Database::new(unkeyed.clone());
+        for table in unkeyed.tables() {
+            let rows = keyed.table_rows_unordered(&table.name).unwrap().to_vec();
+            database.insert_bulk(&table.name, rows).unwrap();
+        }
+        let compiled = Arc::new(compile(&nested_query(), &unkeyed).unwrap());
+        assert!(compiled.sql_texts()[1].contains("ROW_NUMBER"));
+        let engine = Arc::new(engine_from_database(&database).unwrap());
+        let view = live_view(&compiled, &engine);
+        view.value().unwrap();
+
+        let early = vec![SqlValue::Int(0), SqlValue::str("Accounts")];
+        for round in 0..6 {
+            let batch = if round % 2 == 0 {
+                WriteBatch::new().insert("departments", early.clone())
+            } else {
+                WriteBatch::new().delete("departments", early.clone())
+            };
+            let delta = engine.apply_batch(&batch).unwrap();
+            view.maintain(&engine.storage(), &delta).unwrap();
+            let expected = execute_bound(&compiled, &engine, &ParamValues::new()).unwrap();
+            assert!(view.value().unwrap().multiset_eq(&expected));
+            let st = view.lock();
             for (edges, cached) in st.parents.iter().zip(&st.cache).skip(1) {
                 let guarded: HashSet<&IndexValue> = edges.keys().collect();
                 assert_eq!(guarded, cached.keys().collect(), "round {round}");

@@ -26,6 +26,10 @@ pub enum ShredError {
     Engine(sqlengine::EngineError),
     /// The natural indexing scheme was requested but a table lacks a key.
     MissingKey(String),
+    /// A write batch put `NULL` into a column of a table's declared key.
+    /// λNRC values have no `NULL`, and SQL generation indexes a bag by its
+    /// generator's key, so a key cell must always hold a value.
+    NullKey { table: String, column: String },
     /// An indexing scheme produced duplicate indexes (it is not valid for
     /// this query, in the sense of Section 6).
     InvalidIndexing(String),
@@ -82,6 +86,9 @@ impl fmt::Display for ShredError {
             ShredError::Engine(e) => write!(f, "SQL engine error: {}", e),
             ShredError::MissingKey(t) => {
                 write!(f, "natural indexing requires a key on table {}", t)
+            }
+            ShredError::NullKey { table, column } => {
+                write!(f, "NULL in key column {}.{}", table, column)
             }
             ShredError::InvalidIndexing(msg) => write!(f, "invalid indexing scheme: {}", msg),
             ShredError::Decode { code, message } => {

@@ -12,8 +12,9 @@
 //! each combination with a flat surrogate (`index`); the body joins back to
 //! it, so the abstract indexes `a⋅out` / `a⋅in` of shredding become concrete
 //! pairs `⟨a, z.2⟩` / `⟨a, index⟩` of integers. This is the step that makes
-//! shredded queries expressible in SQL, where `index` is implemented with
-//! `ROW_NUMBER` (Section 7).
+//! shredded queries expressible in SQL, where `index` is the key column of
+//! a scope's one keyed generator or else `ROW_NUMBER` (Section 7; see
+//! [`crate::sqlgen`]).
 
 use crate::error::ShredError;
 use crate::nf::{Generator, StaticIndex, TOP};

@@ -7,7 +7,7 @@
 //! normal form + static indexes
 //!   │ shred                (crate::shred)     — one flat query per bag constructor
 //!   │ let-insert           (crate::letins)    — flat ⟨static, dynamic⟩ indexes
-//!   │ SQL generation       (crate::sqlgen)    — WITH / UNION ALL / ROW_NUMBER
+//!   │ SQL generation       (crate::sqlgen)    — WITH / UNION ALL / key or ROW_NUMBER
 //!   ▼
 //! SQL queries  ── run on sqlengine ──▶ flat results
 //!   │ decode               (crate::flatten)

@@ -29,8 +29,9 @@ pub enum IndexScheme {
     /// positions. Not directly representable in SQL without padding.
     Canonical,
     /// Flat indexes `⟨a, i⟩`: the dynamic path is replaced by its ordinal in
-    /// the enumeration of all dynamic indexes for tag `a` (Section 6.2). This
-    /// is what `ROW_NUMBER` implements on the SQL side.
+    /// the enumeration of all dynamic indexes for tag `a` (Section 6.2). SQL
+    /// generation implements it with `ROW_NUMBER`, for every scope it does
+    /// not index by a key (see [`crate::sqlgen`]).
     Flat,
     /// Natural indexes `⟨a, keys⟩`: the keys of all generator rows in scope
     /// (Section 6.1). Requires every table to declare a key.

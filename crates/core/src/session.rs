@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use crate::delta::{LiveView, StorageDelta, Subscription, WriteBatch};
+use crate::delta::{LiveView, StorageDelta, Subscription, WriteBatch, WriteOp};
 use crate::error::ShredError;
 use crate::flatten::{value_to_sql, ResultLayout};
 use crate::nf::NormQuery;
@@ -66,7 +66,7 @@ use nrc::value::Value;
 use obs::{
     MetricsRegistry, MetricsSnapshot, ObsSink, QueryObs, QueryProfile, RingSink, Span, Stage,
 };
-use sqlengine::Engine;
+use sqlengine::{Engine, SqlValue};
 
 /// Default number of plans the session keeps cached.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
@@ -1079,7 +1079,9 @@ impl ShredderBuilder {
     }
 
     /// The indexing scheme (Section 6) used by index-aware backends. Defaults
-    /// to [`IndexScheme::Flat`], the scheme SQL generation implements.
+    /// to [`IndexScheme::Flat`]. SQL generation does not read it: it indexes
+    /// a bag by its generator's key where the scope allows and by
+    /// `ROW_NUMBER` elsewhere (see [`crate::sqlgen`]).
     pub fn index_scheme(mut self, scheme: IndexScheme) -> Self {
         self.scheme = scheme;
         self
@@ -1863,8 +1865,13 @@ impl Shredder {
     /// the session's [`Database`] on first use: [`Shredder::database`] (and
     /// therefore [`oracle`](Self::oracle)) keeps reflecting the load-time
     /// snapshot, while executions and subscriptions see the mutated state.
+    ///
+    /// A row that puts `NULL` into a column of its table's declared key is
+    /// rejected with [`ShredError::NullKey`] before anything is applied:
+    /// SQL generation indexes a bag by its generator's key.
     pub fn apply_batch(&self, batch: &WriteBatch) -> Result<StorageDelta, ShredError> {
         let engine = self.engine()?;
+        reject_null_keys(&self.core.schema, batch)?;
         let _commit = self
             .core
             .write_lock
@@ -1994,6 +2001,30 @@ impl Shredder {
             exec_opts: self.core.exec_opts,
         }
     }
+}
+
+/// Reject a batch that writes `NULL` into a declared key column of a table
+/// the schema knows (rows are in the schema's column order).
+fn reject_null_keys(schema: &Schema, batch: &WriteBatch) -> Result<(), ShredError> {
+    for op in &batch.ops {
+        let (table, row) = match op {
+            WriteOp::Insert { table, row } | WriteOp::Update { table, row, .. } => (table, row),
+            WriteOp::Delete { .. } | WriteOp::DeleteByKey { .. } => continue,
+        };
+        let Some(def) = schema.table(table) else {
+            continue;
+        };
+        for key in &def.key {
+            let col = def.columns.iter().position(|(c, _)| c == key);
+            if col.and_then(|i| row.get(i)).is_some_and(SqlValue::is_null) {
+                return Err(ShredError::NullKey {
+                    table: table.clone(),
+                    column: key.clone(),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The plan-cache key of a normal form. Normal forms are small, so their

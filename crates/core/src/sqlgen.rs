@@ -1,11 +1,28 @@
 //! Conversion of let-inserted queries to SQL (Section 7 of the paper).
 //!
 //! Each let-inserted comprehension becomes a `SELECT` block; its let-bound
-//! subquery (if any) becomes a `WITH` clause; the `index` primitive becomes
-//! `ROW_NUMBER() OVER (ORDER BY …)` where the ordering lists *all* columns of
-//! all tables referenced from the current subquery, making the numbering
-//! deterministic; `empty L` becomes `NOT EXISTS (…)`; and nested records are
-//! flattened to columns using [`crate::flatten::ResultLayout`].
+//! subquery (if any) becomes a `WITH` clause; `empty L` becomes
+//! `NOT EXISTS (…)`; and nested records are flattened to columns using
+//! [`crate::flatten::ResultLayout`].
+//!
+//! The `index` primitive numbers the rows of a *scope*: the generators in
+//! scope at a level, i.e. the let-bound outer generators followed by the
+//! level's own. `scope_index` chooses its encoding at compile time, from
+//! the schema:
+//!
+//! * a scope of exactly one generator, over a table whose declared key is a
+//!   single `Int` column, is indexed by that key column — a *natural* index
+//!   (Section 6.1), which does not move when other rows are written;
+//! * any other scope is numbered with `ROW_NUMBER() OVER (ORDER BY …)`, where
+//!   the ordering lists *all* columns of the scope's tables, making the
+//!   numbering deterministic — a *flat* index, which renumbers every later
+//!   row when one row is inserted or deleted.
+//!
+//! The same choice produces a parent's inner index (the current row's
+//! index, in the body) and its child's outer index (the surrogate `rn` of
+//! the child's let-bound subquery): the child's outer generators are exactly
+//! the parent's scope, so the two always agree. A scope with no generators
+//! has the single index `1`.
 
 use crate::error::ShredError;
 use crate::flatten::{value_to_sql, LeafKind, ResultLayout, OUTER_ORD_COLUMN, OUTER_TAG_COLUMN};
@@ -13,6 +30,7 @@ use crate::letins::{IndexSource, LetBase, LetBinding, LetComp, LetInner, LetQuer
 use crate::nf::Generator;
 use nrc::schema::Schema;
 use nrc::term::{Constant, PrimOp};
+use nrc::types::BaseType;
 use nrc::value::Value;
 use sqlengine::ast::{BinOp, Expr, Query, Select};
 
@@ -100,25 +118,8 @@ fn sql_of_comp(
     layout: &ResultLayout,
     schema: &Schema,
 ) -> Result<Query, ShredError> {
-    // The ORDER BY keys for this block's ROW_NUMBER: all columns of the
-    // let-bound subquery (if any) followed by all columns of the inner
-    // generators' tables.
-    let mut order_keys: Vec<Expr> = Vec::new();
-    if let Some(binding) = &comp.binding {
-        for (i, g) in binding.generators.iter().enumerate() {
-            for col in table_columns(schema, &g.table)? {
-                order_keys.push(Expr::col(OUTER_VAR, &cte_column(i, &col)));
-            }
-        }
-        order_keys.push(Expr::col(OUTER_VAR, SURROGATE_COLUMN));
-    }
-    order_keys.extend(generator_columns(schema, &comp.generators)?);
-
-    let row_number = if order_keys.is_empty() {
-        Expr::lit(1i64)
-    } else {
-        Expr::row_number(order_keys)
-    };
+    let outer = comp.binding.as_ref().map_or(&[][..], |b| &b.generators[..]);
+    let row_index = scope_index(schema, outer, &comp.generators)?;
 
     // Body SELECT.
     let mut select = Select::new();
@@ -128,7 +129,7 @@ fn sql_of_comp(
         Expr::lit(1i64)
     };
     select = push_index_items(select, comp.outer_tag.as_int(), ordinal, layout);
-    select = push_inner_items(select, &comp.inner, layout, &row_number, schema)?;
+    select = push_inner_items(select, &comp.inner, layout, &row_index, schema)?;
 
     if comp.binding.is_some() {
         select = select.from_named(CTE_NAME, OUTER_VAR);
@@ -150,17 +151,20 @@ fn sql_of_comp(
     }
 }
 
-/// The `WITH q AS (SELECT … ROW_NUMBER() …)` subquery of a comprehension.
+/// The `WITH q AS (SELECT …, <index> AS rn …)` subquery of a comprehension.
+/// Inside it the outer generators are the block's own, so its surrogate is
+/// the `scope_index` of exactly the scope the parent level indexed.
 fn sql_of_binding(binding: &LetBinding, schema: &Schema) -> Result<Select, ShredError> {
     let mut select = Select::new();
-    let mut order_keys = Vec::new();
     for (i, g) in binding.generators.iter().enumerate() {
         for col in table_columns(schema, &g.table)? {
             select = select.item(Expr::col(&g.var, &col), &cte_column(i, &col));
-            order_keys.push(Expr::col(&g.var, &col));
         }
     }
-    select = select.item(Expr::row_number(order_keys), SURROGATE_COLUMN);
+    select = select.item(
+        scope_index(schema, &[], &binding.generators)?,
+        SURROGATE_COLUMN,
+    );
     for g in &binding.generators {
         select = select.from_named(&g.table, &g.var);
     }
@@ -170,13 +174,54 @@ fn sql_of_binding(binding: &LetBinding, schema: &Schema) -> Result<Select, Shred
     Ok(select)
 }
 
+/// The index of the current row of a scope: the let-bound generators
+/// `outer`, read through the `WITH` columns of `z`, followed by the block's
+/// own generators `own`. A single generator over a table keyed by one `Int`
+/// column is indexed by its key; any other non-empty scope by `ROW_NUMBER`
+/// over all its columns (`z.rn` included); the empty scope by `1`.
+fn scope_index(
+    schema: &Schema,
+    outer: &[Generator],
+    own: &[Generator],
+) -> Result<Expr, ShredError> {
+    if let ([g], []) | ([], [g]) = (outer, own) {
+        let table = schema
+            .table(&g.table)
+            .ok_or_else(|| ShredError::Internal(format!("unknown table {}", g.table)))?;
+        if let [key] = &table.key[..] {
+            if table.column_type(key) == Some(BaseType::Int) {
+                return Ok(if outer.is_empty() {
+                    Expr::col(&g.var, key)
+                } else {
+                    Expr::col(OUTER_VAR, &cte_column(0, key))
+                });
+            }
+        }
+    }
+    let mut order_keys = Vec::new();
+    for (i, g) in outer.iter().enumerate() {
+        for col in table_columns(schema, &g.table)? {
+            order_keys.push(Expr::col(OUTER_VAR, &cte_column(i, &col)));
+        }
+    }
+    if !outer.is_empty() {
+        order_keys.push(Expr::col(OUTER_VAR, SURROGATE_COLUMN));
+    }
+    order_keys.extend(generator_columns(schema, own)?);
+    Ok(if order_keys.is_empty() {
+        Expr::lit(1i64)
+    } else {
+        Expr::row_number(order_keys)
+    })
+}
+
 /// Emit the SELECT items for the inner term, following the layout's leaves in
 /// order so that every union branch produces the same column list.
 fn push_inner_items(
     mut select: Select,
     inner: &LetInner,
     layout: &ResultLayout,
-    row_number: &Expr,
+    row_index: &Expr,
     schema: &Schema,
 ) -> Result<Select, ShredError> {
     for leaf in &layout.leaves {
@@ -187,7 +232,7 @@ fn push_inner_items(
             }
             (LeafKind::Index, LetInner::IndexPair { tag, source }) => {
                 let ordinal = match source {
-                    IndexSource::CurrentRow => row_number.clone(),
+                    IndexSource::CurrentRow => row_index.clone(),
                     IndexSource::OuterBinding => Expr::col(OUTER_VAR, SURROGATE_COLUMN),
                     IndexSource::One => Expr::lit(1i64),
                 };
@@ -384,34 +429,64 @@ mod tests {
         )
     }
 
-    #[test]
-    fn top_level_sql_has_row_number_and_no_with() {
-        let schema = schema();
-        let (norm, ty) = normalise_with_type(&nested_query(), &schema).unwrap();
-        let shredded = shred_query(&norm, &Path::empty()).unwrap();
+    /// The SQL text of the stage at `path` of the nested query.
+    fn stage_sql(schema: &Schema, path: &Path) -> String {
+        let (norm, ty) = normalise_with_type(&nested_query(), schema).unwrap();
+        let shredded = shred_query(&norm, path).unwrap();
         let lq = let_insert(&shredded).unwrap();
-        let layout = ResultLayout::new(&shred_type(&ty, &Path::empty()).unwrap().inner);
-        let sql = sql_of_let_query(&lq, &layout, &schema).unwrap();
-        let text = print_query(&sql);
-        assert!(text.contains("ROW_NUMBER() OVER (ORDER BY"));
+        let layout = ResultLayout::new(&shred_type(&ty, path).unwrap().inner);
+        print_query(&sql_of_let_query(&lq, &layout, schema).unwrap())
+    }
+
+    fn inner_path(schema: &Schema) -> Path {
+        let (_, ty) = normalise_with_type(&nested_query(), schema).unwrap();
+        ty.paths()[1].clone()
+    }
+
+    #[test]
+    fn top_level_sql_indexes_a_keyed_generator_by_its_key_and_has_no_with() {
+        let text = stage_sql(&schema(), &Path::empty());
+        assert!(text.contains("d_1.id AS emps_ord"), "{}", text);
+        assert!(!text.contains("ROW_NUMBER"), "{}", text);
         assert!(!text.contains("WITH"));
-        assert!(text.contains("FROM departments AS d"));
+        assert!(text.contains("FROM departments AS d_1"));
     }
 
     #[test]
     fn inner_sql_uses_a_with_clause_joining_back_to_the_outer_query() {
         let schema = schema();
-        let (norm, ty) = normalise_with_type(&nested_query(), &schema).unwrap();
-        let inner_path = ty.paths()[1].clone();
-        let shredded = shred_query(&norm, &inner_path).unwrap();
-        let lq = let_insert(&shredded).unwrap();
-        let layout = ResultLayout::new(&shred_type(&ty, &inner_path).unwrap().inner);
-        let sql = sql_of_let_query(&lq, &layout, &schema).unwrap();
-        let text = print_query(&sql);
+        let text = stage_sql(&schema, &inner_path(&schema));
         assert!(text.contains("WITH q AS ("));
         assert!(text.contains("FROM q AS z, employees AS e"));
         assert!(text.contains("z.c1_name"));
-        assert!(text.contains("ROW_NUMBER() OVER (ORDER BY"));
+        // The surrogate is the outer generator's key: the value the parent
+        // stage emitted as its inner index.
+        assert!(text.contains("d_1.id AS rn"), "{}", text);
+        assert!(!text.contains("ROW_NUMBER"), "{}", text);
+    }
+
+    /// The same query over tables that declare no key: both sides of the
+    /// parent–child link fall back to `ROW_NUMBER` over all columns.
+    #[test]
+    fn an_unkeyed_scope_keeps_row_number_on_both_sides() {
+        let mut unkeyed = Schema::new();
+        for table in schema().tables() {
+            let mut table = table.clone();
+            table.key.clear();
+            unkeyed.add_table(table);
+        }
+        let top = stage_sql(&unkeyed, &Path::empty());
+        assert!(
+            top.contains("ROW_NUMBER() OVER (ORDER BY d_1.id, d_1.name) AS emps_ord"),
+            "{}",
+            top
+        );
+        let inner = stage_sql(&unkeyed, &inner_path(&unkeyed));
+        assert!(
+            inner.contains("ROW_NUMBER() OVER (ORDER BY d_1.id, d_1.name) AS rn"),
+            "{}",
+            inner
+        );
     }
 
     #[test]

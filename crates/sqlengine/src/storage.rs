@@ -268,9 +268,20 @@ impl Table {
         if self.def.key.is_empty() {
             return Err(EngineError::NoDeclaredKey(self.def.name.clone()));
         }
-        self.rows
+        // Compare the key columns in place. A key holding `NULL` matches no
+        // row, as `key_of` never yields one.
+        let cols: Option<Vec<usize>> = self
+            .def
+            .key
             .iter()
-            .position(|r| self.key_of(r).as_deref() == Some(key))
+            .map(|k| self.def.column_index(k))
+            .collect();
+        cols.filter(|cols| cols.len() == key.len() && !key.iter().any(SqlValue::is_null))
+            .and_then(|cols| {
+                self.rows
+                    .iter()
+                    .position(|r| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
+            })
             .ok_or_else(|| EngineError::NoSuchRow {
                 table: self.def.name.clone(),
                 row: key.clone(),
@@ -766,6 +777,31 @@ mod tests {
             s.delete_by_key("bag", &vec![SqlValue::Int(1)]),
             Err(EngineError::NoDeclaredKey(_))
         ));
+    }
+
+    #[test]
+    fn a_null_key_never_matches_a_keyed_write() {
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        s.insert("t", vec![SqlValue::Null, SqlValue::str("a")])
+            .unwrap();
+        s.insert("t", vec![SqlValue::Int(1), SqlValue::str("b")])
+            .unwrap();
+        for key in [vec![SqlValue::Null], vec![SqlValue::Int(1), SqlValue::Null]] {
+            assert!(matches!(
+                s.delete_by_key("t", &key),
+                Err(EngineError::NoSuchRow { .. })
+            ));
+            assert!(matches!(
+                s.update("t", &key, vec![SqlValue::Int(2), SqlValue::str("c")]),
+                Err(EngineError::NoSuchRow { .. })
+            ));
+        }
+        assert_eq!(s.table("t").unwrap().len(), 2, "nothing was written");
+        assert_eq!(
+            s.delete_by_key("t", &vec![SqlValue::Int(1)]).unwrap(),
+            vec![SqlValue::Int(1), SqlValue::str("b")]
+        );
     }
 
     #[test]

@@ -102,10 +102,12 @@ fn skewed_db() -> Database {
 
 /// The same differential under the writes that are expensive to maintain: a
 /// stream biased toward `employees` and `departments` with deletes as likely
-/// as inserts — every delete of a ranked row shifts the `ROW_NUMBER` of all
-/// rows after it, so stage deltas are O(n) — committed as 1-, 8- and 64-op
-/// batches over the skewed organisation, where most of those rows share one
-/// join key.
+/// as inserts, committed as 1-, 8- and 64-op batches over the skewed
+/// organisation, where most of those rows share one join key. A bag whose
+/// scope is one keyed generator is indexed by that key, which no write
+/// moves; the two-generator scopes of Q1 and Q6 are still numbered by
+/// `ROW_NUMBER`, so there every delete shifts the rank of all rows after it
+/// and the stage delta is O(n).
 #[test]
 fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
     let db = skewed_db();
