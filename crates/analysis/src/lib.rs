@@ -296,7 +296,7 @@ pub mod codes {
     pub const UNRESOLVED_OUTER_REF: &str = "P007";
     /// A projection's expression list and column list differ in length.
     pub const PROJECTION_ARITY: &str = "P008";
-    /// `UNION ALL` / `EXCEPT ALL` inputs differ in column count.
+    /// `UNION ALL` branches differ in column count.
     pub const UNION_ARITY: &str = "P009";
     /// An expression's operand types do not fit its operator.
     pub const EXPR_TYPE_MISMATCH: &str = "P010";
@@ -379,7 +379,7 @@ pub mod codes {
             PROJECTION_ARITY,
             "projection expressions and columns differ in length",
         ),
-        (UNION_ARITY, "set-operation inputs differ in column count"),
+        (UNION_ARITY, "UNION ALL branches differ in column count"),
         (EXPR_TYPE_MISMATCH, "operand types do not fit the operator"),
         (UNKNOWN_TABLE, "table scan references an unknown table"),
         (

@@ -16,7 +16,7 @@
 //! * `CteScan` names are bound by an enclosing `With`, and outer column
 //!   references are bound by an enclosing scope frame
 //!   ([`codes::UNKNOWN_CTE`], [`codes::UNRESOLVED_OUTER_REF`]);
-//! * projection and set-operation arities line up
+//! * projection and `UNION ALL` arities line up
 //!   ([`codes::PROJECTION_ARITY`], [`codes::UNION_ARITY`]);
 //! * operator operand types fit ([`codes::EXPR_TYPE_MISMATCH`]), with
 //!   `NULL` and param slots typed as ⊤ (compatible with everything).
@@ -328,13 +328,6 @@ impl Checker<'_> {
                 schema.extend((0..specs.len()).map(|i| (format!("#rn{}", i), ColTy::Int)));
                 schema
             }
-            PhysicalPlan::Sort { input, keys } => {
-                let schema = self.check(input, &format!("{}/sort.input", path));
-                for key in keys {
-                    self.check_expr(key, &schema, &format!("{}/sort", path));
-                }
-                schema
-            }
             PhysicalPlan::Project {
                 input,
                 exprs,
@@ -368,7 +361,6 @@ impl Checker<'_> {
                 }
                 schema
             }
-            PhysicalPlan::Distinct { input } => self.check(input, &format!("{}/distinct", path)),
             PhysicalPlan::UnionAll(branches) => {
                 let mut first: Option<Vec<Col>> = None;
                 for (i, b) in branches.iter().enumerate() {
@@ -392,22 +384,6 @@ impl Checker<'_> {
                     }
                 }
                 first.unwrap_or_default()
-            }
-            PhysicalPlan::ExceptAll { left, right } => {
-                let left_schema = self.check(left, &format!("{}/except.left", path));
-                let right_schema = self.check(right, &format!("{}/except.right", path));
-                if left_schema.len() != right_schema.len() {
-                    self.error(
-                        codes::UNION_ARITY,
-                        path,
-                        format!(
-                            "EXCEPT ALL sides differ in column count: {} vs {}",
-                            left_schema.len(),
-                            right_schema.len()
-                        ),
-                    );
-                }
-                left_schema
             }
             PhysicalPlan::With {
                 name,
@@ -639,7 +615,7 @@ mod tests {
     }
 
     /// The breaker classification: exactly the operators that must see their
-    /// whole input before emitting (sort, numbering, dedup, set ops) are
+    /// whole input before emitting (numbering, union) are
     /// pipeline breakers; streaming operators — including hash join, whose
     /// probe side streams — are not. The validator's checks are
     /// cardinality-independent either way.
@@ -654,24 +630,11 @@ mod tests {
             })
         }
         let breakers = [
-            PhysicalPlan::Sort {
-                input: scan(),
-                keys: vec![VExpr::Col {
-                    index: 0,
-                    alias: None,
-                    column: "id".to_string(),
-                }],
-            },
             PhysicalPlan::RowNumber {
                 input: scan(),
                 specs: vec![vec![]],
             },
-            PhysicalPlan::Distinct { input: scan() },
             PhysicalPlan::UnionAll(vec![*scan(), *scan()]),
-            PhysicalPlan::ExceptAll {
-                left: scan(),
-                right: scan(),
-            },
         ];
         for plan in &breakers {
             assert!(plan.is_pipeline_breaker(), "{:?}", plan);
@@ -734,9 +697,9 @@ mod tests {
                     left_keys[0] = VExpr::Lit(SqlValue::Int(1));
                     true
                 }
-                PhysicalPlan::Project { input, .. }
-                | PhysicalPlan::Filter { input, .. }
-                | PhysicalPlan::Distinct { input } => corrupt(input),
+                PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
+                    corrupt(input)
+                }
                 _ => false,
             }
         }

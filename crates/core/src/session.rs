@@ -292,7 +292,7 @@ impl<'a> ExecContext<'a> {
     /// first execution loads the database exactly once; a failed load
     /// releases the lock and lets the next caller retry. Every later call
     /// returns the cached engine without locking.
-    pub fn engine(&self) -> Result<&'a Engine, ShredError> {
+    pub fn engine(&self) -> Result<&'a Arc<Engine>, ShredError> {
         if let Some(engine) = self.engine.get() {
             return Ok(engine);
         }
@@ -300,15 +300,11 @@ impl<'a> ExecContext<'a> {
             .engine_init
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if self.engine.get().is_none() {
-            let built = Arc::new(pipeline::engine_from_database(self.db()?)?);
-            let _ = self.engine.set(built);
+        if let Some(engine) = self.engine.get() {
+            return Ok(engine);
         }
-        Ok(self
-            .engine
-            .get()
-            .expect("engine cell just populated")
-            .as_ref())
+        let built = Arc::new(pipeline::engine_from_database(self.db()?)?);
+        Ok(self.engine.get_or_init(|| built))
     }
 }
 
@@ -570,13 +566,12 @@ impl PreparedQuery {
     /// outer row), rows fed in by its children, rows produced and inclusive
     /// wall time. The shape mirrors Postgres' `EXPLAIN ANALYZE`.
     ///
-    /// Requires the sqlengine backend and at least one profiled execution —
-    /// enable profiling session-wide with [`ShredderBuilder::profile`]`(true)`
-    /// or per call with [`Shredder::execute_profiled`].
+    /// Requires the sqlengine backend and at least one execution through
+    /// [`Shredder::execute_profiled`].
     ///
     /// ```
     /// use nrc::builder::*;
-    /// use shredding::session::Shredder;
+    /// use shredding::session::{Params, Shredder};
     /// # use nrc::schema::{Database, Schema, TableSchema};
     /// # use nrc::types::BaseType;
     /// # use nrc::value::Value;
@@ -585,10 +580,10 @@ impl PreparedQuery {
     /// # let mut db = Database::new(schema);
     /// # db.insert_row("items", vec![("id", Value::Int(1))]).unwrap();
     /// # db.insert_row("items", vec![("id", Value::Int(2))]).unwrap();
-    /// let session = Shredder::builder().database(db).profile(true).build().unwrap();
+    /// let session = Shredder::over(db).unwrap();
     /// let query = for_in("x", table("items"), singleton(project(var("x"), "id")));
     /// let prepared = session.prepare(&query).unwrap();
-    /// session.execute(&prepared).unwrap();
+    /// session.execute_profiled(&prepared, &Params::new()).unwrap();
     /// let analyzed = prepared.explain_analyze().unwrap();
     /// assert!(analyzed.contains("rows_out=2"));   // both items reached the root
     /// ```
@@ -605,8 +600,8 @@ impl PreparedQuery {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let Some(actuals) = guard.as_ref() else {
             return Err(ShredError::Config(
-                "no profiled execution recorded for this prepared query; enable profiling \
-                 with ShredderBuilder::profile(true) or Shredder::execute_profiled(.., true)"
+                "no profiled execution recorded for this prepared query; run it with \
+                 Shredder::execute_profiled"
                     .into(),
             ));
         };
@@ -1013,7 +1008,6 @@ pub struct ShredderBuilder {
     cache_disabled: bool,
     auto_param: bool,
     verify: Option<bool>,
-    profile: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     obs_sink: Option<Arc<dyn ObsSink>>,
     workers: Option<usize>,
@@ -1044,7 +1038,6 @@ impl Default for ShredderBuilder {
             cache_disabled: false,
             auto_param: true,
             verify: None,
-            profile: false,
             metrics: None,
             obs_sink: None,
             workers: None,
@@ -1124,17 +1117,6 @@ impl ShredderBuilder {
     /// in release builds**; warnings are collected either way.
     pub fn verify(mut self, enabled: bool) -> Self {
         self.verify = Some(enabled);
-        self
-    }
-
-    /// Enable or disable per-operator execution profiling for every execute
-    /// call of this session (off by default; override per call with
-    /// [`Shredder::execute_profiled`]). When on, SQL plans run through the
-    /// instrumented executor, each plan node accumulates batches/rows/time,
-    /// and [`PreparedQuery::explain_analyze`] renders the actuals. Stage
-    /// tracing (per-phase spans) is always on regardless of this flag.
-    pub fn profile(mut self, enabled: bool) -> Self {
-        self.profile = enabled;
         self
     }
 
@@ -1238,7 +1220,6 @@ impl ShredderBuilder {
                 cache,
                 auto_param: self.auto_param,
                 verify: self.verify.unwrap_or(cfg!(debug_assertions)),
-                profile: self.profile,
                 metrics: self.metrics.unwrap_or_default(),
                 ring,
                 sink,
@@ -1344,9 +1325,6 @@ struct ShredderCore {
     /// Fail `prepare` on error-severity diagnostics (see
     /// [`ShredderBuilder::verify`]).
     verify: bool,
-    /// Session default for per-operator profiling (see
-    /// [`ShredderBuilder::profile`]).
-    profile: bool,
     /// Counters and latency histograms, shared by every clone — and, when
     /// the builder was given an external registry, across sessions.
     metrics: Arc<MetricsRegistry>,
@@ -1408,20 +1386,14 @@ impl Shredder {
     /// The session's SQL engine, loading the database into engine storage on
     /// first use.
     pub fn engine(&self) -> Result<&Engine, ShredError> {
-        self.exec_context().engine()
+        self.exec_context().engine().map(Arc::as_ref)
     }
 
     /// A shareable handle to the session's engine, for building further
     /// sessions over the same loaded storage without copying it (pass it to
     /// [`ShredderBuilder::engine`]).
     pub fn shared_engine(&self) -> Result<Arc<Engine>, ShredError> {
-        self.exec_context().engine()?;
-        Ok(self
-            .core
-            .engine
-            .get()
-            .expect("engine cell just populated")
-            .clone())
+        self.exec_context().engine().cloned()
     }
 
     /// Normalise and plan a query, consulting the plan cache. A second
@@ -1622,22 +1594,20 @@ impl Shredder {
         prepared: &PreparedQuery,
         params: &Params,
     ) -> Result<Value, ShredError> {
-        self.execute_observed(prepared, params, self.core.profile)
+        self.execute_observed(prepared, params, false)
     }
 
-    /// [`execute_bound`](Self::execute_bound) with an explicit per-call
-    /// override of the session's profiled mode: `profile = true` runs the
-    /// plan through the instrumented executor (recording per-operator
-    /// actuals for [`PreparedQuery::explain_analyze`]) even on a session
-    /// built without [`ShredderBuilder::profile`], and `false` opts a single
-    /// call out on a profiling session.
+    /// [`execute_bound`](Self::execute_bound) with per-operator profiling:
+    /// the plan runs through the instrumented executor, each plan node
+    /// accumulates batches, rows and time, and
+    /// [`PreparedQuery::explain_analyze`] renders the actuals. Stage tracing
+    /// (per-phase spans) is on for every execution, profiled or not.
     pub fn execute_profiled(
         &self,
         prepared: &PreparedQuery,
         params: &Params,
-        profile: bool,
     ) -> Result<Value, ShredError> {
-        self.execute_observed(prepared, params, profile)
+        self.execute_observed(prepared, params, true)
     }
 
     /// Reject a prepared query that belongs to a different backend, indexing

@@ -31,3 +31,20 @@ pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{time_maybe, OperatorProfile, QueryObs, QueryProfile, Span, Stage};
 pub use sink::{NullSink, ObsSink, RingSink};
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+
+// Every lock in this crate guards a name map, a span list or a ring buffer
+// that only ever gains or loses whole entries, so a panic elsewhere while
+// one was held cannot have left it torn. A poisoned lock is recovered, not
+// re-panicked: recording must not turn one panic into a panic per query.
+
+/// Lock `mutex`, recovering it if poisoned.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read `lock`, recovering it if poisoned.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}

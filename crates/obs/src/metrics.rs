@@ -7,10 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
+use crate::read;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -248,29 +249,17 @@ impl MetricsRegistry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().expect("metrics lock").get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.counters, name)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().expect("metrics lock").get(name) {
-            return Arc::clone(g);
-        }
-        let mut map = self.gauges.write().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.gauges, name)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().expect("metrics lock").get(name) {
-            return Arc::clone(h);
-        }
-        let mut map = self.histograms.write().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        intern(&self.histograms, name)
     }
 
     /// Record `nanos` into the histogram named `name`.
@@ -280,24 +269,15 @@ impl MetricsRegistry {
 
     /// Snapshot every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .expect("metrics lock")
+        let counters = read(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .expect("metrics lock")
+        let gauges = read(&self.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .expect("metrics lock")
+        let histograms = read(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
@@ -307,6 +287,15 @@ impl MetricsRegistry {
             histograms,
         }
     }
+}
+
+/// Get or create the instrument named `name` in `map`.
+fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    if let Some(found) = read(map).get(name) {
+        return Arc::clone(found);
+    }
+    let mut map = map.write().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(name.to_string()).or_default())
 }
 
 /// A point-in-time, JSON-serialisable view of a [`MetricsRegistry`].
@@ -428,6 +417,25 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_registry_lock_is_recovered_not_re_panicked() {
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.counter("before").inc();
+        let holder = Arc::clone(&registry);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.counters.write().unwrap();
+            panic!("a panic while the counter map is locked");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(registry.counters.is_poisoned());
+        registry.counter("before").inc();
+        registry.counter("after").add(3);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("before"), Some(2));
+        assert_eq!(snapshot.counter("after"), Some(3));
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_in_range() {

@@ -4,6 +4,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::lock;
+
 /// One phase of the shredding pipeline. `prepare` produces the first six,
 /// `execute_bound` the next three, and `Maintain` times the incremental
 /// upkeep of a live subscription after a committed write batch.
@@ -158,10 +160,7 @@ impl QueryObs {
     }
 
     pub fn record(&self, stage: Stage, nanos: u64) {
-        self.spans
-            .lock()
-            .expect("obs lock")
-            .push(Span { stage, nanos });
+        lock(&self.spans).push(Span { stage, nanos });
     }
 
     /// Time `f` and record the elapsed nanoseconds as a span for `stage`.
@@ -176,13 +175,13 @@ impl QueryObs {
     }
 
     pub fn push_operators(&self, ops: impl IntoIterator<Item = OperatorProfile>) {
-        self.operators.lock().expect("obs lock").extend(ops);
+        lock(&self.operators).extend(ops);
     }
 
     /// Drain the collected spans and operator actuals.
     pub fn take(&self) -> (Vec<Span>, Vec<OperatorProfile>) {
-        let spans = std::mem::take(&mut *self.spans.lock().expect("obs lock"));
-        let ops = std::mem::take(&mut *self.operators.lock().expect("obs lock"));
+        let spans = std::mem::take(&mut *lock(&self.spans));
+        let ops = std::mem::take(&mut *lock(&self.operators));
         (spans, ops)
     }
 }

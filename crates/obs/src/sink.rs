@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::lock;
 use crate::profile::QueryProfile;
 
 /// Receiver for finished per-query profiles.
@@ -34,16 +35,11 @@ impl RingSink {
 
     /// The retained profiles, oldest first.
     pub fn recent(&self) -> Vec<QueryProfile> {
-        self.buf
-            .lock()
-            .expect("sink lock")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("sink lock").len()
+        lock(&self.buf).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -51,7 +47,7 @@ impl RingSink {
     }
 
     pub fn clear(&self) {
-        self.buf.lock().expect("sink lock").clear();
+        lock(&self.buf).clear();
     }
 }
 
@@ -63,7 +59,7 @@ impl Default for RingSink {
 
 impl ObsSink for RingSink {
     fn record(&self, profile: QueryProfile) {
-        let mut buf = self.buf.lock().expect("sink lock");
+        let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
         }

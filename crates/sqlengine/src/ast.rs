@@ -11,8 +11,9 @@
 //! Base terms     X ::= x.ℓ | c(X⃗) | empty L
 //! ```
 //!
-//! plus `ORDER BY`, `DISTINCT` and `EXCEPT ALL`, which the baselines
-//! (loop-lifting, Van den Bussche) and the flat-query benchmark need.
+//! That is all the shredding translation and the baselines (flat default,
+//! loop-lifting, Van den Bussche) emit: there is no `ORDER BY`, `DISTINCT`
+//! or `EXCEPT ALL`, and the parser refuses them.
 
 use crate::value::SqlValue;
 use std::fmt;
@@ -24,8 +25,6 @@ pub enum Query {
     Select(Box<Select>),
     /// `q1 UNION ALL q2 UNION ALL …` (bag union, preserving multiplicity).
     UnionAll(Vec<Query>),
-    /// `q1 EXCEPT ALL q2` (bag difference); used by flat benchmark queries.
-    ExceptAll(Box<Query>, Box<Query>),
     /// `WITH q AS (SELECT …) body` — a let-bound subquery.
     With {
         name: String,
@@ -64,7 +63,6 @@ impl Query {
         match self {
             Query::Select(s) => s.items.iter().map(|i| i.alias.clone()).collect(),
             Query::UnionAll(qs) => qs.first().map(Query::output_columns).unwrap_or_default(),
-            Query::ExceptAll(l, _) => l.output_columns(),
             Query::With { body, .. } => body.output_columns(),
         }
     }
@@ -85,7 +83,6 @@ impl Query {
                         .unwrap_or(0)
             }
             Query::UnionAll(qs) => qs.iter().map(Query::select_count).sum(),
-            Query::ExceptAll(l, r) => l.select_count() + r.select_count(),
             Query::With {
                 definition, body, ..
             } => Query::Select(definition.clone()).select_count() + body.select_count(),
@@ -93,20 +90,15 @@ impl Query {
     }
 }
 
-/// A `SELECT … FROM … WHERE … ORDER BY …` block.
+/// A `SELECT … FROM … WHERE …` block.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Select {
-    /// `DISTINCT`? (used only by set-semantics baselines).
-    pub distinct: bool,
     /// The projection list.
     pub items: Vec<SelectItem>,
     /// The `FROM` clause.
     pub from: Vec<FromItem>,
     /// The `WHERE` clause.
     pub where_clause: Option<Expr>,
-    /// The final `ORDER BY` (used when a deterministic output order is
-    /// required, e.g. for loop-lifting's list semantics).
-    pub order_by: Vec<Expr>,
 }
 
 impl Select {
@@ -141,18 +133,6 @@ impl Select {
     /// Set the `WHERE` clause.
     pub fn filter(mut self, expr: Expr) -> Select {
         self.where_clause = Some(expr);
-        self
-    }
-
-    /// Set `DISTINCT`.
-    pub fn distinct(mut self) -> Select {
-        self.distinct = true;
-        self
-    }
-
-    /// Append an `ORDER BY` key.
-    pub fn order_by(mut self, expr: Expr) -> Select {
-        self.order_by.push(expr);
         self
     }
 }

@@ -336,25 +336,6 @@ fn exec_query(
             }
             Ok(acc)
         }
-        Query::ExceptAll(left, right) => {
-            let left_rs = exec_query(left, ctx, ctes, outer)?;
-            let right_rs = exec_query(right, ctx, ctes, outer)?;
-            let mut counts: HashMap<Row, usize> = HashMap::new();
-            for row in right_rs.rows {
-                *counts.entry(row).or_insert(0) += 1;
-            }
-            let mut rows = Vec::new();
-            for row in left_rs.rows {
-                match counts.get_mut(&row) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => rows.push(row),
-                }
-            }
-            Ok(ResultSet {
-                columns: left_rs.columns,
-                rows,
-            })
-        }
         Query::With {
             name,
             definition,
@@ -396,7 +377,6 @@ fn exec_select(
     // 4. Project.
     let columns: Vec<String> = select.items.iter().map(|i| i.alias.clone()).collect();
     let mut out_rows = Vec::with_capacity(joined.len());
-    let mut sort_keys: Vec<Vec<SqlValue>> = Vec::new();
     for (row_idx, combo) in joined.iter().enumerate() {
         let scope = scope_for(outer, &relations, combo);
         let numbering = RowNumbers {
@@ -407,30 +387,8 @@ fn exec_select(
         for item in &select.items {
             out.push(eval_expr(&item.expr, &scope, ctx, ctes, Some(&numbering))?);
         }
-        if !select.order_by.is_empty() {
-            let mut key = Vec::with_capacity(select.order_by.len());
-            for k in &select.order_by {
-                key.push(eval_expr(k, &scope, ctx, ctes, Some(&numbering))?);
-            }
-            sort_keys.push(key);
-        }
         out_rows.push(out);
     }
-
-    // 5. ORDER BY: a stable sort over the precomputed keys. The permutation
-    //    is applied by moving each row exactly once — no per-row clones.
-    if !select.order_by.is_empty() {
-        let mut indexed: Vec<(usize, Row)> = out_rows.into_iter().enumerate().collect();
-        indexed.sort_by(|(a, _), (b, _)| compare_rows(&sort_keys[*a], &sort_keys[*b]));
-        out_rows = indexed.into_iter().map(|(_, row)| row).collect();
-    }
-
-    // 6. DISTINCT.
-    if select.distinct {
-        let mut seen = std::collections::HashSet::new();
-        out_rows.retain(|r| seen.insert(r.clone()));
-    }
-
     Ok(ResultSet {
         columns,
         rows: out_rows,
@@ -975,24 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn except_all_is_bag_difference() {
-        let all = Select::new()
-            .item(Expr::col("e", "dept"), "dept")
-            .from_named("employees", "e");
-        let product = Select::new()
-            .item(Expr::col("e", "dept"), "dept")
-            .from_named("employees", "e")
-            .filter(Expr::eq(Expr::col("e", "dept"), Expr::lit("Product")));
-        let q = Query::ExceptAll(
-            Box::new(Query::select(all)),
-            Box::new(Query::select(product)),
-        );
-        let rs = engine().execute(&q).unwrap();
-        // 4 rows minus the 2 Product rows.
-        assert_eq!(rs.len(), 2);
-    }
-
-    #[test]
     fn with_binds_a_result_set() {
         let def = Select::new()
             .item(Expr::col("e", "name"), "n")
@@ -1076,31 +1016,6 @@ mod tests {
         let rs = engine().execute(&q).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.value(0, "name"), Some(&SqlValue::str("Erik")));
-    }
-
-    #[test]
-    fn order_by_sorts_output() {
-        let q = Query::select(
-            Select::new()
-                .item(Expr::col("e", "name"), "name")
-                .from_named("employees", "e")
-                .order_by(Expr::col("e", "salary")),
-        );
-        let rs = engine().execute(&q).unwrap();
-        assert_eq!(rs.value(0, "name"), Some(&SqlValue::str("Bert")));
-        assert_eq!(rs.value(3, "name"), Some(&SqlValue::str("Erik")));
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let q = Query::select(
-            Select::new()
-                .item(Expr::col("e", "dept"), "dept")
-                .from_named("employees", "e")
-                .distinct(),
-        );
-        let rs = engine().execute(&q).unwrap();
-        assert_eq!(rs.len(), 3);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Key kernels: hashing, equality, join tables and ordering over **borrowed
 //! key columns**.
 //!
-//! Every keyed operator of the executor — hash join, hash semi-join,
-//! `DISTINCT`, `EXCEPT ALL`, `ROW_NUMBER` and `ORDER BY` — runs on this one
-//! layer, and the walk in [`crate::vexec`] calls each kernel once over an
-//! operator's whole batch. Nothing here transposes key columns
+//! Every keyed operator of the executor — hash join, hash semi-join and
+//! `ROW_NUMBER` — runs on this one layer, and the walk in [`crate::vexec`]
+//! calls each kernel once over an operator's whole batch. Nothing here transposes key columns
 //! into one `Vec<SqlValue>` per row: a key is a list of [`Vector`]s borrowed
 //! from the batch, a per-row `u64` hash computed column-at-a-time, and
 //! equality checked in place on the columns.
@@ -18,7 +17,8 @@
 //! **NULL modes.** [`NullMode::NeverMatches`] is SQL equality (joins and
 //! semi-joins): a row with a `NULL` in any key column is left out of the
 //! table and matches nothing when probing. [`NullMode::GroupsWithNull`] is
-//! grouping (`DISTINCT`, `EXCEPT ALL`): `NULL` equals `NULL`.
+//! grouping (the incremental executor's whole-row stores and weight
+//! netting): `NULL` equals `NULL`.
 //!
 //! **The hasher** is a hand-written multiply–rotate mixer, not SipHash. It is
 //! not resistant to keys crafted to collide; that is acceptable here because
@@ -383,39 +383,6 @@ impl<'k> KeyIndex<'k> {
             .map(|i| rows.phys(i))
             .collect()
     }
-}
-
-/// `DISTINCT`: the logical rows that are the first occurrence of their key.
-pub(crate) fn distinct_rows(keys: &Keys<'_>) -> Result<Vec<usize>, EngineError> {
-    let index = KeyIndex::new(keys, NullMode::GroupsWithNull)?;
-    Ok((0..keys.len())
-        .filter(|&i| index.first_match(keys, i) == Some(i))
-        .collect())
-}
-
-/// `EXCEPT ALL`: the logical left rows that survive subtracting the right
-/// bag — each right row cancels the earliest left row still standing with
-/// the same key.
-pub(crate) fn except_all_rows(
-    left: &Keys<'_>,
-    right: &Keys<'_>,
-) -> Result<Vec<usize>, EngineError> {
-    let index = KeyIndex::new(right, NullMode::GroupsWithNull)?;
-    // Multiplicity of each right key, filed under its first occurrence.
-    let mut remaining = vec![0usize; right.len()];
-    for j in 0..right.len() {
-        let first = index.first_match(right, j).expect("a row matches itself");
-        remaining[first] += 1;
-    }
-    Ok((0..left.len())
-        .filter(|&i| match index.first_match(left, i) {
-            Some(first) if remaining[first] > 0 => {
-                remaining[first] -= 1;
-                false
-            }
-            _ => true,
-        })
-        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -895,7 +862,7 @@ mod tests {
         assert_eq!(joining.semi_select(&keys, true, rows), vec![0, 2]);
         let grouping = KeyIndex::new(&keys, NullMode::GroupsWithNull).unwrap();
         assert_eq!(grouping.first_match(&keys, 2), Some(0));
-        assert_eq!(distinct_rows(&keys).unwrap(), vec![0, 1]);
+        assert_eq!(grouping.first_match(&keys, 3), Some(1));
     }
 
     #[test]
@@ -908,43 +875,6 @@ mod tests {
         let empty = Keys::new(Vec::new(), 0);
         let index = KeyIndex::new(&empty, NullMode::NeverMatches).unwrap();
         assert_eq!(index.first_match(&probe, 0), None);
-    }
-
-    #[test]
-    fn distinct_and_except_all_equal_their_hashmap_references() {
-        let mut rng = Rng(7);
-        for case in 0..40 {
-            let width = 1 + case % 3;
-            let (l, r) = (rng.below(70) as usize, rng.below(70) as usize);
-            let left = random_columns(&mut rng, width, l);
-            let right = random_columns(&mut rng, width, r);
-            let (left_rows, right_rows) = (key_rows(&left, l), key_rows(&right, r));
-
-            let mut seen = std::collections::HashSet::new();
-            let expect: Vec<usize> = (0..l).filter(|&i| seen.insert(&left_rows[i])).collect();
-            let left_keys = Keys::new(dense(&left), l);
-            assert_eq!(distinct_rows(&left_keys).unwrap(), expect, "case {case}");
-
-            let mut counts: HashMap<&Row, usize> = HashMap::new();
-            for row in &right_rows {
-                *counts.entry(row).or_insert(0) += 1;
-            }
-            let expect: Vec<usize> = (0..l)
-                .filter(|&i| match counts.get_mut(&left_rows[i]) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                })
-                .collect();
-            let right_keys = Keys::new(dense(&right), r);
-            assert_eq!(
-                except_all_rows(&left_keys, &right_keys).unwrap(),
-                expect,
-                "case {case}"
-            );
-        }
     }
 
     #[test]

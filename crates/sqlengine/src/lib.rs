@@ -7,19 +7,20 @@
 //!
 //! * `SELECT … FROM … WHERE …` with multi-table `FROM` lists,
 //! * hash joins for equi-join predicates, nested-loop joins otherwise,
-//! * `UNION ALL` and `EXCEPT ALL` (bag semantics),
+//! * `UNION ALL` (bag semantics),
 //! * `WITH q AS (…) …` (one let-bound subquery per block, as produced by
 //!   let-insertion),
 //! * `ROW_NUMBER() OVER (ORDER BY …)`,
-//! * correlated `EXISTS` subqueries (the image of λNRC's `empty`),
-//! * `ORDER BY` / `DISTINCT` for the baselines.
+//! * correlated `EXISTS` subqueries (the image of λNRC's `empty`).
 //!
-//! It also contains a printer and parser for the dialect, so SQL can be
-//! round-tripped as text exactly as Links ships SQL strings to the database.
+//! Nothing else: no `ORDER BY`, `DISTINCT` or `EXCEPT`, which no translation
+//! emits. It also contains a printer and parser for the dialect, so SQL can
+//! be round-tripped as text exactly as Links ships SQL strings to the
+//! database; the parser refuses what the dialect lacks.
 //!
 //! Execution is split planner/executor: [`plan`] compiles a query into an
 //! explicit [`PhysicalPlan`] (scans, hash joins with a chosen build side,
-//! filters, exists-semijoins, row-numbering, sort, projection) and
+//! filters, exists-semijoins, row-numbering, projection) and
 //! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
 //! whole batch on the calling thread. The one level of parallelism is above

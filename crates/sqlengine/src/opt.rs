@@ -28,7 +28,7 @@
 //!    in [`OptReport::skipped`] (surfaced as `analysis` code O001).
 //! 4. **Predicate pushdown** — moves filter conjuncts as close to the scans
 //!    as they can soundly go: through projects (by substituting projection
-//!    expressions), sorts, distincts, semi-join inputs, `WITH` bodies and
+//!    expressions), semi-join inputs, `WITH` bodies and
 //!    `UNION ALL` branches, and routed to one side of a join when every
 //!    column it references lives there. Conjuncts are never pushed below
 //!    `RowNumber` (filtering changes the numbering) and never into a `WITH`
@@ -44,9 +44,9 @@
 //!    `Project` shares its input's columns at run time, so it costs nothing
 //!    itself. The pass never narrows the output of a `WITH` definition (the
 //!    `CteScan`s were planned against it, and cross-stage sharing compares
-//!    definitions), the inputs of `DISTINCT` and the set operations (their
-//!    rows are compared whole), or the input of a correlated subplan (its
-//!    rows become scope frames resolved by alias, which a `Project` erases).
+//!    definitions), the branches of `UNION ALL` (they share one layout), or
+//!    the input of a correlated subplan (its rows become scope frames
+//!    resolved by alias, which a `Project` erases).
 //!    It runs last so that it prunes the joins the other passes leave.
 //!
 //! Every pass is a pure function from plan to plan: rewritten plans flow
@@ -339,11 +339,8 @@ fn try_decorrelate(
 ) -> Result<(PhysicalPlan, String), String> {
     let frame = input.schema();
 
-    // EXISTS only observes emptiness, so order- and multiplicity-only root
-    // operators can be stripped before analysing the shape.
-    let stripped = strip_order(subplan);
-    let branches: Vec<PhysicalPlan> = match stripped {
-        PhysicalPlan::UnionAll(bs) => bs.into_iter().map(strip_order).collect(),
+    let branches: Vec<PhysicalPlan> = match subplan {
+        PhysicalPlan::UnionAll(bs) => bs,
         other => vec![other],
     };
 
@@ -460,14 +457,6 @@ fn try_decorrelate(
         },
         desc,
     ))
-}
-
-/// Remove root operators that cannot affect whether the result is empty.
-fn strip_order(plan: PhysicalPlan) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::Sort { input, .. } | PhysicalPlan::Distinct { input } => strip_order(*input),
-        other => other,
-    }
 }
 
 /// Walk a subquery body collecting correlated equality conjuncts, removing
@@ -804,13 +793,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
             input: Box::new(push_into(*input, pred)),
             alias,
         }),
-        PhysicalPlan::Sort { input, keys } => Ok(PhysicalPlan::Sort {
-            input: Box::new(push_into(*input, pred)),
-            keys,
-        }),
-        PhysicalPlan::Distinct { input } => Ok(PhysicalPlan::Distinct {
-            input: Box::new(push_into(*input, pred)),
-        }),
         PhysicalPlan::ExistsSemiJoin {
             input,
             subplan,
@@ -902,14 +884,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
                     pred,
                 )),
             }
-        }
-        PhysicalPlan::ExceptAll { left, right } => {
-            // σ(L ∖ R) = σ(L) ∖ R: rows σ drops appear 0 times on the left
-            // either way; the right side is only ever subtracted.
-            Ok(PhysicalPlan::ExceptAll {
-                left: Box::new(push_into(*left, pred)),
-                right,
-            })
         }
         // Filtering before numbering would change the numbers; scans are the
         // floor the predicate comes to rest on.
@@ -1042,17 +1016,15 @@ fn estimate_env(plan: &PhysicalPlan, catalog: &dyn Catalog, env: &mut Vec<(Strin
         }
         PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::ExistsSemiJoin { input, .. }
-        | PhysicalPlan::HashSemiJoin { input, .. }
-        | PhysicalPlan::Distinct { input } => {
+        | PhysicalPlan::HashSemiJoin { input, .. } => {
             estimate_env(input, catalog, env) * FILTER_SELECTIVITY
         }
-        PhysicalPlan::RowNumber { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Project { input, .. } => estimate_env(input, catalog, env),
+        PhysicalPlan::RowNumber { input, .. } | PhysicalPlan::Project { input, .. } => {
+            estimate_env(input, catalog, env)
+        }
         PhysicalPlan::UnionAll(branches) => {
             branches.iter().map(|b| estimate_env(b, catalog, env)).sum()
         }
-        PhysicalPlan::ExceptAll { left, .. } => estimate_env(left, catalog, env),
         PhysicalPlan::With {
             name,
             definition,
@@ -1109,8 +1081,8 @@ fn prune_whole(plan: PhysicalPlan, frozen: bool, count: &mut usize) -> PhysicalP
 /// `need`. Only joins drop columns, by projecting their inputs; every
 /// other operator passes its input's narrowing through (remapping its own
 /// column references) or, where its output is a fixed list — `Project`,
-/// scans, a `WITH` definition, the sides of `DISTINCT` and the set
-/// operations, whose rows are compared whole — asks for everything.
+/// scans, a `WITH` definition, the branches of `UNION ALL`, which share
+/// one layout — asks for everything.
 ///
 /// `frozen` keeps the node's output schema exactly as it is, aliases
 /// included: the rows of a batch that correlated subplans run against are
@@ -1243,17 +1215,6 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
                 remap,
             }
         }
-        PhysicalPlan::Sort { input, keys } => {
-            let need = with_cols(need, &keys);
-            let input = prune_node(*input, &need, frozen_below, count);
-            Pruned {
-                plan: PhysicalPlan::Sort {
-                    keys: remap_exprs(keys, &input.remap, count),
-                    input: Box::new(input.plan),
-                },
-                remap: input.remap,
-            }
-        }
         PhysicalPlan::Project {
             input,
             exprs,
@@ -1270,15 +1231,6 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
                 need.len(),
             )
         }
-        PhysicalPlan::Distinct { input } => {
-            let input = prune_node(*input, &all, frozen, count);
-            Pruned {
-                plan: PhysicalPlan::Distinct {
-                    input: Box::new(input.plan),
-                },
-                remap: input.remap,
-            }
-        }
         PhysicalPlan::UnionAll(branches) => Pruned::unchanged(
             PhysicalPlan::UnionAll(
                 branches
@@ -1286,13 +1238,6 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
                     .map(|b| prune_whole(b, frozen, count))
                     .collect(),
             ),
-            need.len(),
-        ),
-        PhysicalPlan::ExceptAll { left, right } => Pruned::unchanged(
-            PhysicalPlan::ExceptAll {
-                left: Box::new(prune_whole(*left, frozen, count)),
-                right: Box::new(prune_whole(*right, frozen, count)),
-            },
             need.len(),
         ),
         PhysicalPlan::With {
@@ -1958,7 +1903,7 @@ mod tests {
     }
 
     #[test]
-    fn pruning_keeps_whole_rows_for_with_definitions_distinct_and_set_operations() {
+    fn pruning_keeps_whole_rows_for_with_definitions_and_union_branches() {
         let cte_scan = PhysicalPlan::CteScan {
             name: "q".to_string(),
             alias: "z".to_string(),
@@ -1975,14 +1920,7 @@ mod tests {
                     columns: vec!["a".to_string()],
                 }),
             },
-            PhysicalPlan::Distinct {
-                input: Box::new(t_join_u()),
-            },
             PhysicalPlan::UnionAll(vec![t_join_u(), t_join_u()]),
-            PhysicalPlan::ExceptAll {
-                left: Box::new(t_join_u()),
-                right: Box::new(t_join_u()),
-            },
         ] {
             let (opt, report) = optimize(plan.clone(), &empty_catalog());
             assert_eq!(opt, plan);

@@ -4,6 +4,11 @@
 //! (`Engine::execute_sql`), mimicking the paper's setup where Links ships SQL
 //! strings to PostgreSQL, and (b) the printer/parser round trip can be tested:
 //! `parse(print(q))` must evaluate to the same result as `q`.
+//!
+//! It accepts exactly that dialect. `DISTINCT`, `ORDER BY` (outside
+//! `ROW_NUMBER() OVER`) and `EXCEPT` are refused with
+//! [`EngineError::Parse`] wherever they appear, never read as a column or an
+//! alias.
 
 use crate::ast::{BinOp, Expr, FromItem, Query, Select, SelectItem, TableSource};
 use crate::error::EngineError;
@@ -26,6 +31,13 @@ pub fn parse_expr(input: &str) -> Result<Expr, EngineError> {
     parser.expect_eof()?;
     Ok(e)
 }
+
+/// Keywords of SQL the engine does not implement, with their display form.
+const UNSUPPORTED: [(&str, &str); 3] = [
+    ("distinct", "DISTINCT"),
+    ("order", "ORDER BY"),
+    ("except", "EXCEPT"),
+];
 
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
@@ -179,7 +191,25 @@ impl Parser {
         }
     }
 
+    /// Refuse the next token if it starts one of the [`UNSUPPORTED`] clauses.
+    fn refuse_unsupported(&self) -> Result<(), EngineError> {
+        let Some(Token::Ident(s)) = self.peek() else {
+            return Ok(());
+        };
+        match UNSUPPORTED
+            .iter()
+            .find(|(kw, _)| s.eq_ignore_ascii_case(kw))
+        {
+            Some((_, shown)) => Err(EngineError::Parse(format!(
+                "{} is not supported by this engine",
+                shown
+            ))),
+            None => Ok(()),
+        }
+    }
+
     fn expect_ident(&mut self) -> Result<String, EngineError> {
+        self.refuse_unsupported()?;
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(EngineError::Parse(format!(
@@ -200,36 +230,15 @@ impl Parser {
         }
     }
 
-    /// query := atom (UNION ALL atom | EXCEPT ALL atom)*
+    /// query := atom (UNION ALL atom)*
     fn parse_query(&mut self) -> Result<Query, EngineError> {
-        let first = self.parse_query_atom()?;
-        let mut union_branches = vec![first];
-        let mut result: Option<Query> = None;
-        loop {
-            if self.peek_keyword("union") {
-                self.pos += 1;
-                self.expect_keyword("all")?;
-                let next = self.parse_query_atom()?;
-                union_branches.push(next);
-            } else if self.peek_keyword("except") {
-                self.pos += 1;
-                self.expect_keyword("all")?;
-                let left = if union_branches.len() == 1 {
-                    union_branches.pop().expect("nonempty")
-                } else {
-                    Query::UnionAll(std::mem::take(&mut union_branches))
-                };
-                let right = self.parse_query_atom()?;
-                result = Some(Query::ExceptAll(Box::new(left), Box::new(right)));
-                break;
-            } else {
-                break;
-            }
+        let mut branches = vec![self.parse_query_atom()?];
+        while self.eat_keyword("union") {
+            self.expect_keyword("all")?;
+            branches.push(self.parse_query_atom()?);
         }
-        match result {
-            Some(q) => Ok(q),
-            None => Ok(Query::union_all(union_branches)),
-        }
+        self.refuse_unsupported()?;
+        Ok(Query::union_all(branches))
     }
 
     /// atom := '(' query ')' | WITH name AS '(' select ')' atom | select
@@ -258,9 +267,6 @@ impl Parser {
     fn parse_select(&mut self) -> Result<Select, EngineError> {
         self.expect_keyword("select")?;
         let mut select = Select::new();
-        if self.eat_keyword("distinct") {
-            select.distinct = true;
-        }
         loop {
             let expr = self.parse_or()?;
             let alias = if self.eat_keyword("as") {
@@ -323,15 +329,7 @@ impl Parser {
         if self.eat_keyword("where") {
             select.where_clause = Some(self.parse_or()?);
         }
-        if self.eat_keyword("order") {
-            self.expect_keyword("by")?;
-            loop {
-                select.order_by.push(self.parse_or()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-        }
+        self.refuse_unsupported()?;
         Ok(select)
     }
 
@@ -432,6 +430,7 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, EngineError> {
+        self.refuse_unsupported()?;
         match self.next() {
             Some(Token::Int(n)) => Ok(Expr::Literal(SqlValue::Int(n))),
             Some(Token::Str(s)) => Ok(Expr::Literal(SqlValue::str(s))),
@@ -515,17 +514,54 @@ mod tests {
     }
 
     #[test]
-    fn parses_union_all_and_except_all() {
+    fn parses_union_all() {
         let q = parse_query(
             "(SELECT t.emp AS emp FROM tasks AS t) UNION ALL (SELECT e.emp AS emp FROM employees AS e)",
         )
         .unwrap();
         assert!(matches!(q, Query::UnionAll(ref v) if v.len() == 2));
-        let q2 = parse_query(
-            "(SELECT t.emp AS emp FROM tasks AS t) EXCEPT ALL (SELECT e.emp AS emp FROM employees AS e)",
-        )
-        .unwrap();
-        assert!(matches!(q2, Query::ExceptAll(_, _)));
+    }
+
+    #[test]
+    fn distinct_order_by_and_except_are_refused_not_misread() {
+        use crate::exec::Engine;
+        use crate::storage::{ColumnType, Storage, TableDef};
+        let mut storage = Storage::new();
+        storage
+            .create_table(TableDef::new("t", vec![("a", ColumnType::Int)]))
+            .unwrap();
+        storage.insert("t", vec![SqlValue::Int(1)]).unwrap();
+        let engine = Engine::with_storage(storage);
+        for sql in [
+            "SELECT DISTINCT t.a AS a FROM t AS t",
+            "select distinct FROM t AS t",
+            "SELECT DISTINCT FROM t",
+            "SELECT t.a AS a FROM t AS t ORDER BY t.a",
+            "SELECT t.a AS a FROM t ORDER BY t.a",
+            "SELECT t.a AS a FROM t AS t WHERE t.a > 0 ORDER BY t.a",
+            "SELECT order FROM t",
+            "SELECT t.a AS order FROM t AS t",
+            "SELECT t.a AS a FROM t AS distinct",
+            "WITH q AS (SELECT t.a AS a FROM t AS t ORDER BY t.a) SELECT q.a AS a FROM q AS q",
+            "(SELECT t.a AS a FROM t AS t) EXCEPT ALL (SELECT t.a AS a FROM t AS t)",
+            "SELECT t.a AS a FROM t AS t EXCEPT ALL SELECT t.a AS a FROM t AS t",
+            "SELECT t.a AS a FROM t except SELECT t.a AS a FROM t",
+            "(SELECT t.a AS a FROM t AS t) UNION ALL (SELECT t.a AS a FROM t AS t) ORDER BY a",
+            "SELECT t.a AS a FROM t AS t WHERE EXISTS (SELECT DISTINCT t.a AS a FROM t AS t)",
+        ] {
+            let parsed = parse_query(sql);
+            assert!(
+                matches!(parsed, Err(EngineError::Parse(ref m)) if m.contains("not supported")),
+                "{sql}: {parsed:?}"
+            );
+            assert_eq!(engine.execute_sql(sql).unwrap_err(), parsed.unwrap_err());
+        }
+        // `ORDER BY` keeps its one legal place.
+        let rn = "SELECT ROW_NUMBER() OVER (ORDER BY t.a) AS i FROM t AS t";
+        assert_eq!(
+            engine.execute_sql(rn).unwrap().rows,
+            vec![vec![SqlValue::Int(1)]]
+        );
     }
 
     #[test]

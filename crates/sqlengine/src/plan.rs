@@ -14,8 +14,7 @@
 //!   soon as every alias they mention is bound (predicate pushdown),
 //! * `EXISTS` / `NOT EXISTS` conjuncts become [`PhysicalPlan::ExistsSemiJoin`]
 //!   nodes (semi / anti joins against a pre-planned subplan),
-//! * `ROW_NUMBER`, `ORDER BY`, projection and `DISTINCT` become explicit
-//!   operators.
+//! * `ROW_NUMBER` and projection become explicit operators.
 //!
 //! Column references are resolved to **positional** indexes into the input
 //! batch at plan time ([`VExpr::Col`]); references to enclosing queries stay
@@ -304,26 +303,14 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         specs: Vec<Vec<VExpr>>,
     },
-    /// Stable sort by the given keys.
-    Sort {
-        input: Box<PhysicalPlan>,
-        keys: Vec<VExpr>,
-    },
     /// Evaluate the projection list; output columns are named `columns`.
     Project {
         input: Box<PhysicalPlan>,
         exprs: Vec<VExpr>,
         columns: Vec<String>,
     },
-    /// Remove duplicate rows, keeping first occurrences.
-    Distinct { input: Box<PhysicalPlan> },
     /// Bag union of several inputs.
     UnionAll(Vec<PhysicalPlan>),
-    /// Bag difference.
-    ExceptAll {
-        left: Box<PhysicalPlan>,
-        right: Box<PhysicalPlan>,
-    },
     /// Materialise `definition` under `name` for `CteScan`s inside `body`.
     With {
         name: String,
@@ -361,9 +348,7 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::ExistsSemiJoin { input, .. }
-            | PhysicalPlan::HashSemiJoin { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Distinct { input } => input.schema(),
+            | PhysicalPlan::HashSemiJoin { input, .. } => input.schema(),
             PhysicalPlan::RowNumber { input, specs } => {
                 let mut schema = input.schema();
                 schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
@@ -375,7 +360,6 @@ impl PhysicalPlan {
             PhysicalPlan::UnionAll(branches) => {
                 branches.first().map(Self::schema).unwrap_or_default()
             }
-            PhysicalPlan::ExceptAll { left, .. } => left.schema(),
             PhysicalPlan::With { body, .. } => body.schema(),
         }
     }
@@ -400,14 +384,11 @@ impl PhysicalPlan {
             PhysicalPlan::SubqueryScan { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::ExistsSemiJoin { input, .. }
-            | PhysicalPlan::HashSemiJoin { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Distinct { input } => input.output_width(),
+            | PhysicalPlan::HashSemiJoin { input, .. } => input.output_width(),
             PhysicalPlan::RowNumber { input, specs } => input.output_width() + specs.len(),
             PhysicalPlan::UnionAll(branches) => {
                 branches.first().map_or(0, PhysicalPlan::output_width)
             }
-            PhysicalPlan::ExceptAll { left, .. } => left.output_width(),
             PhysicalPlan::With { body, .. } => body.output_width(),
         }
     }
@@ -437,18 +418,14 @@ impl PhysicalPlan {
             PhysicalPlan::ExistsSemiJoin { .. } => "ExistsSemiJoin",
             PhysicalPlan::HashSemiJoin { .. } => "HashSemiJoin",
             PhysicalPlan::RowNumber { .. } => "RowNumber",
-            PhysicalPlan::Sort { .. } => "Sort",
             PhysicalPlan::Project { .. } => "Project",
-            PhysicalPlan::Distinct { .. } => "Distinct",
             PhysicalPlan::UnionAll(_) => "UnionAll",
-            PhysicalPlan::ExceptAll { .. } => "ExceptAll",
             PhysicalPlan::With { .. } => "With",
         }
     }
 
     /// Is this operator a **pipeline breaker** — one that must observe its
-    /// whole input before emitting its first output row (sort, numbering,
-    /// dedup, set operations)? Everything else (scans, filters, joins,
+    /// whole input before emitting its first output row (numbering, union)? Everything else (scans, filters, joins,
     /// projections, exists-semijoins) is streaming: its output for a run of
     /// input rows depends only on those rows.
     ///
@@ -457,11 +434,7 @@ impl PhysicalPlan {
     pub fn is_pipeline_breaker(&self) -> bool {
         matches!(
             self,
-            PhysicalPlan::Sort { .. }
-                | PhysicalPlan::RowNumber { .. }
-                | PhysicalPlan::Distinct { .. }
-                | PhysicalPlan::UnionAll(_)
-                | PhysicalPlan::ExceptAll { .. }
+            PhysicalPlan::RowNumber { .. } | PhysicalPlan::UnionAll(_)
         )
     }
 
@@ -474,14 +447,11 @@ impl PhysicalPlan {
             PhysicalPlan::SubqueryScan { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::RowNumber { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Distinct { input } => vec![input],
+            | PhysicalPlan::Project { input, .. } => vec![input],
             PhysicalPlan::ExistsSemiJoin { input, subplan, .. } => vec![input, subplan],
             PhysicalPlan::HashSemiJoin { input, build, .. } => vec![input, build],
             PhysicalPlan::NestedLoopJoin { left, right }
-            | PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::ExceptAll { left, right } => vec![left, right],
+            | PhysicalPlan::HashJoin { left, right, .. } => vec![left, right],
             PhysicalPlan::UnionAll(branches) => branches.iter().collect(),
             PhysicalPlan::With {
                 definition, body, ..
@@ -499,9 +469,7 @@ impl PhysicalPlan {
             PhysicalPlan::SubqueryScan { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::RowNumber { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Distinct { input } => f(input),
+            | PhysicalPlan::Project { input, .. } => f(input),
             PhysicalPlan::ExistsSemiJoin {
                 input: first,
                 subplan: second,
@@ -521,10 +489,6 @@ impl PhysicalPlan {
                 right: second,
                 ..
             }
-            | PhysicalPlan::ExceptAll {
-                left: first,
-                right: second,
-            }
             | PhysicalPlan::With {
                 definition: first,
                 body: second,
@@ -539,7 +503,7 @@ impl PhysicalPlan {
 
     /// The node's expressions, in field order: a filter's predicate, a hash
     /// join's left then right keys, a hash semi-join's probe then build
-    /// keys, a row numbering's specs, a sort's keys, a projection's list.
+    /// keys, a row numbering's specs, a projection's list.
     pub(crate) fn exprs(&self) -> impl Iterator<Item = &VExpr> {
         let (first, second, specs): (&[VExpr], &[VExpr], &[Vec<VExpr>]) = match self {
             PhysicalPlan::Filter { predicate, .. } => (std::slice::from_ref(predicate), &[], &[]),
@@ -554,9 +518,7 @@ impl PhysicalPlan {
                 ..
             } => (probe_keys, build_keys, &[]),
             PhysicalPlan::RowNumber { specs, .. } => (&[], &[], specs),
-            PhysicalPlan::Sort { keys: exprs, .. } | PhysicalPlan::Project { exprs, .. } => {
-                (exprs, &[], &[])
-            }
+            PhysicalPlan::Project { exprs, .. } => (exprs, &[], &[]),
             _ => (&[], &[], &[]),
         };
         first.iter().chain(second).chain(specs.iter().flatten())
@@ -580,9 +542,7 @@ impl PhysicalPlan {
                 ..
             } => (probe_keys, build_keys, &mut []),
             PhysicalPlan::RowNumber { specs, .. } => (&mut [], &mut [], specs),
-            PhysicalPlan::Sort { keys: exprs, .. } | PhysicalPlan::Project { exprs, .. } => {
-                (exprs, &mut [], &mut [])
-            }
+            PhysicalPlan::Project { exprs, .. } => (exprs, &mut [], &mut []),
             _ => (&mut [], &mut [], &mut []),
         };
         first
@@ -737,13 +697,10 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::ExistsSemiJoin { input, .. }
             | PhysicalPlan::HashSemiJoin { input, .. } => input.estimate() * FILTER_SELECTIVITY,
-            PhysicalPlan::RowNumber { input, .. } | PhysicalPlan::Sort { input, .. } => {
+            PhysicalPlan::RowNumber { input, .. } | PhysicalPlan::Project { input, .. } => {
                 input.estimate()
             }
-            PhysicalPlan::Project { input, .. } => input.estimate(),
-            PhysicalPlan::Distinct { input } => input.estimate() * FILTER_SELECTIVITY,
             PhysicalPlan::UnionAll(branches) => branches.iter().map(PhysicalPlan::estimate).sum(),
-            PhysicalPlan::ExceptAll { left, .. } => left.estimate(),
             PhysicalPlan::With { body, .. } => body.estimate(),
         }
     }
@@ -817,10 +774,6 @@ impl PhysicalPlan {
                     .collect();
                 format!("RowNumber over {}", rendered.join(" "))
             }
-            PhysicalPlan::Sort { keys, .. } => {
-                let ks: Vec<String> = keys.iter().map(VExpr::to_string).collect();
-                format!("Sort [{}]", ks.join(", "))
-            }
             PhysicalPlan::Project { exprs, columns, .. } => {
                 let items: Vec<String> = exprs
                     .iter()
@@ -829,9 +782,7 @@ impl PhysicalPlan {
                     .collect();
                 format!("Project [{}]", items.join(", "))
             }
-            PhysicalPlan::Distinct { .. } => "Distinct".to_string(),
             PhysicalPlan::UnionAll(_) => "UnionAll".to_string(),
-            PhysicalPlan::ExceptAll { .. } => "ExceptAll".to_string(),
             PhysicalPlan::With { name, .. } => format!("With {}", name),
         }
     }
@@ -935,7 +886,7 @@ struct PlanCtx {
     outer: Vec<Vec<SchemaCol>>,
 }
 
-/// Window specifications available to projection/sort resolution: the
+/// Window specifications available to projection resolution: the
 /// original `ORDER BY` key lists and the batch position of the first `#rn`
 /// column.
 struct RnMap<'a> {
@@ -961,10 +912,6 @@ impl Planner<'_> {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(PhysicalPlan::UnionAll(plans))
             }
-            Query::ExceptAll(left, right) => Ok(PhysicalPlan::ExceptAll {
-                left: Box::new(self.plan_query(left, ctx)?),
-                right: Box::new(self.plan_query(right, ctx)?),
-            }),
             Query::With {
                 name,
                 definition,
@@ -1159,41 +1106,18 @@ impl Planner<'_> {
             base: schema.len() - specs.len(),
         };
 
-        // 5. ORDER BY sorts the joined rows before projection (projection is
-        //    per-row, so this matches the interpreter's stable post-projection
-        //    sort on pre-projection keys).
-        if !select.order_by.is_empty() {
-            let keys = select
-                .order_by
-                .iter()
-                .map(|k| self.resolve(k, ctx, &schema, Some(&rn)))
-                .collect::<Result<Vec<_>, _>>()?;
-            plan = PhysicalPlan::Sort {
-                input: Box::new(plan),
-                keys,
-            };
-        }
-
-        // 6. Projection.
+        // 5. Projection.
         let mut exprs = Vec::with_capacity(select.items.len());
         let mut columns = Vec::with_capacity(select.items.len());
         for item in &select.items {
             exprs.push(self.resolve(&item.expr, ctx, &schema, Some(&rn))?);
             columns.push(item.alias.clone());
         }
-        plan = PhysicalPlan::Project {
+        Ok(PhysicalPlan::Project {
             input: Box::new(plan),
             exprs,
             columns,
-        };
-
-        // 7. DISTINCT.
-        if select.distinct {
-            plan = PhysicalPlan::Distinct {
-                input: Box::new(plan),
-            };
-        }
-        Ok(plan)
+        })
     }
 
     fn plan_from_item(

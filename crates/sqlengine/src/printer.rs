@@ -45,20 +45,6 @@ fn write_query(out: &mut String, q: &Query, level: usize) {
                 out.push(')');
             }
         }
-        Query::ExceptAll(l, r) => {
-            indent(out, level);
-            out.push_str("(\n");
-            write_query(out, l, level + 1);
-            out.push('\n');
-            indent(out, level);
-            out.push_str(")\nEXCEPT ALL\n");
-            indent(out, level);
-            out.push_str("(\n");
-            write_query(out, r, level + 1);
-            out.push('\n');
-            indent(out, level);
-            out.push(')');
-        }
         Query::With {
             name,
             definition,
@@ -80,9 +66,6 @@ fn write_query(out: &mut String, q: &Query, level: usize) {
 fn write_select(out: &mut String, s: &Select, level: usize) {
     indent(out, level);
     out.push_str("SELECT ");
-    if s.distinct {
-        out.push_str("DISTINCT ");
-    }
     for (i, item) in s.items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -107,17 +90,6 @@ fn write_select(out: &mut String, s: &Select, level: usize) {
         indent(out, level);
         out.push_str("WHERE ");
         write_expr(out, w);
-    }
-    if !s.order_by.is_empty() {
-        out.push('\n');
-        indent(out, level);
-        out.push_str("ORDER BY ");
-        for (i, k) in s.order_by.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_expr(out, k);
-        }
     }
 }
 

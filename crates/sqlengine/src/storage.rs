@@ -8,7 +8,7 @@ use crate::error::EngineError;
 use crate::value::{Row, SqlValue};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +95,9 @@ impl TableDef {
 /// The shared column-major view a cell caches: one `Arc` per column.
 type SharedColumns = Arc<Vec<Arc<Vec<SqlValue>>>>;
 
+/// A table's columnar view, stamped with the version it was built from. A
+/// poisoned lock is recovered, not re-panicked: the view is discardable and
+/// every read checks its stamp, so a panic cannot leave it torn.
 #[derive(Debug, Default)]
 struct ColumnarCell {
     cache: RwLock<Option<(u64, SharedColumns)>>,
@@ -102,14 +105,15 @@ struct ColumnarCell {
 
 impl ColumnarCell {
     fn get(&self, version: u64) -> Option<SharedColumns> {
-        match self.cache.read().expect("columnar cache lock").as_ref() {
+        let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
+        match cache.as_ref() {
             Some((v, cols)) if *v == version => Some(cols.clone()),
             _ => None,
         }
     }
 
     fn put(&self, version: u64, cols: SharedColumns) {
-        *self.cache.write().expect("columnar cache lock") = Some((version, cols));
+        *self.cache.write().unwrap_or_else(PoisonError::into_inner) = Some((version, cols));
     }
 }
 

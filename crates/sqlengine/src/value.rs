@@ -67,7 +67,7 @@ impl SqlValue {
         self == other
     }
 
-    /// Total ordering used by `ORDER BY` and `ROW_NUMBER`: nulls first, then
+    /// Total ordering used by `ROW_NUMBER`: nulls first, then
     /// booleans, integers and strings; values of different runtime type are
     /// ordered by type rank (this never happens for well-typed queries but
     /// keeps sorting total).
@@ -149,8 +149,7 @@ pub type Row = Vec<SqlValue>;
 pub type ParamValues = std::collections::BTreeMap<String, SqlValue>;
 
 /// Lexicographic row comparison under [`SqlValue::sql_cmp`], used by
-/// `ORDER BY` and `ROW_NUMBER` in both the interpreter and the vectorized
-/// executor.
+/// `ROW_NUMBER` in both the interpreter and the vectorized executor.
 pub fn compare_rows(a: &[SqlValue], b: &[SqlValue]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
         let c = x.sql_cmp(y);

@@ -10,12 +10,13 @@
 //!   `Send + Sync` (plans execute against a storage read guard — the only
 //!   interior state is each table's version-stamped columnar cell — so any
 //!   number of threads can run plans over one engine),
-//! * filters and sorts produce **selection vectors** instead of moving data,
+//! * filters and semi-joins produce **selection vectors** instead of moving
+//!   data,
 //! * expressions are evaluated column-at-a-time into borrowed `Vector`s
 //!   ([`VExpr::Col`] is a resolved position read in place, a literal stays
 //!   one value — no name lookup and no copy per row),
-//! * keyed operators (joins, semi-joins, `DISTINCT`, `EXCEPT ALL`, sorting)
-//!   run on the key kernels of `crate::kernels`,
+//! * keyed operators (joins, semi-joins, row-numbering) run on the key
+//!   kernels of `crate::kernels`,
 //! * only joins, computed projections and row-numbering materialise new
 //!   columns.
 //!
@@ -37,8 +38,8 @@
 //! its operator bodies are calls into this module's own kernels (`eval`,
 //! `select_true`, `project_columns`, `join_gather`) and those of
 //! `crate::kernels`: the column hashes, a persistent chained index for the
-//! operators that must remember their input (joins, semi-joins, `DISTINCT`,
-//! `EXCEPT ALL`), and a sort-and-merge rank shift for `ROW_NUMBER`. Seeding
+//! operators that must remember their input (joins and semi-joins), and a
+//! sort-and-merge rank shift for `ROW_NUMBER`. Seeding
 //! is the same pass over whole tables. No operator hashes or compares a
 //! materialised row.
 
@@ -251,8 +252,8 @@ impl Batch {
         self.columns.iter().map(|c| c[p].clone()).collect()
     }
 
-    /// Every column as a key vector over the live rows (the key of
-    /// `DISTINCT` and `EXCEPT ALL` is the whole row).
+    /// Every column as a key vector over the live rows: the whole-row key
+    /// the incremental executor nets weights and stores rows on.
     pub(crate) fn column_vectors(&self) -> Vec<Vector<'_>> {
         let rows = self.rows();
         self.columns
@@ -600,13 +601,6 @@ fn exec_node(
                 .collect::<Result<Vec<_>, EngineError>>()?;
             Ok(with_rank_columns(batch, ranks))
         }
-        PhysicalPlan::Sort { input, keys } => {
-            let batch = exec(input, ctx, ctes, scope)?;
-            let keys = eval_all(keys, &batch, ctx, ctes, scope)?;
-            let order = kernels::sort_rows(&keys, 0..batch.len());
-            let sel = phys_rows(&batch, order);
-            Ok(batch.with_sel(sel))
-        }
         PhysicalPlan::Project {
             input,
             exprs,
@@ -623,23 +617,7 @@ fn exec_node(
                 .collect();
             Ok(projected(columns, out, batch.len()))
         }
-        PhysicalPlan::Distinct { input } => {
-            let batch = exec(input, ctx, ctes, scope)?;
-            let keys = Keys::new(batch.column_vectors(), batch.len());
-            let sel = phys_rows(&batch, kernels::distinct_rows(&keys)?);
-            Ok(batch.with_sel(sel))
-        }
         PhysicalPlan::UnionAll(branches) => union_all(branches, ctx, ctes, scope),
-        PhysicalPlan::ExceptAll { left, right } => {
-            let l = exec(left, ctx, ctes, scope)?;
-            let r = exec(right, ctx, ctes, scope)?;
-            let kept = kernels::except_all_rows(
-                &Keys::new(l.column_vectors(), l.len()),
-                &Keys::new(r.column_vectors(), r.len()),
-            )?;
-            let sel = phys_rows(&l, kept);
-            Ok(l.with_sel(sel))
-        }
         PhysicalPlan::With {
             name,
             definition,
@@ -673,14 +651,6 @@ fn cross_pairs(left: usize, right: usize) -> Vec<(usize, usize)> {
     (0..left)
         .flat_map(|i| (0..right).map(move |j| (i, j)))
         .collect()
-}
-
-/// The physical rows of the given logical rows of `batch`.
-fn phys_rows(batch: &Batch, logical: Vec<usize>) -> Vec<usize> {
-    match &batch.sel {
-        None => logical,
-        Some(sel) => logical.into_iter().map(|i| sel[i]).collect(),
-    }
 }
 
 /// One output column of a join: `column` of `side` at the side's rows of
@@ -1342,89 +1312,45 @@ impl RowStore {
     }
 }
 
-/// Weight sums per distinct key: what `DISTINCT`, `EXCEPT ALL` and a hash
-/// semi-join's build side keep instead of rows. An entry lives while either
-/// of its two sums is non-zero.
+/// Weight sums per distinct key: what a hash semi-join's build side keeps
+/// instead of rows. An entry lives while its sum is non-zero.
 struct Counts {
     rows: RowStore,
-    sums: [Vec<i64>; 2],
+    sums: Vec<i64>,
 }
 
 impl Counts {
-    fn new(width: usize, nulls: NullMode) -> Counts {
+    fn new(width: usize) -> Counts {
+        let key = (0..width).collect();
         Counts {
-            rows: RowStore::new(width, (0..width).collect(), Vec::new(), nulls),
-            sums: [Vec::new(), Vec::new()],
+            rows: RowStore::new(width, key, Vec::new(), NullMode::NeverMatches),
+            sums: Vec::new(),
         }
     }
 
-    /// The sums of probe row `i`'s key.
-    fn get(&self, keys: &Keys<'_>, i: usize) -> [i64; 2] {
-        match self.rows.find(keys, i) {
-            Some(entry) => [self.sums[0][entry], self.sums[1][entry]],
-            None => [0, 0],
-        }
+    /// The sum of probe row `i`'s key.
+    fn get(&self, keys: &Keys<'_>, i: usize) -> i64 {
+        self.rows.find(keys, i).map_or(0, |entry| self.sums[entry])
     }
 
-    /// Add `w` to sum `side` of probe row `i`'s key; returns the sums before.
-    fn bump(
-        &mut self,
-        keys: &Keys<'_>,
-        i: usize,
-        side: usize,
-        w: i64,
-    ) -> Result<[i64; 2], EngineError> {
+    /// Add `w` to the sum of probe row `i`'s key; returns the sum before.
+    fn bump(&mut self, keys: &Keys<'_>, i: usize, w: i64) -> Result<i64, EngineError> {
         let entry = match self.rows.find(keys, i) {
             Some(entry) => entry,
             None => {
-                self.sums.iter_mut().for_each(|s| s.push(0));
+                self.sums.push(0);
                 self.rows.push(keys, i)?
             }
         };
-        let before = [self.sums[0][entry], self.sums[1][entry]];
-        self.sums[side][entry] += w;
-        if self.sums.iter().all(|s| s[entry] == 0) {
+        let before = self.sums[entry];
+        self.sums[entry] += w;
+        if self.sums[entry] == 0 {
             self.rows.index.tombstone(entry);
             if let Some(kept) = self.rows.compact() {
-                for s in &mut self.sums {
-                    *s = kept.iter().map(|&entry| s[entry]).collect();
-                }
+                self.sums = kept.iter().map(|&entry| self.sums[entry]).collect();
             }
         }
         Ok(before)
-    }
-
-    /// Run the net rows of `d` through sum `side` and emit, for each key, by
-    /// how much `out` of its sums moved (`DISTINCT`: whether the key is
-    /// present; `EXCEPT ALL`: the surplus of the left sum). A sum driven
-    /// below zero retracts what was never there: bail.
-    fn fold(
-        &mut self,
-        side: usize,
-        d: &Signed,
-        out: fn([i64; 2]) -> i64,
-    ) -> Result<Signed, DeltaFail> {
-        let rows = Keys::new(d.batch.column_vectors(), d.batch.len());
-        let net = net_weights(&rows, d)?;
-        let mut sel = Vec::new();
-        let mut weights = vec![0; d.batch.base_rows];
-        for i in (0..rows.len()).filter(|&i| net[i] != 0) {
-            let before = self.bump(&rows, i, side, net[i])?;
-            let mut after = before;
-            after[side] += net[i];
-            if after[side] < 0 {
-                return Err(DeltaFail::Bail);
-            }
-            if out(after) != out(before) {
-                let p = d.batch.rows().phys(i);
-                sel.push(p);
-                weights[p] = out(after) - out(before);
-            }
-        }
-        Ok(Signed {
-            batch: d.batch.clone().with_sel(sel),
-            weights: Arc::new(weights),
-        })
     }
 }
 
@@ -1541,8 +1467,6 @@ enum NodeState {
         build: Counts,
     },
     Rank(RankState),
-    /// `DISTINCT` (one sum per row) and `EXCEPT ALL` (one per side).
-    Counts(Counts),
 }
 
 impl NodeState {
@@ -1569,13 +1493,10 @@ impl NodeState {
                 ..
             } => NodeState::Semi {
                 input: RowStore::keyed(input.output_width(), probe_keys),
-                build: Counts::new(build_keys.len(), NullMode::NeverMatches),
+                build: Counts::new(build_keys.len()),
             },
             PhysicalPlan::RowNumber { input, specs } => {
                 NodeState::Rank(RankState::new(input.output_width(), specs))
-            }
-            PhysicalPlan::Distinct { input: rows } | PhysicalPlan::ExceptAll { left: rows, .. } => {
-                NodeState::Counts(Counts::new(rows.output_width(), NullMode::GroupsWithNull))
             }
             _ => NodeState::None,
         }
@@ -1931,9 +1852,6 @@ impl DeltaExec {
                 let computed = ctx.eval_all(&state.rows.computed, &din, ctes)?;
                 state.apply(&din, &computed)
             }
-            // Bag semantics downstream: a sort re-orders, never changes
-            // membership, so its delta is its input's.
-            PhysicalPlan::Sort { input, .. } => self.delta_node(input, first, ctx, env),
             PhysicalPlan::Project {
                 input,
                 exprs,
@@ -1960,10 +1878,6 @@ impl DeltaExec {
                     weights: d.logical_weights(),
                 })
             }
-            PhysicalPlan::Distinct { input } => {
-                let d = self.delta_node(input, first, ctx, env)?;
-                self.counts(idx).fold(0, &d, |sums| i64::from(sums[0] > 0))
-            }
             PhysicalPlan::UnionAll(branches) => {
                 let mut parts = Vec::with_capacity(branches.len());
                 let mut at = first;
@@ -1971,14 +1885,6 @@ impl DeltaExec {
                     parts.push(self.delta_node(branch, at, ctx, env)?);
                     at += self.info[at].len;
                 }
-                Ok(Signed::concat(parts))
-            }
-            PhysicalPlan::ExceptAll { left, right } => {
-                let dl = self.delta_node(left, first, ctx, env)?;
-                let dr = self.delta_node(right, second, ctx, env)?;
-                let surplus = |sums: [i64; 2]| (sums[0] - sums[1]).max(0);
-                let counts = self.counts(idx);
-                let parts = vec![counts.fold(0, &dl, surplus)?, counts.fold(1, &dr, surplus)?];
                 Ok(Signed::concat(parts))
             }
             PhysicalPlan::With {
@@ -1998,13 +1904,6 @@ impl DeltaExec {
                 }
                 self.delta_node(body, second, ctx, &extended)
             }
-        }
-    }
-
-    fn counts(&mut self, idx: usize) -> &mut Counts {
-        match &mut self.states[idx] {
-            NodeState::Counts(counts) => counts,
-            _ => unreachable!("a distinct or except node keeps counts"),
         }
     }
 
@@ -2083,7 +1982,7 @@ impl DeltaExec {
             let net = net_weights(&keys, db)?;
             let (mut slots, mut weights) = (Vec::new(), Vec::new());
             for i in (0..keys.len()).filter(|&i| net[i] != 0 && !keys.hashed.has_null[i]) {
-                let before = build.bump(&keys, i, 0, net[i])?[0];
+                let before = build.bump(&keys, i, net[i])?;
                 let after = before + net[i];
                 if after < 0 {
                     return Err(DeltaFail::Bail);
@@ -2106,7 +2005,7 @@ impl DeltaExec {
             let keys = Keys::new(ctx.eval_all(probe_keys, din, ctes)?, din.batch.len());
             let sel = (0..keys.len())
                 .filter(|&i| {
-                    let matched = !keys.hashed.has_null[i] && build.get(&keys, i)[0] > 0;
+                    let matched = !keys.hashed.has_null[i] && build.get(&keys, i) > 0;
                     matched != anti
                 })
                 .map(|i| din.batch.rows().phys(i))
@@ -2197,7 +2096,7 @@ mod tests {
     }
 
     #[test]
-    fn with_row_number_union_and_distinct_match_the_interpreter() {
+    fn with_row_number_and_filter_match_the_interpreter() {
         let inner = Select::new()
             .item(Expr::col("x", "tag"), "tag")
             .item(Expr::row_number(vec![Expr::col("x", "n")]), "rank")
@@ -2205,8 +2104,7 @@ mod tests {
         let outer = Select::new()
             .item(Expr::col("q", "tag"), "tag")
             .from_named("q", "q")
-            .filter(Expr::binop(BinOp::Le, Expr::col("q", "rank"), Expr::lit(2)))
-            .distinct();
+            .filter(Expr::binop(BinOp::Le, Expr::col("q", "rank"), Expr::lit(2)));
         let q = Query::with("q", inner, Query::select(outer));
         let (i, v) = run_both(&engine(), &q);
         assert_eq!(i, v);
@@ -2232,22 +2130,6 @@ mod tests {
         let (i, v) = run_both(&engine(), &q);
         assert_eq!(i, v);
         // The largest odd and even numbers survive the anti-join.
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn order_by_and_except_all_match_the_interpreter() {
-        let all = Select::new()
-            .item(Expr::col("x", "tag"), "tag")
-            .from_named("nums", "x")
-            .order_by(Expr::col("x", "n"));
-        let odd = Select::new()
-            .item(Expr::col("x", "tag"), "tag")
-            .from_named("nums", "x")
-            .filter(Expr::eq(Expr::col("x", "tag"), Expr::lit("odd")));
-        let q = Query::ExceptAll(Box::new(Query::select(all)), Box::new(Query::select(odd)));
-        let (i, v) = run_both(&engine(), &q);
-        assert_eq!(i, v);
         assert_eq!(v.len(), 2);
     }
 
@@ -2334,7 +2216,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_through_with_row_number_and_distinct_match_recompute() {
+    fn deltas_through_with_row_number_and_filter_match_recompute() {
         let inner = Select::new()
             .item(Expr::col("x", "tag"), "tag")
             .item(Expr::row_number(vec![Expr::col("x", "n")]), "rank")
@@ -2342,8 +2224,7 @@ mod tests {
         let outer = Select::new()
             .item(Expr::col("q", "tag"), "tag")
             .from_named("q", "q")
-            .filter(Expr::binop(BinOp::Le, Expr::col("q", "rank"), Expr::lit(2)))
-            .distinct();
+            .filter(Expr::binop(BinOp::Le, Expr::col("q", "rank"), Expr::lit(2)));
         let q = Query::with("q", inner, Query::select(outer));
         let batch = WriteBatch::new()
             .insert("nums", vec![SqlValue::Int(0), SqlValue::str("zero")])

@@ -1,9 +1,11 @@
 //! Guardrails for the executor: `kernels.rs` holds the one copy of key
 //! hashing, the join table and key ordering, `vexec.rs` the one walk over
 //! the physical operators, `plan.rs` the one description of where a plan
-//! node keeps its inputs and expressions, and each layer one way in. The
-//! checks read the sources as text, so a reintroduced per-row path, a second
-//! walk or a forwarding entry point fails here before any benchmark notices.
+//! node keeps its inputs and expressions, and each layer one way in; no
+//! layer implements SQL the translations never emit, and no lock in obs
+//! re-panics once poisoned. The checks read the sources as text, so a
+//! reintroduced per-row path, a second walk, a forwarding entry point or a
+//! removed operator fails here before any benchmark notices.
 
 use std::path::{Path, PathBuf};
 
@@ -12,6 +14,12 @@ const OPT: &str = include_str!("../src/opt.rs");
 const PAR: &str = include_str!("../src/par.rs");
 const ENGINE: &str = include_str!("../src/exec.rs");
 const PIPELINE: &str = include_str!("../../core/src/pipeline.rs");
+const AST: &str = include_str!("../src/ast.rs");
+const STORAGE: &str = include_str!("../src/storage.rs");
+const OBS_LIB: &str = include_str!("../../obs/src/lib.rs");
+const OBS_METRICS: &str = include_str!("../../obs/src/metrics.rs");
+const OBS_PROFILE: &str = include_str!("../../obs/src/profile.rs");
+const OBS_SINK: &str = include_str!("../../obs/src/sink.rs");
 
 /// Every `.rs` file under `dir`, with its text.
 fn sources(dir: &Path) -> Vec<(PathBuf, String)> {
@@ -117,7 +125,7 @@ fn one_function_walks_the_physical_operators() {
 
 /// The optimizer walks plans through `PhysicalPlan`'s child and expression
 /// accessors: no private per-variant traversal, no second schema function,
-/// and only the passes that treat `EXCEPT ALL` specially name it.
+/// and only the passes that treat `ROW_NUMBER` specially name it.
 #[test]
 fn the_optimizer_walks_plans_through_the_accessors() {
     for needle in ["fn map_expr_plans", "fn plan_schema", "fn map_children"] {
@@ -132,12 +140,71 @@ fn the_optimizer_walks_plans_through_the_accessors() {
         .map(|(_, text)| text.matches("type SchemaCol").count())
         .sum();
     assert_eq!(aliases, 1, "one `SchemaCol` alias, in plan.rs");
-    let except_all = product(OPT).matches("PhysicalPlan::ExceptAll").count();
+    let row_number = product(OPT).matches("PhysicalPlan::RowNumber").count();
     assert!(
-        except_all <= 5,
-        "opt.rs names `PhysicalPlan::ExceptAll` {except_all} times: a pass that does not \
+        row_number <= 4,
+        "opt.rs names `PhysicalPlan::RowNumber` {row_number} times: a pass that does not \
          treat it specially goes through the accessors"
     );
+}
+
+/// The engine speaks the SQL the translations emit: `ORDER BY`, `DISTINCT`
+/// and `EXCEPT ALL` are gone from every layer, from the AST down to the
+/// incremental executor, and stay gone.
+#[test]
+fn no_layer_implements_order_by_distinct_or_except_all() {
+    let removed = [
+        "PhysicalPlan::Sort",
+        "PhysicalPlan::Distinct",
+        "PhysicalPlan::ExceptAll",
+        "Query::ExceptAll",
+        "fn distinct_rows",
+        "fn except_all_rows",
+        "fn strip_order",
+    ];
+    for (path, text) in all_crate_sources() {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`: no translation emits ORDER BY, DISTINCT or EXCEPT ALL",
+                path.display()
+            );
+        }
+    }
+    for needle in [
+        "pub distinct",
+        "pub order_by",
+        "fn distinct(",
+        "fn order_by(",
+    ] {
+        assert!(!AST.contains(needle), "ast.rs contains `{needle}`");
+    }
+    assert!(
+        !VEXEC.contains("fn fold("),
+        "vexec.rs contains `fn fold(`: `Counts` keeps one sum per key for the semi-join"
+    );
+}
+
+/// A poisoned lock in obs, or on a table's columnar cache, is recovered
+/// with `PoisonError::into_inner`: what those locks guard cannot be left
+/// torn, so one panic must not become a panic for every later caller.
+#[test]
+fn obs_and_the_columnar_cache_recover_poisoned_locks() {
+    for (file, text) in [
+        ("obs/src/lib.rs", OBS_LIB),
+        ("obs/src/metrics.rs", OBS_METRICS),
+        ("obs/src/profile.rs", OBS_PROFILE),
+        ("obs/src/sink.rs", OBS_SINK),
+        ("sqlengine/src/storage.rs", STORAGE),
+    ] {
+        let code: String = text.split_whitespace().collect();
+        for acquire in [".lock()", ".read()", ".write()"] {
+            assert!(
+                !code.contains(&format!("{acquire}.expect(")),
+                "{file} panics on a poisoned lock: `{acquire}.expect(`"
+            );
+        }
+    }
 }
 
 /// One entry point per layer, and the removed ones stay removed.

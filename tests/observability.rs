@@ -59,12 +59,8 @@ fn profiled_and_unprofiled_execution_agree_on_every_benchmark_query() {
     for (name, q) in all_benchmark_queries() {
         let reference = session.oracle(&q).unwrap();
         let prepared = session.prepare(&q).unwrap();
-        let unprofiled = session
-            .execute_profiled(&prepared, &no_params, false)
-            .unwrap();
-        let profiled = session
-            .execute_profiled(&prepared, &no_params, true)
-            .unwrap();
+        let unprofiled = session.execute_bound(&prepared, &no_params).unwrap();
+        let profiled = session.execute_profiled(&prepared, &no_params).unwrap();
         assert!(
             unprofiled.multiset_eq(&reference),
             "{}: unprofiled result diverges from the oracle",
@@ -84,14 +80,10 @@ fn profiled_and_unprofiled_execution_agree_on_every_benchmark_query() {
 
 #[test]
 fn explain_analyze_row_counts_match_oracle_cardinalities() {
-    let session = Shredder::builder()
-        .database(small_db())
-        .profile(true)
-        .build()
-        .unwrap();
+    let session = Shredder::builder().database(small_db()).build().unwrap();
     let q = datagen::queries::q4();
     let prepared = session.prepare(&q).unwrap();
-    session.execute(&prepared).unwrap();
+    session.execute_profiled(&prepared, &Params::new()).unwrap();
 
     // Oracle cardinalities: the outer bag is one row per department, the
     // inner stage one row per (department, employee) pair.
@@ -159,9 +151,7 @@ fn explain_analyze_requires_a_profiled_execution() {
     session.execute(&prepared).unwrap();
     assert!(prepared.explain_analyze().is_err());
     // A per-call profiled execution does.
-    session
-        .execute_profiled(&prepared, &Params::new(), true)
-        .unwrap();
+    session.execute_profiled(&prepared, &Params::new()).unwrap();
     assert!(prepared.explain_analyze().unwrap().contains("rows_out="));
 }
 
@@ -173,7 +163,6 @@ fn explain_analyze_requires_a_profiled_execution() {
 fn explain_analyze_shows_the_subplans_inside_expressions() {
     let session = Shredder::builder()
         .database(generate(&OrgConfig::small()))
-        .profile(true)
         .build()
         .unwrap();
     let staff = for_where(
@@ -191,7 +180,7 @@ fn explain_analyze_shows_the_subplans_inside_expressions() {
         ])),
     );
     let prepared = session.prepare(&q).unwrap();
-    let value = session.execute(&prepared).unwrap();
+    let value = session.execute_profiled(&prepared, &Params::new()).unwrap();
     assert!(value.multiset_eq(&session.oracle(&q).unwrap()));
     let departments = value.as_bag().unwrap().len();
 
@@ -258,9 +247,7 @@ fn metrics_snapshot_round_trips_through_json() {
     let session = Shredder::builder().database(small_db()).build().unwrap();
     for (_, q) in all_benchmark_queries() {
         let prepared = session.prepare(&q).unwrap();
-        session
-            .execute_profiled(&prepared, &Params::new(), true)
-            .unwrap();
+        session.execute_profiled(&prepared, &Params::new()).unwrap();
     }
     let snapshot = session.metrics_snapshot();
     assert!(snapshot.counter("queries.prepared").unwrap() >= 12);

@@ -161,13 +161,12 @@ fn live_views_are_unchanged_when_the_seeding_execution_ran_parallel() {
 fn explain_analyze_root_rows_out_matches_oracle_cardinality_at_four_workers() {
     let session = Shredder::builder()
         .database(small_db())
-        .profile(true)
         .workers(4)
         .build()
         .unwrap();
     let q = datagen::queries::q4();
     let prepared = session.prepare(&q).unwrap();
-    session.execute(&prepared).unwrap();
+    session.execute_profiled(&prepared, &Params::new()).unwrap();
 
     // Oracle cardinalities: one outer row per department, one inner row per
     // (department, employee) pair.

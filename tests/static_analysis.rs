@@ -121,12 +121,9 @@ fn visit_mut(plan: &mut PhysicalPlan, f: &mut dyn FnMut(&mut PhysicalPlan)) {
         PhysicalPlan::SubqueryScan { input, .. }
         | PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::RowNumber { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Distinct { input } => visit_mut(input, f),
+        | PhysicalPlan::Project { input, .. } => visit_mut(input, f),
         PhysicalPlan::NestedLoopJoin { left, right }
-        | PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::ExceptAll { left, right } => {
+        | PhysicalPlan::HashJoin { left, right, .. } => {
             visit_mut(left, f);
             visit_mut(right, f);
         }
