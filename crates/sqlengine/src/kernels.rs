@@ -3,10 +3,10 @@
 //!
 //! Every keyed operator of the executor — hash join, hash semi-join and
 //! `ROW_NUMBER` — runs on this one layer, and the walk in [`crate::vexec`]
-//! calls each kernel once over an operator's whole batch. Nothing here transposes key columns
-//! into one `Vec<SqlValue>` per row: a key is a list of [`Vector`]s borrowed
-//! from the batch, a per-row `u64` hash computed column-at-a-time, and
-//! equality checked in place on the columns.
+//! calls each kernel once over an operator's whole batch. Nothing here
+//! transposes key columns into one `Vec<SqlValue>` per row: a key is a list
+//! of [`Vector`]s borrowed from the batch, a per-row `u64` hash computed
+//! column-at-a-time, and equality checked in place on the columns.
 //!
 //! **Pair order.** [`KeyIndex::join_pairs`] emits matches in probe order,
 //! and for one probe row in ascending build-row order — the order the

@@ -425,9 +425,10 @@ impl PhysicalPlan {
     }
 
     /// Is this operator a **pipeline breaker** — one that must observe its
-    /// whole input before emitting its first output row (numbering, union)? Everything else (scans, filters, joins,
-    /// projections, exists-semijoins) is streaming: its output for a run of
-    /// input rows depends only on those rows.
+    /// whole input before emitting its first output row (numbering,
+    /// union)? Everything else (scans, filters, joins, projections,
+    /// exists-semijoins) is streaming: its output for a run of input rows
+    /// depends only on those rows.
     ///
     /// `HashJoin` is deliberately *not* classified as a breaker: only its
     /// build side is blocking; the probe side streams.

@@ -294,7 +294,7 @@ impl Batch {
         }
     }
 
-    /// Rebuild a batch from explicit rows (used by the set operations).
+    /// Rebuild a batch from explicit rows (a table delta's signed rows).
     pub(crate) fn from_rows(schema: Arc<Vec<SchemaCol>>, rows: Vec<Row>) -> Batch {
         let width = schema.len();
         let base_rows = rows.len();
