@@ -228,13 +228,12 @@ pub fn check_against_reference(
 // ---------------------------------------------------------------------------
 
 /// One cell of the static-analysis sweep: a benchmark query prepared on one
-/// backend under one indexing scheme, with every diagnostic the verifier
-/// reported (see `shredding::verify` and the `analysis` crate).
+/// backend, with every diagnostic the verifier reported (see
+/// `shredding::verify` and the `analysis` crate).
 #[derive(Debug, Clone)]
 pub struct AnalyzeEntry {
     pub query: &'static str,
     pub backend: &'static str,
-    pub scheme: shredding::IndexScheme,
     /// `None` when the backend cannot plan the query at all (e.g. Links'
     /// default flat evaluation on a nested query) — recorded as skipped,
     /// not as a verification failure.
@@ -253,61 +252,55 @@ impl AnalyzeEntry {
 }
 
 /// Run the full static-verification pass over every benchmark query
-/// (QF1–QF6 and Q1–Q6) × all six backends × all three indexing schemes.
-/// Sessions are built schema-only (`prepare` needs no data) with
-/// verification *collection* but not *gating* enabled, so error-severity
-/// findings are reported rather than thrown.
+/// (QF1–QF6 and Q1–Q6) × all six backends. No backend reads an indexing
+/// scheme while planning, so one pass covers every scheme. Sessions are
+/// built schema-only (`prepare` needs no data) with verification
+/// *collection* but not *gating* enabled, so error-severity findings are
+/// reported rather than thrown.
 pub fn analyze_all() -> Vec<AnalyzeEntry> {
     use baselines::VandenBusscheBackend;
     use shredding::session::{
         NestedOracleBackend, ShreddedMemoryBackend, SqlBackend, SqlEngineBackend,
     };
-    use shredding::IndexScheme;
 
-    type BackendFactory = Box<dyn Fn() -> Box<dyn SqlBackend>>;
     let schema = organisation_schema();
-    let backends: Vec<(&'static str, BackendFactory)> = vec![
-        ("sqlengine", Box::new(|| Box::new(SqlEngineBackend))),
+    let backends: Vec<(&'static str, Box<dyn SqlBackend>)> = vec![
+        ("sqlengine", Box::new(SqlEngineBackend)),
         (
             "shredded-memory",
-            Box::new(|| Box::new(ShreddedMemoryBackend)),
+            Box::new(ShreddedMemoryBackend::default()),
         ),
-        ("oracle", Box::new(|| Box::new(NestedOracleBackend))),
-        ("flat-default", Box::new(|| Box::new(FlatDefaultBackend))),
-        ("loop-lifting", Box::new(|| Box::new(LoopLiftBackend))),
-        ("vandenbussche", Box::new(|| Box::new(VandenBusscheBackend))),
+        ("oracle", Box::new(NestedOracleBackend)),
+        ("flat-default", Box::new(FlatDefaultBackend)),
+        ("loop-lifting", Box::new(LoopLiftBackend)),
+        ("vandenbussche", Box::new(VandenBusscheBackend)),
     ];
     let mut queries = datagen::queries::flat_queries();
     queries.extend(datagen::queries::nested_queries());
     let mut out = Vec::new();
-    for (backend_name, make_backend) in &backends {
-        for scheme in IndexScheme::ALL {
-            let session = Shredder::builder()
-                .schema(schema.clone())
-                .backend(make_backend())
-                .index_scheme(scheme)
-                .verify(false)
-                .build()
-                .expect("the organisation schema always configures a session");
-            for (name, query) in &queries {
-                let entry = match session.prepare(query) {
-                    Ok(prepared) => AnalyzeEntry {
-                        query: name,
-                        backend: backend_name,
-                        scheme,
-                        skip_reason: None,
-                        diagnostics: prepared.check().iter().cloned().collect(),
-                    },
-                    Err(e) => AnalyzeEntry {
-                        query: name,
-                        backend: backend_name,
-                        scheme,
-                        skip_reason: Some(e.to_string()),
-                        diagnostics: Vec::new(),
-                    },
-                };
-                out.push(entry);
-            }
+    for (backend_name, backend) in backends {
+        let session = Shredder::builder()
+            .schema(schema.clone())
+            .backend(backend)
+            .verify(false)
+            .build()
+            .expect("the organisation schema always configures a session");
+        for (name, query) in &queries {
+            let entry = match session.prepare(query) {
+                Ok(prepared) => AnalyzeEntry {
+                    query: name,
+                    backend: backend_name,
+                    skip_reason: None,
+                    diagnostics: prepared.check().iter().cloned().collect(),
+                },
+                Err(e) => AnalyzeEntry {
+                    query: name,
+                    backend: backend_name,
+                    skip_reason: Some(e.to_string()),
+                    diagnostics: Vec::new(),
+                },
+            };
+            out.push(entry);
         }
     }
     out
@@ -320,8 +313,8 @@ mod tests {
     #[test]
     fn the_analysis_sweep_covers_every_cell_and_finds_no_errors() {
         let entries = analyze_all();
-        // 12 queries × 6 backends × 3 indexing schemes.
-        assert_eq!(entries.len(), 12 * 6 * 3);
+        // 12 queries × 6 backends.
+        assert_eq!(entries.len(), 12 * 6);
         let errors: usize = entries.iter().map(AnalyzeEntry::error_count).sum();
         assert_eq!(errors, 0, "the benchmark corpus must verify clean");
         // The flat-default backend skips nested queries; shredding never skips.

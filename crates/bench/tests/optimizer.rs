@@ -1,10 +1,10 @@
 //! Differential suite for the logical optimizer phase (PR 10).
 //!
 //! Every benchmark query the paper evaluates (Q1–Q6 nested, QF1–QF6 flat)
-//! runs three ways — optimized shredded pipeline, unoptimized shredded
-//! pipeline, and the λNRC interpreter oracle — across all three
-//! [`IndexScheme`]s and worker counts {1, 4}. The three answers must agree
-//! as multisets. On top of the differential sweep, golden `explain()`
+//! runs three ways — a session's optimized shredded pipeline, the same
+//! pipeline compiled without the optimizer (`compile_normalised_opts(…,
+//! false)`), and the λNRC interpreter oracle — at worker counts {1, 4}. The
+//! three answers must agree as multisets. On top of the differential sweep, golden `explain()`
 //! snapshots pin down that each rewrite family actually fires: EXISTS
 //! lifting + decorrelation on Q2, predicate pushdown on Q6, column pruning
 //! on QF2 and Q5, and package-level common-subplan sharing on Q1.
@@ -13,10 +13,12 @@ use datagen::{generate, organisation_schema, OrgConfig};
 use nrc::builder::*;
 use nrc::Term;
 use shredding::normalise_with_type;
-use shredding::pipeline::{compile_normalised_opts, storage_from_database};
-use shredding::semantics::IndexScheme;
+use shredding::pipeline::{
+    compile_normalised_opts, engine_from_database, execute_bound_obs_opts, storage_from_database,
+    CompiledQuery,
+};
 use shredding::session::{auto_parameterize, Shredder};
-use sqlengine::{OptReport, PhysicalPlan};
+use sqlengine::{ExecOptions, OptReport, ParamValues, PhysicalPlan};
 use std::fmt::Write;
 
 /// A small but non-degenerate organisation: every table non-empty, tasks
@@ -40,60 +42,63 @@ fn all_queries() -> Vec<(&'static str, Term)> {
         .collect()
 }
 
-fn session(
-    db: &nrc::schema::Database,
-    scheme: IndexScheme,
-    workers: usize,
-    optimize: bool,
-) -> Shredder {
-    Shredder::builder()
-        .database(db.clone())
-        .index_scheme(scheme)
-        .workers(workers)
-        .optimize(optimize)
-        .build()
-        .unwrap()
+/// `q`'s stages compiled below the session, with or without the logical
+/// optimizer.
+fn compiled(q: &Term, optimize: bool) -> CompiledQuery {
+    let schema = organisation_schema();
+    let (normalised, result_type) = normalise_with_type(q, &schema).unwrap();
+    compile_normalised_opts(normalised, result_type, &schema, None, optimize).unwrap()
 }
 
 /// The tentpole guarantee: rewritten plans are observationally identical to
-/// the plans they replace, under every index scheme and worker count.
+/// the plans they replace, at every worker count.
 #[test]
 fn optimized_plans_agree_with_unoptimized_plans_and_the_oracle() {
     let db = org_db();
-    let oracle_session = Shredder::builder().database(db.clone()).build().unwrap();
+    let engine = engine_from_database(&db).unwrap();
+    let sessions: Vec<(usize, Shredder)> = [1usize, 4]
+        .into_iter()
+        .map(|workers| {
+            let session = Shredder::builder()
+                .database(db.clone())
+                .workers(workers)
+                .build()
+                .unwrap();
+            (workers, session)
+        })
+        .collect();
     for (name, q) in all_queries() {
-        let reference = oracle_session.oracle(&q).unwrap();
-        for scheme in IndexScheme::ALL {
-            for workers in [1usize, 4] {
-                let optimized = session(&db, scheme, workers, true).run(&q).unwrap();
-                let unoptimized = session(&db, scheme, workers, false).run(&q).unwrap();
-                assert!(
-                    optimized.multiset_eq(&reference),
-                    "{} optimized vs oracle (scheme {}, workers {})",
-                    name,
-                    scheme,
-                    workers
-                );
-                assert!(
-                    optimized.multiset_eq(&unoptimized),
-                    "{} optimized vs unoptimized (scheme {}, workers {})",
-                    name,
-                    scheme,
-                    workers
-                );
-            }
+        let reference = sessions[0].1.oracle(&q).unwrap();
+        let raw = compiled(&q, false);
+        for (workers, session) in &sessions {
+            let optimized = session.run(&q).unwrap();
+            let unoptimized = execute_bound_obs_opts(
+                &raw,
+                &engine,
+                &ParamValues::new(),
+                None,
+                ExecOptions { workers: *workers },
+            )
+            .unwrap();
+            assert!(
+                optimized.multiset_eq(&reference),
+                "{} optimized vs oracle (workers {})",
+                name,
+                workers
+            );
+            assert!(
+                optimized.multiset_eq(&unoptimized),
+                "{} optimized vs unoptimized (workers {})",
+                name,
+                workers
+            );
         }
     }
 }
 
-/// Renders the explain output for one query under the default (Flat) scheme.
-fn explain_for(q: &Term, optimize: bool) -> String {
-    let db = org_db();
-    let shredder = Shredder::builder()
-        .database(db)
-        .optimize(optimize)
-        .build()
-        .unwrap();
+/// Renders a session's explain output for one query.
+fn explain_for(q: &Term) -> String {
+    let shredder = Shredder::builder().database(org_db()).build().unwrap();
     let prepared = shredder.prepare(q).unwrap();
     prepared.explain().to_string()
 }
@@ -104,7 +109,7 @@ fn explain_for(q: &Term, optimize: bool) -> String {
 /// EXISTS-lift pass to fire first.
 #[test]
 fn q2_explain_shows_exists_lift_and_double_decorrelation() {
-    let rendered = explain_for(&datagen::queries::q2(), true);
+    let rendered = explain_for(&datagen::queries::q2());
     assert!(
         rendered.contains("lifted 2 EXISTS conjunct(s) into semi-join nodes"),
         "missing EXISTS lift in:\n{}",
@@ -144,7 +149,7 @@ fn physical_plan_lines(rendered: &str) -> String {
 /// inside a NOT EXISTS; both must decorrelate.
 #[test]
 fn qf6_explain_shows_decorrelation_over_a_union_build() {
-    let rendered = explain_for(&datagen::queries::qf6(), true);
+    let rendered = explain_for(&datagen::queries::qf6());
     assert_eq!(
         rendered
             .matches("decorrelated ExistsSemiJoin anti into HashSemiJoin")
@@ -164,7 +169,7 @@ fn qf6_explain_shows_decorrelation_over_a_union_build() {
 /// Q6's per-department salary predicates must migrate below the joins.
 #[test]
 fn q6_explain_shows_predicate_pushdown() {
-    let rendered = explain_for(&datagen::queries::q6(), true);
+    let rendered = explain_for(&datagen::queries::q6());
     assert!(
         rendered.contains("predicate(s) toward scans"),
         "missing pushdown rewrite in:\n{}",
@@ -176,7 +181,7 @@ fn q6_explain_shows_predicate_pushdown() {
 /// package-level CSE pass must hoist it into a shared subplan executed once.
 #[test]
 fn q1_explain_shows_cross_stage_subplan_sharing() {
-    let rendered = explain_for(&datagen::queries::q1(), true);
+    let rendered = explain_for(&datagen::queries::q1());
     assert!(
         rendered.contains("bound `q` to package-shared subplan #0 (cross-stage CSE)"),
         "missing cross-stage CSE in:\n{}",
@@ -197,7 +202,7 @@ fn q1_explain_shows_cross_stage_subplan_sharing() {
 #[test]
 fn qf2_and_q5_explain_show_narrowed_join_inputs() {
     for (q, inputs) in [(datagen::queries::qf2(), 2), (datagen::queries::q5(), 4)] {
-        let rendered = explain_for(&q, true);
+        let rendered = explain_for(&q);
         let rewrite = format!(
             "narrowed {} join input(s) to the columns read above them",
             inputs
@@ -217,37 +222,32 @@ fn qf2_and_q5_explain_show_narrowed_join_inputs() {
 /// query, bound by two stages, and nothing else.
 #[test]
 fn pruned_plans_verify_clean_and_keep_their_shared_slots() {
-    let db = org_db();
-    for scheme in IndexScheme::ALL {
-        for (name, q) in all_queries() {
-            let shredder = Shredder::builder()
-                .database(db.clone())
-                .index_scheme(scheme)
-                .verify(true)
-                .build()
-                .unwrap();
-            let prepared = shredder.prepare(&q).unwrap();
-            assert!(
-                !prepared.check().has_errors(),
-                "{} under {}: {}",
-                name,
-                scheme,
-                prepared.check()
-            );
-            let rendered = prepared.explain().to_string();
-            assert_eq!(
-                rendered.matches("to package-shared subplan #").count(),
-                if name == "Q1" { 2 } else { 0 },
-                "{} under {} binds other shared slots:\n{}",
-                name,
-                scheme,
-                rendered
-            );
-        }
+    let shredder = Shredder::builder()
+        .database(org_db())
+        .verify(true)
+        .build()
+        .unwrap();
+    for (name, q) in all_queries() {
+        let prepared = shredder.prepare(&q).unwrap();
+        assert!(
+            !prepared.check().has_errors(),
+            "{}: {}",
+            name,
+            prepared.check()
+        );
+        let rendered = prepared.explain().to_string();
+        assert_eq!(
+            rendered.matches("to package-shared subplan #").count(),
+            if name == "Q1" { 2 } else { 0 },
+            "{} binds other shared slots:\n{}",
+            name,
+            rendered
+        );
     }
 }
 
-/// With the optimizer off, no rewrite annotations appear anywhere.
+/// With the optimizer off, no stage records a rewrite and nothing is
+/// shared across stages.
 #[test]
 fn unoptimized_sessions_report_no_rewrites() {
     for q in [
@@ -255,21 +255,25 @@ fn unoptimized_sessions_report_no_rewrites() {
         datagen::queries::q2(),
         datagen::queries::q6(),
     ] {
-        let rendered = explain_for(&q, false);
-        assert!(
-            !rendered.contains("rewrites:"),
-            "optimize(false) still rewrote:\n{}",
-            rendered
-        );
+        let unoptimized = compiled(&q, false);
+        for stage in unoptimized.stages.annotations() {
+            assert!(
+                stage.opt.rewrites.is_empty(),
+                "optimize = false still rewrote stage {}: {:?}",
+                stage.path,
+                stage.opt.rewrites
+            );
+        }
+        assert!(unoptimized.shared.is_empty());
     }
 }
 
-/// The golden snapshot: the full explain() rendering of Q2 under the default
-/// scheme, pinned byte-for-byte so plan-shape regressions are loud. Refresh
+/// The golden snapshot: the full explain() rendering of Q2, pinned
+/// byte-for-byte so plan-shape regressions are loud. Refresh
 /// with `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
 #[test]
 fn q2_explain_matches_the_golden_snapshot() {
-    let rendered = explain_for(&datagen::queries::q2(), true);
+    let rendered = explain_for(&datagen::queries::q2());
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/q2_explain.golden"
@@ -390,7 +394,6 @@ fn non_equality_correlation_is_skipped_and_diagnosed() {
     let shredder = Shredder::builder()
         .database(db)
         .verify(true)
-        .optimize(true)
         .build()
         .unwrap();
     let prepared = shredder.prepare(&q).unwrap();

@@ -95,7 +95,7 @@ pub mod verify;
 /// validator), re-exported so downstream users need only this crate.
 pub use analysis;
 
-/// The observability layer (metrics registry, stage spans, profile sinks),
+/// The observability layer (metrics registry, stage spans, the profile ring),
 /// re-exported so downstream users need only this crate.
 pub use obs;
 
@@ -106,7 +106,7 @@ pub use flatten::ResultLayout;
 pub use nf::{NormQuery, StaticIndex};
 pub use normalise::{normalise, normalise_with_type};
 pub use obs::{
-    MetricsRegistry, MetricsSnapshot, ObsSink, OperatorProfile, QueryProfile, RingSink, Span, Stage,
+    MetricsRegistry, MetricsSnapshot, OperatorProfile, QueryProfile, RingSink, Span, Stage,
 };
 pub use pipeline::{compile, engine_from_database, execute_bound, CompiledQuery};
 pub use semantics::{IndexScheme, IndexTables, IndexValue};

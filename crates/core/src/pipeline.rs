@@ -635,8 +635,7 @@ mod tests {
         for scheme in IndexScheme::ALL {
             let session = Shredder::builder()
                 .database(db.clone())
-                .backend(Box::new(ShreddedMemoryBackend))
-                .index_scheme(scheme)
+                .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
                 .build()
                 .unwrap();
             let v = session.run(q).unwrap();

@@ -8,7 +8,7 @@
 //! query engines:
 //!
 //! ```text
-//! Shredder::builder() … .build()      configure: schema, data, backend, indexes
+//! Shredder::builder() … .build()      configure: schema, data, backend
 //!   │
 //!   ├─ prepare(term)  ──▶ PreparedQuery   auto-param → (term known?) → normalise → (plan known?) → plan
 //!   │       │                              │
@@ -23,10 +23,9 @@
 //! ```
 //!
 //! Queries may declare typed **parameters** (bind variables) — explicitly
-//! with [`nrc::builder::param`], or implicitly via the session's
-//! auto-parameterization, which lifts integer and string literals out of
-//! ad-hoc terms so queries differing only in such constants share one
-//! cached plan. The plan cache is keyed on the *param-shape* normal form,
+//! with [`nrc::builder::param`], or implicitly: `prepare` lifts integer and
+//! string literals out of ad-hoc terms ([`auto_parameterize`]) so queries
+//! differing only in such constants share one cached plan. The plan cache is keyed on the *param-shape* normal form,
 //! with the param-shape source terms that led there in front of it, so
 //! re-issuing a query shape with other constants costs a hash of the term:
 //! no normalisation, typechecking or verification, and zero parsing,
@@ -34,8 +33,8 @@
 //!
 //! Two backends ship with this crate: [`SqlEngineBackend`] (shred to SQL,
 //! execute on the in-memory `sqlengine`, stitch — the paper's Figure 1(c))
-//! and [`ShreddedMemoryBackend`] (the shredded semantics of Figure 5 under a
-//! chosen [`IndexScheme`], no SQL involved). [`NestedOracleBackend`] runs the
+//! and [`ShreddedMemoryBackend`] (the shredded semantics of Figure 5 under
+//! the [`IndexScheme`] it was built with, no SQL involved). [`NestedOracleBackend`] runs the
 //! nested reference semantics directly and is the correctness oracle the
 //! other backends are validated against. The `baselines` crate implements the
 //! paper's comparison systems (loop-lifting, Links' default flat evaluation,
@@ -63,9 +62,7 @@ use nrc::schema::{Database, Schema};
 use nrc::term::{Constant, Term};
 use nrc::types::{BaseType, Type};
 use nrc::value::Value;
-use obs::{
-    MetricsRegistry, MetricsSnapshot, ObsSink, QueryObs, QueryProfile, RingSink, Span, Stage,
-};
+use obs::{MetricsRegistry, MetricsSnapshot, QueryObs, QueryProfile, RingSink, Span, Stage};
 use sqlengine::{Engine, SqlValue};
 
 /// Default number of plans the session keeps cached.
@@ -216,7 +213,7 @@ impl Bindings {
 /// normalises the term once (also deriving the plan-cache key from the
 /// normal form) and hands both the source term and the normal form over.
 pub struct PlanRequest<'a> {
-    /// The original λNRC term (after auto-parameterization, when enabled).
+    /// The original λNRC term (after auto-parameterization).
     pub term: &'a Term,
     /// Its normal form (Theorem 1: semantically equivalent to `term`).
     pub normalised: &'a NormQuery,
@@ -227,26 +224,17 @@ pub struct PlanRequest<'a> {
     /// The declared parameters of the normal form, deduplicated and
     /// conflict-checked.
     pub params: &'a [ParamSpec],
-    /// Default bindings extracted by auto-parameterization (the literals
-    /// that were lifted out of the term); empty when the caller wrote
-    /// explicit parameters or auto-parameterization is off.
-    pub defaults: &'a Params,
     /// The session's per-call span collector, when stage tracing is active.
     /// SQL-compiling backends record `Shred`/`Sqlgen`/`Plan` spans into it
     /// (e.g. via [`pipeline::compile_normalised_opts`]); backends that ignore
     /// it simply produce plans without compile-phase spans.
     pub obs: Option<&'a QueryObs>,
-    /// Whether plan-producing backends should run the logical optimizer
-    /// over their compiled plans (see [`ShredderBuilder::optimize`]).
-    /// Backends without an optimizer ignore it.
-    pub optimize: bool,
 }
 
-/// Execution-time context handed to a backend: the session's database, index
-/// scheme and lazily built SQL engine.
+/// Execution-time context handed to a backend: the session's database and
+/// lazily built SQL engine.
 pub struct ExecContext<'a> {
     db: Option<&'a Database>,
-    scheme: IndexScheme,
     engine: &'a OnceLock<Arc<Engine>>,
     engine_init: &'a Mutex<()>,
     obs: Option<&'a QueryObs>,
@@ -281,11 +269,6 @@ impl<'a> ExecContext<'a> {
         })
     }
 
-    /// The session's indexing scheme.
-    pub fn scheme(&self) -> IndexScheme {
-        self.scheme
-    }
-
     /// The session's SQL engine, loading the database into engine storage on
     /// first use. Thread-safe: the one-time load is serialised by an init
     /// mutex (double-checked against the `OnceLock`), so a cold concurrent
@@ -316,9 +299,9 @@ impl<'a> ExecContext<'a> {
 ///
 /// Backends are `Send + Sync`: one backend instance is shared by every clone
 /// of the session, and `prepare`/`execute` may be called from any number of
-/// threads at once. Backends therefore keep no per-call mutable state — all
-/// of the provided implementations are stateless unit structs — and their
-/// plan payloads must be `Send + Sync` too (enforced by
+/// threads at once. Backends therefore keep no per-call mutable state — the
+/// provided implementations hold at most an immutable setting, such as
+/// [`ShreddedMemoryBackend`]'s index scheme — and their plan payloads must be `Send + Sync` too (enforced by
 /// [`BackendPlan::new`]).
 pub trait SqlBackend: fmt::Debug + Send + Sync {
     /// A short stable name, shown by `explain()` and used to guard against
@@ -502,7 +485,6 @@ struct PlannedQuery {
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     backend: &'static str,
-    scheme: IndexScheme,
     schema: Arc<Schema>,
     planned: Arc<PlannedQuery>,
     params: Arc<Vec<ParamSpec>>,
@@ -538,12 +520,11 @@ impl PreparedQuery {
         &self.defaults
     }
 
-    /// Per-stage explain output: backend, index scheme, static indexes of the
-    /// normal form and one entry per flat query.
+    /// Per-stage explain output: backend, static indexes of the normal form
+    /// and one entry per flat query.
     pub fn explain(&self) -> Explain {
         Explain {
             backend: self.backend,
-            scheme: self.scheme,
             cached: self.from_cache,
             result_type: self.planned.result_type.to_string(),
             static_indexes: self
@@ -698,8 +679,6 @@ impl PreparedQuery {
 pub struct Explain {
     /// Backend that produced the plan.
     pub backend: &'static str,
-    /// The session's indexing scheme.
-    pub scheme: IndexScheme,
     /// Whether the plan came from the session's plan cache.
     pub cached: bool,
     /// The query's result type.
@@ -719,11 +698,7 @@ pub struct Explain {
 
 impl fmt::Display for Explain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "plan (backend={}, scheme={}, cached={})",
-            self.backend, self.scheme, self.cached
-        )?;
+        writeln!(f, "plan (backend={}, cached={})", self.backend, self.cached)?;
         writeln!(f, "result type: {}", self.result_type)?;
         writeln!(f, "static indexes: {:?}", self.static_indexes)?;
         writeln!(
@@ -830,8 +805,8 @@ struct CacheMap {
 /// returns the plan, the declared parameters and the diagnostics of the
 /// first prepare without normalising, typechecking, rendering a key or
 /// verifying again. The term alone is a safe key because everything else a
-/// prepare depends on — schema, backend, index scheme, `optimize` — is
-/// fixed for the session that owns the cache.
+/// prepare depends on — the schema and the backend — is fixed for the
+/// session that owns the cache.
 ///
 /// **Level 2** is keyed on the normal form (its canonical rendering, see
 /// [`plan_key`]) and holds the plan with what was derived from it. A term
@@ -998,51 +973,26 @@ impl PlanCache {
 // ---------------------------------------------------------------------------
 
 /// Configures and validates a [`Shredder`] session.
+#[derive(Default)]
 pub struct ShredderBuilder {
     schema: Option<Schema>,
     database: Option<Database>,
     engine: Option<Arc<Engine>>,
-    scheme: IndexScheme,
     backend: Option<Box<dyn SqlBackend>>,
     cache_capacity: Option<usize>,
     cache_disabled: bool,
-    auto_param: bool,
     verify: Option<bool>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    obs_sink: Option<Arc<dyn ObsSink>>,
     workers: Option<usize>,
-    optimize: Option<bool>,
 }
 
 impl fmt::Debug for ShredderBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShredderBuilder")
-            .field("scheme", &self.scheme)
             .field("backend", &self.backend)
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_disabled", &self.cache_disabled)
             .field("workers", &self.workers)
             .finish_non_exhaustive()
-    }
-}
-
-impl Default for ShredderBuilder {
-    fn default() -> ShredderBuilder {
-        ShredderBuilder {
-            schema: None,
-            database: None,
-            engine: None,
-            scheme: IndexScheme::Flat,
-            backend: None,
-            cache_capacity: None,
-            cache_disabled: false,
-            auto_param: true,
-            verify: None,
-            metrics: None,
-            obs_sink: None,
-            workers: None,
-            optimize: None,
-        }
     }
 }
 
@@ -1071,15 +1021,6 @@ impl ShredderBuilder {
         self
     }
 
-    /// The indexing scheme (Section 6) used by index-aware backends. Defaults
-    /// to [`IndexScheme::Flat`]. SQL generation does not read it: it indexes
-    /// a bag by its generator's key where the scope allows and by
-    /// `ROW_NUMBER` elsewhere (see [`crate::sqlgen`]).
-    pub fn index_scheme(mut self, scheme: IndexScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
     /// The execution backend. Defaults to [`SqlEngineBackend`].
     pub fn backend(mut self, backend: Box<dyn SqlBackend>) -> Self {
         self.backend = Some(backend);
@@ -1096,16 +1037,6 @@ impl ShredderBuilder {
     /// Disable the plan cache: every `prepare` invokes the backend.
     pub fn without_plan_cache(mut self) -> Self {
         self.cache_disabled = true;
-        self
-    }
-
-    /// Enable or disable auto-parameterization (on by default): `prepare`
-    /// and `run` lift integer and string literals out of ad-hoc terms into
-    /// typed parameters with default bindings, so queries differing only in
-    /// such constants share one cached plan. Boolean and unit constants stay
-    /// inline because normalisation uses them to prune conditionals.
-    pub fn auto_parameterize(mut self, enabled: bool) -> Self {
-        self.auto_param = enabled;
         self
     }
 
@@ -1129,33 +1060,6 @@ impl ShredderBuilder {
     /// clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Enable or disable the logical optimizer (on by default): constant
-    /// folding, EXISTS decorrelation into hash semi/anti joins, predicate
-    /// pushdown, package-level common-subplan sharing and estimate-driven
-    /// build sides. Optimized and unoptimized plans compute identical
-    /// results; disabling is for differential testing and benchmarking.
-    pub fn optimize(mut self, enabled: bool) -> Self {
-        self.optimize = Some(enabled);
-        self
-    }
-
-    /// Use an existing metrics registry instead of a fresh one, so several
-    /// sessions (e.g. over different databases) aggregate into one set of
-    /// counters and histograms.
-    pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Deliver finished per-query profiles to a custom [`ObsSink`] instead
-    /// of the session's in-memory ring buffer. With a custom sink installed,
-    /// [`Shredder::recent_profiles`] returns nothing — the sink owns the
-    /// profiles.
-    pub fn obs_sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
-        self.obs_sink = Some(sink);
         self
     }
 
@@ -1204,25 +1108,17 @@ impl ShredderBuilder {
         if let Some(e) = self.engine {
             let _ = engine.set(e);
         }
-        let ring = Arc::new(RingSink::default());
-        let sink: Arc<dyn ObsSink> = match self.obs_sink {
-            Some(custom) => custom,
-            None => ring.clone(),
-        };
         Ok(Shredder {
             core: Arc::new(ShredderCore {
                 schema: Arc::new(schema),
                 db: self.database,
                 engine,
                 engine_init: Mutex::new(()),
-                scheme: self.scheme,
                 backend: self.backend.unwrap_or_else(|| Box::new(SqlEngineBackend)),
                 cache,
-                auto_param: self.auto_param,
                 verify: self.verify.unwrap_or(cfg!(debug_assertions)),
-                metrics: self.metrics.unwrap_or_default(),
-                ring,
-                sink,
+                metrics: MetricsRegistry::default(),
+                profiles: RingSink::default(),
                 write_lock: Arc::new(Mutex::new(())),
                 subs: Mutex::new(Vec::new()),
                 exec_opts: sqlengine::ExecOptions {
@@ -1232,7 +1128,6 @@ impl ShredderBuilder {
                             .unwrap_or(1)
                     }),
                 },
-                optimize: self.optimize.unwrap_or(true),
             }),
         })
     }
@@ -1318,21 +1213,16 @@ struct ShredderCore {
     /// Serialises the one-time database → engine load (see
     /// [`ExecContext::engine`]); never held while executing.
     engine_init: Mutex<()>,
-    scheme: IndexScheme,
     backend: Box<dyn SqlBackend>,
     cache: Option<PlanCache>,
-    auto_param: bool,
     /// Fail `prepare` on error-severity diagnostics (see
     /// [`ShredderBuilder::verify`]).
     verify: bool,
-    /// Counters and latency histograms, shared by every clone — and, when
-    /// the builder was given an external registry, across sessions.
-    metrics: Arc<MetricsRegistry>,
-    /// The built-in ring buffer behind [`Shredder::recent_profiles`].
-    ring: Arc<RingSink>,
-    /// Where finished profiles go: `ring` unless the builder installed a
-    /// custom sink.
-    sink: Arc<dyn ObsSink>,
+    /// Counters and latency histograms, shared by every clone.
+    metrics: MetricsRegistry,
+    /// The ring buffer of recent profiles behind
+    /// [`Shredder::recent_profiles`].
+    profiles: RingSink,
     /// Serialises committed write batches (and live-view seeding) so every
     /// subscription observes the same totally ordered sequence of deltas.
     /// Shared with each live view, which takes it to re-seed itself when it
@@ -1346,9 +1236,6 @@ struct ShredderCore {
     /// [`ShredderBuilder::workers`]). Live-view maintenance ignores it: a
     /// delta pass runs the batch kernels on the committing thread.
     exec_opts: sqlengine::ExecOptions,
-    /// Run the logical optimizer over compiled stage plans (see
-    /// [`ShredderBuilder::optimize`]).
-    optimize: bool,
 }
 
 impl Shredder {
@@ -1358,7 +1245,7 @@ impl Shredder {
     }
 
     /// A session over a database with the default configuration (sqlengine
-    /// backend, flat indexes, default plan cache).
+    /// backend, default plan cache).
     pub fn over(db: Database) -> Result<Shredder, ShredError> {
         Shredder::builder().database(db).build()
     }
@@ -1371,11 +1258,6 @@ impl Shredder {
     /// The session's database, if one is attached.
     pub fn database(&self) -> Option<&Database> {
         self.core.db.as_ref()
-    }
-
-    /// The session's indexing scheme.
-    pub fn index_scheme(&self) -> IndexScheme {
-        self.core.scheme
     }
 
     /// The name of the session's backend.
@@ -1401,37 +1283,13 @@ impl Shredder {
     /// the cached plan without invoking the backend
     /// (`PreparedQuery::from_cache` reports which), and a second `prepare`
     /// of the same param-shape *term* returns it without normalising
-    /// either. With auto-parameterization on (the default), integer and
-    /// string literals are lifted into parameters first, so two ad-hoc
-    /// queries differing only in such constants share one plan.
+    /// either. Integer and string literals are lifted into parameters first
+    /// ([`auto_parameterize`]), so two ad-hoc queries differing only in such
+    /// constants share one plan.
     pub fn prepare(&self, term: &Term) -> Result<PreparedQuery, ShredError> {
-        let (term, defaults) = self.parameterize(term);
-        self.prepare_inner(&term, defaults, true)
-    }
-
-    /// Normalise and plan a query without touching the plan cache. Use this
-    /// when measuring compilation itself (the benchmark harness does).
-    pub fn prepare_uncached(&self, term: &Term) -> Result<PreparedQuery, ShredError> {
-        let (term, defaults) = self.parameterize(term);
-        self.prepare_inner(&term, defaults, false)
-    }
-
-    fn parameterize(&self, term: &Term) -> (Term, Params) {
-        if self.core.auto_param {
-            auto_parameterize(term)
-        } else {
-            (term.clone(), Params::new())
-        }
-    }
-
-    fn prepare_inner(
-        &self,
-        term: &Term,
-        defaults: Params,
-        use_cache: bool,
-    ) -> Result<PreparedQuery, ShredError> {
+        let (term, defaults) = auto_parameterize(term);
         let obs = QueryObs::new(false);
-        let (prepared, from_cache) = self.prepare_stages(term, &defaults, use_cache, &obs)?;
+        let (prepared, from_cache) = self.prepare_stages(&term, &obs)?;
         let (spans, _) = obs.take();
         for span in &spans {
             self.core
@@ -1441,7 +1299,6 @@ impl Shredder {
         self.core.metrics.counter("queries.prepared").inc();
         Ok(PreparedQuery {
             backend: self.core.backend.name(),
-            scheme: self.core.scheme,
             schema: self.core.schema.clone(),
             planned: prepared.planned,
             params: prepared.params,
@@ -1456,18 +1313,8 @@ impl Shredder {
     }
 
     /// The stages of a prepare, and whether its plan came from the cache.
-    fn prepare_stages(
-        &self,
-        term: &Term,
-        defaults: &Params,
-        use_cache: bool,
-        obs: &QueryObs,
-    ) -> Result<(Prepared, bool), ShredError> {
-        let cache = if use_cache {
-            self.core.cache.as_ref()
-        } else {
-            None
-        };
+    fn prepare_stages(&self, term: &Term, obs: &QueryObs) -> Result<(Prepared, bool), ShredError> {
+        let cache = self.core.cache.as_ref();
         // Level 1: this term, constants lifted, has been prepared before.
         if let Some(prepared) = cache.and_then(|c| c.lookup_term(term)) {
             return Ok((prepared, true));
@@ -1483,7 +1330,7 @@ impl Shredder {
         let from_cache = cached.is_some();
         let planned = match cached {
             Some(planned) => planned,
-            None => Arc::new(self.plan(term, normalised, result_type, &params, defaults, obs)?),
+            None => Arc::new(self.plan(term, normalised, result_type, &params, obs)?),
         };
         let diagnostics = Arc::new(self.verified(term, &params, &planned, obs)?);
         let prepared = Prepared {
@@ -1506,7 +1353,6 @@ impl Shredder {
         normalised: NormQuery,
         result_type: Type,
         params: &[ParamSpec],
-        defaults: &Params,
         obs: &QueryObs,
     ) -> Result<PlannedQuery, ShredError> {
         let req = PlanRequest {
@@ -1515,9 +1361,7 @@ impl Shredder {
             result_type: &result_type,
             schema: &self.core.schema,
             params,
-            defaults,
             obs: Some(obs),
-            optimize: self.core.optimize,
         };
         let plan = self.core.backend.prepare(&req)?;
         let diagnostics = obs.time(Stage::Verify, || {
@@ -1610,20 +1454,14 @@ impl Shredder {
         self.execute_observed(prepared, params, true)
     }
 
-    /// Reject a prepared query that belongs to a different backend, indexing
-    /// scheme or schema than this session's.
+    /// Reject a prepared query that belongs to a different backend or schema
+    /// than this session's.
     fn guard_prepared(&self, prepared: &PreparedQuery) -> Result<(), ShredError> {
         if prepared.backend != self.core.backend.name() {
             return Err(ShredError::Config(format!(
                 "prepared query belongs to the {} backend but this session uses {}",
                 prepared.backend,
                 self.core.backend.name()
-            )));
-        }
-        if prepared.scheme != self.core.scheme {
-            return Err(ShredError::Config(format!(
-                "prepared query was planned under {} indexes but this session uses {}",
-                prepared.scheme, self.core.scheme
             )));
         }
         if !Arc::ptr_eq(&prepared.schema, &self.core.schema)
@@ -1660,8 +1498,8 @@ impl Shredder {
     }
 
     /// Fold a successful execution's spans and operator actuals into the
-    /// registry, stash the actuals on the prepared handle and hand the
-    /// finished profile to the sink.
+    /// registry, stash the actuals on the prepared handle and keep the
+    /// finished profile among the recent ones.
     fn record_execution(
         &self,
         prepared: &PreparedQuery,
@@ -1704,7 +1542,7 @@ impl Shredder {
         }
         let mut all_spans = prepared.prepare_spans.as_ref().clone();
         all_spans.extend(spans);
-        self.core.sink.record(QueryProfile {
+        self.core.profiles.record(QueryProfile {
             query: prepared.planned.label.clone(),
             backend: prepared.backend.to_string(),
             cached: prepared.from_cache,
@@ -1925,7 +1763,7 @@ impl Shredder {
     /// (`stage.execute`, `stage.stitch`, …), per-operator-kind histograms
     /// from profiled runs (`operator.HashJoin`, …) and the end-to-end
     /// `query.total` histogram. Shared by every clone of the session.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+    pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
     }
 
@@ -1951,10 +1789,9 @@ impl Shredder {
     /// The most recent query profiles (oldest first) from the session's
     /// in-memory ring buffer — one [`QueryProfile`] per completed execute
     /// call, holding the per-stage spans (and per-operator actuals when the
-    /// call was profiled). Empty when the builder installed a custom
-    /// [`ObsSink`]: the sink owns the profiles then.
+    /// call was profiled).
     pub fn recent_profiles(&self) -> Vec<QueryProfile> {
-        self.core.ring.recent()
+        self.core.profiles.recent()
     }
 
     fn exec_context(&self) -> ExecContext<'_> {
@@ -1964,7 +1801,6 @@ impl Shredder {
     fn exec_context_obs<'a>(&'a self, obs: Option<&'a QueryObs>) -> ExecContext<'a> {
         ExecContext {
             db: self.core.db.as_ref(),
-            scheme: self.core.scheme,
             engine: &self.core.engine,
             engine_init: &self.core.engine_init,
             obs,
@@ -2184,7 +2020,7 @@ impl SqlBackend for SqlEngineBackend {
             req.result_type.clone(),
             req.schema,
             req.obs,
-            req.optimize,
+            true,
         )?;
         Ok(BackendPlan::lazy(
             compiled.query_count(),
@@ -2229,11 +2065,28 @@ struct ShreddedMemoryPlan {
     package: Package<ShreddedQuery>,
 }
 
-/// The in-memory shredded semantics of Figure 5 under the session's
-/// [`IndexScheme`] — the reference implementation of shredding itself, used
-/// to validate the SQL path and to compare indexing schemes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShreddedMemoryBackend;
+/// The in-memory shredded semantics of Figure 5 under one [`IndexScheme`]
+/// of Section 6 — the reference implementation of shredding itself, used to
+/// validate the SQL path and to compare indexing schemes. The scheme is read
+/// only when a plan executes, so one plan runs under any scheme; the default
+/// is [`IndexScheme::Flat`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShreddedMemoryBackend {
+    scheme: IndexScheme,
+}
+
+impl ShreddedMemoryBackend {
+    /// The shredded semantics under `scheme`.
+    pub fn new(scheme: IndexScheme) -> ShreddedMemoryBackend {
+        ShreddedMemoryBackend { scheme }
+    }
+}
+
+impl Default for ShreddedMemoryBackend {
+    fn default() -> ShreddedMemoryBackend {
+        ShreddedMemoryBackend::new(IndexScheme::Flat)
+    }
+}
 
 impl SqlBackend for ShreddedMemoryBackend {
     fn name(&self) -> &'static str {
@@ -2274,7 +2127,7 @@ impl SqlBackend for ShreddedMemoryBackend {
     ) -> Result<Value, ShredError> {
         let payload: &ShreddedMemoryPlan = plan.downcast()?;
         let db = cx.db()?;
-        let scheme = cx.scheme();
+        let scheme = self.scheme;
         // The in-memory evaluators take values by substitution: bind the
         // parameters into the (cheap, already-shredded) structures. No
         // normalisation or shredding is redone.
@@ -2525,7 +2378,7 @@ mod tests {
         let reference = Shredder::over(db()).unwrap().oracle(&q).unwrap();
         for backend in [
             Box::new(SqlEngineBackend) as Box<dyn SqlBackend>,
-            Box::new(ShreddedMemoryBackend),
+            Box::new(ShreddedMemoryBackend::default()),
             Box::new(NestedOracleBackend),
         ] {
             let session = Shredder::builder()
@@ -2549,8 +2402,7 @@ mod tests {
         for scheme in IndexScheme::ALL {
             let session = Shredder::builder()
                 .database(db())
-                .backend(Box::new(ShreddedMemoryBackend))
-                .index_scheme(scheme)
+                .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
                 .build()
                 .unwrap();
             let v = session.run(&q).unwrap();
@@ -2620,7 +2472,7 @@ mod tests {
     fn subscriptions_require_the_sqlengine_backend() {
         let session = Shredder::builder()
             .database(db())
-            .backend(Box::new(ShreddedMemoryBackend))
+            .backend(Box::new(ShreddedMemoryBackend::default()))
             .build()
             .unwrap();
         let prepared = session.prepare(&nested_query()).unwrap();

@@ -1,10 +1,19 @@
 //! Guardrails for the front end: `normalise.rs` rewrites in one recursive
-//! pass, and a session looks a term up before it normalises it. The checks
-//! read the sources as text, so a reintroduced step-and-restart loop or a
-//! second, unguarded normalisation fails here before any benchmark notices.
+//! pass, a session looks a term up before it normalises it, and the session
+//! builder keeps only the settings its callers set. The checks read the
+//! sources as text, so a reintroduced step-and-restart loop, a second,
+//! unguarded normalisation or a returning builder knob fails here before any
+//! benchmark notices.
 
 const NORMALISE: &str = include_str!("../src/normalise.rs");
 const SESSION: &str = include_str!("../src/session.rs");
+const OBS: [(&str, &str); 5] = [
+    ("json.rs", include_str!("../../obs/src/json.rs")),
+    ("lib.rs", include_str!("../../obs/src/lib.rs")),
+    ("metrics.rs", include_str!("../../obs/src/metrics.rs")),
+    ("profile.rs", include_str!("../../obs/src/profile.rs")),
+    ("sink.rs", include_str!("../../obs/src/sink.rs")),
+];
 
 /// The product code of a source file: everything before its first
 /// test-only item.
@@ -55,4 +64,43 @@ fn a_session_normalises_in_one_place_after_the_term_lookup() {
         prepare < lookup && lookup < calls[0],
         "the plan cache must be asked about the source term before the term is normalised"
     );
+}
+
+/// The builder keeps the eight settings the benchmark, the baselines and
+/// deployments set. The index scheme belongs to `ShreddedMemoryBackend`, the
+/// one backend that reads it; sessions always optimize and always lift
+/// literals; the metrics registry and the profile ring are the session's own.
+#[test]
+fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
+    let code = product(SESSION);
+    for needle in [
+        "fn index_scheme(",
+        "fn optimize(",
+        "fn auto_parameterize(mut self",
+        "fn metrics(mut self",
+        "fn obs_sink(",
+        "fn prepare_uncached(",
+    ] {
+        assert!(
+            !code.contains(needle),
+            "session.rs declares `{needle}` again: that setting has no product caller"
+        );
+    }
+    let start = code
+        .find("impl ShredderBuilder {")
+        .expect("session.rs implements ShredderBuilder");
+    let body = &code[start..];
+    let body = &body[..body.find("\n}\n").expect("the impl block closes")];
+    let setters = body.matches("pub fn ").count() - body.matches("pub fn build(").count();
+    assert!(
+        setters <= 8,
+        "ShredderBuilder has {setters} setters besides `build`; it keeps schema, database, \
+         engine, backend, plan_cache_capacity, without_plan_cache, verify and workers"
+    );
+    for (file, source) in OBS {
+        assert!(
+            !source.contains("trait ObsSink"),
+            "obs/src/{file} declares `trait ObsSink`: `RingSink` is the one place profiles go"
+        );
+    }
 }

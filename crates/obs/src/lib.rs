@@ -14,8 +14,8 @@
 //!   (typecheck, normalise, shred, sqlgen, plan, verify, execute, decode,
 //!   stitch) plus optional per-operator actuals ([`OperatorProfile`]).
 //!   [`QueryObs`] is the per-call collector threaded through the pipeline.
-//! * [`sink`] — the pluggable [`ObsSink`] trait finished profiles are pushed
-//!   to, with a bounded in-memory [`RingSink`] as the default.
+//! * [`sink`] — the bounded in-memory [`RingSink`] that keeps the most
+//!   recent finished profiles.
 //!
 //! The [`json`] module is a minimal hand-rolled JSON encoder/parser (the
 //! workspace has no serde) used for the `MetricsSnapshot` round-trip.
@@ -30,7 +30,7 @@ pub mod sink;
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{time_maybe, OperatorProfile, QueryObs, QueryProfile, Span, Stage};
-pub use sink::{NullSink, ObsSink, RingSink};
+pub use sink::RingSink;
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 

@@ -107,7 +107,7 @@ pub struct OperatorProfile {
     pub nanos: u64,
 }
 
-/// A finished per-query profile, as delivered to the [`crate::ObsSink`].
+/// A finished per-query profile, as kept by the [`crate::RingSink`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryProfile {
     /// Short human-readable identifier for the query (truncated plan key).

@@ -445,19 +445,22 @@ impl PersistentIndex {
         self.live[row]
     }
 
-    /// Append one row per entry of `hashed`; they take the ids
-    /// `len()..len() + n`. Under [`NullMode::NeverMatches`] a row with a
-    /// `NULL` key takes its id but is dead from the start.
-    pub(crate) fn append(&mut self, hashed: &KeyHashes) -> Result<Range<usize>, EngineError> {
+    /// Append one row per `(key hash, key holds a NULL)` of `rows`; they
+    /// take the ids `len()..len() + n`. Under [`NullMode::NeverMatches`] a
+    /// row with a `NULL` key takes its id but is dead from the start.
+    pub(crate) fn append(
+        &mut self,
+        rows: impl ExactSizeIterator<Item = (u64, bool)>,
+    ) -> Result<Range<usize>, EngineError> {
         let start = self.len();
-        let end = start + hashed.hashes.len();
+        let end = start + rows.len();
         if end > self.max_rows {
             return Err(EngineError::TypeError(format!(
                 "persistent index would hold {end} rows; row links hold at most {}",
                 self.max_rows
             )));
         }
-        for (&hash, &has_null) in hashed.hashes.iter().zip(&hashed.has_null) {
+        for (hash, has_null) in rows {
             let unmatched = self.nulls == NullMode::NeverMatches && has_null;
             self.hashes.push(hash);
             self.live.push(!unmatched);
@@ -922,7 +925,11 @@ mod tests {
             if let Some(forced) = hashes {
                 hashed.hashes = vec![forced; rows.len()];
             }
-            let ids = self.index.append(&hashed).unwrap();
+            let pairs = hashed.hashes.iter().copied();
+            let ids = self
+                .index
+                .append(pairs.zip(hashed.has_null.iter().copied()))
+                .unwrap();
             assert_eq!(ids.len(), rows.len());
             for (id, row) in ids.zip(rows) {
                 assert_eq!(
@@ -1096,9 +1103,11 @@ mod tests {
         let rows: Vec<Row> = (0..4).map(|i| vec![SqlValue::Int(i)]).collect();
         p.append(&rows, None);
         let columns = vec![vec![SqlValue::Int(7), SqlValue::Int(8)]];
+        let hashed = hash_keys(&dense(&columns), 0..2);
+        let pairs = hashed.hashes.iter().copied();
         let err = p
             .index
-            .append(&hash_keys(&dense(&columns), 0..2))
+            .append(pairs.zip(hashed.has_null.iter().copied()))
             .unwrap_err();
         assert!(matches!(err, EngineError::TypeError(_)), "{err}");
         assert!(err.to_string().contains("rows"), "{err}");

@@ -927,7 +927,7 @@ fn eval<'a>(
 // ---------------------------------------------------------------------------
 
 use crate::delta::StorageDelta;
-use crate::kernels::{KeyHashes, PersistentIndex};
+use crate::kernels::PersistentIndex;
 
 /// A signed columnar batch: the delta flowing between plan nodes. A row's
 /// weight is its multiplicity in the change — positive for insertions,
@@ -1216,13 +1216,24 @@ impl RowStore {
         pairs
     }
 
-    /// The first live slot whose key equals that of probe row `i`.
+    /// The first live slot whose key equals that of probe row `i`, under
+    /// the store's `NULL` rule. Compares the stored key columns in place.
     fn find(&self, keys: &Keys<'_>, i: usize) -> Option<usize> {
+        if self.nulls == NullMode::NeverMatches && keys.hashed.has_null[i] {
+            return None;
+        }
         let mut found = None;
         self.index
-            .for_each_match(&self.key_vectors(), keys, i, |slot| {
-                found = Some(slot);
-                false
+            .for_each_candidate(keys.hashed.hashes[i], |slot| {
+                let equal = self
+                    .key
+                    .iter()
+                    .zip(&keys.cols)
+                    .all(|(&c, k)| self.cols[c][slot] == *k.get(i));
+                if equal {
+                    found = Some(slot);
+                }
+                !equal
             });
         found
     }
@@ -1233,11 +1244,11 @@ impl RowStore {
         for (col, v) in self.cols.iter_mut().zip(&rows.cols) {
             Arc::make_mut(col).push(v.get(i).clone());
         }
-        self.row_hash.push(rows.hashed.hashes[i]);
-        let appended = self.index.append(&KeyHashes {
-            hashes: vec![rows.hashed.hashes[i]],
-            has_null: vec![rows.hashed.has_null[i]],
-        })?;
+        let hash = rows.hashed.hashes[i];
+        self.row_hash.push(hash);
+        let appended = self
+            .index
+            .append(std::iter::once((hash, rows.hashed.has_null[i])))?;
         Ok(appended.start)
     }
 
@@ -1290,10 +1301,9 @@ impl RowStore {
         }
         self.row_hash
             .extend(ins.iter().map(|&i| rows.hashed.hashes[i]));
-        let inserted = self.index.append(&KeyHashes {
-            hashes: ins.iter().map(|&i| keys.hashed.hashes[i]).collect(),
-            has_null: vec![false; ins.len()],
-        })?;
+        let inserted = self
+            .index
+            .append(ins.iter().map(|&i| (keys.hashed.hashes[i], false)))?;
         Ok(Applied {
             retracted,
             inserted,

@@ -24,8 +24,7 @@ fn main() {
     for scheme in IndexScheme::ALL {
         let session = Shredder::builder()
             .database(db.clone())
-            .backend(Box::new(ShreddedMemoryBackend))
-            .index_scheme(scheme)
+            .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
             .build()
             .unwrap();
         let value = session.run(&q4).unwrap();

@@ -161,8 +161,7 @@ fn all_three_index_schemes_survive_concurrent_bound_execution() {
     for scheme in IndexScheme::ALL {
         let session = Shredder::builder()
             .database(db.clone())
-            .backend(Box::new(ShreddedMemoryBackend))
-            .index_scheme(scheme)
+            .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
             .build()
             .unwrap();
         let prepared = session.prepare(&query).unwrap();

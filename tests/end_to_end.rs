@@ -81,8 +81,7 @@ fn nested_queries_agree_under_every_indexing_scheme() {
         for scheme in IndexScheme::ALL {
             let session = Shredder::builder()
                 .database(db.clone())
-                .backend(Box::new(ShreddedMemoryBackend))
-                .index_scheme(scheme)
+                .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
                 .build()
                 .unwrap();
             let v = session.run(&q).unwrap();

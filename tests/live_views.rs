@@ -2,8 +2,8 @@
 //! prepared query's nested result maintained across `apply_batch` writes,
 //! and after every committed batch the subscription's value must be
 //! identical to recomputing the query from scratch on the post-write
-//! storage — across the full benchmark suite (QF1–QF6 and Q1–Q6) and all
-//! three indexing schemes.
+//! storage — across the full benchmark suite (QF1–QF6 and Q1–Q6). SQL
+//! generation reads no indexing scheme, so one pass covers every scheme.
 
 use query_shredding::prelude::*;
 
@@ -23,9 +23,9 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
     queries
 }
 
-/// The acceptance bar of the delta subsystem: for every benchmark query,
-/// under every indexing scheme, a subscription's value after each of a
-/// stream of committed write batches is multiset-identical to a fresh
+/// The acceptance bar of the delta subsystem: for every benchmark query
+/// (the SQL path reads no indexing scheme), a subscription's value after
+/// each of a stream of committed write batches is multiset-identical to a fresh
 /// execution of the same prepared query (the differential oracle). The
 /// optimized plans of the suite — narrowing `Project`s included — stay
 /// inside the incremental fragment under this stream: no view ever falls
@@ -33,37 +33,30 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
 #[test]
 fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
     let db = small_db();
-    for scheme in IndexScheme::ALL {
-        for (name, q) in all_benchmark_queries() {
-            let session = Shredder::builder()
-                .database(db.clone())
-                .index_scheme(scheme)
-                .build()
-                .unwrap();
-            let prepared = session.prepare(&q).unwrap();
-            let sub = session.subscribe(&prepared).unwrap();
-            let mut stream = MutationStream::over(
-                &db,
-                MutationConfig {
-                    ops_per_batch: 3,
-                    seed: 7,
-                    ..MutationConfig::default()
-                },
+    for (name, q) in all_benchmark_queries() {
+        let session = Shredder::over(db.clone()).unwrap();
+        let prepared = session.prepare(&q).unwrap();
+        let sub = session.subscribe(&prepared).unwrap();
+        let mut stream = MutationStream::over(
+            &db,
+            MutationConfig {
+                ops_per_batch: 3,
+                seed: 7,
+                ..MutationConfig::default()
+            },
+        );
+        for round in 0..6 {
+            let batch = stream.next_batch();
+            session.apply_batch(&batch).unwrap();
+            let live = sub.value().unwrap();
+            let recomputed = session.execute(&prepared).unwrap();
+            assert!(
+                live.multiset_eq(&recomputed),
+                "{name} diverged from recompute after batch {round}"
             );
-            for round in 0..6 {
-                let batch = stream.next_batch();
-                session.apply_batch(&batch).unwrap();
-                let live = sub.value().unwrap();
-                let recomputed = session.execute(&prepared).unwrap();
-                assert!(
-                    live.multiset_eq(&recomputed),
-                    "{name} under {scheme} indexes diverged from recompute \
-                     after batch {round}"
-                );
-            }
-            assert_eq!(sub.generation(), 6, "every batch maintains the view");
-            assert_eq!(sub.reseeds(), 0, "{name} under {scheme} indexes reseeded");
         }
+        assert_eq!(sub.generation(), 6, "every batch maintains the view");
+        assert_eq!(sub.reseeds(), 0, "{name} reseeded");
     }
 }
 
@@ -118,61 +111,53 @@ fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
         .filter(|e| e.field("dept").unwrap().as_str() == Some("dept_00000"))
         .count();
     assert!(hot * 4 > db.row_count("employees") * 3, "the skew is there");
-    for scheme in IndexScheme::ALL {
-        for (name, q) in all_benchmark_queries() {
-            let session = Shredder::builder()
-                .database(db.clone())
-                .index_scheme(scheme)
-                .build()
-                .unwrap();
-            let prepared = session.prepare(&q).unwrap();
-            let sub = session.subscribe(&prepared).unwrap();
-            let mut stream = MutationStream::over(
-                &db,
-                MutationConfig {
-                    ops_per_batch: 1,
-                    update_weight: 2,
-                    insert_weight: 3,
-                    delete_weight: 3,
-                    leaf_bias: 0.3,
-                    seed: 23,
-                },
-            );
-            let mut seen = [0usize; 3];
-            for (round, ops) in [1, 8, 64, 1, 8, 64].into_iter().enumerate() {
-                let batch = WriteBatch {
-                    ops: stream
-                        .batches(ops)
-                        .into_iter()
-                        .flat_map(|b| b.ops)
-                        .collect(),
-                };
-                for op in &batch.ops {
-                    match op {
-                        WriteOp::Insert { table, .. } if table == "departments" => seen[0] += 1,
-                        WriteOp::DeleteByKey { table, .. } if table == "departments" => {
-                            seen[1] += 1
-                        }
-                        WriteOp::DeleteByKey { table, .. } if table == "employees" => seen[2] += 1,
-                        _ => {}
-                    }
+    for (name, q) in all_benchmark_queries() {
+        let session = Shredder::over(db.clone()).unwrap();
+        let prepared = session.prepare(&q).unwrap();
+        let sub = session.subscribe(&prepared).unwrap();
+        let mut stream = MutationStream::over(
+            &db,
+            MutationConfig {
+                ops_per_batch: 1,
+                update_weight: 2,
+                insert_weight: 3,
+                delete_weight: 3,
+                leaf_bias: 0.3,
+                seed: 23,
+            },
+        );
+        let mut seen = [0usize; 3];
+        for (round, ops) in [1, 8, 64, 1, 8, 64].into_iter().enumerate() {
+            let batch = WriteBatch {
+                ops: stream
+                    .batches(ops)
+                    .into_iter()
+                    .flat_map(|b| b.ops)
+                    .collect(),
+            };
+            for op in &batch.ops {
+                match op {
+                    WriteOp::Insert { table, .. } if table == "departments" => seen[0] += 1,
+                    WriteOp::DeleteByKey { table, .. } if table == "departments" => seen[1] += 1,
+                    WriteOp::DeleteByKey { table, .. } if table == "employees" => seen[2] += 1,
+                    _ => {}
                 }
-                session.apply_batch(&batch).unwrap();
-                let live = sub.value().unwrap();
-                let recomputed = session.execute(&prepared).unwrap();
-                assert!(
-                    live.multiset_eq(&recomputed),
-                    "{name} under {scheme} indexes diverged from recompute \
-                     after the {ops}-op batch of round {round}"
-                );
             }
+            session.apply_batch(&batch).unwrap();
+            let live = sub.value().unwrap();
+            let recomputed = session.execute(&prepared).unwrap();
             assert!(
-                seen.iter().all(|&n| n > 0),
-                "the stream inserts and deletes departments and deletes employees: {seen:?}"
+                live.multiset_eq(&recomputed),
+                "{name} diverged from recompute \
+                 after the {ops}-op batch of round {round}"
             );
-            assert_eq!(sub.generation(), 6, "every batch maintains the view");
-            assert_eq!(sub.reseeds(), 0, "{name} under {scheme} indexes reseeded");
         }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "the stream inserts and deletes departments and deletes employees: {seen:?}"
+        );
+        assert_eq!(sub.generation(), 6, "every batch maintains the view");
+        assert_eq!(sub.reseeds(), 0, "{name} reseeded");
     }
 }
 

@@ -7,8 +7,8 @@
 
 use query_shredding::prelude::*;
 use query_shredding::shredding::obs::{
-    Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, OperatorProfile, QueryObs, QueryProfile,
-    RingSink, Stage,
+    Histogram, MetricsRegistry, MetricsSnapshot, OperatorProfile, QueryObs, QueryProfile, RingSink,
+    Stage,
 };
 use std::sync::Arc;
 
@@ -45,7 +45,6 @@ fn the_observability_layer_is_send_and_sync() {
     assert_send_sync::<QueryProfile>();
     assert_send_sync::<OperatorProfile>();
     assert_send_sync::<RingSink>();
-    assert_send_sync::<Arc<dyn ObsSink>>();
 }
 
 // ---------------------------------------------------------------------------
@@ -298,26 +297,13 @@ fn a_single_worker_session_records_no_morsel_metrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks and stage tracing
+// The profile ring and stage tracing
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct CountingSink {
-    seen: std::sync::Mutex<Vec<QueryProfile>>,
-}
-
-impl ObsSink for CountingSink {
-    fn record(&self, profile: QueryProfile) {
-        self.seen.lock().unwrap().push(profile);
-    }
-}
-
 #[test]
-fn a_custom_sink_receives_every_profile_with_all_pipeline_stages() {
-    let sink = Arc::new(CountingSink::default());
+fn the_profile_ring_receives_every_profile_with_all_pipeline_stages() {
     let session = Shredder::builder()
         .database(small_db())
-        .obs_sink(sink.clone())
         .without_plan_cache()
         .build()
         .unwrap();
@@ -325,7 +311,7 @@ fn a_custom_sink_receives_every_profile_with_all_pipeline_stages() {
     let prepared = session.prepare(&q).unwrap();
     session.execute(&prepared).unwrap();
     session.execute(&prepared).unwrap();
-    let seen = sink.seen.lock().unwrap();
+    let seen = session.recent_profiles();
     assert_eq!(seen.len(), 2);
     // Stage tracing is always on: prepare-side and execute-side spans are
     // both present even without per-operator profiling.
@@ -348,8 +334,6 @@ fn a_custom_sink_receives_every_profile_with_all_pipeline_stages() {
     assert!(!seen[0].profiled);
     assert!(seen[0].operators.is_empty());
     assert!(seen[0].total_nanos >= seen[0].stage_nanos(Stage::Execute));
-    // Installing a custom sink replaces the in-memory ring.
-    assert!(session.recent_profiles().is_empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 //! Differential tests of stage-parallel execution: a session built with
 //! `workers(4)` runs a package's stages concurrently and must return results
 //! *identical* (not merely multiset-equal) to the `workers(1)` baseline for
-//! every benchmark query, under every indexing scheme — and both must agree
-//! with the interpreter oracle.
+//! every benchmark query — and both must agree with the interpreter oracle.
 //!
 //! Also covers the two parallel-specific regressions: live views seeded by
 //! a parallel execution behave identically to sequentially-seeded ones, and
@@ -31,11 +30,11 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
 }
 
 // ---------------------------------------------------------------------------
-// The full differential matrix: 12 queries × 3 schemes × workers {1, 4}
+// The full differential matrix: 12 queries × workers {1, 4}
 // ---------------------------------------------------------------------------
 
 /// The acceptance bar of stage-parallel execution: for every benchmark query
-/// under every indexing scheme, a `workers(4)` session returns a value
+/// (the SQL path reads no indexing scheme), a `workers(4)` session returns a value
 /// strictly equal to the `workers(1)` baseline (stage results are
 /// reassembled in the package's stage order, so scheduling cannot show), and
 /// both agree with the nested interpreter oracle.
@@ -44,45 +43,41 @@ fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
     let db = small_db();
     let queries = all_benchmark_queries();
     // The oracle evaluates the nested reference semantics directly on the
-    // database, so it is scheme-independent: compute it once per query.
+    // database: compute it once per query.
     let oracle_session = Shredder::over(db.clone()).unwrap();
     let oracles: Vec<Value> = queries
         .iter()
         .map(|(_, q)| oracle_session.oracle(q).unwrap())
         .collect();
 
-    for scheme in IndexScheme::ALL {
-        let single = Shredder::builder()
-            .database(db.clone())
-            .index_scheme(scheme)
-            .workers(1)
-            .build()
-            .unwrap();
-        let baselines: Vec<Value> = queries
-            .iter()
-            .map(|(_, q)| single.execute(&single.prepare(q).unwrap()).unwrap())
-            .collect();
-        for (baseline, reference) in baselines.iter().zip(&oracles) {
-            // Sanity: the sequential baseline itself matches the oracle.
-            assert!(baseline.multiset_eq(reference));
-        }
-        let parallel = Shredder::builder()
-            .database(db.clone())
-            .index_scheme(scheme)
-            .workers(4)
-            .build()
-            .unwrap();
-        for (i, (name, q)) in queries.iter().enumerate() {
-            let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
-            assert_eq!(
-                value, baselines[i],
-                "{name} under {scheme} indexes: workers(4) diverged from the workers(1) baseline"
-            );
-            assert!(
-                value.multiset_eq(&oracles[i]),
-                "{name} under {scheme} indexes: workers(4) diverged from the interpreter oracle"
-            );
-        }
+    let single = Shredder::builder()
+        .database(db.clone())
+        .workers(1)
+        .build()
+        .unwrap();
+    let baselines: Vec<Value> = queries
+        .iter()
+        .map(|(_, q)| single.execute(&single.prepare(q).unwrap()).unwrap())
+        .collect();
+    for (baseline, reference) in baselines.iter().zip(&oracles) {
+        // Sanity: the sequential baseline itself matches the oracle.
+        assert!(baseline.multiset_eq(reference));
+    }
+    let parallel = Shredder::builder()
+        .database(db.clone())
+        .workers(4)
+        .build()
+        .unwrap();
+    for (i, (name, q)) in queries.iter().enumerate() {
+        let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
+        assert_eq!(
+            value, baselines[i],
+            "{name}: workers(4) diverged from the workers(1) baseline"
+        );
+        assert!(
+            value.multiset_eq(&oracles[i]),
+            "{name}: workers(4) diverged from the interpreter oracle"
+        );
     }
 }
 

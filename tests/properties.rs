@@ -137,8 +137,7 @@ fn shredding_and_stitching_preserve_semantics() {
         for scheme in IndexScheme::ALL {
             let in_memory = Shredder::builder()
                 .database(session.database().unwrap().clone())
-                .backend(Box::new(ShreddedMemoryBackend))
-                .index_scheme(scheme)
+                .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
                 .build()
                 .unwrap();
             let v = in_memory.run(q).unwrap();

@@ -64,38 +64,39 @@ fn columnar_and_row_result_assembly_are_identical_on_every_benchmark_query() {
 
 /// The columnar SQL path and the in-memory shredded semantics (which stitch
 /// with the row oracle under canonical / flat / natural indexes) agree with
-/// the nested-oracle backend under every indexing scheme.
+/// the nested-oracle backend under every indexing scheme. SQL generation
+/// reads no scheme, so the SQL path runs once; the in-memory path runs under
+/// each.
 #[test]
 fn every_index_scheme_agrees_with_the_nested_oracle() {
     let db = small_db();
-    for scheme in IndexScheme::ALL {
-        let oracle = Shredder::builder()
-            .database(db.clone())
-            .backend(Box::new(NestedOracleBackend))
-            .index_scheme(scheme)
-            .build()
-            .unwrap();
-        let sql = Shredder::builder()
-            .database(db.clone())
-            .index_scheme(scheme)
-            .build()
-            .unwrap();
-        let memory = Shredder::builder()
-            .database(db.clone())
-            .backend(Box::new(ShreddedMemoryBackend))
-            .index_scheme(scheme)
-            .build()
-            .unwrap();
-        for (name, q) in all_benchmark_queries() {
-            let reference = oracle.run(&q).unwrap();
-            let via_sql = sql.run(&q).unwrap();
-            assert!(
-                via_sql.multiset_eq(&reference),
-                "{} under {} indexes: columnar SQL path disagrees",
-                name,
-                scheme
-            );
-            let via_memory = memory.run(&q).unwrap();
+    let oracle = Shredder::builder()
+        .database(db.clone())
+        .backend(Box::new(NestedOracleBackend))
+        .build()
+        .unwrap();
+    let sql = Shredder::over(db.clone()).unwrap();
+    let memory: Vec<(IndexScheme, Shredder)> = IndexScheme::ALL
+        .into_iter()
+        .map(|scheme| {
+            let session = Shredder::builder()
+                .database(db.clone())
+                .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
+                .build()
+                .unwrap();
+            (scheme, session)
+        })
+        .collect();
+    for (name, q) in all_benchmark_queries() {
+        let reference = oracle.run(&q).unwrap();
+        let via_sql = sql.run(&q).unwrap();
+        assert!(
+            via_sql.multiset_eq(&reference),
+            "{}: columnar SQL path disagrees",
+            name
+        );
+        for (scheme, session) in &memory {
+            let via_memory = session.run(&q).unwrap();
             assert!(
                 via_memory.multiset_eq(&reference),
                 "{} under {} indexes: shredded-memory (row-stitched) path disagrees",
@@ -117,7 +118,10 @@ fn all_six_backends_agree_on_their_supported_queries() {
     // Backends that handle arbitrary nested queries.
     let nested_backends: Vec<(&str, Box<dyn SqlBackend>)> = vec![
         ("sqlengine", Box::new(SqlEngineBackend)),
-        ("shredded-memory", Box::new(ShreddedMemoryBackend)),
+        (
+            "shredded-memory",
+            Box::new(ShreddedMemoryBackend::default()),
+        ),
         ("oracle", Box::new(NestedOracleBackend)),
         ("looplift", Box::new(LoopLiftBackend)),
     ];

