@@ -1660,8 +1660,9 @@ impl Shredder {
     /// validation error nothing is applied.
     ///
     /// Observability: bumps the `writes.applied` counter, adds the delta's
-    /// signed row count to `delta.rows`, and records one `stage.maintain`
-    /// histogram sample per maintained subscription.
+    /// signed row count to `delta.rows`, records one `stage.commit`
+    /// histogram sample for the storage commit and one `stage.maintain`
+    /// sample per maintained subscription.
     ///
     /// Once storage is committed, *every* live subscription is maintained
     /// before anything is reported: a view whose maintenance fails is left
@@ -1685,8 +1686,12 @@ impl Shredder {
             .write_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let start = Instant::now();
         let delta = engine.apply_batch(batch)?;
         let metrics = &self.core.metrics;
+        metrics
+            .histogram(Stage::Commit.metric_name())
+            .record_duration(start.elapsed());
         metrics.counter("writes.applied").inc();
         metrics.counter("delta.rows").add(delta.row_count() as u64);
         let live: Vec<Arc<LiveView>> = {

@@ -7,8 +7,9 @@ use std::time::Instant;
 use crate::lock;
 
 /// One phase of the shredding pipeline. `prepare` produces the first six,
-/// `execute_bound` the next three, and `Maintain` times the incremental
-/// upkeep of a live subscription after a committed write batch.
+/// `execute_bound` the next three; `Commit` times validating and committing
+/// a write batch to storage, and `Maintain` the incremental upkeep of a live
+/// subscription after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     Typecheck,
@@ -20,11 +21,12 @@ pub enum Stage {
     Execute,
     Decode,
     Stitch,
+    Commit,
     Maintain,
 }
 
 impl Stage {
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Typecheck,
         Stage::Normalise,
         Stage::Shred,
@@ -34,6 +36,7 @@ impl Stage {
         Stage::Execute,
         Stage::Decode,
         Stage::Stitch,
+        Stage::Commit,
         Stage::Maintain,
     ];
 
@@ -50,6 +53,7 @@ impl Stage {
             Stage::Execute => "stage.execute",
             Stage::Decode => "stage.decode",
             Stage::Stitch => "stage.stitch",
+            Stage::Commit => "stage.commit",
             Stage::Maintain => "stage.maintain",
         }
     }
@@ -65,6 +69,7 @@ impl Stage {
             Stage::Execute => "execute",
             Stage::Decode => "decode",
             Stage::Stitch => "stitch",
+            Stage::Commit => "commit",
             Stage::Maintain => "maintain",
         }
     }

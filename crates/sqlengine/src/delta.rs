@@ -2,9 +2,11 @@
 //!
 //! A [`WriteBatch`] is an ordered list of [`WriteOp`]s. Committing one is a
 //! two-phase affair: [`Storage::validate_batch`] replays the operations
-//! against cloned copies of the affected tables — so a batch that would
-//! violate arity, column types or a declared key is rejected *before* any
-//! real table changes — and normalises the surviving operations into a
+//! against a small overlay per affected table — the base rows the batch
+//! deleted, the rows it appended and the keys it added and freed, over the
+//! borrowed table, which is never copied — so a batch that would violate
+//! arity, column types or a declared key is rejected *before* any real
+//! table changes. It normalises the surviving operations into a
 //! [`StorageDelta`]: one signed row multiset per table, with insertions and
 //! retractions of the same row cancelled out (an update is exactly a delete
 //! plus an insert). [`Storage::apply_delta`] then commits the delta with a
@@ -16,9 +18,10 @@
 //! and a from-scratch scan of the same table always agree on row order.
 
 use crate::error::EngineError;
-use crate::storage::Storage;
+use crate::storage::{Storage, Table};
 use crate::value::Row;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One mutation inside a [`WriteBatch`].
 #[derive(Debug, Clone, PartialEq)]
@@ -209,48 +212,149 @@ impl SignedRows {
     }
 }
 
+/// Where a row of an [`Overlay`] lives: in the borrowed table, or among the
+/// rows the batch appended.
+#[derive(Clone, Copy)]
+enum Slot {
+    Base(usize),
+    Appended(usize),
+}
+
+/// One table as a batch under validation has left it so far, kept as
+/// changes over the borrowed pre-state table instead of a copy of it. Its
+/// rows, in scan order, are the base rows not in `deleted` followed by
+/// `appended` — the order a replay on a copy of the table would see, so a
+/// delete-by-value finds the same first occurrence.
+struct Overlay<'t> {
+    base: &'t Table,
+    /// Positions of the base rows the batch deleted.
+    deleted: HashSet<usize>,
+    /// Rows the batch appended and has not deleted since, in order.
+    appended: Vec<Row>,
+    /// Keys of the rows in `appended`.
+    added_keys: HashSet<Row>,
+    /// Keys of the rows the batch deleted. A base key in this set is no
+    /// longer held by its base row.
+    freed_keys: HashSet<Row>,
+    signed: SignedRows,
+}
+
+impl<'t> Overlay<'t> {
+    fn new(base: &'t Table) -> Overlay<'t> {
+        Overlay {
+            base,
+            deleted: HashSet::new(),
+            appended: Vec::new(),
+            added_keys: HashSet::new(),
+            freed_keys: HashSet::new(),
+            signed: SignedRows::default(),
+        }
+    }
+
+    /// Does a live row hold this key? An appended row does while its key is
+    /// in `added_keys`, a base row while the batch has not freed its key.
+    fn key_taken(&self, key: &Row) -> bool {
+        self.added_keys.contains(key) || (self.base.has_key(key) && !self.freed_keys.contains(key))
+    }
+
+    /// The first live row satisfying `matches`, in scan order. The row is
+    /// compared before the deleted set is consulted: most rows do not match.
+    fn find(&self, matches: impl Fn(&Row) -> bool) -> Option<Slot> {
+        let mut base = self.base.rows.iter().enumerate();
+        base.find(|(i, r)| matches(r) && !self.deleted.contains(i))
+            .map(|(i, _)| Slot::Base(i))
+            .or_else(|| self.appended.iter().position(matches).map(Slot::Appended))
+    }
+
+    /// The live row holding `key`. A key that no live row holds fails
+    /// without a scan.
+    fn find_key(&self, key: &Row) -> Result<Slot, EngineError> {
+        let matches = self.base.key_matcher(key)?;
+        let slot = if self.key_taken(key) {
+            self.find(matches)
+        } else {
+            None
+        };
+        slot.ok_or_else(|| self.base.no_such_row(key))
+    }
+
+    /// Delete a live row, freeing its key, and return it.
+    fn remove(&mut self, slot: Slot) -> Row {
+        let row = match slot {
+            Slot::Base(i) => {
+                self.deleted.insert(i);
+                self.base.rows[i].clone()
+            }
+            Slot::Appended(i) => self.appended.remove(i),
+        };
+        if let Some(key) = self.base.key_of(&row) {
+            self.added_keys.remove(&key);
+            self.freed_keys.insert(key);
+        }
+        row
+    }
+
+    fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+        if let Some(key) = self.base.check_row(&row, |key| self.key_taken(key))? {
+            self.added_keys.insert(key);
+        }
+        self.appended.push(row);
+        Ok(())
+    }
+
+    /// Replay one operation, recording the rows it retracts and inserts.
+    fn apply(&mut self, op: &WriteOp) -> Result<(), EngineError> {
+        match op {
+            WriteOp::Insert { row, .. } => {
+                self.insert(row.clone())?;
+                self.signed.add(row.clone(), 1);
+            }
+            WriteOp::Delete { row, .. } => {
+                let slot = self
+                    .find(|r| r == row)
+                    .ok_or_else(|| self.base.no_such_row(row))?;
+                let old = self.remove(slot);
+                self.signed.add(old, -1);
+            }
+            WriteOp::DeleteByKey { key, .. } => {
+                let slot = self.find_key(key)?;
+                let old = self.remove(slot);
+                self.signed.add(old, -1);
+            }
+            WriteOp::Update { key, row, .. } => {
+                let slot = self.find_key(key)?;
+                let old = self.remove(slot);
+                self.insert(row.clone())?;
+                self.signed.add(old, -1);
+                self.signed.add(row.clone(), 1);
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Storage {
-    /// Replay a batch against clones of the affected tables and normalise it
-    /// into a [`StorageDelta`]. Nothing in `self` changes; an `Err` means
-    /// some operation was invalid (unknown table or row, arity or type
-    /// violation, duplicate key) and the batch must be rejected wholesale.
+    /// Replay a batch against an overlay per affected table and normalise
+    /// it into a [`StorageDelta`]. Nothing in `self` changes and no table is
+    /// copied; an `Err` means some operation was invalid (unknown table or
+    /// row, arity or type violation, duplicate key) and the batch must be
+    /// rejected wholesale.
     ///
     /// The returned delta's retractions are a sub-multiset of the current
     /// (pre-state) tables, so [`Storage::apply_delta`] cannot fail.
     pub fn validate_batch(&self, batch: &WriteBatch) -> Result<StorageDelta, EngineError> {
-        let mut shadows: BTreeMap<String, crate::storage::Table> = BTreeMap::new();
-        let mut signed: BTreeMap<String, SignedRows> = BTreeMap::new();
+        let mut overlays: BTreeMap<&str, Overlay<'_>> = BTreeMap::new();
         for op in &batch.ops {
-            let name = op.table();
-            if !shadows.contains_key(name) {
-                shadows.insert(name.to_string(), self.table(name)?.clone());
-            }
-            let shadow = shadows.get_mut(name).expect("shadow table just inserted");
-            let signed = signed.entry(name.to_string()).or_default();
-            match op {
-                WriteOp::Insert { row, .. } => {
-                    shadow.insert(row.clone())?;
-                    signed.add(row.clone(), 1);
-                }
-                WriteOp::Delete { row, .. } => {
-                    shadow.delete(row)?;
-                    signed.add(row.clone(), -1);
-                }
-                WriteOp::DeleteByKey { key, .. } => {
-                    let row = shadow.delete_by_key(key)?;
-                    signed.add(row, -1);
-                }
-                WriteOp::Update { key, row, .. } => {
-                    let old = shadow.update(key, row.clone())?;
-                    signed.add(old, -1);
-                    signed.add(row.clone(), 1);
-                }
-            }
+            let overlay = match overlays.entry(op.table()) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => entry.insert(Overlay::new(self.table(op.table())?)),
+            };
+            overlay.apply(op)?;
         }
         Ok(StorageDelta {
-            tables: signed
+            tables: overlays
                 .into_iter()
-                .map(|(n, s)| (n, s.into_delta()))
+                .map(|(n, o)| (n.to_string(), o.signed.into_delta()))
                 .collect(),
         })
     }
@@ -435,5 +539,300 @@ mod tests {
                 vec![SqlValue::Int(9)],
             ]
         );
+    }
+}
+
+/// `validate_batch` replays a batch on overlays; the reference replays it
+/// one operation at a time on a copy of the storage, through the public
+/// per-operation entry points. The two must agree on every batch.
+#[cfg(test)]
+mod overlay_differential {
+    use super::*;
+    use crate::storage::{ColumnType, TableDef};
+    use crate::value::SqlValue;
+
+    /// splitmix64, inline: `sqlengine` does not depend on `datagen`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
+            (!items.is_empty()).then(|| &items[self.below(items.len() as u64) as usize])
+        }
+    }
+
+    const KEYS: i64 = 24;
+
+    fn keyed_row(id: Option<i64>, name: &str) -> Row {
+        vec![
+            id.map_or(SqlValue::Null, SqlValue::Int),
+            SqlValue::str(name),
+        ]
+    }
+
+    fn bag_row(rng: &mut Rng) -> Row {
+        vec![
+            SqlValue::Int(rng.below(4) as i64),
+            SqlValue::str(["a", "b"][rng.below(2) as usize]),
+        ]
+    }
+
+    fn name(rng: &mut Rng) -> &'static str {
+        ["p", "q", "r"][rng.below(3) as usize]
+    }
+
+    /// A key of the keyed table: usually one no live row holds (or a reused
+    /// freed one), sometimes any key in range, which may collide.
+    fn new_key(rng: &mut Rng, s: &Storage) -> Option<i64> {
+        let t = s.table("k").unwrap();
+        if rng.chance(3) {
+            return None;
+        }
+        let free: Vec<i64> = (0..KEYS)
+            .filter(|&id| !t.has_key(&vec![SqlValue::Int(id)]))
+            .collect();
+        match rng.pick(&free) {
+            Some(&id) if rng.chance(80) => Some(id),
+            _ => Some(rng.below(KEYS as u64) as i64),
+        }
+    }
+
+    /// A key for a keyed write: a live row's key, or a missing, `NULL` or
+    /// ill-shaped one.
+    fn target_key(rng: &mut Rng, s: &Storage) -> Row {
+        let t = s.table("k").unwrap();
+        match rng.below(40) {
+            0 => vec![SqlValue::Null],
+            1 => vec![SqlValue::Int(1), SqlValue::Int(2)],
+            2 | 3 => vec![SqlValue::Int(rng.below(KEYS as u64 + 4) as i64)],
+            _ => rng
+                .pick(&t.rows)
+                .map_or(vec![SqlValue::Int(0)], |r| vec![r[0].clone()]),
+        }
+    }
+
+    /// One operation, drawn against the state the batch has reached so far
+    /// (`s`), so it can address rows the batch added; `gone` holds rows the
+    /// batch deleted, for deleting them a second time.
+    fn gen_op(rng: &mut Rng, s: &Storage, gone: &[(String, Row)]) -> WriteOp {
+        let k = s.table("k").unwrap();
+        let bag = s.table("bag").unwrap();
+        match rng.below(100) {
+            0 => WriteOp::Insert {
+                table: "nope".into(),
+                row: keyed_row(Some(1), "x"),
+            },
+            1 => WriteOp::Insert {
+                table: "k".into(),
+                row: if rng.chance(50) {
+                    vec![SqlValue::Int(1)]
+                } else {
+                    vec![SqlValue::str("1"), SqlValue::str("x")]
+                },
+            },
+            2..=21 => WriteOp::Insert {
+                table: "k".into(),
+                row: keyed_row(new_key(rng, s), name(rng)),
+            },
+            22..=36 => WriteOp::Insert {
+                table: "bag".into(),
+                row: bag_row(rng),
+            },
+            37..=62 => {
+                // A delete picks its table in proportion to size, which
+                // keeps both tables small.
+                let (table, rows) = if rng.below((k.len() + bag.len()) as u64 + 1) < k.len() as u64
+                {
+                    ("k", &k.rows)
+                } else {
+                    ("bag", &bag.rows)
+                };
+                let row = match rng.below(20) {
+                    0 => keyed_row(Some(KEYS + 1), "gone"),
+                    1 | 2 => match rng.pick(gone) {
+                        Some((t, r)) if *t == table => r.clone(),
+                        _ => rng.pick(rows).cloned().unwrap_or_else(|| bag_row(rng)),
+                    },
+                    _ => rng.pick(rows).cloned().unwrap_or_else(|| bag_row(rng)),
+                };
+                WriteOp::Delete {
+                    table: table.into(),
+                    row,
+                }
+            }
+            63..=74 => WriteOp::DeleteByKey {
+                table: "k".into(),
+                key: target_key(rng, s),
+            },
+            75..=97 => {
+                let key = target_key(rng, s);
+                let row = if rng.chance(50) {
+                    vec![key[0].clone(), SqlValue::str(name(rng))]
+                } else {
+                    keyed_row(new_key(rng, s), name(rng))
+                };
+                WriteOp::Update {
+                    table: "k".into(),
+                    key,
+                    row,
+                }
+            }
+            _ => {
+                let key = vec![SqlValue::Int(0)];
+                if rng.chance(50) {
+                    WriteOp::DeleteByKey {
+                        table: "bag".into(),
+                        key,
+                    }
+                } else {
+                    WriteOp::Update {
+                        table: "bag".into(),
+                        key,
+                        row: bag_row(rng),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replay one operation on `s` through the public per-operation entry
+    /// points, recording its signed rows as the clone-based validation did.
+    fn replay(
+        s: &mut Storage,
+        signed: &mut BTreeMap<String, SignedRows>,
+        op: &WriteOp,
+    ) -> Result<Option<Row>, EngineError> {
+        let name = op.table();
+        s.table(name)?;
+        let signed = signed.entry(name.to_string()).or_default();
+        match op {
+            WriteOp::Insert { row, .. } => {
+                s.insert(name, row.clone())?;
+                signed.add(row.clone(), 1);
+                Ok(None)
+            }
+            WriteOp::Delete { row, .. } => {
+                s.delete(name, row)?;
+                signed.add(row.clone(), -1);
+                Ok(Some(row.clone()))
+            }
+            WriteOp::DeleteByKey { key, .. } => {
+                let old = s.delete_by_key(name, key)?;
+                signed.add(old.clone(), -1);
+                Ok(Some(old))
+            }
+            WriteOp::Update { key, row, .. } => {
+                let old = s.update(name, key, row.clone())?;
+                signed.add(old.clone(), -1);
+                signed.add(row.clone(), 1);
+                Ok(Some(old))
+            }
+        }
+    }
+
+    fn sorted_rows(s: &Storage, table: &str) -> Vec<String> {
+        let mut rows: Vec<String> = s
+            .table(table)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn the_overlay_agrees_with_a_per_operation_replay() {
+        let mut s = Storage::new();
+        s.create_table(
+            TableDef::new(
+                "k",
+                vec![("id", ColumnType::Int), ("name", ColumnType::Text)],
+            )
+            .with_key(vec!["id"]),
+        )
+        .unwrap();
+        s.create_table(TableDef::new(
+            "bag",
+            vec![("x", ColumnType::Int), ("s", ColumnType::Text)],
+        ))
+        .unwrap();
+        let mut rng = Rng(0x5eed);
+        let (mut accepted, mut errors) = (0, BTreeMap::<String, usize>::new());
+        for _ in 0..2500 {
+            // Draw the batch against the reference as it replays, so later
+            // operations can address rows earlier ones added or deleted.
+            let mut reference = s.clone();
+            let mut signed = BTreeMap::new();
+            let mut gone = Vec::new();
+            let mut batch = WriteBatch::new();
+            let mut expected = Ok(());
+            for _ in 0..1 + rng.below(16) {
+                let op = gen_op(&mut rng, &reference, &gone);
+                batch.ops.push(op.clone());
+                if expected.is_err() {
+                    continue; // validation must stop at the first error
+                }
+                match replay(&mut reference, &mut signed, &op) {
+                    Ok(Some(row)) => gone.push((op.table().to_string(), row)),
+                    Ok(None) => {}
+                    Err(e) => expected = Err(e),
+                }
+            }
+            let got = s.validate_batch(&batch);
+            match (&expected, &got) {
+                (Err(want), Err(got)) => {
+                    assert_eq!(want.to_string(), got.to_string(), "{batch:?}");
+                    let kind = format!("{want:?}");
+                    let kind = kind.split([' ', '(']).next().unwrap().to_string();
+                    *errors.entry(kind).or_default() += 1;
+                }
+                (Ok(()), Ok(delta)) => {
+                    let want = StorageDelta {
+                        tables: signed
+                            .into_iter()
+                            .map(|(n, s)| (n, s.into_delta()))
+                            .collect(),
+                    };
+                    assert_eq!(delta, &want, "{batch:?}");
+                    s.apply_delta(delta);
+                    for table in ["k", "bag"] {
+                        assert_eq!(sorted_rows(&s, table), sorted_rows(&reference, table));
+                    }
+                    accepted += 1;
+                }
+                _ => panic!("{batch:?}: replay gave {expected:?}, the overlay {got:?}"),
+            }
+        }
+        assert!(accepted >= 500, "only {accepted} batches were accepted");
+        for kind in [
+            "NoSuchTable",
+            "ArityMismatch",
+            "ColumnTypeMismatch",
+            "DuplicateKey",
+            "NoSuchRow",
+            "NoDeclaredKey",
+        ] {
+            assert!(
+                errors.get(kind).is_some_and(|&n| n >= 20),
+                "too few {kind} rejections: {errors:?}"
+            );
+        }
     }
 }

@@ -85,19 +85,17 @@ impl TableDef {
     }
 }
 
-/// The version-stamped columnar cache of a [`Table`].
-///
-/// The table's mutators bump the table's `version`; the cache keeps the
-/// version it was built at and is served only while the stamps agree, so a
-/// delete or update can never leak a stale transposition (the historical
-/// `OnceLock` cache invalidated on insert only because insert was the only
-/// mutation).
 /// The shared column-major view a cell caches: one `Arc` per column.
 type SharedColumns = Arc<Vec<Arc<Vec<SqlValue>>>>;
 
-/// A table's columnar view, stamped with the version it was built from. A
-/// poisoned lock is recovered, not re-panicked: the view is discardable and
-/// every read checks its stamp, so a panic cannot leave it torn.
+/// A table's columnar view, stamped with the table version it matches.
+///
+/// [`Table::columnar`] builds the view on a cold read and serves it while
+/// the stamps agree. Every mutator patches a warm view in step with the rows
+/// and re-stamps it, so a write costs one value per column, not a later
+/// re-transposition. A poisoned lock is recovered, not re-panicked: a patch
+/// works on a view taken out of the lock, so a panic leaves no view at all,
+/// never a torn one stamped as current.
 #[derive(Debug, Default)]
 struct ColumnarCell {
     cache: RwLock<Option<(u64, SharedColumns)>>,
@@ -115,6 +113,20 @@ impl ColumnarCell {
     fn put(&self, version: u64, cols: SharedColumns) {
         *self.cache.write().unwrap_or_else(PoisonError::into_inner) = Some((version, cols));
     }
+
+    /// Carry a view built at `version` over to `version + 1` by applying
+    /// `edit` to its columns. Columns a reader still holds are copied on
+    /// write (`Arc::make_mut`), so the reader keeps its snapshot. A view at
+    /// any other version is dropped: the next read rebuilds it.
+    fn patch(&mut self, version: u64, edit: impl FnOnce(&mut [Arc<Vec<SqlValue>>])) {
+        let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some((v, mut cols)) = cache.take() {
+            if v == version {
+                edit(Arc::make_mut(&mut cols).as_mut_slice());
+                *cache = Some((version + 1, cols));
+            }
+        }
+    }
 }
 
 /// A stored table: a definition plus its rows.
@@ -123,20 +135,24 @@ impl ColumnarCell {
 /// through [`Table::delete`] / [`Table::update`] (or the [`Storage`] entry
 /// points), which enforce the schema — arity, column types and the key
 /// declared with [`TableDef::with_key`] — and keep the cached columnar view
-/// consistent via a per-table version stamp.
+/// in step with the rows.
 #[derive(Debug)]
 pub struct Table {
     pub def: TableDef,
+    /// The rows, in scan order. Read freely; write only through the
+    /// mutators. A direct mutation bypasses the version stamp, so
+    /// [`Table::columnar`] would go on serving the columns of the old rows,
+    /// and it bypasses the key bookkeeping too.
     pub rows: Vec<Row>,
     /// Key values seen so far, for O(1) duplicate-key detection.
     key_seen: HashSet<Row>,
     /// Bumped by every mutation; pairs with `columnar` so cached column
     /// vectors are served only while they match the current contents.
     version: u64,
-    /// Lazily transposed column-major view served to the vectorized
-    /// executor, stamped with the version it was built at. Behind an
-    /// `RwLock` so concurrent readers of a shared table can build it
-    /// without `&mut` access.
+    /// Column-major view served to the vectorized executor: transposed on
+    /// the first read, then patched by every mutation. Behind an `RwLock`
+    /// so concurrent readers of a shared table can build it without `&mut`
+    /// access.
     columnar: ColumnarCell,
 }
 
@@ -172,20 +188,25 @@ impl Table {
 
     /// The non-`NULL` key projection of a row, when the table declares a key
     /// (rows whose key contains `NULL` never participate in uniqueness).
-    fn key_of(&self, row: &Row) -> Option<Row> {
+    /// The key is allocated at its exact length: `key_seen` keeps it.
+    pub(crate) fn key_of(&self, row: &Row) -> Option<Row> {
         if self.def.key.is_empty() {
             return None;
         }
-        self.def
-            .key
-            .iter()
-            .map(|k| {
-                self.def
-                    .column_index(k)
-                    .map(|i| row[i].clone())
-                    .filter(|v| !v.is_null())
-            })
-            .collect()
+        let mut key = Vec::with_capacity(self.def.key.len());
+        for k in &self.def.key {
+            let v = &row[self.def.column_index(k)?];
+            if v.is_null() {
+                return None;
+            }
+            key.push(v.clone());
+        }
+        Some(key)
+    }
+
+    /// Does a live row hold this (non-`NULL`) key?
+    pub(crate) fn has_key(&self, key: &Row) -> bool {
+        self.key_seen.contains(key)
     }
 
     /// Insert a row after checking its arity, column types and — when the
@@ -193,6 +214,28 @@ impl Table {
     /// `NULL` is never considered a duplicate (SQL `UNIQUE` semantics; the
     /// natural indexing scheme pads key columns with `NULL`).
     pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+        if let Some(key) = self.check_row(&row, |key| self.key_seen.contains(key))? {
+            self.key_seen.insert(key);
+        }
+        self.mutated(|cols| {
+            for (col, v) in cols.iter_mut().zip(&row) {
+                Arc::make_mut(col).push(v.clone());
+            }
+        });
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Check a row for insertion: its arity, then its column types, then —
+    /// when the table declares a key — that `key_taken` does not hold for
+    /// its key. Returns the key the row would occupy. The one copy of the
+    /// check, shared by [`Table::insert`] and batch validation, which passes
+    /// the keys as the batch has left them.
+    pub(crate) fn check_row(
+        &self,
+        row: &Row,
+        key_taken: impl Fn(&Row) -> bool,
+    ) -> Result<Option<Row>, EngineError> {
         if row.len() != self.def.arity() {
             return Err(EngineError::ArityMismatch {
                 table: self.def.name.clone(),
@@ -200,7 +243,7 @@ impl Table {
                 got: row.len(),
             });
         }
-        for ((name, ty), v) in self.def.columns.iter().zip(&row) {
+        for ((name, ty), v) in self.def.columns.iter().zip(row) {
             if !ty.admits(v) {
                 return Err(EngineError::ColumnTypeMismatch {
                     table: self.def.name.clone(),
@@ -210,30 +253,23 @@ impl Table {
                 });
             }
         }
-        if let Some(key) = self.key_of(&row) {
-            if !self.key_seen.insert(key.clone()) {
-                return Err(EngineError::DuplicateKey {
-                    table: self.def.name.clone(),
-                    key,
-                });
-            }
+        match self.key_of(row) {
+            Some(key) if key_taken(&key) => Err(EngineError::DuplicateKey {
+                table: self.def.name.clone(),
+                key,
+            }),
+            key => Ok(key),
         }
-        self.rows.push(row);
-        self.version += 1;
-        Ok(())
     }
 
     /// Delete the first row equal to `row`. Errors when no such row exists;
     /// the row's key (if any) becomes available for re-insertion.
     pub fn delete(&mut self, row: &Row) -> Result<(), EngineError> {
-        let idx =
-            self.rows
-                .iter()
-                .position(|r| r == row)
-                .ok_or_else(|| EngineError::NoSuchRow {
-                    table: self.def.name.clone(),
-                    row: row.clone(),
-                })?;
+        let idx = self
+            .rows
+            .iter()
+            .position(|r| r == row)
+            .ok_or_else(|| self.no_such_row(row))?;
         self.delete_at(idx);
         Ok(())
     }
@@ -269,27 +305,43 @@ impl Table {
     }
 
     fn position_by_key(&self, key: &Row) -> Result<usize, EngineError> {
+        let matches = self.key_matcher(key)?;
+        self.rows
+            .iter()
+            .position(matches)
+            .ok_or_else(|| self.no_such_row(key))
+    }
+
+    /// A predicate on rows that holds where the declared-key columns equal
+    /// `key`, compared in place. A key holding `NULL` matches no row, as
+    /// `key_of` never yields one. Errors when the table declares no key.
+    pub(crate) fn key_matcher<'k>(
+        &self,
+        key: &'k Row,
+    ) -> Result<impl Fn(&Row) -> bool + 'k, EngineError> {
         if self.def.key.is_empty() {
             return Err(EngineError::NoDeclaredKey(self.def.name.clone()));
         }
-        // Compare the key columns in place. A key holding `NULL` matches no
-        // row, as `key_of` never yields one.
         let cols: Option<Vec<usize>> = self
             .def
             .key
             .iter()
             .map(|k| self.def.column_index(k))
             .collect();
-        cols.filter(|cols| cols.len() == key.len() && !key.iter().any(SqlValue::is_null))
-            .and_then(|cols| {
-                self.rows
-                    .iter()
-                    .position(|r| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
-            })
-            .ok_or_else(|| EngineError::NoSuchRow {
-                table: self.def.name.clone(),
-                row: key.clone(),
-            })
+        let cols =
+            cols.filter(|cols| cols.len() == key.len() && !key.iter().any(SqlValue::is_null));
+        Ok(move |r: &Row| {
+            cols.as_ref()
+                .is_some_and(|cols| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
+        })
+    }
+
+    /// The error for a delete or update that addresses no row.
+    pub(crate) fn no_such_row(&self, row: &Row) -> EngineError {
+        EngineError::NoSuchRow {
+            table: self.def.name.clone(),
+            row: row.clone(),
+        }
     }
 
     fn delete_at(&mut self, idx: usize) {
@@ -297,16 +349,28 @@ impl Table {
         if let Some(key) = self.key_of(&row) {
             self.key_seen.remove(&key);
         }
+        self.mutated(|cols| {
+            for col in cols {
+                Arc::make_mut(col).remove(idx);
+            }
+        });
+    }
+
+    /// Bump the version after a mutation, carrying a warm columnar view
+    /// across with `edit` — the mutation's effect on the columns.
+    fn mutated(&mut self, edit: impl FnOnce(&mut [Arc<Vec<SqlValue>>])) {
+        self.columnar.patch(self.version, edit);
         self.version += 1;
     }
 
     /// The column-major view of the table: one shared vector per column, in
-    /// declaration order. Built lazily on first use (thread-safely: any
-    /// number of concurrent readers may trigger the build) and cached until
-    /// the next mutation; the vectorized executor scans these vectors
-    /// zero-copy, and the `Arc`s let batches outlive the borrow and cross
-    /// threads. The cache is stamped with the table version it was built at,
-    /// so deletes and updates invalidate it just like inserts.
+    /// declaration order. A cold read transposes the rows (thread-safely:
+    /// any number of concurrent readers may trigger the build); from then
+    /// on every mutation patches the cached view in place, so a read after a
+    /// write costs no re-transposition. The vectorized executor scans these
+    /// vectors zero-copy, and the `Arc`s let batches outlive the borrow and
+    /// cross threads: a view a reader holds is a snapshot, which later
+    /// writes copy on write instead of changing.
     pub fn columnar(&self) -> Arc<Vec<Arc<Vec<SqlValue>>>> {
         if let Some(cols) = self.columnar.get(self.version) {
             return cols;
@@ -745,6 +809,135 @@ mod tests {
         let cols = s.table("t").unwrap().columnar();
         assert_eq!(*cols[0], vec![SqlValue::Int(1)]);
         assert_eq!(*cols[1], vec![SqlValue::str("z")]);
+    }
+
+    /// A fresh transposition of the rows, to hold the cached view against.
+    fn transposed(t: &Table) -> Vec<Vec<SqlValue>> {
+        (0..t.def.arity())
+            .map(|c| t.rows.iter().map(|r| r[c].clone()).collect())
+            .collect()
+    }
+
+    fn view(t: &Table) -> Vec<Vec<SqlValue>> {
+        t.columnar().iter().map(|c| c.to_vec()).collect()
+    }
+
+    /// The addresses of a table's cached view and of each of its columns.
+    /// No `Arc` is kept, so the view stays unshared.
+    fn view_ptrs(t: &Table) -> Vec<*const Vec<SqlValue>> {
+        let cols = t.columnar();
+        let mut ptrs: Vec<_> = cols.iter().map(Arc::as_ptr).collect();
+        ptrs.push(Arc::as_ptr(&cols).cast());
+        ptrs
+    }
+
+    fn row(id: i64, name: &str) -> Row {
+        vec![SqlValue::Int(id), SqlValue::str(name)]
+    }
+
+    #[test]
+    fn every_write_keeps_a_warm_columnar_view_equal_to_the_rows() {
+        use crate::delta::WriteBatch;
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        type Write = Box<dyn Fn(&mut Storage)>;
+        let writes: Vec<(&str, Write)> = vec![
+            ("insert", Box::new(|s| s.insert("t", row(1, "a")).unwrap())),
+            ("insert", Box::new(|s| s.insert("t", row(2, "b")).unwrap())),
+            ("insert", Box::new(|s| s.insert("t", row(3, "c")).unwrap())),
+            ("delete", Box::new(|s| s.delete("t", &row(2, "b")).unwrap())),
+            (
+                "update",
+                Box::new(|s| {
+                    s.update("t", &vec![SqlValue::Int(1)], row(1, "z")).unwrap();
+                }),
+            ),
+            (
+                "failed update",
+                Box::new(|s| {
+                    let dup = s.update("t", &vec![SqlValue::Int(3)], row(1, "dup"));
+                    assert!(matches!(dup, Err(EngineError::DuplicateKey { .. })));
+                }),
+            ),
+            (
+                "delete_by_key",
+                Box::new(|s| {
+                    s.delete_by_key("t", &vec![SqlValue::Int(3)]).unwrap();
+                }),
+            ),
+            (
+                "rejected batch",
+                Box::new(|s| {
+                    let batch = WriteBatch::new()
+                        .insert("t", row(4, "d"))
+                        .insert("t", row(1, "dup"));
+                    assert!(s.apply_batch(&batch).is_err());
+                }),
+            ),
+            (
+                "accepted batch",
+                Box::new(|s| {
+                    let batch = WriteBatch::new()
+                        .insert("t", row(4, "d"))
+                        .delete("t", row(1, "z"))
+                        .update("t", vec![SqlValue::Int(4)], row(4, "e"))
+                        .insert("t", row(5, "f"));
+                    s.apply_batch(&batch).unwrap();
+                }),
+            ),
+        ];
+        for (what, write) in writes {
+            // Warm the view, so the write has one to patch.
+            s.table("t").unwrap().columnar();
+            write(&mut s);
+            let t = s.table("t").unwrap();
+            assert_eq!(view(t), transposed(t), "after {what}");
+        }
+        assert_eq!(s.table("t").unwrap().rows, vec![row(4, "e"), row(5, "f")]);
+    }
+
+    #[test]
+    fn an_unshared_warm_view_is_patched_in_place() {
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        s.insert("t", row(1, "a")).unwrap();
+        let before = view_ptrs(s.table("t").unwrap());
+        s.insert("t", row(2, "b")).unwrap();
+        s.delete("t", &row(1, "a")).unwrap();
+        let t = s.table("t").unwrap();
+        assert_eq!(view_ptrs(t), before, "the view was rebuilt, not patched");
+        assert_eq!(view(t), transposed(t));
+    }
+
+    #[test]
+    fn a_view_a_reader_holds_is_a_snapshot() {
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        s.insert("t", row(1, "a")).unwrap();
+        s.insert("t", row(2, "b")).unwrap();
+        let held = s.table("t").unwrap().columnar();
+        let column = Arc::clone(&held[1]);
+        s.insert("t", row(3, "c")).unwrap();
+        s.delete("t", &row(1, "a")).unwrap();
+        assert_eq!(*held[0], vec![SqlValue::Int(1), SqlValue::Int(2)]);
+        assert_eq!(*column, vec![SqlValue::str("a"), SqlValue::str("b")]);
+        let t = s.table("t").unwrap();
+        assert_eq!(view(t), transposed(t));
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_warm_view_as_it_was() {
+        use crate::delta::WriteBatch;
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        s.insert("t", row(1, "a")).unwrap();
+        let before = view_ptrs(s.table("t").unwrap());
+        let batch = WriteBatch::new()
+            .delete("t", row(1, "a"))
+            .insert("t", row(2, "b"))
+            .delete("t", row(9, "x"));
+        assert!(s.apply_batch(&batch).is_err());
+        assert_eq!(view_ptrs(s.table("t").unwrap()), before);
     }
 
     #[test]

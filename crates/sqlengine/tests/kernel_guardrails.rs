@@ -2,10 +2,11 @@
 //! hashing, the join table and key ordering, `vexec.rs` the one walk over
 //! the physical operators, `plan.rs` the one description of where a plan
 //! node keeps its inputs and expressions, and each layer one way in; no
-//! layer implements SQL the translations never emit, and no lock in obs
-//! re-panics once poisoned. The checks read the sources as text, so a
-//! reintroduced per-row path, a second walk, a forwarding entry point or a
-//! removed operator fails here before any benchmark notices.
+//! layer implements SQL the translations never emit, no lock in obs
+//! re-panics once poisoned, and a commit copies no table. The checks read
+//! the sources as text, so a reintroduced per-row path, a second walk, a
+//! forwarding entry point or a removed operator fails here before any
+//! benchmark notices.
 
 use std::path::{Path, PathBuf};
 
@@ -16,6 +17,7 @@ const ENGINE: &str = include_str!("../src/exec.rs");
 const PIPELINE: &str = include_str!("../../core/src/pipeline.rs");
 const AST: &str = include_str!("../src/ast.rs");
 const STORAGE: &str = include_str!("../src/storage.rs");
+const DELTA: &str = include_str!("../src/delta.rs");
 const OBS_LIB: &str = include_str!("../../obs/src/lib.rs");
 const OBS_METRICS: &str = include_str!("../../obs/src/metrics.rs");
 const OBS_PROFILE: &str = include_str!("../../obs/src/profile.rs");
@@ -198,13 +200,98 @@ fn obs_and_the_columnar_cache_recover_poisoned_locks() {
         ("sqlengine/src/storage.rs", STORAGE),
     ] {
         let code: String = text.split_whitespace().collect();
-        for acquire in [".lock()", ".read()", ".write()"] {
+        for acquire in [".lock()", ".read()", ".write()", ".get_mut()"] {
             assert!(
                 !code.contains(&format!("{acquire}.expect(")),
                 "{file} panics on a poisoned lock: `{acquire}.expect(`"
             );
         }
     }
+}
+
+/// For each `open` in `code`, the text up to the bracket that closes it,
+/// and the text after that bracket.
+fn bracketed<'a>(code: &'a str, open: &str) -> Vec<(&'a str, &'a str)> {
+    let (start, end) = match open.chars().last() {
+        Some('<') => ('<', '>'),
+        _ => ('(', ')'),
+    };
+    code.match_indices(open)
+        .map(|(at, _)| {
+            let inner = &code[at + open.len()..];
+            let mut depth = 1;
+            let close = inner
+                .char_indices()
+                .find(|&(_, c)| {
+                    depth += i32::from(c == start) - i32::from(c == end);
+                    depth == 0
+                })
+                .map_or(inner.len(), |(i, _)| i);
+            (&inner[..close], inner.get(close + 1..).unwrap_or(""))
+        })
+        .collect()
+}
+
+/// A commit costs O(batch), not O(table): validation replays the batch on
+/// an overlay over the borrowed tables instead of copies of them, and every
+/// mutation patches the table's columnar view instead of leaving the next
+/// reader to transpose the whole table again.
+#[test]
+fn the_commit_path_copies_no_table() {
+    let delta: String = product(DELTA).split_whitespace().collect();
+    for (args, _) in bracketed(&delta, "Map<") {
+        let value = args.rsplit(',').next().unwrap_or(args);
+        assert!(
+            value != "Table" && !value.ends_with("::Table"),
+            "delta.rs keeps a map of tables (`Map<{args}>`): validate against an overlay"
+        );
+    }
+    for (args, after) in bracketed(&delta, "self.table(") {
+        assert!(
+            !after.trim_start_matches('?').starts_with(".clone()")
+                && !after.starts_with(".cloned()"),
+            "delta.rs clones a table (`self.table({args})`): validate against an overlay"
+        );
+    }
+
+    // In storage.rs, the cold build in `columnar()` is the one place a
+    // `Table` walks its rows into columns, and the one place that bumps the
+    // version is the helper that patches the view in step.
+    let storage: String = product(STORAGE).split_whitespace().collect();
+    let table = storage
+        .split_once("implTable{")
+        .expect("impl Table")
+        .1
+        .split_once("pubstructStorage")
+        .expect("Storage follows Table")
+        .0;
+    let builds = table.matches("forrowin&self.rows").count()
+        + table.matches("self.rows.iter().map(").count();
+    let cold_build = table
+        .split_once("pubfncolumnar(&self)")
+        .expect("Table::columnar")
+        .1
+        .split_once("pubfn")
+        .expect("a function after Table::columnar")
+        .0;
+    assert!(
+        builds == 1 && cold_build.contains("forrowin&self.rows"),
+        "storage.rs transposes rows outside `columnar()`'s cold build"
+    );
+    assert_eq!(
+        storage.matches("self.version+=1").count(),
+        1,
+        "a mutation bumps the version without patching the columnar view"
+    );
+    assert!(
+        storage.contains("self.columnar.patch(self.version,edit);self.version+=1;"),
+        "the version bump patches the columnar view"
+    );
+    assert_eq!(
+        storage.matches("ColumnarCell::default()").count(),
+        2,
+        "only `Table::new` and `Clone` start a table with a cold view"
+    );
 }
 
 /// One entry point per layer, and the removed ones stay removed.

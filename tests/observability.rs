@@ -372,6 +372,10 @@ fn committed_writes_bump_the_write_counters_and_maintain_histogram() {
     let maintain = snapshot.histogram("stage.maintain").unwrap();
     assert_eq!(maintain.count, BATCHES * 2);
     assert!(maintain.min <= maintain.p50 && maintain.p50 <= maintain.max);
+    // One commit sample per committed batch.
+    let commit = snapshot.histogram("stage.commit").unwrap();
+    assert_eq!(Some(commit.count), snapshot.counter("writes.applied"));
+    assert!(commit.sum > 0);
 }
 
 #[test]
