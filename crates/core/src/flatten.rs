@@ -16,7 +16,7 @@ use nrc::types::BaseType;
 use nrc::value::Value;
 use sqlengine::{ColumnarResult, ResultSet, SqlValue};
 use std::collections::HashMap;
-use std::ops::Range;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Name of the column holding the static component of the outer index.
@@ -172,13 +172,13 @@ impl ResultLayout {
 
 /// The decoded, index-grouped columnar result of one shredded query stage:
 /// the stage's `Arc`-shared data columns taken by value from the engine,
-/// plus a sorted row permutation grouped by the stage's outer index
+/// plus a row permutation grouped by the stage's outer index
 /// `(oidx_tag, oidx_ord)` columns.
 ///
 /// This is the columnar replacement for [`ShredResult`]: no per-row
 /// [`FlatValue`] tree is built and no cell or label is cloned at decode
-/// time — the only per-row work is reading the two integer index columns
-/// and one sort over row indices. The stitcher
+/// time — the only per-row work is reading the two integer index columns,
+/// one hash lookup of the pair and one counting-scatter step. The stitcher
 /// ([`crate::stitch::stitch`]) materialises nested values straight out of
 /// the columns, using the layout's pre-resolved leaf positions.
 #[derive(Debug, Clone)]
@@ -186,17 +186,20 @@ pub struct ColumnarStage {
     layout: Arc<ResultLayout>,
     /// Every stage column (index pair first), shared with the engine batch.
     columns: Vec<Arc<Vec<SqlValue>>>,
-    /// Row indices sorted by outer index.
+    /// Row indices, group after group; inside a group in engine order.
     perm: Vec<u32>,
-    /// Outer index → sub-range of `perm` holding that group's rows.
-    groups: HashMap<IndexValue, Range<u32>>,
+    /// Outer `(tag, ord)` pair → group number, numbered by first occurrence.
+    groups: PairMap<u32>,
+    /// `ends[g]` is the end of group `g` in `perm`; it starts where group
+    /// `g - 1` ends.
+    ends: Vec<u32>,
 }
 
 impl ColumnarStage {
     /// Decode a columnar engine result against a stage layout: verify the
     /// column list, group the rows by their outer `(oidx_tag, oidx_ord)`
-    /// pair and take ownership of the shared columns. O(n log n) in the row
-    /// count, with no per-row allocation.
+    /// pair and take ownership of the shared columns. Linear in the row
+    /// count: one hashed pass over the index columns and one scatter.
     pub fn decode(
         layout: Arc<ResultLayout>,
         result: ColumnarResult,
@@ -229,34 +232,58 @@ impl ColumnarStage {
                 ),
             ));
         }
-        let rows = result.len();
+        check_row_count(result.len())?;
         let columns = result.into_columns();
-        let tags = int_column(&columns[0], OUTER_TAG_COLUMN)?;
-        let ords = int_column(&columns[1], OUTER_ORD_COLUMN)?;
-        // Stable sort: rows with equal outer indexes keep the engine's
-        // output order, so the columnar path yields values *identical* to
-        // the row path's (which groups in output order), not merely
-        // multiset-equal — the differential suite asserts exactly that.
-        let mut perm: Vec<u32> = (0..rows as u32).collect();
-        perm.sort_by_key(|&r| (tags[r as usize], ords[r as usize]));
-        let mut groups: HashMap<IndexValue, Range<u32>> = HashMap::new();
-        let mut start = 0usize;
-        while start < rows {
-            let (tag, ord) = (tags[perm[start] as usize], ords[perm[start] as usize]);
-            let mut end = start + 1;
-            while end < rows && tags[perm[end] as usize] == tag && ords[perm[end] as usize] == ord {
-                end += 1;
-            }
-            let first = perm[start] as usize;
-            let key = flat_index(&columns[0][first], &columns[1][first])?;
-            groups.insert(key, start as u32..end as u32);
-            start = end;
+        let (tags, ords) = (&columns[0], &columns[1]);
+        // One pass: number each distinct pair by first occurrence and count
+        // its rows. Engine output tends to arrive grouped, so a row whose
+        // pair equals the previous row's skips the lookup.
+        let mut groups = PairMap::<u32>::default();
+        let mut ends: Vec<u32> = Vec::new();
+        let mut group_of: Vec<u32> = Vec::with_capacity(tags.len());
+        let mut last: Option<((u32, i64), u32)> = None;
+        for (tag, ord) in tags.iter().zip(ords.iter()) {
+            let key = flat_pair(tag, ord)?;
+            let g = match last {
+                Some((k, g)) if k == key => g,
+                _ => {
+                    let fresh = ends.len() as u32;
+                    let g = *groups.entry(key).or_insert(fresh);
+                    if g == fresh {
+                        ends.push(0);
+                    }
+                    last = Some((key, g));
+                    g
+                }
+            };
+            ends[g as usize] += 1;
+            group_of.push(g);
+        }
+        // Counting scatter: turn the counts into group starts, then place
+        // each row at its group's cursor. Rows are placed in row order, so
+        // rows with equal outer indexes keep the engine's output order and
+        // the columnar path yields values *identical* to the row path's
+        // (which groups in output order), not merely multiset-equal — the
+        // differential suite asserts exactly that. Each cursor finishes at
+        // its group's end.
+        let mut start = 0u32;
+        for count in ends.iter_mut() {
+            let size = *count;
+            *count = start;
+            start += size;
+        }
+        let mut perm = vec![0u32; group_of.len()];
+        for (row, &g) in group_of.iter().enumerate() {
+            let cursor = &mut ends[g as usize];
+            perm[*cursor as usize] = row as u32;
+            *cursor += 1;
         }
         Ok(ColumnarStage {
             layout,
             columns,
             perm,
             groups,
+            ends,
         })
     }
 
@@ -275,11 +302,16 @@ impl ColumnarStage {
         self.perm.is_empty()
     }
 
-    /// The physical row indices grouped under an outer index (empty when the
-    /// index never occurs — stitching turns that into an empty bag).
-    pub fn group(&self, index: &IndexValue) -> &[u32] {
-        match self.groups.get(index) {
-            Some(range) => &self.perm[range.start as usize..range.end as usize],
+    /// The physical row indices grouped under an outer `(tag, ord)` pair,
+    /// in engine order (empty when the pair never occurs — stitching turns
+    /// that into an empty bag).
+    pub fn group(&self, key: (u32, i64)) -> &[u32] {
+        match self.groups.get(&key) {
+            Some(&g) => {
+                let g = g as usize;
+                let start = if g == 0 { 0 } else { self.ends[g - 1] };
+                &self.perm[start as usize..self.ends[g] as usize]
+            }
             None => &[],
         }
     }
@@ -290,45 +322,91 @@ impl ColumnarStage {
     }
 }
 
-/// Interpret a `(tag, ord)` cell pair as a flat index value: the one decoder
-/// of the columnar paths (decode, stitch and live-view maintenance).
-pub(crate) fn flat_index(tag: &SqlValue, ord: &SqlValue) -> Result<IndexValue, ShredError> {
+/// A stage's row positions are `u32`s: a stage of `u32::MAX` rows or more
+/// is a typed error, not a silently truncated permutation (the same bound
+/// the engine's join tables enforce on a build side).
+fn check_row_count(rows: usize) -> Result<(), ShredError> {
+    if rows >= u32::MAX as usize {
+        return Err(decode_err(
+            codes::DECODE_INDEX_RANGE,
+            format!(
+                "stage has {rows} rows; row positions hold at most {}",
+                u32::MAX - 1
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// A map keyed by a flat `(tag, ord)` index pair.
+type PairMap<V> = HashMap<(u32, i64), V, BuildHasherDefault<PairHasher>>;
+
+/// The hasher of [`PairMap`]: one multiply-rotate step per word, then the
+/// high half folded into the low bits the table indexes its buckets by.
+/// The keys are two integers that no client chooses adversarially, so the
+/// default SipHash buys nothing here but cost.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl PairHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Interpret a `(tag, ord)` cell pair as a flat index: the one decoder of
+/// index cells on the SQL path (both decodes, the stitch and live-view
+/// maintenance).
+pub(crate) fn flat_pair(tag: &SqlValue, ord: &SqlValue) -> Result<(u32, i64), ShredError> {
     let tag = tag.as_int().ok_or_else(|| {
         decode_err(
             codes::DECODE_TYPE_MISMATCH,
-            "expected an integer index tag column".to_string(),
+            format!("expected an integer index tag cell, got {tag}"),
         )
     })?;
-    let ordinal = ord.as_int().ok_or_else(|| {
+    let ord = ord.as_int().ok_or_else(|| {
         decode_err(
             codes::DECODE_TYPE_MISMATCH,
-            "expected an integer index ordinal column".to_string(),
+            format!("expected an integer index ordinal cell, got {ord}"),
         )
     })?;
-    Ok(IndexValue::Flat {
-        tag: StaticIndex(u32::try_from(tag).map_err(|_| {
-            decode_err(
-                codes::DECODE_INDEX_RANGE,
-                format!("static index column out of range: {}", tag),
-            )
-        })?),
-        ordinal,
-    })
+    let tag = u32::try_from(tag).map_err(|_| {
+        decode_err(
+            codes::DECODE_INDEX_RANGE,
+            format!("static index column out of range: {}", tag),
+        )
+    })?;
+    Ok((tag, ord))
 }
 
-/// Read an integer index column up front (columnar counterpart of
-/// [`decode_index`]'s per-row `take_int`).
-fn int_column(col: &[SqlValue], name: &str) -> Result<Vec<i64>, ShredError> {
-    col.iter()
-        .map(|v| {
-            v.as_int().ok_or_else(|| {
-                decode_err(
-                    codes::DECODE_TYPE_MISMATCH,
-                    format!("expected an integer {} column, got {}", name, v),
-                )
-            })
-        })
-        .collect()
+/// [`flat_pair`] as an [`IndexValue`], for the row decode and the live-view
+/// stitcher.
+pub(crate) fn flat_index(tag: &SqlValue, ord: &SqlValue) -> Result<IndexValue, ShredError> {
+    let (tag, ordinal) = flat_pair(tag, ord)?;
+    Ok(IndexValue::Flat {
+        tag: StaticIndex(tag),
+        ordinal,
+    })
 }
 
 /// Build a typed decode error carrying its diagnostic registry code.
@@ -373,17 +451,9 @@ fn flat_name(path: &[String], default: &str) -> String {
 }
 
 fn decode_index(row: &[SqlValue], cursor: &mut usize) -> Result<IndexValue, ShredError> {
-    let tag = take_int(row, cursor)?;
-    let ordinal = take_int(row, cursor)?;
-    Ok(IndexValue::Flat {
-        tag: StaticIndex(u32::try_from(tag).map_err(|_| {
-            decode_err(
-                codes::DECODE_INDEX_RANGE,
-                format!("static index column out of range: {}", tag),
-            )
-        })?),
-        ordinal,
-    })
+    let tag = take(row, cursor)?;
+    let ord = take(row, cursor)?;
+    flat_index(tag, ord)
 }
 
 fn decode_value(
@@ -416,16 +486,6 @@ fn take<'a>(row: &'a [SqlValue], cursor: &mut usize) -> Result<&'a SqlValue, Shr
     })?;
     *cursor += 1;
     Ok(v)
-}
-
-fn take_int(row: &[SqlValue], cursor: &mut usize) -> Result<i64, ShredError> {
-    let v = take(row, cursor)?;
-    v.as_int().ok_or_else(|| {
-        decode_err(
-            codes::DECODE_TYPE_MISMATCH,
-            format!("expected an integer index column, got {}", v),
-        )
-    })
 }
 
 /// Convert a SQL scalar back into a λNRC base value of the expected type.
@@ -562,6 +622,101 @@ mod tests {
         let cols = layout.columns();
         let unique: std::collections::HashSet<_> = cols.iter().collect();
         assert_eq!(unique.len(), cols.len());
+    }
+
+    /// Decode a base-shaped stage from literal `(tag, ord, item)` rows.
+    fn decode_stage(rows: Vec<[SqlValue; 3]>) -> Result<ColumnarStage, ShredError> {
+        let layout = Arc::new(ResultLayout::new(&FlatType::Base(BaseType::Int)));
+        let n = rows.len();
+        let mut cols: Vec<Vec<SqlValue>> = vec![Vec::new(); 3];
+        for row in rows {
+            for (c, v) in row.into_iter().enumerate() {
+                cols[c].push(v);
+            }
+        }
+        let result = ColumnarResult::new(
+            layout.columns().to_vec(),
+            cols.into_iter().map(Arc::new).collect(),
+            n,
+        );
+        ColumnarStage::decode(layout, result)
+    }
+
+    fn row(tag: i64, ord: i64) -> [SqlValue; 3] {
+        [SqlValue::Int(tag), SqlValue::Int(ord), SqlValue::Int(0)]
+    }
+
+    fn decode_code(rows: Vec<[SqlValue; 3]>) -> &'static str {
+        match decode_stage(rows) {
+            Err(ShredError::Decode { code, .. }) => code,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn grouping_keeps_the_engine_order_inside_each_group() {
+        let stage = decode_stage(vec![
+            row(1, 5),
+            row(1, 3),
+            row(1, 5),
+            row(2, 5),
+            row(1, 3),
+            row(1, 5),
+            row(1, -4),
+        ])
+        .unwrap();
+        assert_eq!(stage.len(), 7);
+        assert_eq!(stage.group((1, 5)), [0, 2, 5]);
+        assert_eq!(stage.group((1, 3)), [1, 4]);
+        assert_eq!(stage.group((2, 5)), [3]);
+        assert_eq!(stage.group((1, -4)), [6]);
+        assert!(stage.group((9, 9)).is_empty());
+    }
+
+    #[test]
+    fn an_empty_stage_decodes() {
+        let stage = decode_stage(vec![]).unwrap();
+        assert!(stage.is_empty());
+        assert!(stage.group((0, 1)).is_empty());
+    }
+
+    #[test]
+    fn a_tag_outside_u32_is_an_index_range_error() {
+        assert_eq!(
+            decode_code(vec![row(0, 1), row(-1, 1)]),
+            codes::DECODE_INDEX_RANGE
+        );
+        let too_big = i64::from(u32::MAX) + 1;
+        assert_eq!(
+            decode_code(vec![row(too_big, 1)]),
+            codes::DECODE_INDEX_RANGE
+        );
+    }
+
+    #[test]
+    fn a_non_integer_ordinal_is_a_type_mismatch() {
+        let bad = [SqlValue::Int(0), SqlValue::str("1"), SqlValue::Int(0)];
+        assert_eq!(
+            decode_code(vec![row(0, 1), bad]),
+            codes::DECODE_TYPE_MISMATCH
+        );
+        let null = [SqlValue::Int(0), SqlValue::Null, SqlValue::Int(0)];
+        assert_eq!(decode_code(vec![null]), codes::DECODE_TYPE_MISMATCH);
+    }
+
+    #[test]
+    fn a_stage_too_long_for_u32_row_positions_is_a_decode_error() {
+        assert!(check_row_count(0).is_ok());
+        assert!(check_row_count(u32::MAX as usize - 1).is_ok());
+        for rows in [u32::MAX as usize, usize::MAX] {
+            assert!(matches!(
+                check_row_count(rows),
+                Err(ShredError::Decode {
+                    code: codes::DECODE_INDEX_RANGE,
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -278,10 +278,11 @@ pub fn execute_bound(
 /// construction (each is one self-contained flat query; only the final
 /// stitch joins them) — are executed **and decoded** concurrently on up to
 /// `workers` threads ([`sqlengine::scoped_map`]); each stage's plan runs on
-/// the one thread that picked it up. This stage fan-out is the only
-/// parallelism in execution. Results are reassembled in the package's
-/// canonical depth-first stage order, so the stitched value does not depend
-/// on the worker count.
+/// the one thread that picked it up. The stitch then spends the same budget
+/// on chunks of the top-level bag once the package has decoded enough rows
+/// ([`crate::stitch::stitch_obs`]). Stages are reassembled in the package's
+/// canonical depth-first order and chunks in row order, so the stitched
+/// value does not depend on the worker count.
 pub fn execute_bound_obs_opts(
     compiled: &CompiledQuery,
     engine: &Engine,
@@ -327,7 +328,7 @@ pub fn execute_bound_obs_opts(
             ShredError::Internal("stage count mismatch during reassembly".to_string())
         })
     })?;
-    crate::stitch::stitch_obs(stages, obs)
+    crate::stitch::stitch_obs(stages, obs, opts.workers)
 }
 
 /// What every plan execution of one package execution shares: the storage

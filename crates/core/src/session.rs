@@ -243,10 +243,10 @@ pub struct ExecContext<'a> {
 
 impl<'a> ExecContext<'a> {
     /// The session's execution options: the worker count a package's stages
-    /// fan out on ([`ShredderBuilder::workers`]). Backends that execute
-    /// shredded packages pass these through to
+    /// and stitch fan out on ([`ShredderBuilder::workers`]). Backends that
+    /// execute shredded packages pass these through to
     /// [`crate::pipeline::execute_bound_obs_opts`]; `workers == 1` runs the
-    /// stages one after another on the calling thread.
+    /// stages and the stitch one after another on the calling thread.
     pub fn exec_opts(&self) -> sqlengine::ExecOptions {
         self.exec_opts
     }
@@ -1054,10 +1054,11 @@ impl ShredderBuilder {
     /// Worker threads for executing one query: a multi-stage shredded
     /// package runs its independent stages concurrently on up to this many
     /// threads, and each stage's plan runs whole on the thread that picked
-    /// it up. Defaults to [`std::thread::available_parallelism`].
-    /// `workers(1)` runs the stages one after another on the calling
-    /// thread. Answers are identical at every worker count. Values are
-    /// clamped to at least 1.
+    /// it up; a package that decodes enough rows then stitches chunks of its
+    /// top-level bag on up to this many threads too. Defaults to
+    /// [`std::thread::available_parallelism`]. `workers(1)` runs the stages
+    /// and the stitch one after another on the calling thread. Answers are
+    /// identical at every worker count. Values are clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -1232,7 +1233,7 @@ struct ShredderCore {
     /// [`Subscription`] unsubscribes it; dead entries are pruned on the next
     /// committed batch.
     subs: Mutex<Vec<Weak<LiveView>>>,
-    /// The worker count a package's stages fan out on (see
+    /// The worker count a package's stages and stitch fan out on (see
     /// [`ShredderBuilder::workers`]). Live-view maintenance ignores it: a
     /// delta pass runs the batch kernels on the committing thread.
     exec_opts: sqlengine::ExecOptions,

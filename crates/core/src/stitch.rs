@@ -12,7 +12,8 @@
 //!   oidx_ord)` columns at decode time, and materialises the nested value
 //!   straight out of the `Arc`-shared columns using the layout's
 //!   pre-resolved leaf positions. No intermediate [`FlatValue`] tree is
-//!   allocated.
+//!   allocated. [`stitch_obs`] splits a large package's top-level bag into
+//!   chunks stitched on the execution's `workers` budget.
 //! * [`stitch_rows`] — the **row** path: consumes [`ShredResult`]s (lists of
 //!   ⟨outer index, flat value⟩ pairs). It is the differential oracle the
 //!   columnar path is tested against, and the only stitcher the in-memory
@@ -20,7 +21,8 @@
 //!   indexes, which have no columnar encoding).
 
 use crate::error::ShredError;
-use crate::flatten::{flat_index, sql_to_value, ColumnarStage};
+use crate::flatten::{flat_pair, sql_to_value, ColumnarStage};
+use crate::nf::TOP;
 use crate::semantics::{FlatValue, IndexScheme, IndexValue, ShredResult};
 use crate::shred::Package;
 use analysis::codes;
@@ -31,51 +33,101 @@ use std::collections::HashMap;
 // The columnar stitcher (the default path)
 // ---------------------------------------------------------------------------
 
+/// The distinguished top-level index ⊤⋅1 as a flat `(tag, ord)` pair.
+const TOP_PAIR: (u32, i64) = (TOP.0, 1);
+
+/// Decoded rows, summed over a package's stages, from which [`stitch_obs`]
+/// splits the top-level bag across its `workers` budget.
+///
+/// Derived from measurements on a 2-core host. Stitching costs about
+/// 0.2 µs per decoded row (26 ms over about 127k rows for one pass of the
+/// twelve benchmark queries at 128 departments), so with two workers a
+/// split saves at most half of that, 0.1 µs a row. It pays one scoped
+/// spawn and join: 23 µs (p50) for a bare thread, which puts the break-even
+/// near 230 rows, and the bound sits ten times above that. A thread that
+/// allocates, as a stitch worker does, starts with a cold malloc arena and
+/// costs about 140 µs (p50) instead; even then a balanced split of
+/// 2 300 rows saves more (230 µs) than it costs.
+const SPLIT_MIN_ROWS: usize = 2_300;
+
 /// Stitch a package of decoded columnar stages into the nested value they
-/// encode, starting from the distinguished top-level index ⊤⋅1.
+/// encode, starting from the distinguished top-level index ⊤⋅1, on the
+/// calling thread.
 ///
 /// This is the index-keyed columnar path: each [`ColumnarStage`] arrives
-/// already grouped by its `(oidx_tag, oidx_ord)` columns (a `HashMap` over a
-/// sorted row permutation, built by [`ColumnarStage::decode`]), and nested
-/// values are materialised in one pass straight out of the `Arc`-shared
-/// columns — no intermediate [`FlatValue`] tree exists at any point, string
-/// cells reach the result as refcount bumps, and the package is consumed by
-/// value so nothing is re-cloned. The SQL rendering always materialises
-/// flat indexes, so no [`IndexScheme`] parameter is needed here; the row
-/// path ([`stitch_rows`]) remains the scheme-polymorphic oracle.
+/// already grouped by its `(oidx_tag, oidx_ord)` pair (built by
+/// [`ColumnarStage::decode`]), and nested values are materialised in one
+/// pass straight out of the `Arc`-shared columns — no intermediate
+/// [`FlatValue`] tree exists at any point, string cells reach the result as
+/// refcount bumps, and the package is consumed by value so nothing is
+/// re-cloned. The SQL rendering always materialises flat indexes, so no
+/// [`IndexScheme`] parameter is needed here; the row path
+/// ([`stitch_rows`]) remains the scheme-polymorphic oracle.
 pub fn stitch(package: Package<ColumnarStage>) -> Result<Value, ShredError> {
-    stitch_obs(package, None)
+    stitch_obs(package, None, 1)
 }
 
-/// [`stitch`] with the elapsed time recorded as a `Stage::Stitch` span when
-/// a collector is present.
+/// [`stitch`] on up to `workers` threads, with the elapsed time recorded as
+/// a `Stage::Stitch` span when a collector is present.
+///
+/// With `workers > 1` and at least `SPLIT_MIN_ROWS` decoded rows in the
+/// package, the top-level bag's rows are cut into about `4 × workers`
+/// contiguous chunks that [`sqlengine::scoped_map`] hands out from a
+/// cursor, so a chunk of large departments does not hold up the others.
+/// The chunks' items are concatenated in chunk order, so the value is
+/// identical to the one-thread stitch, and an error is the first one in
+/// row order, as on one thread.
 pub fn stitch_obs(
     package: Package<ColumnarStage>,
     obs: Option<&obs::QueryObs>,
+    workers: usize,
 ) -> Result<Value, ShredError> {
-    obs::time_maybe(obs, obs::Stage::Stitch, || match &package {
-        Package::Bag(_, _) => stitch_bag(&package, &IndexValue::top(IndexScheme::Flat)),
-        _ => Err(ShredError::Internal(
-            "stitching requires a bag-typed result package".to_string(),
-        )),
+    obs::time_maybe(obs, obs::Stage::Stitch, || {
+        let Package::Bag(stage, inner) = &package else {
+            return Err(ShredError::Internal(
+                "stitching requires a bag-typed result package".to_string(),
+            ));
+        };
+        let rows = stage.group(TOP_PAIR);
+        let decoded: usize = package.annotations().iter().map(|s| s.len()).sum();
+        if workers <= 1 || decoded < SPLIT_MIN_ROWS {
+            return Ok(Value::Bag(stitch_items(inner, stage, rows)?.into()));
+        }
+        let chunk_rows = rows.len().div_ceil(4 * workers).max(1);
+        let chunks: Vec<&[u32]> = rows.chunks(chunk_rows).collect();
+        let parts = sqlengine::scoped_map(workers, &chunks, |_, chunk| {
+            stitch_items(inner, stage, chunk)
+        })?;
+        let mut items = Vec::with_capacity(rows.len());
+        parts.into_iter().for_each(|part| items.extend(part));
+        Ok(Value::Bag(items.into()))
     })
 }
 
-fn stitch_bag(package: &Package<ColumnarStage>, index: &IndexValue) -> Result<Value, ShredError> {
+fn stitch_bag(package: &Package<ColumnarStage>, key: (u32, i64)) -> Result<Value, ShredError> {
     match package {
-        Package::Bag(stage, inner) => {
-            let rows = stage.group(index);
-            let mut items = Vec::with_capacity(rows.len());
-            for &row in rows {
-                let mut leaf = 0usize;
-                items.push(stitch_value(inner, stage, &mut leaf, row as usize)?);
-            }
-            Ok(Value::Bag(items.into()))
-        }
+        Package::Bag(stage, inner) => Ok(Value::Bag(
+            stitch_items(inner, stage, stage.group(key))?.into(),
+        )),
         _ => Err(ShredError::Internal(
             "stitch_bag called on a non-bag package".to_string(),
         )),
     }
+}
+
+/// The items of one bag: the given rows of `stage`, each materialised
+/// against the bag's element package `inner`.
+fn stitch_items(
+    inner: &Package<ColumnarStage>,
+    stage: &ColumnarStage,
+    rows: &[u32],
+) -> Result<Vec<Value>, ShredError> {
+    let mut items = Vec::with_capacity(rows.len());
+    for &row in rows {
+        let mut leaf = 0usize;
+        items.push(stitch_value(inner, stage, &mut leaf, row as usize)?);
+    }
+    Ok(items)
 }
 
 /// Materialise one row of a stage as a nested value, walking the inner
@@ -102,8 +154,8 @@ fn stitch_value(
         }
         Package::Bag(_, _) => {
             let l = stage.layout().next_leaf(leaf, true)?;
-            let index = flat_index(stage.cell(l.col, row), stage.cell(l.col + 1, row))?;
-            stitch_bag(package, &index)
+            let key = flat_pair(stage.cell(l.col, row), stage.cell(l.col + 1, row))?;
+            stitch_bag(package, key)
         }
     }
 }
@@ -254,7 +306,7 @@ mod tests {
             ("department".to_string(), FlatType::Base(BaseType::String)),
             ("people".to_string(), FlatType::Index),
         ]);
-        // Rows are deliberately out of index order: grouping must sort them.
+        // Rows are deliberately out of index order: grouping must gather them.
         let r1 = columnar_stage(
             dept_shape,
             vec![
@@ -363,6 +415,66 @@ mod tests {
         );
         let package = Package::Bag(r1, Box::new(Package::Base(BaseType::Int)));
         assert!(matches!(stitch(package), Err(ShredError::Decode { .. })));
+    }
+
+    /// A split stitch returns the value and the error of the one-thread
+    /// stitch: with bad cells in two different chunks of the top-level bag,
+    /// workers 1 and 4 both report the first bad cell in row order.
+    #[test]
+    fn a_split_stitch_matches_the_one_thread_stitch_and_its_first_error() {
+        let n = SPLIT_MIN_ROWS + 100;
+        let package = |bad: &[usize]| {
+            let rows = (0..n)
+                .map(|i| {
+                    let item = if bad.contains(&i) {
+                        s(&format!("bad-{i}"))
+                    } else {
+                        int(i as i64)
+                    };
+                    vec![int(0), int(1), item]
+                })
+                .collect();
+            let stage = columnar_stage(FlatType::Base(BaseType::Int), rows);
+            Package::Bag(stage, Box::new(Package::Base(BaseType::Int)))
+        };
+        let value = stitch_obs(package(&[]), None, 4).unwrap();
+        assert_eq!(value, stitch(package(&[])).unwrap());
+        assert_eq!(value.as_bag().unwrap().len(), n);
+
+        // 4 workers cut 16 chunks, so a third of the rows apart is another
+        // chunk.
+        let bad = [n / 3, 2 * n / 3];
+        assert!(bad[1] - bad[0] > n.div_ceil(16));
+        let one = stitch_obs(package(&bad), None, 1).unwrap_err();
+        assert!(
+            format!("{one}").contains(&format!("bad-{}", bad[0])),
+            "{one}"
+        );
+        assert_eq!(stitch_obs(package(&bad), None, 4).unwrap_err(), one);
+    }
+
+    /// A package that decodes enough rows to split but whose top-level bag
+    /// is empty stitches to the empty bag at any worker count.
+    #[test]
+    fn an_empty_top_level_bag_stitches_at_any_worker_count() {
+        let shape = FlatType::Record(vec![("xs".to_string(), FlatType::Index)]);
+        let nested = (0..SPLIT_MIN_ROWS as i64)
+            .map(|i| vec![int(1), int(1), int(i)])
+            .collect();
+        let package = Package::Bag(
+            columnar_stage(shape, vec![]),
+            Box::new(Package::Record(vec![(
+                "xs".to_string(),
+                Package::Bag(
+                    columnar_stage(FlatType::Base(BaseType::Int), nested),
+                    Box::new(Package::Base(BaseType::Int)),
+                ),
+            )])),
+        );
+        for workers in [1, 4] {
+            let value = stitch_obs(package.clone(), None, workers).unwrap();
+            assert_eq!(value, Value::bag([]));
+        }
     }
 
     /// Hand-build the shredded results of the paper's running example (the

@@ -112,7 +112,7 @@ impl Engine {
     /// [`execute_plan`] under a read guard of the engine's storage.
     ///
     /// A plan runs on one thread whatever the [`ExecOptions`] (only a
-    /// package's stage fan-out reads `workers`), and the [`ExecStats`] are
+    /// package's stage fan-out and stitch read `workers`), and the [`ExecStats`] are
     /// always `ExecStats::default()`; the three `*_opts` methods keep both
     /// in their signatures for the benchmark adapter that calls them.
     pub fn execute_plan_bound_opts(

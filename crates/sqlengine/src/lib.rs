@@ -23,9 +23,9 @@
 //! filters, exists-semijoins, row-numbering, projection) and
 //! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
-//! whole batch on the calling thread. The one level of parallelism is above
-//! a plan: [`par::scoped_map`] runs a shredded package's independent stages
-//! concurrently.
+//! whole batch on the calling thread. Parallelism is above a plan:
+//! [`par::scoped_map`] runs a shredded package's independent stages
+//! concurrently, and then chunks of its stitch.
 //! [`Engine::execute`] returns a [`ColumnarResult`] — the batch's
 //! `Arc`-shared columns handed over without a row-major transpose, so
 //! columnar consumers (the shredding stitcher) never see rows at all. The

@@ -1,24 +1,28 @@
-//! Stage fan-out: the one level of parallelism.
+//! Package-level parallelism: stage fan-out and the stitch split.
 //!
 //! A shredded package is a tree of independent flat stages, and
 //! `core::pipeline` runs them concurrently through [`scoped_map`] on up to
-//! [`ExecOptions::workers`] threads. Inside a stage every operator of
-//! [`crate::vexec`] runs its kernel once over its whole batch on the calling
-//! thread; nothing here schedules work below a plan. Results are reassembled
-//! **in item order**, which is what makes execution deterministic:
+//! [`ExecOptions::workers`] threads; `core::stitch` then spends the same
+//! budget on contiguous chunks of a large package's top-level bag. Inside a
+//! stage every operator of [`crate::vexec`] runs its kernel once over its
+//! whole batch on the calling thread; nothing here schedules work below a
+//! plan. Results are reassembled **in item order**, which is what makes
+//! execution deterministic:
 //!
 //! > for every package, every parameter binding and every storage state,
 //! > execution produces byte-identical results at *any* worker count.
 //!
-//! See `DESIGN.md` § Stage-parallel execution for why this is the level kept.
+//! See `DESIGN.md` § Stage-parallel execution for why these are the levels
+//! kept.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 
 /// Execution options for one package run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Threads to run a package's stages on. `1` runs them one after another
-    /// on the calling thread and spawns nothing.
+    /// Threads to run a package's stages, and then the chunks of its stitch,
+    /// on. `1` runs everything one after another on the calling thread and
+    /// spawns nothing.
     pub workers: usize,
 }
 

@@ -22,7 +22,7 @@
 //!
 //! There is one walk (`exec`) and one entry point ([`execute_plan`]). Each
 //! operator runs its kernel once over its whole batch on the calling thread;
-//! the only parallelism is the stage fan-out above a plan ([`crate::par`]).
+//! the only parallelism is above a plan ([`crate::par`]).
 //!
 //! Correlated subqueries (`EXISTS`, semi/anti joins) necessarily fall back to
 //! one subplan execution per outer row; the row's values are pushed as a

@@ -347,8 +347,9 @@ fn the_bench_crate_keeps_no_timing_gate() {
     }
 }
 
-/// Stage fan-out is the one level of parallelism: the morsel pool, its two
-/// knobs and its metrics stay removed from every crate.
+/// Parallelism stays above the operators (stage fan-out and the stitch
+/// split): the morsel pool, its two knobs and its metrics stay removed from
+/// every crate.
 #[test]
 fn no_crate_keeps_a_morsel_pool() {
     let removed = [
@@ -366,9 +367,38 @@ fn no_crate_keeps_a_morsel_pool() {
         for needle in removed {
             assert!(
                 !text.contains(needle),
-                "{} contains `{needle}`: operators run whole batches and only stages fan out",
+                "{} contains `{needle}`: operators run whole batches",
                 path.display()
             );
         }
+    }
+}
+
+/// `workers` is the one execution setting: `ExecOptions` keeps its one
+/// field and no product source reads the environment, so the stitch's split
+/// threshold stays a constant, not a setting.
+#[test]
+fn execution_is_configured_only_by_the_workers_budget() {
+    let (_, options) = product(PAR)
+        .split_once("pub struct ExecOptions {")
+        .expect("par.rs defines ExecOptions");
+    let (fields, _) = options.split_once('}').expect("ExecOptions closes");
+    let fields: Vec<&str> = fields
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .collect();
+    assert_eq!(
+        fields,
+        ["pub workers: usize,"],
+        "ExecOptions gained a field"
+    );
+    let facade = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../src");
+    for (path, text) in all_crate_sources().into_iter().chain(sources(&facade)) {
+        assert!(
+            !text.contains("env::var"),
+            "{} reads an environment variable",
+            path.display()
+        );
     }
 }

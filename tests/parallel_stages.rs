@@ -1,7 +1,9 @@
-//! Differential tests of stage-parallel execution: a session built with
-//! `workers(4)` runs a package's stages concurrently and must return results
-//! *identical* (not merely multiset-equal) to the `workers(1)` baseline for
-//! every benchmark query — and both must agree with the interpreter oracle.
+//! Differential tests of parallel execution: a session built with
+//! `workers(2)` or `workers(4)` runs a package's stages concurrently, and
+//! splits the stitch of a large package's top-level bag, and must return
+//! results *identical* (not merely multiset-equal) to the `workers(1)`
+//! baseline for every benchmark query — and both must agree with the
+//! interpreter oracle.
 //!
 //! Also covers the two parallel-specific regressions: live views seeded by
 //! a parallel execution behave identically to sequentially-seeded ones, and
@@ -30,14 +32,46 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
 }
 
 // ---------------------------------------------------------------------------
-// The full differential matrix: 12 queries × workers {1, 4}
+// The differential matrix: 12 queries × workers {1, 2, 4}, below and above
+// the stitch split
 // ---------------------------------------------------------------------------
 
-/// The acceptance bar of stage-parallel execution: for every benchmark query
-/// (the SQL path reads no indexing scheme), a `workers(4)` session returns a value
-/// strictly equal to the `workers(1)` baseline (stage results are
-/// reassembled in the package's stage order, so scheduling cannot show), and
-/// both agree with the nested interpreter oracle.
+/// The decoded-row count from which the stitch splits the top-level bag
+/// across workers: the private `SPLIT_MIN_ROWS` of `stitch.rs`, read from
+/// its source so this file follows it.
+fn split_min_rows() -> u64 {
+    const STITCH: &str = include_str!("../crates/core/src/stitch.rs");
+    const DECL: &str = "const SPLIT_MIN_ROWS: usize = ";
+    let line = STITCH
+        .lines()
+        .find_map(|l| l.strip_prefix(DECL))
+        .expect("stitch.rs declares SPLIT_MIN_ROWS");
+    line.trim_end_matches(';')
+        .replace('_', "")
+        .parse()
+        .expect("SPLIT_MIN_ROWS is an integer literal")
+}
+
+/// The rows one execution of `prepared` decodes: the root operator's
+/// `rows_out`, summed over the package's stages.
+fn decoded_rows(session: &Shredder, prepared: &PreparedQuery) -> u64 {
+    session.execute_profiled(prepared, &Params::new()).unwrap();
+    let profiles = session.recent_profiles();
+    let profile = profiles.last().expect("the default ring sink records");
+    profile
+        .operators
+        .iter()
+        .filter(|op| op.node == 0)
+        .map(|op| op.rows_out)
+        .sum()
+}
+
+/// The acceptance bar of parallel execution: for every benchmark query (the
+/// SQL path reads no indexing scheme), a `workers(2)` and a `workers(4)`
+/// session return a value strictly equal to the `workers(1)` baseline
+/// (stage results are reassembled in the package's stage order, so
+/// scheduling cannot show), and all of them agree with the nested
+/// interpreter oracle.
 #[test]
 fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
     let db = small_db();
@@ -63,22 +97,87 @@ fn parallel_execution_matches_single_worker_and_oracle_everywhere() {
         // Sanity: the sequential baseline itself matches the oracle.
         assert!(baseline.multiset_eq(reference));
     }
-    let parallel = Shredder::builder()
+    for workers in [2, 4] {
+        let parallel = Shredder::builder()
+            .database(db.clone())
+            .workers(workers)
+            .build()
+            .unwrap();
+        for (i, (name, q)) in queries.iter().enumerate() {
+            let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
+            assert_eq!(
+                value, baselines[i],
+                "{name}: workers({workers}) diverged from the workers(1) baseline"
+            );
+            assert!(
+                value.multiset_eq(&oracles[i]),
+                "{name}: workers({workers}) diverged from the interpreter oracle"
+            );
+        }
+    }
+}
+
+/// The stitch splits its top-level bag across workers once a package
+/// decodes enough rows; at that scale too, `workers(2)` and `workers(4)`
+/// return values strictly equal to `workers(1)`, which equals the row-path
+/// assembly. N⟦−⟧ is checked on the splitting queries whose interpreter
+/// evaluation is linear in the data (QF1 and Q4); the others are quadratic
+/// in the interpreter and take minutes at this scale.
+#[test]
+fn a_split_stitch_matches_single_worker_row_path_and_oracle() {
+    let db = generate(&OrgConfig {
+        departments: 6,
+        employees_per_department: 500,
+        seed: 7,
+        ..OrgConfig::default()
+    });
+    let engine = pipeline::engine_from_database(&db).unwrap();
+    let single = Shredder::builder()
         .database(db.clone())
-        .workers(4)
+        .workers(1)
         .build()
         .unwrap();
-    for (i, (name, q)) in queries.iter().enumerate() {
-        let value = parallel.execute(&parallel.prepare(q).unwrap()).unwrap();
+    let parallel: Vec<(usize, Shredder)> = [2, 4]
+        .into_iter()
+        .map(|w| {
+            let session = Shredder::builder()
+                .database(db.clone())
+                .workers(w)
+                .build()
+                .unwrap();
+            (w, session)
+        })
+        .collect();
+
+    let mut split = Vec::new();
+    for (name, q) in all_benchmark_queries() {
+        let prepared = single.prepare(&q).unwrap();
+        let baseline = single.execute(&prepared).unwrap();
+        let compiled = pipeline::compile(&q, &organisation_schema()).unwrap();
         assert_eq!(
-            value, baselines[i],
-            "{name}: workers(4) diverged from the workers(1) baseline"
+            pipeline::execute_rows(&compiled, &engine).unwrap(),
+            baseline,
+            "{name}: the row path diverged from workers(1)"
         );
-        assert!(
-            value.multiset_eq(&oracles[i]),
-            "{name}: workers(4) diverged from the interpreter oracle"
-        );
+        if decoded_rows(&single, &prepared) >= split_min_rows() {
+            split.push(name);
+        }
+        if ["QF1", "Q4"].contains(&name) {
+            assert!(
+                baseline.multiset_eq(&single.oracle(&q).unwrap()),
+                "{name}: workers(1) diverged from the interpreter oracle"
+            );
+        }
+        for (workers, session) in &parallel {
+            assert_eq!(
+                session.execute(&session.prepare(&q).unwrap()).unwrap(),
+                baseline,
+                "{name}: workers({workers}) diverged from the workers(1) baseline"
+            );
+        }
     }
+    // So that the data cannot shrink below the split unnoticed.
+    assert_eq!(split, ["QF1", "QF2", "Q1", "Q3", "Q4", "Q5"]);
 }
 
 // ---------------------------------------------------------------------------
