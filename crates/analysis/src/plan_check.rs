@@ -626,7 +626,6 @@ mod tests {
                 table: "employees".to_string(),
                 alias: "e".to_string(),
                 columns: vec!["id".to_string()],
-                estimated_rows: None,
             })
         }
         let breakers = [

@@ -312,9 +312,9 @@ fn describe(out: &mut String, heading: &str, plan: &PhysicalPlan, report: &OptRe
 
 /// The optimizer pinned whole: for every stage of QF1–QF6 and Q1–Q6, raw and
 /// auto-parameterized, the plan compiled with the optimizer on (its
-/// rendering, rewrite log in order, skips, param slots and node counts),
-/// and what `optimize` makes of the unoptimized stage plan against a loaded
-/// 8-department storage, whose row counts drive the build-side pass. Refresh
+/// rendering, rewrite log in order, skips, param slots and node counts).
+/// `optimize` reads no catalog, so the unoptimized stage plan optimized
+/// against a loaded 8-department storage must be that same plan. Refresh
 /// with `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
 #[test]
 fn optimizer_output_matches_the_golden_file() {
@@ -345,12 +345,10 @@ fn optimizer_output_matches_the_golden_file() {
             for (i, (compiled, raw)) in stages.enumerate() {
                 writeln!(out, "=== {name} {form} stage {i} ({})", compiled.path).unwrap();
                 describe(&mut out, "compiled", &compiled.plan, &compiled.opt);
-                let (plan, report) = sqlengine::optimize(raw.plan.clone(), &storage);
-                describe(
-                    &mut out,
-                    "unoptimized, then optimized on storage",
-                    &plan,
-                    &report,
+                assert_eq!(
+                    sqlengine::optimize(raw.plan.clone(), &storage).0,
+                    compiled.plan,
+                    "{name} {form} stage {i}: optimizing on storage changed the plan"
                 );
             }
         }

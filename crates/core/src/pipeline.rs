@@ -119,8 +119,8 @@ pub fn compile(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError
 /// each shredded stage records `Stage::Shred` (shredding, layout
 /// construction and let-insertion), `Stage::Sqlgen` and `Stage::Plan` spans
 /// into it. With `optimize` set, every stage plan runs through
-/// [`sqlengine::optimize`] (constant folding, `EXISTS` decorrelation,
-/// predicate pushdown, estimate-driven build-side choice) inside its
+/// [`sqlengine::optimize`] (constant folding, `EXISTS` lift and
+/// decorrelation, predicate pushdown, column pruning) inside its
 /// `Stage::Plan` span, and the package is scanned for stages whose top-level
 /// `WITH` definitions are structurally equal — those are hoisted into
 /// [`CompiledQuery::shared`] so executors run each once per package

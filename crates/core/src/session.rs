@@ -334,14 +334,15 @@ pub struct StageExplain {
     pub path: String,
     /// The SQL text shipped to the engine, if the backend compiles to SQL.
     pub sql: Option<String>,
-    /// The rendered physical plan (scans, join strategy and build sides,
-    /// filters, row-numbering), for backends that pre-plan execution.
+    /// The rendered physical plan (scans, join strategy and keys, filters,
+    /// row-numbering), for backends that pre-plan execution. A hash join's
+    /// build side is not part of it: the executor picks the smaller input.
     pub physical: Option<String>,
     /// The flat columns of the stage's result (indexes first, then data).
     pub columns: Vec<String>,
     /// What the logical optimizer did to this stage's plan, one line per
     /// rewrite (constant folding, `EXISTS` decorrelation, predicate
-    /// pushdown, build-side re-choice, cross-stage CSE). Empty when the
+    /// pushdown, column pruning, cross-stage CSE). Empty when the
     /// backend does not optimize or nothing fired.
     pub rewrites: Vec<String>,
 }

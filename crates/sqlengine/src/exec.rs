@@ -96,10 +96,9 @@ impl Engine {
     }
 
     /// Compile a query AST into a physical plan, consulting storage for
-    /// table layouts and cardinalities (the hash-join build-side choice).
-    /// The returned plan can be executed any number of times with
-    /// [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts) without
-    /// re-planning.
+    /// table layouts. The returned plan can be executed any number of times
+    /// with [`execute_plan_bound_opts`](Engine::execute_plan_bound_opts)
+    /// without re-planning.
     pub fn prepare(&self, query: &Query) -> Result<PhysicalPlan, EngineError> {
         self.plans_built.fetch_add(1, Ordering::Relaxed);
         crate::plan::plan_query(query, &*self.storage())

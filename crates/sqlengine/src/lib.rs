@@ -19,8 +19,8 @@
 //! database; the parser refuses what the dialect lacks.
 //!
 //! Execution is split planner/executor: [`plan`] compiles a query into an
-//! explicit [`PhysicalPlan`] (scans, hash joins with a chosen build side,
-//! filters, exists-semijoins, row-numbering, projection) and
+//! explicit [`PhysicalPlan`] (scans, hash joins, filters, exists-semijoins,
+//! row-numbering, projection) and
 //! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
 //! whole batch on the calling thread. Parallelism is above a plan:

@@ -1,7 +1,7 @@
 //! The logical optimizer: plan-to-plan rewrites between [`crate::plan`] and
 //! execution.
 //!
-//! [`optimize`] applies six passes, in order:
+//! [`optimize`] applies five passes, in order:
 //!
 //! 1. **Constant folding** — evaluates [`VExpr`] subtrees whose operands are
 //!    literals, simplifies boolean identities (`TRUE AND p` → `p`,
@@ -33,11 +33,7 @@
 //!    column it references lives there. Conjuncts are never pushed below
 //!    `RowNumber` (filtering changes the numbering) and never into a `WITH`
 //!    definition (the definition may have other consumers).
-//! 5. **Build-side re-choice** — recomputes hash-join build sides from
-//!    catalog row counts, with `WITH`-definition estimates propagated to the
-//!    `CteScan`s that read them (the planner chose sides from shape-only
-//!    defaults; see `PhysicalPlan::estimate`).
-//! 6. **Column pruning** — inserts narrowing `Project`s of bare columns on
+//! 5. **Column pruning** — inserts narrowing `Project`s of bare columns on
 //!    the inputs of hash and nested-loop joins, so a join materialises only
 //!    the columns its keys or some ancestor reads, and moves the positional
 //!    [`VExpr::Col`] indexes above to where the columns end up. A narrowing
@@ -49,15 +45,16 @@
 //!    resolved by alias, which a `Project` erases).
 //!    It runs last so that it prunes the joins the other passes leave.
 //!
+//! No pass chooses a hash join's build side: the executor builds on the
+//! smaller input once it holds both (see [`PhysicalPlan::HashJoin`]).
+//!
 //! Every pass is a pure function from plan to plan: rewritten plans flow
 //! through the interpreter oracle, the vectorized executor and `DeltaExec`
 //! unchanged.
 
 use crate::ast::BinOp;
 use crate::exec::eval_binop;
-use crate::plan::{
-    BuildSide, Catalog, PhysicalPlan, SchemaCol, VExpr, DEFAULT_ROWS, FILTER_SELECTIVITY,
-};
+use crate::plan::{Catalog, PhysicalPlan, SchemaCol, VExpr};
 use crate::value::SqlValue;
 
 /// A correlated subquery the decorrelator had to leave in place, and why.
@@ -90,7 +87,12 @@ impl OptReport {
 /// Optimize a physical plan. Returns the rewritten plan and a report of the
 /// rewrites applied; the output plan computes exactly the same bag of rows
 /// as the input plan on every database and parameter binding.
-pub fn optimize(plan: PhysicalPlan, catalog: &dyn Catalog) -> (PhysicalPlan, OptReport) {
+///
+/// No pass reads `_catalog`: every rewrite is decided by the plan alone, and
+/// a hash join's build side is chosen at run time from its inputs' real
+/// sizes. The parameter stays so that callers which pass one, such as the
+/// benchmark's layer trace, keep compiling.
+pub fn optimize(plan: PhysicalPlan, _catalog: &dyn Catalog) -> (PhysicalPlan, OptReport) {
     let mut report = OptReport::default();
 
     let mut folds = 0usize;
@@ -118,15 +120,6 @@ pub fn optimize(plan: PhysicalPlan, catalog: &dyn Catalog) -> (PhysicalPlan, Opt
         report
             .rewrites
             .push(format!("pushed {} predicate(s) toward scans", pushed));
-    }
-
-    let mut flips = 0usize;
-    let plan = rechoose_plan(plan, catalog, &mut Vec::new(), &mut flips);
-    if flips > 0 {
-        report.rewrites.push(format!(
-            "re-chose {} hash-join build side(s) from catalog estimates",
-            flips
-        ));
     }
 
     let mut narrowed = 0usize;
@@ -504,7 +497,6 @@ fn extract(plan: PhysicalPlan, frame: &[SchemaCol]) -> Result<Ext, String> {
             right,
             left_keys,
             right_keys,
-            build,
         } => {
             let left_width = left.output_width();
             let le = extract(*left, frame)?;
@@ -521,7 +513,6 @@ fn extract(plan: PhysicalPlan, frame: &[SchemaCol]) -> Result<Ext, String> {
                     right: Box::new(re.plan),
                     left_keys,
                     right_keys,
-                    build,
                 },
                 keys,
             })
@@ -700,7 +691,7 @@ fn resolve_outer(expr: VExpr, frame: &[SchemaCol]) -> Result<VExpr, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: predicate pushdown
+// Pass 4: predicate pushdown
 // ---------------------------------------------------------------------------
 
 fn pushdown_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
@@ -852,7 +843,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
             right,
             left_keys,
             right_keys,
-            build,
         } => {
             let left_width = left.output_width();
             match route_join_pred(&pred, left_width) {
@@ -861,7 +851,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
                     right,
                     left_keys,
                     right_keys,
-                    build,
                 }),
                 Some(JoinSide::Right) => {
                     let shifted = unshift_cols(pred, left_width);
@@ -870,7 +859,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
                         right: Box::new(push_into(*right, shifted)),
                         left_keys,
                         right_keys,
-                        build,
                     })
                 }
                 None => Err((
@@ -879,7 +867,6 @@ fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalP
                         right,
                         left_keys,
                         right_keys,
-                        build,
                     },
                     pred,
                 )),
@@ -924,123 +911,7 @@ fn route_join_pred(pred: &VExpr, left_width: usize) -> Option<JoinSide> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 4: estimate-driven build sides
-// ---------------------------------------------------------------------------
-
-fn rechoose_plan(
-    plan: PhysicalPlan,
-    catalog: &dyn Catalog,
-    env: &mut Vec<(String, f64)>,
-    flips: &mut usize,
-) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => {
-            let definition = rechoose_plan(*definition, catalog, env, flips);
-            let rows = estimate_env(&definition, catalog, env);
-            env.push((name.clone(), rows));
-            let body = rechoose_plan(*body, catalog, env, flips);
-            env.pop();
-            PhysicalPlan::With {
-                name,
-                definition: Box::new(definition),
-                body: Box::new(body),
-            }
-        }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            build,
-        } => {
-            let left = rechoose_plan(*left, catalog, env, flips);
-            let right = rechoose_plan(*right, catalog, env, flips);
-            let (l, r) = (
-                estimate_env(&left, catalog, env),
-                estimate_env(&right, catalog, env),
-            );
-            // Ties build on the right (the incoming relation), matching the
-            // planner's and the interpreter's default.
-            let chosen = if r <= l {
-                BuildSide::Right
-            } else {
-                BuildSide::Left
-            };
-            if chosen != build {
-                *flips += 1;
-            }
-            PhysicalPlan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-                build: chosen,
-            }
-        }
-        // `map_plan` would re-enter `With` nodes without the env
-        // bookkeeping, so recurse one level at a time.
-        other => other.map_children(|c| rechoose_plan(c, catalog, env, flips)),
-    }
-}
-
-/// [`PhysicalPlan::estimate`] refined with catalog row counts and bound
-/// `WITH`-definition cardinalities.
-fn estimate_env(plan: &PhysicalPlan, catalog: &dyn Catalog, env: &mut Vec<(String, f64)>) -> f64 {
-    match plan {
-        PhysicalPlan::UnitRow => 1.0,
-        PhysicalPlan::TableScan {
-            table,
-            estimated_rows,
-            ..
-        } => catalog
-            .table_rows(table)
-            .or(*estimated_rows)
-            .map(|n| n as f64)
-            .unwrap_or(DEFAULT_ROWS),
-        PhysicalPlan::CteScan { name, .. } => env
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, rows)| *rows)
-            .unwrap_or(DEFAULT_ROWS),
-        PhysicalPlan::SubqueryScan { input, .. } => estimate_env(input, catalog, env),
-        PhysicalPlan::NestedLoopJoin { left, right } => {
-            estimate_env(left, catalog, env) * estimate_env(right, catalog, env)
-        }
-        PhysicalPlan::HashJoin { left, right, .. } => {
-            estimate_env(left, catalog, env).max(estimate_env(right, catalog, env))
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::ExistsSemiJoin { input, .. }
-        | PhysicalPlan::HashSemiJoin { input, .. } => {
-            estimate_env(input, catalog, env) * FILTER_SELECTIVITY
-        }
-        PhysicalPlan::RowNumber { input, .. } | PhysicalPlan::Project { input, .. } => {
-            estimate_env(input, catalog, env)
-        }
-        PhysicalPlan::UnionAll(branches) => {
-            branches.iter().map(|b| estimate_env(b, catalog, env)).sum()
-        }
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => {
-            let rows = estimate_env(definition, catalog, env);
-            env.push((name.clone(), rows));
-            let out = estimate_env(body, catalog, env);
-            env.pop();
-            out
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 6: column pruning
+// Pass 5: column pruning
 // ---------------------------------------------------------------------------
 
 /// A pruned subtree: it outputs a subset of the columns it used to, in their
@@ -1125,7 +996,6 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
             right,
             left_keys,
             right_keys,
-            build,
         } => {
             let (left, right, remap) = prune_join(
                 *left,
@@ -1142,7 +1012,6 @@ fn prune_node(plan: PhysicalPlan, need: &[bool], frozen: bool, count: &mut usize
                     right_keys: remap_exprs(right_keys, &right.remap, count),
                     left: Box::new(left.plan),
                     right: Box::new(right.plan),
-                    build,
                 },
                 remap,
             }
@@ -1465,30 +1334,11 @@ mod tests {
     use crate::plan::SchemaCatalog;
     use crate::storage::TableDef;
 
-    struct RowsCatalog(Vec<(&'static str, Vec<&'static str>, usize)>);
-
-    impl Catalog for RowsCatalog {
-        fn table_columns(&self, name: &str) -> Option<Vec<String>> {
-            self.0
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .map(|(_, cols, _)| cols.iter().map(|c| c.to_string()).collect())
-        }
-
-        fn table_rows(&self, name: &str) -> Option<usize> {
-            self.0
-                .iter()
-                .find(|(n, _, _)| *n == name)
-                .map(|(_, _, r)| *r)
-        }
-    }
-
     fn scan(table: &str, alias: &str, columns: &[&str]) -> PhysicalPlan {
         PhysicalPlan::TableScan {
             table: table.to_string(),
             alias: alias.to_string(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
-            estimated_rows: None,
         }
     }
 
@@ -1705,7 +1555,6 @@ mod tests {
             right: Box::new(scan("u", "u", &["z"])),
             left_keys: vec![col(1, "b")],
             right_keys: vec![col(0, "z")],
-            build: BuildSide::Right,
         };
         let plan = PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::Project {
@@ -1749,71 +1598,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rechooses_build_side_from_catalog_rows() {
-        let catalog = RowsCatalog(vec![("big", vec!["a"], 100_000), ("small", vec!["z"], 10)]);
-        let plan = PhysicalPlan::HashJoin {
-            left: Box::new(scan("small", "s", &["z"])),
-            right: Box::new(scan("big", "b", &["a"])),
-            left_keys: vec![col(0, "z")],
-            right_keys: vec![col(0, "a")],
-            // The planner's shape-only default would build on the right.
-            build: BuildSide::Right,
-        };
-        let (opt, report) = optimize(plan, &catalog);
-        let PhysicalPlan::HashJoin { build, .. } = opt else {
-            panic!("expected HashJoin");
-        };
-        assert_eq!(build, BuildSide::Left);
-        assert!(
-            report.rewrites.iter().any(|r| r.contains("build side")),
-            "rewrites: {:?}",
-            report.rewrites
-        );
-    }
-
-    #[test]
-    fn rechooses_build_sides_inside_every_expression_subplan() {
-        let catalog = RowsCatalog(vec![("big", vec!["a"], 100_000), ("small", vec!["z"], 10)]);
-        let join = PhysicalPlan::HashJoin {
-            left: Box::new(scan("small", "s", &["z"])),
-            right: Box::new(scan("big", "b", &["a"])),
-            left_keys: vec![col(0, "z")],
-            right_keys: vec![col(0, "a")],
-            build: BuildSide::Right,
-        };
-        let plan = PhysicalPlan::Project {
-            input: Box::new(PhysicalPlan::UnitRow),
-            exprs: vec![VExpr::Exists(Box::new(join))],
-            columns: vec!["any".to_string()],
-        };
-        let (opt, _) = optimize(plan, &catalog);
-        let PhysicalPlan::Project { exprs, .. } = &opt else {
-            panic!("expected Project, got {}", opt);
-        };
-        let [VExpr::Exists(sub)] = exprs.as_slice() else {
-            panic!("expected one EXISTS, got {}", opt);
-        };
-        assert!(
-            matches!(
-                sub.as_ref(),
-                PhysicalPlan::HashJoin {
-                    build: BuildSide::Left,
-                    ..
-                }
-            ),
-            "got:\n{}",
-            sub
-        );
-    }
-
     fn t_join_u() -> PhysicalPlan {
         PhysicalPlan::HashJoin {
             left: Box::new(scan("t", "t", &["a", "b", "c"])),
             right: Box::new(scan("u", "u", &["x", "y", "z"])),
             left_keys: vec![acol(1, "t", "b")],
             right_keys: vec![acol(0, "u", "x")],
-            build: BuildSide::Right,
         }
     }
 
@@ -1851,7 +1641,6 @@ mod tests {
                 )),
                 left_keys: vec![acol(0, "t", "b")],
                 right_keys: vec![acol(0, "u", "x")],
-                build: BuildSide::Right,
             }),
             exprs: vec![acol(1, "t", "c"), acol(3, "u", "z")],
             columns: vec!["c".to_string(), "z".to_string()],
@@ -1970,20 +1759,5 @@ mod tests {
             "rewrites: {:?}",
             report.rewrites
         );
-    }
-
-    #[test]
-    fn estimates_bind_with_definitions() {
-        let catalog = RowsCatalog(vec![("t", vec!["a"], 5000)]);
-        let plan = PhysicalPlan::With {
-            name: "q".to_string(),
-            definition: Box::new(scan("t", "t", &["a"])),
-            body: Box::new(PhysicalPlan::CteScan {
-                name: "q".to_string(),
-                alias: "q".to_string(),
-                columns: vec!["a".to_string()],
-            }),
-        };
-        assert_eq!(estimate_env(&plan, &catalog, &mut Vec::new()), 5000.0);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * every `FROM` item becomes a scan node (table, CTE or subquery),
 //! * equi-join conjuncts become [`PhysicalPlan::HashJoin`] nodes with resolved
-//!   key expressions and a **chosen build side** (the smaller estimated
-//!   input builds the hash table; ties build on the incoming relation, which
-//!   is what the interpreter always does),
+//!   key expressions (the plan names no build side: the executor builds the
+//!   hash table on whichever input turns out smaller, the right one on a
+//!   tie),
 //! * the remaining conjuncts become [`PhysicalPlan::Filter`] nodes placed as
 //!   soon as every alias they mention is bound (predicate pushdown),
 //! * `EXISTS` / `NOT EXISTS` conjuncts become [`PhysicalPlan::ExistsSemiJoin`]
@@ -20,10 +20,10 @@
 //! batch at plan time ([`VExpr::Col`]); references to enclosing queries stay
 //! symbolic ([`VExpr::Outer`]) and are looked up in the runtime scope stack,
 //! mirroring the interpreter's correlated-subquery semantics. The planner
-//! consults a [`Catalog`] for table layouts and (optionally) cardinalities,
-//! so plans can be built either from live [`Storage`] or from a schema alone
-//! ([`SchemaCatalog`]) — the latter is what lets `shredding`'s session cache
-//! fully planned queries before any data is attached.
+//! consults a [`Catalog`] for table layouts only, so a plan built from live
+//! [`Storage`] is the plan built from a schema alone ([`SchemaCatalog`]) —
+//! which is what lets `shredding`'s session cache fully planned queries
+//! before any data is attached.
 
 use crate::ast::{BinOp, Expr, FromItem, Query, Select, TableSource};
 use crate::error::EngineError;
@@ -32,19 +32,11 @@ use crate::value::SqlValue;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Default row-count estimate for relations whose cardinality the catalog
-/// does not know (CTEs, subqueries, schema-only planning).
-pub(crate) const DEFAULT_ROWS: f64 = 1000.0;
-
-/// Assumed selectivity of a filter or semi-join, for build-side estimation.
-pub(crate) const FILTER_SELECTIVITY: f64 = 0.5;
-
 // ---------------------------------------------------------------------------
 // The catalog
 // ---------------------------------------------------------------------------
 
-/// What the planner may ask about stored tables: their column layout and,
-/// when available, their cardinality.
+/// What the planner may ask about stored tables: their column layout.
 ///
 /// Catalogs are `Send + Sync` so planning can happen from any thread against
 /// a shared engine or schema (both provided implementations — [`Storage`]
@@ -52,24 +44,16 @@ pub(crate) const FILTER_SELECTIVITY: f64 = 0.5;
 pub trait Catalog: Send + Sync {
     /// The column names of a stored table, in declaration order.
     fn table_columns(&self, name: &str) -> Option<Vec<String>>;
-
-    /// The current number of rows of a stored table, if known.
-    fn table_rows(&self, name: &str) -> Option<usize>;
 }
 
 impl Catalog for Storage {
     fn table_columns(&self, name: &str) -> Option<Vec<String>> {
         self.table(name).ok().map(|t| t.def.column_names())
     }
-
-    fn table_rows(&self, name: &str) -> Option<usize> {
-        self.table(name).ok().map(|t| t.len())
-    }
 }
 
-/// A data-free catalog built from table definitions alone: layouts are known,
-/// cardinalities are not. Used to plan against a schema before any database
-/// is attached.
+/// A data-free catalog built from table definitions alone. Used to plan
+/// against a schema before any database is attached.
 #[derive(Debug, Clone, Default)]
 pub struct SchemaCatalog {
     defs: Vec<TableDef>,
@@ -88,10 +72,6 @@ impl Catalog for SchemaCatalog {
             .iter()
             .find(|d| d.name == name)
             .map(TableDef::column_names)
-    }
-
-    fn table_rows(&self, _name: &str) -> Option<usize> {
-        None
     }
 }
 
@@ -209,22 +189,6 @@ impl VExpr {
 // Physical plans
 // ---------------------------------------------------------------------------
 
-/// Which input of a [`PhysicalPlan::HashJoin`] builds the hash table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildSide {
-    Left,
-    Right,
-}
-
-impl fmt::Display for BuildSide {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildSide::Left => write!(f, "left"),
-            BuildSide::Right => write!(f, "right"),
-        }
-    }
-}
-
 /// An executable physical plan tree. Produced once by [`plan_query`] and run
 /// any number of times by [`crate::vexec`]. `PartialEq` is structural —
 /// two plans compare equal iff they are the same operator tree with the
@@ -240,7 +204,6 @@ pub enum PhysicalPlan {
         table: String,
         alias: String,
         columns: Vec<String>,
-        estimated_rows: Option<usize>,
     },
     /// Scan a `WITH`-bound result.
     CteScan {
@@ -258,14 +221,14 @@ pub enum PhysicalPlan {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
     },
-    /// Hash equi-join. `left_keys[i]` pairs with `right_keys[i]`; `build`
-    /// says which input builds the hash table (the other side probes).
+    /// Hash equi-join. `left_keys[i]` pairs with `right_keys[i]`. The
+    /// executor runs both inputs, then builds the hash table on the smaller
+    /// one (the right one on a tie) and probes it with the other.
     HashJoin {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
         left_keys: Vec<VExpr>,
         right_keys: Vec<VExpr>,
-        build: BuildSide,
     },
     /// Keep rows whose predicate evaluates to `TRUE`.
     Filter {
@@ -682,45 +645,12 @@ impl PhysicalPlan {
         acc
     }
 
-    /// Rough output-cardinality estimate, used to choose hash-join build
-    /// sides. The logical optimizer ([`crate::opt`]) refines these with
-    /// catalog row counts and `WITH`-definition cardinalities.
-    pub(crate) fn estimate(&self) -> f64 {
-        match self {
-            PhysicalPlan::UnitRow => 1.0,
-            PhysicalPlan::TableScan { estimated_rows, .. } => {
-                estimated_rows.map(|n| n as f64).unwrap_or(DEFAULT_ROWS)
-            }
-            PhysicalPlan::CteScan { .. } => DEFAULT_ROWS,
-            PhysicalPlan::SubqueryScan { input, .. } => input.estimate(),
-            PhysicalPlan::NestedLoopJoin { left, right } => left.estimate() * right.estimate(),
-            PhysicalPlan::HashJoin { left, right, .. } => left.estimate().max(right.estimate()),
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::ExistsSemiJoin { input, .. }
-            | PhysicalPlan::HashSemiJoin { input, .. } => input.estimate() * FILTER_SELECTIVITY,
-            PhysicalPlan::RowNumber { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.estimate()
-            }
-            PhysicalPlan::UnionAll(branches) => branches.iter().map(PhysicalPlan::estimate).sum(),
-            PhysicalPlan::With { body, .. } => body.estimate(),
-        }
-    }
-
     /// This node's own render line, without indentation or children.
     fn node_line(&self) -> String {
         match self {
             PhysicalPlan::UnitRow => "UnitRow".to_string(),
-            PhysicalPlan::TableScan {
-                table,
-                alias,
-                estimated_rows,
-                ..
-            } => {
-                let mut line = format!("TableScan {} AS {}", table, alias);
-                if let Some(n) = estimated_rows {
-                    line.push_str(&format!(" (rows={})", n));
-                }
-                line
+            PhysicalPlan::TableScan { table, alias, .. } => {
+                format!("TableScan {} AS {}", table, alias)
             }
             PhysicalPlan::CteScan { name, alias, .. } => {
                 format!("CteScan {} AS {}", name, alias)
@@ -730,7 +660,6 @@ impl PhysicalPlan {
             PhysicalPlan::HashJoin {
                 left_keys,
                 right_keys,
-                build,
                 ..
             } => {
                 let keys: Vec<String> = left_keys
@@ -738,7 +667,7 @@ impl PhysicalPlan {
                     .zip(right_keys)
                     .map(|(l, r)| format!("{} = {}", l, r))
                     .collect();
-                format!("HashJoin build={} keys=[{}]", build, keys.join(", "))
+                format!("HashJoin keys=[{}]", keys.join(", "))
             }
             PhysicalPlan::Filter { predicate, .. } => format!("Filter {}", predicate),
             PhysicalPlan::ExistsSemiJoin { anti, .. } => {
@@ -1020,20 +949,11 @@ impl Planner<'_> {
                             left_keys.push(self.resolve(bound_side, ctx, &schema, None)?);
                             right_keys.push(self.resolve(new_side, ctx, &rel_schema, None)?);
                         }
-                        // Build-side heuristic: the smaller estimated input
-                        // builds the hash table; ties build on the incoming
-                        // relation.
-                        let build = if rel_plan.estimate() <= acc.estimate() {
-                            BuildSide::Right
-                        } else {
-                            BuildSide::Left
-                        };
                         PhysicalPlan::HashJoin {
                             left: Box::new(acc),
                             right: Box::new(rel_plan),
                             left_keys,
                             right_keys,
-                            build,
                         }
                     }
                 }
@@ -1144,7 +1064,6 @@ impl Planner<'_> {
                             table: name.clone(),
                             alias: item.alias.clone(),
                             columns: columns.clone(),
-                            estimated_rows: self.catalog.table_rows(name),
                         },
                         columns,
                     )
@@ -1396,47 +1315,6 @@ mod tests {
         let rendered = plan.to_string();
         assert!(rendered.contains("ExistsSemiJoin anti"), "{}", rendered);
         assert!(rendered.contains("outer(e.dept)"), "{}", rendered);
-    }
-
-    #[test]
-    fn build_side_prefers_the_smaller_cardinality() {
-        let mut storage = Storage::new();
-        storage
-            .create_table(TableDef::new("big", vec![("k", ColumnType::Int)]))
-            .unwrap();
-        storage
-            .create_table(TableDef::new("small", vec![("k", ColumnType::Int)]))
-            .unwrap();
-        for i in 0..50 {
-            storage.insert("big", vec![SqlValue::Int(i)]).unwrap();
-        }
-        storage.insert("small", vec![SqlValue::Int(1)]).unwrap();
-
-        // big ⋈ small: the incoming (right) side is smaller — build right.
-        let q = Query::select(
-            Select::new()
-                .item(Expr::col("b", "k"), "k")
-                .from_named("big", "b")
-                .from_named("small", "s")
-                .filter(Expr::eq(Expr::col("b", "k"), Expr::col("s", "k"))),
-        );
-        assert!(plan_query(&q, &storage)
-            .unwrap()
-            .to_string()
-            .contains("build=right"));
-
-        // small ⋈ big: the accumulated (left) side is smaller — build left.
-        let q = Query::select(
-            Select::new()
-                .item(Expr::col("b", "k"), "k")
-                .from_named("small", "s")
-                .from_named("big", "b")
-                .filter(Expr::eq(Expr::col("b", "k"), Expr::col("s", "k"))),
-        );
-        assert!(plan_query(&q, &storage)
-            .unwrap()
-            .to_string()
-            .contains("build=left"));
     }
 
     #[test]

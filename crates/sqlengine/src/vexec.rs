@@ -46,7 +46,7 @@
 use crate::error::EngineError;
 use crate::exec::eval_binop;
 use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Vector};
-use crate::plan::{BuildSide, OpActuals, PhysicalPlan, SchemaCol, VExpr};
+use crate::plan::{OpActuals, PhysicalPlan, SchemaCol, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{ParamValues, Row, SqlValue};
 use std::cell::Cell;
@@ -538,15 +538,17 @@ fn exec_node(
             right,
             left_keys,
             right_keys,
-            build,
         } => {
             let l = exec(left, ctx, ctes, scope)?;
             let r = exec(right, ctx, ctes, scope)?;
             let lk = Keys::new(eval_all(left_keys, &l, ctx, ctes, scope)?, l.len());
             let rk = Keys::new(eval_all(right_keys, &r, ctx, ctes, scope)?, r.len());
-            let (build_keys, probe_keys, probe_is_left) = match build {
-                BuildSide::Right => (&rk, &lk, true),
-                BuildSide::Left => (&lk, &rk, false),
+            // Both inputs are in hand, so their sizes are known exactly: the
+            // smaller one builds the hash table, the right one on a tie.
+            let (build_keys, probe_keys, probe_is_left) = if r.len() <= l.len() {
+                (&rk, &lk, true)
+            } else {
+                (&lk, &rk, false)
             };
             let index = KeyIndex::new(build_keys, NullMode::NeverMatches)?;
             let pairs = index.join_pairs(probe_keys, probe_is_left);
@@ -587,10 +589,10 @@ fn exec_node(
         PhysicalPlan::RowNumber { input, specs } => {
             // Ties in a window's keys are broken by the batch's row order
             // (stable sort), which may differ from the interpreter's join
-            // order when the planner chose a different build side — the same
-            // latitude PostgreSQL has for tied ROW_NUMBER keys. The shredding
-            // translation only numbers over key columns that uniquely
-            // identify rows, so its stages are never affected.
+            // order when a hash join below built on its left input — the
+            // same latitude PostgreSQL has for tied ROW_NUMBER keys. The
+            // shredding translation only numbers over key columns that
+            // uniquely identify rows, so its stages are never affected.
             let batch = exec(input, ctx, ctes, scope)?.materialised();
             let ranks = specs
                 .iter()
@@ -1491,7 +1493,6 @@ impl NodeState {
                 right,
                 left_keys,
                 right_keys,
-                ..
             } => NodeState::Join {
                 left: RowStore::keyed(left.output_width(), left_keys),
                 right: RowStore::keyed(right.output_width(), right_keys),
@@ -1802,7 +1803,6 @@ impl DeltaExec {
                 right,
                 left_keys,
                 right_keys,
-                ..
             } => {
                 let dl = self.delta_node(left, first, ctx, env)?;
                 let dr = self.delta_node(right, second, ctx, env)?;
@@ -2103,6 +2103,82 @@ mod tests {
         li.sort_by(|a, b| compare_rows(a, b));
         lv.sort_by(|a, b| compare_rows(a, b));
         assert_eq!(li, lv);
+    }
+
+    /// The hash join builds on its smaller input, the right one on a tie,
+    /// and emits its pairs in probe order, then in ascending build order.
+    /// Duplicate keys on both sides make the two possible orders differ.
+    #[test]
+    fn hash_joins_build_the_smaller_input_and_the_right_one_on_a_tie() {
+        let scan = |table: &str, alias: &str| PhysicalPlan::TableScan {
+            table: table.to_string(),
+            alias: alias.to_string(),
+            columns: vec!["k".to_string(), "s".to_string()],
+        };
+        let key = |alias: &str| VExpr::Col {
+            index: 0,
+            alias: Some(alias.to_string()),
+            column: "k".to_string(),
+        };
+        let plan = PhysicalPlan::HashJoin {
+            left: Box::new(scan("l", "a")),
+            right: Box::new(scan("r", "b")),
+            left_keys: vec![key("a")],
+            right_keys: vec![key("b")],
+        };
+        let q = Query::select(
+            Select::new()
+                .item(Expr::col("a", "k"), "k")
+                .item(Expr::col("a", "s"), "s")
+                .item(Expr::col("b", "k"), "k2")
+                .item(Expr::col("b", "s"), "s2")
+                .from_named("l", "a")
+                .from_named("r", "b")
+                .filter(Expr::eq(Expr::col("a", "k"), Expr::col("b", "k"))),
+        );
+        // The join's rows with `build` as the build side: each probe row, in
+        // order, meets its matching build rows in ascending order.
+        let pairs = |probe: &[Row], build: &[Row], probe_is_left: bool| -> Vec<Row> {
+            let mut out = Vec::new();
+            for p in probe {
+                for b in build.iter().filter(|b| b[0] == p[0]) {
+                    let (l, r) = if probe_is_left { (p, b) } else { (b, p) };
+                    out.push(l.iter().chain(r).cloned().collect());
+                }
+            }
+            out
+        };
+
+        let row = |k: i64, s: &str| vec![SqlValue::Int(k), SqlValue::str(s)];
+        let wide = vec![row(1, "a"), row(2, "b"), row(1, "c")];
+        let narrow = vec![row(1, "x"), row(1, "y")];
+        let even = vec![row(1, "p"), row(1, "q"), row(3, "r")];
+        for (left, right, build_right) in [
+            (&narrow, &wide, false),
+            (&wide, &narrow, true),
+            (&wide, &even, true),
+        ] {
+            let mut storage = Storage::new();
+            for (table, rows) in [("l", left), ("r", right)] {
+                let def =
+                    TableDef::new(table, vec![("k", ColumnType::Int), ("s", ColumnType::Text)]);
+                storage.create_table(def).unwrap();
+                for row in rows {
+                    storage.insert(table, row.clone()).unwrap();
+                }
+            }
+            let engine = Engine::with_storage(storage);
+            let got = run(&engine, &plan).unwrap().into_result_set().rows;
+            let (expected, other) = if build_right {
+                (pairs(left, right, true), pairs(right, left, false))
+            } else {
+                (pairs(right, left, false), pairs(left, right, true))
+            };
+            assert_ne!(expected, other, "the fixture tells the two orders apart");
+            assert_eq!(got, expected, "build_right = {build_right}");
+            let interpreted = engine.execute_interpreted(&q).unwrap().rows;
+            assert_eq!(sorted(interpreted), sorted(got));
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the physical operators, `plan.rs` the one description of where a plan
 //! node keeps its inputs and expressions, and each layer one way in; no
 //! layer implements SQL the translations never emit, no lock in obs
-//! re-panics once poisoned, and a commit copies no table. The checks read
+//! re-panics once poisoned, a commit copies no table, and no plan carries a
+//! guessed build side or row count. The checks read
 //! the sources as text, so a reintroduced per-row path, a second walk, a
 //! forwarding entry point or a removed operator fails here before any
 //! benchmark notices.
@@ -292,6 +293,35 @@ fn the_commit_path_copies_no_table() {
         2,
         "only `Table::new` and `Clone` start a table with a cold view"
     );
+}
+
+/// A hash join picks its build side at run time from its inputs' real sizes,
+/// so the engine keeps no plan-time guess of it: no build-side field, no
+/// pass that re-chooses it and no row-count estimator to feed either. (Only
+/// `sqlengine` is checked: `nrc::Database::table_rows` is another, live
+/// method.)
+#[test]
+fn no_plan_guesses_a_build_side_or_a_row_count() {
+    let removed = [
+        "BuildSide",
+        "rechoose_plan",
+        "estimate_env",
+        "fn estimate(",
+        "estimated_rows",
+        "fn table_rows",
+        "DEFAULT_ROWS",
+        "FILTER_SELECTIVITY",
+    ];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    for (path, text) in sources(&src) {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`: the executor builds the smaller input",
+                path.display()
+            );
+        }
+    }
 }
 
 /// One entry point per layer, and the removed ones stay removed.
