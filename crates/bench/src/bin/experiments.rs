@@ -8,7 +8,8 @@
 //! experiments --all                      # everything
 //! experiments --departments 64          # extend the scaling sweep
 //! experiments --max-departments 64      # (alias of --departments)
-//! experiments --check                    # verify every result against N⟦−⟧
+//! experiments --check                    # verify every result against N⟦−⟧;
+//!                                         # exit 1 if any disagrees
 //! ```
 //!
 //! Output layout mirrors the paper: one row per query and system, one column
@@ -120,13 +121,15 @@ fn print_header(title: &str, scales: &[usize]) {
     println!();
 }
 
+/// Print one figure's table; returns the number of `--check` mismatches.
 fn run_figure(
     title: &str,
     queries: Vec<(&'static str, nrc::Term)>,
     systems: &[System],
     opts: &Options,
     instances: &[Instance],
-) {
+) -> usize {
+    let mut mismatches = 0;
     let scales: Vec<usize> = instances.iter().map(|i| i.departments).collect();
     print_header(title, &scales);
     for (name, query) in &queries {
@@ -137,6 +140,7 @@ fn run_figure(
                     if let Err(e) = check_against_reference(*system, query, instance) {
                         print!(" {:>9}", "MISMATCH");
                         eprintln!("check failed for {} under {}: {}", name, system, e);
+                        mismatches += 1;
                         continue;
                     }
                 }
@@ -149,6 +153,7 @@ fn run_figure(
             println!();
         }
     }
+    mismatches
 }
 
 fn appendix_a() {
@@ -203,8 +208,9 @@ fn main() {
         Vec::new()
     };
 
+    let mut mismatches = 0;
     if opts.figure10 {
-        run_figure(
+        mismatches += run_figure(
             "Figure 10: flat queries (total time in ms)",
             datagen::queries::flat_queries(),
             &[System::Shredding, System::LoopLifting, System::Default],
@@ -213,7 +219,7 @@ fn main() {
         );
     }
     if opts.figure11 {
-        run_figure(
+        mismatches += run_figure(
             "Figure 11: nested queries (total time in ms)",
             datagen::queries::nested_queries(),
             &[System::Shredding, System::LoopLifting],
@@ -234,5 +240,9 @@ fn main() {
     }
     if opts.appendix_a {
         appendix_a();
+    }
+    if mismatches > 0 {
+        eprintln!("{} check(s) failed", mismatches);
+        std::process::exit(1);
     }
 }

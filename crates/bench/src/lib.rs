@@ -27,7 +27,8 @@ use nrc::term::Term;
 use nrc::value::Value;
 use shredding::error::ShredError;
 use shredding::session::Shredder;
-use sqlengine::Engine;
+use sqlengine::plan::VExpr;
+use sqlengine::{BinOp, Engine, PhysicalPlan};
 use std::time::{Duration, Instant};
 
 /// The systems compared by the evaluation.
@@ -301,6 +302,70 @@ pub fn analyze_all() -> Vec<AnalyzeEntry> {
                 },
             };
             out.push(entry);
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Predicate placement
+// ---------------------------------------------------------------------------
+
+/// The `Filter`s of `plan` that the planner should have placed elsewhere,
+/// rendered: one directly over a join whose predicate reads one join input
+/// only (it belongs below the join), and one with a conjunct that is a
+/// chain of `NOT`s over `EXISTS` (it belongs in a semi-join). The
+/// differential suites assert that no compiled stage has any.
+pub fn misplaced_filters(plan: &PhysicalPlan) -> Vec<String> {
+    fn columns(e: &VExpr, out: &mut Vec<usize>) {
+        match e {
+            VExpr::Col { index, .. } => out.push(*index),
+            VExpr::BinOp { left, right, .. } => {
+                columns(left, out);
+                columns(right, out);
+            }
+            VExpr::Not(inner) => columns(inner, out),
+            _ => {}
+        }
+    }
+    fn not_chain_over_exists(e: &VExpr) -> bool {
+        match e {
+            VExpr::Not(inner) => not_chain_over_exists(inner),
+            VExpr::Exists(_) => true,
+            _ => false,
+        }
+    }
+    fn tests_exists(predicate: &VExpr) -> bool {
+        match predicate {
+            VExpr::BinOp {
+                op: BinOp::And,
+                left,
+                right,
+            } => tests_exists(left) || tests_exists(right),
+            conjunct => not_chain_over_exists(conjunct),
+        }
+    }
+    let mut out = Vec::new();
+    for node in plan.nodes() {
+        let PhysicalPlan::Filter { input, predicate } = node else {
+            continue;
+        };
+        if let PhysicalPlan::HashJoin { left, .. } | PhysicalPlan::NestedLoopJoin { left, .. } =
+            input.as_ref()
+        {
+            let width = left.output_columns().len();
+            let mut read = Vec::new();
+            columns(predicate, &mut read);
+            if read.iter().all(|&i| i < width) || read.iter().all(|&i| i >= width) {
+                out.push(format!(
+                    "Filter {} over one input of a {}",
+                    predicate,
+                    input.kind()
+                ));
+            }
+        }
+        if tests_exists(predicate) {
+            out.push(format!("Filter {} tests EXISTS", predicate));
         }
     }
     out

@@ -4,10 +4,11 @@
 //! runs three ways — a session's optimized shredded pipeline, the same
 //! pipeline compiled without the optimizer (`compile_normalised_opts(…,
 //! false)`), and the λNRC interpreter oracle — at worker counts {1, 4}. The
-//! three answers must agree as multisets. On top of the differential sweep, golden `explain()`
-//! snapshots pin down that each rewrite family actually fires: EXISTS
-//! lifting + decorrelation on Q2, predicate pushdown on Q6, column pruning
-//! on QF2 and Q5, and package-level common-subplan sharing on Q1.
+//! three answers must agree as multisets. On top of the differential sweep,
+//! the compiled plans and golden `explain()` snapshots pin down where each
+//! job is done: the planner's predicate placement on Q2 and Q6,
+//! decorrelation on Q2 and QF6, column pruning on QF2 and Q5, and
+//! package-level common-subplan sharing on Q1.
 
 use datagen::{generate, organisation_schema, OrgConfig};
 use nrc::builder::*;
@@ -103,18 +104,23 @@ fn explain_for(q: &Term) -> String {
     prepared.explain().to_string()
 }
 
+/// Every node of every stage of `q` compiled with the optimizer.
+fn compiled_nodes(q: &Term) -> Vec<PhysicalPlan> {
+    compiled(q, true)
+        .stages
+        .annotations()
+        .iter()
+        .flat_map(|stage| stage.plan.nodes().into_iter().cloned().collect::<Vec<_>>())
+        .collect()
+}
+
 /// Q2 (departments with no employee lacking an "abstract" task) is the
-/// doubly-correlated NOT-EXISTS query: both nesting levels must decorrelate
-/// into hash anti-joins, which requires the double-negation fold and the
-/// EXISTS-lift pass to fire first.
+/// doubly-correlated NOT-EXISTS query: the planner turns the negation chain
+/// at each nesting level into an anti-join, and both decorrelate into hash
+/// anti-joins, leaving no row-at-a-time EXISTS evaluation anywhere.
 #[test]
-fn q2_explain_shows_exists_lift_and_double_decorrelation() {
+fn q2_compiles_to_two_hash_anti_joins() {
     let rendered = explain_for(&datagen::queries::q2());
-    assert!(
-        rendered.contains("lifted 2 EXISTS conjunct(s) into semi-join nodes"),
-        "missing EXISTS lift in:\n{}",
-        rendered
-    );
     assert_eq!(
         rendered
             .matches("decorrelated ExistsSemiJoin anti into HashSemiJoin")
@@ -123,16 +129,18 @@ fn q2_explain_shows_exists_lift_and_double_decorrelation() {
         "expected both nesting levels decorrelated in:\n{}",
         rendered
     );
-    // The rewritten plan itself: two stacked hash anti-joins, no
-    // row-at-a-time EXISTS evaluation left anywhere. (Only the `> `-prefixed
-    // physical-plan lines count — the SQL text above them renders the
-    // pre-rewrite query, and the rewrite annotations name the old node.)
-    let plan = physical_plan_lines(&rendered);
-    assert_eq!(plan.matches("HashSemiJoin anti").count(), 2);
+    let nodes = compiled_nodes(&datagen::queries::q2());
+    let hash_anti = nodes
+        .iter()
+        .filter(|n| matches!(n, PhysicalPlan::HashSemiJoin { anti: true, .. }))
+        .count();
+    assert_eq!(hash_anti, 2, "in:\n{}", rendered);
     assert!(
-        !plan.contains("ExistsSemiJoin"),
+        !nodes
+            .iter()
+            .any(|n| matches!(n, PhysicalPlan::ExistsSemiJoin { .. })),
         "plan kept a correlated node:\n{}",
-        plan
+        rendered
     );
 }
 
@@ -166,15 +174,33 @@ fn qf6_explain_shows_decorrelation_over_a_union_build() {
     );
 }
 
-/// Q6's per-department salary predicates must migrate below the joins.
+/// Q6's salary and `client` predicates each read one relation, so the
+/// planner filters that relation below its hash join: every filter of the
+/// compiled stages is an input of a `HashJoin`.
 #[test]
-fn q6_explain_shows_predicate_pushdown() {
-    let rendered = explain_for(&datagen::queries::q6());
-    assert!(
-        rendered.contains("predicate(s) toward scans"),
-        "missing pushdown rewrite in:\n{}",
-        rendered
-    );
+fn q6_filters_sit_below_their_hash_joins() {
+    let nodes = compiled_nodes(&datagen::queries::q6());
+    let filters = nodes
+        .iter()
+        .filter(|n| matches!(n, PhysicalPlan::Filter { .. }))
+        .count();
+    let below_joins: Vec<String> = nodes
+        .iter()
+        .filter(|n| matches!(n, PhysicalPlan::HashJoin { .. }))
+        .flat_map(|join| join.children())
+        .filter_map(|input| match input {
+            PhysicalPlan::Filter { predicate, .. } => Some(predicate.to_string()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(below_joins.len(), filters, "{:?}", below_joins);
+    for column in ["salary", "client"] {
+        assert!(
+            below_joins.iter().any(|p| p.contains(column)),
+            "no {column} filter below a join: {:?}",
+            below_joins
+        );
+    }
 }
 
 /// Q1's four stages share the same outer `WITH q AS (...)` definition; the
@@ -345,6 +371,15 @@ fn optimizer_output_matches_the_golden_file() {
             for (i, (compiled, raw)) in stages.enumerate() {
                 writeln!(out, "=== {name} {form} stage {i} ({})", compiled.path).unwrap();
                 describe(&mut out, "compiled", &compiled.plan, &compiled.opt);
+                // The planner places every conjunct: neither plan needs a
+                // pass to move one.
+                for plan in [&compiled.plan, &raw.plan] {
+                    let misplaced = bench::misplaced_filters(plan);
+                    assert!(
+                        misplaced.is_empty(),
+                        "{name} {form} stage {i}: {misplaced:?}"
+                    );
+                }
                 assert_eq!(
                     sqlengine::optimize(raw.plan.clone(), &storage).0,
                     compiled.plan,

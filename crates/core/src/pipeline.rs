@@ -49,10 +49,11 @@ pub struct QueryStage {
     /// The stage's column layout, resolved once at compile time and shared
     /// by `Arc` with every per-execution [`ColumnarStage`] decoded from it.
     pub layout: Arc<ResultLayout>,
-    /// What the logical optimizer did to `plan` — rewrites applied and
-    /// correlated subqueries it had to leave in place (surfaced as `O001`
-    /// diagnostics by [`crate::verify`]). Empty when the query was compiled
-    /// with optimization disabled.
+    /// What the logical optimizer did to `plan` — decorrelations, column
+    /// pruning and cross-stage sharing applied, and correlated subqueries
+    /// it had to leave in place (surfaced as `O001` diagnostics by
+    /// [`crate::verify`]). Empty when the query was compiled with
+    /// optimization disabled.
     pub opt: sqlengine::OptReport,
     /// Package-level common-subplan sharing: when set, `plan`'s top-level
     /// `WITH` definition is structurally identical to the shared subplan at
@@ -119,15 +120,14 @@ pub fn compile(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError
 /// each shredded stage records `Stage::Shred` (shredding, layout
 /// construction and let-insertion), `Stage::Sqlgen` and `Stage::Plan` spans
 /// into it. With `optimize` set, every stage plan runs through
-/// [`sqlengine::optimize`] (constant folding, `EXISTS` lift and
-/// decorrelation, predicate pushdown, column pruning) inside its
-/// `Stage::Plan` span, and the package is scanned for stages whose top-level
-/// `WITH` definitions are structurally equal — those are hoisted into
-/// [`CompiledQuery::shared`] so executors run each once per package
-/// (cross-stage CSE). Without it, stage plans come out of the planner exactly
-/// as `sqlgen` shaped them (correlated `EXISTS` subqueries, no pushdown, no
-/// cross-stage sharing): the differential baseline the optimizer is tested
-/// against.
+/// [`sqlengine::optimize`] (`EXISTS` decorrelation, column pruning) inside
+/// its `Stage::Plan` span, and the package is scanned for stages whose
+/// top-level `WITH` definitions are structurally equal — those are hoisted
+/// into [`CompiledQuery::shared`] so executors run each once per package
+/// (cross-stage CSE). Without it, stage plans come out of the planner with
+/// every `WHERE` conjunct placed but nothing rewritten (correlated `EXISTS`
+/// subqueries, unpruned joins, no cross-stage sharing): the differential
+/// baseline the optimizer is tested against.
 pub fn compile_normalised_opts(
     normalised: NormQuery,
     result_type: Type,

@@ -341,9 +341,8 @@ pub struct StageExplain {
     /// The flat columns of the stage's result (indexes first, then data).
     pub columns: Vec<String>,
     /// What the logical optimizer did to this stage's plan, one line per
-    /// rewrite (constant folding, `EXISTS` decorrelation, predicate
-    /// pushdown, column pruning, cross-stage CSE). Empty when the
-    /// backend does not optimize or nothing fired.
+    /// rewrite (`EXISTS` decorrelation, column pruning, cross-stage CSE).
+    /// Empty when the backend does not optimize or nothing fired.
     pub rewrites: Vec<String>,
 }
 

@@ -20,8 +20,9 @@
 //!
 //! Execution is split planner/executor: [`plan`] compiles a query into an
 //! explicit [`PhysicalPlan`] (scans, hash joins, filters, exists-semijoins,
-//! row-numbering, projection) and
-//! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
+//! row-numbering, projection), placing every `WHERE` conjunct as it goes;
+//! [`opt`] rewrites the plan in two passes, decorrelation and column
+//! pruning; and [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
 //! whole batch on the calling thread. Parallelism is above a plan:
 //! [`par::scoped_map`] runs a shredded package's independent stages

@@ -1,22 +1,9 @@
 //! The logical optimizer: plan-to-plan rewrites between [`crate::plan`] and
 //! execution.
 //!
-//! [`optimize`] applies five passes, in order:
+//! [`optimize`] applies two passes, in order:
 //!
-//! 1. **Constant folding** — evaluates [`VExpr`] subtrees whose operands are
-//!    literals, simplifies boolean identities (`TRUE AND p` → `p`,
-//!    `FALSE OR p` → `p`, `NOT TRUE` → `FALSE`, `NOT NOT x` → `x`) and
-//!    elides filters whose predicate folded to `TRUE`. Folding never
-//!    evaluates an expression the executor would not have evaluated (a
-//!    folding step that would error — division by zero, type mismatch — is
-//!    left in place so the runtime error is preserved).
-//! 2. **EXISTS lift** — hoists `[NOT] EXISTS` conjuncts out of filter
-//!    predicates into [`PhysicalPlan::ExistsSemiJoin`] nodes, the form the
-//!    decorrelator rewrites. Nested emptiness tests compile to negation
-//!    chains over `EXISTS` expressions that the planner leaves inside
-//!    filter predicates; without the lift they would execute as per-row
-//!    subqueries forever.
-//! 3. **Decorrelation** — rewrites a correlated
+//! 1. **Decorrelation** — rewrites a correlated
 //!    [`PhysicalPlan::ExistsSemiJoin`] whose correlation is a conjunction of
 //!    `outer = local` equalities into a [`PhysicalPlan::HashSemiJoin`]: the
 //!    subquery is executed **once** with the correlated equalities removed,
@@ -26,14 +13,7 @@
 //!    delta rule) moves such stages out of `DeltaExec`'s reseed path.
 //!    Subqueries the pass cannot prove safe are left untouched and recorded
 //!    in [`OptReport::skipped`] (surfaced as `analysis` code O001).
-//! 4. **Predicate pushdown** — moves filter conjuncts as close to the scans
-//!    as they can soundly go: through projects (by substituting projection
-//!    expressions), semi-join inputs, `WITH` bodies and
-//!    `UNION ALL` branches, and routed to one side of a join when every
-//!    column it references lives there. Conjuncts are never pushed below
-//!    `RowNumber` (filtering changes the numbering) and never into a `WITH`
-//!    definition (the definition may have other consumers).
-//! 5. **Column pruning** — inserts narrowing `Project`s of bare columns on
+//! 2. **Column pruning** — inserts narrowing `Project`s of bare columns on
 //!    the inputs of hash and nested-loop joins, so a join materialises only
 //!    the columns its keys or some ancestor reads, and moves the positional
 //!    [`VExpr::Col`] indexes above to where the columns end up. A narrowing
@@ -43,7 +23,12 @@
 //!    definitions), the branches of `UNION ALL` (they share one layout), or
 //!    the input of a correlated subplan (its rows become scope frames
 //!    resolved by alias, which a `Project` erases).
-//!    It runs last so that it prunes the joins the other passes leave.
+//!    It runs last so that it prunes the joins decorrelation leaves.
+//!
+//! Where a `WHERE` conjunct runs is not this module's job: the planner
+//! ([`crate::plan`]) filters each `FROM` relation below its join and plans
+//! every chain of `NOT`s over `EXISTS` as an
+//! [`PhysicalPlan::ExistsSemiJoin`], the form decorrelation rewrites.
 //!
 //! No pass chooses a hash join's build side: the executor builds on the
 //! smaller input once it holds both (see [`PhysicalPlan::HashJoin`]).
@@ -53,9 +38,7 @@
 //! unchanged.
 
 use crate::ast::BinOp;
-use crate::exec::eval_binop;
 use crate::plan::{Catalog, PhysicalPlan, SchemaCol, VExpr};
-use crate::value::SqlValue;
 
 /// A correlated subquery the decorrelator had to leave in place, and why.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,33 +77,7 @@ impl OptReport {
 /// benchmark's layer trace, keep compiling.
 pub fn optimize(plan: PhysicalPlan, _catalog: &dyn Catalog) -> (PhysicalPlan, OptReport) {
     let mut report = OptReport::default();
-
-    let mut folds = 0usize;
-    let plan = fold_plan(plan, &mut folds);
-    if folds > 0 {
-        report
-            .rewrites
-            .push(format!("folded {} constant subexpression(s)", folds));
-    }
-
-    let mut lifted = 0usize;
-    let plan = lift_exists_plan(plan, &mut lifted);
-    if lifted > 0 {
-        report.rewrites.push(format!(
-            "lifted {} EXISTS conjunct(s) into semi-join nodes",
-            lifted
-        ));
-    }
-
     let plan = decorrelate_plan(plan, &mut report);
-
-    let mut pushed = 0usize;
-    let plan = pushdown_plan(plan, &mut pushed);
-    if pushed > 0 {
-        report
-            .rewrites
-            .push(format!("pushed {} predicate(s) toward scans", pushed));
-    }
 
     let mut narrowed = 0usize;
     let plan = prune_plan(plan, &mut narrowed);
@@ -147,144 +104,7 @@ fn map_plan(plan: PhysicalPlan, f: &mut dyn FnMut(PhysicalPlan) -> PhysicalPlan)
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: constant folding
-// ---------------------------------------------------------------------------
-
-fn fold_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
-    map_plan(plan, &mut |mut node| {
-        node.for_each_expr_mut(|e| {
-            *e = fold_expr(std::mem::replace(e, VExpr::Lit(SqlValue::Null)), count)
-        });
-        match node {
-            // `WHERE TRUE` keeps every row: drop the node.
-            PhysicalPlan::Filter {
-                input,
-                predicate: VExpr::Lit(SqlValue::Bool(true)),
-            } => {
-                *count += 1;
-                *input
-            }
-            other => other,
-        }
-    })
-}
-
-/// Fold bottom-up. Subplans inside expressions are folded by the
-/// surrounding `map_plan` traversal.
-fn fold_expr(expr: VExpr, count: &mut usize) -> VExpr {
-    expr.map(&mut |e| match e {
-        VExpr::BinOp { op, left, right } => {
-            if let (VExpr::Lit(l), VExpr::Lit(r)) = (&*left, &*right) {
-                // Only fold evaluations that succeed: a subtree that would
-                // error at runtime (division by zero, type mismatch) is
-                // kept so the executor still reports it.
-                if let Ok(v) = eval_binop(op, l, r) {
-                    *count += 1;
-                    return VExpr::Lit(v);
-                }
-            }
-            let lit_true = |e: &VExpr| matches!(e, VExpr::Lit(SqlValue::Bool(true)));
-            let lit_false = |e: &VExpr| matches!(e, VExpr::Lit(SqlValue::Bool(false)));
-            match op {
-                BinOp::And if lit_true(&left) => {
-                    *count += 1;
-                    *right
-                }
-                BinOp::And if lit_true(&right) => {
-                    *count += 1;
-                    *left
-                }
-                BinOp::Or if lit_false(&left) => {
-                    *count += 1;
-                    *right
-                }
-                BinOp::Or if lit_false(&right) => {
-                    *count += 1;
-                    *left
-                }
-                _ => VExpr::BinOp { op, left, right },
-            }
-        }
-        VExpr::Not(inner) => match *inner {
-            VExpr::Lit(SqlValue::Bool(b)) => {
-                *count += 1;
-                VExpr::Lit(SqlValue::Bool(!b))
-            }
-            VExpr::Lit(SqlValue::Null) => {
-                *count += 1;
-                VExpr::Lit(SqlValue::Null)
-            }
-            // `NOT NOT x = x` in SQL's three-valued logic (`NOT NULL` is
-            // `NULL`). Negation chains arise from nested emptiness tests;
-            // collapsing them is what lets the EXISTS lift below see
-            // through them.
-            VExpr::Not(inner2) => {
-                *count += 1;
-                *inner2
-            }
-            inner => VExpr::Not(Box::new(inner)),
-        },
-        other => other,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: EXISTS lift
-// ---------------------------------------------------------------------------
-
-/// Lift `[NOT] EXISTS` conjuncts out of filter predicates into
-/// [`PhysicalPlan::ExistsSemiJoin`] nodes. The planner only forms semi-join
-/// nodes for whole-predicate `EXISTS` tests; anything else — negation
-/// chains from nested emptiness tests, an `EXISTS` among other conjuncts —
-/// reaches execution as a per-row filter expression, which the decorrelator
-/// cannot see. The node form is semantically identical: the vectorized
-/// executor pushes the same scope frame for an `ExistsSemiJoin` subplan as
-/// for a `VExpr::Exists` inside a filter predicate, and `EXISTS` never
-/// evaluates to `NULL`, so splitting it out of the conjunction cannot
-/// change the kept row set.
-fn lift_exists_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
-    map_plan(plan, &mut |node| match node {
-        PhysicalPlan::Filter { input, predicate } => {
-            let mut semis: Vec<(Box<PhysicalPlan>, bool)> = Vec::new();
-            let mut kept = Vec::new();
-            for conj in split_conjuncts(predicate) {
-                match conj {
-                    VExpr::Exists(sub) => semis.push((sub, false)),
-                    VExpr::Not(inner) => match *inner {
-                        VExpr::Exists(sub) => semis.push((sub, true)),
-                        other => kept.push(VExpr::Not(Box::new(other))),
-                    },
-                    other => kept.push(other),
-                }
-            }
-            if semis.is_empty() {
-                let predicate = join_conjuncts(kept)
-                    .expect("a filter with no EXISTS conjuncts keeps its predicate");
-                return PhysicalPlan::Filter { input, predicate };
-            }
-            *count += semis.len();
-            // The remaining conjuncts filter *below* the semi-joins: both
-            // only drop rows, so the kept set is the same conjunction
-            // either way, and the cheap predicates run first.
-            let mut plan = match join_conjuncts(kept) {
-                Some(predicate) => PhysicalPlan::Filter { input, predicate },
-                None => *input,
-            };
-            for (subplan, anti) in semis {
-                plan = PhysicalPlan::ExistsSemiJoin {
-                    input: Box::new(plan),
-                    subplan,
-                    anti,
-                };
-            }
-            plan
-        }
-        other => other,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Pass 3: decorrelation
+// Pass 1: decorrelation
 // ---------------------------------------------------------------------------
 
 fn decorrelate_plan(plan: PhysicalPlan, report: &mut OptReport) -> PhysicalPlan {
@@ -691,227 +511,7 @@ fn resolve_outer(expr: VExpr, frame: &[SchemaCol]) -> Result<VExpr, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 4: predicate pushdown
-// ---------------------------------------------------------------------------
-
-fn pushdown_plan(plan: PhysicalPlan, count: &mut usize) -> PhysicalPlan {
-    map_plan(plan, &mut |node| match node {
-        PhysicalPlan::Filter { input, predicate } => {
-            let mut input = *input;
-            let mut kept = Vec::new();
-            for conj in split_conjuncts(predicate) {
-                match push_pred(input, conj) {
-                    Ok(absorbed) => {
-                        *count += 1;
-                        input = absorbed;
-                    }
-                    Err((back, conj)) => {
-                        input = back;
-                        kept.push(conj);
-                    }
-                }
-            }
-            match join_conjuncts(kept) {
-                Some(predicate) => PhysicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                },
-                None => input,
-            }
-        }
-        other => other,
-    })
-}
-
-/// Push one conjunct at least one operator further down, or hand both back.
-///
-/// `Err` is the ordinary "could not push" outcome returning ownership of
-/// both values, not a failure — boxing it would put an allocation on the
-/// common path of every pushdown attempt.
-#[allow(clippy::result_large_err)]
-fn push_pred(plan: PhysicalPlan, pred: VExpr) -> Result<PhysicalPlan, (PhysicalPlan, VExpr)> {
-    // Predicates with embedded subqueries stay put: relocating them would
-    // change the scope frames their outer references resolve against.
-    if contains_exists(&pred) {
-        return Err((plan, pred));
-    }
-    match plan {
-        PhysicalPlan::Filter { input, predicate } => match push_pred(*input, pred) {
-            Ok(input) => Ok(PhysicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
-            }),
-            Err((input, pred)) => Err((
-                PhysicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                },
-                pred,
-            )),
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            columns,
-        } => {
-            // Substituting projection expressions is only done for column
-            // renames and constants; duplicating computed expressions could
-            // change evaluation counts (and thus error behaviour).
-            let simple = col_indexes(&pred).iter().all(|&i| {
-                matches!(
-                    exprs.get(i),
-                    Some(VExpr::Col { .. } | VExpr::Lit(_) | VExpr::Param(_) | VExpr::Outer { .. })
-                )
-            });
-            if !simple {
-                return Err((
-                    PhysicalPlan::Project {
-                        input,
-                        exprs,
-                        columns,
-                    },
-                    pred,
-                ));
-            }
-            let inner_pred = substitute_cols(pred, &exprs);
-            Ok(PhysicalPlan::Project {
-                input: Box::new(push_into(*input, inner_pred)),
-                exprs,
-                columns,
-            })
-        }
-        PhysicalPlan::SubqueryScan { input, alias } => Ok(PhysicalPlan::SubqueryScan {
-            input: Box::new(push_into(*input, pred)),
-            alias,
-        }),
-        PhysicalPlan::ExistsSemiJoin {
-            input,
-            subplan,
-            anti,
-        } => Ok(PhysicalPlan::ExistsSemiJoin {
-            input: Box::new(push_into(*input, pred)),
-            subplan,
-            anti,
-        }),
-        PhysicalPlan::HashSemiJoin {
-            input,
-            build,
-            probe_keys,
-            build_keys,
-            anti,
-        } => Ok(PhysicalPlan::HashSemiJoin {
-            input: Box::new(push_into(*input, pred)),
-            build,
-            probe_keys,
-            build_keys,
-            anti,
-        }),
-        PhysicalPlan::UnionAll(branches) => Ok(PhysicalPlan::UnionAll(
-            branches
-                .into_iter()
-                .map(|b| push_into(b, pred.clone()))
-                .collect(),
-        )),
-        PhysicalPlan::With {
-            name,
-            definition,
-            body,
-        } => Ok(PhysicalPlan::With {
-            name,
-            definition,
-            body: Box::new(push_into(*body, pred)),
-        }),
-        PhysicalPlan::NestedLoopJoin { left, right } => {
-            let left_width = left.output_width();
-            match route_join_pred(&pred, left_width) {
-                Some(JoinSide::Left) => Ok(PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(push_into(*left, pred)),
-                    right,
-                }),
-                Some(JoinSide::Right) => {
-                    let shifted = unshift_cols(pred, left_width);
-                    Ok(PhysicalPlan::NestedLoopJoin {
-                        left,
-                        right: Box::new(push_into(*right, shifted)),
-                    })
-                }
-                None => Err((PhysicalPlan::NestedLoopJoin { left, right }, pred)),
-            }
-        }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => {
-            let left_width = left.output_width();
-            match route_join_pred(&pred, left_width) {
-                Some(JoinSide::Left) => Ok(PhysicalPlan::HashJoin {
-                    left: Box::new(push_into(*left, pred)),
-                    right,
-                    left_keys,
-                    right_keys,
-                }),
-                Some(JoinSide::Right) => {
-                    let shifted = unshift_cols(pred, left_width);
-                    Ok(PhysicalPlan::HashJoin {
-                        left,
-                        right: Box::new(push_into(*right, shifted)),
-                        left_keys,
-                        right_keys,
-                    })
-                }
-                None => Err((
-                    PhysicalPlan::HashJoin {
-                        left,
-                        right,
-                        left_keys,
-                        right_keys,
-                    },
-                    pred,
-                )),
-            }
-        }
-        // Filtering before numbering would change the numbers; scans are the
-        // floor the predicate comes to rest on.
-        other @ (PhysicalPlan::RowNumber { .. }
-        | PhysicalPlan::TableScan { .. }
-        | PhysicalPlan::CteScan { .. }
-        | PhysicalPlan::UnitRow) => Err((other, pred)),
-    }
-}
-
-/// Push as deep as possible; wherever the conjunct stops, a filter holds it.
-fn push_into(plan: PhysicalPlan, pred: VExpr) -> PhysicalPlan {
-    match push_pred(plan, pred) {
-        Ok(plan) => plan,
-        Err((plan, pred)) => PhysicalPlan::Filter {
-            input: Box::new(plan),
-            predicate: pred,
-        },
-    }
-}
-
-enum JoinSide {
-    Left,
-    Right,
-}
-
-/// Which join input can evaluate the predicate alone? `None` if it spans
-/// both (or we cannot tell).
-fn route_join_pred(pred: &VExpr, left_width: usize) -> Option<JoinSide> {
-    let cols = col_indexes(pred);
-    if cols.iter().all(|&i| i < left_width) {
-        Some(JoinSide::Left)
-    } else if cols.iter().all(|&i| i >= left_width) {
-        Some(JoinSide::Right)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 5: column pruning
+// Pass 2: column pruning
 // ---------------------------------------------------------------------------
 
 /// A pruned subtree: it outputs a subset of the columns it used to, in their
@@ -1285,43 +885,21 @@ fn contains_exists(expr: &VExpr) -> bool {
     expr.any(|e| matches!(e, VExpr::Exists(_)))
 }
 
-/// Rebuild every positional column reference with `f(index, alias, column)`
-/// (not descending into `EXISTS` subplans).
-fn map_cols(expr: VExpr, mut f: impl FnMut(usize, Option<String>, String) -> VExpr) -> VExpr {
+/// Shift every column index up by `by` (a relation moved right of a join;
+/// not descending into `EXISTS` subplans).
+fn shift_cols(expr: VExpr, by: usize) -> VExpr {
     expr.map(&mut |e| match e {
         VExpr::Col {
             index,
             alias,
             column,
-        } => f(index, alias, column),
+        } => VExpr::Col {
+            index: index + by,
+            alias,
+            column,
+        },
         other => other,
     })
-}
-
-/// Shift every column index up by `by` (a relation moved right of a join).
-fn shift_cols(expr: VExpr, by: usize) -> VExpr {
-    map_cols(expr, |index, alias, column| VExpr::Col {
-        index: index + by,
-        alias,
-        column,
-    })
-}
-
-/// Shift every column index down by `by` (a predicate routed to the right
-/// join input). Only called when every index is ≥ `by`.
-fn unshift_cols(expr: VExpr, by: usize) -> VExpr {
-    map_cols(expr, |index, alias, column| VExpr::Col {
-        index: index - by,
-        alias,
-        column,
-    })
-}
-
-/// Replace every `Col { index: i }` with the projection expression `exprs[i]`.
-/// Only called after checking each referenced expression is a rename or
-/// constant.
-fn substitute_cols(expr: VExpr, exprs: &[VExpr]) -> VExpr {
-    map_cols(expr, |index, _, _| exprs[index].clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -1333,6 +911,7 @@ mod tests {
     use super::*;
     use crate::plan::SchemaCatalog;
     use crate::storage::TableDef;
+    use crate::value::SqlValue;
 
     fn scan(table: &str, alias: &str, columns: &[&str]) -> PhysicalPlan {
         PhysicalPlan::TableScan {
@@ -1380,50 +959,6 @@ mod tests {
 
     fn empty_catalog() -> SchemaCatalog {
         SchemaCatalog::new(Vec::<TableDef>::new())
-    }
-
-    #[test]
-    fn folds_literal_arithmetic_and_boolean_identities() {
-        let mut count = 0;
-        let folded = fold_expr(
-            and(
-                VExpr::Lit(SqlValue::Bool(true)),
-                eq(
-                    col(0, "a"),
-                    VExpr::BinOp {
-                        op: BinOp::Add,
-                        left: Box::new(lit_int(1)),
-                        right: Box::new(lit_int(2)),
-                    },
-                ),
-            ),
-            &mut count,
-        );
-        assert_eq!(folded, eq(col(0, "a"), lit_int(3)));
-        assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn does_not_fold_erroring_subtrees() {
-        let mut count = 0;
-        let div = VExpr::BinOp {
-            op: BinOp::Div,
-            left: Box::new(lit_int(1)),
-            right: Box::new(lit_int(0)),
-        };
-        assert_eq!(fold_expr(div.clone(), &mut count), div);
-        assert_eq!(count, 0);
-    }
-
-    #[test]
-    fn elides_filter_true() {
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(scan("t", "t", &["a"])),
-            predicate: eq(lit_int(1), lit_int(1)),
-        };
-        let (opt, report) = optimize(plan, &empty_catalog());
-        assert_eq!(opt, scan("t", "t", &["a"]));
-        assert!(report.rewrites.iter().any(|r| r.contains("folded")));
     }
 
     #[test]
@@ -1547,57 +1082,6 @@ mod tests {
         assert!(matches!(*build, PhysicalPlan::UnionAll(ref bs) if bs.len() == 2));
     }
 
-    #[test]
-    fn pushes_predicate_through_project_and_join() {
-        // Filter(a = 1) over Project[a := t.a, z := u.z] over HashJoin(t, u)
-        let join = PhysicalPlan::HashJoin {
-            left: Box::new(scan("t", "t", &["a", "b"])),
-            right: Box::new(scan("u", "u", &["z"])),
-            left_keys: vec![col(1, "b")],
-            right_keys: vec![col(0, "z")],
-        };
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(join),
-                exprs: vec![col(0, "a"), col(2, "z")],
-                columns: vec!["a".to_string(), "z".to_string()],
-            }),
-            predicate: eq(col(0, "a"), lit_int(1)),
-        };
-        let (opt, report) = optimize(plan, &empty_catalog());
-        assert!(
-            report
-                .rewrites
-                .iter()
-                .any(|r| r.contains("pushed 1 predicate")),
-            "rewrites: {:?}",
-            report.rewrites
-        );
-        // The filter now sits directly on the left scan, below project+join.
-        let rendered = opt.to_string();
-        let filter_pos = rendered.find("Filter").unwrap();
-        let join_pos = rendered.find("HashJoin").unwrap();
-        assert!(filter_pos > join_pos, "plan:\n{}", rendered);
-    }
-
-    #[test]
-    fn does_not_push_below_row_number() {
-        let plan = PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::RowNumber {
-                input: Box::new(scan("t", "t", &["a"])),
-                specs: vec![vec![col(0, "a")]],
-            }),
-            predicate: eq(col(0, "a"), lit_int(1)),
-        };
-        let (opt, report) = optimize(plan.clone(), &empty_catalog());
-        assert_eq!(opt, plan);
-        assert!(
-            report.rewrites.is_empty(),
-            "rewrites: {:?}",
-            report.rewrites
-        );
-    }
-
     fn t_join_u() -> PhysicalPlan {
         PhysicalPlan::HashJoin {
             left: Box::new(scan("t", "t", &["a", "b", "c"])),
@@ -1658,7 +1142,7 @@ mod tests {
                         left: Box::new(scan("t", "t", &["a", "b", "c"])),
                         right: Box::new(scan("u", "u", &["x", "y", "z"])),
                     }),
-                    // Spans both sides, so pushdown leaves it above the join.
+                    // Spans both sides, so it stays above the join.
                     predicate: eq(acol(4, "u", "y"), acol(0, "t", "a")),
                 }),
                 specs: vec![vec![acol(2, "t", "c")]],

@@ -10,11 +10,18 @@
 //!   key expressions (the plan names no build side: the executor builds the
 //!   hash table on whichever input turns out smaller, the right one on a
 //!   tie),
-//! * the remaining conjuncts become [`PhysicalPlan::Filter`] nodes placed as
-//!   soon as every alias they mention is bound (predicate pushdown),
-//! * `EXISTS` / `NOT EXISTS` conjuncts become [`PhysicalPlan::ExistsSemiJoin`]
-//!   nodes (semi / anti joins against a pre-planned subplan),
-//! * `ROW_NUMBER` and projection become explicit operators.
+//! * a remaining conjunct that reads one `FROM` relation alone becomes a
+//!   [`PhysicalPlan::Filter`] on that relation, below its join; one that
+//!   reads several filters the join that binds the last of them,
+//! * a chain of `NOT`s over `EXISTS` becomes a
+//!   [`PhysicalPlan::ExistsSemiJoin`] against a pre-planned subplan, an
+//!   anti-join when the chain is odd (`EXISTS` is never `NULL`, so
+//!   `NOT NOT x = x` holds for it),
+//! * `ROW_NUMBER` and projection become explicit operators, above every
+//!   filter (SQL applies `WHERE` before the window is numbered).
+//!
+//! Placing conjuncts here is the whole of predicate placement: the optimizer
+//! ([`crate::opt`]) only decorrelates and prunes columns.
 //!
 //! Column references are resolved to **positional** indexes into the input
 //! batch at plan time ([`VExpr::Col`]); references to enclosing queries stay
@@ -868,11 +875,12 @@ impl Planner<'_> {
         }
         let from_aliases: Vec<String> = rels.iter().map(|(_, a, _)| a.clone()).collect();
 
-        // 2. Join left to right, mirroring the interpreter's conjunct
-        //    partitioning: hash keys where an equi-join connects the incoming
-        //    relation to the bound ones, filters as soon as every mentioned
-        //    alias is bound, the rest (EXISTS, unqualified references) after
-        //    the final join.
+        // 2. Join left to right. An equi-join conjunct between the incoming
+        //    relation and the bound ones becomes a hash key; any other
+        //    conjunct that reads no other FROM relation filters the incoming
+        //    relation before the join; one that reads several filters the
+        //    join once every alias it mentions is bound. The rest (EXISTS,
+        //    unqualified references) waits for step 3.
         let mut pending: Vec<Expr> = select
             .where_clause
             .as_ref()
@@ -882,14 +890,15 @@ impl Planner<'_> {
         let mut schema: Vec<SchemaCol> = Vec::new();
         let mut bound_aliases: Vec<String> = Vec::new();
 
-        for (rel_plan, alias, columns) in rels {
+        for (mut rel_plan, alias, columns) in rels {
             let rel_schema: Vec<SchemaCol> = columns
                 .iter()
                 .map(|c| (Some(alias.clone()), c.clone()))
                 .collect();
 
             let mut hash_keys: Vec<(Expr, Expr)> = Vec::new(); // (bound side, new side)
-            let mut now_applicable: Vec<Expr> = Vec::new();
+            let mut own: Vec<Expr> = Vec::new(); // reads the incoming relation alone
+            let mut spanning: Vec<Expr> = Vec::new();
             let mut still_pending: Vec<Expr> = Vec::new();
             for conj in pending.drain(..) {
                 let refs = conj.referenced_aliases();
@@ -927,10 +936,22 @@ impl Planner<'_> {
                         continue;
                     }
                 }
-                now_applicable.push(conj);
+                // A FROM list that repeats the alias resolves its columns to
+                // the earlier relation, so such a conjunct stays above.
+                if from_refs.iter().all(|a| *a == &alias) && !bound_aliases.contains(&alias) {
+                    own.push(conj);
+                } else {
+                    spanning.push(conj);
+                }
             }
             pending = still_pending;
 
+            for conj in &own {
+                rel_plan = PhysicalPlan::Filter {
+                    predicate: self.resolve(conj, ctx, &rel_schema, None)?,
+                    input: Box::new(rel_plan),
+                };
+            }
             let joined = match current.take() {
                 None => {
                     debug_assert!(hash_keys.is_empty(), "first relation has no bound side");
@@ -962,11 +983,10 @@ impl Planner<'_> {
             bound_aliases.push(alias);
 
             let mut filtered = joined;
-            for conj in &now_applicable {
-                let predicate = self.resolve(conj, ctx, &schema, None)?;
+            for conj in &spanning {
                 filtered = PhysicalPlan::Filter {
+                    predicate: self.resolve(conj, ctx, &schema, None)?,
                     input: Box::new(filtered),
-                    predicate,
                 };
             }
             current = Some(filtered);
@@ -974,25 +994,21 @@ impl Planner<'_> {
 
         let mut plan = current.unwrap_or(PhysicalPlan::UnitRow);
 
-        // 3. Residual conjuncts: EXISTS becomes a semi/anti join; anything
-        //    else (unqualified references, EXISTS under OR) a plain filter.
+        // 3. Residual conjuncts: a chain of `NOT`s over `EXISTS` becomes a
+        //    semi-join, an anti-join when the chain is odd; anything else
+        //    (unqualified references, `EXISTS` under `OR`) a plain filter.
         for conj in &pending {
-            plan = match conj {
+            let mut anti = false;
+            let mut inner = conj;
+            while let Expr::Not(negated) = inner {
+                anti = !anti;
+                inner = negated;
+            }
+            plan = match inner {
                 Expr::Exists(sub) => PhysicalPlan::ExistsSemiJoin {
                     input: Box::new(plan),
                     subplan: Box::new(self.plan_subquery(sub, ctx, &schema)?),
-                    anti: false,
-                },
-                Expr::Not(inner) => match inner.as_ref() {
-                    Expr::Exists(sub) => PhysicalPlan::ExistsSemiJoin {
-                        input: Box::new(plan),
-                        subplan: Box::new(self.plan_subquery(sub, ctx, &schema)?),
-                        anti: true,
-                    },
-                    _ => PhysicalPlan::Filter {
-                        predicate: self.resolve(conj, ctx, &schema, None)?,
-                        input: Box::new(plan),
-                    },
+                    anti,
                 },
                 _ => PhysicalPlan::Filter {
                     predicate: self.resolve(conj, ctx, &schema, None)?,
@@ -1315,6 +1331,93 @@ mod tests {
         let rendered = plan.to_string();
         assert!(rendered.contains("ExistsSemiJoin anti"), "{}", rendered);
         assert!(rendered.contains("outer(e.dept)"), "{}", rendered);
+    }
+
+    /// The node under a `SELECT`'s projection.
+    fn below_projection(plan: &PhysicalPlan) -> &PhysicalPlan {
+        let PhysicalPlan::Project { input, .. } = plan else {
+            panic!("expected a projection, got\n{}", plan);
+        };
+        input
+    }
+
+    #[test]
+    fn conjuncts_over_the_incoming_relation_filter_it_below_its_join() {
+        let salary = Expr::binop(BinOp::Gt, Expr::col("e", "salary"), Expr::lit(10_000));
+        let spanning = Expr::binop(BinOp::Lt, Expr::col("d", "id"), Expr::col("e", "id"));
+        for equi_join in [true, false] {
+            let mut conjuncts = vec![salary.clone(), spanning.clone()];
+            if equi_join {
+                conjuncts.push(Expr::eq(Expr::col("d", "name"), Expr::col("e", "dept")));
+            }
+            let q = Query::select(
+                Select::new()
+                    .item(Expr::col("e", "name"), "name")
+                    .from_named("departments", "d")
+                    .from_named("employees", "e")
+                    .filter(Expr::conj(conjuncts)),
+            );
+            let plan = plan_query(&q, &catalog()).unwrap();
+            let PhysicalPlan::Filter { input, predicate } = below_projection(&plan) else {
+                panic!("the spanning conjunct filters the join:\n{}", plan);
+            };
+            assert_eq!(predicate.to_string(), "(d.id < e.id)");
+            let right = match input.as_ref() {
+                PhysicalPlan::HashJoin { right, .. } if equi_join => right,
+                PhysicalPlan::NestedLoopJoin { right, .. } if !equi_join => right,
+                other => panic!("unexpected join:\n{}", other),
+            };
+            let PhysicalPlan::Filter { input, predicate } = right.as_ref() else {
+                panic!("employees is filtered below the join:\n{}", plan);
+            };
+            assert_eq!(predicate.to_string(), "(e.salary > 10000)");
+            // Resolved against employees alone, where `salary` is column 3.
+            assert!(matches!(
+                predicate,
+                VExpr::BinOp { left, .. } if matches!(**left, VExpr::Col { index: 3, .. })
+            ));
+            assert!(matches!(input.as_ref(), PhysicalPlan::TableScan { .. }));
+        }
+    }
+
+    #[test]
+    fn not_chains_over_exists_plan_as_semi_joins_by_parity() {
+        let exists = || {
+            Expr::Exists(Box::new(Query::select(
+                Select::new()
+                    .item(Expr::lit(1), "one")
+                    .from_named("departments", "d")
+                    .filter(Expr::eq(Expr::col("d", "name"), Expr::col("e", "dept"))),
+            )))
+        };
+        let over_employees = |condition: Expr| {
+            let q = Query::select(
+                Select::new()
+                    .item(Expr::col("e", "name"), "name")
+                    .from_named("employees", "e")
+                    .filter(condition),
+            );
+            plan_query(&q, &catalog()).unwrap()
+        };
+        for (nots, anti) in [(2, false), (3, true)] {
+            let condition = (0..nots).fold(exists(), |e, _| Expr::not(e));
+            let plan = over_employees(condition);
+            assert!(
+                matches!(
+                    below_projection(&plan),
+                    PhysicalPlan::ExistsSemiJoin { anti: a, .. } if *a == anti
+                ),
+                "{} NOTs:\n{}",
+                nots,
+                plan
+            );
+        }
+        let salary = Expr::binop(BinOp::Gt, Expr::col("e", "salary"), Expr::lit(10_000));
+        let plan = over_employees(Expr::or(exists(), salary));
+        let PhysicalPlan::Filter { predicate, .. } = below_projection(&plan) else {
+            panic!("an EXISTS under OR stays a filter:\n{}", plan);
+        };
+        assert!(matches!(predicate, VExpr::BinOp { op: BinOp::Or, .. }));
     }
 
     #[test]

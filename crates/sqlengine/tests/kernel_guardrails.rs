@@ -3,8 +3,9 @@
 //! the physical operators, `plan.rs` the one description of where a plan
 //! node keeps its inputs and expressions, and each layer one way in; no
 //! layer implements SQL the translations never emit, no lock in obs
-//! re-panics once poisoned, a commit copies no table, and no plan carries a
-//! guessed build side or row count. The checks read
+//! re-panics once poisoned, a commit copies no table, no plan carries a
+//! guessed build side or row count, and no optimizer pass moves a
+//! predicate the planner placed. The checks read
 //! the sources as text, so a reintroduced per-row path, a second walk, a
 //! forwarding entry point or a removed operator fails here before any
 //! benchmark notices.
@@ -149,6 +150,31 @@ fn the_optimizer_walks_plans_through_the_accessors() {
         "opt.rs names `PhysicalPlan::RowNumber` {row_number} times: a pass that does not \
          treat it specially goes through the accessors"
     );
+}
+
+/// The planner places every `WHERE` conjunct — each relation's own
+/// conjuncts below its join, every chain of `NOT`s over `EXISTS` as a
+/// semi-join — so the optimizer keeps no pass that moves, folds or lifts
+/// predicates after it.
+#[test]
+fn no_pass_repairs_the_planners_predicate_placement() {
+    let removed = [
+        "fn fold_plan",
+        "fn lift_exists_plan",
+        "fn pushdown_plan",
+        "fn push_pred",
+        "fn route_join_pred",
+    ];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    for (path, text) in sources(&src) {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`: the planner places predicates",
+                path.display()
+            );
+        }
+    }
 }
 
 /// The engine speaks the SQL the translations emit: `ORDER BY`, `DISTINCT`

@@ -11,7 +11,9 @@
 
 use query_shredding::nrc::BaseType;
 use query_shredding::prelude::*;
+use query_shredding::shredding::letins::eval_let;
 use query_shredding::shredding::pipeline::{compile, storage_from_database};
+use query_shredding::shredding::stitch::stitch_rows;
 use query_shredding::shredding::ShredError;
 use query_shredding::sqlengine::{DeltaExec, Engine, ParamValues, PhysicalPlan, SqlValue};
 
@@ -211,6 +213,28 @@ fn edge_shapes_agree_with_the_oracle_and_under_writes_over_non_rank_keys() {
             );
         }
         assert_eq!(sub.reseeds(), 0, "{name} reseeded");
+    }
+}
+
+/// Theorem 6 over keys that are not ranks: for every benchmark query, the
+/// let-inserted stages under Figure 6's semantics stitch, with flat indexes,
+/// to the nested semantics.
+#[test]
+fn let_inserted_queries_agree_with_the_oracle_over_non_rank_keys() {
+    let db = offset_db();
+    let schema = schema();
+    let session = Shredder::builder().database(db.clone()).build().unwrap();
+    for (name, q) in all_benchmark_queries() {
+        let results = compile(&q, &schema)
+            .unwrap()
+            .stages
+            .try_map(&mut |stage| eval_let(&stage.let_inserted, &schema, &db))
+            .unwrap();
+        let stitched = stitch_rows(results, IndexScheme::Flat).unwrap();
+        assert!(
+            stitched.multiset_eq(&session.oracle(&q).unwrap()),
+            "{name}: the let-inserted semantics disagree with the oracle"
+        );
     }
 }
 

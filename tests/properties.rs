@@ -147,12 +147,18 @@ fn shredding_and_stitching_preserve_semantics() {
 }
 
 /// Theorem 4 (SQL path): compiling to SQL, executing on the engine and
-/// stitching also equals direct evaluation.
+/// stitching also equals direct evaluation. The compiled stages filter each
+/// relation below its join and keep no `EXISTS` test in a filter, since no
+/// optimizer pass moves a conjunct the planner misplaced.
 #[test]
 fn the_sql_path_preserves_semantics() {
     for_random_cases(0xF00D, |session, q, reference| {
         let via_sql = session.run(q).unwrap();
         assert!(via_sql.multiset_eq(reference));
+        for stage in compile(q, session.schema()).unwrap().stages.annotations() {
+            let misplaced = bench::misplaced_filters(&stage.plan);
+            assert!(misplaced.is_empty(), "{}: {:?}", stage.path, misplaced);
+        }
     });
 }
 
