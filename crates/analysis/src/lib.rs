@@ -249,7 +249,7 @@ impl IntoIterator for Diagnostics {
 /// * `L…` — λNRC term lints (warnings).
 /// * `S…` — shredded-package invariants (errors).
 /// * `P…` — physical-plan invariants (errors).
-/// * `O…` — logical-optimizer findings (warnings).
+/// * `O…` — planner findings (warnings).
 /// * `D…` — decode/stitch runtime invariants (errors, raised as
 ///   `ShredError::Decode { code, .. }`).
 pub mod codes {
@@ -318,9 +318,9 @@ pub mod codes {
     /// A decoded value does not match the package shape.
     pub const DECODE_SHAPE_MISMATCH: &str = "D006";
 
-    /// A plan retains a correlated subquery the decorrelator could not
-    /// rewrite into a hash semi/anti join; the reason is in the
-    /// diagnostic's `help`.
+    /// A plan retains a correlated subquery the planner could not hash into
+    /// a semi/anti join, so it runs once per row; the diagnostic's `help`
+    /// says which correlations hash.
     pub const RETAINED_CORRELATED_SUBQUERY: &str = "O001";
 
     /// One line of documentation per registered code.
@@ -403,7 +403,7 @@ pub mod codes {
         ),
         (
             RETAINED_CORRELATED_SUBQUERY,
-            "correlated subquery the decorrelator could not rewrite",
+            "correlated subquery the planner runs once per row",
         ),
     ];
 

@@ -156,24 +156,63 @@ fn run_figure(
     mismatches
 }
 
-fn appendix_a() {
+/// Print Appendix A's table; returns the number of `--check` failures. The
+/// paper's instance has 9 correct tuples, the simulation preserves
+/// multiplicity on no instance, and its blow-up rises strictly with the
+/// instance size.
+fn appendix_a(opts: &Options) -> usize {
     println!("\n=== Appendix A: Van den Bussche simulation on multiset unions ===");
     println!(
         "{:<22} {:>10} {:>14} {:>12} {:>10} {:>12}",
         "instance", "adom", "correct tuples", "vdb tuples", "blow-up", "bag-correct"
     );
+    let mut failures = Vec::new();
     let (r, s) = vdb::appendix_a_instance();
-    let report = vdb::measure_blowup(&r, &s);
-    print_blowup("paper example", &report);
+    let paper = vdb::measure_blowup(&r, &s);
+    print_blowup("paper example", &paper);
+    if paper.correct_tuples != 9 {
+        failures.push(format!(
+            "the paper example has {} correct tuples, not 9",
+            paper.correct_tuples
+        ));
+    }
+    let mut reports = vec![("paper example".to_string(), paper)];
+    let mut previous: Option<(String, f64)> = None;
     for n in [4usize, 8, 16, 32] {
         let (r, s) = vdb::scaled_instance(n, 2);
         let report = vdb::measure_blowup(&r, &s);
-        print_blowup(&format!("{} rows x 2 elems", n), &report);
+        let label = format!("{} rows x 2 elems", n);
+        print_blowup(&label, &report);
+        if let Some((smaller, blowup)) = &previous {
+            if report.blowup_factor <= *blowup {
+                failures.push(format!(
+                    "the blow-up of {} ({:.1}) does not exceed that of {} ({:.1})",
+                    label, report.blowup_factor, smaller, blowup
+                ));
+            }
+        }
+        previous = Some((label.clone(), report.blowup_factor));
+        reports.push((label, report));
+    }
+    for (label, report) in &reports {
+        if report.preserves_multiplicity {
+            failures.push(format!(
+                "the simulation preserves multiplicity on {}",
+                label
+            ));
+        }
     }
     println!(
         "\nQuery shredding represents the same unions with the `correct tuples` count and\n\
          preserves multiplicities; the simulation grows with |adom|^2 and does not."
     );
+    if !opts.check {
+        return 0;
+    }
+    for failure in &failures {
+        eprintln!("check failed for Appendix A: {}", failure);
+    }
+    failures.len()
 }
 
 fn print_blowup(label: &str, report: &vdb::BlowupReport) {
@@ -239,7 +278,7 @@ fn main() {
         }
     }
     if opts.appendix_a {
-        appendix_a();
+        mismatches += appendix_a(&opts);
     }
     if mismatches > 0 {
         eprintln!("{} check(s) failed", mismatches);

@@ -1,25 +1,20 @@
-//! Differential suite for the logical optimizer phase (PR 10).
+//! The compiled plans of the benchmark queries.
 //!
 //! Every benchmark query the paper evaluates (Q1–Q6 nested, QF1–QF6 flat)
-//! runs three ways — a session's optimized shredded pipeline, the same
-//! pipeline compiled without the optimizer (`compile_normalised_opts(…,
-//! false)`), and the λNRC interpreter oracle — at worker counts {1, 4}. The
-//! three answers must agree as multisets. On top of the differential sweep,
-//! the compiled plans and golden `explain()` snapshots pin down where each
-//! job is done: the planner's predicate placement on Q2 and Q6,
-//! decorrelation on Q2 and QF6, column pruning on QF2 and Q5, and
-//! package-level common-subplan sharing on Q1.
+//! runs through a session's shredded pipeline at worker counts {1, 4} and
+//! must agree with the λNRC interpreter oracle as a multiset. On top of
+//! that sweep, the compiled plans and golden `explain()` snapshots pin down
+//! what the planner decides — predicate placement on Q2 and Q6,
+//! decorrelation on Q2 and QF6, narrowed join inputs on QF2 and Q5 — and
+//! the package-level common-subplan sharing on Q1.
 
 use datagen::{generate, organisation_schema, OrgConfig};
 use nrc::builder::*;
 use nrc::Term;
 use shredding::normalise_with_type;
-use shredding::pipeline::{
-    compile_normalised_opts, engine_from_database, execute_bound_obs_opts, storage_from_database,
-    CompiledQuery,
-};
+use shredding::pipeline::{compile_normalised_opts, CompiledQuery};
 use shredding::session::{auto_parameterize, Shredder};
-use sqlengine::{ExecOptions, OptReport, ParamValues, PhysicalPlan};
+use sqlengine::{OptReport, PhysicalPlan};
 use std::fmt::Write;
 
 /// A small but non-degenerate organisation: every table non-empty, tasks
@@ -43,20 +38,19 @@ fn all_queries() -> Vec<(&'static str, Term)> {
         .collect()
 }
 
-/// `q`'s stages compiled below the session, with or without the logical
-/// optimizer.
-fn compiled(q: &Term, optimize: bool) -> CompiledQuery {
+/// `q`'s stages compiled below the session.
+fn compiled(q: &Term) -> CompiledQuery {
     let schema = organisation_schema();
     let (normalised, result_type) = normalise_with_type(q, &schema).unwrap();
-    compile_normalised_opts(normalised, result_type, &schema, None, optimize).unwrap()
+    compile_normalised_opts(normalised, result_type, &schema, None, true).unwrap()
 }
 
-/// The tentpole guarantee: rewritten plans are observationally identical to
-/// the plans they replace, at every worker count.
+/// The compiled plans answer what the oracle answers, at every worker count.
+/// (`tests/vexec_differential.rs` holds every stage against the
+/// interpreter.)
 #[test]
-fn optimized_plans_agree_with_unoptimized_plans_and_the_oracle() {
+fn compiled_plans_agree_with_the_oracle() {
     let db = org_db();
-    let engine = engine_from_database(&db).unwrap();
     let sessions: Vec<(usize, Shredder)> = [1usize, 4]
         .into_iter()
         .map(|workers| {
@@ -70,26 +64,10 @@ fn optimized_plans_agree_with_unoptimized_plans_and_the_oracle() {
         .collect();
     for (name, q) in all_queries() {
         let reference = sessions[0].1.oracle(&q).unwrap();
-        let raw = compiled(&q, false);
         for (workers, session) in &sessions {
-            let optimized = session.run(&q).unwrap();
-            let unoptimized = execute_bound_obs_opts(
-                &raw,
-                &engine,
-                &ParamValues::new(),
-                None,
-                ExecOptions { workers: *workers },
-            )
-            .unwrap();
             assert!(
-                optimized.multiset_eq(&reference),
-                "{} optimized vs oracle (workers {})",
-                name,
-                workers
-            );
-            assert!(
-                optimized.multiset_eq(&unoptimized),
-                "{} optimized vs unoptimized (workers {})",
+                session.run(&q).unwrap().multiset_eq(&reference),
+                "{} vs oracle (workers {})",
                 name,
                 workers
             );
@@ -104,9 +82,9 @@ fn explain_for(q: &Term) -> String {
     prepared.explain().to_string()
 }
 
-/// Every node of every stage of `q` compiled with the optimizer.
+/// Every node of every stage of `q`.
 fn compiled_nodes(q: &Term) -> Vec<PhysicalPlan> {
-    compiled(q, true)
+    compiled(q)
         .stages
         .annotations()
         .iter()
@@ -116,19 +94,11 @@ fn compiled_nodes(q: &Term) -> Vec<PhysicalPlan> {
 
 /// Q2 (departments with no employee lacking an "abstract" task) is the
 /// doubly-correlated NOT-EXISTS query: the planner turns the negation chain
-/// at each nesting level into an anti-join, and both decorrelate into hash
-/// anti-joins, leaving no row-at-a-time EXISTS evaluation anywhere.
+/// at each nesting level into a hash anti-join, leaving no row-at-a-time
+/// EXISTS evaluation anywhere.
 #[test]
 fn q2_compiles_to_two_hash_anti_joins() {
     let rendered = explain_for(&datagen::queries::q2());
-    assert_eq!(
-        rendered
-            .matches("decorrelated ExistsSemiJoin anti into HashSemiJoin")
-            .count(),
-        2,
-        "expected both nesting levels decorrelated in:\n{}",
-        rendered
-    );
     let nodes = compiled_nodes(&datagen::queries::q2());
     let hash_anti = nodes
         .iter()
@@ -154,18 +124,19 @@ fn physical_plan_lines(rendered: &str) -> String {
 }
 
 /// QF6 ("employees with no tasks or a salary over 50k") unions two branches
-/// inside a NOT EXISTS; both must decorrelate.
+/// inside a NOT EXISTS, in each of its two stage branches: both are hash
+/// anti-joins whose build is the union of the two branches' keys.
 #[test]
 fn qf6_explain_shows_decorrelation_over_a_union_build() {
     let rendered = explain_for(&datagen::queries::qf6());
-    assert_eq!(
-        rendered
-            .matches("decorrelated ExistsSemiJoin anti into HashSemiJoin")
-            .count(),
-        2,
-        "expected both anti-joins decorrelated in:\n{}",
-        rendered
-    );
+    let union_builds = compiled_nodes(&datagen::queries::qf6())
+        .iter()
+        .filter(|n| {
+            matches!(n, PhysicalPlan::HashSemiJoin { anti: true, build, .. }
+                if matches!(build.as_ref(), PhysicalPlan::UnionAll(bs) if bs.len() == 2))
+        })
+        .count();
+    assert_eq!(union_builds, 2, "in:\n{}", rendered);
     let plan = physical_plan_lines(&rendered);
     assert!(
         !plan.contains("ExistsSemiJoin"),
@@ -223,29 +194,49 @@ fn q1_explain_shows_cross_stage_subplan_sharing() {
     );
 }
 
-/// Column pruning narrows both inputs of QF2's one join (it reads 3 of the
-/// 7 joined columns) and all four inputs of Q5's two.
+/// The planner narrows every join input of QF2 (its one join reads 3 of the
+/// 7 joined columns) and of Q5 (two joins) to the columns read above it: a
+/// `Project` of bare columns that reads fewer columns than its input has.
 #[test]
 fn qf2_and_q5_explain_show_narrowed_join_inputs() {
     for (q, inputs) in [(datagen::queries::qf2(), 2), (datagen::queries::q5(), 4)] {
-        let rendered = explain_for(&q);
-        let rewrite = format!(
-            "narrowed {} join input(s) to the columns read above them",
-            inputs
-        );
-        assert!(
-            rendered.contains(&rewrite),
-            "missing `{}` in:\n{}",
-            rewrite,
-            rendered
-        );
+        let nodes = compiled_nodes(&q);
+        let join_inputs: Vec<&PhysicalPlan> = nodes
+            .iter()
+            .filter(|n| {
+                matches!(
+                    n,
+                    PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. }
+                )
+            })
+            .flat_map(|join| join.children())
+            .collect();
+        assert_eq!(join_inputs.len(), inputs, "{:?}", join_inputs);
+        for input in join_inputs {
+            let PhysicalPlan::Project {
+                input: below,
+                exprs,
+                ..
+            } = input
+            else {
+                panic!("an unnarrowed join input:\n{}", input);
+            };
+            assert!(
+                exprs
+                    .iter()
+                    .all(|e| matches!(e, sqlengine::plan::VExpr::Col { .. }))
+                    && exprs.len() < below.output_columns().len(),
+                "not a narrowing projection:\n{}",
+                input
+            );
+        }
     }
 }
 
-/// Pruned plans are re-validated like every other rewrite, and pruning never
-/// narrows a `WITH` definition, so cross-stage sharing — which compares
-/// definitions — finds what it found before the pass existed: Q1's outer
-/// query, bound by two stages, and nothing else.
+/// Planned plans verify clean, and narrowing never touches a `WITH`
+/// definition's output, so cross-stage sharing — which compares
+/// definitions — finds Q1's outer query, bound by two stages, and nothing
+/// else.
 #[test]
 fn pruned_plans_verify_clean_and_keep_their_shared_slots() {
     let shredder = Shredder::builder()
@@ -272,28 +263,6 @@ fn pruned_plans_verify_clean_and_keep_their_shared_slots() {
     }
 }
 
-/// With the optimizer off, no stage records a rewrite and nothing is
-/// shared across stages.
-#[test]
-fn unoptimized_sessions_report_no_rewrites() {
-    for q in [
-        datagen::queries::q1(),
-        datagen::queries::q2(),
-        datagen::queries::q6(),
-    ] {
-        let unoptimized = compiled(&q, false);
-        for stage in unoptimized.stages.annotations() {
-            assert!(
-                stage.opt.rewrites.is_empty(),
-                "optimize = false still rewrote stage {}: {:?}",
-                stage.path,
-                stage.opt.rewrites
-            );
-        }
-        assert!(unoptimized.shared.is_empty());
-    }
-}
-
 /// The golden snapshot: the full explain() rendering of Q2, pinned
 /// byte-for-byte so plan-shape regressions are loud. Refresh
 /// with `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
@@ -316,15 +285,12 @@ fn q2_explain_matches_the_golden_snapshot() {
     );
 }
 
-/// Append one plan's optimizer-visible facts to a golden transcript.
+/// Append one plan's facts to a golden transcript.
 fn describe(out: &mut String, heading: &str, plan: &PhysicalPlan, report: &OptReport) {
     writeln!(out, "--- {heading}").unwrap();
     writeln!(out, "{plan}").unwrap();
     for rewrite in &report.rewrites {
         writeln!(out, "rewrite: {rewrite}").unwrap();
-    }
-    for skip in &report.skipped {
-        writeln!(out, "skipped: {} ({})", skip.node, skip.reason).unwrap();
     }
     writeln!(out, "params: {:?}", plan.params()).unwrap();
     writeln!(
@@ -336,20 +302,13 @@ fn describe(out: &mut String, heading: &str, plan: &PhysicalPlan, report: &OptRe
     .unwrap();
 }
 
-/// The optimizer pinned whole: for every stage of QF1–QF6 and Q1–Q6, raw and
-/// auto-parameterized, the plan compiled with the optimizer on (its
-/// rendering, rewrite log in order, skips, param slots and node counts).
-/// `optimize` reads no catalog, so the unoptimized stage plan optimized
-/// against a loaded 8-department storage must be that same plan. Refresh
-/// with `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
+/// The plans pinned whole: for every stage of QF1–QF6 and Q1–Q6, raw and
+/// auto-parameterized, the compiled plan (its rendering, cross-stage
+/// sharing, param slots and node counts). Refresh with
+/// `UPDATE_GOLDEN=1 cargo test -p bench --test optimizer`.
 #[test]
 fn optimizer_output_matches_the_golden_file() {
     let schema = organisation_schema();
-    let storage = storage_from_database(&generate(&OrgConfig {
-        departments: 8,
-        ..OrgConfig::default()
-    }))
-    .unwrap();
     let mut out = String::new();
     let queries = datagen::queries::flat_queries()
         .into_iter()
@@ -358,32 +317,16 @@ fn optimizer_output_matches_the_golden_file() {
         let (parameterized, _) = auto_parameterize(&q);
         for (form, term) in [("raw", &q), ("auto-parameterized", &parameterized)] {
             let (normalised, ty) = normalise_with_type(term, &schema).unwrap();
-            let optimized =
-                compile_normalised_opts(normalised.clone(), ty.clone(), &schema, None, true)
-                    .unwrap();
-            let unoptimized =
-                compile_normalised_opts(normalised, ty, &schema, None, false).unwrap();
-            let stages = optimized
-                .stages
-                .annotations()
-                .into_iter()
-                .zip(unoptimized.stages.annotations());
-            for (i, (compiled, raw)) in stages.enumerate() {
-                writeln!(out, "=== {name} {form} stage {i} ({})", compiled.path).unwrap();
-                describe(&mut out, "compiled", &compiled.plan, &compiled.opt);
-                // The planner places every conjunct: neither plan needs a
-                // pass to move one.
-                for plan in [&compiled.plan, &raw.plan] {
-                    let misplaced = bench::misplaced_filters(plan);
-                    assert!(
-                        misplaced.is_empty(),
-                        "{name} {form} stage {i}: {misplaced:?}"
-                    );
-                }
-                assert_eq!(
-                    sqlengine::optimize(raw.plan.clone(), &storage).0,
-                    compiled.plan,
-                    "{name} {form} stage {i}: optimizing on storage changed the plan"
+            let compiled = compile_normalised_opts(normalised, ty, &schema, None, true).unwrap();
+            for (i, stage) in compiled.stages.annotations().into_iter().enumerate() {
+                writeln!(out, "=== {name} {form} stage {i} ({})", stage.path).unwrap();
+                describe(&mut out, "compiled", &stage.plan, &stage.opt);
+                // The planner places every conjunct: no pass needs to move
+                // one.
+                let misplaced = bench::misplaced_filters(&stage.plan);
+                assert!(
+                    misplaced.is_empty(),
+                    "{name} {form} stage {i}: {misplaced:?}"
                 );
             }
         }
@@ -399,14 +342,14 @@ fn optimizer_output_matches_the_golden_file() {
     let golden = std::fs::read_to_string(path).expect("golden file exists");
     assert!(
         out == golden,
-        "the optimizer's output drifted from tests/golden/optimizer_plans.golden; \
+        "the compiled plans drifted from tests/golden/optimizer_plans.golden; \
          rerun with UPDATE_GOLDEN=1 if the change is intentional"
     );
 }
 
-/// A correlation the decorrelator cannot turn into hash keys (`<` instead of
+/// A correlation the planner cannot turn into hash keys (`<` instead of
 /// `=`): the plan must keep the correlated semi-join, the analysis pass must
-/// surface the O001 warning with the skip reason, and the un-rewritten plan
+/// surface the O001 warning, and the un-rewritten plan
 /// must still agree with the oracle.
 #[test]
 fn non_equality_correlation_is_skipped_and_diagnosed() {

@@ -49,11 +49,10 @@ pub struct QueryStage {
     /// The stage's column layout, resolved once at compile time and shared
     /// by `Arc` with every per-execution [`ColumnarStage`] decoded from it.
     pub layout: Arc<ResultLayout>,
-    /// What the logical optimizer did to `plan` — decorrelations, column
-    /// pruning and cross-stage sharing applied, and correlated subqueries
-    /// it had to leave in place (surfaced as `O001` diagnostics by
-    /// [`crate::verify`]). Empty when the query was compiled with
-    /// optimization disabled.
+    /// The rewrites applied to `plan` after planning: its binding to a
+    /// package-shared subplan (see [`QueryStage::shared`]), if any. The
+    /// planner itself decorrelates and narrows; [`crate::verify`] reports
+    /// each correlated subquery a plan keeps as an `O001` diagnostic.
     pub opt: sqlengine::OptReport,
     /// Package-level common-subplan sharing: when set, `plan`'s top-level
     /// `WITH` definition is structurally identical to the shared subplan at
@@ -87,8 +86,8 @@ pub struct CompiledQuery {
     /// Subplans shared by two or more stages (package-level CSE): each is a
     /// top-level `WITH` definition, structurally equal across its consuming
     /// stages and free of outside CTE references, hoisted so executors run
-    /// it once per package instead of once per stage. Empty when compiled
-    /// without optimization.
+    /// it once per package instead of once per stage. Empty when no
+    /// definition recurs.
     pub shared: Vec<PhysicalPlan>,
 }
 
@@ -109,8 +108,8 @@ impl CompiledQuery {
 }
 
 /// Compile a nested λNRC query down to SQL: normalise, shred at every path of
-/// the result type, let-insert, generate SQL and run the logical optimizer
-/// over every stage plan.
+/// the result type, let-insert, generate SQL, plan every stage and share
+/// common subplans across stages.
 pub fn compile(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError> {
     let (normalised, result_type) = normalise_with_type(term, schema)?;
     compile_normalised_opts(normalised, result_type, schema, None, true)
@@ -119,21 +118,19 @@ pub fn compile(term: &Term, schema: &Schema) -> Result<CompiledQuery, ShredError
 /// Compile an already-normalised query. With a per-call collector present,
 /// each shredded stage records `Stage::Shred` (shredding, layout
 /// construction and let-insertion), `Stage::Sqlgen` and `Stage::Plan` spans
-/// into it. With `optimize` set, every stage plan runs through
-/// [`sqlengine::optimize`] (`EXISTS` decorrelation, column pruning) inside
-/// its `Stage::Plan` span, and the package is scanned for stages whose
-/// top-level `WITH` definitions are structurally equal — those are hoisted
-/// into [`CompiledQuery::shared`] so executors run each once per package
-/// (cross-stage CSE). Without it, stage plans come out of the planner with
-/// every `WHERE` conjunct placed but nothing rewritten (correlated `EXISTS`
-/// subqueries, unpruned joins, no cross-stage sharing): the differential
-/// baseline the optimizer is tested against.
+/// into it. The planner emits each stage's final plan — predicates placed,
+/// `EXISTS` decorrelated, join inputs narrowed — and the package is then
+/// scanned for stages whose top-level `WITH` definitions are structurally
+/// equal: those are hoisted into [`CompiledQuery::shared`] so executors run
+/// each once per package (cross-stage CSE). `_optimize` is unread: there is
+/// no unoptimized form left to compile; the argument stays for the callers
+/// that pass it.
 pub fn compile_normalised_opts(
     normalised: NormQuery,
     result_type: Type,
     schema: &Schema,
     obs: Option<&obs::QueryObs>,
-    optimize: bool,
+    _optimize: bool,
 ) -> Result<CompiledQuery, ShredError> {
     if !matches!(result_type, Type::Bag(_)) {
         return Err(ShredError::NotAQuery(result_type.to_string()));
@@ -151,14 +148,8 @@ pub fn compile_normalised_opts(
         let sql = obs::time_maybe(obs, obs::Stage::Sqlgen, || {
             crate::sqlgen::sql_of_let_query(&let_inserted, &layout, schema)
         })?;
-        let (plan, opt) = obs::time_maybe(obs, obs::Stage::Plan, || {
-            let plan = plan_query(&sql, &catalog).map_err(ShredError::Engine)?;
-            Ok::<_, ShredError>(if optimize {
-                sqlengine::optimize(plan, &catalog)
-            } else {
-                (plan, sqlengine::OptReport::default())
-            })
-        })?;
+        let plan = obs::time_maybe(obs, obs::Stage::Plan, || plan_query(&sql, &catalog))
+            .map_err(ShredError::Engine)?;
         Ok::<QueryStage, ShredError>(QueryStage {
             path: path.clone(),
             shredded,
@@ -166,15 +157,11 @@ pub fn compile_normalised_opts(
             sql,
             plan,
             layout,
-            opt,
+            opt: sqlengine::OptReport::default(),
             shared: None,
         })
     })?;
-    let (stages, shared) = if optimize {
-        share_subplans(stages)?
-    } else {
-        (stages, Vec::new())
-    };
+    let (stages, shared) = share_subplans(stages)?;
     Ok(CompiledQuery {
         normalised,
         result_type,

@@ -340,9 +340,8 @@ pub struct StageExplain {
     pub physical: Option<String>,
     /// The flat columns of the stage's result (indexes first, then data).
     pub columns: Vec<String>,
-    /// What the logical optimizer did to this stage's plan, one line per
-    /// rewrite (`EXISTS` decorrelation, column pruning, cross-stage CSE).
-    /// Empty when the backend does not optimize or nothing fired.
+    /// The rewrites applied to this stage's plan after planning, one line
+    /// per rewrite (a cross-stage CSE binding). Empty when nothing fired.
     pub rewrites: Vec<String>,
 }
 

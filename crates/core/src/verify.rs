@@ -72,23 +72,28 @@ pub fn check_compiled(
             d.path = format!("{}/{}", path, d.path);
         }
         out.extend(plan_diags);
-        // Correlated subqueries the logical optimizer had to leave in place:
-        // these still execute (nested-loop, once per outer row), so they are
-        // warnings, with the decorrelator's reason as the help text.
-        for skip in &stage.opt.skipped {
-            out.push(
-                Diagnostic::warning(
-                    Stage::Plan,
-                    codes::RETAINED_CORRELATED_SUBQUERY,
-                    path.to_string(),
-                    format!(
-                        "plan retains a correlated subquery ({}) the optimizer could not \
-                         rewrite into a hash semi-join",
-                        skip.node
+        // Correlated subqueries the planner left in place: these still
+        // execute (nested-loop, once per outer row), so they are warnings.
+        for node in stage.plan.nodes() {
+            if let sqlengine::PhysicalPlan::ExistsSemiJoin { anti, .. } = node {
+                out.push(
+                    Diagnostic::warning(
+                        Stage::Plan,
+                        codes::RETAINED_CORRELATED_SUBQUERY,
+                        path.to_string(),
+                        format!(
+                            "plan retains a correlated subquery (ExistsSemiJoin{}) that runs \
+                             once per row",
+                            if *anti { " anti" } else { "" }
+                        ),
+                    )
+                    .with_help(
+                        "only a correlation that is a conjunction of `outer = local` \
+                         equalities, over one SELECT or a UNION ALL of them, plans as a \
+                         hash semi-join",
                     ),
-                )
-                .with_help(skip.reason.clone()),
-            );
+                );
+            }
         }
     });
     // The layout's Index leaves must line up with the stage's child bags.

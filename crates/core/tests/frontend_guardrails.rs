@@ -68,8 +68,9 @@ fn a_session_normalises_in_one_place_after_the_term_lookup() {
 
 /// The builder keeps the eight settings the benchmark, the baselines and
 /// deployments set. The index scheme belongs to `ShreddedMemoryBackend`, the
-/// one backend that reads it; sessions always optimize and always lift
-/// literals; the metrics registry and the profile ring are the session's own.
+/// one backend that reads it; no setting turns the planner's decorrelation
+/// off, and sessions always lift literals; the metrics registry and the
+/// profile ring are the session's own.
 #[test]
 fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
     let code = product(SESSION);

@@ -15,6 +15,7 @@
 //! loop-lifting, Van den Bussche) emit: there is no `ORDER BY`, `DISTINCT`
 //! or `EXCEPT ALL`, and the parser refuses them.
 
+use crate::error::EngineError;
 use crate::value::SqlValue;
 use std::fmt;
 
@@ -134,6 +135,17 @@ impl Select {
     pub fn filter(mut self, expr: Expr) -> Select {
         self.where_clause = Some(expr);
         self
+    }
+
+    /// Refuse a `FROM` list that binds one alias twice: a reference to it
+    /// could mean either relation. The planner and the interpreter both ask.
+    pub(crate) fn check_aliases(&self) -> Result<(), EngineError> {
+        for (i, item) in self.from.iter().enumerate() {
+            if self.from[..i].iter().any(|f| f.alias == item.alias) {
+                return Err(EngineError::DuplicateAlias(item.alias.clone()));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -39,6 +39,8 @@ pub enum EngineError {
         name: String,
     },
     UnknownAlias(String),
+    /// One `FROM` list binds the alias twice.
+    DuplicateAlias(String),
     AmbiguousColumn(String),
     UnknownCte(String),
     /// A named placeholder `:name` was evaluated without a bound value.
@@ -98,6 +100,9 @@ impl fmt::Display for EngineError {
                 None => write!(f, "unknown column {}", name),
             },
             EngineError::UnknownAlias(a) => write!(f, "unknown table alias {}", a),
+            EngineError::DuplicateAlias(a) => {
+                write!(f, "alias {} is bound twice in one FROM list", a)
+            }
             EngineError::AmbiguousColumn(c) => write!(f, "ambiguous column {}", c),
             EngineError::UnknownCte(q) => write!(f, "unknown WITH-bound query {}", q),
             EngineError::UnboundParameter(p) => write!(

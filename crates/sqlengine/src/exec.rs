@@ -354,6 +354,7 @@ fn exec_select(
     outer: &Scope,
 ) -> Result<ResultSet, EngineError> {
     // 1. Materialise the FROM relations.
+    select.check_aliases()?;
     let relations = select
         .from
         .iter()
@@ -876,6 +877,25 @@ mod tests {
                 .unwrap();
         }
         Engine::with_storage(storage)
+    }
+
+    #[test]
+    fn a_from_list_that_repeats_an_alias_fails_on_both_paths() {
+        let mut storage = Storage::new();
+        for (table, rows) in [("t", vec![1, 2]), ("u", vec![3])] {
+            storage
+                .create_table(TableDef::new(table, vec![("a", ColumnType::Int)]))
+                .unwrap();
+            for a in rows {
+                storage.insert(table, vec![SqlValue::Int(a)]).unwrap();
+            }
+        }
+        let engine = Engine::with_storage(storage);
+        let sql = "SELECT x.a AS y FROM t AS x, u AS x WHERE x.a = 1";
+        let refused = Err(EngineError::DuplicateAlias("x".to_string()));
+        assert_eq!(engine.execute_sql(sql), refused);
+        let query = crate::parser::parse_query(sql).unwrap();
+        assert_eq!(engine.execute_interpreted(&query), refused);
     }
 
     #[test]

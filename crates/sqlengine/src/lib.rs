@@ -18,11 +18,13 @@
 //! be round-tripped as text exactly as Links ships SQL strings to the
 //! database; the parser refuses what the dialect lacks.
 //!
-//! Execution is split planner/executor: [`plan`] compiles a query into an
-//! explicit [`PhysicalPlan`] (scans, hash joins, filters, exists-semijoins,
-//! row-numbering, projection), placing every `WHERE` conjunct as it goes;
-//! [`opt`] rewrites the plan in two passes, decorrelation and column
-//! pruning; and [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
+//! Execution is split planner/executor: [`plan`] compiles a query into the
+//! explicit [`PhysicalPlan`] that runs (scans, hash joins, filters,
+//! semi-joins, row-numbering, projection), placing every `WHERE` conjunct,
+//! hashing each `EXISTS` whose correlation is a conjunction of equalities
+//! and narrowing join inputs as it goes — [`opt`] keeps only the report
+//! type of the rewrite the pipeline applies across stages; and
+//! [`execute_plan`] — the one walk of [`vexec`] — runs the plan over a
 //! columnar representation with selection vectors, each operator taking its
 //! whole batch on the calling thread. Parallelism is above a plan:
 //! [`par::scoped_map`] runs a shredded package's independent stages
@@ -78,7 +80,7 @@ pub use ast::{BinOp, Expr, FromItem, Query, Select, SelectItem, TableSource};
 pub use delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
 pub use error::EngineError;
 pub use exec::Engine;
-pub use opt::{optimize, OptReport, OptSkip};
+pub use opt::{optimize, OptReport};
 pub use par::{scoped_map, ExecOptions, ExecStats};
 pub use parser::{parse_expr, parse_query};
 pub use plan::{Catalog, OpActuals, PhysicalPlan, SchemaCatalog};

@@ -1,11 +1,13 @@
 //! Logical-to-physical query compilation.
 //!
-//! The planner turns a parsed [`Query`] into an explicit [`PhysicalPlan`]
-//! tree once, ahead of execution. The interpreter in [`crate::exec`]
-//! re-derives its join strategy from the AST on every call; the planner makes
-//! those decisions explicit and cacheable:
+//! The planner turns a parsed [`Query`] into the explicit [`PhysicalPlan`]
+//! that executes, once, ahead of execution: no pass rewrites the plan after
+//! it. The interpreter in [`crate::exec`] re-derives its join strategy from
+//! the AST on every call; the planner makes those decisions explicit and
+//! cacheable, all from the query text, before any column position exists:
 //!
-//! * every `FROM` item becomes a scan node (table, CTE or subquery),
+//! * every `FROM` item becomes a scan node (table, CTE or subquery), and a
+//!   `FROM` list that binds one alias twice is refused,
 //! * equi-join conjuncts become [`PhysicalPlan::HashJoin`] nodes with resolved
 //!   key expressions (the plan names no build side: the executor builds the
 //!   hash table on whichever input turns out smaller, the right one on a
@@ -13,15 +15,17 @@
 //! * a remaining conjunct that reads one `FROM` relation alone becomes a
 //!   [`PhysicalPlan::Filter`] on that relation, below its join; one that
 //!   reads several filters the join that binds the last of them,
-//! * a chain of `NOT`s over `EXISTS` becomes a
-//!   [`PhysicalPlan::ExistsSemiJoin`] against a pre-planned subplan, an
-//!   anti-join when the chain is odd (`EXISTS` is never `NULL`, so
-//!   `NOT NOT x = x` holds for it),
+//! * a chain of `NOT`s over `EXISTS` becomes a semi-join, an anti-join when
+//!   the chain is odd (`EXISTS` is never `NULL`, so `NOT NOT x = x` holds
+//!   for it): a [`PhysicalPlan::HashSemiJoin`] when the subquery reads the
+//!   enclosing row only through `outer = local` conjuncts (*decorrelation*:
+//!   those conjuncts are taken out, the subquery runs once and its local
+//!   sides are hashed), a [`PhysicalPlan::ExistsSemiJoin`] that runs it per
+//!   row otherwise,
+//! * each join input is narrowed by a `Project` of bare columns to the
+//!   columns read above it, unless its block keeps a correlated subplan,
 //! * `ROW_NUMBER` and projection become explicit operators, above every
 //!   filter (SQL applies `WHERE` before the window is numbered).
-//!
-//! Placing conjuncts here is the whole of predicate placement: the optimizer
-//! ([`crate::opt`]) only decorrelates and prunes columns.
 //!
 //! Column references are resolved to **positional** indexes into the input
 //! batch at plan time ([`VExpr::Col`]); references to enclosing queries stay
@@ -161,35 +165,6 @@ impl VExpr {
         }
         go(self, &mut f)
     }
-
-    /// Rebuild the expression bottom-up: subexpressions first, then `f` on
-    /// the rebuilt node. An `EXISTS` is a leaf, as in [`VExpr::any`].
-    pub(crate) fn map(self, f: &mut impl FnMut(VExpr) -> VExpr) -> VExpr {
-        let node = match self {
-            VExpr::BinOp { op, left, right } => VExpr::BinOp {
-                op,
-                left: Box::new((*left).map(f)),
-                right: Box::new((*right).map(f)),
-            },
-            VExpr::Not(inner) => VExpr::Not(Box::new((*inner).map(f))),
-            leaf => leaf,
-        };
-        f(node)
-    }
-
-    /// Apply `f`, in place and in pre-order, to each `EXISTS` subplan of
-    /// this expression (not to the subplans nested inside those).
-    fn for_each_subplan_mut(&mut self, f: &mut impl FnMut(&mut PhysicalPlan)) {
-        match self {
-            VExpr::Exists(sub) => f(sub),
-            VExpr::BinOp { left, right, .. } => {
-                left.for_each_subplan_mut(f);
-                right.for_each_subplan_mut(f);
-            }
-            VExpr::Not(inner) => inner.for_each_subplan_mut(f),
-            VExpr::Col { .. } | VExpr::Outer { .. } | VExpr::Lit(_) | VExpr::Param(_) => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -251,10 +226,9 @@ pub enum PhysicalPlan {
     },
     /// Decorrelated semi/anti join: execute `build` **once**, hash its
     /// `build_keys`, and keep the input rows whose `probe_keys` hit the
-    /// table (`anti` inverts). Produced by the logical optimizer
-    /// ([`crate::opt`]) from a correlated [`PhysicalPlan::ExistsSemiJoin`]
-    /// whose correlation is a conjunction of equalities; `probe_keys[i]`
-    /// pairs with `build_keys[i]`. Build rows with a `NULL` key never
+    /// table (`anti` inverts). The planner's form of an `EXISTS` whose
+    /// correlation is a conjunction of equalities; `probe_keys[i]` pairs
+    /// with `build_keys[i]`. Build rows with a `NULL` key never
     /// match; a probe row with a `NULL` key matches nothing (the semi join
     /// drops it, the anti join keeps it) — exactly the three-valued
     /// semantics of the equality filter it replaces. With empty key lists
@@ -430,48 +404,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Apply `f` to each of the node's inputs, in place and in the order of
-    /// [`children`](Self::children).
-    pub(crate) fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut PhysicalPlan)) {
-        match self {
-            PhysicalPlan::UnitRow
-            | PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::CteScan { .. } => {}
-            PhysicalPlan::SubqueryScan { input, .. }
-            | PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::RowNumber { input, .. }
-            | PhysicalPlan::Project { input, .. } => f(input),
-            PhysicalPlan::ExistsSemiJoin {
-                input: first,
-                subplan: second,
-                ..
-            }
-            | PhysicalPlan::HashSemiJoin {
-                input: first,
-                build: second,
-                ..
-            }
-            | PhysicalPlan::NestedLoopJoin {
-                left: first,
-                right: second,
-            }
-            | PhysicalPlan::HashJoin {
-                left: first,
-                right: second,
-                ..
-            }
-            | PhysicalPlan::With {
-                definition: first,
-                body: second,
-                ..
-            } => {
-                f(first);
-                f(second);
-            }
-            PhysicalPlan::UnionAll(branches) => branches.iter_mut().for_each(f),
-        }
-    }
-
     /// The node's expressions, in field order: a filter's predicate, a hash
     /// join's left then right keys, a hash semi-join's probe then build
     /// keys, a row numbering's specs, a projection's list.
@@ -493,49 +425,6 @@ impl PhysicalPlan {
             _ => (&[], &[], &[]),
         };
         first.iter().chain(second).chain(specs.iter().flatten())
-    }
-
-    /// Apply `f` to each of the node's expressions, in place and in the
-    /// order of [`exprs`](Self::exprs).
-    pub(crate) fn for_each_expr_mut(&mut self, f: impl FnMut(&mut VExpr)) {
-        let (first, second, specs): (&mut [VExpr], &mut [VExpr], &mut [Vec<VExpr>]) = match self {
-            PhysicalPlan::Filter { predicate, .. } => {
-                (std::slice::from_mut(predicate), &mut [], &mut [])
-            }
-            PhysicalPlan::HashJoin {
-                left_keys,
-                right_keys,
-                ..
-            } => (left_keys, right_keys, &mut []),
-            PhysicalPlan::HashSemiJoin {
-                probe_keys,
-                build_keys,
-                ..
-            } => (probe_keys, build_keys, &mut []),
-            PhysicalPlan::RowNumber { specs, .. } => (&mut [], &mut [], specs),
-            PhysicalPlan::Project { exprs, .. } => (exprs, &mut [], &mut []),
-            _ => (&mut [], &mut [], &mut []),
-        };
-        first
-            .iter_mut()
-            .chain(second)
-            .chain(specs.iter_mut().flatten())
-            .for_each(f)
-    }
-
-    /// Rebuild the node with `f` applied to each input, then to each
-    /// `EXISTS` subplan inside its expressions, in field order. One level:
-    /// `f` decides whether to recurse. Expressions are updated in place, so
-    /// one without an `EXISTS` is not rebuilt.
-    pub(crate) fn map_children(
-        mut self,
-        mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan,
-    ) -> PhysicalPlan {
-        let mut apply =
-            |slot: &mut PhysicalPlan| *slot = f(std::mem::replace(slot, PhysicalPlan::UnitRow));
-        self.for_each_child_mut(&mut apply);
-        self.for_each_expr_mut(|e| e.for_each_subplan_mut(&mut apply));
-        self
     }
 
     /// `EXISTS (…)` subplans referenced by this node's expressions (not by
@@ -810,17 +699,67 @@ impl fmt::Display for PhysicalPlan {
 
 /// Compile a query into a physical plan against the given catalog.
 pub fn plan_query(query: &Query, catalog: &dyn Catalog) -> Result<PhysicalPlan, EngineError> {
-    let planner = Planner { catalog };
-    let mut ctx = PlanCtx::default();
-    planner.plan_query(query, &mut ctx)
+    Planner { catalog }.plan_query(query, &mut PlanCtx::default())
 }
 
-/// Planning context: `WITH` bindings and the schemas of enclosing queries
+/// Planning context: `WITH` bindings and the frames of enclosing queries
 /// (outermost first), for correlated-reference resolution.
 #[derive(Default)]
 struct PlanCtx {
     ctes: Vec<(String, Vec<String>)>,
-    outer: Vec<Vec<SchemaCol>>,
+    outer: Vec<Frame>,
+}
+
+/// An enclosing query's schema, and whether a reference planned since it
+/// was pushed resolved into it.
+struct Frame {
+    schema: Vec<SchemaCol>,
+    read: bool,
+}
+
+/// A planned `FROM` item.
+struct Rel {
+    plan: PhysicalPlan,
+    alias: String,
+    columns: Vec<String>,
+}
+
+/// Where the `WHERE` conjuncts of a block run (see [`place`]).
+struct Placement {
+    /// One level per `FROM` relation, in join order.
+    levels: Vec<Level>,
+    /// The conjuncts that wait for every relation: `EXISTS` and unqualified
+    /// references, which may resolve anywhere.
+    residual: Vec<Expr>,
+}
+
+/// The conjuncts that run where one `FROM` relation joins those before it.
+#[derive(Default)]
+struct Level {
+    /// Equi-join keys, `(bound side, incoming side)`.
+    hash: Vec<(Expr, Expr)>,
+    /// Conjuncts over the incoming relation alone: they filter it below the
+    /// join.
+    own: Vec<Expr>,
+    /// Conjuncts over it and bound relations: they filter the join.
+    spanning: Vec<Expr>,
+}
+
+/// A residual conjunct, as planned.
+enum Residual<'q> {
+    Filter(&'q Expr),
+    /// A decorrelated `EXISTS`: `build` runs once, and the block's rows
+    /// probe it with the outer sides of the correlation.
+    Hashed {
+        build: PhysicalPlan,
+        keys: Vec<Expr>,
+        anti: bool,
+    },
+    /// An `EXISTS` that keeps its correlation: `subplan` runs once per row.
+    Correlated {
+        subplan: PhysicalPlan,
+        anti: bool,
+    },
 }
 
 /// Window specifications available to projection resolution: the
@@ -868,200 +807,364 @@ impl Planner<'_> {
     }
 
     fn plan_select(&self, select: &Select, ctx: &mut PlanCtx) -> Result<PhysicalPlan, EngineError> {
-        // 1. Plan the FROM items.
-        let mut rels: Vec<(PhysicalPlan, String, Vec<String>)> = Vec::new();
-        for item in &select.from {
-            rels.push(self.plan_from_item(item, ctx)?);
-        }
-        let from_aliases: Vec<String> = rels.iter().map(|(_, a, _)| a.clone()).collect();
+        let rels = self.plan_rels(select, ctx)?;
+        let placement = place(select, &rels);
+        let specs = crate::exec::collect_row_number_specs(select);
+        let items: Vec<&Expr> = select.items.iter().map(|i| &i.expr).collect();
+        let (plan, schema) = self.plan_block(rels, placement, &specs, &items, ctx)?;
+        let rn = RnMap {
+            specs: &specs,
+            base: schema.len() - specs.len(),
+        };
+        let items = select.items.iter().map(|i| (&i.expr, i.alias.clone()));
+        self.project(plan, items, &schema, Some(&rn), ctx)
+    }
 
-        // 2. Join left to right. An equi-join conjunct between the incoming
-        //    relation and the bound ones becomes a hash key; any other
-        //    conjunct that reads no other FROM relation filters the incoming
-        //    relation before the join; one that reads several filters the
-        //    join once every alias it mentions is bound. The rest (EXISTS,
-        //    unqualified references) waits for step 3.
-        let mut pending: Vec<Expr> = select
-            .where_clause
-            .as_ref()
-            .map(|w| w.conjuncts())
-            .unwrap_or_default();
-        let mut current: Option<PhysicalPlan> = None;
-        let mut schema: Vec<SchemaCol> = Vec::new();
-        let mut bound_aliases: Vec<String> = Vec::new();
+    /// Plan a block's `FROM` items, refusing a list that binds one alias
+    /// twice.
+    fn plan_rels(&self, select: &Select, ctx: &mut PlanCtx) -> Result<Vec<Rel>, EngineError> {
+        select.check_aliases()?;
+        select
+            .from
+            .iter()
+            .map(|item| self.plan_from_item(item, ctx))
+            .collect()
+    }
 
-        for (mut rel_plan, alias, columns) in rels {
-            let rel_schema: Vec<SchemaCol> = columns
-                .iter()
-                .map(|c| (Some(alias.clone()), c.clone()))
-                .collect();
-
-            let mut hash_keys: Vec<(Expr, Expr)> = Vec::new(); // (bound side, new side)
-            let mut own: Vec<Expr> = Vec::new(); // reads the incoming relation alone
-            let mut spanning: Vec<Expr> = Vec::new();
-            let mut still_pending: Vec<Expr> = Vec::new();
-            for conj in pending.drain(..) {
-                let refs = conj.referenced_aliases();
-                let from_refs: Vec<&String> =
-                    refs.iter().filter(|a| from_aliases.contains(a)).collect();
-                let all_bound_after = from_refs
-                    .iter()
-                    .all(|a| bound_aliases.contains(a) || *a == &alias)
-                    && !conj.contains_unqualified_column()
-                    && !conj.contains_exists();
-                if !all_bound_after {
-                    still_pending.push(conj);
-                    continue;
-                }
-                if let Expr::BinOp {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } = &conj
-                {
-                    let l_refs = left.referenced_aliases();
-                    let r_refs = right.referenced_aliases();
-                    let l_new = l_refs.iter().any(|a| a == &alias);
-                    let r_new = r_refs.iter().any(|a| a == &alias);
-                    let l_bound_only = l_refs.iter().all(|a| bound_aliases.contains(a));
-                    let r_bound_only = r_refs.iter().all(|a| bound_aliases.contains(a));
-                    let r_new_only = r_refs.iter().all(|a| a == &alias);
-                    let l_new_only = l_refs.iter().all(|a| a == &alias);
-                    if l_bound_only && r_new && r_new_only && !l_new && !bound_aliases.is_empty() {
-                        hash_keys.push(((**left).clone(), (**right).clone()));
-                        continue;
-                    }
-                    if r_bound_only && l_new && l_new_only && !r_new && !bound_aliases.is_empty() {
-                        hash_keys.push(((**right).clone(), (**left).clone()));
-                        continue;
-                    }
-                }
-                // A FROM list that repeats the alias resolves its columns to
-                // the earlier relation, so such a conjunct stays above.
-                if from_refs.iter().all(|a| *a == &alias) && !bound_aliases.contains(&alias) {
-                    own.push(conj);
-                } else {
-                    spanning.push(conj);
-                }
+    /// Plan the rows under a block's projection: its join tree with every
+    /// placed conjunct, the residual conjuncts over it, then its
+    /// `ROW_NUMBER` windows. Returns the plan and the columns the projection
+    /// resolves against.
+    ///
+    /// Each input of a join is narrowed by a `Project` of bare columns to
+    /// the columns read above it — by `reads` (what the block's consumer
+    /// evaluates over its rows), the residual conjuncts, the
+    /// windows, and the keys and filters of the joins above — unless the
+    /// block keeps a correlated subplan: its rows become scope frames
+    /// resolved by alias, which a narrowing `Project` erases.
+    fn plan_block(
+        &self,
+        rels: Vec<Rel>,
+        placement: Placement,
+        specs: &[Vec<Expr>],
+        reads: &[&Expr],
+        ctx: &mut PlanCtx,
+    ) -> Result<(PhysicalPlan, Vec<SchemaCol>), EngineError> {
+        let full = rels_schema(&rels);
+        let Placement { levels, residual } = placement;
+        let residuals = residual
+            .iter()
+            .map(|conj| self.plan_residual(conj, &full, ctx))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut above: Vec<&Expr> = reads.to_vec();
+        above.extend(specs.iter().flatten());
+        for residual in &residuals {
+            match residual {
+                Residual::Filter(conj) => above.push(conj),
+                Residual::Hashed { keys, .. } => above.extend(keys),
+                Residual::Correlated { .. } => {}
             }
-            pending = still_pending;
+        }
+        let frozen = above.iter().any(|e| e.contains_exists())
+            || residuals
+                .iter()
+                .any(|r| matches!(r, Residual::Correlated { .. }));
 
-            for conj in &own {
+        // What the inputs of each join keep, from the top join down: what
+        // is read above it, and its own keys and spanning filters.
+        let mut keeps: Vec<Vec<bool>> = Vec::new();
+        if !frozen && levels.len() > 1 {
+            let mut need = vec![false; full.len()];
+            for expr in above {
+                mark(expr, &full, &mut need)?;
+            }
+            for level in levels[1..].iter().rev() {
+                let sides = level.hash.iter().flat_map(|(b, i)| [b, i]);
+                for conj in level.spanning.iter().chain(sides) {
+                    mark(conj, &full, &mut need)?;
+                }
+                keeps.push(need.clone());
+            }
+        }
+
+        // Join left to right: filter each relation by its own conjuncts,
+        // join it to those before it, and filter the join by the conjuncts
+        // that span both. `cols` are the positions in `full` of the columns
+        // joined so far.
+        let mut plan = PhysicalPlan::UnitRow;
+        let mut cols: Vec<usize> = Vec::new();
+        let mut projected = vec![false; full.len()];
+        let mut start = 0;
+        for (i, (rel, level)) in rels.into_iter().zip(levels).enumerate() {
+            let rel_cols: Vec<usize> = (start..start + rel.columns.len()).collect();
+            start += rel.columns.len();
+            let rel_schema = columns_of(&full, &rel_cols);
+            let mut rel_plan = rel.plan;
+            for conj in &level.own {
                 rel_plan = PhysicalPlan::Filter {
                     predicate: self.resolve(conj, ctx, &rel_schema, None)?,
                     input: Box::new(rel_plan),
                 };
             }
-            let joined = match current.take() {
-                None => {
-                    debug_assert!(hash_keys.is_empty(), "first relation has no bound side");
-                    rel_plan
-                }
-                Some(acc) => {
-                    if hash_keys.is_empty() {
-                        PhysicalPlan::NestedLoopJoin {
-                            left: Box::new(acc),
-                            right: Box::new(rel_plan),
-                        }
-                    } else {
-                        let mut left_keys = Vec::with_capacity(hash_keys.len());
-                        let mut right_keys = Vec::with_capacity(hash_keys.len());
-                        for (bound_side, new_side) in &hash_keys {
-                            left_keys.push(self.resolve(bound_side, ctx, &schema, None)?);
-                            right_keys.push(self.resolve(new_side, ctx, &rel_schema, None)?);
-                        }
-                        PhysicalPlan::HashJoin {
-                            left: Box::new(acc),
-                            right: Box::new(rel_plan),
-                            left_keys,
-                            right_keys,
-                        }
+            if i == 0 {
+                (plan, cols) = (rel_plan, rel_cols);
+            } else {
+                let keep = keeps.pop();
+                let keep = keep.as_deref();
+                let (left, left_cols) = narrow_input(plan, cols, keep, &full, &mut projected);
+                let (right, right_cols) =
+                    narrow_input(rel_plan, rel_cols, keep, &full, &mut projected);
+                plan = if level.hash.is_empty() {
+                    PhysicalPlan::NestedLoopJoin {
+                        left: Box::new(left),
+                        right: Box::new(right),
                     }
-                }
-            };
-            schema.extend(rel_schema);
-            bound_aliases.push(alias);
-
-            let mut filtered = joined;
-            for conj in &spanning {
-                filtered = PhysicalPlan::Filter {
+                } else {
+                    let (left_schema, right_schema) = (
+                        columns_of(&full, &left_cols),
+                        columns_of(&full, &right_cols),
+                    );
+                    let mut left_keys = Vec::with_capacity(level.hash.len());
+                    let mut right_keys = Vec::with_capacity(level.hash.len());
+                    for (bound, incoming) in &level.hash {
+                        left_keys.push(self.resolve(bound, ctx, &left_schema, None)?);
+                        right_keys.push(self.resolve(incoming, ctx, &right_schema, None)?);
+                    }
+                    PhysicalPlan::HashJoin {
+                        left: Box::new(left),
+                        right: Box::new(right),
+                        left_keys,
+                        right_keys,
+                    }
+                };
+                cols = [left_cols, right_cols].concat();
+            }
+            let schema = columns_of(&full, &cols);
+            for conj in &level.spanning {
+                plan = PhysicalPlan::Filter {
                     predicate: self.resolve(conj, ctx, &schema, None)?,
-                    input: Box::new(filtered),
+                    input: Box::new(plan),
                 };
             }
-            current = Some(filtered);
         }
 
-        let mut plan = current.unwrap_or(PhysicalPlan::UnitRow);
-
-        // 3. Residual conjuncts: a chain of `NOT`s over `EXISTS` becomes a
-        //    semi-join, an anti-join when the chain is odd; anything else
-        //    (unqualified references, `EXISTS` under `OR`) a plain filter.
-        for conj in &pending {
-            let mut anti = false;
-            let mut inner = conj;
-            while let Expr::Not(negated) = inner {
-                anti = !anti;
-                inner = negated;
-            }
-            plan = match inner {
-                Expr::Exists(sub) => PhysicalPlan::ExistsSemiJoin {
-                    input: Box::new(plan),
-                    subplan: Box::new(self.plan_subquery(sub, ctx, &schema)?),
+        let mut schema = columns_of(&full, &cols);
+        for residual in residuals {
+            let input = Box::new(plan);
+            plan = match residual {
+                Residual::Filter(conj) => PhysicalPlan::Filter {
+                    predicate: self.resolve(conj, ctx, &schema, None)?,
+                    input,
+                },
+                Residual::Hashed { build, keys, anti } => PhysicalPlan::HashSemiJoin {
+                    input,
+                    build: Box::new(build),
+                    probe_keys: keys
+                        .iter()
+                        .map(|k| self.resolve(k, ctx, &schema, None))
+                        .collect::<Result<_, _>>()?,
+                    build_keys: (0..keys.len())
+                        .map(|index| VExpr::Col {
+                            index,
+                            alias: None,
+                            column: format!("#k{}", index),
+                        })
+                        .collect(),
                     anti,
                 },
-                _ => PhysicalPlan::Filter {
-                    predicate: self.resolve(conj, ctx, &schema, None)?,
-                    input: Box::new(plan),
+                Residual::Correlated { subplan, anti } => PhysicalPlan::ExistsSemiJoin {
+                    input,
+                    subplan: Box::new(subplan),
+                    anti,
                 },
             };
         }
 
-        // 4. ROW_NUMBER windows used by the projection.
-        let specs = crate::exec::collect_row_number_specs(select);
+        // `ROW_NUMBER` numbers the rows `WHERE` leaves.
         if !specs.is_empty() {
-            let mut resolved_specs = Vec::with_capacity(specs.len());
-            for keys in &specs {
-                let resolved = keys
-                    .iter()
-                    .map(|k| self.resolve(k, ctx, &schema, None))
-                    .collect::<Result<Vec<_>, _>>()?;
-                resolved_specs.push(resolved);
-            }
-            let base = schema.len();
+            let resolved = specs
+                .iter()
+                .map(|keys| {
+                    keys.iter()
+                        .map(|k| self.resolve(k, ctx, &schema, None))
+                        .collect()
+                })
+                .collect::<Result<_, _>>()?;
             plan = PhysicalPlan::RowNumber {
                 input: Box::new(plan),
-                specs: resolved_specs,
+                specs: resolved,
             };
-            for i in 0..specs.len() {
-                schema.push((None, format!("#rn{}", i)));
-            }
-            debug_assert_eq!(base + specs.len(), schema.len());
+            schema.extend((0..specs.len()).map(|i| (None, format!("#rn{}", i))));
         }
-        let rn = RnMap {
-            specs: &specs,
-            base: schema.len() - specs.len(),
-        };
+        Ok((plan, schema))
+    }
 
-        // 5. Projection.
-        let mut exprs = Vec::with_capacity(select.items.len());
-        let mut columns = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            exprs.push(self.resolve(&item.expr, ctx, &schema, Some(&rn))?);
-            columns.push(item.alias.clone());
+    /// Plan a residual conjunct. A chain of `NOT`s over `EXISTS` becomes a
+    /// semi-join, an anti-join when the chain is odd (`EXISTS` is never
+    /// `NULL`, so `NOT NOT x = x` holds for it): hashed when
+    /// [`decorrelate`](Self::decorrelate) can split its correlation off,
+    /// with a correlated subplan otherwise. Anything else (unqualified
+    /// references, `EXISTS` under `OR`) is a filter.
+    fn plan_residual<'q>(
+        &self,
+        conj: &'q Expr,
+        schema: &[SchemaCol],
+        ctx: &mut PlanCtx,
+    ) -> Result<Residual<'q>, EngineError> {
+        let mut anti = false;
+        let mut inner = conj;
+        while let Expr::Not(negated) = inner {
+            anti = !anti;
+            inner = negated;
+        }
+        let Expr::Exists(query) = inner else {
+            return Ok(Residual::Filter(conj));
+        };
+        Ok(match self.decorrelate(query, schema, ctx) {
+            Some((build, keys)) => Residual::Hashed { build, keys, anti },
+            None => Residual::Correlated {
+                subplan: self.plan_subquery(query, ctx, schema)?,
+                anti,
+            },
+        })
+    }
+
+    /// Plan `EXISTS (query)` over rows of `schema` to run once, when `query`
+    /// is one `SELECT` or a `UNION ALL` of them and each reads the rows only
+    /// through `outer = local` conjuncts, the same outer sides in every
+    /// branch. Those conjuncts are taken out, and each branch projects its
+    /// local sides, in branch 0's order, as `#k0…` (with no keys, a lone
+    /// branch's build is its rows). Returns the build and the outer sides:
+    /// the probe keys.
+    ///
+    /// The build is planned with `schema` pushed as a frame, so anything
+    /// left in it that reads the rows — in a `FROM` subquery, a nested
+    /// subquery, a window or the dropped select list — marks the frame
+    /// read, and the `EXISTS` keeps its correlation. So does an error:
+    /// planning the correlated subplan reports it.
+    fn decorrelate(
+        &self,
+        query: &Query,
+        schema: &[SchemaCol],
+        ctx: &mut PlanCtx,
+    ) -> Option<(PhysicalPlan, Vec<Expr>)> {
+        let branches: Vec<&Select> = match query {
+            Query::Select(select) => vec![select],
+            Query::UnionAll(branches) => branches
+                .iter()
+                .map(|b| match b {
+                    Query::Select(select) => Some(&**select),
+                    _ => None,
+                })
+                .collect::<Option<_>>()?,
+            Query::With { .. } => return None,
+        };
+        ctx.outer.push(Frame {
+            schema: schema.to_vec(),
+            read: false,
+        });
+        let built = self.plan_build(&branches, schema, ctx);
+        let frame = ctx.outer.pop().expect("the frame pushed above");
+        built.ok().flatten().filter(|_| !frame.read)
+    }
+
+    /// The build side of [`decorrelate`](Self::decorrelate), or `None` when
+    /// a branch reads the rows otherwise.
+    fn plan_build(
+        &self,
+        branches: &[&Select],
+        frame: &[SchemaCol],
+        ctx: &mut PlanCtx,
+    ) -> Result<Option<(PhysicalPlan, Vec<Expr>)>, EngineError> {
+        let mut blocks = Vec::with_capacity(branches.len());
+        for select in branches {
+            let rels = self.plan_rels(select, ctx)?;
+            let local = rels_schema(&rels);
+            let specs = crate::exec::collect_row_number_specs(select);
+            // The select list is dropped, but must plan.
+            let rn = RnMap {
+                specs: &specs,
+                base: local.len(),
+            };
+            for item in &select.items {
+                if item.expr.contains_exists() {
+                    return Ok(None);
+                }
+                self.resolve(&item.expr, ctx, &local, Some(&rn))?;
+            }
+            let mut placement = place(select, &rels);
+            // Under a window every conjunct stays: it decides what is
+            // numbered.
+            let keys = if specs.is_empty() {
+                match placement.take_keys(&local, frame) {
+                    Some(keys) => keys,
+                    None => return Ok(None),
+                }
+            } else {
+                Vec::new()
+            };
+            blocks.push((rels, placement, specs, keys));
+        }
+        let Some((_, _, _, first)) = blocks.first() else {
+            return Ok(None);
+        };
+        let outer: Vec<Expr> = first.iter().map(|(o, _)| o.clone()).collect();
+        let single = blocks.len() == 1;
+        let mut plans = Vec::with_capacity(blocks.len());
+        for (rels, placement, specs, mut keys) in blocks {
+            let mut locals = Vec::with_capacity(outer.len());
+            for o in &outer {
+                let Some(j) = keys.iter().position(|(k, _)| k == o) else {
+                    return Ok(None);
+                };
+                locals.push(keys.remove(j).1);
+            }
+            if !keys.is_empty() {
+                return Ok(None);
+            }
+            // A lone branch with no keys is its rows: only their existence
+            // is read. Union branches share a layout, so each projects.
+            plans.push(if outer.is_empty() && single {
+                self.plan_block(rels, placement, &specs, &[], ctx)?.0
+            } else {
+                let reads: Vec<&Expr> = locals.iter().collect();
+                let (plan, schema) = self.plan_block(rels, placement, &specs, &reads, ctx)?;
+                let keys = locals
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e, format!("#k{}", i)));
+                self.project(plan, keys, &schema, None, ctx)?
+            });
+        }
+        let build = match plans.len() {
+            1 => plans.pop().expect("one plan"),
+            _ => PhysicalPlan::UnionAll(plans),
+        };
+        Ok(Some((build, outer)))
+    }
+
+    /// A `Project` of `items` over `input`, whose columns are `schema`.
+    fn project<'e>(
+        &self,
+        input: PhysicalPlan,
+        items: impl Iterator<Item = (&'e Expr, String)>,
+        schema: &[SchemaCol],
+        rn: Option<&RnMap<'_>>,
+        ctx: &mut PlanCtx,
+    ) -> Result<PhysicalPlan, EngineError> {
+        let (mut exprs, mut columns) = (Vec::new(), Vec::new());
+        for (expr, column) in items {
+            exprs.push(self.resolve(expr, ctx, schema, rn)?);
+            columns.push(column);
         }
         Ok(PhysicalPlan::Project {
-            input: Box::new(plan),
+            input: Box::new(input),
             exprs,
             columns,
         })
     }
 
-    fn plan_from_item(
-        &self,
-        item: &FromItem,
-        ctx: &mut PlanCtx,
-    ) -> Result<(PhysicalPlan, String, Vec<String>), EngineError> {
+    fn plan_from_item(&self, item: &FromItem, ctx: &mut PlanCtx) -> Result<Rel, EngineError> {
         let (plan, columns) = match &item.source {
             TableSource::Named(name) => {
                 if let Some((_, columns)) = ctx.ctes.iter().rev().find(|(n, _)| n == name).cloned()
@@ -1099,7 +1202,11 @@ impl Planner<'_> {
                 )
             }
         };
-        Ok((plan, item.alias.clone(), columns))
+        Ok(Rel {
+            plan,
+            alias: item.alias.clone(),
+            columns,
+        })
     }
 
     /// Plan a correlated subquery: the enclosing schema becomes an outer
@@ -1110,7 +1217,10 @@ impl Planner<'_> {
         ctx: &mut PlanCtx,
         schema: &[SchemaCol],
     ) -> Result<PhysicalPlan, EngineError> {
-        ctx.outer.push(schema.to_vec());
+        ctx.outer.push(Frame {
+            schema: schema.to_vec(),
+            read: false,
+        });
         let plan = self.plan_query(query, ctx);
         ctx.outer.pop();
         plan
@@ -1126,7 +1236,7 @@ impl Planner<'_> {
         rn: Option<&RnMap<'_>>,
     ) -> Result<VExpr, EngineError> {
         match expr {
-            Expr::Column { table, column } => self.resolve_column(table, column, ctx, schema),
+            Expr::Column { table, column } => resolve_column(table, column, ctx, schema),
             Expr::Literal(v) => Ok(VExpr::Lit(v.clone())),
             Expr::Param(name) => Ok(VExpr::Param(name.clone())),
             Expr::BinOp { op, left, right } => Ok(VExpr::BinOp {
@@ -1154,89 +1264,309 @@ impl Planner<'_> {
             }
         }
     }
+}
 
-    fn resolve_column(
-        &self,
-        table: &Option<String>,
-        column: &str,
-        ctx: &PlanCtx,
-        schema: &[SchemaCol],
-    ) -> Result<VExpr, EngineError> {
-        match table {
-            Some(alias) => {
-                if schema.iter().any(|(a, _)| a.as_deref() == Some(alias)) {
-                    return match schema
-                        .iter()
-                        .position(|(a, c)| a.as_deref() == Some(alias) && c == column)
-                    {
-                        Some(index) => Ok(VExpr::Col {
-                            index,
-                            alias: Some(alias.clone()),
-                            column: column.to_string(),
-                        }),
-                        None => Err(EngineError::UnknownColumn {
-                            qualifier: Some(alias.clone()),
-                            name: column.to_string(),
-                        }),
-                    };
-                }
-                for outer in ctx.outer.iter().rev() {
-                    if outer.iter().any(|(a, _)| a.as_deref() == Some(alias)) {
-                        return if outer
-                            .iter()
-                            .any(|(a, c)| a.as_deref() == Some(alias) && c == column)
-                        {
-                            Ok(VExpr::Outer {
-                                table: Some(alias.clone()),
-                                column: column.to_string(),
-                            })
-                        } else {
-                            Err(EngineError::UnknownColumn {
-                                qualifier: Some(alias.clone()),
-                                name: column.to_string(),
-                            })
-                        };
-                    }
-                }
-                Err(EngineError::UnknownAlias(alias.clone()))
+/// Resolve a column reference against `schema`, then against the enclosing
+/// frames (innermost first), marking the frame it resolves into as read.
+fn resolve_column(
+    table: &Option<String>,
+    column: &str,
+    ctx: &mut PlanCtx,
+    schema: &[SchemaCol],
+) -> Result<VExpr, EngineError> {
+    let outer = || VExpr::Outer {
+        table: table.clone(),
+        column: column.to_string(),
+    };
+    let Some(alias) = table else {
+        // Mirror the interpreter: an unqualified name must be unique across
+        // the current schema *and* every enclosing frame.
+        let local: Vec<usize> = (0..schema.len())
+            .filter(|&i| schema[i].1 == column)
+            .collect();
+        let outer_hits: usize = ctx
+            .outer
+            .iter()
+            .map(|frame| frame.schema.iter().filter(|(_, c)| c == column).count())
+            .sum();
+        if local.len() + outer_hits > 1 {
+            return Err(EngineError::AmbiguousColumn(column.to_string()));
+        }
+        if let Some(&index) = local.first() {
+            return Ok(VExpr::Col {
+                index,
+                alias: schema[index].0.clone(),
+                column: column.to_string(),
+            });
+        }
+        return match ctx
+            .outer
+            .iter_mut()
+            .find(|frame| frame.schema.iter().any(|(_, c)| c == column))
+        {
+            Some(frame) => {
+                frame.read = true;
+                Ok(outer())
             }
-            None => {
-                // Mirror the interpreter: an unqualified name must be unique
-                // across the current schema *and* every enclosing frame.
-                let local: Vec<usize> = schema
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, c))| c == column)
-                    .map(|(i, _)| i)
-                    .collect();
-                let outer_hits: usize = ctx
-                    .outer
-                    .iter()
-                    .map(|frame| frame.iter().filter(|(_, c)| c == column).count())
-                    .sum();
-                if local.len() + outer_hits > 1 {
-                    return Err(EngineError::AmbiguousColumn(column.to_string()));
-                }
-                if let Some(&index) = local.first() {
-                    return Ok(VExpr::Col {
-                        index,
-                        alias: schema[index].0.clone(),
-                        column: column.to_string(),
-                    });
-                }
-                if outer_hits == 1 {
-                    return Ok(VExpr::Outer {
-                        table: None,
-                        column: column.to_string(),
-                    });
-                }
-                Err(EngineError::UnknownColumn {
-                    qualifier: None,
-                    name: column.to_string(),
-                })
-            }
+            None => Err(EngineError::UnknownColumn {
+                qualifier: None,
+                name: column.to_string(),
+            }),
+        };
+    };
+    if let Some(found) = qualified(schema, alias, column) {
+        return found.map(|index| VExpr::Col {
+            index,
+            alias: table.clone(),
+            column: column.to_string(),
+        });
+    }
+    for frame in ctx.outer.iter_mut().rev() {
+        if let Some(found) = qualified(&frame.schema, alias, column) {
+            frame.read = true;
+            return found.map(|_| outer());
         }
     }
+    Err(EngineError::UnknownAlias(alias.clone()))
+}
+
+/// Where `alias.column` sits in `schema`: `None` when `schema` binds no
+/// `alias`, an error when it binds it without `column`.
+fn qualified(
+    schema: &[SchemaCol],
+    alias: &str,
+    column: &str,
+) -> Option<Result<usize, EngineError>> {
+    schema
+        .iter()
+        .any(|(a, _)| a.as_deref() == Some(alias))
+        .then(|| {
+            schema
+                .iter()
+                .position(|(a, c)| a.as_deref() == Some(alias) && c == column)
+                .ok_or_else(|| EngineError::UnknownColumn {
+                    qualifier: Some(alias.to_string()),
+                    name: column.to_string(),
+                })
+        })
+}
+
+/// The columns of a block's `FROM` relations, each under its alias.
+fn rels_schema(rels: &[Rel]) -> Vec<SchemaCol> {
+    rels.iter()
+        .flat_map(|r| r.columns.iter().map(|c| (Some(r.alias.clone()), c.clone())))
+        .collect()
+}
+
+/// The columns of `full` at positions `cols`.
+fn columns_of(full: &[SchemaCol], cols: &[usize]) -> Vec<SchemaCol> {
+    cols.iter().map(|&p| full[p].clone()).collect()
+}
+
+/// Place a block's `WHERE` conjuncts, joining its relations left to right.
+/// An equi-join conjunct between the incoming relation and the bound ones
+/// becomes a hash key; any other conjunct that reads no other `FROM`
+/// relation filters the incoming relation before the join; one that reads
+/// several filters the join once every alias it mentions is bound. The rest
+/// is residual.
+fn place(select: &Select, rels: &[Rel]) -> Placement {
+    let aliases: Vec<&str> = rels.iter().map(|r| r.alias.as_str()).collect();
+    let mut residual = select
+        .where_clause
+        .as_ref()
+        .map(Expr::conjuncts)
+        .unwrap_or_default();
+    let mut levels = Vec::with_capacity(rels.len());
+    for (i, &alias) in aliases.iter().enumerate() {
+        let bound = &aliases[..i];
+        let mut level = Level::default();
+        for conj in std::mem::take(&mut residual) {
+            let refs = conj.referenced_aliases();
+            let within = |ok: &dyn Fn(&str) -> bool| {
+                refs.iter()
+                    .all(|a| a == alias || ok(a) || !aliases.contains(&a.as_str()))
+            };
+            if conj.contains_unqualified_column()
+                || conj.contains_exists()
+                || !within(&|a| bound.contains(&a))
+            {
+                residual.push(conj);
+            } else if let Some(key) = hash_key(&conj, bound, alias) {
+                level.hash.push(key);
+            } else if within(&|_| false) {
+                level.own.push(conj);
+            } else {
+                level.spanning.push(conj);
+            }
+        }
+        levels.push(level);
+    }
+    Placement { levels, residual }
+}
+
+/// `conj` as an equi-join key `(bound side, incoming side)`: one side reads
+/// only bound relations, the other only the incoming one.
+fn hash_key(conj: &Expr, bound: &[&str], alias: &str) -> Option<(Expr, Expr)> {
+    let Expr::BinOp {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = conj
+    else {
+        return None;
+    };
+    let bound_only = |e: &Expr| {
+        !bound.is_empty()
+            && e.referenced_aliases()
+                .iter()
+                .all(|a| bound.contains(&a.as_str()))
+    };
+    let incoming_only = |e: &Expr| {
+        let refs = e.referenced_aliases();
+        !refs.is_empty() && refs.iter().all(|a| a == alias)
+    };
+    if bound_only(left) && incoming_only(right) {
+        Some(((**left).clone(), (**right).clone()))
+    } else if bound_only(right) && incoming_only(left) {
+        Some(((**right).clone(), (**left).clone()))
+    } else {
+        None
+    }
+}
+
+impl Placement {
+    /// Take the conjuncts that read `frame` out as `(outer, local)`
+    /// correlation keys, in the order the block runs them; `None` when one
+    /// reads it other than as `outer = local`.
+    fn take_keys(&mut self, local: &[SchemaCol], frame: &[SchemaCol]) -> Option<Vec<(Expr, Expr)>> {
+        let mut keys = Vec::new();
+        let mut sound = true;
+        let Placement { levels, residual } = self;
+        let lists = levels
+            .iter_mut()
+            .flat_map(|l| [&mut l.own, &mut l.spanning])
+            .chain([residual]);
+        for list in lists {
+            list.retain(|conj| {
+                if !reads(conj, frame, local) {
+                    return true;
+                }
+                match correlation(conj, local, frame) {
+                    Some(key) => keys.push(key),
+                    None => sound = false,
+                }
+                false
+            });
+        }
+        sound.then_some(keys)
+    }
+}
+
+/// A conjunct as `(outer side, local side)`: an equality, one side of which
+/// reads `frame` and nothing of `local`, the other nothing of `frame`.
+fn correlation(conj: &Expr, local: &[SchemaCol], frame: &[SchemaCol]) -> Option<(Expr, Expr)> {
+    let Expr::BinOp {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = conj
+    else {
+        return None;
+    };
+    let outer = |e: &Expr| reads(e, frame, local) && !reads(e, local, &[]);
+    if conj.contains_exists() {
+        None
+    } else if outer(left) && !reads(right, frame, local) {
+        Some(((**left).clone(), (**right).clone()))
+    } else if outer(right) && !reads(left, frame, local) {
+        Some(((**right).clone(), (**left).clone()))
+    } else {
+        None
+    }
+}
+
+/// Does a column reference of `expr` (outside its subqueries) resolve into
+/// `scope` rather than `inner`: a qualified one to an alias only `scope`
+/// binds, an unqualified one to a column only `scope` has?
+fn reads(expr: &Expr, scope: &[SchemaCol], inner: &[SchemaCol]) -> bool {
+    let binds = |schema: &[SchemaCol], table: &Option<String>, column: &str| match table {
+        Some(alias) => schema.iter().any(|(a, _)| a.as_deref() == Some(alias)),
+        None => schema.iter().any(|(_, c)| c == column),
+    };
+    expr.any(|e| {
+        matches!(e, Expr::Column { table, column }
+            if binds(scope, table, column) && !binds(inner, table, column))
+    })
+}
+
+/// Flag in `need` the columns of `schema` that `expr` reads (outside its
+/// subqueries): for a qualified reference the one it resolves to, for an
+/// unqualified one every column of its name (two are an ambiguity that
+/// resolution reports).
+fn mark(expr: &Expr, schema: &[SchemaCol], need: &mut [bool]) -> Result<(), EngineError> {
+    let mut result = Ok(());
+    expr.any(|e| {
+        match e {
+            Expr::Column {
+                table: Some(alias),
+                column,
+            } => match qualified(schema, alias, column) {
+                Some(Ok(index)) => need[index] = true,
+                Some(Err(missing)) => result = Err(missing),
+                None => {}
+            },
+            Expr::Column {
+                table: None,
+                column,
+            } => {
+                for (flag, (_, c)) in need.iter_mut().zip(schema) {
+                    *flag |= c == column;
+                }
+            }
+            _ => {}
+        }
+        result.is_err()
+    });
+    result
+}
+
+/// A join input whose columns are `full` at `cols`, cut down to those
+/// `keep` flags by a `Project` of bare columns — which shares its input's
+/// columns at run time, so costs nothing — unless it keeps them all or there
+/// is no `keep`. Returns the input and the positions of its columns.
+/// `projected` flags the positions a narrowing `Project` has already
+/// passed, which no longer carry their alias.
+fn narrow_input(
+    input: PhysicalPlan,
+    cols: Vec<usize>,
+    keep: Option<&[bool]>,
+    full: &[SchemaCol],
+    projected: &mut [bool],
+) -> (PhysicalPlan, Vec<usize>) {
+    let Some(keep) = keep.filter(|keep| !cols.iter().all(|&p| keep[p])) else {
+        return (input, cols);
+    };
+    let kept: Vec<(usize, usize)> = cols
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, p)| keep[p])
+        .collect();
+    let project = PhysicalPlan::Project {
+        input: Box::new(input),
+        exprs: kept
+            .iter()
+            .map(|&(index, p)| VExpr::Col {
+                index,
+                alias: full[p].0.clone().filter(|_| !projected[p]),
+                column: full[p].1.clone(),
+            })
+            .collect(),
+        columns: kept.iter().map(|&(_, p)| full[p].1.clone()).collect(),
+    };
+    for &(_, p) in &kept {
+        projected[p] = true;
+    }
+    (project, kept.into_iter().map(|(_, p)| p).collect())
 }
 
 #[cfg(test)]
@@ -1329,8 +1659,11 @@ mod tests {
         );
         let plan = plan_query(&q, &catalog()).unwrap();
         let rendered = plan.to_string();
-        assert!(rendered.contains("ExistsSemiJoin anti"), "{}", rendered);
-        assert!(rendered.contains("outer(e.dept)"), "{}", rendered);
+        assert!(
+            rendered.contains("HashSemiJoin anti keys=[e.dept = #k0]"),
+            "{}",
+            rendered
+        );
     }
 
     /// The node under a `SELECT`'s projection.
@@ -1366,6 +1699,11 @@ mod tests {
                 PhysicalPlan::HashJoin { right, .. } if equi_join => right,
                 PhysicalPlan::NestedLoopJoin { right, .. } if !equi_join => right,
                 other => panic!("unexpected join:\n{}", other),
+            };
+            // Under the projection that narrows employees to what the join
+            // and the spanning filter read.
+            let PhysicalPlan::Project { input: right, .. } = right.as_ref() else {
+                panic!("employees is narrowed above its filter:\n{}", plan);
             };
             let PhysicalPlan::Filter { input, predicate } = right.as_ref() else {
                 panic!("employees is filtered below the join:\n{}", plan);
@@ -1405,7 +1743,7 @@ mod tests {
             assert!(
                 matches!(
                     below_projection(&plan),
-                    PhysicalPlan::ExistsSemiJoin { anti: a, .. } if *a == anti
+                    PhysicalPlan::HashSemiJoin { anti: a, .. } if *a == anti
                 ),
                 "{} NOTs:\n{}",
                 nots,
@@ -1440,5 +1778,283 @@ mod tests {
             plan_query(&q, &catalog()),
             Err(EngineError::UnknownColumn { .. })
         ));
+    }
+
+    // Decorrelation and narrowing, over t(a, b, c), u(x, y, z) and c(x, y).
+
+    fn tuc() -> SchemaCatalog {
+        let table = |name: &str, columns: &[&str]| {
+            TableDef::new(
+                name,
+                columns.iter().map(|c| (*c, ColumnType::Int)).collect(),
+            )
+        };
+        SchemaCatalog::new(vec![
+            table("t", &["a", "b", "c"]),
+            table("u", &["x", "y", "z"]),
+            table("c", &["x", "y"]),
+        ])
+    }
+
+    fn plan_sql(sql: &str) -> PhysicalPlan {
+        let query = crate::parser::parse_query(sql).unwrap();
+        plan_query(&query, &tuc()).unwrap()
+    }
+
+    fn scan(table: &str, alias: &str, columns: &[&str]) -> PhysicalPlan {
+        PhysicalPlan::TableScan {
+            table: table.to_string(),
+            alias: alias.to_string(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+        }
+    }
+
+    fn col(index: usize, alias: Option<&str>, column: &str) -> VExpr {
+        VExpr::Col {
+            index,
+            alias: alias.map(str::to_string),
+            column: column.to_string(),
+        }
+    }
+
+    fn acol(index: usize, alias: &str, column: &str) -> VExpr {
+        col(index, Some(alias), column)
+    }
+
+    fn binop(op: BinOp, left: VExpr, right: VExpr) -> VExpr {
+        VExpr::BinOp {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    /// A `Project` of `exprs` named after their columns.
+    fn project(input: PhysicalPlan, exprs: Vec<VExpr>) -> PhysicalPlan {
+        let columns = exprs
+            .iter()
+            .map(|e| match e {
+                VExpr::Col { column, .. } => column.clone(),
+                other => other.to_string(),
+            })
+            .collect();
+        PhysicalPlan::Project {
+            input: Box::new(input),
+            exprs,
+            columns,
+        }
+    }
+
+    #[test]
+    fn decorrelates_simple_equality_exists() {
+        let plan = plan_sql(
+            "SELECT t.b AS b FROM t AS t \
+             WHERE EXISTS (SELECT 1 AS one FROM c AS c WHERE ((c.x = t.a) AND (c.y = 7)))",
+        );
+        // The uncorrelated residue (c.y = 7) stays on the build side.
+        let build = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(scan("c", "c", &["x", "y"])),
+                predicate: binop(BinOp::Eq, acol(1, "c", "y"), VExpr::Lit(SqlValue::Int(7))),
+            }),
+            exprs: vec![acol(0, "c", "x")],
+            columns: vec!["#k0".to_string()],
+        };
+        let expected = project(
+            PhysicalPlan::HashSemiJoin {
+                input: Box::new(scan("t", "t", &["a", "b", "c"])),
+                build: Box::new(build),
+                probe_keys: vec![acol(0, "t", "a")],
+                build_keys: vec![col(0, None, "#k0")],
+                anti: false,
+            },
+            vec![acol(1, "t", "b")],
+        );
+        assert_eq!(plan, expected, "got:\n{}", plan);
+    }
+
+    #[test]
+    fn keeps_a_non_equality_correlation_beside_one_it_hashes() {
+        let plan = plan_sql(
+            "SELECT t.a AS a FROM t AS t \
+             WHERE NOT (EXISTS (SELECT 1 AS one FROM c AS c WHERE (c.x < t.a))) \
+             AND EXISTS (SELECT 1 AS one FROM c AS c WHERE (c.x = t.a))",
+        );
+        let PhysicalPlan::HashSemiJoin {
+            input, anti: false, ..
+        } = below_projection(&plan)
+        else {
+            panic!("the equality hashes:\n{}", plan);
+        };
+        let PhysicalPlan::ExistsSemiJoin {
+            subplan,
+            anti: true,
+            ..
+        } = input.as_ref()
+        else {
+            panic!("the `<` keeps its correlated subplan:\n{}", plan);
+        };
+        assert!(
+            subplan.to_string().contains("(c.x < outer(t.a))"),
+            "{}",
+            subplan
+        );
+    }
+
+    #[test]
+    fn decorrelates_union_all_branches_with_reordered_keys() {
+        let plan = plan_sql(
+            "SELECT t.c AS c FROM t AS t WHERE EXISTS (\
+             (SELECT 1 AS one FROM c AS c WHERE ((t.a = c.x) AND (t.b = c.y))) UNION ALL \
+             (SELECT 1 AS one FROM c AS c WHERE ((t.b = c.y) AND (t.a = c.x))))",
+        );
+        let PhysicalPlan::HashSemiJoin {
+            probe_keys, build, ..
+        } = below_projection(&plan)
+        else {
+            panic!("expected HashSemiJoin, got {}", plan);
+        };
+        assert_eq!(probe_keys, &vec![acol(0, "t", "a"), acol(1, "t", "b")]);
+        let PhysicalPlan::UnionAll(branches) = build.as_ref() else {
+            panic!("expected a union build, got {}", build);
+        };
+        assert_eq!(branches.len(), 2);
+        for branch in branches {
+            let PhysicalPlan::Project { exprs, columns, .. } = branch else {
+                panic!("expected a key projection, got {}", branch);
+            };
+            assert_eq!(exprs, &vec![acol(0, "c", "x"), acol(1, "c", "y")]);
+            assert_eq!(columns, &vec!["#k0".to_string(), "#k1".to_string()]);
+        }
+    }
+
+    #[test]
+    fn narrows_join_inputs_to_the_columns_read_above() {
+        // t.c and u.z over t ⋈ u on t.b = u.x read 4 of 6 columns.
+        let plan = plan_sql("SELECT t.c AS c, u.z AS z FROM t AS t, u AS u WHERE (t.b = u.x)");
+        let expected = project(
+            PhysicalPlan::HashJoin {
+                left: Box::new(project(
+                    scan("t", "t", &["a", "b", "c"]),
+                    vec![acol(1, "t", "b"), acol(2, "t", "c")],
+                )),
+                right: Box::new(project(
+                    scan("u", "u", &["x", "y", "z"]),
+                    vec![acol(0, "u", "x"), acol(2, "u", "z")],
+                )),
+                left_keys: vec![acol(0, "t", "b")],
+                right_keys: vec![acol(0, "u", "x")],
+            },
+            vec![acol(1, "t", "c"), acol(3, "u", "z")],
+        );
+        assert_eq!(plan, expected, "got:\n{}", plan);
+    }
+
+    #[test]
+    fn narrowing_sees_through_filters_and_row_numbers() {
+        // `u.y < t.a` spans both relations, so it filters the join; the
+        // window reads t.c.
+        let plan = plan_sql(
+            "SELECT ROW_NUMBER() OVER (ORDER BY t.c) AS rank FROM t AS t, u AS u \
+             WHERE (u.y < t.a)",
+        );
+        let join = PhysicalPlan::NestedLoopJoin {
+            left: Box::new(project(
+                scan("t", "t", &["a", "b", "c"]),
+                vec![acol(0, "t", "a"), acol(2, "t", "c")],
+            )),
+            right: Box::new(project(
+                scan("u", "u", &["x", "y", "z"]),
+                vec![acol(1, "u", "y")],
+            )),
+        };
+        let expected = PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::RowNumber {
+                input: Box::new(PhysicalPlan::Filter {
+                    input: Box::new(join),
+                    predicate: binop(BinOp::Lt, acol(2, "u", "y"), acol(0, "t", "a")),
+                }),
+                specs: vec![vec![acol(1, "t", "c")]],
+            }),
+            exprs: vec![col(3, None, "#rn0")],
+            columns: vec!["rank".to_string()],
+        };
+        assert_eq!(plan, expected, "got:\n{}", plan);
+    }
+
+    #[test]
+    fn with_definitions_and_union_branches_keep_their_outputs() {
+        // Each block narrows its own join inputs to its select list, and
+        // keeps that list whole, however little of it is read above.
+        let join = |items: Vec<VExpr>| {
+            project(
+                PhysicalPlan::HashJoin {
+                    left: Box::new(project(
+                        scan("t", "t", &["a", "b", "c"]),
+                        vec![acol(0, "t", "a"), acol(1, "t", "b")],
+                    )),
+                    right: Box::new(project(
+                        scan("u", "u", &["x", "y", "z"]),
+                        vec![acol(0, "u", "x"), acol(2, "u", "z")],
+                    )),
+                    left_keys: vec![acol(1, "t", "b")],
+                    right_keys: vec![acol(0, "u", "x")],
+                },
+                items,
+            )
+        };
+        let with = plan_sql(
+            "WITH q AS (SELECT t.a AS a, t.b AS b, u.z AS z FROM t AS t, u AS u \
+             WHERE (t.b = u.x)) SELECT q.a AS a FROM q AS q",
+        );
+        let PhysicalPlan::With { definition, .. } = &with else {
+            panic!("expected With, got {}", with);
+        };
+        let items = vec![acol(0, "t", "a"), acol(1, "t", "b"), acol(3, "u", "z")];
+        assert_eq!(definition.as_ref(), &join(items), "got:\n{}", with);
+
+        let union = plan_sql(
+            "SELECT q.a AS a FROM ((SELECT t.a AS a, u.z AS z FROM t AS t, u AS u \
+             WHERE (t.b = u.x)) UNION ALL (SELECT t.a AS a, u.z AS z FROM t AS t, u AS u \
+             WHERE (t.b = u.x))) AS q",
+        );
+        let PhysicalPlan::SubqueryScan { input, .. } = below_projection(&union) else {
+            panic!("expected SubqueryScan, got {}", union);
+        };
+        let branch = join(vec![acol(0, "t", "a"), acol(3, "u", "z")]);
+        let expected = PhysicalPlan::UnionAll(vec![branch.clone(), branch]);
+        assert_eq!(input.as_ref(), &expected, "got:\n{}", union);
+    }
+
+    #[test]
+    fn a_block_that_keeps_a_correlated_subplan_keeps_its_join_inputs() {
+        // `t.a < c.y` cannot hash, so the subplan runs once per row of
+        // t ⋈ u with that row pushed as a frame, resolved by alias: the
+        // join's inputs keep their aliases, i.e. stay as they are, though
+        // the projection reads one column. The subquery's own join narrows.
+        let plan = plan_sql(
+            "SELECT t.c AS c FROM t AS t, u AS u WHERE (t.b = u.x) AND EXISTS \
+             (SELECT 1 AS one FROM c AS c, u AS v WHERE ((c.x = v.x) AND (t.a < c.y)))",
+        );
+        let PhysicalPlan::ExistsSemiJoin { input, subplan, .. } = below_projection(&plan) else {
+            panic!("expected ExistsSemiJoin, got {}", plan);
+        };
+        let PhysicalPlan::HashJoin { left, right, .. } = input.as_ref() else {
+            panic!("expected HashJoin, got {}", input);
+        };
+        assert_eq!(left.as_ref(), &scan("t", "t", &["a", "b", "c"]));
+        assert_eq!(right.as_ref(), &scan("u", "u", &["x", "y", "z"]));
+        let PhysicalPlan::HashJoin { left, right, .. } = below_projection(subplan) else {
+            panic!("expected HashJoin, got {}", subplan);
+        };
+        assert!(
+            matches!(left.as_ref(), PhysicalPlan::Project { exprs, .. } if exprs == &vec![acol(0, "c", "x")]),
+            "{}",
+            left
+        );
+        assert_eq!(
+            right.as_ref(),
+            &project(scan("u", "v", &["x", "y", "z"]), vec![acol(0, "v", "x")])
+        );
     }
 }

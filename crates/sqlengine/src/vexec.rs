@@ -2320,10 +2320,15 @@ mod tests {
 
     #[test]
     fn a_correlated_exists_over_a_mutated_table_bails_to_reseed() {
+        // Correlated through `<`, so the planner keeps the subplan per row.
         let sub = Select::new()
             .item(Expr::lit(1), "one")
             .from_named("nums", "y")
-            .filter(Expr::eq(Expr::col("y", "tag"), Expr::col("x", "tag")));
+            .filter(Expr::binop(
+                BinOp::Lt,
+                Expr::col("y", "n"),
+                Expr::col("x", "n"),
+            ));
         let q = Query::select(
             Select::new()
                 .item(Expr::col("x", "n"), "n")

@@ -4,8 +4,8 @@
 //! node keeps its inputs and expressions, and each layer one way in; no
 //! layer implements SQL the translations never emit, no lock in obs
 //! re-panics once poisoned, a commit copies no table, no plan carries a
-//! guessed build side or row count, and no optimizer pass moves a
-//! predicate the planner placed. The checks read
+//! guessed build side or row count, and no pass after the planner rewrites
+//! the plan it emits. The checks read
 //! the sources as text, so a reintroduced per-row path, a second walk, a
 //! forwarding entry point or a removed operator fails here before any
 //! benchmark notices.
@@ -13,7 +13,6 @@
 use std::path::{Path, PathBuf};
 
 const VEXEC: &str = include_str!("../src/vexec.rs");
-const OPT: &str = include_str!("../src/opt.rs");
 const PAR: &str = include_str!("../src/par.rs");
 const ENGINE: &str = include_str!("../src/exec.rs");
 const PIPELINE: &str = include_str!("../../core/src/pipeline.rs");
@@ -107,9 +106,10 @@ fn the_executors_keep_no_private_key_kernels() {
     }
 }
 
-/// One operator walk: outside the incremental executor, the optimizer and
-/// the planner, exactly one function of the engine matches on the physical
-/// operators (`HashSemiJoin` stands for all of them — a walk cannot skip it).
+/// One operator walk: outside the incremental executor and the planner,
+/// exactly one function of the engine matches on the physical
+/// operators (`HashSemiJoin` stands for all of them — a walk cannot skip it),
+/// and one type names the `(alias, column)` schema of a plan's output.
 #[test]
 fn one_function_walks_the_physical_operators() {
     let probe = "PhysicalPlan::HashSemiJoin {";
@@ -121,35 +121,15 @@ fn one_function_walks_the_physical_operators() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     for (path, text) in sources(&src) {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if !["vexec.rs", "par.rs", "opt.rs", "plan.rs"].contains(&name.as_str()) {
+        if !["vexec.rs", "par.rs", "plan.rs"].contains(&name.as_str()) {
             assert!(!text.contains(probe), "{name} walks the physical operators");
         }
     }
-}
-
-/// The optimizer walks plans through `PhysicalPlan`'s child and expression
-/// accessors: no private per-variant traversal, no second schema function,
-/// and only the passes that treat `ROW_NUMBER` specially name it.
-#[test]
-fn the_optimizer_walks_plans_through_the_accessors() {
-    for needle in ["fn map_expr_plans", "fn plan_schema", "fn map_children"] {
-        assert!(
-            !OPT.contains(needle),
-            "opt.rs contains `{needle}`: use PhysicalPlan's accessors"
-        );
-    }
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let aliases: usize = sources(&src)
         .iter()
         .map(|(_, text)| text.matches("type SchemaCol").count())
         .sum();
     assert_eq!(aliases, 1, "one `SchemaCol` alias, in plan.rs");
-    let row_number = product(OPT).matches("PhysicalPlan::RowNumber").count();
-    assert!(
-        row_number <= 4,
-        "opt.rs names `PhysicalPlan::RowNumber` {row_number} times: a pass that does not \
-         treat it specially goes through the accessors"
-    );
 }
 
 /// The planner places every `WHERE` conjunct — each relation's own
@@ -173,6 +153,60 @@ fn no_pass_repairs_the_planners_predicate_placement() {
                 "{} contains `{needle}`: the planner places predicates",
                 path.display()
             );
+        }
+    }
+}
+
+/// The planner emits the final plan: it decorrelates `EXISTS` and narrows
+/// join inputs while it plans, deciding from the query text, so the
+/// optimizer's passes — and the helpers that rebuilt correlation and
+/// remapped column positions after planning — stay deleted, and `optimize`
+/// returns every stage plan of the twelve benchmark queries, raw and
+/// auto-parameterized, as it is.
+#[test]
+fn the_planner_emits_the_final_plan() {
+    let removed = [
+        "fn decorrelate_plan",
+        "fn try_decorrelate",
+        "fn extract(",
+        "fn as_correlation_eq",
+        "fn resolve_outer",
+        "fn resolves_to_frame",
+        "fn expr_refs_frame",
+        "fn plan_refs_frame",
+        "fn shift_cols",
+        "fn prune_plan",
+        "fn prune_whole",
+        "fn prune_node",
+        "fn prune_join",
+        "fn narrow(",
+        "fn remap_expr",
+        "fn map_children",
+    ];
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    for (path, text) in sources(&src) {
+        for needle in removed {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`: the planner emits the final plan",
+                path.display()
+            );
+        }
+    }
+    let schema = datagen::organisation_schema();
+    let catalog = sqlengine::SchemaCatalog::new(shredding::pipeline::table_defs_of_schema(&schema));
+    let queries = datagen::queries::flat_queries()
+        .into_iter()
+        .chain(datagen::queries::nested_queries());
+    for (name, q) in queries {
+        let (parameterized, _) = shredding::session::auto_parameterize(&q);
+        for term in [&q, &parameterized] {
+            let compiled = shredding::pipeline::compile(term, &schema).unwrap();
+            for stage in compiled.stages.annotations() {
+                let (plan, report) = sqlengine::optimize(stage.plan.clone(), &catalog);
+                assert_eq!(plan, stage.plan, "{name}: optimize rewrote a stage plan");
+                assert_eq!(report, sqlengine::OptReport::default(), "{name}");
+            }
         }
     }
 }

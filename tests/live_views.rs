@@ -27,9 +27,9 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
 /// (the SQL path reads no indexing scheme), a subscription's value after
 /// each of a stream of committed write batches is multiset-identical to a fresh
 /// execution of the same prepared query (the differential oracle). The
-/// optimized plans of the suite — narrowing `Project`s included — stay
-/// inside the incremental fragment under this stream: no view ever falls
-/// back to recompute-from-scratch, as none did before column pruning.
+/// plans of the suite — narrowing `Project`s included — stay inside the
+/// incremental fragment under this stream: no view ever falls back to
+/// recompute-from-scratch.
 #[test]
 fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
     let db = small_db();

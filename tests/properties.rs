@@ -149,7 +149,7 @@ fn shredding_and_stitching_preserve_semantics() {
 /// Theorem 4 (SQL path): compiling to SQL, executing on the engine and
 /// stitching also equals direct evaluation. The compiled stages filter each
 /// relation below its join and keep no `EXISTS` test in a filter, since no
-/// optimizer pass moves a conjunct the planner misplaced.
+/// pass after the planner moves a conjunct it misplaced.
 #[test]
 fn the_sql_path_preserves_semantics() {
     for_random_cases(0xF00D, |session, q, reference| {
