@@ -10,12 +10,13 @@
 //!   incremental executor, which pushes a committed [`StorageDelta`] through
 //!   the stage's operators as a signed columnar batch and keeps the stage's
 //!   current output in a columnar cache;
-//! * the stage's rows are held pre-grouped by outer index as *slots* of that
-//!   cache (no row is copied out of it), and the executor's [`RootDelta`]
-//!   touches only the groups whose rows actually changed;
-//! * a caching stitcher materialises the nested value from those groups,
-//!   memoising one [`Value`] per `(stage, index)` group — the top-level ⊤
-//!   group of stage 0 included — and recording the reverse dependency edge
+//! * the stage's rows are held pre-grouped by their outer `(tag, ord)` pair
+//!   as *slots* of that cache (no row is copied out of it), and the
+//!   executor's [`RootDelta`] touches only the groups whose rows changed;
+//! * a caching stitcher materialises the nested value from those groups
+//!   through the row walk one-shot reads use (`crate::stitch`), memoising
+//!   one [`Value`] per `(stage, pair)` group — the top-level ⊤ group of
+//!   stage 0 included — and recording the reverse dependency edge
 //!   child group → parent group whenever it rebuilds a parent row that reads
 //!   a nested index. Bags are `Arc`-shared, so a memoised group is handed to
 //!   its parent, and the top-level group to the reader, as a refcount bump.
@@ -43,14 +44,14 @@
 //! maintained results.
 
 use crate::error::ShredError;
-use crate::flatten::{flat_index, sql_to_value, ResultLayout};
+use crate::flatten::{flat_pair, LeafKind, PairHash, PairMap, ResultLayout};
 use crate::pipeline::CompiledQuery;
-use crate::semantics::{IndexScheme, IndexValue};
 use crate::shred::Package;
+use crate::stitch::{stitch_row, TOP_PAIR};
 use analysis::codes;
 use nrc::value::Value;
-use sqlengine::{DeltaExec, Engine, ParamValues, RootDelta, SqlValue, Storage};
-use std::collections::{HashMap, HashSet};
+use sqlengine::{DeltaExec, Engine, ParamValues, RootDelta, Storage};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use sqlengine::delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
@@ -60,16 +61,21 @@ pub use sqlengine::delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
 // ---------------------------------------------------------------------------
 
 /// One shredded stage of a live view: the incremental executor that owns the
-/// stage's columnar output cache, the stage's column layout, and the slots of
-/// its current rows pre-grouped by their flat outer index.
+/// stage's columnar output cache, the stage's column layout, the slots of
+/// its current rows pre-grouped by their outer `(tag, ord)` pair, and the
+/// nested groups each row reads.
 struct LiveStage {
     exec: DeltaExec,
     layout: Arc<ResultLayout>,
-    groups: HashMap<IndexValue, Vec<usize>>,
+    groups: PairMap<Vec<usize>>,
+    /// `(index column, child stage)` per nested bag of the stage's rows, in
+    /// layout order: the first column of an `Index` leaf's pair, and the
+    /// stage whose groups that pair names.
+    nested: Vec<(usize, usize)>,
 }
 
-/// A `(stage, outer index)` group.
-type GroupId = (usize, IndexValue);
+/// A `(stage, outer (tag, ord) pair)` group.
+type GroupId = (usize, (u32, i64));
 
 /// A stitched group: its bag, and the stage slot each element was read from.
 struct Memo {
@@ -84,19 +90,19 @@ struct LiveState {
     stages: Vec<LiveStage>,
     /// Memoised stitched bags per stage, one per outer-index group the last
     /// read reached (stage 0 holds only the top-level ⊤ group).
-    cache: Vec<HashMap<IndexValue, Memo>>,
+    cache: Vec<PairMap<Memo>>,
     /// The memoised groups dirtied since the last read, each with its old
     /// memo until a rebuild takes it (or a renumbering voids its slots). A
     /// rebuild reuses every old element whose slot is still live and whose
     /// nested groups are not in here; the read then forgets all of them.
-    retired: Vec<HashMap<IndexValue, Option<Memo>>>,
+    retired: Vec<PairMap<Option<Memo>>>,
     /// Reverse dependency edges per stage: child group → the parent groups
     /// whose rows referenced it. Recorded while stitching, taken out when
     /// the child group is dirtied: a rank shift re-keys whole stages, and
     /// edges kept under keys no row reads any more would grow without bound
     /// and dirty more parents with every write. An edge that outlives its
     /// parent can only over-invalidate, never under-invalidate.
-    parents: Vec<HashMap<IndexValue, HashSet<GroupId>>>,
+    parents: Vec<PairMap<HashSet<GroupId, PairHash>>>,
     /// The stages do not all reflect the same storage state (a maintenance
     /// pass failed part-way, or a thread panicked holding the lock): re-seed
     /// before anything is served.
@@ -130,7 +136,9 @@ impl LiveView {
     /// Seed a live view for `compiled` against the engine's current storage:
     /// seed every stage's delta executor and group its rows by outer index.
     /// The value cache starts empty and fills on first read. The caller holds
-    /// `commit`.
+    /// `commit`. A stage whose plan output is not as wide as its layout, or
+    /// whose layout has not one `Index` leaf per nested bag of the package,
+    /// is a decode error here rather than a short read later.
     pub(crate) fn new(
         compiled: Arc<CompiledQuery>,
         params: ParamValues,
@@ -143,16 +151,33 @@ impl LiveView {
             next += 1;
             i
         });
+        let mut children = vec![Vec::new(); next];
+        child_stages(&shape, None, &mut children);
         let stages = compiled
             .stages
             .annotations()
             .iter()
-            .map(|qs| LiveStage {
-                exec: DeltaExec::new(&qs.plan),
-                layout: Arc::clone(&qs.layout),
-                groups: HashMap::new(),
+            .zip(children)
+            .map(|(qs, children)| {
+                let exec = DeltaExec::new(&qs.plan);
+                let leaves = qs.layout.leaves.iter();
+                let cols = leaves.filter(|leaf| leaf.kind == LeafKind::Index);
+                if cols.clone().count() != children.len()
+                    || exec.width() != qs.layout.columns().len()
+                {
+                    return Err(ShredError::Decode {
+                        code: codes::DECODE_SHAPE_MISMATCH,
+                        message: format!("stage {} does not match its layout", qs.path),
+                    });
+                }
+                Ok(LiveStage {
+                    exec,
+                    layout: Arc::clone(&qs.layout),
+                    groups: PairMap::default(),
+                    nested: cols.map(|leaf| leaf.col).zip(children).collect(),
+                })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let view = LiveView {
             compiled,
             shape,
@@ -161,9 +186,9 @@ impl LiveView {
             commit,
             state: Mutex::new(LiveState {
                 stages,
-                cache: (0..next).map(|_| HashMap::new()).collect(),
-                retired: (0..next).map(|_| HashMap::new()).collect(),
-                parents: vec![HashMap::new(); next],
+                cache: (0..next).map(|_| PairMap::default()).collect(),
+                retired: (0..next).map(|_| PairMap::default()).collect(),
+                parents: (0..next).map(|_| PairMap::default()).collect(),
                 stale: true,
                 generation: 0,
                 reseeds: 0,
@@ -197,9 +222,9 @@ impl LiveView {
             stage.exec.seed(&qs.plan, storage, &self.params)?;
             stage.groups = group_slots(&stage.exec)?;
         }
-        st.cache.iter_mut().for_each(HashMap::clear);
-        st.retired.iter_mut().for_each(HashMap::clear);
-        st.parents.iter_mut().for_each(HashMap::clear);
+        st.cache.iter_mut().for_each(PairMap::clear);
+        st.retired.iter_mut().for_each(PairMap::clear);
+        st.parents.iter_mut().for_each(PairMap::clear);
         st.stale = false;
         Ok(())
     }
@@ -239,7 +264,7 @@ impl LiveView {
     ) -> Result<(), ShredError> {
         let plans = self.compiled.stages.annotations();
         let n = st.stages.len();
-        let mut dirty: Vec<HashSet<IndexValue>> = vec![HashSet::new(); n];
+        let mut dirty: Vec<HashSet<(u32, i64), PairHash>> = vec![HashSet::default(); n];
         // Stages whose slots were renumbered: no memo of theirs can say any
         // more which slot an element came from.
         let mut renumbered = vec![false; n];
@@ -255,9 +280,9 @@ impl LiveView {
                 None => {
                     st.reseeds += 1;
                     stage.exec.seed(&qs.plan, storage, &self.params)?;
-                    dirty.extend(stage.groups.keys().cloned());
+                    dirty.extend(stage.groups.keys());
                     stage.groups = group_slots(&stage.exec)?;
-                    dirty.extend(stage.groups.keys().cloned());
+                    dirty.extend(stage.groups.keys());
                     true
                 }
             };
@@ -282,7 +307,7 @@ impl LiveView {
             let (cache, retired) = (&mut st.cache[i], &mut st.retired[i]);
             for g in dirty {
                 if let Some(memo) = cache.remove(g) {
-                    retired.entry(g.clone()).or_insert(Some(memo));
+                    retired.entry(*g).or_insert(Some(memo));
                 }
             }
             if renumbered[i] {
@@ -312,6 +337,11 @@ impl LiveView {
                 self.seed(&mut guard, &storage)?;
             }
         }
+        let Package::Bag(top, inner) = &self.shape else {
+            return Err(ShredError::Internal(
+                "live stitching requires a bag-typed package".to_string(),
+            ));
+        };
         let LiveState {
             stages,
             cache,
@@ -325,10 +355,10 @@ impl LiveView {
             retired,
             parents,
         };
-        let value = stitcher.bag(&self.shape, &IndexValue::top(IndexScheme::Flat));
+        let value = stitcher.bag(*top, inner, TOP_PAIR);
         // Dropped rather than cleared: after a rank shift they held every
         // group of a stage, and a cleared map would keep that capacity.
-        retired.iter_mut().for_each(|r| *r = HashMap::new());
+        retired.iter_mut().for_each(|r| *r = PairMap::default());
         value
     }
 
@@ -408,22 +438,39 @@ impl std::fmt::Debug for Subscription {
 // Group bookkeeping
 // ---------------------------------------------------------------------------
 
-/// Read the flat outer index of the row in `slot` from its first two columns.
-fn group_key(exec: &DeltaExec, slot: usize) -> Result<IndexValue, ShredError> {
-    flat_index(cell(exec, slot, 0)?, cell(exec, slot, 1)?)
-}
-
-fn decode_err(code: &'static str, message: String) -> ShredError {
-    ShredError::Decode { code, message }
+/// The `(tag, ord)` pair in columns `col` and `col + 1` of the row in `slot`;
+/// column 0 holds the row's outer index.
+fn pair_at(exec: &DeltaExec, slot: usize, col: usize) -> Result<(u32, i64), ShredError> {
+    flat_pair(&exec.column(col)[slot], &exec.column(col + 1)[slot])
 }
 
 /// Group a seeded (or compacted) stage's current output slots by outer index.
-fn group_slots(exec: &DeltaExec) -> Result<HashMap<IndexValue, Vec<usize>>, ShredError> {
-    let mut out: HashMap<IndexValue, Vec<usize>> = HashMap::new();
+fn group_slots(exec: &DeltaExec) -> Result<PairMap<Vec<usize>>, ShredError> {
+    let mut out: PairMap<Vec<usize>> = PairMap::default();
     for slot in exec.live_slots() {
-        out.entry(group_key(exec, slot)?).or_default().push(slot);
+        out.entry(pair_at(exec, slot, 0)?).or_default().push(slot);
     }
     Ok(out)
+}
+
+/// Record, per stage of `shape`, the stages its rows' nested bags read, in
+/// the order of the stage's `Index` leaves; `owner` is the stage whose rows
+/// hold `shape` (none for the top-level bag).
+fn child_stages(shape: &Package<usize>, owner: Option<usize>, out: &mut [Vec<usize>]) {
+    match shape {
+        Package::Base(_) => {}
+        Package::Record(fields) => {
+            for (_, field) in fields {
+                child_stages(field, owner, out);
+            }
+        }
+        Package::Bag(stage, inner) => {
+            if let Some(owner) = owner {
+                out[owner].push(*stage);
+            }
+            child_stages(inner, Some(*stage), out);
+        }
+    }
 }
 
 /// Fold a stage's output change into its group map, recording every touched
@@ -435,11 +482,11 @@ fn group_slots(exec: &DeltaExec) -> Result<HashMap<IndexValue, Vec<usize>>, Shre
 fn apply_root_delta(
     stage: &mut LiveStage,
     change: &RootDelta,
-    dirty: &mut HashSet<IndexValue>,
+    dirty: &mut HashSet<(u32, i64), PairHash>,
 ) -> Result<bool, ShredError> {
     let LiveStage { exec, groups, .. } = stage;
     for &slot in &change.retracted {
-        dirty.insert(group_key(exec, slot)?);
+        dirty.insert(pair_at(exec, slot, 0)?);
     }
     for key in dirty.iter() {
         if let Some(slots) = groups.get_mut(key) {
@@ -450,8 +497,8 @@ fn apply_root_delta(
         }
     }
     for &slot in &change.inserted {
-        let key = group_key(exec, slot)?;
-        groups.entry(key.clone()).or_default().push(slot);
+        let key = pair_at(exec, slot, 0)?;
+        groups.entry(key).or_default().push(slot);
         dirty.insert(key);
     }
     let compacted = exec.compact();
@@ -469,37 +516,35 @@ fn apply_root_delta(
 /// to the first memoised group on each path.
 struct Stitcher<'a> {
     stages: &'a [LiveStage],
-    cache: &'a mut [HashMap<IndexValue, Memo>],
-    retired: &'a mut [HashMap<IndexValue, Option<Memo>>],
-    parents: &'a mut [HashMap<IndexValue, HashSet<GroupId>>],
+    cache: &'a mut [PairMap<Memo>],
+    retired: &'a mut [PairMap<Option<Memo>>],
+    parents: &'a mut [PairMap<HashSet<GroupId, PairHash>>],
 }
 
 impl Stitcher<'_> {
-    /// Stitch one bag group: a memoised group is shared as it is; any other
-    /// is rebuilt and left in the cache. A rebuild keeps each element of the
-    /// group's retired memo that is still current — moved out when the
-    /// retired bag is no longer shared, cloned when it is — and stitches the
-    /// rest from their rows. The group stays in `retired`, without its memo,
-    /// so that the elements of other groups that read it are not kept.
-    /// Stitching a row records a reverse edge child group → this group for
-    /// every nested index the row reads, so later writes deep in the tree
-    /// know to invalidate it.
-    fn bag(&mut self, shape: &Package<usize>, index: &IndexValue) -> Result<Value, ShredError> {
-        let Package::Bag(stage_idx, inner) = shape else {
-            return Err(ShredError::Internal(
-                "live stitching requires a bag-typed package node".to_string(),
-            ));
-        };
-        let stage_idx = *stage_idx;
-        if let Some(memo) = self.cache[stage_idx].get(index) {
+    /// Stitch the group `key` of stage `stage_idx`, whose rows have the
+    /// element package `inner`: a memoised group is shared as it is; any
+    /// other is rebuilt and left in the cache. A rebuild keeps each element
+    /// of the group's retired memo that is still current — moved out when
+    /// the retired bag is no longer shared, cloned when it is — and
+    /// stitches the rest from their rows. The group stays in `retired`,
+    /// without its memo, so that the elements of other groups that read it
+    /// are not kept. Stitching a row records a reverse edge child group →
+    /// this group for every nested index the row reads, so later writes
+    /// deep in the tree know to invalidate it.
+    fn bag(
+        &mut self,
+        stage_idx: usize,
+        inner: &Package<usize>,
+        key: (u32, i64),
+    ) -> Result<Value, ShredError> {
+        if let Some(memo) = self.cache[stage_idx].get(&key) {
             return Ok(Value::Bag(Arc::clone(&memo.bag)));
         }
         let stages = self.stages;
         let stage = &stages[stage_idx];
-        let slots = stage.groups.get(index).map(Vec::as_slice).unwrap_or(&[]);
-        let mut old = self.retired[stage_idx]
-            .get_mut(index)
-            .and_then(Option::take);
+        let slots = stage.groups.get(&key).map(Vec::as_slice).unwrap_or(&[]);
+        let mut old = self.retired[stage_idx].get_mut(&key).and_then(Option::take);
         let mut next_old = 0usize;
         let mut items = Vec::with_capacity(slots.len());
         for &slot in slots {
@@ -509,7 +554,7 @@ impl Stitcher<'_> {
                 (memo.slots.get(next_old) == Some(&slot)).then_some((memo, next_old))
             });
             let item = match prev {
-                Some((memo, at)) if self.current(inner, stage, slot, &mut 0)? => {
+                Some((memo, at)) if self.current(stage, slot)? => {
                     match Arc::get_mut(&mut memo.bag) {
                         Some(items) => std::mem::replace(&mut items[at], Value::Unit),
                         None => memo.bag[at].clone(),
@@ -522,9 +567,9 @@ impl Stitcher<'_> {
                     if let Some(items) = Arc::get_mut(&mut memo.bag) {
                         items[at] = Value::Unit;
                     }
-                    self.row(inner, (stage_idx, index), slot, &mut 0)?
+                    self.row(inner, (stage_idx, key), slot)?
                 }
-                None => self.row(inner, (stage_idx, index), slot, &mut 0)?,
+                None => self.row(inner, (stage_idx, key), slot)?,
             };
             items.push(item);
         }
@@ -533,7 +578,7 @@ impl Stitcher<'_> {
             bag: Arc::clone(&bag),
             slots: slots.to_vec(),
         };
-        self.cache[stage_idx].insert(index.clone(), memo);
+        self.cache[stage_idx].insert(key, memo);
         Ok(Value::Bag(bag))
     }
 
@@ -541,90 +586,39 @@ impl Stitcher<'_> {
     /// value? A live slot's cells never change, and every group dirtied
     /// since that read is in `retired`, so it is unless the row reads a
     /// nested group that is.
-    fn current(
-        &self,
-        shape: &Package<usize>,
-        stage: &LiveStage,
-        slot: usize,
-        leaf: &mut usize,
-    ) -> Result<bool, ShredError> {
-        match shape {
-            Package::Record(fields) => {
-                for (_, field_shape) in fields {
-                    if !self.current(field_shape, stage, slot, leaf)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Package::Base(_) => {
-                stage.layout.next_leaf(leaf, false)?;
-                Ok(true)
-            }
-            Package::Bag(child_idx, _) => {
-                let l = stage.layout.next_leaf(leaf, true)?;
-                let retired = &self.retired[*child_idx];
-                if retired.is_empty() {
-                    return Ok(true);
-                }
-                let child_index = flat_index(
-                    cell(&stage.exec, slot, l.col)?,
-                    cell(&stage.exec, slot, l.col + 1)?,
-                )?;
-                Ok(!retired.contains_key(&child_index))
+    fn current(&self, stage: &LiveStage, slot: usize) -> Result<bool, ShredError> {
+        for &(col, child) in &stage.nested {
+            let retired = &self.retired[child];
+            if !retired.is_empty() && retired.contains_key(&pair_at(&stage.exec, slot, col)?) {
+                return Ok(false);
             }
         }
+        Ok(true)
     }
 
-    /// Materialise the row in `slot` of a stage's `group`, walking the
-    /// package shape in lockstep with the layout's pre-resolved leaves — the
-    /// live-view analogue of the columnar stitcher's row walk, reading the
-    /// stage executor's columnar output cache instead of decoded columns.
+    /// Materialise the row in `slot` of `group`'s stage through the shared
+    /// row walk ([`stitch_row`]), reading the stage executor's columnar
+    /// output cache; each nested group the row reads gets its reverse edge
+    /// to `group` before it is stitched.
     fn row(
         &mut self,
-        shape: &Package<usize>,
-        group: (usize, &IndexValue),
+        inner: &Package<usize>,
+        group: GroupId,
         slot: usize,
-        leaf: &mut usize,
     ) -> Result<Value, ShredError> {
         let stages = self.stages;
-        let stage = &stages[group.0];
-        match shape {
-            Package::Record(fields) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (label, field_shape) in fields {
-                    out.push((label.clone(), self.row(field_shape, group, slot, leaf)?));
-                }
-                Ok(Value::Record(out))
-            }
-            Package::Base(b) => {
-                let l = stage.layout.next_leaf(leaf, false)?;
-                sql_to_value(cell(&stage.exec, slot, l.col)?, *b)
-            }
-            Package::Bag(child_idx, _) => {
-                let l = stage.layout.next_leaf(leaf, true)?;
-                let child_index = flat_index(
-                    cell(&stage.exec, slot, l.col)?,
-                    cell(&stage.exec, slot, l.col + 1)?,
-                )?;
-                self.parents[*child_idx]
-                    .entry(child_index.clone())
-                    .or_default()
-                    .insert((group.0, group.1.clone()));
-                self.bag(shape, &child_index)
-            }
-        }
+        let exec = &stages[group.0].exec;
+        stitch_row(
+            inner,
+            &stages[group.0].layout,
+            &mut 0,
+            &|col| &exec.column(col)[slot],
+            &mut |&child, inner, key| {
+                self.parents[child].entry(key).or_default().insert(group);
+                self.bag(child, inner, key)
+            },
+        )
     }
-}
-
-fn cell(exec: &DeltaExec, slot: usize, col: usize) -> Result<&SqlValue, ShredError> {
-    if col >= exec.width() {
-        return Err(decode_err(
-            codes::DECODE_SHAPE_MISMATCH,
-            format!("stage row is missing column {}", col),
-        ));
-    }
-    Ok(&exec.column(col)[slot])
 }
 
 #[cfg(test)]
@@ -635,7 +629,7 @@ mod tests {
     use nrc::schema::{Database, Schema, TableSchema};
     use nrc::term::Term;
     use nrc::types::BaseType;
-    use sqlengine::{ColumnType, EngineError, Row, TableDef};
+    use sqlengine::{ColumnType, EngineError, Row, SqlValue, TableDef};
 
     fn schema() -> Schema {
         Schema::new()
@@ -839,11 +833,10 @@ mod tests {
 
             // Stage 0 holds only the top-level group, which has no parent.
             let st = view.lock();
-            let top = IndexValue::top(IndexScheme::Flat);
-            assert_eq!(st.cache[0].keys().collect::<Vec<_>>(), vec![&top]);
+            assert_eq!(st.cache[0].keys().collect::<Vec<_>>(), vec![&TOP_PAIR]);
             assert!(st.parents[0].is_empty(), "round {round}");
             for (edges, cached) in st.parents.iter().zip(&st.cache).skip(1) {
-                let guarded: HashSet<&IndexValue> = edges.keys().collect();
+                let guarded: HashSet<&(u32, i64)> = edges.keys().collect();
                 assert_eq!(guarded, cached.keys().collect(), "round {round}");
             }
         }
@@ -888,7 +881,7 @@ mod tests {
             assert!(view.value().unwrap().multiset_eq(&expected));
             let st = view.lock();
             for (edges, cached) in st.parents.iter().zip(&st.cache).skip(1) {
-                let guarded: HashSet<&IndexValue> = edges.keys().collect();
+                let guarded: HashSet<&(u32, i64)> = edges.keys().collect();
                 assert_eq!(guarded, cached.keys().collect(), "round {round}");
             }
         }

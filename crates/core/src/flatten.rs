@@ -339,14 +339,17 @@ fn check_row_count(rows: usize) -> Result<(), ShredError> {
 }
 
 /// A map keyed by a flat `(tag, ord)` index pair.
-type PairMap<V> = HashMap<(u32, i64), V, BuildHasherDefault<PairHasher>>;
+pub(crate) type PairMap<V> = HashMap<(u32, i64), V, PairHash>;
+
+/// The hasher of [`PairMap`], for other collections of small integer keys.
+pub(crate) type PairHash = BuildHasherDefault<PairHasher>;
 
 /// The hasher of [`PairMap`]: one multiply-rotate step per word, then the
 /// high half folded into the low bits the table indexes its buckets by.
 /// The keys are two integers that no client chooses adversarially, so the
 /// default SipHash buys nothing here but cost.
 #[derive(Default)]
-struct PairHasher(u64);
+pub(crate) struct PairHasher(u64);
 
 impl PairHasher {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -369,13 +372,17 @@ impl Hasher for PairHasher {
         self.add(word as u64);
     }
 
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
     fn finish(&self) -> u64 {
         self.0 ^ (self.0 >> 32)
     }
 }
 
 /// Interpret a `(tag, ord)` cell pair as a flat index: the one decoder of
-/// index cells on the SQL path (both decodes, the stitch and live-view
+/// index cells on the SQL path (both decodes, the stitch walk and live-view
 /// maintenance).
 pub(crate) fn flat_pair(tag: &SqlValue, ord: &SqlValue) -> Result<(u32, i64), ShredError> {
     let tag = tag.as_int().ok_or_else(|| {
@@ -397,16 +404,6 @@ pub(crate) fn flat_pair(tag: &SqlValue, ord: &SqlValue) -> Result<(u32, i64), Sh
         )
     })?;
     Ok((tag, ord))
-}
-
-/// [`flat_pair`] as an [`IndexValue`], for the row decode and the live-view
-/// stitcher.
-pub(crate) fn flat_index(tag: &SqlValue, ord: &SqlValue) -> Result<IndexValue, ShredError> {
-    let (tag, ordinal) = flat_pair(tag, ord)?;
-    Ok(IndexValue::Flat {
-        tag: StaticIndex(tag),
-        ordinal,
-    })
 }
 
 /// Build a typed decode error carrying its diagnostic registry code.
@@ -451,9 +448,11 @@ fn flat_name(path: &[String], default: &str) -> String {
 }
 
 fn decode_index(row: &[SqlValue], cursor: &mut usize) -> Result<IndexValue, ShredError> {
-    let tag = take(row, cursor)?;
-    let ord = take(row, cursor)?;
-    flat_index(tag, ord)
+    let (tag, ordinal) = flat_pair(take(row, cursor)?, take(row, cursor)?)?;
+    Ok(IndexValue::Flat {
+        tag: StaticIndex(tag),
+        ordinal,
+    })
 }
 
 fn decode_value(

@@ -5,28 +5,25 @@
 //! hash map, so rebuilding the nested value is linear in the total size of
 //! the shredded results rather than quadratic.
 //!
-//! Two stitchers live here:
-//!
-//! * [`stitch`] — the **columnar** path (the default): consumes
-//!   [`ColumnarStage`]s whose rows were grouped by their `(oidx_tag,
-//!   oidx_ord)` columns at decode time, and materialises the nested value
-//!   straight out of the `Arc`-shared columns using the layout's
-//!   pre-resolved leaf positions. No intermediate [`FlatValue`] tree is
-//!   allocated. [`stitch_obs`] splits a large package's top-level bag into
-//!   chunks stitched on the execution's `workers` budget.
-//! * [`stitch_rows`] — the **row** path: consumes [`ShredResult`]s (lists of
-//!   ⟨outer index, flat value⟩ pairs). It is the differential oracle the
-//!   columnar path is tested against, and the only stitcher the in-memory
-//!   shredded semantics can use (they materialise canonical or natural
-//!   indexes, which have no columnar encoding).
+//! One walk, `stitch_row`, builds every value read from SQL: it materialises
+//! a stage row against the layout's pre-resolved leaves, reading cells
+//! through a cell source and handing each nested `(tag, ord)` pair to a bag
+//! callback. [`stitch`] drives it over [`ColumnarStage`]s grouped by that
+//! pair at decode time ([`stitch_obs`] splits a large top-level bag across
+//! the `workers` budget); the live views of `crate::delta` drive it over
+//! their executors' output caches, with a memo on top. [`stitch_rows`] is
+//! the separate row path over [`ShredResult`]s: the differential oracle,
+//! and the stitcher of the in-memory shredded semantics (whose canonical
+//! and natural indexes have no columnar encoding).
 
 use crate::error::ShredError;
-use crate::flatten::{flat_pair, sql_to_value, ColumnarStage};
+use crate::flatten::{flat_pair, sql_to_value, ColumnarStage, ResultLayout};
 use crate::nf::TOP;
 use crate::semantics::{FlatValue, IndexScheme, IndexValue, ShredResult};
 use crate::shred::Package;
 use analysis::codes;
 use nrc::value::Value;
+use sqlengine::SqlValue;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -34,7 +31,7 @@ use std::collections::HashMap;
 // ---------------------------------------------------------------------------
 
 /// The distinguished top-level index ⊤⋅1 as a flat `(tag, ord)` pair.
-const TOP_PAIR: (u32, i64) = (TOP.0, 1);
+pub(crate) const TOP_PAIR: (u32, i64) = (TOP.0, 1);
 
 /// Decoded rows, summed over a package's stages, from which [`stitch_obs`]
 /// splits the top-level bag across its `workers` budget.
@@ -104,17 +101,6 @@ pub fn stitch_obs(
     })
 }
 
-fn stitch_bag(package: &Package<ColumnarStage>, key: (u32, i64)) -> Result<Value, ShredError> {
-    match package {
-        Package::Bag(stage, inner) => Ok(Value::Bag(
-            stitch_items(inner, stage, stage.group(key))?.into(),
-        )),
-        _ => Err(ShredError::Internal(
-            "stitch_bag called on a non-bag package".to_string(),
-        )),
-    }
-}
-
 /// The items of one bag: the given rows of `stage`, each materialised
 /// against the bag's element package `inner`.
 fn stitch_items(
@@ -124,38 +110,56 @@ fn stitch_items(
 ) -> Result<Vec<Value>, ShredError> {
     let mut items = Vec::with_capacity(rows.len());
     for &row in rows {
-        let mut leaf = 0usize;
-        items.push(stitch_value(inner, stage, &mut leaf, row as usize)?);
+        let row = row as usize;
+        items.push(stitch_row(
+            inner,
+            stage.layout(),
+            &mut 0,
+            &|col| stage.cell(col, row),
+            &mut stitch_bag,
+        )?);
     }
     Ok(items)
 }
 
-/// Materialise one row of a stage as a nested value, walking the inner
-/// package shape in lockstep with the stage layout's pre-resolved leaves:
-/// a `Base` package node reads one data column, a `Bag` node reads the two
-/// index columns of its `Index` leaf and recurses into the nested stage.
-fn stitch_value(
-    package: &Package<ColumnarStage>,
+/// The nested bag a row reads: the rows of `stage` grouped under `key`.
+fn stitch_bag(
     stage: &ColumnarStage,
+    inner: &Package<ColumnarStage>,
+    key: (u32, i64),
+) -> Result<Value, ShredError> {
+    Ok(Value::Bag(
+        stitch_items(inner, stage, stage.group(key))?.into(),
+    ))
+}
+
+/// Materialise one row of a stage as a nested value: the one walk of a
+/// bag's element package in lockstep with the stage layout's pre-resolved
+/// leaves, from the leaf at `*leaf` (0 for a whole row), shared by the
+/// columnar stitcher and the live-view stitcher (`crate::delta`). A `Base`
+/// node reads one cell of the row through `cell` (column position → cell);
+/// a `Bag` node reads the `(tag, ord)` pair in the two columns of its
+/// `Index` leaf and hands it, with the node's annotation and element
+/// package, to `bag`, which returns the nested bag.
+pub(crate) fn stitch_row<'c, A>(
+    package: &Package<A>,
+    layout: &ResultLayout,
     leaf: &mut usize,
-    row: usize,
+    cell: &impl Fn(usize) -> &'c SqlValue,
+    bag: &mut impl FnMut(&A, &Package<A>, (u32, i64)) -> Result<Value, ShredError>,
 ) -> Result<Value, ShredError> {
     match package {
         Package::Record(fields) => {
             let mut out = Vec::with_capacity(fields.len());
-            for (label, field_pkg) in fields {
-                out.push((label.clone(), stitch_value(field_pkg, stage, leaf, row)?));
+            for (label, field) in fields {
+                out.push((label.clone(), stitch_row(field, layout, leaf, cell, bag)?));
             }
             Ok(Value::Record(out))
         }
-        Package::Base(b) => {
-            let l = stage.layout().next_leaf(leaf, false)?;
-            sql_to_value(stage.cell(l.col, row), *b)
-        }
-        Package::Bag(_, _) => {
-            let l = stage.layout().next_leaf(leaf, true)?;
-            let key = flat_pair(stage.cell(l.col, row), stage.cell(l.col + 1, row))?;
-            stitch_bag(package, key)
+        Package::Base(b) => sql_to_value(cell(layout.next_leaf(leaf, false)?.col), *b),
+        Package::Bag(stage, inner) => {
+            let col = layout.next_leaf(leaf, true)?.col;
+            bag(stage, inner, flat_pair(cell(col), cell(col + 1))?)
         }
     }
 }
