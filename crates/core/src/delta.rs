@@ -188,7 +188,7 @@ impl LiveView {
                 stages,
                 cache: (0..next).map(|_| PairMap::default()).collect(),
                 retired: (0..next).map(|_| PairMap::default()).collect(),
-                parents: (0..next).map(|_| PairMap::default()).collect(),
+                parents: vec![PairMap::default(); next],
                 stale: true,
                 generation: 0,
                 reseeds: 0,

@@ -105,3 +105,70 @@ fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
         );
     }
 }
+
+/// Every source file of this crate, by name, read when the test runs so a
+/// new file is covered too.
+fn core_sources() -> Vec<(String, String)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .expect("the crate has a src directory")
+        .map(|entry| entry.expect("a readable directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (
+                name,
+                std::fs::read_to_string(&path).expect("a readable source"),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// One walk stitches every value read from SQL, one-shot and live alike:
+/// `stitch_row` is the only product code that steps through a layout's
+/// leaves (`.next_leaf(`), the live views key their groups by the decode's
+/// `(tag, ord)` pair rather than by `IndexValue`, and neither the deleted
+/// columnar walk nor the pair-to-`IndexValue` shim comes back.
+#[test]
+fn one_row_walk_stitches_one_shot_and_live_reads() {
+    let sources = core_sources();
+    let source = |name: &str| {
+        let (_, text) = sources.iter().find(|(n, _)| n == name).expect(name);
+        text.as_str()
+    };
+    let delta = product(source("delta.rs"));
+    for needle in ["IndexValue", "IndexScheme", "flat_index"] {
+        assert!(
+            !delta.contains(needle),
+            "delta.rs names `{needle}` in product code: live views key their groups by the \
+             decode's `(u32, i64)` pair"
+        );
+    }
+    let stitch = source("stitch.rs");
+    let walk_start = stitch
+        .find("fn stitch_row<")
+        .expect("stitch.rs defines the row walk `stitch_row`");
+    let walk_end = walk_start + stitch[walk_start..].find("\n}\n").expect("it closes");
+    for (name, text) in &sources {
+        for needle in ["fn flat_index(", "fn stitch_value("] {
+            assert!(
+                !text.contains(needle),
+                "{name} declares `{needle}` again: `stitch_row` is the one row walk"
+            );
+        }
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for (at, _) in code.match_indices(".next_leaf(") {
+            assert!(
+                name == "stitch.rs" && walk_start < at && at < walk_end,
+                "{name} steps through a layout's leaves outside `stitch_row` (byte {at}): \
+                 drive the one row walk with a cell source and a bag callback instead"
+            );
+        }
+    }
+    assert!(
+        stitch[walk_start..walk_end].contains(".next_leaf("),
+        "`stitch_row` no longer reads the layout's leaves"
+    );
+}

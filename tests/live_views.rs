@@ -6,6 +6,7 @@
 //! generation reads no indexing scheme, so one pass covers every scheme.
 
 use query_shredding::prelude::*;
+use query_shredding::shredding::pipeline;
 
 fn small_db() -> Database {
     generate(&OrgConfig {
@@ -23,13 +24,21 @@ fn all_benchmark_queries() -> Vec<(&'static str, nrc::Term)> {
     queries
 }
 
+/// `q` recomputed on the session's current storage by the row stitcher
+/// (`ResultLayout::decode` + `stitch_rows`), which shares no code with the
+/// row walk behind both `Subscription::value` and `Shredder::execute`.
+fn row_path(session: &Shredder, q: &nrc::Term) -> Value {
+    let compiled = pipeline::compile(q, session.schema()).unwrap();
+    pipeline::execute_rows(&compiled, session.engine().unwrap()).unwrap()
+}
+
 /// The acceptance bar of the delta subsystem: for every benchmark query
 /// (the SQL path reads no indexing scheme), a subscription's value after
-/// each of a stream of committed write batches is multiset-identical to a fresh
-/// execution of the same prepared query (the differential oracle). The
-/// plans of the suite — narrowing `Project`s included — stay inside the
-/// incremental fragment under this stream: no view ever falls back to
-/// recompute-from-scratch.
+/// each of a stream of committed write batches is multiset-identical to a
+/// fresh execution of the same prepared query and to the row path's (the
+/// differential oracles). The plans of the suite — narrowing `Project`s
+/// included — stay inside the incremental fragment under this stream: no
+/// view ever falls back to recompute-from-scratch.
 #[test]
 fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
     let db = small_db();
@@ -53,6 +62,10 @@ fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
             assert!(
                 live.multiset_eq(&recomputed),
                 "{name} diverged from recompute after batch {round}"
+            );
+            assert!(
+                live.multiset_eq(&row_path(&session, &q)),
+                "{name} diverged from the row path after batch {round}"
             );
         }
         assert_eq!(sub.generation(), 6, "every batch maintains the view");
@@ -149,6 +162,11 @@ fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
             assert!(
                 live.multiset_eq(&recomputed),
                 "{name} diverged from recompute \
+                 after the {ops}-op batch of round {round}"
+            );
+            assert!(
+                live.multiset_eq(&row_path(&session, &q)),
+                "{name} diverged from the row path \
                  after the {ops}-op batch of round {round}"
             );
         }
