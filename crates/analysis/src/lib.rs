@@ -199,14 +199,6 @@ impl Diagnostics {
             .count()
     }
 
-    /// Number of warning-severity diagnostics.
-    pub fn warning_count(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count()
-    }
-
     /// Does the collection contain any error-severity diagnostic?
     pub fn has_errors(&self) -> bool {
         self.error_count() > 0
@@ -440,7 +432,6 @@ mod tests {
         ));
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.error_count(), 1);
-        assert_eq!(ds.warning_count(), 1);
         assert!(ds.has_errors());
         assert!(ds.has_code(codes::COL_OUT_OF_RANGE));
         assert_eq!(ds.first_error().unwrap().code, codes::COL_OUT_OF_RANGE);

@@ -57,14 +57,6 @@ pub struct LetComp {
     pub inner: LetInner,
 }
 
-impl LetComp {
-    /// Does the outer index come from the let binding (`z.2`) rather than
-    /// being the constant top-level surrogate `1`?
-    pub fn outer_from_binding(&self) -> bool {
-        self.binding.is_some()
-    }
-}
-
 /// The let-bound outer subquery `for (G⃗out where Xout) return ⟨Rout, index⟩`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LetBinding {

@@ -311,11 +311,6 @@ impl NormQuery {
                 .collect(),
         }
     }
-
-    /// Number of comprehensions (union branches) at the top level.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
-    }
 }
 
 impl fmt::Display for NormQuery {

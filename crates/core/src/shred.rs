@@ -24,17 +24,6 @@ pub enum FlatType {
     Index,
 }
 
-impl FlatType {
-    /// Number of `Index` occurrences in the type.
-    pub fn index_count(&self) -> usize {
-        match self {
-            FlatType::Base(_) => 0,
-            FlatType::Index => 1,
-            FlatType::Record(fields) => fields.iter().map(|(_, t)| t.index_count()).sum(),
-        }
-    }
-}
-
 impl fmt::Display for FlatType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -246,14 +235,6 @@ pub fn package_by<T, E>(
     go(ty, &Path::empty(), f)
 }
 
-/// The shredded-type package `shred_A(A)`.
-pub fn shred_type_package(ty: &Type) -> Result<Package<ShreddedType>, ShredError> {
-    if !ty.is_nested() {
-        return Err(ShredError::NotFlatNested(ty.to_string()));
-    }
-    package_by(ty, &mut |p| shred_type(ty, p))
-}
-
 /// The shredded-query package `shred_L(A)`.
 pub fn shred_query_package(
     query: &NormQuery,
@@ -349,14 +330,6 @@ impl ShBase {
 }
 
 impl ShreddedQuery {
-    /// The distinct generator variables used across all branches and levels.
-    pub fn generator_count(&self) -> usize {
-        self.branches
-            .iter()
-            .map(|b| b.levels.iter().map(|l| l.generators.len()).sum::<usize>())
-            .sum()
-    }
-
     /// Replace parameters with the bound constants throughout the shredded
     /// query (conditions and inner terms, at every level).
     pub fn bind_params(
@@ -661,7 +634,7 @@ mod tests {
     #[test]
     fn erase_is_left_inverse_of_type_shredding() {
         let ty = result_type();
-        let pkg = shred_type_package(&ty).unwrap();
+        let pkg = package_by(&ty, &mut |p| shred_type(&ty, p)).unwrap();
         assert_eq!(pkg.erase(), ty);
         assert_eq!(pkg.nesting_degree(), 3);
     }
@@ -679,12 +652,5 @@ mod tests {
         let ty = result_type();
         let bad = Path::empty().extend_label("nope");
         assert!(matches!(shred_type(&ty, &bad), Err(ShredError::BadPath(_))));
-    }
-
-    #[test]
-    fn flat_type_index_count() {
-        let ty = result_type();
-        let a1 = shred_type(&ty, &Path::empty()).unwrap();
-        assert_eq!(a1.inner.index_count(), 1);
     }
 }

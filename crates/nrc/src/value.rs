@@ -139,16 +139,6 @@ impl Value {
         }
     }
 
-    /// Does this value contain a closure anywhere?
-    pub fn contains_closure(&self) -> bool {
-        match self {
-            Value::Closure(_) => true,
-            Value::Record(fields) => fields.iter().any(|(_, v)| v.contains_closure()),
-            Value::Bag(items) => items.iter().any(Value::contains_closure),
-            _ => false,
-        }
-    }
-
     /// The *canonical form* of a first-order value: bag elements are sorted by
     /// a fixed total order and record fields are sorted by label. Two values
     /// are equal as nested multisets iff their canonical forms are equal.

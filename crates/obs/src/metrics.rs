@@ -221,17 +221,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    /// Mean sample in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
 /// Shared registry of named instruments. Cheap to clone via `Arc`; the name
 /// maps are `RwLock`-guarded but only touched when an instrument is first
 /// created (or looked up by name) — the hot recording path is lock-free.

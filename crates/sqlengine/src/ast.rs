@@ -341,11 +341,6 @@ impl Expr {
         acc
     }
 
-    /// Does the expression contain a `ROW_NUMBER` call?
-    pub fn contains_row_number(&self) -> bool {
-        self.any(|e| matches!(e, Expr::RowNumber { .. }))
-    }
-
     /// Number of nested subqueries (EXISTS bodies).
     pub fn subquery_count(&self) -> usize {
         let mut count = 0;
@@ -446,11 +441,5 @@ mod tests {
             e.referenced_aliases(),
             vec!["x".to_string(), "y".to_string()]
         );
-    }
-
-    #[test]
-    fn row_number_detection() {
-        assert!(Expr::row_number(vec![Expr::bare("a")]).contains_row_number());
-        assert!(!Expr::lit(1).contains_row_number());
     }
 }

@@ -429,18 +429,6 @@ impl Storage {
             .insert(row)
     }
 
-    /// Bulk-insert rows into a table.
-    pub fn insert_all<I: IntoIterator<Item = Row>>(
-        &mut self,
-        table: &str,
-        rows: I,
-    ) -> Result<(), EngineError> {
-        for row in rows {
-            self.insert(table, row)?;
-        }
-        Ok(())
-    }
-
     /// Delete the first row of `table` equal to `row`.
     pub fn delete(&mut self, table: &str, row: &Row) -> Result<(), EngineError> {
         self.table_mut(table)?.delete(row)
@@ -469,11 +457,6 @@ impl Storage {
         self.tables
             .get_mut(name)
             .ok_or_else(|| EngineError::NoSuchTable(name.to_string()))
-    }
-
-    /// Does the table exist?
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
     }
 
     /// Iterate over tables in name order.
@@ -561,27 +544,6 @@ impl ColumnarResult {
         self.cols
     }
 
-    /// The row→column converter: transpose a row-major result. The inverse
-    /// of [`into_result_set`](ColumnarResult::into_result_set), for callers
-    /// holding rows (a parsed fixture, an interpreter result) that want to
-    /// feed a columnar consumer. Nothing on the engine's hot paths needs
-    /// it — plans are columnar natively.
-    pub fn from_result_set(rs: ResultSet) -> ColumnarResult {
-        let width = rs.columns.len();
-        let rows = rs.rows.len();
-        let mut cols: Vec<Vec<SqlValue>> = (0..width).map(|_| Vec::with_capacity(rows)).collect();
-        for row in rs.rows {
-            for (c, v) in row.into_iter().enumerate() {
-                cols[c].push(v);
-            }
-        }
-        ColumnarResult {
-            columns: rs.columns,
-            cols: cols.into_iter().map(Arc::new).collect(),
-            rows,
-        }
-    }
-
     /// The column→row converter: transpose into a row-major [`ResultSet`].
     /// This is the compatibility shim for row-oriented consumers (baseline
     /// decoders, differential tests against the interpreter); the columnar
@@ -638,49 +600,6 @@ impl ResultSet {
     pub fn value(&self, row: usize, column: &str) -> Option<&SqlValue> {
         let idx = self.column_index(column)?;
         self.rows.get(row).and_then(|r| r.get(idx))
-    }
-
-    /// Render the result set as an aligned text table (for examples and the
-    /// experiments binary).
-    pub fn to_text_table(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
-        let rendered: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-            .collect();
-        out.push_str(&header.join(" | "));
-        out.push('\n');
-        out.push_str(
-            &widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("-+-"),
-        );
-        out.push('\n');
-        for row in &rendered {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-                .collect();
-            out.push_str(&line.join(" | "));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -1026,7 +945,15 @@ mod tests {
                 vec![SqlValue::Int(2), SqlValue::str("y")],
             ],
         };
-        let cr = ColumnarResult::from_result_set(rs.clone());
+        let cols = vec![
+            vec![SqlValue::Int(1), SqlValue::Int(2)],
+            vec![SqlValue::str("x"), SqlValue::str("y")],
+        ];
+        let cr = ColumnarResult::new(
+            rs.columns.clone(),
+            cols.into_iter().map(Arc::new).collect(),
+            2,
+        );
         assert_eq!(cr.len(), 2);
         assert_eq!(cr.width(), 2);
         assert_eq!(cr.value(1, "b"), Some(&SqlValue::str("y")));
@@ -1034,13 +961,9 @@ mod tests {
             **cr.column_by_name("a").unwrap(),
             vec![SqlValue::Int(1), SqlValue::Int(2)]
         );
-        // Cloning shares columns (refcount bump), and both transposes are
-        // mutually inverse.
+        // Cloning shares columns (refcount bump), and the transpose gives
+        // the rows back.
         assert_eq!(cr.clone().into_result_set(), rs);
-        assert_eq!(
-            ColumnarResult::from_result_set(cr.clone().into_result_set()),
-            cr
-        );
     }
 
     #[test]
@@ -1052,8 +975,5 @@ mod tests {
         assert_eq!(rs.value(0, "b"), Some(&SqlValue::str("x")));
         assert_eq!(rs.value(0, "c"), None);
         assert_eq!(rs.len(), 1);
-        let text = rs.to_text_table();
-        assert!(text.contains('a'));
-        assert!(text.contains("'x'"));
     }
 }
