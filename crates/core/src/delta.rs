@@ -624,7 +624,8 @@ impl Stitcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{compile, engine_from_database, execute_bound};
+    use crate::pipeline::{compile, engine_from_database, execute_bound, QueryStage};
+    use crate::shred::FlatType;
     use nrc::builder::*;
     use nrc::schema::{Database, Schema, TableSchema};
     use nrc::term::Term;
@@ -918,6 +919,40 @@ mod tests {
         }
         write(WriteBatch::new().delete("employees", employee(3, "Research", "Cora", 50000)));
         assert_eq!(view.reseeds(), 0);
+    }
+
+    /// A stage whose layout has no `Index` leaf for a nested bag of the
+    /// package is refused when the view is built, not read short later.
+    #[test]
+    fn a_layout_missing_an_index_leaf_is_refused() {
+        let mut compiled = compile(&nested_query(), &schema()).unwrap();
+        let mut first = true;
+        compiled.stages = compiled.stages.into_map(&mut |mut qs: QueryStage| {
+            if std::mem::take(&mut first) {
+                // The same five columns, with `emps` as two base columns.
+                qs.layout = Arc::new(ResultLayout::new(&FlatType::Record(vec![
+                    ("dept".to_string(), FlatType::Base(BaseType::String)),
+                    ("emps_tag".to_string(), FlatType::Base(BaseType::Int)),
+                    ("emps_ord".to_string(), FlatType::Base(BaseType::Int)),
+                ])));
+            }
+            qs
+        });
+        let engine = Arc::new(engine_from_database(&db()).unwrap());
+        let commit = Arc::new(Mutex::new(()));
+        let Err(err) = LiveView::new(Arc::new(compiled), ParamValues::new(), engine, commit) else {
+            panic!("a stage without an index leaf for its nested bag was accepted");
+        };
+        assert!(
+            matches!(
+                err,
+                ShredError::Decode {
+                    code: codes::DECODE_SHAPE_MISMATCH,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     /// Maintenance is all-or-stale: a pass that fails part-way must not

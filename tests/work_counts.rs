@@ -21,7 +21,9 @@
 //! allocation and byte counts within ±1 %, which absorbs a toolchain's
 //! small differences between hosts. The file is recorded by a debug build
 //! (`cargo test`, as tier-1 and CI run it); regenerate it with
-//! `UPDATE_GOLDEN=1 cargo test --test work_counts`.
+//! `UPDATE_GOLDEN=1 cargo test --test work_counts`. An optimised build
+//! elides some allocations (QF3 makes 165 instead of 214), so under
+//! `--release` only the exact counts are compared.
 //!
 //! The counting allocator needs `unsafe impl GlobalAlloc`. Every library
 //! crate of the workspace forbids unsafe code; this test binary is the one
@@ -184,7 +186,7 @@ fn work_counts_match_the_golden_file() {
         .filter(|&(key, &w)| {
             let g = got[key];
             if key.ends_with(" allocs") || key.ends_with(" bytes") {
-                g.abs_diff(w) * 100 > w
+                cfg!(debug_assertions) && g.abs_diff(w) * 100 > w
             } else {
                 g != w
             }
