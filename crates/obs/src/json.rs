@@ -1,17 +1,17 @@
-//! Minimal JSON value model, renderer and recursive-descent parser.
+//! Minimal JSON value model and renderer.
 //!
 //! The workspace carries no external dependencies, so snapshot serialisation
-//! is hand-rolled. Numbers are kept as their source text so 64-bit integer
-//! values round-trip exactly (no detour through `f64`).
+//! is hand-rolled. Numbers are kept as their text so 64-bit integer values
+//! render exactly (no detour through `f64`).
 
 use std::fmt::Write as _;
 
-/// A parsed or to-be-rendered JSON value.
+/// A JSON value to render.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
-    /// The number's canonical source text (e.g. `"42"`, `"-1"`, `"0.5"`).
+    /// The number's canonical text (e.g. `"42"`, `"-1"`, `"0.5"`).
     Num(String),
     Str(String),
     Arr(Vec<Json>),
@@ -26,64 +26,6 @@ impl Json {
 
     pub fn from_i64(v: i64) -> Self {
         Json::Num(v.to_string())
-    }
-
-    pub fn from_f64(v: f64) -> Self {
-        if v.is_finite() {
-            Json::Num(format!("{v}"))
-        } else {
-            Json::Null
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Look up a field of an object by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
     }
 
     /// Render to compact JSON text.
@@ -143,198 +85,23 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document. Accepts exactly one top-level value surrounded by
-/// optional whitespace.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(format!("expected number at byte {start}"));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    // Validate it actually parses as a number before accepting the token.
-    text.parse::<f64>()
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
-    Ok(Json::Num(text.to_string()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar. Multi-byte sequences are copied
-                // verbatim (input is a &str, so they are valid).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_nested() {
+    fn renders_nested_values_compactly_and_exactly() {
         let v = Json::Obj(vec![
             ("a".into(), Json::from_u64(u64::MAX)),
             ("b".into(), Json::Arr(vec![Json::Null, Json::Bool(true)])),
-            ("c".into(), Json::Str("he said \"hi\"\n".into())),
+            ("c".into(), Json::Str("he said \"hi\"\n\t\\\u{1}".into())),
             ("d".into(), Json::from_i64(-42)),
+            ("e".into(), Json::Obj(vec![])),
+            ("f".into(), Json::Arr(vec![])),
         ]);
-        let text = v.render();
-        let back = parse(&text).expect("parse");
-        assert_eq!(v, back);
-        assert_eq!(back.get("a").and_then(Json::as_u64), Some(u64::MAX));
-    }
-
-    #[test]
-    fn parses_whitespace_and_floats() {
-        let back = parse(" { \"x\" : [ 1.5 , -2 ] } ").expect("parse");
-        let arr = back.get("x").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.5));
-        assert_eq!(arr[1].as_i64(), Some(-2));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("tru").is_err());
-        assert!(parse("1 2").is_err());
+        assert_eq!(
+            v.render(),
+            r#"{"a":18446744073709551615,"b":[null,true],"c":"he said \"hi\"\n\t\\\u0001","d":-42,"e":{},"f":[]}"#
+        );
     }
 }

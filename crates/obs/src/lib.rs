@@ -17,8 +17,8 @@
 //! * [`sink`] — the bounded in-memory [`RingSink`] that keeps the most
 //!   recent finished profiles.
 //!
-//! The [`json`] module is a minimal hand-rolled JSON encoder/parser (the
-//! workspace has no serde) used for the `MetricsSnapshot` round-trip.
+//! The [`json`] module is a minimal hand-rolled JSON renderer (the
+//! workspace has no serde) behind `MetricsSnapshot::to_json`.
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::read;
 
 /// A monotonically increasing atomic counter.
@@ -353,54 +353,6 @@ impl MetricsSnapshot {
         ])
         .render()
     }
-
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let counters = root
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or("missing counters object")?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("counter not a number")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        let gauges = root
-            .get("gauges")
-            .and_then(Json::as_obj)
-            .ok_or("missing gauges object")?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), v.as_i64().ok_or("gauge not a number")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        let histograms = root
-            .get("histograms")
-            .and_then(Json::as_obj)
-            .ok_or("missing histograms object")?
-            .iter()
-            .map(|(k, v)| {
-                let field = |name: &str| -> Result<u64, String> {
-                    v.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("histogram {k} missing {name}"))
-                };
-                Ok((
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: field("count")?,
-                        sum: field("sum")?,
-                        min: field("min")?,
-                        max: field("max")?,
-                        p50: field("p50")?,
-                        p95: field("p95")?,
-                        p99: field("p99")?,
-                    },
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Self {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -468,17 +420,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trip() {
+    fn registry_snapshot_renders_as_json() {
         let reg = MetricsRegistry::new();
         reg.counter("queries.executed").add(7);
         reg.gauge("cache.entries").set(-3);
         reg.histogram("stage.execute").record(12345);
         let snap = reg.snapshot();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).expect("parse");
-        assert_eq!(snap, back);
-        assert_eq!(back.counter("queries.executed"), Some(7));
-        assert_eq!(back.gauge("cache.entries"), Some(-3));
-        assert_eq!(back.histogram("stage.execute").unwrap().count, 1);
+        assert_eq!(snap.counter("queries.executed"), Some(7));
+        assert_eq!(snap.gauge("cache.entries"), Some(-3));
+        assert_eq!(snap.histogram("stage.execute").unwrap().count, 1);
+        assert_eq!(
+            snap.to_json(),
+            concat!(
+                r#"{"counters":{"queries.executed":7},"gauges":{"cache.entries":-3},"#,
+                r#""histograms":{"stage.execute":{"count":1,"sum":12345,"min":12345,"#,
+                r#""max":12345,"p50":12345,"p95":12345,"p99":12345}}}"#
+            )
+        );
     }
 }

@@ -41,10 +41,9 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// A SQL engine: storage plus an execution entry point.
 ///
 /// An `Engine` is `Send + Sync`: storage sits behind an `RwLock`, so any
-/// number of concurrent executions share read guards (the lazily built
-/// columnar views sit behind version-stamped cells and the plan counter is
-/// atomic) while write batches ([`Engine::apply_batch`]) take the write
-/// lock. One engine instance — typically behind an `Arc` — serves any
+/// number of concurrent executions share read guards (each table's columns
+/// are shared by `Arc` and copied on write, and the plan counter is atomic)
+/// while write batches ([`Engine::apply_batch`]) take the write lock. One engine instance — typically behind an `Arc` — serves any
 /// number of threads concurrently.
 #[derive(Debug, Default)]
 pub struct Engine {

@@ -38,9 +38,8 @@
 //! differentially tested against.
 //!
 //! The whole engine is `Send + Sync`: values share string storage by
-//! `Arc<str>`, batches share columns by `Arc`, the lazily transposed
-//! columnar views sit in version-stamped cells and the plan counter is
-//! atomic. Storage is mutable — [`delta`] adds deletes, updates and a
+//! `Arc<str>`, batches and tables share columns by `Arc` (a write copies
+//! a column a reader still holds) and the plan counter is atomic. Storage is mutable — [`delta`] adds deletes, updates and a
 //! write-batch API that emits typed insertion/retraction deltas — so the
 //! engine keeps its storage behind an `RwLock`: plans execute against a
 //! read guard, write batches take the write lock, and one engine instance

@@ -8,7 +8,7 @@ use crate::error::EngineError;
 use crate::value::{Row, SqlValue};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// The declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,87 +85,28 @@ impl TableDef {
     }
 }
 
-/// The shared column-major view a cell caches: one `Arc` per column.
-type SharedColumns = Arc<Vec<Arc<Vec<SqlValue>>>>;
-
-/// A table's columnar view, stamped with the table version it matches.
-///
-/// [`Table::columnar`] builds the view on a cold read and serves it while
-/// the stamps agree. Every mutator patches a warm view in step with the rows
-/// and re-stamps it, so a write costs one value per column, not a later
-/// re-transposition. A poisoned lock is recovered, not re-panicked: a patch
-/// works on a view taken out of the lock, so a panic leaves no view at all,
-/// never a torn one stamped as current.
-#[derive(Debug, Default)]
-struct ColumnarCell {
-    cache: RwLock<Option<(u64, SharedColumns)>>,
-}
-
-impl ColumnarCell {
-    fn get(&self, version: u64) -> Option<SharedColumns> {
-        let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
-        match cache.as_ref() {
-            Some((v, cols)) if *v == version => Some(cols.clone()),
-            _ => None,
-        }
-    }
-
-    fn put(&self, version: u64, cols: SharedColumns) {
-        *self.cache.write().unwrap_or_else(PoisonError::into_inner) = Some((version, cols));
-    }
-
-    /// Carry a view built at `version` over to `version + 1` by applying
-    /// `edit` to its columns. Columns a reader still holds are copied on
-    /// write (`Arc::make_mut`), so the reader keeps its snapshot. A view at
-    /// any other version is dropped: the next read rebuilds it.
-    fn patch(&mut self, version: u64, edit: impl FnOnce(&mut [Arc<Vec<SqlValue>>])) {
-        let cache = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if let Some((v, mut cols)) = cache.take() {
-            if v == version {
-                edit(Arc::make_mut(&mut cols).as_mut_slice());
-                *cache = Some((version + 1, cols));
-            }
-        }
-    }
-}
-
-/// A stored table: a definition plus its rows.
+/// A stored table: a definition plus its rows, and the same rows column by
+/// column.
 ///
 /// Rows must be added through [`Table::insert`] and removed or replaced
 /// through [`Table::delete`] / [`Table::update`] (or the [`Storage`] entry
 /// points), which enforce the schema — arity, column types and the key
-/// declared with [`TableDef::with_key`] — and keep the cached columnar view
-/// in step with the rows.
-#[derive(Debug)]
+/// declared with [`TableDef::with_key`] — and edit the columns in step with
+/// the rows. Cloning a table shares its columns; the first write to either
+/// copy copies them on write.
+#[derive(Debug, Clone)]
 pub struct Table {
     pub def: TableDef,
     /// The rows, in scan order. Read freely; write only through the
-    /// mutators. A direct mutation bypasses the version stamp, so
-    /// [`Table::columnar`] would go on serving the columns of the old rows,
-    /// and it bypasses the key bookkeeping too.
+    /// mutators. A direct mutation leaves [`Table::columnar`] serving the
+    /// old rows, and it bypasses the key bookkeeping too.
     pub rows: Vec<Row>,
     /// Key values seen so far, for O(1) duplicate-key detection.
     key_seen: HashSet<Row>,
-    /// Bumped by every mutation; pairs with `columnar` so cached column
-    /// vectors are served only while they match the current contents.
-    version: u64,
-    /// Column-major view served to the vectorized executor: transposed on
-    /// the first read, then patched by every mutation. Behind an `RwLock`
-    /// so concurrent readers of a shared table can build it without `&mut`
-    /// access.
-    columnar: ColumnarCell,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            def: self.def.clone(),
-            rows: self.rows.clone(),
-            key_seen: self.key_seen.clone(),
-            version: self.version,
-            columnar: ColumnarCell::default(),
-        }
-    }
+    /// The rows column by column, served to the vectorized executor. Every
+    /// mutator edits them through `Arc::make_mut`, so a view a reader holds
+    /// is copied on write, never changed.
+    columns: Arc<Vec<Arc<Vec<SqlValue>>>>,
 }
 
 impl PartialEq for Table {
@@ -177,12 +118,12 @@ impl PartialEq for Table {
 impl Table {
     /// An empty table.
     pub fn new(def: TableDef) -> Table {
+        let columns = Arc::new((0..def.arity()).map(|_| Arc::default()).collect());
         Table {
             def,
             rows: Vec::new(),
             key_seen: HashSet::new(),
-            version: 0,
-            columnar: ColumnarCell::default(),
+            columns,
         }
     }
 
@@ -214,16 +155,20 @@ impl Table {
     /// `NULL` is never considered a duplicate (SQL `UNIQUE` semantics; the
     /// natural indexing scheme pads key columns with `NULL`).
     pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
-        if let Some(key) = self.check_row(&row, |key| self.key_seen.contains(key))? {
+        let key = self.check_row(&row, |key| self.key_seen.contains(key))?;
+        self.append(key, row);
+        Ok(())
+    }
+
+    /// Append a checked row, which occupies `key`.
+    fn append(&mut self, key: Option<Row>, row: Row) {
+        if let Some(key) = key {
             self.key_seen.insert(key);
         }
-        self.mutated(|cols| {
-            for (col, v) in cols.iter_mut().zip(&row) {
-                Arc::make_mut(col).push(v.clone());
-            }
-        });
+        for (col, v) in self.columns_mut().zip(&row) {
+            col.push(v.clone());
+        }
         self.rows.push(row);
-        Ok(())
     }
 
     /// Check a row for insertion: its arity, then its column types, then —
@@ -278,30 +223,22 @@ impl Table {
     /// row. The table must declare a key.
     pub fn delete_by_key(&mut self, key: &Row) -> Result<Row, EngineError> {
         let idx = self.position_by_key(key)?;
-        let row = self.rows[idx].clone();
-        self.delete_at(idx);
-        Ok(row)
+        Ok(self.delete_at(idx))
     }
 
     /// Replace the row whose key columns equal `key` with `row`, returning
     /// the previous row. The replacement is validated like an insert (arity,
-    /// column types, key uniqueness against every *other* row), and the
-    /// updated row moves to the end of the table — an update is a delete
-    /// plus an insert, exactly the normal form the delta layer emits.
+    /// column types, key uniqueness against every *other* row) before the
+    /// table changes, and the updated row moves to the end of the table —
+    /// an update is a delete plus an insert, exactly the normal form the
+    /// delta layer emits.
     pub fn update(&mut self, key: &Row, row: Row) -> Result<Row, EngineError> {
         let idx = self.position_by_key(key)?;
-        let old = self.rows[idx].clone();
-        self.delete_at(idx);
-        match self.insert(row) {
-            Ok(()) => Ok(old),
-            Err(e) => {
-                // Roll the delete back so a rejected update leaves the table
-                // untouched (the old row returns at the end; multiset
-                // contents are what the engine guarantees).
-                self.insert(old).expect("reinserting the old row succeeds");
-                Err(e)
-            }
-        }
+        // The row at `idx` holds `key` itself, which the update frees.
+        let new_key = self.check_row(&row, |k| k != key && self.key_seen.contains(k))?;
+        let old = self.delete_at(idx);
+        self.append(new_key, row);
+        Ok(old)
     }
 
     fn position_by_key(&self, key: &Row) -> Result<usize, EngineError> {
@@ -344,49 +281,32 @@ impl Table {
         }
     }
 
-    fn delete_at(&mut self, idx: usize) {
+    fn delete_at(&mut self, idx: usize) -> Row {
         let row = self.rows.remove(idx);
         if let Some(key) = self.key_of(&row) {
             self.key_seen.remove(&key);
         }
-        self.mutated(|cols| {
-            for col in cols {
-                Arc::make_mut(col).remove(idx);
-            }
-        });
+        for col in self.columns_mut() {
+            col.remove(idx);
+        }
+        row
     }
 
-    /// Bump the version after a mutation, carrying a warm columnar view
-    /// across with `edit` — the mutation's effect on the columns.
-    fn mutated(&mut self, edit: impl FnOnce(&mut [Arc<Vec<SqlValue>>])) {
-        self.columnar.patch(self.version, edit);
-        self.version += 1;
+    /// The columns, for a mutator to edit in step with the rows. Columns a
+    /// reader still holds are copied first.
+    fn columns_mut(&mut self) -> impl Iterator<Item = &mut Vec<SqlValue>> {
+        Arc::make_mut(&mut self.columns)
+            .iter_mut()
+            .map(Arc::make_mut)
     }
 
     /// The column-major view of the table: one shared vector per column, in
-    /// declaration order. A cold read transposes the rows (thread-safely:
-    /// any number of concurrent readers may trigger the build); from then
-    /// on every mutation patches the cached view in place, so a read after a
-    /// write costs no re-transposition. The vectorized executor scans these
-    /// vectors zero-copy, and the `Arc`s let batches outlive the borrow and
-    /// cross threads: a view a reader holds is a snapshot, which later
-    /// writes copy on write instead of changing.
+    /// declaration order. The vectorized executor scans these vectors
+    /// zero-copy, and the `Arc`s let batches outlive the borrow and cross
+    /// threads: a view a reader holds is a snapshot, which later writes
+    /// copy on write instead of changing.
     pub fn columnar(&self) -> Arc<Vec<Arc<Vec<SqlValue>>>> {
-        if let Some(cols) = self.columnar.get(self.version) {
-            return cols;
-        }
-        let mut columns: Vec<Vec<SqlValue>> = (0..self.def.arity())
-            .map(|_| Vec::with_capacity(self.rows.len()))
-            .collect();
-        for row in &self.rows {
-            for (c, v) in row.iter().enumerate() {
-                columns[c].push(v.clone());
-            }
-        }
-        let built: Arc<Vec<Arc<Vec<SqlValue>>>> =
-            Arc::new(columns.into_iter().map(Arc::new).collect());
-        self.columnar.put(self.version, built.clone());
-        built
+        Arc::clone(&self.columns)
     }
 
     /// Number of rows.
@@ -688,7 +608,7 @@ mod tests {
             assert_eq!(*cols[0], vec![SqlValue::Int(1)]);
             assert_eq!(*cols[1], vec![SqlValue::str("a")]);
         }
-        // Inserting invalidates the cached view.
+        // The view a later read gets holds the insert.
         s.insert("t", vec![SqlValue::Int(2), SqlValue::str("b")])
             .unwrap();
         let cols = s.table("t").unwrap().columnar();
@@ -696,17 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn the_columnar_view_is_invalidated_by_every_mutation() {
-        // Regression test for the stale-columnar-view hazard: the historical
-        // `OnceLock` cache only invalidated on insert, so a read after a
-        // delete or update served the old transposition.
+    fn the_columnar_view_tracks_every_mutation() {
+        // Regression test for the stale-columnar-view hazard: a historical
+        // cache tracked only inserts, so a read after a delete or update
+        // served the columns of the old rows.
         let mut s = Storage::new();
         s.create_table(def()).unwrap();
         for (id, name) in [(1, "a"), (2, "b"), (3, "c")] {
             s.insert("t", vec![SqlValue::Int(id), SqlValue::str(name)])
                 .unwrap();
         }
-        // Read once to populate the cache.
         assert_eq!(s.table("t").unwrap().columnar()[0].len(), 3);
         // Delete-by-value, then re-read: the view must shrink.
         s.delete("t", &vec![SqlValue::Int(2), SqlValue::str("b")])
@@ -730,7 +649,7 @@ mod tests {
         assert_eq!(*cols[1], vec![SqlValue::str("z")]);
     }
 
-    /// A fresh transposition of the rows, to hold the cached view against.
+    /// A fresh transposition of the rows, to hold the columns against.
     fn transposed(t: &Table) -> Vec<Vec<SqlValue>> {
         (0..t.def.arity())
             .map(|c| t.rows.iter().map(|r| r[c].clone()).collect())
@@ -741,8 +660,8 @@ mod tests {
         t.columnar().iter().map(|c| c.to_vec()).collect()
     }
 
-    /// The addresses of a table's cached view and of each of its columns.
-    /// No `Arc` is kept, so the view stays unshared.
+    /// The addresses of a table's view and of each of its columns. No `Arc`
+    /// is kept, so the view stays unshared.
     fn view_ptrs(t: &Table) -> Vec<*const Vec<SqlValue>> {
         let cols = t.columnar();
         let mut ptrs: Vec<_> = cols.iter().map(Arc::as_ptr).collect();
@@ -755,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn every_write_keeps_a_warm_columnar_view_equal_to_the_rows() {
+    fn every_write_keeps_the_columns_equal_to_the_rows() {
         use crate::delta::WriteBatch;
         let mut s = Storage::new();
         s.create_table(def()).unwrap();
@@ -806,8 +725,6 @@ mod tests {
             ),
         ];
         for (what, write) in writes {
-            // Warm the view, so the write has one to patch.
-            s.table("t").unwrap().columnar();
             write(&mut s);
             let t = s.table("t").unwrap();
             assert_eq!(view(t), transposed(t), "after {what}");
@@ -816,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn an_unshared_warm_view_is_patched_in_place() {
+    fn unshared_columns_are_edited_in_place() {
         let mut s = Storage::new();
         s.create_table(def()).unwrap();
         s.insert("t", row(1, "a")).unwrap();
@@ -824,7 +741,7 @@ mod tests {
         s.insert("t", row(2, "b")).unwrap();
         s.delete("t", &row(1, "a")).unwrap();
         let t = s.table("t").unwrap();
-        assert_eq!(view_ptrs(t), before, "the view was rebuilt, not patched");
+        assert_eq!(view_ptrs(t), before, "the columns were copied, not edited");
         assert_eq!(view(t), transposed(t));
     }
 
@@ -842,10 +759,49 @@ mod tests {
         assert_eq!(*column, vec![SqlValue::str("a"), SqlValue::str("b")]);
         let t = s.table("t").unwrap();
         assert_eq!(view(t), transposed(t));
+
+        // A clone shares the columns; a write through it copies them, so
+        // the original keeps its rows and its view.
+        let original = s.table("t").unwrap();
+        let (rows, columns) = (original.rows.clone(), view(original));
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&clone.columnar(), &original.columnar()));
+        clone.insert(row(4, "d")).unwrap();
+        clone.update(&vec![SqlValue::Int(2)], row(2, "z")).unwrap();
+        clone.delete(&row(3, "c")).unwrap();
+        assert_eq!((original.rows.clone(), view(original)), (rows, columns));
+        assert_eq!(clone.rows, vec![row(4, "d"), row(2, "z")]);
+        assert_eq!(view(&clone), transposed(&clone));
     }
 
     #[test]
-    fn a_rejected_batch_leaves_the_warm_view_as_it_was() {
+    fn a_rejected_update_leaves_rows_and_columns_as_they_were() {
+        let mut s = Storage::new();
+        s.create_table(def()).unwrap();
+        for (id, name) in [(1, "a"), (2, "b"), (3, "c")] {
+            s.insert("t", row(id, name)).unwrap();
+        }
+        let rows = s.table("t").unwrap().rows.clone();
+        let columns = view(s.table("t").unwrap());
+        for bad in [
+            row(3, "dup"),
+            vec![SqlValue::Int(1)],
+            vec![SqlValue::str("x"), SqlValue::str("a")],
+        ] {
+            assert!(s.update("t", &vec![SqlValue::Int(1)], bad).is_err());
+            let t = s.table("t").unwrap();
+            assert_eq!(t.rows, rows);
+            assert_eq!(view(t), columns);
+        }
+        // The key the update would have freed is still taken.
+        assert!(matches!(
+            s.insert("t", row(1, "again")),
+            Err(EngineError::DuplicateKey { .. })
+        ));
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_the_columns_as_they_were() {
         use crate::delta::WriteBatch;
         let mut s = Storage::new();
         s.create_table(def()).unwrap();

@@ -7,9 +7,9 @@
 //!
 //! * a [`Batch`] holds one `Vec<SqlValue>` per column, shared by `Arc` so
 //!   table scans and CTE references are zero-copy and batches are
-//!   `Send + Sync` (plans execute against a storage read guard — the only
-//!   interior state is each table's version-stamped columnar cell — so any
-//!   number of threads can run plans over one engine),
+//!   `Send + Sync` (plans execute against a storage read guard and mutate
+//!   nothing through it, so any number of threads can run plans over one
+//!   engine),
 //! * filters and semi-joins produce **selection vectors** instead of moving
 //!   data,
 //! * expressions are evaluated column-at-a-time into borrowed `Vector`s

@@ -248,17 +248,16 @@ fn no_layer_implements_order_by_distinct_or_except_all() {
     );
 }
 
-/// A poisoned lock in obs, or on a table's columnar cache, is recovered
-/// with `PoisonError::into_inner`: what those locks guard cannot be left
-/// torn, so one panic must not become a panic for every later caller.
+/// A poisoned lock in obs is recovered with `PoisonError::into_inner`:
+/// what those locks guard cannot be left torn, so one panic must not become
+/// a panic for every later caller.
 #[test]
-fn obs_and_the_columnar_cache_recover_poisoned_locks() {
+fn obs_recovers_poisoned_locks() {
     for (file, text) in [
         ("obs/src/lib.rs", OBS_LIB),
         ("obs/src/metrics.rs", OBS_METRICS),
         ("obs/src/profile.rs", OBS_PROFILE),
         ("obs/src/sink.rs", OBS_SINK),
-        ("sqlengine/src/storage.rs", STORAGE),
     ] {
         let code: String = text.split_whitespace().collect();
         for acquire in [".lock()", ".read()", ".write()", ".get_mut()"] {
@@ -295,8 +294,8 @@ fn bracketed<'a>(code: &'a str, open: &str) -> Vec<(&'a str, &'a str)> {
 
 /// A commit costs O(batch), not O(table): validation replays the batch on
 /// an overlay over the borrowed tables instead of copies of them, and every
-/// mutation patches the table's columnar view instead of leaving the next
-/// reader to transpose the whole table again.
+/// mutation edits the table's columns in step with its rows instead of
+/// leaving a reader to transpose the whole table again.
 #[test]
 fn the_commit_path_copies_no_table() {
     let delta: String = product(DELTA).split_whitespace().collect();
@@ -315,44 +314,72 @@ fn the_commit_path_copies_no_table() {
         );
     }
 
-    // In storage.rs, the cold build in `columnar()` is the one place a
-    // `Table` walks its rows into columns, and the one place that bumps the
-    // version is the helper that patches the view in step.
-    let storage: String = product(STORAGE).split_whitespace().collect();
-    let table = storage
-        .split_once("implTable{")
-        .expect("impl Table")
-        .1
-        .split_once("pubstructStorage")
-        .expect("Storage follows Table")
-        .0;
-    let builds = table.matches("forrowin&self.rows").count()
-        + table.matches("self.rows.iter().map(").count();
-    let cold_build = table
-        .split_once("pubfncolumnar(&self)")
+    // In storage.rs, a table keeps its columns current: every function that
+    // changes the rows edits the columns beside them, `columnar()` hands out
+    // the columns it keeps, and no code walks the rows into columns. The
+    // lazy, version-stamped column cache stays gone.
+    let storage = product(STORAGE);
+    let removed = ["ColumnarCell", "version", "RwLock", "PoisonError"];
+    for ident in storage.split(|c: char| !c.is_alphanumeric() && c != '_') {
+        assert!(
+            !removed.contains(&ident),
+            "storage.rs names `{ident}`: a table keeps its columns current, not cached"
+        );
+    }
+    let storage: String = storage.split_whitespace().collect();
+    for transpose in [
+        "forrowin&self.rows",
+        "forrowinself.rows.iter()",
+        "self.rows.iter().map(",
+        "self.rows.iter().enumerate()",
+        "with_capacity(self.rows.len())",
+    ] {
+        assert!(
+            !storage.contains(transpose),
+            "storage.rs transposes rows into columns (`{transpose}`): edit the columns in step"
+        );
+    }
+    assert!(
+        storage.contains("#[derive(Debug,Clone)]pubstructTable{")
+            && !storage.contains("implCloneforTable"),
+        "a cloned table shares its columns: `Table` derives `Clone`"
+    );
+    let columnar = storage
+        .split_once("pubfncolumnar(&self)->Arc<Vec<Arc<Vec<SqlValue>>>>{")
         .expect("Table::columnar")
-        .1
-        .split_once("pubfn")
-        .expect("a function after Table::columnar")
-        .0;
+        .1;
     assert!(
-        builds == 1 && cold_build.contains("forrowin&self.rows"),
-        "storage.rs transposes rows outside `columnar()`'s cold build"
+        columnar.starts_with("Arc::clone(&self.columns)}"),
+        "Table::columnar does more than share the columns it keeps"
     );
-    assert_eq!(
-        storage.matches("self.version+=1").count(),
-        1,
-        "a mutation bumps the version without patching the columnar view"
-    );
-    assert!(
-        storage.contains("self.columnar.patch(self.version,edit);self.version+=1;"),
-        "the version bump patches the columnar view"
-    );
-    assert_eq!(
-        storage.matches("ColumnarCell::default()").count(),
-        2,
-        "only `Table::new` and `Clone` start a table with a cold view"
-    );
+    let row_writes = [
+        "self.rows.push(",
+        "self.rows.remove(",
+        "self.rows.insert(",
+        "self.rows.swap_remove(",
+        "self.rows.retain(",
+        "self.rows.truncate(",
+        "self.rows.clear(",
+        "self.rows.extend(",
+        "self.rows.drain(",
+        "self.rows.iter_mut(",
+        "self.rows.sort",
+    ];
+    let mut writers = 0;
+    for function in storage.split("fn").skip(1) {
+        let assigned = function
+            .match_indices("self.rows=")
+            .any(|(at, w)| !function[at + w.len()..].starts_with('='));
+        if assigned || row_writes.iter().any(|w| function.contains(w)) {
+            writers += 1;
+            assert!(
+                function.contains("self.columns_mut()"),
+                "storage.rs changes rows without editing the columns: `fn{}`",
+                function.split_once('{').map_or(function, |(sig, _)| sig)
+            );
+        }
+    }
+    assert_eq!(writers, 2, "rows change only in `append` and `delete_at`");
 }
 
 /// A hash join picks its build side at run time from its inputs' real sizes,
