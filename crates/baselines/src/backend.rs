@@ -178,7 +178,7 @@ impl SqlBackend for VandenBusscheBackend {
     ) -> Result<Value, ShredError> {
         let term: &nrc::Term = plan.downcast()?;
         let value = shredding::obs::time_maybe(cx.obs(), shredding::obs::Stage::Execute, || {
-            nrc::eval_with_params(term, cx.db()?, &bindings.to_value_map())
+            nrc::eval_with_params(term, &cx.db()?, &bindings.to_value_map())
                 .map_err(ShredError::Eval)
         })?;
         shredding::obs::time_maybe(cx.obs(), shredding::obs::Stage::Decode, || {

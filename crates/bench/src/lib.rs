@@ -22,13 +22,13 @@
 
 use baselines::{FlatDefaultBackend, LoopLiftBackend};
 use datagen::{generate, organisation_schema, OrgConfig};
-use nrc::schema::{Database, Schema};
+use nrc::schema::Schema;
 use nrc::term::Term;
 use nrc::value::Value;
 use shredding::error::ShredError;
 use shredding::session::Shredder;
 use sqlengine::plan::VExpr;
-use sqlengine::{BinOp, Engine, PhysicalPlan};
+use sqlengine::{BinOp, PhysicalPlan};
 use std::time::{Duration, Instant};
 
 /// The systems compared by the evaluation.
@@ -79,15 +79,13 @@ impl Instance {
     /// Generate an instance from an explicit configuration.
     pub fn with_config(config: OrgConfig) -> Instance {
         let schema = organisation_schema();
-        let db = generate(&config);
         let shredding = Shredder::builder()
-            .database(db.clone())
+            .database(generate(&config))
             .without_plan_cache()
             .build()
             .expect("generated data always configures a session");
         // The baseline sessions run over the same loaded engine (shared, not
-        // copied) and need no database of their own: the reference answers
-        // come from the shredding session's oracle.
+        // copied), so each one's oracle reads the same data.
         let engine = shredding
             .shared_engine()
             .expect("generated data always loads into the engine");
@@ -114,13 +112,6 @@ impl Instance {
         }
     }
 
-    /// The generated database (owned by the shredding session).
-    pub fn db(&self) -> &Database {
-        self.shredding
-            .database()
-            .expect("the shredding session owns the database")
-    }
-
     /// The session configured for a given system.
     pub fn session(&self, system: System) -> &Shredder {
         match system {
@@ -128,13 +119,6 @@ impl Instance {
             System::LoopLifting => &self.looplift,
             System::Default => &self.flat,
         }
-    }
-
-    /// The SQL engine shared by all three sessions.
-    pub fn engine(&self) -> &Engine {
-        self.shredding
-            .engine()
-            .expect("the engine was built eagerly")
     }
 }
 
@@ -208,15 +192,9 @@ pub fn check_against_reference(
     query: &Term,
     instance: &Instance,
 ) -> Result<(), String> {
-    // The shredding session owns the database, so it provides the oracle.
-    let reference = instance
-        .session(System::Shredding)
-        .oracle(query)
-        .map_err(|e| e.to_string())?;
-    let value = instance
-        .session(system)
-        .run(query)
-        .map_err(|e| e.to_string())?;
+    let session = instance.session(system);
+    let reference = session.oracle(query).map_err(|e| e.to_string())?;
+    let value = session.run(query).map_err(|e| e.to_string())?;
     if value.multiset_eq(&reference) {
         Ok(())
     } else {

@@ -1,7 +1,8 @@
 //! The `Shredder` session API: the front door of the crate.
 //!
 //! A [`Shredder`] is a configured query session. It owns the schema, the
-//! (optional) database, a lazily built SQL engine, a pluggable execution
+//! (optional) SQL engine whose storage is the session's one copy of the data
+//! (an attached database is loaded into it at build), a pluggable execution
 //! backend ([`SqlBackend`]) and a two-level LRU plan cache: source terms in
 //! front of normal forms.
 //! The session lifecycle mirrors the staged planner lifecycles of production
@@ -231,12 +232,11 @@ pub struct PlanRequest<'a> {
     pub obs: Option<&'a QueryObs>,
 }
 
-/// Execution-time context handed to a backend: the session's database and
-/// lazily built SQL engine.
+/// Execution-time context handed to a backend: the session's schema and SQL
+/// engine, whose storage holds the session's data.
 pub struct ExecContext<'a> {
-    db: Option<&'a Database>,
-    engine: &'a OnceLock<Arc<Engine>>,
-    engine_init: &'a Mutex<()>,
+    schema: &'a Schema,
+    engine: Option<&'a Arc<Engine>>,
     obs: Option<&'a QueryObs>,
     exec_opts: sqlengine::ExecOptions,
 }
@@ -259,35 +259,23 @@ impl<'a> ExecContext<'a> {
     pub fn obs(&self) -> Option<&'a QueryObs> {
         self.obs
     }
-    /// The session's database, or a configuration error if the session was
-    /// built from a schema alone.
-    pub fn db(&self) -> Result<&'a Database, ShredError> {
-        self.db.ok_or_else(|| {
-            ShredError::Config(
-                "this session has no database; attach one with ShredderBuilder::database".into(),
-            )
-        })
+    /// The committed state of the session's storage as a λNRC database,
+    /// rebuilt by each call from one read of the storage
+    /// ([`pipeline::database_from_storage`]).
+    pub fn db(&self) -> Result<Database, ShredError> {
+        pipeline::database_from_storage(&self.engine()?.storage(), self.schema)
     }
 
-    /// The session's SQL engine, loading the database into engine storage on
-    /// first use. Thread-safe: the one-time load is serialised by an init
-    /// mutex (double-checked against the `OnceLock`), so a cold concurrent
-    /// first execution loads the database exactly once; a failed load
-    /// releases the lock and lets the next caller retry. Every later call
-    /// returns the cached engine without locking.
+    /// The session's SQL engine, or a configuration error if the session was
+    /// built from a schema alone.
     pub fn engine(&self) -> Result<&'a Arc<Engine>, ShredError> {
-        if let Some(engine) = self.engine.get() {
-            return Ok(engine);
-        }
-        let _guard = self
-            .engine_init
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(engine) = self.engine.get() {
-            return Ok(engine);
-        }
-        let built = Arc::new(pipeline::engine_from_database(self.db()?)?);
-        Ok(self.engine.get_or_init(|| built))
+        self.engine.ok_or_else(|| {
+            ShredError::Config(
+                "this session has no database or engine; attach one with \
+                 ShredderBuilder::database or ShredderBuilder::engine"
+                    .into(),
+            )
+        })
     }
 }
 
@@ -1003,18 +991,18 @@ impl ShredderBuilder {
         self
     }
 
-    /// Attach the database the session queries. Enables execution; sessions
-    /// built from a schema alone can still `prepare` and `explain`.
+    /// Attach the database the session queries; [`build`](Self::build) loads
+    /// it into engine storage and drops it. Enables execution; sessions built
+    /// from a schema alone can still `prepare` and `explain`.
     pub fn database(mut self, db: Database) -> Self {
         self.database = Some(db);
         self
     }
 
-    /// Use a pre-loaded SQL engine instead of loading the database into
-    /// engine storage on first execution. Accepts an `Arc<Engine>` (e.g.
-    /// from [`Shredder::shared_engine`]) so several sessions over the same
-    /// data can share one loaded engine without copying its storage — across
-    /// threads, if desired.
+    /// Use a loaded SQL engine, instead of a database, as the session's data.
+    /// Accepts an `Arc<Engine>` (e.g. from [`Shredder::shared_engine`]) so
+    /// several sessions over the same data can share one loaded engine
+    /// without copying its storage — across threads, if desired.
     pub fn engine(mut self, engine: impl Into<Arc<Engine>>) -> Self {
         self.engine = Some(engine.into());
         self
@@ -1063,8 +1051,14 @@ impl ShredderBuilder {
         self
     }
 
-    /// Validate the configuration and build the session.
+    /// Validate the configuration and build the session, loading an
+    /// attached database into engine storage.
     pub fn build(self) -> Result<Shredder, ShredError> {
+        if self.database.is_some() && self.engine.is_some() {
+            return Err(ShredError::Config(
+                "database and engine are mutually exclusive: a session has one data copy".into(),
+            ));
+        }
         let schema = match (self.schema, &self.database) {
             (Some(schema), Some(db)) => {
                 if schema != db.schema {
@@ -1104,16 +1098,15 @@ impl ShredderBuilder {
             }
             Some(PlanCache::new(capacity))
         };
-        let engine = OnceLock::new();
-        if let Some(e) = self.engine {
-            let _ = engine.set(e);
-        }
+        let engine = match self.database {
+            Some(db) => Some(Arc::new(pipeline::engine_from_database(&db)?)),
+            None => self.engine,
+        };
         Ok(Shredder {
             core: Arc::new(ShredderCore {
                 schema: Arc::new(schema),
-                db: self.database,
                 engine,
-                engine_init: Mutex::new(()),
+                snapshot: OnceLock::new(),
                 backend: self.backend.unwrap_or_else(|| Box::new(SqlEngineBackend)),
                 cache,
                 verify: self.verify.unwrap_or(cfg!(debug_assertions)),
@@ -1160,11 +1153,10 @@ impl ShredderBuilder {
 /// # Concurrency
 ///
 /// A `Shredder` is `Send + Sync` **and cheaply clonable**: the session state
-/// (schema, database, engine, backend, plan cache) lives behind one `Arc`,
-/// so `clone()` is a reference-count bump and every clone shares the same
-/// plan cache and the same lazily loaded engine. To serve a parametric
-/// workload from N worker threads, prepare once and hand each thread a
-/// clone:
+/// (schema, engine, backend, plan cache) lives behind one `Arc`, so
+/// `clone()` is a reference-count bump and every clone shares the same plan
+/// cache and the same engine. To serve a parametric workload from N worker
+/// threads, prepare once and hand each thread a clone:
 ///
 /// ```
 /// use nrc::builder::*;
@@ -1208,11 +1200,10 @@ pub struct Shredder {
 #[derive(Debug)]
 struct ShredderCore {
     schema: Arc<Schema>,
-    db: Option<Database>,
-    engine: OnceLock<Arc<Engine>>,
-    /// Serialises the one-time database → engine load (see
-    /// [`ExecContext::engine`]); never held while executing.
-    engine_init: Mutex<()>,
+    /// The session's data; `None` only for a schema-only session.
+    engine: Option<Arc<Engine>>,
+    /// The copy [`Shredder::database`] makes; nothing else reads it.
+    snapshot: OnceLock<Database>,
     backend: Box<dyn SqlBackend>,
     cache: Option<PlanCache>,
     /// Fail `prepare` on error-severity diagnostics (see
@@ -1255,9 +1246,14 @@ impl Shredder {
         &self.core.schema
     }
 
-    /// The session's database, if one is attached.
+    /// A copy of the session's data that the first call builds from storage
+    /// and later writes do not reach; `None` if there is no data to copy.
+    #[deprecated(note = "fixed at the first call; `oracle` reads the committed state")]
     pub fn database(&self) -> Option<&Database> {
-        self.core.db.as_ref()
+        if self.core.snapshot.get().is_none() {
+            let _ = self.core.snapshot.set(self.exec_context().db().ok()?);
+        }
+        self.core.snapshot.get()
     }
 
     /// The name of the session's backend.
@@ -1265,8 +1261,7 @@ impl Shredder {
         self.core.backend.name()
     }
 
-    /// The session's SQL engine, loading the database into engine storage on
-    /// first use.
+    /// The session's SQL engine, whose storage holds the session's data.
     pub fn engine(&self) -> Result<&Engine, ShredError> {
         self.exec_context().engine().map(Arc::as_ref)
     }
@@ -1308,7 +1303,7 @@ impl Shredder {
             prepare_spans: Arc::new(spans),
             last_exec: Arc::new(Mutex::new(None)),
             cache_stats: self.cache_stats(),
-            plans_built: self.core.engine.get().map(|e| e.plans_built()).unwrap_or(0),
+            plans_built: self.core.engine.as_ref().map_or(0, |e| e.plans_built()),
         })
     }
 
@@ -1559,13 +1554,6 @@ impl Shredder {
         self.execute(&prepared)
     }
 
-    /// Prepare (or fetch from the cache) and execute with bindings in one
-    /// call.
-    pub fn run_bound(&self, term: &Term, params: &Params) -> Result<Value, ShredError> {
-        let prepared = self.prepare(term)?;
-        self.execute_bound(&prepared, params)
-    }
-
     /// Subscribe to a prepared query's result: returns a live
     /// [`Subscription`] whose [`value`](Subscription::value) is kept up to
     /// date across every write batch committed through
@@ -1670,10 +1658,10 @@ impl Shredder {
     /// value) and the first such error is returned — the batch itself stays
     /// committed.
     ///
-    /// Note that writes go to the *engine storage*, which was loaded from
-    /// the session's [`Database`] on first use: [`Shredder::database`] (and
-    /// therefore [`oracle`](Self::oracle)) keeps reflecting the load-time
-    /// snapshot, while executions and subscriptions see the mutated state.
+    /// Writes go to engine storage, the session's one copy of the data, which
+    /// every backend and [`oracle`](Self::oracle) read. A `NULL` written
+    /// there past the session, which λNRC cannot express, makes the oracle a
+    /// typed decode error.
     ///
     /// A row that puts `NULL` into a column of its table's declared key is
     /// rejected with [`ShredError::NullKey`] before anything is applied:
@@ -1731,8 +1719,7 @@ impl Shredder {
     /// (no shredding, no SQL). The ground truth every backend is validated
     /// against (Theorem 4).
     pub fn oracle(&self, term: &Term) -> Result<Value, ShredError> {
-        let cx = self.exec_context();
-        nrc::eval(term, cx.db()?).map_err(ShredError::Eval)
+        self.oracle_bound(term, &Params::new())
     }
 
     /// The reference semantics with explicit parameter bindings — the ground
@@ -1743,7 +1730,7 @@ impl Shredder {
             .iter()
             .map(|(n, v)| (n.to_string(), v.clone()))
             .collect();
-        nrc::eval_with_params(term, cx.db()?, &bindings).map_err(ShredError::Eval)
+        nrc::eval_with_params(term, &cx.db()?, &bindings).map_err(ShredError::Eval)
     }
 
     /// Counters describing the plan cache (all zero when caching is
@@ -1786,7 +1773,7 @@ impl Shredder {
         metrics
             .gauge("cache.entries")
             .set(clamp(stats.entries as u64));
-        let plans = self.core.engine.get().map(|e| e.plans_built()).unwrap_or(0);
+        let plans = self.core.engine.as_ref().map_or(0, |e| e.plans_built());
         metrics.gauge("engine.plans_built").set(clamp(plans));
         metrics.snapshot()
     }
@@ -1805,9 +1792,8 @@ impl Shredder {
 
     fn exec_context_obs<'a>(&'a self, obs: Option<&'a QueryObs>) -> ExecContext<'a> {
         ExecContext {
-            db: self.core.db.as_ref(),
-            engine: &self.core.engine,
-            engine_init: &self.core.engine_init,
+            schema: &self.core.schema,
+            engine: self.core.engine.as_ref(),
             obs,
             exec_opts: self.core.exec_opts,
         }
@@ -2131,7 +2117,7 @@ impl SqlBackend for ShreddedMemoryBackend {
         bindings: &Bindings,
     ) -> Result<Value, ShredError> {
         let payload: &ShreddedMemoryPlan = plan.downcast()?;
-        let db = cx.db()?;
+        let db = &cx.db()?;
         let scheme = self.scheme;
         // The in-memory evaluators take values by substitution: bind the
         // parameters into the (cheap, already-shredded) structures. No
@@ -2182,7 +2168,7 @@ impl SqlBackend for NestedOracleBackend {
     ) -> Result<Value, ShredError> {
         let term: &Term = plan.downcast()?;
         obs::time_maybe(cx.obs(), Stage::Execute, || {
-            nrc::eval_with_params(term, cx.db()?, &bindings.to_value_map())
+            nrc::eval_with_params(term, &cx.db()?, &bindings.to_value_map())
                 .map_err(ShredError::Eval)
         })
     }
@@ -2338,6 +2324,20 @@ mod tests {
             Shredder::builder().schema(other).database(db()).build(),
             Err(ShredError::Config(_))
         ));
+    }
+
+    /// A session has one copy of its data: a database and an engine given
+    /// together could disagree, the oracle answering from one while
+    /// executions read the other.
+    #[test]
+    fn builder_rejects_a_database_together_with_an_engine() {
+        let engine = Shredder::over(db()).unwrap().shared_engine().unwrap();
+        let err = Shredder::builder()
+            .database(db())
+            .engine(engine)
+            .build()
+            .unwrap_err();
+        assert!(matches!(&err, ShredError::Config(m) if m.contains("mutually exclusive")));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Guardrails for the front end: `normalise.rs` rewrites in one recursive
-//! pass, a session looks a term up before it normalises it, and the session
-//! builder keeps only the settings its callers set. The checks read the
-//! sources as text, so a reintroduced step-and-restart loop, a second,
-//! unguarded normalisation or a returning builder knob fails here before any
-//! benchmark notices.
+//! pass, a session looks a term up before it normalises it, the session
+//! builder keeps only the settings its callers set, and a session keeps one
+//! copy of its data. The checks read the sources as text, so a reintroduced
+//! step-and-restart loop, a second, unguarded normalisation, a returning
+//! builder knob or a second copy of the data fails here before any benchmark
+//! notices.
 
 const NORMALISE: &str = include_str!("../src/normalise.rs");
 const SESSION: &str = include_str!("../src/session.rs");
@@ -171,4 +172,89 @@ fn one_row_walk_stitches_one_shot_and_live_reads() {
         stitch[walk_start..walk_end].contains(".next_leaf("),
         "`stitch_row` no longer reads the layout's leaves"
     );
+}
+
+/// The body of the item that starts at `head` in `code`, up to its closing
+/// brace at the start of a line.
+fn item<'a>(code: &'a str, head: &str) -> &'a str {
+    let start = code.find(head).unwrap_or_else(|| panic!("no `{head}`"));
+    let body = &code[start..];
+    &body[..body.find("\n}\n").expect("the item closes")]
+}
+
+/// One copy of the data per session: the engine's storage. `build` loads an
+/// attached database into it and drops the database, so the oracle and every
+/// backend read the committed state. Neither the lazy engine load nor a
+/// session-held `Database` that writes never reach comes back. The one
+/// `Database` the session may keep is the copy `Shredder::database` makes
+/// for the callers that still ask for one: deprecated, filled by that
+/// method alone, read by nothing else, and called nowhere in the workspace.
+#[test]
+fn a_session_keeps_one_copy_of_its_data() {
+    let code = product(SESSION);
+    for needle in [
+        "engine_init",
+        "OnceLock<Arc<Engine>>",
+        "engine_from_database(self.db",
+    ] {
+        assert!(
+            !code.contains(needle),
+            "session.rs names `{needle}`: `build` loads the engine once, eagerly"
+        );
+    }
+    for head in ["struct ShredderCore {", "pub struct ExecContext<'a> {"] {
+        let body = item(code, head);
+        for line in body.lines().filter(|l| l.contains("Database")) {
+            assert!(
+                line.trim() == "snapshot: OnceLock<Database>,",
+                "`{head}` holds a database (`{}`): the engine's storage is the \
+                 session's one copy of the data",
+                line.trim()
+            );
+        }
+    }
+    let database = code
+        .find("pub fn database(&self)")
+        .expect("Shredder::database");
+    let before = &code[..database];
+    assert!(
+        before[before.rfind('}').unwrap_or(0)..].contains("#[deprecated("),
+        "`Shredder::database` hands out a copy that writes do not reach: keep it deprecated"
+    );
+    let reader = database..database + code[database..].find("\n    }\n").expect("it closes");
+    let reads: Vec<usize> = code
+        .match_indices("core.snapshot")
+        .map(|(at, _)| at)
+        .filter(|at| !reader.contains(at))
+        .collect();
+    assert!(
+        reads.is_empty(),
+        "session.rs reads the `Shredder::database` copy outside that method (bytes {reads:?})"
+    );
+
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let call = concat!(".database", "()");
+    let mut dirs = vec![std::path::PathBuf::from(root).join("src")];
+    for dir in ["crates", "tests", "examples"] {
+        dirs.push(std::path::PathBuf::from(root).join(dir));
+    }
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a readable directory") {
+            let path = entry.expect("a readable directory entry").path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).expect("a readable source");
+                assert!(
+                    !text.contains(call),
+                    "{} calls `Shredder::database`: read the committed state with \
+                     `oracle`, or build a database from `Engine::storage` with \
+                     `pipeline::database_from_storage`",
+                    path.display()
+                );
+            }
+        }
+    }
 }

@@ -349,6 +349,17 @@ impl Storage {
             .insert(row)
     }
 
+    /// Make room for exactly `additional` more rows in `table`, so a bulk
+    /// load that knows its row count leaves no growth slack.
+    pub fn reserve_exact(&mut self, table: &str, additional: usize) -> Result<(), EngineError> {
+        let table = self.table_mut(table)?;
+        table.rows.reserve_exact(additional);
+        for col in table.columns_mut() {
+            col.reserve_exact(additional);
+        }
+        Ok(())
+    }
+
     /// Delete the first row of `table` equal to `row`.
     pub fn delete(&mut self, table: &str, row: &Row) -> Result<(), EngineError> {
         self.table_mut(table)?.delete(row)

@@ -261,7 +261,7 @@ fn prepared_handles_cross_threads_but_not_sessions() {
 }
 
 /// Cloning a session is an `Arc` bump: clones observe each other's cache
-/// traffic and share one lazily loaded engine.
+/// traffic and share the one engine the session loaded at build.
 #[test]
 fn clones_share_one_plan_cache_and_one_engine() {
     let session = Shredder::over(small_db()).unwrap();

@@ -2,8 +2,9 @@
 //! prepared query's nested result maintained across `apply_batch` writes,
 //! and after every committed batch the subscription's value must be
 //! identical to recomputing the query from scratch on the post-write
-//! storage — across the full benchmark suite (QF1–QF6 and Q1–Q6). SQL
-//! generation reads no indexing scheme, so one pass covers every scheme.
+//! storage, and to the session's oracle, which reads that storage too —
+//! across the full benchmark suite (QF1–QF6 and Q1–Q6). SQL generation
+//! reads no indexing scheme, so one pass covers every scheme.
 
 use query_shredding::prelude::*;
 use query_shredding::shredding::pipeline;
@@ -66,6 +67,10 @@ fn subscriptions_match_recompute_after_every_write_batch_under_every_scheme() {
             assert!(
                 live.multiset_eq(&row_path(&session, &q)),
                 "{name} diverged from the row path after batch {round}"
+            );
+            assert!(
+                live.multiset_eq(&session.oracle(&q).unwrap()),
+                "{name} diverged from the oracle after batch {round}"
             );
         }
         assert_eq!(sub.generation(), 6, "every batch maintains the view");
@@ -170,6 +175,14 @@ fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
                  after the {ops}-op batch of round {round}"
             );
         }
+        // N⟦−⟧ over this instance takes seconds a query in a debug build:
+        // one comparison, after the last batch.
+        assert!(
+            sub.value()
+                .unwrap()
+                .multiset_eq(&session.oracle(&q).unwrap()),
+            "{name} diverged from the oracle after the last batch"
+        );
         assert!(
             seen.iter().all(|&n| n > 0),
             "the stream inserts and deletes departments and deletes employees: {seen:?}"
@@ -180,7 +193,7 @@ fn subscriptions_match_recompute_under_rank_shifting_writes_and_skew() {
 }
 
 /// A subscription taken *after* some writes starts from the current
-/// storage, not the session's load-time database.
+/// storage, not the data the session was loaded with.
 #[test]
 fn a_late_subscription_sees_previous_writes() {
     let db = small_db();
@@ -199,17 +212,15 @@ fn a_late_subscription_sees_previous_writes() {
     session.apply_batch(&stream.next_batch()).unwrap();
 
     let sub = session.subscribe(&prepared).unwrap();
-    assert!(sub
-        .value()
-        .unwrap()
-        .multiset_eq(&session.execute(&prepared).unwrap()));
+    let live = sub.value().unwrap();
+    assert!(live.multiset_eq(&session.execute(&prepared).unwrap()));
+    assert!(live.multiset_eq(&session.oracle(&q).unwrap()));
     assert_eq!(sub.generation(), 0, "no batch maintained it yet");
 
     session.apply_batch(&stream.next_batch()).unwrap();
-    assert!(sub
-        .value()
-        .unwrap()
-        .multiset_eq(&session.execute(&prepared).unwrap()));
+    let live = sub.value().unwrap();
+    assert!(live.multiset_eq(&session.execute(&prepared).unwrap()));
+    assert!(live.multiset_eq(&session.oracle(&q).unwrap()));
     assert_eq!(sub.generation(), 1);
 }
 
@@ -236,14 +247,11 @@ fn multiple_subscriptions_are_maintained_by_the_same_writes() {
     );
     for _ in 0..4 {
         session.apply_batch(&stream.next_batch()).unwrap();
-        assert!(s1
-            .value()
-            .unwrap()
-            .multiset_eq(&session.execute(&p1).unwrap()));
-        assert!(s2
-            .value()
-            .unwrap()
-            .multiset_eq(&session.execute(&p2).unwrap()));
+        for (sub, p, q) in [(&s1, &p1, &queries[0].1), (&s2, &p2, &queries[3].1)] {
+            let live = sub.value().unwrap();
+            assert!(live.multiset_eq(&session.execute(p).unwrap()));
+            assert!(live.multiset_eq(&session.oracle(q).unwrap()));
+        }
     }
     assert_eq!(s1.generation(), 4);
     assert_eq!(s1_clone.generation(), 4, "clones share the live view");

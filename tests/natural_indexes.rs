@@ -348,8 +348,8 @@ fn apply_batch_rejects_a_null_key() {
 }
 
 /// A `NULL` key written straight into engine storage, past the session,
-/// surfaces as a typed error from `execute` and from a live view, never as
-/// a panic.
+/// surfaces as a typed error from `execute`, from a live view and from the
+/// oracle, never as a panic.
 #[test]
 fn a_null_key_in_engine_storage_is_a_typed_error() {
     let db = generate(&OrgConfig::small());
@@ -363,7 +363,7 @@ fn a_null_key_in_engine_storage_is_a_typed_error() {
         )
         .unwrap();
     let session = Shredder::builder()
-        .database(db)
+        .schema(organisation_schema())
         .engine(Engine::with_storage(storage))
         .build()
         .unwrap();
@@ -372,5 +372,7 @@ fn a_null_key_in_engine_storage_is_a_typed_error() {
     assert!(matches!(err, ShredError::Decode { .. }), "got: {err}");
     let sub = session.subscribe(&prepared).unwrap();
     let err = sub.value().unwrap_err();
+    assert!(matches!(err, ShredError::Decode { .. }), "got: {err}");
+    let err = session.oracle(&datagen::queries::q4()).unwrap_err();
     assert!(matches!(err, ShredError::Decode { .. }), "got: {err}");
 }

@@ -136,7 +136,8 @@ fn shredding_and_stitching_preserve_semantics() {
     for_random_cases(0xBEEF, |session, q, reference| {
         for scheme in IndexScheme::ALL {
             let in_memory = Shredder::builder()
-                .database(session.database().unwrap().clone())
+                .schema(session.schema().clone())
+                .engine(session.shared_engine().unwrap())
                 .backend(Box::new(ShreddedMemoryBackend::new(scheme)))
                 .build()
                 .unwrap();
@@ -194,7 +195,8 @@ fn generated_sql_round_trips_through_the_parser() {
 fn loop_lifting_preserves_semantics() {
     for_random_cases(0xDECAF, |session, q, reference| {
         let lifting = Shredder::builder()
-            .database(session.database().unwrap().clone())
+            .schema(session.schema().clone())
+            .engine(session.shared_engine().unwrap())
             .backend(Box::new(LoopLiftBackend))
             .build()
             .unwrap();
