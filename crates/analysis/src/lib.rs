@@ -156,19 +156,9 @@ pub struct Diagnostics {
 }
 
 impl Diagnostics {
-    /// An empty collection.
-    pub fn new() -> Diagnostics {
-        Diagnostics::default()
-    }
-
     /// Wrap an existing list.
     pub fn from_vec(items: Vec<Diagnostic>) -> Diagnostics {
         Diagnostics { items }
-    }
-
-    /// Add one diagnostic.
-    pub fn push(&mut self, d: Diagnostic) {
-        self.items.push(d);
     }
 
     /// Add many diagnostics.
@@ -179,11 +169,6 @@ impl Diagnostics {
     /// All diagnostics, in the order the checks reported them.
     pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> {
         self.items.iter()
-    }
-
-    /// Number of diagnostics.
-    pub fn len(&self) -> usize {
-        self.items.len()
     }
 
     /// Is the collection empty?
@@ -246,9 +231,9 @@ impl IntoIterator for Diagnostics {
 ///   `ShredError::Decode { code, .. }`).
 pub mod codes {
     /// A binder shadows an in-scope binding of the same name.
-    pub const SHADOWED_BINDING: &str = "L001";
+    pub(crate) const SHADOWED_BINDING: &str = "L001";
     /// A `let`/λ binder is never used in its body.
-    pub const UNUSED_BINDING: &str = "L002";
+    pub(crate) const UNUSED_BINDING: &str = "L002";
     /// A comprehension generator's variable is never used in the body
     /// (the generator still multiplies cardinality, so this is a warning,
     /// not a rewrite).
@@ -256,7 +241,7 @@ pub mod codes {
     /// An `if` condition is a boolean constant; the conditional folds.
     pub const CONSTANT_CONDITIONAL: &str = "L004";
     /// A parameter is declared but never used in the term.
-    pub const UNUSED_PARAM: &str = "L005";
+    pub(crate) const UNUSED_PARAM: &str = "L005";
 
     /// A stage layout's first two columns are not `(oidx_tag, oidx_ord)`.
     pub const MISSING_INDEX_COLUMNS: &str = "S001";
@@ -273,29 +258,29 @@ pub mod codes {
     pub const BROKEN_INDEX_TREE: &str = "S005";
 
     /// A positional column reference is out of range for its input.
-    pub const COL_OUT_OF_RANGE: &str = "P001";
+    pub(crate) const COL_OUT_OF_RANGE: &str = "P001";
     /// A positional column reference resolves to a differently named column.
-    pub const COL_NAME_MISMATCH: &str = "P002";
+    pub(crate) const COL_NAME_MISMATCH: &str = "P002";
     /// A hash join's left and right key lists differ in length.
     pub const JOIN_KEY_ARITY: &str = "P003";
     /// A hash join key pair disagrees in inferred type.
-    pub const JOIN_KEY_TYPE_MISMATCH: &str = "P004";
+    pub(crate) const JOIN_KEY_TYPE_MISMATCH: &str = "P004";
     /// A param slot is not among the query's declared parameters.
     pub const UNDECLARED_PARAM_SLOT: &str = "P005";
     /// A `CteScan` references a name with no enclosing `With`.
-    pub const UNKNOWN_CTE: &str = "P006";
+    pub(crate) const UNKNOWN_CTE: &str = "P006";
     /// An outer column reference has no enclosing scope that binds it.
-    pub const UNRESOLVED_OUTER_REF: &str = "P007";
+    pub(crate) const UNRESOLVED_OUTER_REF: &str = "P007";
     /// A projection's expression list and column list differ in length.
     pub const PROJECTION_ARITY: &str = "P008";
     /// `UNION ALL` branches differ in column count.
-    pub const UNION_ARITY: &str = "P009";
+    pub(crate) const UNION_ARITY: &str = "P009";
     /// An expression's operand types do not fit its operator.
-    pub const EXPR_TYPE_MISMATCH: &str = "P010";
+    pub(crate) const EXPR_TYPE_MISMATCH: &str = "P010";
     /// A table scan references a table the catalog does not know.
     pub const UNKNOWN_TABLE: &str = "P011";
     /// A scan's recorded columns disagree with the catalog/CTE definition.
-    pub const SCAN_COLUMN_MISMATCH: &str = "P012";
+    pub(crate) const SCAN_COLUMN_MISMATCH: &str = "P012";
 
     /// A result's column count disagrees with the stage layout.
     pub const DECODE_COLUMN_COUNT: &str = "D001";
@@ -314,9 +299,15 @@ pub mod codes {
     /// a semi/anti join, so it runs once per row; the diagnostic's `help`
     /// says which correlations hash.
     pub const RETAINED_CORRELATED_SUBQUERY: &str = "O001";
+}
 
-    /// One line of documentation per registered code.
-    pub const ALL: &[(&str, &str)] = &[
+#[cfg(test)]
+mod tests {
+    use super::codes::*;
+    use super::*;
+
+    /// Every registered code, with one line of documentation.
+    const ALL: &[(&str, &str)] = &[
         (SHADOWED_BINDING, "binder shadows an in-scope binding"),
         (UNUSED_BINDING, "let/λ binder never used in its body"),
         (
@@ -399,16 +390,6 @@ pub mod codes {
         ),
     ];
 
-    /// The registry line for a code, if registered.
-    pub fn describe(code: &str) -> Option<&'static str> {
-        ALL.iter().find(|(c, _)| *c == code).map(|(_, d)| *d)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     #[test]
     fn severity_orders_error_highest() {
         assert!(Severity::Error > Severity::Warning);
@@ -417,20 +398,11 @@ mod tests {
 
     #[test]
     fn diagnostics_count_by_severity() {
-        let mut ds = Diagnostics::new();
-        ds.push(Diagnostic::warning(
-            Stage::Term,
-            codes::UNUSED_BINDING,
-            "x",
-            "m",
-        ));
-        ds.push(Diagnostic::error(
-            Stage::Plan,
-            codes::COL_OUT_OF_RANGE,
-            "p",
-            "m",
-        ));
-        assert_eq!(ds.len(), 2);
+        let ds = Diagnostics::from_vec(vec![
+            Diagnostic::warning(Stage::Term, codes::UNUSED_BINDING, "x", "m"),
+            Diagnostic::error(Stage::Plan, codes::COL_OUT_OF_RANGE, "p", "m"),
+        ]);
+        assert_eq!(ds.iter().count(), 2);
         assert_eq!(ds.error_count(), 1);
         assert!(ds.has_errors());
         assert!(ds.has_code(codes::COL_OUT_OF_RANGE));
@@ -440,11 +412,9 @@ mod tests {
     #[test]
     fn every_code_is_registered_exactly_once() {
         let mut seen = std::collections::HashSet::new();
-        for (code, _) in codes::ALL {
+        for (code, _) in ALL {
             assert!(seen.insert(*code), "code {} registered twice", code);
         }
-        assert!(codes::describe(codes::JOIN_KEY_TYPE_MISMATCH).is_some());
-        assert!(codes::describe("Z999").is_none());
     }
 
     #[test]

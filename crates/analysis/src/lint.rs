@@ -5,16 +5,16 @@
 //! warning-severity diagnostics for constructs that are well-typed but
 //! suspicious:
 //!
-//! * **[`codes::SHADOWED_BINDING`]** — a `λ`, `let` (encoded as
+//! * **`codes::SHADOWED_BINDING`** — a `λ`, `let` (encoded as
 //!   `(λx.M) N`) or `for` binder rebinds a name already in scope;
-//! * **[`codes::UNUSED_BINDING`]** — a `let`/λ binder never occurs free in
+//! * **`codes::UNUSED_BINDING`** — a `let`/λ binder never occurs free in
 //!   its body;
 //! * **[`codes::DEAD_GENERATOR`]** — a comprehension variable never occurs
 //!   free in the body (the generator still multiplies cardinality under bag
 //!   semantics, so this is a lint, not a rewrite);
 //! * **[`codes::CONSTANT_CONDITIONAL`]** — an `if` whose condition is a
 //!   boolean constant;
-//! * **[`codes::UNUSED_PARAM`]** — a declared parameter the term never
+//! * **`codes::UNUSED_PARAM`** — a declared parameter the term never
 //!   mentions.
 
 use crate::{codes, Diagnostic, Stage};

@@ -8,17 +8,17 @@
 //!
 //! * every [`VExpr::Col`] index is in range for its input and resolves to
 //!   the column name recorded at plan time
-//!   ([`codes::COL_OUT_OF_RANGE`], [`codes::COL_NAME_MISMATCH`]);
+//!   (`codes::COL_OUT_OF_RANGE`, `codes::COL_NAME_MISMATCH`);
 //! * hash-join key lists pair up and agree in inferred type
-//!   ([`codes::JOIN_KEY_ARITY`], [`codes::JOIN_KEY_TYPE_MISMATCH`]);
+//!   ([`codes::JOIN_KEY_ARITY`], `codes::JOIN_KEY_TYPE_MISMATCH`);
 //! * every [`VExpr::Param`] slot names a declared parameter
 //!   ([`codes::UNDECLARED_PARAM_SLOT`]);
 //! * `CteScan` names are bound by an enclosing `With`, and outer column
 //!   references are bound by an enclosing scope frame
-//!   ([`codes::UNKNOWN_CTE`], [`codes::UNRESOLVED_OUTER_REF`]);
+//!   (`codes::UNKNOWN_CTE`, `codes::UNRESOLVED_OUTER_REF`);
 //! * projection and `UNION ALL` arities line up
-//!   ([`codes::PROJECTION_ARITY`], [`codes::UNION_ARITY`]);
-//! * operator operand types fit ([`codes::EXPR_TYPE_MISMATCH`]), with
+//!   ([`codes::PROJECTION_ARITY`], `codes::UNION_ARITY`);
+//! * operator operand types fit (`codes::EXPR_TYPE_MISMATCH`), with
 //!   `NULL` and param slots typed as ⊤ (compatible with everything).
 //!
 //! All of these invariants are **cardinality-independent**: they constrain
@@ -38,7 +38,7 @@ use sqlengine::value::SqlValue;
 /// params, `NULL` literals and columns of unknown relations are compatible
 /// with everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColTy {
+pub(crate) enum ColTy {
     Int,
     Bool,
     Text,

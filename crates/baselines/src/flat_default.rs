@@ -104,7 +104,7 @@ pub fn compile_flat(term: &Term, schema: &Schema) -> Result<FlatCompiled, ShredE
 
 impl FlatCompiled {
     /// The names of the flat result columns, in SQL order.
-    pub fn column_names(&self) -> Vec<String> {
+    pub(crate) fn column_names(&self) -> Vec<String> {
         self.columns.iter().map(|(name, _)| name.clone()).collect()
     }
 }
@@ -116,7 +116,7 @@ pub fn execute_flat(compiled: &FlatCompiled, engine: &Engine) -> Result<Value, S
 
 /// Execute a compiled flat query with bound values for its `:name`
 /// placeholders.
-pub fn execute_flat_bound(
+pub(crate) fn execute_flat_bound(
     compiled: &FlatCompiled,
     engine: &Engine,
     params: &sqlengine::ParamValues,

@@ -28,6 +28,3 @@ pub mod looplift;
 pub mod vandenbussche;
 
 pub use backend::{FlatDefaultBackend, LoopLiftBackend, VandenBusscheBackend};
-pub use flat_default::{compile_flat, execute_flat, run_flat, FlatCompiled};
-pub use looplift::{compile_looplift, execute_looplift, run_looplift, LoopLiftedQuery};
-pub use vandenbussche::{measure_blowup, simulate_union, BlowupReport, NestedRelation};

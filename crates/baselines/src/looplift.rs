@@ -58,17 +58,6 @@ pub struct LoopLiftedStage {
     pub layout: std::sync::Arc<ResultLayout>,
 }
 
-impl LoopLiftedQuery {
-    /// The SQL text of every stage.
-    pub fn sql_texts(&self) -> Vec<String> {
-        self.stages
-            .annotations()
-            .into_iter()
-            .map(|s| sqlengine::print_query(&s.sql))
-            .collect()
-    }
-}
-
 /// Compile a nested query with the loop-lifting baseline.
 pub fn compile_looplift(term: &Term, schema: &Schema) -> Result<LoopLiftedQuery, ShredError> {
     let compiled: CompiledQuery = compile(term, schema)?;
@@ -95,7 +84,7 @@ pub fn execute_looplift(compiled: &LoopLiftedQuery, engine: &Engine) -> Result<V
 /// result is transposed back into rows (the column→row converter), decoded
 /// row by row and stitched with the row-at-a-time stitcher — exactly the
 /// result-assembly cost profile the paper's loop-lifting systems pay.
-pub fn execute_looplift_bound(
+pub(crate) fn execute_looplift_bound(
     compiled: &LoopLiftedQuery,
     engine: &Engine,
     params: &sqlengine::ParamValues,
@@ -427,6 +416,17 @@ mod tests {
     use super::*;
     use datagen::{generate, organisation_schema, OrgConfig};
     use shredding::pipeline::engine_from_database;
+
+    impl LoopLiftedQuery {
+        /// The SQL text of every stage.
+        fn sql_texts(&self) -> Vec<String> {
+            self.stages
+                .annotations()
+                .into_iter()
+                .map(|s| sqlengine::print_query(&s.sql))
+                .collect()
+        }
+    }
 
     #[test]
     fn loop_lifting_agrees_with_the_nested_semantics_on_nested_queries() {

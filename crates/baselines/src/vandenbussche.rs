@@ -25,7 +25,7 @@ pub struct NestedRelation {
 }
 
 impl NestedRelation {
-    pub fn new(rows: Vec<(i64, Vec<i64>)>) -> NestedRelation {
+    pub(crate) fn new(rows: Vec<(i64, Vec<i64>)>) -> NestedRelation {
         NestedRelation { rows }
     }
 
@@ -39,13 +39,13 @@ impl NestedRelation {
     /// Total number of tuples in the natural two-table flat representation
     /// (one outer tuple per row plus one inner tuple per element), which is
     /// what query shredding produces.
-    pub fn shredded_tuple_count(&self) -> usize {
+    pub(crate) fn shredded_tuple_count(&self) -> usize {
         self.rows.len() + self.rows.iter().map(|(_, b)| b.len()).sum::<usize>()
     }
 
     /// Read a nested value of shape `Bag ⟨A: Int, B: Bag Int⟩` back into a
     /// relation (the inverse of [`to_value`](Self::to_value)).
-    pub fn from_value(value: &Value) -> Result<NestedRelation, String> {
+    pub(crate) fn from_value(value: &Value) -> Result<NestedRelation, String> {
         let bag = value
             .as_bag()
             .ok_or_else(|| "expected a bag at the top level".to_string())?;
@@ -72,7 +72,7 @@ impl NestedRelation {
     }
 
     /// The nested value this relation denotes.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Bag(
             self.rows
                 .iter()
@@ -99,14 +99,14 @@ pub struct VdbRepresentation {
 
 impl VdbRepresentation {
     /// Total number of tuples in the representation.
-    pub fn tuple_count(&self) -> usize {
+    pub(crate) fn tuple_count(&self) -> usize {
         self.outer.len() + self.inner.len()
     }
 
     /// Read a representation produced by [`encode`] back into the nested
     /// relation it denotes: inner tuples attach to the outer tuple whose id
     /// columns they repeat.
-    pub fn decode(&self) -> NestedRelation {
+    pub(crate) fn decode(&self) -> NestedRelation {
         let rows = self
             .outer
             .iter()
@@ -127,7 +127,7 @@ impl VdbRepresentation {
 /// Encode a single nested relation in the simulation's flat form (before any
 /// union): ids are assigned per row, and the two extra id columns are equal
 /// placeholders.
-pub fn encode(relation: &NestedRelation) -> VdbRepresentation {
+pub(crate) fn encode(relation: &NestedRelation) -> VdbRepresentation {
     let mut outer = Vec::new();
     let mut inner = Vec::new();
     for (i, (a, bs)) in relation.rows.iter().enumerate() {
@@ -142,7 +142,7 @@ pub fn encode(relation: &NestedRelation) -> VdbRepresentation {
 
 /// The active domain of a pair of nested relations: every base value
 /// occurring in either, plus the ids used by their encodings.
-pub fn active_domain(r: &NestedRelation, s: &NestedRelation) -> Vec<i64> {
+pub(crate) fn active_domain(r: &NestedRelation, s: &NestedRelation) -> Vec<i64> {
     let mut adom = Vec::new();
     let mut push = |v: i64| {
         if !adom.contains(&v) {

@@ -14,9 +14,7 @@
 //! (sharing one loaded SQL engine), with the plan cache disabled so every
 //! measurement covers the full translate → execute → stitch path, exactly
 //! what the paper reports. The `experiments` binary prints the scaling
-//! tables in the same layout as the paper's figures. The static-analysis
-//! sweep ([`analyze_all`]) runs as a test: the benchmark corpus must verify
-//! with no error-severity diagnostic.
+//! tables in the same layout as the paper's figures.
 
 #![forbid(unsafe_code)]
 
@@ -77,7 +75,7 @@ impl Instance {
     }
 
     /// Generate an instance from an explicit configuration.
-    pub fn with_config(config: OrgConfig) -> Instance {
+    pub(crate) fn with_config(config: OrgConfig) -> Instance {
         let schema = organisation_schema();
         let shredding = Shredder::builder()
             .database(generate(&config))
@@ -113,7 +111,7 @@ impl Instance {
     }
 
     /// The session configured for a given system.
-    pub fn session(&self, system: System) -> &Shredder {
+    pub(crate) fn session(&self, system: System) -> &Shredder {
         match system {
             System::Shredding => &self.shredding,
             System::LoopLifting => &self.looplift,
@@ -144,7 +142,12 @@ impl Measurement {
 
 /// Run one query under one system and measure the end-to-end time. The
 /// sessions have no plan cache, so every run pays the full translation.
-pub fn measure(system: System, name: &str, query: &Term, instance: &Instance) -> Measurement {
+pub(crate) fn measure(
+    system: System,
+    name: &str,
+    query: &Term,
+    instance: &Instance,
+) -> Measurement {
     let session = instance.session(system);
     let start = Instant::now();
     let outcome: Result<Value, ShredError> = session.run(query);
@@ -200,89 +203,6 @@ pub fn check_against_reference(
     } else {
         Err("result differs from the nested reference semantics".to_string())
     }
-}
-
-// ---------------------------------------------------------------------------
-// The static-analysis sweep
-// ---------------------------------------------------------------------------
-
-/// One cell of the static-analysis sweep: a benchmark query prepared on one
-/// backend, with every diagnostic the verifier reported (see
-/// `shredding::verify` and the `analysis` crate).
-#[derive(Debug, Clone)]
-pub struct AnalyzeEntry {
-    pub query: &'static str,
-    pub backend: &'static str,
-    /// `None` when the backend cannot plan the query at all (e.g. Links'
-    /// default flat evaluation on a nested query) — recorded as skipped,
-    /// not as a verification failure.
-    pub skip_reason: Option<String>,
-    pub diagnostics: Vec<shredding::Diagnostic>,
-}
-
-impl AnalyzeEntry {
-    /// Number of error-severity diagnostics in this cell.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == shredding::Severity::Error)
-            .count()
-    }
-}
-
-/// Run the full static-verification pass over every benchmark query
-/// (QF1–QF6 and Q1–Q6) × all six backends. No backend reads an indexing
-/// scheme while planning, so one pass covers every scheme. Sessions are
-/// built schema-only (`prepare` needs no data) with verification
-/// *collection* but not *gating* enabled, so error-severity findings are
-/// reported rather than thrown.
-pub fn analyze_all() -> Vec<AnalyzeEntry> {
-    use baselines::VandenBusscheBackend;
-    use shredding::session::{
-        NestedOracleBackend, ShreddedMemoryBackend, SqlBackend, SqlEngineBackend,
-    };
-
-    let schema = organisation_schema();
-    let backends: Vec<(&'static str, Box<dyn SqlBackend>)> = vec![
-        ("sqlengine", Box::new(SqlEngineBackend)),
-        (
-            "shredded-memory",
-            Box::new(ShreddedMemoryBackend::default()),
-        ),
-        ("oracle", Box::new(NestedOracleBackend)),
-        ("flat-default", Box::new(FlatDefaultBackend)),
-        ("loop-lifting", Box::new(LoopLiftBackend)),
-        ("vandenbussche", Box::new(VandenBusscheBackend)),
-    ];
-    let mut queries = datagen::queries::flat_queries();
-    queries.extend(datagen::queries::nested_queries());
-    let mut out = Vec::new();
-    for (backend_name, backend) in backends {
-        let session = Shredder::builder()
-            .schema(schema.clone())
-            .backend(backend)
-            .verify(false)
-            .build()
-            .expect("the organisation schema always configures a session");
-        for (name, query) in &queries {
-            let entry = match session.prepare(query) {
-                Ok(prepared) => AnalyzeEntry {
-                    query: name,
-                    backend: backend_name,
-                    skip_reason: None,
-                    diagnostics: prepared.check().iter().cloned().collect(),
-                },
-                Err(e) => AnalyzeEntry {
-                    query: name,
-                    backend: backend_name,
-                    skip_reason: Some(e.to_string()),
-                    diagnostics: Vec::new(),
-                },
-            };
-            out.push(entry);
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -352,22 +272,6 @@ pub fn misplaced_filters(plan: &PhysicalPlan) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn the_analysis_sweep_covers_every_cell_and_finds_no_errors() {
-        let entries = analyze_all();
-        // 12 queries × 6 backends.
-        assert_eq!(entries.len(), 12 * 6);
-        let errors: usize = entries.iter().map(AnalyzeEntry::error_count).sum();
-        assert_eq!(errors, 0, "the benchmark corpus must verify clean");
-        // The flat-default backend skips nested queries; shredding never skips.
-        assert!(entries
-            .iter()
-            .any(|e| e.backend == "flat-default" && e.skip_reason.is_some()));
-        assert!(entries
-            .iter()
-            .all(|e| e.backend != "sqlengine" || e.skip_reason.is_none()));
-    }
 
     #[test]
     fn measurements_report_sensible_values() {

@@ -20,9 +20,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Name of the column holding the static component of the outer index.
-pub const OUTER_TAG_COLUMN: &str = "oidx_tag";
+pub(crate) const OUTER_TAG_COLUMN: &str = "oidx_tag";
 /// Name of the column holding the dynamic component of the outer index.
-pub const OUTER_ORD_COLUMN: &str = "oidx_ord";
+pub(crate) const OUTER_ORD_COLUMN: &str = "oidx_ord";
 
 /// One leaf of the flattened shredded type.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,7 +209,7 @@ impl ColumnarStage {
 
     /// [`decode`](Self::decode) with the elapsed time recorded as a
     /// `Stage::Decode` span when a collector is present.
-    pub fn decode_obs(
+    pub(crate) fn decode_obs(
         layout: Arc<ResultLayout>,
         result: ColumnarResult,
         obs: Option<&obs::QueryObs>,
@@ -288,7 +288,7 @@ impl ColumnarStage {
     }
 
     /// The stage's layout.
-    pub fn layout(&self) -> &ResultLayout {
+    pub(crate) fn layout(&self) -> &ResultLayout {
         &self.layout
     }
 
@@ -305,7 +305,7 @@ impl ColumnarStage {
     /// The physical row indices grouped under an outer `(tag, ord)` pair,
     /// in engine order (empty when the pair never occurs — stitching turns
     /// that into an empty bag).
-    pub fn group(&self, key: (u32, i64)) -> &[u32] {
+    pub(crate) fn group(&self, key: (u32, i64)) -> &[u32] {
         match self.groups.get(&key) {
             Some(&g) => {
                 let g = g as usize;
@@ -317,7 +317,7 @@ impl ColumnarStage {
     }
 
     /// The cell at (column position, physical row).
-    pub fn cell(&self, col: usize, row: usize) -> &SqlValue {
+    pub(crate) fn cell(&self, col: usize, row: usize) -> &SqlValue {
         &self.columns[col][row]
     }
 }

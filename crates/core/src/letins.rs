@@ -85,7 +85,7 @@ pub enum LetBase {
 
 impl LetBase {
     /// The constant `true`.
-    pub fn truth() -> LetBase {
+    pub(crate) fn truth() -> LetBase {
         LetBase::Const(Constant::Bool(true))
     }
 

@@ -99,21 +99,15 @@ pub use analysis;
 /// re-exported so downstream users need only this crate.
 pub use obs;
 
-pub use analysis::{Diagnostic, Diagnostics, Severity};
-pub use delta::{StorageDelta, Subscription, TableDelta, WriteBatch, WriteOp};
+pub use analysis::{Diagnostic, Severity};
+pub use delta::{StorageDelta, Subscription, WriteBatch, WriteOp};
 pub use error::ShredError;
 pub use flatten::ResultLayout;
-pub use nf::{NormQuery, StaticIndex};
+
 pub use normalise::{normalise, normalise_with_type};
-pub use obs::{
-    MetricsRegistry, MetricsSnapshot, OperatorProfile, QueryProfile, RingSink, Span, Stage,
-};
-pub use pipeline::{compile, engine_from_database, execute_bound, CompiledQuery};
-pub use semantics::{IndexScheme, IndexTables, IndexValue};
-pub use session::{
-    auto_parameterize, BackendPlan, Bindings, CacheStats, ExecContext, Explain,
-    NestedOracleBackend, ParamSpec, Params, PlanRequest, PreparedQuery, ShreddedMemoryBackend,
-    Shredder, ShredderBuilder, SqlBackend, SqlEngineBackend, StageExplain,
-};
-pub use shred::{shred_query, shred_type, Package, ShreddedQuery, ShreddedType};
+
+pub use pipeline::CompiledQuery;
+
+pub use session::{auto_parameterize, BackendPlan, Bindings, CacheStats};
+
 pub use stitch::stitch;

@@ -28,11 +28,11 @@ use std::fmt;
 pub struct StaticIndex(pub u32);
 
 /// The distinguished top-level static index ⊤.
-pub const TOP: StaticIndex = StaticIndex(0);
+pub(crate) const TOP: StaticIndex = StaticIndex(0);
 
 impl StaticIndex {
     /// Is this the top-level index ⊤?
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         self.0 == 0
     }
 
@@ -67,7 +67,7 @@ pub struct Generator {
 }
 
 impl Generator {
-    pub fn new(var: &str, table: &str) -> Generator {
+    pub(crate) fn new(var: &str, table: &str) -> Generator {
         Generator {
             var: var.to_string(),
             table: table.to_string(),
@@ -91,7 +91,7 @@ pub struct NormQuery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comprehension {
     pub generators: Vec<Generator>,
-    /// The `where` clause; [`NfBase::truth`] when there is no condition.
+    /// The `where` clause; `NfBase::truth()` when there is no condition.
     pub condition: NfBase,
     /// The static index annotation `a` on `returnᵃ`.
     pub tag: StaticIndex,
@@ -125,7 +125,7 @@ pub enum NfBase {
 
 impl NfBase {
     /// The constant `true`.
-    pub fn truth() -> NfBase {
+    pub(crate) fn truth() -> NfBase {
         NfBase::Const(Constant::Bool(true))
     }
 
@@ -146,17 +146,12 @@ impl NfBase {
     }
 
     /// Negate a condition.
-    pub fn negate(self) -> NfBase {
+    pub(crate) fn negate(self) -> NfBase {
         NfBase::Prim(PrimOp::Not, vec![self])
     }
 
-    /// A conjunction of many conditions.
-    pub fn conj<I: IntoIterator<Item = NfBase>>(conds: I) -> NfBase {
-        conds.into_iter().fold(NfBase::truth(), NfBase::and)
-    }
-
     /// Convert back into a λNRC term.
-    pub fn to_term(&self) -> Term {
+    pub(crate) fn to_term(&self) -> Term {
         match self {
             NfBase::Proj { var, field } => builder::project(builder::var(var), field),
             NfBase::Const(c) => Term::Const(c.clone()),
@@ -170,7 +165,7 @@ impl NfBase {
 
     /// Replace parameters with the bound constants. Parameters without a
     /// binding are left in place.
-    pub fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NfBase {
+    pub(crate) fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NfBase {
         match self {
             NfBase::Param(name, _) => match bindings.get(name) {
                 Some(c) => NfBase::Const(c.clone()),
@@ -183,37 +178,11 @@ impl NfBase {
             NfBase::IsEmpty(q) => NfBase::IsEmpty(Box::new(q.bind_params(bindings))),
         }
     }
-
-    /// Variables referenced by this expression (not descending into nested
-    /// queries, whose generators re-bind their own variables).
-    pub fn free_vars(&self) -> Vec<String> {
-        fn go(b: &NfBase, acc: &mut Vec<String>) {
-            match b {
-                NfBase::Proj { var, .. } => {
-                    if !acc.contains(var) {
-                        acc.push(var.clone());
-                    }
-                }
-                NfBase::Const(_) | NfBase::Param(_, _) => {}
-                NfBase::Prim(_, args) => args.iter().for_each(|a| go(a, acc)),
-                NfBase::IsEmpty(q) => {
-                    for v in q.to_term().free_vars() {
-                        if !acc.contains(&v) {
-                            acc.push(v);
-                        }
-                    }
-                }
-            }
-        }
-        let mut acc = Vec::new();
-        go(self, &mut acc);
-        acc
-    }
 }
 
 impl NfTerm {
     /// Convert back into a λNRC term.
-    pub fn to_term(&self) -> Term {
+    pub(crate) fn to_term(&self) -> Term {
         match self {
             NfTerm::Base(b) => b.to_term(),
             NfTerm::Record(fields) => Term::Record(
@@ -227,7 +196,7 @@ impl NfTerm {
     }
 
     /// Replace parameters with the bound constants.
-    pub fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NfTerm {
+    pub(crate) fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NfTerm {
         match self {
             NfTerm::Base(b) => NfTerm::Base(b.bind_params(bindings)),
             NfTerm::Record(fields) => NfTerm::Record(
@@ -244,7 +213,7 @@ impl NfTerm {
 impl Comprehension {
     /// Convert back into a λNRC term
     /// `for (x1 ← t1) … for (xn ← tn) (if X then return M else ∅)`.
-    pub fn to_term(&self) -> Term {
+    pub(crate) fn to_term(&self) -> Term {
         let ret = builder::singleton(self.body.to_term());
         let guarded = if self.condition.is_truth() {
             ret
@@ -258,7 +227,7 @@ impl Comprehension {
 
     /// All static indexes occurring in this comprehension (its own tag plus
     /// the tags of nested queries).
-    pub fn tags(&self) -> Vec<StaticIndex> {
+    pub(crate) fn tags(&self) -> Vec<StaticIndex> {
         let mut acc = vec![self.tag];
         fn go_term(t: &NfTerm, acc: &mut Vec<StaticIndex>) {
             match t {
@@ -273,13 +242,6 @@ impl Comprehension {
 }
 
 impl NormQuery {
-    /// A query with a single comprehension.
-    pub fn single(comp: Comprehension) -> NormQuery {
-        NormQuery {
-            branches: vec![comp],
-        }
-    }
-
     /// Convert back into a λNRC term (the union of the branch terms, or ∅).
     pub fn to_term(&self) -> Term {
         let mut it = self.branches.iter().map(Comprehension::to_term);
@@ -290,14 +252,14 @@ impl NormQuery {
     }
 
     /// All static indexes occurring in the query, in definition order.
-    pub fn tags(&self) -> Vec<StaticIndex> {
+    pub(crate) fn tags(&self) -> Vec<StaticIndex> {
         self.branches.iter().flat_map(Comprehension::tags).collect()
     }
 
     /// Replace parameters with the bound constants throughout the query
     /// (used by backends that evaluate normal forms directly rather than
     /// binding at the engine level).
-    pub fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NormQuery {
+    pub(crate) fn bind_params(&self, bindings: &HashMap<String, Constant>) -> NormQuery {
         NormQuery {
             branches: self
                 .branches
@@ -348,6 +310,15 @@ impl fmt::Display for Comprehension {
 mod tests {
     use super::*;
     use nrc::builder::*;
+
+    impl NormQuery {
+        /// A query with a single comprehension.
+        fn single(comp: Comprehension) -> NormQuery {
+            NormQuery {
+                branches: vec![comp],
+            }
+        }
+    }
 
     fn sample() -> NormQuery {
         NormQuery::single(Comprehension {
@@ -426,11 +397,5 @@ mod tests {
             body: NfTerm::Record(vec![("emps".to_string(), NfTerm::Query(inner))]),
         });
         assert_eq!(outer.tags(), vec![StaticIndex(1), StaticIndex(2)]);
-    }
-
-    #[test]
-    fn free_vars_of_conditions() {
-        let q = sample();
-        assert_eq!(q.branches[0].condition.free_vars(), vec!["x".to_string()]);
     }
 }

@@ -81,7 +81,7 @@ pub fn normalise_with_type(term: &Term, schema: &Schema) -> Result<(NormQuery, T
 /// [`normalise_with_type`] with stage tracing: the rewrite passes record a
 /// `Stage::Normalise` span (two spans — readers sum them) and type inference
 /// a `Stage::Typecheck` span into the per-call collector when one is present.
-pub fn normalise_with_type_obs(
+pub(crate) fn normalise_with_type_obs(
     term: &Term,
     schema: &Schema,
     obs: Option<&obs::QueryObs>,

@@ -228,7 +228,7 @@ fn share_subplans(
 
 /// Execute a compiled query on a SQL engine with bound values for its
 /// `:name` param slots, and stitch the shredded results back into a nested
-/// value: [`execute_bound_obs_opts`] without tracing, under the default
+/// value: `execute_bound_obs_opts` without tracing, under the default
 /// execution options.
 pub fn execute_bound(
     compiled: &CompiledQuery,
@@ -270,7 +270,7 @@ pub fn execute_bound(
 /// ([`crate::stitch::stitch_obs`]). Stages are reassembled in the package's
 /// canonical depth-first order and chunks in row order, so the stitched
 /// value does not depend on the worker count.
-pub fn execute_bound_obs_opts(
+pub(crate) fn execute_bound_obs_opts(
     compiled: &CompiledQuery,
     engine: &Engine,
     params: &ParamValues,
@@ -485,7 +485,10 @@ pub fn engine_from_database(db: &Database) -> Result<Engine, ShredError> {
 /// The λNRC database that engine storage holds, the inverse of
 /// [`storage_from_database`]: strings share their `Arc<str>` with the stored
 /// cells, and a cell λNRC cannot express (a `NULL`) is a typed decode error.
-pub fn database_from_storage(storage: &Storage, schema: &Schema) -> Result<Database, ShredError> {
+pub(crate) fn database_from_storage(
+    storage: &Storage,
+    schema: &Schema,
+) -> Result<Database, ShredError> {
     let mut db = Database::new(schema.clone());
     for table in schema.tables() {
         let stored = &storage.table(&table.name)?.rows;

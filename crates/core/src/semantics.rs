@@ -75,18 +75,9 @@ pub enum IndexValue {
 }
 
 impl IndexValue {
-    /// The static component of the index.
-    pub fn tag(&self) -> StaticIndex {
-        match self {
-            IndexValue::Canonical { tag, .. }
-            | IndexValue::Flat { tag, .. }
-            | IndexValue::Natural { tag, .. } => *tag,
-        }
-    }
-
     /// The top-level index ⊤⋅1 under the given scheme, used to start
     /// stitching.
-    pub fn top(scheme: IndexScheme) -> IndexValue {
+    pub(crate) fn top(scheme: IndexScheme) -> IndexValue {
         match scheme {
             IndexScheme::Canonical => IndexValue::Canonical {
                 tag: TOP,
@@ -155,7 +146,7 @@ pub struct IndexTables {
 impl IndexTables {
     /// Compute the index tables for an annotated normalised query over a
     /// database (the functions `I⟦−⟧` and `I♮⟦−⟧` of the paper).
-    pub fn compute(query: &NormQuery, db: &Database) -> Result<IndexTables, ShredError> {
+    pub(crate) fn compute(query: &NormQuery, db: &Database) -> Result<IndexTables, ShredError> {
         let mut builder = IndexWalk {
             db,
             occurrences: Vec::new(),
@@ -181,7 +172,7 @@ impl IndexTables {
     }
 
     /// The concrete index of a canonical index under a scheme.
-    pub fn concrete(
+    pub(crate) fn concrete(
         &self,
         scheme: IndexScheme,
         tag: StaticIndex,
@@ -231,7 +222,7 @@ impl IndexTables {
 
     /// Is the scheme valid for this query (Section 6): injective on the
     /// canonical indexes that were enumerated?
-    pub fn is_valid(&self, scheme: IndexScheme) -> bool {
+    pub(crate) fn is_valid(&self, scheme: IndexScheme) -> bool {
         let mut seen = std::collections::HashSet::new();
         for occ in &self.occurrences {
             let concrete = match self.concrete(scheme, occ.tag, &occ.path) {
@@ -403,7 +394,7 @@ fn enumerate(
 }
 
 /// Evaluate a normal-form base expression under an environment.
-pub fn eval_nf_base(base: &NfBase, env: &Env, db: &Database) -> Result<Value, ShredError> {
+pub(crate) fn eval_nf_base(base: &NfBase, env: &Env, db: &Database) -> Result<Value, ShredError> {
     match base {
         NfBase::Proj { var, field } => {
             let v = env
@@ -458,16 +449,6 @@ pub enum FlatValue {
     Index(IndexValue),
 }
 
-impl FlatValue {
-    /// Project a field of a record flat value.
-    pub fn field(&self, label: &str) -> Option<&FlatValue> {
-        match self {
-            FlatValue::Record(fields) => fields.iter().find(|(l, _)| l == label).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for FlatValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -493,7 +474,7 @@ pub type ShredResult = Vec<(IndexValue, FlatValue)>;
 
 /// Evaluate a shredded query over a database (Figure 5), materialising
 /// indexes with the given scheme.
-pub fn eval_shredded(
+pub(crate) fn eval_shredded(
     query: &ShreddedQuery,
     db: &Database,
     scheme: IndexScheme,
@@ -652,7 +633,7 @@ fn eval_sh_base(
 }
 
 /// Evaluate every query in a shredded package (`H⟦L⟧` in the paper).
-pub fn eval_shredded_package(
+pub(crate) fn eval_shredded_package(
     package: &Package<ShreddedQuery>,
     db: &Database,
     scheme: IndexScheme,
@@ -665,10 +646,33 @@ pub fn eval_shredded_package(
 mod tests {
     use super::*;
     use crate::normalise::normalise;
-    use crate::shred::shred_query_package;
+    use crate::shred::{package_by, shred_query};
     use nrc::builder::*;
     use nrc::schema::{Schema, TableSchema};
-    use nrc::types::BaseType;
+    use nrc::types::{BaseType, Type};
+
+    impl FlatValue {
+        /// Project a field of a record flat value.
+        pub(crate) fn field(&self, label: &str) -> Option<&FlatValue> {
+            match self {
+                FlatValue::Record(fields) => {
+                    fields.iter().find(|(l, _)| l == label).map(|(_, v)| v)
+                }
+                _ => None,
+            }
+        }
+    }
+
+    /// The shredded-query package `shred_L(A)`.
+    fn shred_query_package(
+        query: &NormQuery,
+        ty: &Type,
+    ) -> Result<Package<ShreddedQuery>, ShredError> {
+        if !ty.is_nested() {
+            return Err(ShredError::NotFlatNested(ty.to_string()));
+        }
+        package_by(ty, &mut |p| shred_query(query, p))
+    }
 
     fn schema() -> Schema {
         Schema::new()

@@ -24,8 +24,9 @@
 //! ```
 //!
 //! Queries may declare typed **parameters** (bind variables) — explicitly
-//! with [`nrc::builder::param`], or implicitly: `prepare` lifts integer and
-//! string literals out of ad-hoc terms ([`auto_parameterize`]) so queries
+//! with [`nrc::builder::int_param`] or [`nrc::builder::string_param`], or
+//! implicitly: `prepare` lifts integer and string literals out of ad-hoc
+//! terms ([`auto_parameterize`]) so queries
 //! differing only in such constants share one cached plan. The plan cache is keyed on the *param-shape* normal form,
 //! with the param-shape source terms that led there in front of it, so
 //! re-issuing a query shape with other constants costs a hash of the term:
@@ -67,7 +68,7 @@ use obs::{MetricsRegistry, MetricsSnapshot, QueryObs, QueryProfile, RingSink, Sp
 use sqlengine::{Engine, SqlValue};
 
 /// Default number of plans the session keeps cached.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Parameters and bindings
@@ -119,7 +120,7 @@ impl Params {
     }
 
     /// Non-consuming version of [`bind`](Params::bind).
-    pub fn set(&mut self, name: &str, value: impl Into<Value>) {
+    pub(crate) fn set(&mut self, name: &str, value: impl Into<Value>) {
         let value = value.into();
         match self.values.iter_mut().find(|(n, _)| n == name) {
             Some((_, v)) => *v = value,
@@ -135,11 +136,6 @@ impl Params {
     /// Iterate over the bindings in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.values.iter().map(|(n, v)| (n.as_str(), v))
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.values.len()
     }
 
     /// Is the binding set empty?
@@ -158,24 +154,9 @@ pub struct Bindings {
 }
 
 impl Bindings {
-    /// No bindings (for parameter-free plans).
-    pub fn none() -> Bindings {
-        Bindings::default()
-    }
-
-    /// The bound value of a name, if any.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.values.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
     /// Are there no bindings?
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    /// Iterate over the bindings.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.values.iter().map(|(n, v)| (n.as_str(), v))
     }
 
     /// The bindings as engine-level SQL parameter values (for backends that
@@ -190,7 +171,7 @@ impl Bindings {
 
     /// The bindings as constants (for backends that substitute parameters
     /// into terms or normal forms before evaluating).
-    pub fn to_constants(&self) -> HashMap<String, Constant> {
+    pub(crate) fn to_constants(&self) -> HashMap<String, Constant> {
         self.values
             .iter()
             .filter_map(|(n, v)| v.as_constant().map(|c| (n.clone(), c)))
@@ -247,7 +228,7 @@ impl<'a> ExecContext<'a> {
     /// execute shredded packages pass these through to
     /// [`crate::pipeline::execute_bound_obs_opts`]; `workers == 1` runs the
     /// stages and the stitch one after another on the calling thread.
-    pub fn exec_opts(&self) -> sqlengine::ExecOptions {
+    pub(crate) fn exec_opts(&self) -> sqlengine::ExecOptions {
         self.exec_opts
     }
 
@@ -261,7 +242,7 @@ impl<'a> ExecContext<'a> {
     }
     /// The committed state of the session's storage as a λNRC database,
     /// rebuilt by each call from one read of the storage
-    /// ([`pipeline::database_from_storage`]).
+    /// (`pipeline::database_from_storage`).
     pub fn db(&self) -> Result<Database, ShredError> {
         pipeline::database_from_storage(&self.engine()?.storage(), self.schema)
     }
@@ -365,7 +346,7 @@ impl BackendPlan {
     /// Wrap a payload of `stage_count` stages whose explain entries `render`
     /// derives from it on first use: compiling a query should not pay for
     /// pretty-printing SQL and plan trees that only `explain()` reads.
-    pub fn lazy<T: Any + Send + Sync>(
+    pub(crate) fn lazy<T: Any + Send + Sync>(
         stage_count: usize,
         payload: T,
         render: fn(&T) -> Vec<StageExplain>,
@@ -381,7 +362,7 @@ impl BackendPlan {
     }
 
     /// Per-stage explain entries, outermost bag constructor first.
-    pub fn stages(&self) -> &[StageExplain] {
+    pub(crate) fn stages(&self) -> &[StageExplain] {
         self.stages.get_or_init(|| match &self.render {
             Some(render) => render(self.payload.as_ref()),
             None => Vec::new(),
@@ -389,7 +370,7 @@ impl BackendPlan {
     }
 
     /// Number of flat stages the plan evaluates; renders nothing.
-    pub fn stage_count(&self) -> usize {
+    pub(crate) fn stage_count(&self) -> usize {
         self.stage_count
     }
 
@@ -622,11 +603,6 @@ impl PreparedQuery {
         &self.diagnostics
     }
 
-    /// The name of the backend that prepared this query.
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
     /// The SQL text of every stage, outermost first (empty for backends that
     /// do not compile to SQL).
     pub fn sql_texts(&self) -> Vec<String> {
@@ -647,11 +623,6 @@ impl PreparedQuery {
     /// The query's result type.
     pub fn result_type(&self) -> &Type {
         &self.planned.result_type
-    }
-
-    /// The normal form the plan was derived from.
-    pub fn normalised(&self) -> &NormQuery {
-        &self.planned.normalised
     }
 
     /// Whether this handle was served from the session's plan cache (the
@@ -1568,7 +1539,7 @@ impl Shredder {
     /// Subscriptions require the default [`SqlEngineBackend`]: they maintain
     /// the compiled SQL pipeline itself. Every declared parameter must be
     /// covered by the prepared query's defaults; use
-    /// [`subscribe_bound`](Self::subscribe_bound) to bind explicitly.
+    /// `subscribe_bound` to bind explicitly.
     /// Dropping every clone of the handle unsubscribes it.
     ///
     /// ```
@@ -1604,7 +1575,7 @@ impl Shredder {
     /// [`subscribe`](Self::subscribe) with explicit parameter bindings,
     /// fixed for the lifetime of the subscription (mirroring
     /// [`execute_bound`](Self::execute_bound)).
-    pub fn subscribe_bound(
+    pub(crate) fn subscribe_bound(
         &self,
         prepared: &PreparedQuery,
         params: &Params,

@@ -56,7 +56,7 @@ impl fmt::Display for ShreddedType {
 }
 
 /// The *inner shredding* `⟦A⟧` of a type: nested bags are replaced by `Index`.
-pub fn inner_shred_type(ty: &Type) -> Result<FlatType, ShredError> {
+pub(crate) fn inner_shred_type(ty: &Type) -> Result<FlatType, ShredError> {
     match ty {
         Type::Base(b) => Ok(FlatType::Base(*b)),
         Type::Record(fields) => Ok(FlatType::Record(
@@ -121,17 +121,6 @@ pub enum Package<T> {
 }
 
 impl<T> Package<T> {
-    /// Erase the annotations, recovering the underlying type.
-    pub fn erase(&self) -> Type {
-        match self {
-            Package::Base(b) => Type::Base(*b),
-            Package::Record(fields) => {
-                Type::Record(fields.iter().map(|(l, p)| (l.clone(), p.erase())).collect())
-            }
-            Package::Bag(_, inner) => Type::Bag(Box::new(inner.erase())),
-        }
-    }
-
     /// Map a function over the annotations (`pmap` in the paper).
     pub fn map<U>(&self, f: &mut impl FnMut(&T) -> U) -> Package<U> {
         match self {
@@ -147,7 +136,7 @@ impl<T> Package<T> {
     /// where the annotations are bulky results that should move into their
     /// successor rather than be cloned (e.g. grouping decoded rows for
     /// stitching).
-    pub fn into_map<U>(self, f: &mut impl FnMut(T) -> U) -> Package<U> {
+    pub(crate) fn into_map<U>(self, f: &mut impl FnMut(T) -> U) -> Package<U> {
         match self {
             Package::Base(b) => Package::Base(b),
             Package::Record(fields) => Package::Record(
@@ -193,7 +182,7 @@ impl<T> Package<T> {
     }
 
     /// Number of bag constructors (= nesting degree = number of annotations).
-    pub fn nesting_degree(&self) -> usize {
+    pub(crate) fn nesting_degree(&self) -> usize {
         self.annotations().len()
     }
 }
@@ -233,17 +222,6 @@ pub fn package_by<T, E>(
         }
     }
     go(ty, &Path::empty(), f)
-}
-
-/// The shredded-query package `shred_L(A)`.
-pub fn shred_query_package(
-    query: &NormQuery,
-    ty: &Type,
-) -> Result<Package<ShreddedQuery>, ShredError> {
-    if !ty.is_nested() {
-        return Err(ShredError::NotFlatNested(ty.to_string()));
-    }
-    package_by(ty, &mut |p| shred_query(query, p))
 }
 
 // ---------------------------------------------------------------------------
@@ -303,18 +281,16 @@ pub enum ShBase {
 }
 
 impl ShBase {
-    /// The constant `true`.
-    pub fn truth() -> ShBase {
-        ShBase::Const(Constant::Bool(true))
-    }
-
     /// Is this the constant `true`?
-    pub fn is_truth(&self) -> bool {
+    pub(crate) fn is_truth(&self) -> bool {
         matches!(self, ShBase::Const(Constant::Bool(true)))
     }
 
     /// Replace parameters with the bound constants.
-    pub fn bind_params(&self, bindings: &std::collections::HashMap<String, Constant>) -> ShBase {
+    pub(crate) fn bind_params(
+        &self,
+        bindings: &std::collections::HashMap<String, Constant>,
+    ) -> ShBase {
         match self {
             ShBase::Param(name, _) => match bindings.get(name) {
                 Some(c) => ShBase::Const(c.clone()),
@@ -332,7 +308,7 @@ impl ShBase {
 impl ShreddedQuery {
     /// Replace parameters with the bound constants throughout the shredded
     /// query (conditions and inner terms, at every level).
-    pub fn bind_params(
+    pub(crate) fn bind_params(
         &self,
         bindings: &std::collections::HashMap<String, Constant>,
     ) -> ShreddedQuery {
@@ -590,6 +566,19 @@ fn shred_base(base: &NfBase) -> Result<ShBase, ShredError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Package<T> {
+        /// Erase the annotations, recovering the underlying type.
+        fn erase(&self) -> Type {
+            match self {
+                Package::Base(b) => Type::Base(*b),
+                Package::Record(fields) => {
+                    Type::Record(fields.iter().map(|(l, p)| (l.clone(), p.erase())).collect())
+                }
+                Package::Bag(_, inner) => Type::Bag(Box::new(inner.erase())),
+            }
+        }
+    }
 
     fn result_type() -> Type {
         Type::bag(Type::record(vec![

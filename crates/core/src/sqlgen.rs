@@ -36,10 +36,10 @@ use sqlengine::ast::{BinOp, Expr, Query, Select};
 
 /// The name used for every let-bound subquery (`WITH q AS …`). Each branch of
 /// a union introduces its own scope, so the name can be reused.
-pub const CTE_NAME: &str = "q";
+pub(crate) const CTE_NAME: &str = "q";
 
 /// Column name of the surrogate produced by a let-bound subquery.
-pub const SURROGATE_COLUMN: &str = "rn";
+pub(crate) const SURROGATE_COLUMN: &str = "rn";
 
 /// Generate the SQL query for a let-inserted shredded query.
 pub fn sql_of_let_query(

@@ -9,7 +9,7 @@
 //! a stage row against the layout's pre-resolved leaves, reading cells
 //! through a cell source and handing each nested `(tag, ord)` pair to a bag
 //! callback. [`stitch`] drives it over [`ColumnarStage`]s grouped by that
-//! pair at decode time ([`stitch_obs`] splits a large top-level bag across
+//! pair at decode time (`stitch_obs` splits a large top-level bag across
 //! the `workers` budget); the live views of `crate::delta` drive it over
 //! their executors' output caches, with a memo on top. [`stitch_rows`] is
 //! the separate row path over [`ShredResult`]s: the differential oracle,
@@ -74,7 +74,7 @@ pub fn stitch(package: Package<ColumnarStage>) -> Result<Value, ShredError> {
 /// The chunks' items are concatenated in chunk order, so the value is
 /// identical to the one-thread stitch, and an error is the first one in
 /// row order, as on one thread.
-pub fn stitch_obs(
+pub(crate) fn stitch_obs(
     package: Package<ColumnarStage>,
     obs: Option<&obs::QueryObs>,
     workers: usize,

@@ -19,7 +19,7 @@
 //! * plus the full [`analysis::plan_check`] pass over every stage plan.
 //!
 //! [`check_compiled`] covers the SQL pipeline's [`CompiledQuery`];
-//! [`check_package`] covers any bare `Package<ShreddedQuery>` (the
+//! `check_package` covers any bare `Package<ShreddedQuery>` (the
 //! shredded-memory backend's payload).
 
 use crate::flatten::{LeafKind, OUTER_ORD_COLUMN, OUTER_TAG_COLUMN};
@@ -104,13 +104,13 @@ pub fn check_compiled(
 
 /// Verify a bare shredded package (no SQL rendering): branch tags unique
 /// per stage, parent/child outer tags forming a tree.
-pub fn check_package(package: &Package<ShreddedQuery>) -> Vec<Diagnostic> {
+pub(crate) fn check_package(package: &Package<ShreddedQuery>) -> Vec<Diagnostic> {
     check_index_tree(package, &mut |s| s)
 }
 
 /// Check the per-stage tag invariants over any stage-annotated package:
 /// `accessor` projects each annotation onto its shredded query.
-pub fn check_index_tree<T>(
+pub(crate) fn check_index_tree<T>(
     package: &Package<T>,
     accessor: &mut impl FnMut(&T) -> &ShreddedQuery,
 ) -> Vec<Diagnostic> {

@@ -6,7 +6,7 @@ use nrc::types::BaseType;
 use nrc::value::Value;
 
 /// The task vocabulary used by the paper's examples.
-pub const TASK_NAMES: &[&str] = &[
+pub(crate) const TASK_NAMES: &[&str] = &[
     "abstract",
     "build",
     "call",

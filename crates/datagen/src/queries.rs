@@ -27,7 +27,7 @@ pub fn tasks_of_emp(e: Term) -> Term {
 
 /// `contactsOfDept d`: the contacts of a department, with name and client
 /// flag.
-pub fn contacts_of_dept(d: Term) -> Term {
+pub(crate) fn contacts_of_dept(d: Term) -> Term {
     for_where(
         "c",
         table("contacts"),
@@ -40,7 +40,7 @@ pub fn contacts_of_dept(d: Term) -> Term {
 }
 
 /// `employeesOfDept d`: the employees of a department, each with their tasks.
-pub fn employees_of_dept(d: Term) -> Term {
+pub(crate) fn employees_of_dept(d: Term) -> Term {
     for_where(
         "e",
         table("employees"),
@@ -55,7 +55,7 @@ pub fn employees_of_dept(d: Term) -> Term {
 
 /// `employeesByTask t`: the employees able to perform a task, with their
 /// department.
-pub fn employees_by_task(t: Term) -> Term {
+pub(crate) fn employees_by_task(t: Term) -> Term {
     for_in(
         "e",
         table("employees"),
@@ -196,7 +196,7 @@ pub fn nested_queries() -> Vec<(&'static str, Term)> {
 // ---------------------------------------------------------------------------
 
 /// QF1: employees earning over 10 000.
-pub fn qf1() -> Term {
+pub(crate) fn qf1() -> Term {
     for_where(
         "e",
         table("employees"),
@@ -224,7 +224,7 @@ pub fn qf2() -> Term {
 
 /// QF3: pairs of distinct employees in the same department with the same
 /// salary.
-pub fn qf3() -> Term {
+pub(crate) fn qf3() -> Term {
     for_in(
         "e1",
         table("employees"),
@@ -268,7 +268,7 @@ fn employees_earning_over(threshold: i64) -> Term {
 
 /// QF4: employees with the "abstract" task, together with employees earning
 /// over 50 000 (`UNION ALL`).
-pub fn qf4() -> Term {
+pub(crate) fn qf4() -> Term {
     union(
         employees_with_task("abstract"),
         employees_earning_over(50000),
@@ -277,7 +277,7 @@ pub fn qf4() -> Term {
 
 /// QF5: employees with the "abstract" task who do *not* earn over 50 000
 /// (the paper's `MINUS`, rendered as an emptiness test).
-pub fn qf5() -> Term {
+pub(crate) fn qf5() -> Term {
     for_where(
         "t",
         table("tasks"),

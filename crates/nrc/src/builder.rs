@@ -5,7 +5,7 @@
 //! closely. See `crates/nrc/src/stdlib.rs` and the examples for usage.
 
 use crate::term::{Constant, PrimOp, Term};
-use crate::types::{BaseType, Type};
+use crate::types::BaseType;
 
 /// A variable reference `x`.
 pub fn var(name: &str) -> Term {
@@ -27,14 +27,9 @@ pub fn string(s: &str) -> Term {
     Term::Const(Constant::String(s.to_string()))
 }
 
-/// The unit constant.
-pub fn unit() -> Term {
-    Term::Const(Constant::Unit)
-}
-
 /// A typed query parameter `?name : ty` (a bind variable supplied at
 /// execution time; see `Shredder::execute_bound` in the `shredding` crate).
-pub fn param(name: &str, ty: BaseType) -> Term {
+pub(crate) fn param(name: &str, ty: BaseType) -> Term {
     Term::Param(name.to_string(), ty)
 }
 
@@ -46,11 +41,6 @@ pub fn int_param(name: &str) -> Term {
 /// A string-typed parameter `?name : String`.
 pub fn string_param(name: &str) -> Term {
     param(name, BaseType::String)
-}
-
-/// A boolean-typed parameter `?name : Bool`.
-pub fn bool_param(name: &str) -> Term {
-    param(name, BaseType::Bool)
 }
 
 /// A table reference `table t`.
@@ -67,25 +57,6 @@ where
         fields
             .into_iter()
             .map(|(l, t)| (l.to_string(), t))
-            .collect(),
-    )
-}
-
-/// A record with owned labels.
-pub fn record_owned<I>(fields: I) -> Term
-where
-    I: IntoIterator<Item = (String, Term)>,
-{
-    Term::Record(fields.into_iter().collect())
-}
-
-/// A tuple `⟨M1, …, Mn⟩`, encoded as a record with labels `#1 … #n`.
-pub fn tuple<I: IntoIterator<Item = Term>>(items: I) -> Term {
-    Term::Record(
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (format!("#{}", i + 1), t))
             .collect(),
     )
 }
@@ -124,11 +95,6 @@ pub fn singleton(t: Term) -> Term {
 /// The empty bag `∅` without a type annotation.
 pub fn empty_bag() -> Term {
     Term::EmptyBag(None)
-}
-
-/// The empty bag `∅ : Bag A` with element type annotation `A`.
-pub fn empty_bag_of(elem: Type) -> Term {
-    Term::EmptyBag(Some(elem))
 }
 
 /// Bag union `M ⊎ N`.
@@ -172,16 +138,6 @@ pub fn gt(l: Term, r: Term) -> Term {
     Term::PrimApp(PrimOp::Gt, vec![l, r])
 }
 
-/// Less-or-equal.
-pub fn le(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Le, vec![l, r])
-}
-
-/// Greater-or-equal.
-pub fn ge(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Ge, vec![l, r])
-}
-
 /// Conjunction.
 pub fn and(l: Term, r: Term) -> Term {
     Term::PrimApp(PrimOp::And, vec![l, r])
@@ -197,68 +153,31 @@ pub fn not(t: Term) -> Term {
     Term::PrimApp(PrimOp::Not, vec![t])
 }
 
-/// Integer addition.
-pub fn add(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Add, vec![l, r])
-}
-
-/// Integer subtraction.
-pub fn sub(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Sub, vec![l, r])
-}
-
-/// Integer multiplication.
-pub fn mul(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Mul, vec![l, r])
-}
-
-/// String concatenation.
-pub fn concat(l: Term, r: Term) -> Term {
-    Term::PrimApp(PrimOp::Concat, vec![l, r])
-}
-
-/// Fold a list of boolean terms into a conjunction (`true` when empty).
-pub fn conj<I: IntoIterator<Item = Term>>(terms: I) -> Term {
-    let mut it = terms.into_iter();
-    match it.next() {
-        None => boolean(true),
-        Some(first) => it.fold(first, and),
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::term::Term;
+
+    /// Integer addition.
+    pub(crate) fn add(l: Term, r: Term) -> Term {
+        Term::PrimApp(PrimOp::Add, vec![l, r])
+    }
+
+    /// Less-or-equal.
+    pub(crate) fn le(l: Term, r: Term) -> Term {
+        Term::PrimApp(PrimOp::Le, vec![l, r])
+    }
+
+    /// String concatenation.
+    pub(crate) fn concat(l: Term, r: Term) -> Term {
+        Term::PrimApp(PrimOp::Concat, vec![l, r])
+    }
 
     #[test]
     fn where_builds_conditional_with_empty_else() {
         let t = where_(boolean(true), singleton(int(1)));
         match t {
             Term::If(_, _, e) => assert_eq!(*e, Term::EmptyBag(None)),
-            other => panic!("unexpected {:?}", other),
-        }
-    }
-
-    #[test]
-    fn conj_of_empty_is_true() {
-        assert_eq!(conj(vec![]), boolean(true));
-    }
-
-    #[test]
-    fn conj_folds_left() {
-        let t = conj(vec![var("a"), var("b"), var("c")]);
-        assert_eq!(t, and(and(var("a"), var("b")), var("c")));
-    }
-
-    #[test]
-    fn tuple_uses_positional_labels() {
-        let t = tuple(vec![int(1), string("x")]);
-        match t {
-            Term::Record(fields) => {
-                assert_eq!(fields[0].0, "#1");
-                assert_eq!(fields[1].0, "#2");
-            }
             other => panic!("unexpected {:?}", other),
         }
     }

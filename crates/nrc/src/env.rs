@@ -4,7 +4,7 @@ use crate::value::Value;
 use std::fmt;
 
 /// An environment ρ. The paper writes `ε` for the empty environment and
-/// `ρ[x ↦ v]` for extension; [`Env::empty`] and [`Env::extend`] mirror those.
+/// `ρ[x ↦ v]` for extension; [`Env::empty`] and `Env::extend` mirror those.
 ///
 /// Environments are small (bounded by the number of nested binders in a
 /// query), so a simple association list cloned on extension is both simple
@@ -24,7 +24,7 @@ impl Env {
     }
 
     /// `ρ[x ↦ v]`: a new environment extending `self`.
-    pub fn extend(&self, x: &str, v: Value) -> Env {
+    pub(crate) fn extend(&self, x: &str, v: Value) -> Env {
         let mut bindings = self.bindings.clone();
         bindings.push((x.to_string(), v));
         Env { bindings }
@@ -33,11 +33,6 @@ impl Env {
     /// In-place extension, used where the environment is threaded linearly.
     pub fn push(&mut self, x: &str, v: Value) {
         self.bindings.push((x.to_string(), v));
-    }
-
-    /// Remove the most recent binding.
-    pub fn pop(&mut self) {
-        self.bindings.pop();
     }
 
     /// Look up a variable (most recent binding wins).
@@ -49,19 +44,9 @@ impl Env {
             .map(|(_, v)| v)
     }
 
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.bindings.len()
-    }
-
     /// Is the environment empty?
     pub fn is_empty(&self) -> bool {
         self.bindings.is_empty()
-    }
-
-    /// Iterate over bindings, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.bindings.iter().map(|(x, v)| (x.as_str(), v))
     }
 }
 
@@ -100,14 +85,5 @@ mod tests {
         let base = Env::empty();
         let _ext = base.extend("x", Value::Int(1));
         assert!(base.is_empty());
-    }
-
-    #[test]
-    fn push_and_pop_round_trip() {
-        let mut env = Env::empty();
-        env.push("x", Value::Int(1));
-        assert_eq!(env.len(), 1);
-        env.pop();
-        assert!(env.is_empty());
     }
 }

@@ -9,6 +9,8 @@ use crate::env::Env;
 use crate::schema::Database;
 use crate::term::{PrimOp, Term};
 use crate::value::{Closure, Value};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -81,7 +83,7 @@ pub type ParamBindings = std::collections::BTreeMap<String, Value>;
 
 /// Evaluate a closed term against a database: `N⟦M⟧ε`.
 pub fn eval(term: &Term, db: &Database) -> Result<Value, EvalError> {
-    eval_in(term, &Env::empty(), db)
+    eval_with_params(term, db, &ParamBindings::new())
 }
 
 /// Evaluate a term containing `Term::Param` bind variables, supplying their
@@ -91,46 +93,64 @@ pub fn eval_with_params(
     db: &Database,
     params: &ParamBindings,
 ) -> Result<Value, EvalError> {
-    eval_bound(term, &Env::empty(), db, params)
+    let cx = Inputs {
+        db,
+        params,
+        tables: RefCell::new(HashMap::new()),
+    };
+    eval_bound(term, &Env::empty(), &cx)
 }
 
-/// Evaluate a term in an environment: `N⟦M⟧ρ`.
-pub fn eval_in(term: &Term, env: &Env, db: &Database) -> Result<Value, EvalError> {
-    eval_bound(term, env, db, &ParamBindings::new())
+/// What one evaluation reads: the database, the parameter bindings, and
+/// each table's rows in canonical order, sorted the first time the table
+/// is read and shared by every later `table t` of the same evaluation.
+struct Inputs<'a> {
+    db: &'a Database,
+    params: &'a ParamBindings,
+    tables: RefCell<HashMap<String, Value>>,
 }
 
-fn eval_bound(
-    term: &Term,
-    env: &Env,
-    db: &Database,
-    params: &ParamBindings,
-) -> Result<Value, EvalError> {
+impl Inputs<'_> {
+    /// `N⟦table t⟧`: the rows of `t`, as one shared bag.
+    fn table(&self, t: &str) -> Result<Value, EvalError> {
+        if let Some(rows) = self.tables.borrow().get(t) {
+            return Ok(rows.clone());
+        }
+        let rows = self
+            .db
+            .table_rows(t)
+            .map(Value::bag)
+            .map_err(|_| EvalError::NoSuchTable(t.to_string()))?;
+        self.tables.borrow_mut().insert(t.to_string(), rows.clone());
+        Ok(rows)
+    }
+}
+
+fn eval_bound(term: &Term, env: &Env, cx: &Inputs<'_>) -> Result<Value, EvalError> {
     match term {
         Term::Var(x) => env
             .lookup(x)
             .cloned()
             .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
         Term::Const(c) => Ok(Value::from_constant(c)),
-        Term::Param(name, _) => params
+        Term::Param(name, _) => cx
+            .params
             .get(name)
             .cloned()
             .ok_or_else(|| EvalError::UnboundParameter(name.clone())),
         Term::PrimApp(op, args) => {
             let vals = args
                 .iter()
-                .map(|a| eval_bound(a, env, db, params))
+                .map(|a| eval_bound(a, env, cx))
                 .collect::<Result<Vec<_>, _>>()?;
             apply_prim(*op, &vals)
         }
-        Term::Table(t) => db
-            .table_rows(t)
-            .map(Value::bag)
-            .map_err(|_| EvalError::NoSuchTable(t.clone())),
+        Term::Table(t) => cx.table(t),
         Term::If(c, t, e) => {
-            let cond = eval_bound(c, env, db, params)?;
+            let cond = eval_bound(c, env, cx)?;
             match cond.as_bool() {
-                Some(true) => eval_bound(t, env, db, params),
-                Some(false) => eval_bound(e, env, db, params),
+                Some(true) => eval_bound(t, env, cx),
+                Some(false) => eval_bound(e, env, cx),
                 None => Err(EvalError::NotABool(format!("{}", cond))),
             }
         }
@@ -140,22 +160,22 @@ fn eval_bound(
             env: env.clone(),
         }))),
         Term::App(f, a) => {
-            let fun = eval_bound(f, env, db, params)?;
-            let arg = eval_bound(a, env, db, params)?;
+            let fun = eval_bound(f, env, cx)?;
+            let arg = eval_bound(a, env, cx)?;
             match fun {
-                Value::Closure(c) => eval_bound(&c.body, &c.env.extend(&c.param, arg), db, params),
+                Value::Closure(c) => eval_bound(&c.body, &c.env.extend(&c.param, arg), cx),
                 other => Err(EvalError::NotAFunction(format!("{}", other))),
             }
         }
         Term::Record(fields) => {
             let mut out = Vec::with_capacity(fields.len());
             for (l, t) in fields {
-                out.push((l.clone(), eval_bound(t, env, db, params)?));
+                out.push((l.clone(), eval_bound(t, env, cx)?));
             }
             Ok(Value::Record(out))
         }
         Term::Project(t, label) => {
-            let v = eval_bound(t, env, db, params)?;
+            let v = eval_bound(t, env, cx)?;
             match &v {
                 Value::Record(_) => v
                     .field(label)
@@ -168,17 +188,17 @@ fn eval_bound(
             }
         }
         Term::Empty(t) => {
-            let v = eval_bound(t, env, db, params)?;
+            let v = eval_bound(t, env, cx)?;
             match v {
                 Value::Bag(items) => Ok(Value::Bool(items.is_empty())),
                 other => Err(EvalError::NotABag(format!("{}", other))),
             }
         }
-        Term::Singleton(t) => Ok(Value::bag([eval_bound(t, env, db, params)?])),
+        Term::Singleton(t) => Ok(Value::bag([eval_bound(t, env, cx)?])),
         Term::EmptyBag(_) => Ok(Value::bag([])),
         Term::Union(l, r) => {
-            let lv = eval_bound(l, env, db, params)?;
-            let rv = eval_bound(r, env, db, params)?;
+            let lv = eval_bound(l, env, cx)?;
+            let rv = eval_bound(r, env, cx)?;
             match (lv, rv) {
                 (Value::Bag(xs), Value::Bag(ys)) => {
                     let mut out = take_items(xs);
@@ -189,14 +209,14 @@ fn eval_bound(
             }
         }
         Term::For(x, src, body) => {
-            let source = eval_bound(src, env, db, params)?;
+            let source = eval_bound(src, env, cx)?;
             let items = match source {
                 Value::Bag(items) => take_items(items),
                 other => return Err(EvalError::NotABag(format!("{}", other))),
             };
             let mut out = Vec::new();
             for item in items {
-                let inner = eval_bound(body, &env.extend(x, item), db, params)?;
+                let inner = eval_bound(body, &env.extend(x, item), cx)?;
                 match inner {
                     Value::Bag(ys) => out.extend(take_items(ys)),
                     other => return Err(EvalError::NotABag(format!("{}", other))),
@@ -309,18 +329,19 @@ fn base_cmp(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     }
 }
 
-/// Evaluate a constant-free, table-free term (useful in tests).
-pub fn eval_pure(term: &Term) -> Result<Value, EvalError> {
-    let db = Database::new(crate::schema::Schema::new());
-    eval(term, &db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::tests::{add, concat, le};
     use crate::builder::*;
     use crate::schema::{Schema, TableSchema};
     use crate::types::BaseType;
+
+    /// Evaluate a constant-free, table-free term (useful in tests).
+    fn eval_pure(term: &Term) -> Result<Value, EvalError> {
+        let db = Database::new(crate::schema::Schema::new());
+        eval(term, &db)
+    }
 
     fn tiny_db() -> Database {
         let schema = Schema::new().with_table(

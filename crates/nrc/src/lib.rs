@@ -61,10 +61,9 @@ pub mod typecheck;
 pub mod types;
 pub mod value;
 
-pub use env::Env;
-pub use eval::{eval, eval_in, eval_with_params, EvalError, ParamBindings};
-pub use schema::{Database, DatabaseError, Schema, TableSchema};
-pub use term::{Constant, PrimOp, Term};
-pub use typecheck::{typecheck, typecheck_against, Context, TypeError};
-pub use types::{BaseType, Path, PathStep, Type};
+pub use eval::{eval, eval_with_params, EvalError, ParamBindings};
+pub use schema::{Database, Schema, TableSchema};
+pub use term::Term;
+pub use typecheck::{typecheck, TypeError};
+pub use types::BaseType;
 pub use value::Value;

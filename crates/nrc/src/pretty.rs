@@ -4,7 +4,7 @@ use crate::term::{PrimOp, Term};
 use std::fmt;
 
 /// Render a term in a compact single-line form.
-pub fn pretty(term: &Term) -> String {
+pub(crate) fn pretty(term: &Term) -> String {
     let mut s = String::new();
     write_term(&mut s, term).expect("writing to a String cannot fail");
     s
@@ -115,6 +115,7 @@ impl fmt::Display for Term {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::tests::add;
     use crate::builder::*;
 
     #[test]

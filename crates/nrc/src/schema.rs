@@ -52,7 +52,7 @@ impl TableSchema {
     }
 
     /// The relation type `Bag ⟨…⟩` of the table.
-    pub fn relation_type(&self) -> Type {
+    pub(crate) fn relation_type(&self) -> Type {
         Type::Bag(Box::new(self.row_type()))
     }
 
@@ -102,11 +102,6 @@ impl Schema {
     /// Iterate over tables in name order.
     pub fn tables(&self) -> impl Iterator<Item = &TableSchema> {
         self.tables.values()
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
     }
 
     /// Is the schema empty?
@@ -285,11 +280,8 @@ mod tests {
     #[test]
     fn table_types_are_flat_relations() {
         let s = schema();
-        assert!(s
-            .table("employees")
-            .unwrap()
-            .relation_type()
-            .is_flat_relation());
+        let ty = s.table("employees").unwrap().relation_type();
+        assert!(crate::types::tests::is_flat_relation(&ty));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub enum PrimOp {
 
 impl PrimOp {
     /// The number of arguments the primitive expects.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         match self {
             PrimOp::Not => 1,
             _ => 2,
@@ -93,7 +93,7 @@ impl PrimOp {
     }
 
     /// The SQL-ish symbol for this operator, used by pretty printers.
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             PrimOp::Eq => "=",
             PrimOp::Neq => "<>",
@@ -209,49 +209,6 @@ impl Term {
         }
         let mut acc = Vec::new();
         go(self, &mut Vec::new(), &mut acc);
-        acc
-    }
-
-    /// Is the term closed (no free variables)?
-    pub fn is_closed(&self) -> bool {
-        self.free_vars().is_empty()
-    }
-
-    /// All table names referenced by the term, deduplicated.
-    pub fn tables(&self) -> Vec<String> {
-        fn go(term: &Term, acc: &mut Vec<String>) {
-            match term {
-                Term::Table(t) => {
-                    if !acc.contains(t) {
-                        acc.push(t.clone());
-                    }
-                }
-                Term::Var(_) | Term::Const(_) | Term::Param(_, _) | Term::EmptyBag(_) => {}
-                Term::PrimApp(_, args) => args.iter().for_each(|a| go(a, acc)),
-                Term::If(c, t, e) => {
-                    go(c, acc);
-                    go(t, acc);
-                    go(e, acc);
-                }
-                Term::Lam(_, b) => go(b, acc),
-                Term::App(f, a) => {
-                    go(f, acc);
-                    go(a, acc);
-                }
-                Term::Record(fields) => fields.iter().for_each(|(_, t)| go(t, acc)),
-                Term::Project(t, _) | Term::Empty(t) | Term::Singleton(t) => go(t, acc),
-                Term::Union(l, r) => {
-                    go(l, acc);
-                    go(r, acc);
-                }
-                Term::For(_, s, b) => {
-                    go(s, acc);
-                    go(b, acc);
-                }
-            }
-        }
-        let mut acc = Vec::new();
-        go(self, &mut acc);
         acc
     }
 
@@ -430,13 +387,13 @@ mod tests {
     fn free_vars_of_open_term() {
         let t = for_in("x", table("t"), record(vec![("a", project(var("y"), "f"))]));
         assert_eq!(t.free_vars(), vec!["y".to_string()]);
-        assert!(!t.is_closed());
+        assert!(!t.free_vars().is_empty());
     }
 
     #[test]
     fn bound_vars_are_not_free() {
         let t = lam("x", project(var("x"), "a"));
-        assert!(t.is_closed());
+        assert!(t.free_vars().is_empty());
     }
 
     #[test]
@@ -497,15 +454,6 @@ mod tests {
             r,
             lam("y%2", union(union(var("y"), var("y%1")), var("y%2")))
         );
-    }
-
-    #[test]
-    fn tables_are_collected_once() {
-        let t = union(
-            for_in("x", table("employees"), singleton(var("x"))),
-            for_in("y", table("employees"), singleton(var("y"))),
-        );
-        assert_eq!(t.tables(), vec!["employees".to_string()]);
     }
 
     #[test]

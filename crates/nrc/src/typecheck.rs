@@ -33,7 +33,7 @@ impl Context {
     }
 
     /// Look up a variable.
-    pub fn lookup(&self, x: &str) -> Option<&Type> {
+    pub(crate) fn lookup(&self, x: &str) -> Option<&Type> {
         self.bindings
             .iter()
             .rev()
@@ -111,11 +111,6 @@ impl std::error::Error for TypeError {}
 /// Infer the type of a closed term.
 pub fn typecheck(term: &Term, schema: &Schema) -> Result<Type, TypeError> {
     infer(term, &Context::empty(), schema)
-}
-
-/// Check a closed term against an expected type.
-pub fn typecheck_against(term: &Term, expected: &Type, schema: &Schema) -> Result<(), TypeError> {
-    check(term, expected, &Context::empty(), schema)
 }
 
 /// Synthesise a type for `term` in context Γ.
@@ -227,7 +222,7 @@ pub fn infer(term: &Term, ctx: &Context, schema: &Schema) -> Result<Type, TypeEr
 }
 
 /// Check `term` against `expected` in context Γ.
-pub fn check(
+pub(crate) fn check(
     term: &Term,
     expected: &Type,
     ctx: &Context,
@@ -398,8 +393,14 @@ fn infer_prim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::tests::add;
     use crate::builder::*;
     use crate::schema::TableSchema;
+
+    /// Check a closed term against an expected type.
+    fn typecheck_against(term: &Term, expected: &Type, schema: &Schema) -> Result<(), TypeError> {
+        check(term, expected, &Context::empty(), schema)
+    }
 
     fn schema() -> Schema {
         Schema::new().with_table(
@@ -419,7 +420,7 @@ mod tests {
     #[test]
     fn table_has_relation_type() {
         let ty = typecheck(&table("employees"), &schema()).unwrap();
-        assert!(ty.is_flat_relation());
+        assert!(crate::types::tests::is_flat_relation(&ty));
     }
 
     #[test]
@@ -469,7 +470,12 @@ mod tests {
             typecheck(&t, &schema()),
             Err(TypeError::CannotInfer(_))
         ));
-        assert!(typecheck_against(&t, &Type::fun(Type::int(), Type::int()), &schema()).is_ok());
+        assert!(typecheck_against(
+            &t,
+            &Type::Fun(Box::new(Type::int()), Box::new(Type::int())),
+            &schema()
+        )
+        .is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl fmt::Display for BaseType {
 /// λNRC types.
 ///
 /// Record fields are kept in the order they were written; two record types
-/// are compared up to field order by [`Type::equiv`].
+/// are compared up to field order by `Type::equiv`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A base type (`Int`, `Bool`, `String`).
@@ -52,18 +52,13 @@ impl Type {
     }
 
     /// `Bool`.
-    pub fn bool() -> Type {
+    pub(crate) fn bool() -> Type {
         Type::Base(BaseType::Bool)
     }
 
     /// `String`.
     pub fn string() -> Type {
         Type::Base(BaseType::String)
-    }
-
-    /// `Unit` (the empty record viewed as a base type, see Appendix E).
-    pub fn unit() -> Type {
-        Type::Base(BaseType::Unit)
     }
 
     /// A record type from label/type pairs.
@@ -80,46 +75,9 @@ impl Type {
         Type::Bag(Box::new(inner))
     }
 
-    /// A function type `A → B`.
-    pub fn fun(arg: Type, res: Type) -> Type {
-        Type::Fun(Box::new(arg), Box::new(res))
-    }
-
-    /// An n-ary tuple type, encoded as a record with labels `#1 … #n`.
-    pub fn tuple<I: IntoIterator<Item = Type>>(items: I) -> Type {
-        Type::Record(
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| (format!("#{}", i + 1), t))
-                .collect(),
-        )
-    }
-
     /// Is this a base type?
     pub fn is_base(&self) -> bool {
         matches!(self, Type::Base(_))
-    }
-
-    /// Is this type *flat* (only base and record types)?
-    pub fn is_flat(&self) -> bool {
-        match self {
-            Type::Base(_) => true,
-            Type::Record(fields) => fields.iter().all(|(_, t)| t.is_flat()),
-            Type::Bag(_) | Type::Fun(_, _) => false,
-        }
-    }
-
-    /// Is this type a *flat relation type* `Bag ⟨ℓ1:O1,…,ℓn:On⟩` (the only
-    /// type a database table may have)?
-    pub fn is_flat_relation(&self) -> bool {
-        match self {
-            Type::Bag(inner) => match inner.as_ref() {
-                Type::Record(fields) => fields.iter().all(|(_, t)| t.is_base()),
-                _ => false,
-            },
-            _ => false,
-        }
     }
 
     /// Is this type *nested* (no function types anywhere)?
@@ -145,23 +103,15 @@ impl Type {
     }
 
     /// Look up a field of a record type.
-    pub fn field(&self, label: &str) -> Option<&Type> {
+    pub(crate) fn field(&self, label: &str) -> Option<&Type> {
         match self {
             Type::Record(fields) => fields.iter().find(|(l, _)| l == label).map(|(_, t)| t),
             _ => None,
         }
     }
 
-    /// The element type of a bag type.
-    pub fn elem(&self) -> Option<&Type> {
-        match self {
-            Type::Bag(inner) => Some(inner),
-            _ => None,
-        }
-    }
-
     /// Structural equivalence up to record field order.
-    pub fn equiv(&self, other: &Type) -> bool {
+    pub(crate) fn equiv(&self, other: &Type) -> bool {
         match (self, other) {
             (Type::Base(a), Type::Base(b)) => a == b,
             (Type::Bag(a), Type::Bag(b)) => a.equiv(b),
@@ -209,22 +159,6 @@ impl Type {
         let mut acc = Vec::new();
         go(self, &mut acc, &Path::empty());
         acc
-    }
-
-    /// Look up the type reached by following `path`, stopping at a bag
-    /// constructor (the outer shredding of the paper stops there too).
-    pub fn at_path(&self, path: &Path) -> Option<&Type> {
-        let mut ty = self;
-        for step in &path.steps {
-            match (step, ty) {
-                (PathStep::Down, Type::Bag(inner)) => ty = inner,
-                (PathStep::Label(l), Type::Record(fields)) => {
-                    ty = fields.iter().find(|(fl, _)| fl == l).map(|(_, t)| t)?;
-                }
-                _ => return None,
-            }
-        }
-        Some(ty)
     }
 }
 
@@ -313,11 +247,6 @@ impl Path {
             )
         })
     }
-
-    /// Number of steps in the path.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
 }
 
 impl fmt::Display for Path {
@@ -339,8 +268,20 @@ impl fmt::Display for Path {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Is this type a *flat relation type* `Bag ⟨ℓ1:O1,…,ℓn:On⟩` (the only
+    /// type a database table may have)?
+    pub(crate) fn is_flat_relation(ty: &Type) -> bool {
+        match ty {
+            Type::Bag(inner) => match inner.as_ref() {
+                Type::Record(fields) => fields.iter().all(|(_, t)| t.is_base()),
+                _ => false,
+            },
+            _ => false,
+        }
+    }
 
     fn result_type() -> Type {
         // Bag <department: String, people: Bag <name: String, tasks: Bag String>>
@@ -388,25 +329,13 @@ mod tests {
     }
 
     #[test]
-    fn at_path_navigates_to_inner_bags() {
-        let t = result_type();
-        let p = Path::empty().extend_down().extend_label("people");
-        let at = t.at_path(&p).unwrap();
-        assert!(matches!(at, Type::Bag(_)));
-        assert_eq!(at.nesting_degree(), 2);
-    }
-
-    #[test]
     fn flat_and_nested_predicates() {
         let flat = Type::record(vec![("a", Type::int()), ("b", Type::string())]);
-        assert!(flat.is_flat());
         assert!(flat.is_nested());
         let nested = result_type();
-        assert!(!nested.is_flat());
         assert!(nested.is_nested());
-        let higher = Type::fun(Type::int(), Type::int());
+        let higher = Type::Fun(Box::new(Type::int()), Box::new(Type::int()));
         assert!(!higher.is_nested());
-        assert!(!higher.is_flat());
     }
 
     #[test]
@@ -415,9 +344,9 @@ mod tests {
             ("dept", Type::string()),
             ("salary", Type::int()),
         ]));
-        assert!(rel.is_flat_relation());
-        assert!(!result_type().is_flat_relation());
-        assert!(!Type::bag(Type::int()).is_flat_relation());
+        assert!(is_flat_relation(&rel));
+        assert!(!is_flat_relation(&result_type()));
+        assert!(!is_flat_relation(&Type::bag(Type::int())));
     }
 
     #[test]
@@ -426,13 +355,6 @@ mod tests {
         let b = Type::record(vec![("y", Type::bool()), ("x", Type::int())]);
         assert!(a.equiv(&b));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn tuple_types_use_hash_labels() {
-        let t = Type::tuple(vec![Type::int(), Type::string()]);
-        assert_eq!(t.field("#1"), Some(&Type::int()));
-        assert_eq!(t.field("#2"), Some(&Type::string()));
     }
 
     #[test]

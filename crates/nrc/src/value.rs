@@ -145,7 +145,7 @@ impl Value {
     ///
     /// Panics if the value contains a closure (closures have no canonical
     /// form and never appear in nested query results).
-    pub fn canonical(&self) -> Value {
+    pub(crate) fn canonical(&self) -> Value {
         match self {
             Value::Int(_) | Value::Bool(_) | Value::String(_) | Value::Unit => self.clone(),
             Value::Record(fields) => {
@@ -183,7 +183,7 @@ impl Value {
     }
 
     /// Does this first-order value inhabit the given type?
-    pub fn has_type(&self, ty: &Type) -> bool {
+    pub(crate) fn has_type(&self, ty: &Type) -> bool {
         match (self, ty) {
             (Value::Int(_), Type::Base(BaseType::Int)) => true,
             (Value::Bool(_), Type::Base(BaseType::Bool)) => true,
@@ -203,7 +203,7 @@ impl Value {
 
 /// A total order on canonical first-order values, used to sort bag elements.
 /// The ordering is arbitrary but fixed: by variant rank, then structurally.
-pub fn compare_canonical(a: &Value, b: &Value) -> Ordering {
+pub(crate) fn compare_canonical(a: &Value, b: &Value) -> Ordering {
     fn rank(v: &Value) -> u8 {
         match v {
             Value::Unit => 0,

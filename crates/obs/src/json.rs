@@ -20,16 +20,16 @@ pub enum Json {
 }
 
 impl Json {
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         Json::Num(v.to_string())
     }
 
-    pub fn from_i64(v: i64) -> Self {
+    pub(crate) fn from_i64(v: i64) -> Self {
         Json::Num(v.to_string())
     }
 
     /// Render to compact JSON text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
         out

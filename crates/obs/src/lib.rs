@@ -2,9 +2,10 @@
 //!
 //! This crate is deliberately dependency-free and splits into three layers:
 //!
-//! * [`metrics`] — a lock-free [`MetricsRegistry`] of atomic [`Counter`]s,
-//!   [`Gauge`]s and log-linear latency [`Histogram`]s with p50/p95/p99/max
-//!   readout, snapshotted into a JSON-serialisable [`MetricsSnapshot`].
+//! * [`metrics`] — a lock-free [`MetricsRegistry`] of atomic
+//!   [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s and
+//!   log-linear latency [`Histogram`]s with p50/p95/p99/max readout,
+//!   snapshotted into a JSON-serialisable [`MetricsSnapshot`].
 //!   Instruments are registered once (short registry lock) and recorded
 //!   entirely with atomics afterwards, so a single registry can be shared by
 //!   every session clone and recorded into from many threads without
@@ -27,8 +28,7 @@ pub mod metrics;
 pub mod profile;
 pub mod sink;
 
-pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use profile::{time_maybe, OperatorProfile, QueryObs, QueryProfile, Span, Stage};
 pub use sink::RingSink;
 

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::json::Json;
 use crate::read;
@@ -20,10 +20,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn inc(&self) {
         self.add(1);
     }
@@ -44,19 +40,11 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    pub fn add(&self, d: i64) {
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -121,7 +109,7 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut buckets = Vec::with_capacity(NUM_BUCKETS);
         buckets.resize_with(NUM_BUCKETS, AtomicU64::default);
         Self {
@@ -145,28 +133,19 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Time one invocation of `f`, record the elapsed nanoseconds, and return
-    /// `f`'s result.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record_duration(start.elapsed());
-        out
-    }
-
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         let m = self.min.load(Ordering::Relaxed);
         if m == u64::MAX {
             0
@@ -177,7 +156,7 @@ impl Histogram {
 
     /// The value at quantile `q` in `[0, 1]` (0 when empty). Exact for
     /// samples below 32ns; within one log-linear sub-bucket (~3%) otherwise.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -196,7 +175,7 @@ impl Histogram {
         self.max()
     }
 
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count(),
             sum: self.sum(),
@@ -232,10 +211,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         intern(&self.counters, name)
@@ -361,7 +336,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_registry_lock_is_recovered_not_re_panicked() {
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = Arc::new(MetricsRegistry::default());
         registry.counter("before").inc();
         let holder = Arc::clone(&registry);
         let panicked = std::thread::spawn(move || {
@@ -421,7 +396,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_renders_as_json() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("queries.executed").add(7);
         reg.gauge("cache.entries").set(-3);
         reg.histogram("stage.execute").record(12345);

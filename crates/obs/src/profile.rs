@@ -26,20 +26,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    pub const ALL: [Stage; 11] = [
-        Stage::Typecheck,
-        Stage::Normalise,
-        Stage::Shred,
-        Stage::Sqlgen,
-        Stage::Plan,
-        Stage::Verify,
-        Stage::Execute,
-        Stage::Decode,
-        Stage::Stitch,
-        Stage::Commit,
-        Stage::Maintain,
-    ];
-
     /// Name of the registry histogram this stage's spans feed, e.g.
     /// `"stage.execute"`. Static so recording does not allocate.
     pub fn metric_name(self) -> &'static str {
@@ -58,7 +44,7 @@ impl Stage {
         }
     }
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Typecheck => "typecheck",
             Stage::Normalise => "normalise",

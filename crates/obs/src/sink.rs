@@ -14,7 +14,7 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             buf: Mutex::new(VecDeque::new()),

@@ -67,28 +67,6 @@ impl Query {
             Query::With { body, .. } => body.output_columns(),
         }
     }
-
-    /// Count the SELECT blocks in the query — a rough complexity measure
-    /// reported by the experiments harness.
-    pub fn select_count(&self) -> usize {
-        match self {
-            Query::Select(s) => {
-                1 + s
-                    .items
-                    .iter()
-                    .map(|i| i.expr.subquery_count())
-                    .sum::<usize>()
-                    + s.where_clause
-                        .as_ref()
-                        .map(|w| w.subquery_count())
-                        .unwrap_or(0)
-            }
-            Query::UnionAll(qs) => qs.iter().map(Query::select_count).sum(),
-            Query::With {
-                definition, body, ..
-            } => Query::Select(definition.clone()).select_count() + body.select_count(),
-        }
-    }
 }
 
 /// A `SELECT … FROM … WHERE …` block.
@@ -192,7 +170,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// SQL spelling of the operator.
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             BinOp::Eq => "=",
             BinOp::Neq => "<>",
@@ -249,7 +227,7 @@ impl Expr {
     }
 
     /// A bare column reference.
-    pub fn bare(column: &str) -> Expr {
+    pub(crate) fn bare(column: &str) -> Expr {
         Expr::Column {
             table: None,
             column: column.to_string(),
@@ -328,7 +306,7 @@ impl Expr {
 
     /// All aliases of columns mentioned in this expression (not descending
     /// into subqueries, which resolve their own scopes).
-    pub fn referenced_aliases(&self) -> Vec<String> {
+    pub(crate) fn referenced_aliases(&self) -> Vec<String> {
         let mut acc: Vec<String> = Vec::new();
         self.any(|e| {
             if let Expr::Column { table: Some(t), .. } = e {
@@ -341,32 +319,20 @@ impl Expr {
         acc
     }
 
-    /// Number of nested subqueries (EXISTS bodies).
-    pub fn subquery_count(&self) -> usize {
-        let mut count = 0;
-        self.any(|e| {
-            if let Expr::Exists(q) = e {
-                count += q.select_count();
-            }
-            false
-        });
-        count
-    }
-
     /// Does the expression reference a column without a table qualifier?
     /// (The executor and planner defer such predicates until every relation
     /// is bound, since the reference may resolve into any of them.)
-    pub fn contains_unqualified_column(&self) -> bool {
+    pub(crate) fn contains_unqualified_column(&self) -> bool {
         self.any(|e| matches!(e, Expr::Column { table: None, .. }))
     }
 
     /// Does the expression contain an `EXISTS` subquery (at any depth)?
-    pub fn contains_exists(&self) -> bool {
+    pub(crate) fn contains_exists(&self) -> bool {
         self.any(|e| matches!(e, Expr::Exists(_)))
     }
 
     /// Split a conjunction into its conjuncts.
-    pub fn conjuncts(&self) -> Vec<Expr> {
+    pub(crate) fn conjuncts(&self) -> Vec<Expr> {
         match self {
             Expr::BinOp {
                 op: BinOp::And,

@@ -1,7 +1,7 @@
 //! The mutation layer: write batches and the typed deltas they emit.
 //!
 //! A [`WriteBatch`] is an ordered list of [`WriteOp`]s. Committing one is a
-//! two-phase affair: [`Storage::validate_batch`] replays the operations
+//! two-phase affair: `Storage::validate_batch` replays the operations
 //! against a small overlay per affected table — the base rows the batch
 //! deleted, the rows it appended and the keys it added and freed, over the
 //! borrowed table, which is never copied — so a batch that would violate
@@ -9,7 +9,7 @@
 //! table changes. It normalises the surviving operations into a
 //! [`StorageDelta`]: one signed row multiset per table, with insertions and
 //! retractions of the same row cancelled out (an update is exactly a delete
-//! plus an insert). [`Storage::apply_delta`] then commits the delta with a
+//! plus an insert). `Storage::apply_delta` then commits the delta with a
 //! fixed discipline — retracted rows are removed at their first occurrence,
 //! inserted rows are appended — so the post-state scan order of a table is a
 //! deterministic function of its pre-state order and the delta. The
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// One mutation inside a [`WriteBatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WriteOp {
-    /// Insert a full row (validated like [`crate::storage::Table::insert`]).
+    /// Insert a full row (validated like `crate::storage::Table::insert`).
     Insert { table: String, row: Row },
     /// Delete the first row equal to `row`.
     Delete { table: String, row: Row },
@@ -97,11 +97,6 @@ impl WriteBatch {
         self
     }
 
-    /// Number of operations in the batch.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Is the batch empty?
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
@@ -122,7 +117,7 @@ pub struct TableDelta {
 
 impl TableDelta {
     /// Total number of signed rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.retract.len() + self.insert.len()
     }
 
@@ -133,7 +128,7 @@ impl TableDelta {
 
     /// The delta as `(row, sign)` pairs: retractions (−1) first, then
     /// insertions (+1) — the order [`Storage::apply_delta`] commits them in.
-    pub fn signed_rows(&self) -> impl Iterator<Item = (&Row, i64)> {
+    pub(crate) fn signed_rows(&self) -> impl Iterator<Item = (&Row, i64)> {
         self.retract
             .iter()
             .map(|r| (r, -1i64))
@@ -150,18 +145,13 @@ pub struct StorageDelta {
 }
 
 impl StorageDelta {
-    /// The per-table deltas, in table-name order.
-    pub fn tables(&self) -> impl Iterator<Item = (&str, &TableDelta)> {
-        self.tables.iter().map(|(n, d)| (n.as_str(), d))
-    }
-
     /// The delta for one table, if the batch touched it.
     pub fn get(&self, table: &str) -> Option<&TableDelta> {
         self.tables.get(table)
     }
 
     /// Did the batch change this table?
-    pub fn touches(&self, table: &str) -> bool {
+    pub(crate) fn touches(&self, table: &str) -> bool {
         self.tables.get(table).is_some_and(|d| !d.is_empty())
     }
 
@@ -342,7 +332,7 @@ impl Storage {
     ///
     /// The returned delta's retractions are a sub-multiset of the current
     /// (pre-state) tables, so [`Storage::apply_delta`] cannot fail.
-    pub fn validate_batch(&self, batch: &WriteBatch) -> Result<StorageDelta, EngineError> {
+    pub(crate) fn validate_batch(&self, batch: &WriteBatch) -> Result<StorageDelta, EngineError> {
         let mut overlays: BTreeMap<&str, Overlay<'_>> = BTreeMap::new();
         for op in &batch.ops {
             let overlay = match overlays.entry(op.table()) {
@@ -363,7 +353,7 @@ impl Storage {
     /// remove each retracted row at its first occurrence, then append the
     /// inserted rows. Panics if a retracted row is absent (the validate
     /// phase guarantees it is not).
-    pub fn apply_delta(&mut self, delta: &StorageDelta) {
+    pub(crate) fn apply_delta(&mut self, delta: &StorageDelta) {
         for (name, table_delta) in &delta.tables {
             if table_delta.is_empty() {
                 continue;
@@ -543,8 +533,8 @@ mod tests {
 }
 
 /// `validate_batch` replays a batch on overlays; the reference replays it
-/// one operation at a time on a copy of the storage, through the public
-/// per-operation entry points. The two must agree on every batch.
+/// one operation at a time on a copy of the storage. The two must agree on
+/// every batch.
 #[cfg(test)]
 mod overlay_differential {
     use super::*;
@@ -710,34 +700,46 @@ mod overlay_differential {
         }
     }
 
-    /// Replay one operation on `s` through the public per-operation entry
-    /// points, recording its signed rows as the clone-based validation did.
+    /// Replay one operation on a copy of the storage, the reference the
+    /// overlay must agree with: a keyed write finds its row by a scan, and
+    /// an update is checked against every other row's key before the old
+    /// row leaves and the new one is appended. Records the signed rows as
+    /// the clone-based validation did.
     fn replay(
         s: &mut Storage,
         signed: &mut BTreeMap<String, SignedRows>,
         op: &WriteOp,
     ) -> Result<Option<Row>, EngineError> {
         let name = op.table();
-        s.table(name)?;
+        let t = s.table_mut(name)?;
         let signed = signed.entry(name.to_string()).or_default();
+        let keyed = |t: &Table, key: &Row| -> Result<Row, EngineError> {
+            let matches = t.key_matcher(key)?;
+            let row = t.rows.iter().find(|r| matches(r));
+            row.cloned().ok_or_else(|| t.no_such_row(key))
+        };
         match op {
             WriteOp::Insert { row, .. } => {
-                s.insert(name, row.clone())?;
+                t.insert(row.clone())?;
                 signed.add(row.clone(), 1);
                 Ok(None)
             }
             WriteOp::Delete { row, .. } => {
-                s.delete(name, row)?;
+                t.delete(row)?;
                 signed.add(row.clone(), -1);
                 Ok(Some(row.clone()))
             }
             WriteOp::DeleteByKey { key, .. } => {
-                let old = s.delete_by_key(name, key)?;
+                let old = keyed(t, key)?;
+                t.delete(&old)?;
                 signed.add(old.clone(), -1);
                 Ok(Some(old))
             }
             WriteOp::Update { key, row, .. } => {
-                let old = s.update(name, key, row.clone())?;
+                let old = keyed(t, key)?;
+                t.check_row(row, |k| k != key && t.has_key(k))?;
+                t.delete(&old)?;
+                t.insert(row.clone())?;
                 signed.add(old.clone(), -1);
                 signed.add(row.clone(), 1);
                 Ok(Some(old))

@@ -61,11 +61,6 @@ impl Clone for Engine {
 }
 
 impl Engine {
-    /// An engine over empty storage.
-    pub fn new() -> Engine {
-        Engine::default()
-    }
-
     /// An engine over existing storage.
     pub fn with_storage(storage: Storage) -> Engine {
         Engine {
@@ -83,7 +78,7 @@ impl Engine {
     /// A write guard over the engine's storage, for callers that stage
     /// validation, subscription maintenance and commit under one exclusion
     /// span.
-    pub fn storage_mut(&self) -> RwLockWriteGuard<'_, Storage> {
+    pub(crate) fn storage_mut(&self) -> RwLockWriteGuard<'_, Storage> {
         self.storage.write().expect("engine storage lock")
     }
 
@@ -967,8 +962,7 @@ mod tests {
         );
         let q = Query::with("q", def, body);
         let rs = engine().execute(&q).unwrap();
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.value(0, "n"), Some(&SqlValue::str("Bert")));
+        assert_eq!(rs.into_result_set().rows, vec![vec![SqlValue::str("Bert")]]);
     }
 
     #[test]
@@ -1032,8 +1026,7 @@ mod tests {
                 .filter(Expr::not(Expr::Exists(Box::new(sub)))),
         );
         let rs = engine().execute(&q).unwrap();
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.value(0, "name"), Some(&SqlValue::str("Erik")));
+        assert_eq!(rs.into_result_set().rows, vec![vec![SqlValue::str("Erik")]]);
     }
 
     #[test]

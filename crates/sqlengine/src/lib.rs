@@ -75,15 +75,15 @@ pub mod storage;
 pub mod value;
 pub mod vexec;
 
-pub use ast::{BinOp, Expr, FromItem, Query, Select, SelectItem, TableSource};
-pub use delta::{StorageDelta, TableDelta, WriteBatch, WriteOp};
+pub use ast::{BinOp, Expr, Query, Select};
+pub use delta::{StorageDelta, WriteBatch, WriteOp};
 pub use error::EngineError;
 pub use exec::Engine;
 pub use opt::{optimize, OptReport};
 pub use par::{scoped_map, ExecOptions, ExecStats};
-pub use parser::{parse_expr, parse_query};
-pub use plan::{Catalog, OpActuals, PhysicalPlan, SchemaCatalog};
-pub use printer::{print_expr, print_query};
-pub use storage::{ColumnType, ColumnarResult, ResultSet, Storage, Table, TableDef};
+pub use parser::parse_query;
+pub use plan::{OpActuals, PhysicalPlan, SchemaCatalog};
+pub use printer::print_query;
+pub use storage::{ColumnType, ColumnarResult, ResultSet, Storage, TableDef};
 pub use value::{ParamValues, Row, SqlValue};
 pub use vexec::{execute_plan, DeltaExec, ExecRequest, Execution, PlanProfile, RootDelta};

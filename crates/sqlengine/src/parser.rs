@@ -23,15 +23,6 @@ pub fn parse_query(input: &str) -> Result<Query, EngineError> {
     Ok(q)
 }
 
-/// Parse a SQL string into an expression (used in tests).
-pub fn parse_expr(input: &str) -> Result<Expr, EngineError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let e = parser.parse_or()?;
-    parser.expect_eof()?;
-    Ok(e)
-}
-
 /// Keywords of SQL the engine does not implement, with their display form.
 const UNSUPPORTED: [(&str, &str); 3] = [
     ("distinct", "DISTINCT"),
@@ -498,6 +489,15 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::printer::print_query;
+
+    /// Parse a SQL string into an expression (used in tests).
+    fn parse_expr(input: &str) -> Result<Expr, EngineError> {
+        let tokens = tokenize(input)?;
+        let mut parser = Parser { tokens, pos: 0 };
+        let e = parser.parse_or()?;
+        parser.expect_eof()?;
+        Ok(e)
+    }
 
     #[test]
     fn parses_simple_select() {

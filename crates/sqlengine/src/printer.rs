@@ -14,7 +14,7 @@ pub fn print_query(q: &Query) -> String {
 }
 
 /// Render an expression as SQL text.
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     let mut out = String::new();
     write_expr(&mut out, e);
     out

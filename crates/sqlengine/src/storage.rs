@@ -30,7 +30,7 @@ impl fmt::Display for ColumnType {
 
 impl ColumnType {
     /// Does a value inhabit this column type? `NULL` inhabits every type.
-    pub fn admits(&self, v: &SqlValue) -> bool {
+    pub(crate) fn admits(&self, v: &SqlValue) -> bool {
         matches!(
             (self, v),
             (_, SqlValue::Null)
@@ -70,7 +70,7 @@ impl TableDef {
     }
 
     /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|(c, _)| c == name)
     }
 
@@ -80,7 +80,7 @@ impl TableDef {
     }
 
     /// Number of columns.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.columns.len()
     }
 }
@@ -88,11 +88,10 @@ impl TableDef {
 /// A stored table: a definition plus its rows, and the same rows column by
 /// column.
 ///
-/// Rows must be added through [`Table::insert`] and removed or replaced
-/// through [`Table::delete`] / [`Table::update`] (or the [`Storage`] entry
-/// points), which enforce the schema — arity, column types and the key
-/// declared with [`TableDef::with_key`] — and edit the columns in step with
-/// the rows. Cloning a table shares its columns; the first write to either
+/// Rows are loaded through [`Storage::insert`] and written through
+/// [`Storage::apply_batch`], which enforce the schema — arity, column types
+/// and the key declared with [`TableDef::with_key`] — and edit the columns
+/// in step with the rows. Cloning a table shares its columns; the first write to either
 /// copy copies them on write.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -117,7 +116,7 @@ impl PartialEq for Table {
 
 impl Table {
     /// An empty table.
-    pub fn new(def: TableDef) -> Table {
+    pub(crate) fn new(def: TableDef) -> Table {
         let columns = Arc::new((0..def.arity()).map(|_| Arc::default()).collect());
         Table {
             def,
@@ -154,7 +153,7 @@ impl Table {
     /// table declares a key — key uniqueness. A row whose key contains
     /// `NULL` is never considered a duplicate (SQL `UNIQUE` semantics; the
     /// natural indexing scheme pads key columns with `NULL`).
-    pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+    pub(crate) fn insert(&mut self, row: Row) -> Result<(), EngineError> {
         let key = self.check_row(&row, |key| self.key_seen.contains(key))?;
         self.append(key, row);
         Ok(())
@@ -209,7 +208,7 @@ impl Table {
 
     /// Delete the first row equal to `row`. Errors when no such row exists;
     /// the row's key (if any) becomes available for re-insertion.
-    pub fn delete(&mut self, row: &Row) -> Result<(), EngineError> {
+    pub(crate) fn delete(&mut self, row: &Row) -> Result<(), EngineError> {
         let idx = self
             .rows
             .iter()
@@ -217,36 +216,6 @@ impl Table {
             .ok_or_else(|| self.no_such_row(row))?;
         self.delete_at(idx);
         Ok(())
-    }
-
-    /// Delete the row whose key columns equal `key`, returning the deleted
-    /// row. The table must declare a key.
-    pub fn delete_by_key(&mut self, key: &Row) -> Result<Row, EngineError> {
-        let idx = self.position_by_key(key)?;
-        Ok(self.delete_at(idx))
-    }
-
-    /// Replace the row whose key columns equal `key` with `row`, returning
-    /// the previous row. The replacement is validated like an insert (arity,
-    /// column types, key uniqueness against every *other* row) before the
-    /// table changes, and the updated row moves to the end of the table —
-    /// an update is a delete plus an insert, exactly the normal form the
-    /// delta layer emits.
-    pub fn update(&mut self, key: &Row, row: Row) -> Result<Row, EngineError> {
-        let idx = self.position_by_key(key)?;
-        // The row at `idx` holds `key` itself, which the update frees.
-        let new_key = self.check_row(&row, |k| k != key && self.key_seen.contains(k))?;
-        let old = self.delete_at(idx);
-        self.append(new_key, row);
-        Ok(old)
-    }
-
-    fn position_by_key(&self, key: &Row) -> Result<usize, EngineError> {
-        let matches = self.key_matcher(key)?;
-        self.rows
-            .iter()
-            .position(matches)
-            .ok_or_else(|| self.no_such_row(key))
     }
 
     /// A predicate on rows that holds where the declared-key columns equal
@@ -360,22 +329,6 @@ impl Storage {
         Ok(())
     }
 
-    /// Delete the first row of `table` equal to `row`.
-    pub fn delete(&mut self, table: &str, row: &Row) -> Result<(), EngineError> {
-        self.table_mut(table)?.delete(row)
-    }
-
-    /// Delete the row of `table` whose key equals `key`, returning it.
-    pub fn delete_by_key(&mut self, table: &str, key: &Row) -> Result<Row, EngineError> {
-        self.table_mut(table)?.delete_by_key(key)
-    }
-
-    /// Replace the row of `table` whose key equals `key`, returning the
-    /// previous row.
-    pub fn update(&mut self, table: &str, key: &Row, row: Row) -> Result<Row, EngineError> {
-        self.table_mut(table)?.update(key, row)
-    }
-
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table, EngineError> {
         self.tables
@@ -444,28 +397,13 @@ impl ColumnarResult {
     }
 
     /// Number of columns.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.cols.len()
     }
 
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
     /// The shared data of the `idx`-th column.
-    pub fn column(&self, idx: usize) -> &Arc<Vec<SqlValue>> {
+    pub(crate) fn column(&self, idx: usize) -> &Arc<Vec<SqlValue>> {
         &self.cols[idx]
-    }
-
-    /// The shared data of a column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Arc<Vec<SqlValue>>> {
-        self.column_index(name).map(|i| &self.cols[i])
-    }
-
-    /// The value at (row, column name), if both exist.
-    pub fn value(&self, row: usize, column: &str) -> Option<&SqlValue> {
-        self.column_by_name(column).and_then(|c| c.get(row))
     }
 
     /// Take ownership of the shared column vectors, dropping the names.
@@ -504,39 +442,16 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// An empty result set with the given columns.
-    pub fn empty(columns: Vec<String>) -> ResultSet {
-        ResultSet {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Is the result empty?
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// The value at (row, column name), if both exist.
-    pub fn value(&self, row: usize, column: &str) -> Option<&SqlValue> {
-        let idx = self.column_index(column)?;
-        self.rows.get(row).and_then(|r| r.get(idx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::WriteBatch;
 
     fn def() -> TableDef {
         TableDef::new(
@@ -639,22 +554,23 @@ mod tests {
         }
         assert_eq!(s.table("t").unwrap().columnar()[0].len(), 3);
         // Delete-by-value, then re-read: the view must shrink.
-        s.delete("t", &vec![SqlValue::Int(2), SqlValue::str("b")])
+        s.apply_batch(&WriteBatch::new().delete("t", vec![SqlValue::Int(2), SqlValue::str("b")]))
             .unwrap();
         let cols = s.table("t").unwrap().columnar();
         assert_eq!(*cols[0], vec![SqlValue::Int(1), SqlValue::Int(3)]);
         // Update-by-key, then re-read: the view must show the new row (at
         // the end: an update is delete + insert).
-        s.update(
+        s.apply_batch(&WriteBatch::new().update(
             "t",
-            &vec![SqlValue::Int(1)],
+            vec![SqlValue::Int(1)],
             vec![SqlValue::Int(1), SqlValue::str("z")],
-        )
+        ))
         .unwrap();
         let cols = s.table("t").unwrap().columnar();
         assert_eq!(*cols[1], vec![SqlValue::str("c"), SqlValue::str("z")]);
         // Keyed delete, then re-read.
-        s.delete_by_key("t", &vec![SqlValue::Int(3)]).unwrap();
+        s.apply_batch(&WriteBatch::new().delete_by_key("t", vec![SqlValue::Int(3)]))
+            .unwrap();
         let cols = s.table("t").unwrap().columnar();
         assert_eq!(*cols[0], vec![SqlValue::Int(1)]);
         assert_eq!(*cols[1], vec![SqlValue::str("z")]);
@@ -686,7 +602,6 @@ mod tests {
 
     #[test]
     fn every_write_keeps_the_columns_equal_to_the_rows() {
-        use crate::delta::WriteBatch;
         let mut s = Storage::new();
         s.create_table(def()).unwrap();
         type Write = Box<dyn Fn(&mut Storage)>;
@@ -694,24 +609,33 @@ mod tests {
             ("insert", Box::new(|s| s.insert("t", row(1, "a")).unwrap())),
             ("insert", Box::new(|s| s.insert("t", row(2, "b")).unwrap())),
             ("insert", Box::new(|s| s.insert("t", row(3, "c")).unwrap())),
-            ("delete", Box::new(|s| s.delete("t", &row(2, "b")).unwrap())),
+            (
+                "delete",
+                Box::new(|s| {
+                    s.apply_batch(&WriteBatch::new().delete("t", row(2, "b")))
+                        .unwrap();
+                }),
+            ),
             (
                 "update",
                 Box::new(|s| {
-                    s.update("t", &vec![SqlValue::Int(1)], row(1, "z")).unwrap();
+                    let update = WriteBatch::new().update("t", vec![SqlValue::Int(1)], row(1, "z"));
+                    s.apply_batch(&update).unwrap();
                 }),
             ),
             (
                 "failed update",
                 Box::new(|s| {
-                    let dup = s.update("t", &vec![SqlValue::Int(3)], row(1, "dup"));
+                    let dup = WriteBatch::new().update("t", vec![SqlValue::Int(3)], row(1, "dup"));
+                    let dup = s.apply_batch(&dup);
                     assert!(matches!(dup, Err(EngineError::DuplicateKey { .. })));
                 }),
             ),
             (
                 "delete_by_key",
                 Box::new(|s| {
-                    s.delete_by_key("t", &vec![SqlValue::Int(3)]).unwrap();
+                    let delete = WriteBatch::new().delete_by_key("t", vec![SqlValue::Int(3)]);
+                    s.apply_batch(&delete).unwrap();
                 }),
             ),
             (
@@ -750,7 +674,8 @@ mod tests {
         s.insert("t", row(1, "a")).unwrap();
         let before = view_ptrs(s.table("t").unwrap());
         s.insert("t", row(2, "b")).unwrap();
-        s.delete("t", &row(1, "a")).unwrap();
+        s.apply_batch(&WriteBatch::new().delete("t", row(1, "a")))
+            .unwrap();
         let t = s.table("t").unwrap();
         assert_eq!(view_ptrs(t), before, "the columns were copied, not edited");
         assert_eq!(view(t), transposed(t));
@@ -765,7 +690,8 @@ mod tests {
         let held = s.table("t").unwrap().columnar();
         let column = Arc::clone(&held[1]);
         s.insert("t", row(3, "c")).unwrap();
-        s.delete("t", &row(1, "a")).unwrap();
+        s.apply_batch(&WriteBatch::new().delete("t", row(1, "a")))
+            .unwrap();
         assert_eq!(*held[0], vec![SqlValue::Int(1), SqlValue::Int(2)]);
         assert_eq!(*column, vec![SqlValue::str("a"), SqlValue::str("b")]);
         let t = s.table("t").unwrap();
@@ -775,14 +701,20 @@ mod tests {
         // the original keeps its rows and its view.
         let original = s.table("t").unwrap();
         let (rows, columns) = (original.rows.clone(), view(original));
-        let mut clone = original.clone();
-        assert!(Arc::ptr_eq(&clone.columnar(), &original.columnar()));
-        clone.insert(row(4, "d")).unwrap();
-        clone.update(&vec![SqlValue::Int(2)], row(2, "z")).unwrap();
-        clone.delete(&row(3, "c")).unwrap();
+        let mut clone = s.clone();
+        assert!(Arc::ptr_eq(
+            &clone.table("t").unwrap().columnar(),
+            &original.columnar()
+        ));
+        let batch = WriteBatch::new()
+            .insert("t", row(4, "d"))
+            .update("t", vec![SqlValue::Int(2)], row(2, "z"))
+            .delete("t", row(3, "c"));
+        clone.apply_batch(&batch).unwrap();
         assert_eq!((original.rows.clone(), view(original)), (rows, columns));
+        let clone = clone.table("t").unwrap();
         assert_eq!(clone.rows, vec![row(4, "d"), row(2, "z")]);
-        assert_eq!(view(&clone), transposed(&clone));
+        assert_eq!(view(clone), transposed(clone));
     }
 
     #[test]
@@ -799,7 +731,8 @@ mod tests {
             vec![SqlValue::Int(1)],
             vec![SqlValue::str("x"), SqlValue::str("a")],
         ] {
-            assert!(s.update("t", &vec![SqlValue::Int(1)], bad).is_err());
+            let update = WriteBatch::new().update("t", vec![SqlValue::Int(1)], bad);
+            assert!(s.apply_batch(&update).is_err());
             let t = s.table("t").unwrap();
             assert_eq!(t.rows, rows);
             assert_eq!(view(t), columns);
@@ -813,7 +746,6 @@ mod tests {
 
     #[test]
     fn a_rejected_batch_leaves_the_columns_as_they_were() {
-        use crate::delta::WriteBatch;
         let mut s = Storage::new();
         s.create_table(def()).unwrap();
         s.insert("t", row(1, "a")).unwrap();
@@ -833,7 +765,7 @@ mod tests {
         s.insert("t", vec![SqlValue::Int(1), SqlValue::str("a")])
             .unwrap();
         // Deleting frees the key for re-insertion.
-        s.delete("t", &vec![SqlValue::Int(1), SqlValue::str("a")])
+        s.apply_batch(&WriteBatch::new().delete("t", vec![SqlValue::Int(1), SqlValue::str("a")]))
             .unwrap();
         s.insert("t", vec![SqlValue::Int(1), SqlValue::str("b")])
             .unwrap();
@@ -841,23 +773,23 @@ mod tests {
         s.insert("t", vec![SqlValue::Int(2), SqlValue::str("c")])
             .unwrap();
         let err = s
-            .update(
+            .apply_batch(&WriteBatch::new().update(
                 "t",
-                &vec![SqlValue::Int(2)],
+                vec![SqlValue::Int(2)],
                 vec![SqlValue::Int(1), SqlValue::str("dup")],
-            )
+            ))
             .unwrap_err();
         assert!(matches!(err, EngineError::DuplicateKey { .. }));
         assert_eq!(s.table("t").unwrap().len(), 2);
         // Missing rows and keyless keyed-writes are reported.
         assert!(matches!(
-            s.delete("t", &vec![SqlValue::Int(9), SqlValue::Null]),
+            s.apply_batch(&WriteBatch::new().delete("t", vec![SqlValue::Int(9), SqlValue::Null])),
             Err(EngineError::NoSuchRow { .. })
         ));
         s.create_table(TableDef::new("bag", vec![("x", ColumnType::Int)]))
             .unwrap();
         assert!(matches!(
-            s.delete_by_key("bag", &vec![SqlValue::Int(1)]),
+            s.apply_batch(&WriteBatch::new().delete_by_key("bag", vec![SqlValue::Int(1)])),
             Err(EngineError::NoDeclaredKey(_))
         ));
     }
@@ -872,18 +804,23 @@ mod tests {
             .unwrap();
         for key in [vec![SqlValue::Null], vec![SqlValue::Int(1), SqlValue::Null]] {
             assert!(matches!(
-                s.delete_by_key("t", &key),
+                s.apply_batch(&WriteBatch::new().delete_by_key("t", key.clone())),
                 Err(EngineError::NoSuchRow { .. })
             ));
+            let update =
+                WriteBatch::new().update("t", key, vec![SqlValue::Int(2), SqlValue::str("c")]);
             assert!(matches!(
-                s.update("t", &key, vec![SqlValue::Int(2), SqlValue::str("c")]),
+                s.apply_batch(&update),
                 Err(EngineError::NoSuchRow { .. })
             ));
         }
         assert_eq!(s.table("t").unwrap().len(), 2, "nothing was written");
+        let delta = s
+            .apply_batch(&WriteBatch::new().delete_by_key("t", vec![SqlValue::Int(1)]))
+            .unwrap();
         assert_eq!(
-            s.delete_by_key("t", &vec![SqlValue::Int(1)]).unwrap(),
-            vec![SqlValue::Int(1), SqlValue::str("b")]
+            delta.get("t").unwrap().retract,
+            vec![vec![SqlValue::Int(1), SqlValue::str("b")]]
         );
     }
 
@@ -923,24 +860,10 @@ mod tests {
         );
         assert_eq!(cr.len(), 2);
         assert_eq!(cr.width(), 2);
-        assert_eq!(cr.value(1, "b"), Some(&SqlValue::str("y")));
-        assert_eq!(
-            **cr.column_by_name("a").unwrap(),
-            vec![SqlValue::Int(1), SqlValue::Int(2)]
-        );
+        assert_eq!(cr.column(1)[1], SqlValue::str("y"));
+        assert_eq!(**cr.column(0), vec![SqlValue::Int(1), SqlValue::Int(2)]);
         // Cloning shares columns (refcount bump), and the transpose gives
         // the rows back.
         assert_eq!(cr.clone().into_result_set(), rs);
-    }
-
-    #[test]
-    fn result_set_accessors() {
-        let rs = ResultSet {
-            columns: vec!["a".to_string(), "b".to_string()],
-            rows: vec![vec![SqlValue::Int(1), SqlValue::str("x")]],
-        };
-        assert_eq!(rs.value(0, "b"), Some(&SqlValue::str("x")));
-        assert_eq!(rs.value(0, "c"), None);
-        assert_eq!(rs.len(), 1);
     }
 }

@@ -35,7 +35,7 @@ impl SqlValue {
     }
 
     /// The boolean content, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             SqlValue::Bool(b) => Some(*b),
             _ => None,
@@ -51,7 +51,7 @@ impl SqlValue {
     }
 
     /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             SqlValue::Str(s) => Some(&s[..]),
             _ => None,
@@ -60,7 +60,7 @@ impl SqlValue {
 
     /// SQL equality: `NULL` is not equal to anything (three-valued logic is
     /// simplified to `false`, which is what `WHERE` needs).
-    pub fn sql_eq(&self, other: &SqlValue) -> bool {
+    pub(crate) fn sql_eq(&self, other: &SqlValue) -> bool {
         if self.is_null() || other.is_null() {
             return false;
         }
@@ -71,7 +71,7 @@ impl SqlValue {
     /// booleans, integers and strings; values of different runtime type are
     /// ordered by type rank (this never happens for well-typed queries but
     /// keeps sorting total).
-    pub fn sql_cmp(&self, other: &SqlValue) -> Ordering {
+    pub(crate) fn sql_cmp(&self, other: &SqlValue) -> Ordering {
         fn rank(v: &SqlValue) -> u8 {
             match v {
                 SqlValue::Null => 0,
@@ -90,7 +90,7 @@ impl SqlValue {
     }
 
     /// The SQL type name of this value, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             SqlValue::Null => "null",
             SqlValue::Bool(_) => "boolean",
@@ -148,7 +148,7 @@ pub type Row = Vec<SqlValue>;
 /// to `execute_plan` when executing a parameterized plan.
 pub type ParamValues = std::collections::BTreeMap<String, SqlValue>;
 
-/// Lexicographic row comparison under [`SqlValue::sql_cmp`], used by
+/// Lexicographic row comparison under `SqlValue::sql_cmp`, used by
 /// `ROW_NUMBER` in both the interpreter and the vectorized executor.
 pub fn compare_rows(a: &[SqlValue], b: &[SqlValue]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {

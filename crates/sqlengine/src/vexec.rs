@@ -5,7 +5,7 @@
 //! cloning a scope frame per joined row combination — this executor runs a
 //! pre-compiled plan over a columnar representation:
 //!
-//! * a [`Batch`] holds one `Vec<SqlValue>` per column, shared by `Arc` so
+//! * a `Batch` holds one `Vec<SqlValue>` per column, shared by `Arc` so
 //!   table scans and CTE references are zero-copy and batches are
 //!   `Send + Sync` (plans execute against a storage read guard and mutate
 //!   nothing through it, so any number of threads can run plans over one
@@ -34,7 +34,7 @@
 //! The second half of the module is the **incremental executor**
 //! ([`DeltaExec`]), which keeps a plan's result maintained across committed
 //! writes. What flows between its plan nodes is a *signed* batch — a
-//! [`Batch`] plus one `i64` weight per row, negative for a retraction — and
+//! `Batch` plus one `i64` weight per row, negative for a retraction — and
 //! its operator bodies are calls into this module's own kernels (`eval`,
 //! `select_true`, `project_columns`, `join_gather`) and those of
 //! `crate::kernels`: the column hashes, a persistent chained index for the
@@ -213,7 +213,7 @@ impl Profiler {
 /// A columnar batch: a schema, shared column vectors and an optional
 /// selection vector picking the live rows.
 #[derive(Debug, Clone)]
-pub struct Batch {
+pub(crate) struct Batch {
     pub(crate) schema: Arc<Vec<SchemaCol>>,
     pub(crate) columns: Vec<Arc<Vec<SqlValue>>>,
     pub(crate) sel: Option<Arc<Vec<usize>>>,
@@ -224,7 +224,7 @@ pub struct Batch {
 
 impl Batch {
     /// Number of live (selected) rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.sel {
             Some(sel) => sel.len(),
             None => self.base_rows,
@@ -1583,7 +1583,7 @@ pub struct RootDelta {
 /// post-state storage.
 ///
 /// Determinism: every store is maintained retract-first-occurrence /
-/// append-at-end — the discipline [`Storage::apply_delta`] (`crate::delta`)
+/// append-at-end — the discipline `Storage::apply_delta` (`crate::delta`)
 /// uses for tables — and chains, pair lists and rank orders are all
 /// ascending in slot, so no hash order reaches an output. Two structurally
 /// identical subplans (e.g. the shared outer-query CTE of two shredded
@@ -1697,12 +1697,6 @@ impl DeltaExec {
     /// The slots of the plan's current output, ascending.
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.root.len()).filter(|&slot| self.is_live(slot))
-    }
-
-    /// The plan's full current output, row-major.
-    pub fn rows(&self) -> Vec<Row> {
-        let view = self.root.view();
-        self.live_slots().map(|slot| view.row_at(slot)).collect()
     }
 
     /// Drop the output cache's dead slots once they outnumber the live ones.
@@ -2040,6 +2034,12 @@ mod tests {
     use crate::storage::{ColumnType, ResultSet, TableDef};
     use crate::value::compare_rows;
 
+    /// A maintained plan's full current output, row-major.
+    fn rows(dx: &DeltaExec) -> Vec<Row> {
+        let view = dx.root.view();
+        dx.live_slots().map(|slot| view.row_at(slot)).collect()
+    }
+
     fn engine() -> Engine {
         let mut storage = Storage::new();
         storage
@@ -2083,7 +2083,7 @@ mod tests {
         );
         let (i, v) = run_both(&engine(), &q);
         assert_eq!(i, v);
-        assert_eq!(v.len(), 3);
+        assert_eq!(v.rows.len(), 3);
     }
 
     #[test]
@@ -2097,7 +2097,7 @@ mod tests {
                 .filter(Expr::eq(Expr::col("a", "tag"), Expr::col("b", "tag"))),
         );
         let (i, v) = run_both(&engine(), &q);
-        assert_eq!(i.len(), v.len());
+        assert_eq!(i.rows.len(), v.rows.len());
         let mut li = i.rows.clone();
         let mut lv = v.rows.clone();
         li.sort_by(|a, b| compare_rows(a, b));
@@ -2216,7 +2216,7 @@ mod tests {
         let (i, v) = run_both(&engine(), &q);
         assert_eq!(i, v);
         // The largest odd and even numbers survive the anti-join.
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.rows.len(), 2);
     }
 
     #[test]
@@ -2267,7 +2267,7 @@ mod tests {
         let mut dx = DeltaExec::new(&plan);
         dx.seed(&plan, &engine.storage(), &params).unwrap();
         assert_eq!(
-            sorted(dx.rows()),
+            sorted(rows(&dx)),
             sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "seed disagrees with the batch executor"
         );
@@ -2279,7 +2279,7 @@ mod tests {
         }
         drop(storage);
         assert_eq!(
-            sorted(dx.rows()),
+            sorted(rows(&dx)),
             sorted(run(engine, &plan).unwrap().into_result_set().rows),
             "maintained rows disagree with recompute on post-state"
         );
@@ -2352,7 +2352,7 @@ mod tests {
         dx.seed(&plan, &storage, &params).unwrap();
         drop(storage);
         assert_eq!(
-            sorted(dx.rows()),
+            sorted(rows(&dx)),
             sorted(run(&engine, &plan).unwrap().into_result_set().rows)
         );
     }

@@ -397,3 +397,107 @@ fn corrupted_plans_are_rejected_at_prepare_time() {
     assert!(again.from_cache());
     assert_eq!(again.check().to_string(), prepared.check().to_string());
 }
+
+// ---------------------------------------------------------------------------
+// The static-analysis sweep
+// ---------------------------------------------------------------------------
+
+/// One cell of the static-analysis sweep: a benchmark query prepared on one
+/// backend, with every diagnostic the verifier reported (see
+/// `shredding::verify` and the `analysis` crate).
+#[derive(Debug, Clone)]
+struct AnalyzeEntry {
+    query: &'static str,
+    backend: &'static str,
+    /// `None` when the backend cannot plan the query at all (e.g. Links'
+    /// default flat evaluation on a nested query) — recorded as skipped,
+    /// not as a verification failure.
+    skip_reason: Option<String>,
+    diagnostics: Vec<shredding::Diagnostic>,
+}
+
+impl AnalyzeEntry {
+    /// Number of error-severity diagnostics in this cell.
+    fn error_count(&self) -> usize {
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == shredding::Severity::Error)
+            .count()
+    }
+}
+
+/// Run the full static-verification pass over every benchmark query
+/// (QF1–QF6 and Q1–Q6) × all six backends. No backend reads an indexing
+/// scheme while planning, so one pass covers every scheme. Sessions are
+/// built schema-only (`prepare` needs no data) with verification
+/// *collection* but not *gating* enabled, so error-severity findings are
+/// reported rather than thrown.
+fn analyze_all() -> Vec<AnalyzeEntry> {
+    use baselines::{FlatDefaultBackend, LoopLiftBackend, VandenBusscheBackend};
+    use shredding::session::{NestedOracleBackend, ShreddedMemoryBackend, SqlEngineBackend};
+
+    let schema = datagen::organisation_schema();
+    let backends: Vec<(&'static str, Box<dyn SqlBackend>)> = vec![
+        ("sqlengine", Box::new(SqlEngineBackend)),
+        (
+            "shredded-memory",
+            Box::new(ShreddedMemoryBackend::default()),
+        ),
+        ("oracle", Box::new(NestedOracleBackend)),
+        ("flat-default", Box::new(FlatDefaultBackend)),
+        ("loop-lifting", Box::new(LoopLiftBackend)),
+        ("vandenbussche", Box::new(VandenBusscheBackend)),
+    ];
+    let mut queries = datagen::queries::flat_queries();
+    queries.extend(datagen::queries::nested_queries());
+    let mut out = Vec::new();
+    for (backend_name, backend) in backends {
+        let session = Shredder::builder()
+            .schema(schema.clone())
+            .backend(backend)
+            .verify(false)
+            .build()
+            .expect("the organisation schema always configures a session");
+        for (name, query) in &queries {
+            let entry = match session.prepare(query) {
+                Ok(prepared) => AnalyzeEntry {
+                    query: name,
+                    backend: backend_name,
+                    skip_reason: None,
+                    diagnostics: prepared.check().iter().cloned().collect(),
+                },
+                Err(e) => AnalyzeEntry {
+                    query: name,
+                    backend: backend_name,
+                    skip_reason: Some(e.to_string()),
+                    diagnostics: Vec::new(),
+                },
+            };
+            out.push(entry);
+        }
+    }
+    out
+}
+
+#[test]
+fn the_analysis_sweep_covers_every_cell_and_finds_no_errors() {
+    let entries = analyze_all();
+    // 12 queries × 6 backends.
+    assert_eq!(entries.len(), 12 * 6);
+    let errors: Vec<String> = entries
+        .iter()
+        .filter(|e| e.error_count() > 0)
+        .map(|e| format!("{} on {}", e.query, e.backend))
+        .collect();
+    assert!(
+        errors.is_empty(),
+        "the benchmark corpus must verify clean: {errors:?}"
+    );
+    // The flat-default backend skips nested queries; shredding never skips.
+    assert!(entries
+        .iter()
+        .any(|e| e.backend == "flat-default" && e.skip_reason.is_some()));
+    assert!(entries
+        .iter()
+        .all(|e| e.backend != "sqlengine" || e.skip_reason.is_none()));
+}
