@@ -46,6 +46,7 @@
 use crate::error::ShredError;
 use crate::flatten::{flat_pair, LeafKind, PairHash, PairMap, ResultLayout};
 use crate::pipeline::CompiledQuery;
+use crate::session::CommitLock;
 use crate::shred::Package;
 use crate::stitch::{stitch_row, TOP_PAIR};
 use analysis::codes;
@@ -128,7 +129,7 @@ pub(crate) struct LiveView {
     /// write: the session's engine, under the session's commit lock so the
     /// re-seed cannot land between a commit and the `maintain` that follows.
     engine: Arc<Engine>,
-    commit: Arc<Mutex<()>>,
+    commit: CommitLock,
     state: Mutex<LiveState>,
 }
 
@@ -143,7 +144,7 @@ impl LiveView {
         compiled: Arc<CompiledQuery>,
         params: ParamValues,
         engine: Arc<Engine>,
-        commit: Arc<Mutex<()>>,
+        commit: CommitLock,
     ) -> Result<LiveView, ShredError> {
         let mut next = 0usize;
         let shape = compiled.stages.map(&mut |_| {
@@ -326,10 +327,7 @@ impl LiveView {
             // Commit lock, then storage, then the view: the order
             // `Shredder::apply_batch` takes them in.
             drop(guard);
-            let _commit = self
-                .commit
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let _commit = self.commit.acquire();
             let storage = self.engine.storage();
             guard = self.lock();
             if guard.stale {
@@ -707,7 +705,7 @@ mod tests {
             Arc::clone(compiled),
             ParamValues::new(),
             Arc::clone(engine),
-            Arc::new(Mutex::new(())),
+            CommitLock::default(),
         )
         .unwrap()
     }
@@ -939,7 +937,7 @@ mod tests {
             qs
         });
         let engine = Arc::new(engine_from_database(&db()).unwrap());
-        let commit = Arc::new(Mutex::new(()));
+        let commit = CommitLock::default();
         let Err(err) = LiveView::new(Arc::new(compiled), ParamValues::new(), engine, commit) else {
             panic!("a stage without an index leaf for its nested bag was accepted");
         };

@@ -1,13 +1,36 @@
 //! Guardrails for the front end: `normalise.rs` rewrites in one recursive
 //! pass, a session looks a term up before it normalises it, the session
-//! builder keeps only the settings its callers set, and a session keeps one
-//! copy of its data. The checks read the sources as text, so a reintroduced
-//! step-and-restart loop, a second, unguarded normalisation, a returning
-//! builder knob or a second copy of the data fails here before any benchmark
-//! notices.
+//! builder keeps only the settings its callers set, a session keeps one
+//! copy of its data, and the commit lock is taken in one function. The
+//! checks read the sources as text, so a reintroduced step-and-restart loop,
+//! a second, unguarded normalisation, a returning builder knob, a second
+//! copy of the data or a second place that locks the commit path fails here
+//! before any benchmark notices.
+
+use std::path::Path;
+
+/// Every public name of `shredding::session`, imported by path: a re-export
+/// that `session/mod.rs` loses fails the build of this file, not only the
+/// public-surface golden.
+#[allow(unused_imports)]
+use shredding::session::{
+    auto_parameterize, BackendPlan, Bindings, CacheStats, ExecContext, Explain,
+    NestedOracleBackend, ParamSpec, Params, PlanRequest, PreparedQuery, ShreddedMemoryBackend,
+    Shredder, ShredderBuilder, SqlBackend, SqlEngineBackend, StageExplain,
+};
 
 const NORMALISE: &str = include_str!("../src/normalise.rs");
-const SESSION: &str = include_str!("../src/session.rs");
+/// The session's modules, one per decision, by file name.
+const SESSION: [(&str, &str); 8] = [
+    ("backend.rs", include_str!("../src/session/backend.rs")),
+    ("builder.rs", include_str!("../src/session/builder.rs")),
+    ("cache.rs", include_str!("../src/session/cache.rs")),
+    ("commit.rs", include_str!("../src/session/commit.rs")),
+    ("execute.rs", include_str!("../src/session/execute.rs")),
+    ("mod.rs", include_str!("../src/session/mod.rs")),
+    ("params.rs", include_str!("../src/session/params.rs")),
+    ("prepare.rs", include_str!("../src/session/prepare.rs")),
+];
 const OBS: [(&str, &str); 5] = [
     ("json.rs", include_str!("../../obs/src/json.rs")),
     ("lib.rs", include_str!("../../obs/src/lib.rs")),
@@ -17,12 +40,15 @@ const OBS: [(&str, &str); 5] = [
 ];
 
 /// The product code of a source file: everything before its first
-/// test-only item.
+/// test-only item, if it has one.
 fn product(source: &str) -> &str {
-    let (product, _tests) = source
-        .split_once("#[cfg(test)]")
-        .expect("the file ends in test-only items");
-    product
+    source.split("#[cfg(test)]").next().unwrap()
+}
+
+/// The product code of the session module `name`.
+fn session(name: &str) -> &'static str {
+    let (_, text) = SESSION.iter().find(|(n, _)| *n == name).expect(name);
+    product(text)
 }
 
 #[test]
@@ -43,26 +69,30 @@ fn the_small_step_rewriter_is_test_only() {
 
 #[test]
 fn a_session_normalises_in_one_place_after_the_term_lookup() {
-    let code = product(SESSION);
-    let calls: Vec<usize> = code
-        .match_indices("normalise_with_type_obs(")
-        .map(|(at, _)| at)
+    let calls: Vec<(&str, usize)> = SESSION
+        .iter()
+        .flat_map(|(name, text)| {
+            product(text)
+                .match_indices("normalise_with_type_obs(")
+                .map(move |(at, _)| (*name, at))
+        })
         .collect();
     assert_eq!(
         calls.len(),
         1,
-        "session.rs normalises in {} places: `prepare_stages` is the one",
+        "the session normalises in {} places: `prepare_stages` is the one",
         calls.len()
     );
+    let code = session("prepare.rs");
     let prepare = code
         .find("fn prepare_stages(")
-        .expect("session.rs prepares in `prepare_stages`");
+        .expect("session/prepare.rs prepares in `prepare_stages`");
     let lookup = prepare
         + code[prepare..]
             .find(".lookup_term(")
             .expect("`prepare_stages` consults the term level of the plan cache");
     assert!(
-        prepare < lookup && lookup < calls[0],
+        calls[0].0 == "prepare.rs" && prepare < lookup && lookup < calls[0].1,
         "the plan cache must be asked about the source term before the term is normalised"
     );
 }
@@ -74,7 +104,6 @@ fn a_session_normalises_in_one_place_after_the_term_lookup() {
 /// profile ring are the session's own.
 #[test]
 fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
-    let code = product(SESSION);
     for needle in [
         "fn index_scheme(",
         "fn optimize(",
@@ -83,14 +112,17 @@ fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
         "fn obs_sink(",
         "fn prepare_uncached(",
     ] {
-        assert!(
-            !code.contains(needle),
-            "session.rs declares `{needle}` again: that setting has no product caller"
-        );
+        for (name, text) in SESSION {
+            assert!(
+                !product(text).contains(needle),
+                "session/{name} declares `{needle}` again: that setting has no product caller"
+            );
+        }
     }
+    let code = session("builder.rs");
     let start = code
         .find("impl ShredderBuilder {")
-        .expect("session.rs implements ShredderBuilder");
+        .expect("session/builder.rs implements ShredderBuilder");
     let body = &code[start..];
     let body = &body[..body.find("\n}\n").expect("the impl block closes")];
     let setters = body.matches("pub fn ").count() - body.matches("pub fn build(").count();
@@ -107,22 +139,28 @@ fn the_session_builder_keeps_only_the_knobs_its_callers_set() {
     }
 }
 
-/// Every source file of this crate, by name, read when the test runs so a
-/// new file is covered too.
+/// Every source file of this crate, by its path under `src/` (such as
+/// `session/commit.rs`), read when the test runs so a new file, or one in a
+/// new directory, is covered too.
 fn core_sources() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
-    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
-        .expect("the crate has a src directory")
-        .map(|entry| entry.expect("a readable directory entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
-        .map(|path| {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            (
-                name,
-                std::fs::read_to_string(&path).expect("a readable source"),
-            )
-        })
-        .collect();
+    fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("a readable source directory") {
+            let path = entry.expect("a readable directory entry").path();
+            let name = format!("{prefix}{}", path.file_name().unwrap().to_string_lossy());
+            if path.is_dir() {
+                walk(&path, &format!("{name}/"), out);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).expect("a readable source");
+                out.push((name, text));
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(
+        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/src")),
+        "",
+        &mut files,
+    );
     files.sort();
     files
 }
@@ -191,19 +229,23 @@ fn item<'a>(code: &'a str, head: &str) -> &'a str {
 /// method alone, read by nothing else, and called nowhere in the workspace.
 #[test]
 fn a_session_keeps_one_copy_of_its_data() {
-    let code = product(SESSION);
     for needle in [
         "engine_init",
         "OnceLock<Arc<Engine>>",
         "engine_from_database(self.db",
     ] {
-        assert!(
-            !code.contains(needle),
-            "session.rs names `{needle}`: `build` loads the engine once, eagerly"
-        );
+        for (name, text) in SESSION {
+            assert!(
+                !product(text).contains(needle),
+                "session/{name} names `{needle}`: `build` loads the engine once, eagerly"
+            );
+        }
     }
-    for head in ["struct ShredderCore {", "pub struct ExecContext<'a> {"] {
-        let body = item(code, head);
+    for (module, head) in [
+        ("mod.rs", "struct ShredderCore {"),
+        ("backend.rs", "pub struct ExecContext<'a> {"),
+    ] {
+        let body = item(session(module), head);
         for line in body.lines().filter(|l| l.contains("Database")) {
             assert!(
                 line.trim() == "snapshot: OnceLock<Database>,",
@@ -213,6 +255,7 @@ fn a_session_keeps_one_copy_of_its_data() {
             );
         }
     }
+    let code = session("mod.rs");
     let database = code
         .find("pub fn database(&self)")
         .expect("Shredder::database");
@@ -222,15 +265,18 @@ fn a_session_keeps_one_copy_of_its_data() {
         "`Shredder::database` hands out a copy that writes do not reach: keep it deprecated"
     );
     let reader = database..database + code[database..].find("\n    }\n").expect("it closes");
-    let reads: Vec<usize> = code
-        .match_indices("core.snapshot")
-        .map(|(at, _)| at)
-        .filter(|at| !reader.contains(at))
-        .collect();
-    assert!(
-        reads.is_empty(),
-        "session.rs reads the `Shredder::database` copy outside that method (bytes {reads:?})"
-    );
+    for (name, text) in SESSION {
+        let reads: Vec<usize> = product(text)
+            .match_indices("core.snapshot")
+            .map(|(at, _)| at)
+            .filter(|at| name != "mod.rs" || !reader.contains(at))
+            .collect();
+        assert!(
+            reads.is_empty(),
+            "session/{name} reads the `Shredder::database` copy outside that method (bytes \
+             {reads:?})"
+        );
+    }
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let call = concat!(".database", "()");
@@ -257,4 +303,54 @@ fn a_session_keeps_one_copy_of_its_data() {
             }
         }
     }
+}
+
+/// The commit lock is taken in one function, `CommitLock::acquire` in
+/// `session/commit.rs`: `Shredder::apply_batch`, `Shredder::subscribe` and a
+/// stale live view's re-seed all go through it. The lock's mutex is private
+/// to that file, so the compiler keeps other files from locking it; this
+/// test keeps other functions of that file from doing so, and keeps any
+/// other product file from declaring a second `Mutex<()>` or reading the
+/// session's commit lock or subscription registry.
+#[test]
+fn the_commit_lock_is_taken_in_one_function() {
+    let sources = core_sources();
+    for (name, text) in sources.iter().filter(|(n, _)| n != "session/commit.rs") {
+        let code = product(text);
+        assert!(
+            !code.contains("Mutex<()>"),
+            "{name} declares a `Mutex<()>`: the session has one commit lock, `CommitLock` in \
+             session/commit.rs"
+        );
+        for field in ["core.write_lock", "core.subs"] {
+            assert!(
+                !code.contains(field),
+                "{name} reads `{field}`: the commit path's state is session/commit.rs's alone"
+            );
+        }
+    }
+    let code = session("commit.rs");
+    let lockers: Vec<&str> = code
+        .match_indices(".lock()")
+        .map(|(at, _)| {
+            let rest = &code[code[..at].rfind("fn ").expect("a `.lock()` in a function") + 3..];
+            &rest[..rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap()]
+        })
+        .collect();
+    assert_eq!(
+        lockers,
+        ["acquire", "live_views"],
+        "session/commit.rs locks in {lockers:?}: the commit lock is taken in \
+         `CommitLock::acquire` alone, the subscription registry in `live_views`"
+    );
+    let (_, delta) = sources
+        .iter()
+        .find(|(name, _)| name == "delta.rs")
+        .expect("delta.rs");
+    assert!(
+        product(delta).contains("self.commit.acquire()"),
+        "a stale live view no longer re-seeds under the commit lock"
+    );
 }

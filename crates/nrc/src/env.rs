@@ -2,58 +2,64 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// An environment ρ. The paper writes `ε` for the empty environment and
 /// `ρ[x ↦ v]` for extension; [`Env::empty`] and `Env::extend` mirror those.
 ///
-/// Environments are small (bounded by the number of nested binders in a
-/// query), so a simple association list cloned on extension is both simple
-/// and fast enough; lookups scan from the most recent binding, giving the
-/// correct shadowing behaviour.
+/// A list of bindings, newest first, whose tails are shared: extending an
+/// environment allocates the one new binding and shares the rest, so a
+/// generator that binds each element of a bag copies none of the bindings
+/// around it. Lookups walk from the most recent binding, giving the correct
+/// shadowing behaviour.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Env {
-    bindings: Vec<(String, Value)>,
+    /// The newest binding, with the environment it extends.
+    newest: Option<Arc<(String, Value, Env)>>,
 }
 
 impl Env {
     /// The empty environment ε.
     pub fn empty() -> Env {
-        Env {
-            bindings: Vec::new(),
-        }
+        Env::default()
     }
 
     /// `ρ[x ↦ v]`: a new environment extending `self`.
     pub(crate) fn extend(&self, x: &str, v: Value) -> Env {
-        let mut bindings = self.bindings.clone();
-        bindings.push((x.to_string(), v));
-        Env { bindings }
+        let mut env = self.clone();
+        env.push(x, v);
+        env
     }
 
     /// In-place extension, used where the environment is threaded linearly.
     pub fn push(&mut self, x: &str, v: Value) {
-        self.bindings.push((x.to_string(), v));
+        let rest = std::mem::take(self);
+        self.newest = Some(Arc::new((x.to_string(), v, rest)));
+    }
+
+    /// The bindings, most recent first.
+    fn bindings(&self) -> impl Iterator<Item = &(String, Value, Env)> {
+        std::iter::successors(self.newest.as_deref(), |(_, _, rest)| {
+            rest.newest.as_deref()
+        })
     }
 
     /// Look up a variable (most recent binding wins).
     pub fn lookup(&self, x: &str) -> Option<&Value> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(y, _)| y == x)
-            .map(|(_, v)| v)
+        self.bindings().find(|(y, _, _)| y == x).map(|(_, v, _)| v)
     }
 
     /// Is the environment empty?
     pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
+        self.newest.is_none()
     }
 }
 
 impl fmt::Display for Env {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bindings: Vec<_> = self.bindings().collect();
         write!(f, "{{")?;
-        for (i, (x, v)) in self.bindings.iter().enumerate() {
+        for (i, (x, v, _)) in bindings.into_iter().rev().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
