@@ -48,7 +48,7 @@ use crate::flatten::{flat_pair, LeafKind, PairHash, PairMap, ResultLayout};
 use crate::pipeline::CompiledQuery;
 use crate::session::CommitLock;
 use crate::shred::Package;
-use crate::stitch::{stitch_row, TOP_PAIR};
+use crate::stitch::{collect_items, stitch_row, TOP_PAIR};
 use analysis::codes;
 use nrc::value::Value;
 use sqlengine::{DeltaExec, Engine, ParamValues, RootDelta, Storage};
@@ -544,19 +544,19 @@ impl Stitcher<'_> {
         let slots = stage.groups.get(&key).map(Vec::as_slice).unwrap_or(&[]);
         let mut old = self.retired[stage_idx].get_mut(&key).and_then(Option::take);
         let mut next_old = 0usize;
-        let mut items = Vec::with_capacity(slots.len());
-        for &slot in slots {
+        let bag: Arc<[Value]> = collect_items(slots.len(), |i| {
+            let slot = slots[i];
             // Old and new slots both ascend, so one forward scan pairs them.
             let prev = old.as_mut().and_then(|memo| {
                 next_old += memo.slots[next_old..].partition_point(|&s| s < slot);
                 (memo.slots.get(next_old) == Some(&slot)).then_some((memo, next_old))
             });
-            let item = match prev {
+            match prev {
                 Some((memo, at)) if self.current(stage, slot)? => {
-                    match Arc::get_mut(&mut memo.bag) {
+                    Ok(match Arc::get_mut(&mut memo.bag) {
                         Some(items) => std::mem::replace(&mut items[at], Value::Unit),
                         None => memo.bag[at].clone(),
-                    }
+                    })
                 }
                 Some((memo, at)) => {
                     // Drop the outdated element before rebuilding the row, so
@@ -565,13 +565,11 @@ impl Stitcher<'_> {
                     if let Some(items) = Arc::get_mut(&mut memo.bag) {
                         items[at] = Value::Unit;
                     }
-                    self.row(inner, (stage_idx, key), slot)?
+                    self.row(inner, (stage_idx, key), slot)
                 }
-                None => self.row(inner, (stage_idx, key), slot)?,
-            };
-            items.push(item);
-        }
-        let bag: Arc<[Value]> = items.into();
+                None => self.row(inner, (stage_idx, key), slot),
+            }
+        })?;
         let memo = Memo {
             bag: Arc::clone(&bag),
             slots: slots.to_vec(),

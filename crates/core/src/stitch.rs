@@ -88,38 +88,39 @@ pub(crate) fn stitch_obs(
         let rows = stage.group(TOP_PAIR);
         let decoded: usize = package.annotations().iter().map(|s| s.len()).sum();
         if workers <= 1 || decoded < SPLIT_MIN_ROWS {
-            return Ok(Value::Bag(stitch_items(inner, stage, rows)?.into()));
+            return stitch_items(inner, stage, rows).map(Value::Bag);
         }
         let chunk_rows = rows.len().div_ceil(4 * workers).max(1);
         let chunks: Vec<&[u32]> = rows.chunks(chunk_rows).collect();
         let parts = sqlengine::scoped_map(workers, &chunks, |_, chunk| {
-            stitch_items(inner, stage, chunk)
+            stitch_items::<Vec<Value>>(inner, stage, chunk)
         })?;
-        let mut items = Vec::with_capacity(rows.len());
-        parts.into_iter().for_each(|part| items.extend(part));
-        Ok(Value::Bag(items.into()))
+        let mut items = parts.into_iter().flatten();
+        collect_items(rows.len(), |_| {
+            Ok(items.next().expect("the chunks hold every row"))
+        })
+        .map(Value::Bag)
     })
 }
 
 /// The items of one bag: the given rows of `stage`, each materialised
-/// against the bag's element package `inner`.
-fn stitch_items(
+/// against the bag's element package `inner`, in one allocation (see
+/// [`collect_items`]).
+fn stitch_items<C: FromIterator<Value>>(
     inner: &Package<ColumnarStage>,
     stage: &ColumnarStage,
     rows: &[u32],
-) -> Result<Vec<Value>, ShredError> {
-    let mut items = Vec::with_capacity(rows.len());
-    for &row in rows {
-        let row = row as usize;
-        items.push(stitch_row(
+) -> Result<C, ShredError> {
+    collect_items(rows.len(), |i| {
+        let row = rows[i] as usize;
+        stitch_row(
             inner,
             stage.layout(),
             &mut 0,
             &|col| stage.cell(col, row),
             &mut stitch_bag,
-        )?);
-    }
-    Ok(items)
+        )
+    })
 }
 
 /// The nested bag a row reads: the rows of `stage` grouped under `key`.
@@ -128,9 +129,32 @@ fn stitch_bag(
     inner: &Package<ColumnarStage>,
     key: (u32, i64),
 ) -> Result<Value, ShredError> {
-    Ok(Value::Bag(
-        stitch_items(inner, stage, stage.group(key))?.into(),
-    ))
+    stitch_items(inner, stage, stage.group(key)).map(Value::Bag)
+}
+
+/// Items `0..len`, built by `item` and collected with one allocation: a
+/// `map` over a range has an exact length the collection can trust, which
+/// collecting into a `Result` would hide behind a `Vec` grown by doubling
+/// (and then copied, for an `Arc<[Value]>`). The items after the first
+/// error are not built, and that error is returned.
+pub(crate) fn collect_items<C: FromIterator<Value>>(
+    len: usize,
+    mut item: impl FnMut(usize) -> Result<Value, ShredError>,
+) -> Result<C, ShredError> {
+    let mut first_err = None;
+    let items = (0..len)
+        .map(|i| match first_err {
+            Some(_) => Value::Unit,
+            None => item(i).unwrap_or_else(|e| {
+                first_err = Some(e);
+                Value::Unit
+            }),
+        })
+        .collect();
+    match first_err {
+        None => Ok(items),
+        Some(e) => Err(e),
+    }
 }
 
 /// Materialise one row of a stage as a nested value: the one walk of a

@@ -1,5 +1,5 @@
 //! Key kernels: hashing, equality, join tables and ordering over **borrowed
-//! key columns**.
+//! key columns**, and the predicate kernel.
 //!
 //! Every keyed operator of the executor — hash join, hash semi-join and
 //! `ROW_NUMBER` — runs on this one layer, and the walk in [`crate::vexec`]
@@ -36,11 +36,22 @@
 //! [`merge_into_order`], which merges a sorted delta into a cached key order
 //! for `ROW_NUMBER` maintenance. [`JoinTable`] and [`KeyIndex`] are
 //! untouched by them.
+//!
+//! **Predicates.** A `WHERE` predicate's result is a [`Truth`]: a TRUE and
+//! a FALSE bitset over a batch's logical rows, NULL being neither.
+//! [`compare`] evaluates one comparison over two [`Vector`]s with the
+//! operand shape and, against a constant, the value type matched outside
+//! the row loop; a pair of values of different types defers to
+//! [`eval_binop`], so every answer and error is the row-at-a-time one.
+//! `AND`, `OR` and `NOT` are word-wise operations on the sets.
 
+use crate::ast::BinOp;
 use crate::error::EngineError;
+use crate::exec::eval_binop;
 use crate::value::SqlValue;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The physical rows a batch view ranges over: a run of a dense batch or a
 /// selection vector. `Copy`, so a view costs no allocation.
@@ -628,6 +639,308 @@ pub(crate) fn merge_into_order(
     out
 }
 
+// ---------------------------------------------------------------------------
+// Predicates
+// ---------------------------------------------------------------------------
+
+/// A vector's cells by logical row, the representation fixed by the type.
+trait Cells {
+    fn at(&self, i: usize) -> &SqlValue;
+}
+
+impl Cells for &[SqlValue] {
+    fn at(&self, i: usize) -> &SqlValue {
+        &self[i]
+    }
+}
+
+/// Cells picked out by a selection vector.
+struct Picked<'a> {
+    data: &'a [SqlValue],
+    sel: &'a [usize],
+}
+
+impl Cells for Picked<'_> {
+    fn at(&self, i: usize) -> &SqlValue {
+        &self.data[self.sel[i]]
+    }
+}
+
+/// One value standing for every row.
+struct Same<'a>(&'a SqlValue);
+
+impl Cells for Same<'_> {
+    fn at(&self, _: usize) -> &SqlValue {
+        self.0
+    }
+}
+
+/// Run `$body` with `$cells` bound to `$v`'s cells, matched once on the
+/// vector's representation.
+macro_rules! with_cells {
+    ($v:expr, |$cells:ident| $body:expr) => {
+        match $v {
+            Vector::Col {
+                data,
+                rows: Rows::Range { start, end },
+            } => {
+                let $cells: &[SqlValue] = &data[*start..*end];
+                $body
+            }
+            Vector::Col {
+                data,
+                rows: Rows::Sel(sel),
+            } => {
+                let $cells = Picked { data, sel };
+                $body
+            }
+            Vector::Owned(values) => {
+                let $cells: &[SqlValue] = values;
+                $body
+            }
+            Vector::Const { value, .. } => {
+                let $cells = Same(value);
+                $body
+            }
+        }
+    };
+}
+
+/// A predicate's three-valued result over a batch's logical rows: bit `i` of
+/// `t` is set where row `i` is TRUE, of `f` where it is FALSE, and a row in
+/// neither is NULL. The FALSE set is computed only when asked for (under a
+/// `NOT`, which swaps the two); bits past the last row are clear in both.
+#[derive(Debug)]
+pub(crate) struct Truth {
+    t: Vec<u64>,
+    f: Option<Vec<u64>>,
+}
+
+impl Truth {
+    /// Three-valued `AND`: TRUE where both are, FALSE where either is.
+    pub(crate) fn and(mut self, other: Truth) -> Truth {
+        self.t.iter_mut().zip(&other.t).for_each(|(a, b)| *a &= b);
+        self.f = match (self.f, other.f) {
+            (Some(mut a), Some(b)) => {
+                a.iter_mut().zip(&b).for_each(|(a, b)| *a |= b);
+                Some(a)
+            }
+            _ => None,
+        };
+        self
+    }
+
+    /// Three-valued `OR`: TRUE where either is, FALSE where both are.
+    pub(crate) fn or(mut self, other: Truth) -> Truth {
+        self.t.iter_mut().zip(&other.t).for_each(|(a, b)| *a |= b);
+        self.f = match (self.f, other.f) {
+            (Some(mut a), Some(b)) => {
+                a.iter_mut().zip(&b).for_each(|(a, b)| *a &= b);
+                Some(a)
+            }
+            _ => None,
+        };
+        self
+    }
+
+    /// `NOT`: TRUE and FALSE swap, NULL stays NULL. The operand must have
+    /// been computed with its FALSE set.
+    pub(crate) fn not(self) -> Truth {
+        Truth {
+            t: self.f.expect("the operand of NOT carries its FALSE set"),
+            f: Some(self.t),
+        }
+    }
+
+    /// The truth of a vector of `BOOLEAN` cells, or `None` if some cell is
+    /// neither boolean nor `NULL`.
+    pub(crate) fn of_cells(v: &Vector<'_>, with_false: bool) -> Option<Truth> {
+        fill(v.len(), with_false, |i| match v.get(i) {
+            SqlValue::Bool(b) => Ok(Some(*b)),
+            SqlValue::Null => Ok(None),
+            _ => Err(()),
+        })
+        .ok()
+    }
+
+    /// Call `f` with each TRUE logical row, ascending.
+    pub(crate) fn for_each_true(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.t.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+    }
+
+    pub(crate) fn count_true(&self) -> usize {
+        self.t.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// The truth of `len` rows, row `i` being `row(i)` (`None` for NULL), built
+/// 64 rows to a word; the first error stops it.
+fn fill<E>(
+    len: usize,
+    with_false: bool,
+    mut row: impl FnMut(usize) -> Result<Option<bool>, E>,
+) -> Result<Truth, E> {
+    let words = len.div_ceil(64);
+    let mut t = Vec::with_capacity(words);
+    let mut f = Vec::with_capacity(if with_false { words } else { 0 });
+    for w in 0..words {
+        let base = w * 64;
+        let (mut truths, mut known) = (0u64, 0u64);
+        for k in 0..(len - base).min(64) {
+            if let Some(b) = row(base + k)? {
+                known |= 1 << k;
+                truths |= u64::from(b) << k;
+            }
+        }
+        t.push(truths);
+        if with_false {
+            f.push(known & !truths);
+        }
+    }
+    Ok(Truth {
+        t,
+        f: with_false.then_some(f),
+    })
+}
+
+/// Which orderings of `left` against `right` make a comparison TRUE: bit
+/// `ordering + 1` of a three-bit mask.
+#[derive(Debug, Clone, Copy)]
+struct Accepts(u8);
+
+impl Accepts {
+    fn of(op: BinOp) -> Accepts {
+        Accepts(match op {
+            BinOp::Eq => 0b010,
+            BinOp::Neq => 0b101,
+            BinOp::Lt => 0b001,
+            BinOp::Le => 0b011,
+            BinOp::Gt => 0b100,
+            BinOp::Ge => 0b110,
+            other => unreachable!("{} is not a comparison", other.symbol()),
+        })
+    }
+
+    /// The same comparison with its operands swapped.
+    fn mirrored(self) -> Accepts {
+        Accepts((self.0 & 0b010) | ((self.0 & 0b001) << 2) | ((self.0 & 0b100) >> 2))
+    }
+
+    fn test(self, ord: Ordering) -> bool {
+        (self.0 >> (ord as i8 + 1)) & 1 != 0
+    }
+}
+
+/// Are two strings equal? The same allocation is, without reading it.
+fn str_eq(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
+}
+
+/// `left op right` on every logical row, for a comparison `op` (`=`, `<>`,
+/// `<`, `<=`, `>`, `>=`). Typed pairs of `Int`, `Str` or `Bool` compare
+/// under [`SqlValue::sql_cmp`] and [`SqlValue::sql_eq`], a `NULL` operand
+/// makes the row NULL, and a pair of different types defers to
+/// [`eval_binop`] — `=` is FALSE, an ordering is the error — so the result
+/// and the first error, in row order, are the row-at-a-time ones. Against a
+/// constant the constant's type is matched once, outside the row loop.
+pub(crate) fn compare(
+    op: BinOp,
+    left: &Vector<'_>,
+    right: &Vector<'_>,
+    with_false: bool,
+) -> Result<Truth, EngineError> {
+    let len = left.len();
+    match (left, right) {
+        (Vector::Const { value, .. }, _) => with_cells!(right, |cells| {
+            against(op, &cells, value, true, len, with_false)
+        }),
+        (_, Vector::Const { value, .. }) => with_cells!(left, |cells| {
+            against(op, &cells, value, false, len, with_false)
+        }),
+        _ => with_cells!(left, |l| with_cells!(right, |r| {
+            pairwise(op, &l, &r, len, with_false)
+        })),
+    }
+}
+
+/// `cell op value` on every row of `cells` (`value op cell` when
+/// `value_left`).
+fn against(
+    op: BinOp,
+    cells: &impl Cells,
+    value: &SqlValue,
+    value_left: bool,
+    len: usize,
+    with_false: bool,
+) -> Result<Truth, EngineError> {
+    let accepts = if value_left {
+        Accepts::of(op).mirrored()
+    } else {
+        Accepts::of(op)
+    };
+    let mixed = |cell: &SqlValue| {
+        let (l, r) = if value_left {
+            (value, cell)
+        } else {
+            (cell, value)
+        };
+        eval_binop(op, l, r).map(|v| v.as_bool())
+    };
+    match value {
+        SqlValue::Null => fill(len, with_false, |_| Ok(None)),
+        SqlValue::Int(k) => fill(len, with_false, |i| match cells.at(i) {
+            SqlValue::Int(x) => Ok(Some(accepts.test(x.cmp(k)))),
+            SqlValue::Null => Ok(None),
+            cell => mixed(cell),
+        }),
+        SqlValue::Str(k) if matches!(op, BinOp::Eq | BinOp::Neq) => {
+            let equal = op == BinOp::Eq;
+            fill(len, with_false, |i| match cells.at(i) {
+                SqlValue::Str(x) => Ok(Some(str_eq(x, k) == equal)),
+                SqlValue::Null => Ok(None),
+                cell => mixed(cell),
+            })
+        }
+        SqlValue::Str(k) => fill(len, with_false, |i| match cells.at(i) {
+            SqlValue::Str(x) => Ok(Some(accepts.test(x.cmp(k)))),
+            SqlValue::Null => Ok(None),
+            cell => mixed(cell),
+        }),
+        SqlValue::Bool(k) => fill(len, with_false, |i| match cells.at(i) {
+            SqlValue::Bool(x) => Ok(Some(accepts.test(x.cmp(k)))),
+            SqlValue::Null => Ok(None),
+            cell => mixed(cell),
+        }),
+    }
+}
+
+/// `l op r` on each of `len` rows, both sides varying.
+fn pairwise(
+    op: BinOp,
+    l: &impl Cells,
+    r: &impl Cells,
+    len: usize,
+    with_false: bool,
+) -> Result<Truth, EngineError> {
+    let accepts = Accepts::of(op);
+    let by_equality = matches!(op, BinOp::Eq | BinOp::Neq);
+    let equal = op == BinOp::Eq;
+    fill(len, with_false, |i| match (l.at(i), r.at(i)) {
+        (SqlValue::Int(x), SqlValue::Int(y)) => Ok(Some(accepts.test(x.cmp(y)))),
+        (SqlValue::Str(x), SqlValue::Str(y)) if by_equality => Ok(Some(str_eq(x, y) == equal)),
+        (SqlValue::Str(x), SqlValue::Str(y)) => Ok(Some(accepts.test(x.cmp(y)))),
+        (SqlValue::Bool(x), SqlValue::Bool(y)) => Ok(Some(accepts.test(x.cmp(y)))),
+        (SqlValue::Null, _) | (_, SqlValue::Null) => Ok(None),
+        (x, y) => eval_binop(op, x, y).map(|v| v.as_bool()),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1157,5 +1470,168 @@ mod tests {
         let err = check_indexable(u32::MAX as usize).unwrap_err();
         assert!(matches!(err, EngineError::TypeError(_)), "{err}");
         assert!(err.to_string().contains("rows"), "{err}");
+    }
+
+    /// The truth of rows `0..len` as `Some(bool)` / `None` (NULL).
+    fn truths(truth: &Truth, len: usize) -> Vec<Option<bool>> {
+        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        let f = truth.f.as_ref().expect("computed with the FALSE set");
+        (0..len)
+            .map(|i| match (bit(&truth.t, i), bit(f, i)) {
+                (true, false) => Some(true),
+                (false, true) => Some(false),
+                (false, false) => None,
+                (true, true) => panic!("row {i} is both TRUE and FALSE"),
+            })
+            .collect()
+    }
+
+    /// Rows `0..len` of `op` applied by `eval_binop`, one row at a time: the
+    /// result and the first error the comparison kernel must reproduce.
+    fn reference_compare(
+        op: BinOp,
+        l: &Vector<'_>,
+        r: &Vector<'_>,
+    ) -> Result<Vec<Option<bool>>, EngineError> {
+        (0..l.len())
+            .map(|i| eval_binop(op, l.get(i), r.get(i)).map(|v| v.as_bool()))
+            .collect()
+    }
+
+    /// Every comparison over every pair of operand shapes — a run of a
+    /// column, a selection, a computed vector, a constant — on values of
+    /// every type and `NULL`, mixed pairs included: the kernel's truth and
+    /// its first error are `eval_binop`'s, row by row, and without its
+    /// FALSE set it computes the same TRUE set.
+    #[test]
+    fn comparisons_equal_eval_binop_row_by_row() {
+        let mut rng = Rng(23);
+        let rows = 150;
+        let sel: Vec<usize> = (0..rows).map(|i| (i * 7) % (rows + 10)).collect();
+        for round in 0..40 {
+            // Early rounds keep each column to one type and NULL, so most
+            // pairs compare without an error.
+            let typed = |rng: &mut Rng, column: Vec<SqlValue>| -> Vec<SqlValue> {
+                let ty = small_value(rng);
+                column
+                    .into_iter()
+                    .map(|v| {
+                        let same = std::mem::discriminant(&v) == std::mem::discriminant(&ty);
+                        if round < 30 && !same && !v.is_null() {
+                            ty.clone()
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            };
+            let columns: Vec<Vec<SqlValue>> = random_columns(&mut rng, 2, rows + 10)
+                .into_iter()
+                .map(|c| typed(&mut rng, c))
+                .collect();
+            let constant = small_value(&mut rng);
+            fn shapes<'a>(
+                data: &'a [SqlValue],
+                sel: &'a [usize],
+                constant: &SqlValue,
+                rows: usize,
+            ) -> Vec<Vector<'a>> {
+                vec![
+                    Vector::Col {
+                        data,
+                        rows: Rows::Range {
+                            start: 10,
+                            end: rows + 10,
+                        },
+                    },
+                    Vector::Col {
+                        data,
+                        rows: Rows::Sel(sel),
+                    },
+                    Vector::Owned(data[..rows].to_vec()),
+                    Vector::Const {
+                        value: constant.clone(),
+                        len: rows,
+                    },
+                ]
+            }
+            for l in &shapes(&columns[0], &sel, &constant, rows) {
+                for r in &shapes(&columns[1], &sel, &constant, rows) {
+                    for op in [
+                        BinOp::Eq,
+                        BinOp::Neq,
+                        BinOp::Lt,
+                        BinOp::Le,
+                        BinOp::Gt,
+                        BinOp::Ge,
+                    ] {
+                        let want = reference_compare(op, l, r);
+                        match (compare(op, l, r, true), &want) {
+                            (Ok(got), Ok(want)) => {
+                                assert_eq!(&truths(&got, rows), want, "{op:?}");
+                                let tail = got.t.last().map_or(0, |w| w >> (rows % 64));
+                                assert_eq!(tail, 0, "no bit past the last row");
+                                let t_only = compare(op, l, r, false).unwrap();
+                                assert!(t_only.f.is_none());
+                                assert_eq!(t_only.t, got.t, "{op:?}");
+                            }
+                            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                            (got, want) => panic!("{op:?}: kernel {got:?}, eval_binop {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `AND`, `OR` and `NOT` on truth sets are SQL's three-valued logic, and
+    /// a vector of booleans and `NULL`s reads as bits while any other cell
+    /// refuses.
+    #[test]
+    fn connectives_are_three_valued_logic() {
+        let values = [SqlValue::Bool(true), SqlValue::Bool(false), SqlValue::Null];
+        let (mut ls, mut rs) = (Vec::new(), Vec::new());
+        for _ in 0..30 {
+            for l in &values {
+                for r in &values {
+                    ls.push(l.clone());
+                    rs.push(r.clone());
+                }
+            }
+        }
+        let len = ls.len();
+        let truth = |data: &[SqlValue]| {
+            let v = Vector::Col {
+                data,
+                rows: Rows::Range { start: 0, end: len },
+            };
+            Truth::of_cells(&v, true).unwrap()
+        };
+        let reference = |op: BinOp| -> Vec<Option<bool>> {
+            let rows = ls.iter().zip(&rs);
+            rows.map(|(l, r)| eval_binop(op, l, r).unwrap().as_bool())
+                .collect()
+        };
+        assert_eq!(
+            truths(&truth(&ls).and(truth(&rs)), len),
+            reference(BinOp::And)
+        );
+        assert_eq!(
+            truths(&truth(&ls).or(truth(&rs)), len),
+            reference(BinOp::Or)
+        );
+        let not: Vec<Option<bool>> = ls.iter().map(|v| v.as_bool().map(|b| !b)).collect();
+        assert_eq!(truths(&truth(&ls).not(), len), not);
+        let count = ls.iter().filter(|v| v.as_bool() == Some(true)).count();
+        assert_eq!(truth(&ls).count_true(), count);
+        let mut seen = Vec::new();
+        truth(&ls).for_each_true(|i| seen.push(i));
+        assert!(seen.iter().all(|&i| ls[i] == SqlValue::Bool(true)) && seen.len() == count);
+
+        let ints = Vector::Const {
+            value: SqlValue::Int(1),
+            len,
+        };
+        assert!(Truth::of_cells(&ints, false).is_none());
     }
 }

@@ -11,7 +11,8 @@
 //!   nothing through it, so any number of threads can run plans over one
 //!   engine),
 //! * filters and semi-joins produce **selection vectors** instead of moving
-//!   data,
+//!   data; a filter evaluates its predicate as three-valued truth bitsets
+//!   (`select_true`, on the predicate kernel of `crate::kernels`),
 //! * expressions are evaluated column-at-a-time into borrowed `Vector`s
 //!   ([`VExpr::Col`] is a resolved position read in place, a literal stays
 //!   one value — no name lookup and no copy per row),
@@ -43,9 +44,10 @@
 //! is the same pass over whole tables. No operator hashes or compares a
 //! materialised row.
 
+use crate::ast::BinOp;
 use crate::error::EngineError;
 use crate::exec::eval_binop;
-use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Vector};
+use crate::kernels::{self, KeyIndex, Keys, NullMode, Rows, Truth, Vector};
 use crate::plan::{OpActuals, PhysicalPlan, SchemaCol, VExpr};
 use crate::storage::{ColumnarResult, Storage};
 use crate::value::{ParamValues, Row, SqlValue};
@@ -820,7 +822,10 @@ fn exists_at(
 }
 
 /// The physical rows of `batch` on which `predicate` is `TRUE` — a filter's
-/// selection vector, without a boolean column in between.
+/// selection vector, written from the predicate's TRUE set
+/// ([`truth_of`]). When some leaf yields a cell that is neither boolean nor
+/// `NULL`, the generic path — [`eval`] and a boolean test per row — decides
+/// the rows and the first error.
 fn select_true(
     predicate: &VExpr,
     batch: &Batch,
@@ -829,27 +834,62 @@ fn select_true(
     scope: &ScopeStack,
 ) -> Result<Vec<usize>, EngineError> {
     let rows = batch.rows();
-    let mut sel = Vec::new();
+    if let Some(truth) = truth_of(predicate, false, batch, ctx, ctes, scope)? {
+        let mut sel = Vec::with_capacity(truth.count_true());
+        truth.for_each_true(|i| sel.push(rows.phys(i)));
+        return Ok(sel);
+    }
+    let values = eval(predicate, batch, ctx, ctes, scope)?;
+    Ok((0..rows.len())
+        .filter(|&i| values.get(i).as_bool() == Some(true))
+        .map(|i| rows.phys(i))
+        .collect())
+}
+
+/// The three-valued truth of `predicate` on every live row of `batch`, its
+/// FALSE set included when `with_false` (an operand of `NOT` needs it):
+/// comparisons run on [`kernels::compare`], `AND`, `OR` and `NOT` combine
+/// the sets word by word, and any other leaf is [`eval`]uated and read as
+/// bits. Operands evaluate in [`eval`]'s order, so the first error is its
+/// first error. `None` when a leaf yields a cell that is neither boolean
+/// nor `NULL`.
+fn truth_of(
+    predicate: &VExpr,
+    with_false: bool,
+    batch: &Batch,
+    ctx: &VecCtx<'_>,
+    ctes: &CteEnv,
+    scope: &ScopeStack,
+) -> Result<Option<Truth>, EngineError> {
     match predicate {
-        VExpr::BinOp { op, left, right } => {
+        VExpr::BinOp {
+            op: op @ (BinOp::And | BinOp::Or),
+            left,
+            right,
+        } => {
+            let Some(l) = truth_of(left, with_false, batch, ctx, ctes, scope)? else {
+                return Ok(None);
+            };
+            let Some(r) = truth_of(right, with_false, batch, ctx, ctes, scope)? else {
+                return Ok(None);
+            };
+            Ok(Some(if *op == BinOp::And { l.and(r) } else { l.or(r) }))
+        }
+        VExpr::Not(inner) => Ok(truth_of(inner, true, batch, ctx, ctes, scope)?.map(Truth::not)),
+        VExpr::BinOp {
+            op: op @ (BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+            left,
+            right,
+        } => {
             let l = eval(left, batch, ctx, ctes, scope)?;
             let r = eval(right, batch, ctx, ctes, scope)?;
-            for i in 0..rows.len() {
-                if eval_binop(*op, l.get(i), r.get(i))?.as_bool() == Some(true) {
-                    sel.push(rows.phys(i));
-                }
-            }
+            kernels::compare(*op, &l, &r, with_false).map(Some)
         }
-        other => {
-            let values = eval(other, batch, ctx, ctes, scope)?;
-            for i in 0..rows.len() {
-                if values.get(i).as_bool() == Some(true) {
-                    sel.push(rows.phys(i));
-                }
-            }
-        }
+        leaf => Ok(Truth::of_cells(
+            &eval(leaf, batch, ctx, ctes, scope)?,
+            with_false,
+        )),
     }
-    Ok(sel)
 }
 
 /// Column-at-a-time evaluation of each of `exprs` over every live row of
@@ -2555,5 +2595,367 @@ mod tests {
             rank.rows.len() < 3 * input.len(),
             "the store compacts its dead slots away"
         );
+    }
+
+    // --- predicates under three-valued logic ------------------------------
+
+    /// Seeded predicate trees — `AND`, `OR` and `NOT` over comparisons of
+    /// `Int`, `Str` and `Bool` columns holding `NULL`s, literals, params and
+    /// outer references inside a correlated `EXISTS` — run by the vectorized
+    /// executor, the interpreter and the SQL-text path over a plain table, a
+    /// filter over a filter and a filter over a semi-join, and maintained
+    /// through `DeltaExec`.
+    mod predicates {
+        use super::*;
+        use crate::delta::WriteBatch;
+        use crate::printer::print_query;
+
+        /// splitmix64, so every case replays.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: u64) -> usize {
+                (self.next() % n) as usize
+            }
+        }
+
+        #[derive(Clone, Copy)]
+        enum Ty {
+            Int,
+            Str,
+            Bool,
+        }
+
+        const TYPES: [Ty; 3] = [Ty::Int, Ty::Str, Ty::Bool];
+        const COMPARISONS: [BinOp; 6] = [
+            BinOp::Eq,
+            BinOp::Neq,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+
+        impl Ty {
+            /// A value of this type, `NULL` one time in four. Strings come
+            /// from a shared pool, so equal cells often share one `Arc`.
+            fn value(self, rng: &mut Rng, pool: &[SqlValue]) -> SqlValue {
+                if rng.below(4) == 0 {
+                    return SqlValue::Null;
+                }
+                match self {
+                    Ty::Int => SqlValue::Int(rng.below(7) as i64 - 2),
+                    Ty::Str => pool[rng.below(pool.len() as u64)].clone(),
+                    Ty::Bool => SqlValue::Bool(rng.below(2) == 0),
+                }
+            }
+
+            /// The column of `t` (and, for `Int` and `Str`, of `u`) of this
+            /// type.
+            fn column(self) -> &'static str {
+                match self {
+                    Ty::Int => "i",
+                    Ty::Str => "s",
+                    Ty::Bool => "b",
+                }
+            }
+
+            fn param(self) -> &'static str {
+                match self {
+                    Ty::Int => "p_int",
+                    Ty::Str => "p_str",
+                    Ty::Bool => "p_bool",
+                }
+            }
+        }
+
+        fn pool() -> Vec<SqlValue> {
+            ["", "a", "ab", "b", "a string longer than one word"]
+                .into_iter()
+                .map(SqlValue::str)
+                .collect()
+        }
+
+        /// `t(k, i, s, b)`: 150 rows, three bitset words with a ragged
+        /// tail; `u(i, s)`: 12 rows for `EXISTS` to range over.
+        fn predicate_engine(seed: u64) -> Engine {
+            let mut rng = Rng(seed);
+            let pool = pool();
+            let mut storage = Storage::new();
+            let t = TableDef::new(
+                "t",
+                vec![
+                    ("k", ColumnType::Int),
+                    ("i", ColumnType::Int),
+                    ("s", ColumnType::Text),
+                    ("b", ColumnType::Bool),
+                ],
+            );
+            let u = TableDef::new("u", vec![("i", ColumnType::Int), ("s", ColumnType::Text)]);
+            storage.create_table(t).unwrap();
+            storage.create_table(u).unwrap();
+            for k in 0..150 {
+                let mut row = vec![SqlValue::Int(k)];
+                row.extend(TYPES.map(|ty| ty.value(&mut rng, &pool)));
+                storage.insert("t", row).unwrap();
+            }
+            for _ in 0..12 {
+                let row = vec![
+                    Ty::Int.value(&mut rng, &pool),
+                    Ty::Str.value(&mut rng, &pool),
+                ];
+                storage.insert("u", row).unwrap();
+            }
+            Engine::with_storage(storage)
+        }
+
+        fn params() -> ParamValues {
+            [
+                ("p_int", SqlValue::Int(1)),
+                ("p_str", SqlValue::str("ab")),
+                ("p_bool", SqlValue::Bool(false)),
+                ("p_null", SqlValue::Null),
+            ]
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect()
+        }
+
+        /// Generates predicates over `t AS x`.
+        struct Gen {
+            rng: Rng,
+            pool: Vec<SqlValue>,
+            /// Columns of `x` are unqualified: the planner then keeps the
+            /// conjunct until every relation and semi-join has run.
+            bare: bool,
+            params: bool,
+            exists: bool,
+        }
+
+        impl Gen {
+            fn new(seed: u64) -> Gen {
+                Gen {
+                    rng: Rng(seed),
+                    pool: pool(),
+                    bare: false,
+                    params: true,
+                    exists: true,
+                }
+            }
+
+            fn x(&self, column: &str) -> Expr {
+                if self.bare {
+                    Expr::Column {
+                        table: None,
+                        column: column.to_string(),
+                    }
+                } else {
+                    Expr::col("x", column)
+                }
+            }
+
+            /// A tree of depth at most `depth`.
+            fn pred(&mut self, depth: usize) -> Expr {
+                if depth == 0 || self.rng.below(4) == 0 {
+                    return self.leaf();
+                }
+                match self.rng.below(3) {
+                    0 => Expr::and(self.pred(depth - 1), self.pred(depth - 1)),
+                    1 => Expr::or(self.pred(depth - 1), self.pred(depth - 1)),
+                    _ => Expr::not(self.pred(depth - 1)),
+                }
+            }
+
+            /// An operand of type `ty` over `x`: a column, a literal (or
+            /// `NULL`) or a param.
+            fn operand(&mut self, ty: Ty) -> Expr {
+                match self.rng.below(if self.params { 4 } else { 3 }) {
+                    0 | 1 => self.x(ty.column()),
+                    2 => Expr::Literal(ty.value(&mut self.rng, &self.pool)),
+                    _ if self.rng.below(5) == 0 => Expr::param("p_null"),
+                    _ => Expr::param(ty.param()),
+                }
+            }
+
+            fn leaf(&mut self) -> Expr {
+                match self.rng.below(24) {
+                    0..=1 => self.operand(Ty::Bool),
+                    2..=3 if self.exists => self.exists(),
+                    // A pair of different types: `=` is FALSE, `<>` TRUE.
+                    4 => {
+                        let op = [BinOp::Eq, BinOp::Neq][self.rng.below(2)];
+                        let (l, r) = [("i", "s"), ("s", "b"), ("b", "i")][self.rng.below(3)];
+                        Expr::binop(op, self.x(l), self.x(r))
+                    }
+                    // A non-boolean operand of `AND`: NULL on every row, and
+                    // the generic path decides the whole predicate.
+                    5 if self.rng.below(4) == 0 => {
+                        Expr::and(self.x("i"), Expr::lit(SqlValue::Null))
+                    }
+                    _ => {
+                        let ty = TYPES[self.rng.below(3)];
+                        let op = COMPARISONS[self.rng.below(6)];
+                        Expr::binop(op, self.operand(ty), self.operand(ty))
+                    }
+                }
+            }
+
+            /// `EXISTS` over `u AS y`, correlated through comparisons of
+            /// `y`'s columns with `x`'s.
+            fn exists(&mut self) -> Expr {
+                let mut conjuncts = Vec::new();
+                for _ in 0..1 + self.rng.below(2) {
+                    let ty = [Ty::Int, Ty::Str][self.rng.below(2)];
+                    let op = COMPARISONS[self.rng.below(6)];
+                    let outer = Expr::col("x", ty.column());
+                    let inner = match self.rng.below(3) {
+                        0 => Expr::Literal(ty.value(&mut self.rng, &self.pool)),
+                        _ => Expr::col("y", ty.column()),
+                    };
+                    let cmp = Expr::binop(op, inner, outer);
+                    conjuncts.push(if self.rng.below(4) == 0 {
+                        Expr::not(cmp)
+                    } else {
+                        cmp
+                    });
+                }
+                let sub = Select::new()
+                    .item(Expr::lit(1), "one")
+                    .from_named("u", "y")
+                    .filter(Expr::conj(conjuncts));
+                Expr::Exists(Box::new(Query::select(sub)))
+            }
+        }
+
+        fn over_t(predicate: Expr) -> Query {
+            Query::select(
+                Select::new()
+                    .item(Expr::col("x", "k"), "k")
+                    .from_named("t", "x")
+                    .filter(predicate),
+            )
+        }
+
+        /// Does a `Filter` of `plan` read the output of a node `below`
+        /// accepts?
+        fn filters_over(plan: &PhysicalPlan, below: fn(&PhysicalPlan) -> bool) -> bool {
+            plan.nodes().iter().any(|node| match node {
+                PhysicalPlan::Filter { input, .. } => below(input),
+                _ => false,
+            })
+        }
+
+        /// The vectorized executor, the interpreter and — for a query
+        /// without params — the SQL text agree on `q`'s bag of rows.
+        fn assert_agree(engine: &Engine, q: &Query, params: &ParamValues) {
+            let text = print_query(q);
+            let vectorized = engine.execute_bound(q, params);
+            let interpreted = engine.execute_interpreted_bound(q, params);
+            let (Ok(v), Ok(i)) = (vectorized, interpreted) else {
+                panic!("{text}: an error on a well-typed predicate");
+            };
+            let v = v.into_result_set();
+            assert_eq!(v.columns, i.columns, "{text}");
+            assert_eq!(sorted(v.rows.clone()), sorted(i.rows), "{text}");
+            if params.is_empty() {
+                let parsed = engine.execute_sql(&text).unwrap();
+                assert_eq!(sorted(parsed.rows), sorted(v.rows), "{text}: SQL text");
+            }
+        }
+
+        #[test]
+        fn predicates_agree_with_the_interpreter_under_three_valued_logic() {
+            let engine = predicate_engine(5);
+            let params = params();
+            let no_params = ParamValues::new();
+            let is_filter = |p: &PhysicalPlan| matches!(p, PhysicalPlan::Filter { .. });
+            let is_semi = |p: &PhysicalPlan| matches!(p, PhysicalPlan::HashSemiJoin { .. });
+            let mut over_semi = 0;
+            for seed in 0..200 {
+                let mut gen = Gen::new(seed);
+                // A plain table, with and without params.
+                gen.params = seed % 2 == 0;
+                let q = over_t(gen.pred(4));
+                assert_agree(&engine, &q, if gen.params { &params } else { &no_params });
+
+                // A filter over a filter: two conjuncts over `x` alone.
+                (gen.params, gen.exists) = (true, false);
+                let q = over_t(Expr::and(gen.pred(3), gen.pred(3)));
+                assert!(filters_over(&engine.prepare(&q).unwrap(), is_filter));
+                assert_agree(&engine, &q, &params);
+
+                // A filter over a semi-join: the bare conjunct waits for the
+                // decorrelated `EXISTS`.
+                (gen.bare, gen.exists) = (true, true);
+                let semi = Select::new()
+                    .item(Expr::lit(1), "one")
+                    .from_named("u", "y")
+                    .filter(Expr::eq(Expr::col("y", "s"), Expr::col("x", "s")));
+                let semi = Expr::Exists(Box::new(Query::select(semi)));
+                let q = over_t(Expr::and(semi, gen.pred(3)));
+                over_semi += usize::from(filters_over(&engine.prepare(&q).unwrap(), is_semi));
+                assert_agree(&engine, &q, &params);
+            }
+            // The rest read no column of `x` bare, or are semi-joins too.
+            assert!(over_semi > 100, "{over_semi} of 200 filter a semi-join");
+        }
+
+        #[test]
+        fn a_mixed_type_ordering_is_an_error_on_both_executors() {
+            let engine = predicate_engine(5);
+            let params = params();
+            let x = |c: &str| Expr::col("x", c);
+            for predicate in [
+                Expr::binop(BinOp::Lt, x("i"), x("s")),
+                Expr::binop(BinOp::Ge, x("s"), Expr::param("p_int")),
+                Expr::binop(BinOp::Gt, Expr::lit(true), x("i")),
+                Expr::not(Expr::binop(BinOp::Le, x("b"), x("s"))),
+                Expr::or(x("b"), Expr::binop(BinOp::Lt, x("i"), Expr::lit("a"))),
+                // A non-boolean operand where a boolean is required (under
+                // `OR`: a top-level `AND` is split into conjuncts).
+                Expr::or(Expr::and(x("i"), x("b")), x("b")),
+                Expr::not(x("s")),
+            ] {
+                let q = over_t(predicate);
+                let text = print_query(&q);
+                assert!(
+                    engine.execute_bound(&q, &params).is_err(),
+                    "{text}: vectorized"
+                );
+                assert!(
+                    engine.execute_interpreted_bound(&q, &params).is_err(),
+                    "{text}: interpreted"
+                );
+            }
+        }
+
+        #[test]
+        fn filters_maintained_through_delta_exec_match_recompute() {
+            let pool = pool();
+            for seed in 0..40 {
+                let engine = predicate_engine(seed);
+                let mut gen = Gen::new(1000 + seed);
+                gen.params = false;
+                let q = over_t(gen.pred(4));
+                let mut rng = Rng(seed);
+                let mut batch = WriteBatch::new();
+                for k in 0..1 + rng.below(4) as i64 {
+                    let victim = engine.storage().table("t").unwrap().rows[k as usize * 7].clone();
+                    batch = batch.delete("t", victim);
+                    let mut row = vec![SqlValue::Int(1000 + k)];
+                    row.extend(TYPES.map(|ty| ty.value(&mut rng, &pool)));
+                    batch = batch.insert("t", row);
+                }
+                maintain_and_check(&engine, &q, batch);
+            }
+        }
     }
 }
